@@ -39,7 +39,8 @@ from fcre.encoder import (
     BilinearForm,
     EncoderParams,
     encode,
-    encode_backward,
+    encode_batch,
+    encode_batch_backward,
     floats_from_b64,
     floats_to_b64,
     init_adam,
@@ -386,19 +387,16 @@ def _train(
     vec = np.concatenate([encoder.to_vector(), w.ravel()])
     for _ in range(epochs):
         for idx in _epoch_batches(n, state.rng):
-            z = np.stack([encode(encoder, train_x[i]) for i in idx])
+            x = train_x[idx]
             batch = Batch(
-                z=z,
+                z=encode_batch(encoder, x),
                 labels=train_y[idx],
                 descriptions=_description_block(state.descriptions, train_y[idx], description_source),
             )
             result = joint_loss(batch, hp, w)
-            grad_enc = np.zeros(n_enc)
-            for row, i in enumerate(idx):
-                g = result.grad_z[row]
-                if np.any(g):
-                    grad_enc += encode_backward(encoder, train_x[i], g)
-            grads = np.concatenate([grad_enc, result.grad_w.ravel()])
+            grads = np.concatenate(
+                [encode_batch_backward(encoder, x, result.grad_z), result.grad_w.ravel()]
+            )
             vec, state.optimizer = step(state.optimizer, vec, grads)
             encoder = encoder.with_vector(vec[:n_enc])
             w = vec[n_enc:].reshape(w.shape)

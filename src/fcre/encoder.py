@@ -5,9 +5,11 @@ z = tanh(W2 @ tanh(W1 @ x + b1) + b2) of dim d.  Gradients are
 hand-derived and returned as a flat vector in the canonical packing
 order [W1, b1, W2, b2]; the optimizer operates on flat vectors only,
 so callers may concatenate extra trainable blocks (the bilinear matrix)
-onto the same parameter vector.  Batching is deliberately left to the
-trainer: ``encode`` handles one sample, which keeps the gradient
-bookkeeping explicit and testable.
+onto the same parameter vector.  ``encode_batch`` embeds a (n, f) block
+of rows with two matrix products and ``encode_batch_backward`` returns
+the gradient summed over those rows as matrix products
+(dW1 = dH_pre^T X, db1 = sum of the rows of dH_pre, ...); ``encode`` and
+``encode_backward`` are their one-row views.
 """
 
 from __future__ import annotations
@@ -110,43 +112,72 @@ def init_encoder(
     )
 
 
+def _feature_rows(params: EncoderParams, features) -> np.ndarray:
+    """Validate a finite (n, f) block of feature rows for this encoder."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise ValueError(f"feature rows must be a non-empty (n, f) block, got shape {x.shape}")
+    if x.shape[1] != params.feature_dim:
+        raise ValueError(
+            f"features have {x.shape[1]} entries, encoder expects {params.feature_dim}"
+        )
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features contain non-finite entries")
+    return x
+
+
+def _forward(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    hidden = np.tanh(x @ params.w1.T + params.b1)
+    return hidden, np.tanh(hidden @ params.w2.T + params.b2)
+
+
+def encode_batch(params: EncoderParams, features) -> np.ndarray:
+    """Embed each row of a (n, f) block; output entries lie in (-1, 1)."""
+    return _forward(params, _feature_rows(params, features))[1]
+
+
+def encode_batch_backward(params: EncoderParams, features, grad_out) -> np.ndarray:
+    """Chain per-row ``grad_out`` (n, d) back to one flat parameter gradient.
+
+    Returns the sum over rows of d(loss)/d(params), packed in the same
+    [W1, b1, W2, b2] order as ``EncoderParams.to_vector``.
+    """
+    x = _feature_rows(params, features)
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    if grad_out.shape != (x.shape[0], params.embed_dim):
+        raise ValueError(
+            f"grad_out must have shape ({x.shape[0]}, {params.embed_dim}), "
+            f"got {grad_out.shape}"
+        )
+    hidden, z = _forward(params, x)
+    dz_pre = grad_out * (1.0 - z * z)
+    dw2 = dz_pre.T @ hidden
+    db2 = dz_pre.sum(axis=0)
+    dh_pre = (dz_pre @ params.w2) * (1.0 - hidden * hidden)
+    dw1 = dh_pre.T @ x
+    db1 = dh_pre.sum(axis=0)
+    return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+
+
 def encode(params: EncoderParams, features) -> np.ndarray:
     """Embed one feature vector; output entries lie in (-1, 1)."""
     x = as_embedding(features, name="features")
-    if x.size != params.feature_dim:
-        raise ValueError(
-            f"features have {x.size} entries, encoder expects {params.feature_dim}"
-        )
-    hidden = np.tanh(params.w1 @ x + params.b1)
-    return np.tanh(params.w2 @ hidden + params.b2)
+    return encode_batch(params, x[None, :])[0]
 
 
 def encode_backward(params: EncoderParams, features, grad_out) -> np.ndarray:
-    """Chain ``grad_out`` (dL/dz) back to a flat parameter gradient.
+    """Chain ``grad_out`` (dL/dz) of one sample back to a flat parameter gradient.
 
     Returns d(loss)/d(params) packed in the same [W1, b1, W2, b2] order
     as ``EncoderParams.to_vector``.
     """
     x = as_embedding(features, name="features")
-    if x.size != params.feature_dim:
-        raise ValueError(
-            f"features have {x.size} entries, encoder expects {params.feature_dim}"
-        )
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != (params.embed_dim,):
         raise ValueError(
             f"grad_out must have shape ({params.embed_dim},), got {grad_out.shape}"
         )
-    hidden = np.tanh(params.w1 @ x + params.b1)
-    z = np.tanh(params.w2 @ hidden + params.b2)
-    dz_pre = grad_out * (1.0 - z * z)
-    dw2 = np.outer(dz_pre, hidden)
-    db2 = dz_pre
-    dhidden = params.w2.T @ dz_pre
-    dh_pre = dhidden * (1.0 - hidden * hidden)
-    dw1 = np.outer(dh_pre, x)
-    db1 = dh_pre
-    return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+    return encode_batch_backward(params, x[None, :], grad_out[None, :])
 
 
 @dataclass

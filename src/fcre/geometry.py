@@ -1,11 +1,12 @@
 """Vector similarity primitives and deterministic score ranking.
 
-Everything downstream (losses, prototypes, prediction heads) funnels
-through the handful of functions here, so this module owns input
-validation: an embedding is a finite, non-empty 1-D vector, and any
-operation that divides by a norm rejects zero-norm input with an error
-naming the offending argument.  All arithmetic is done in float64
-regardless of the caller's storage dtype.
+These are the one-vector primitives: memory selection and the
+per-query prediction heads call them, and they validate every input: an
+embedding is a finite, non-empty 1-D vector, and any operation that
+divides by a norm rejects zero-norm input with an error naming the
+offending argument.  The batched loss kernel and ``evaluate`` work on
+whole matrices instead and validate once, at the batch.  All arithmetic
+is done in float64 regardless of the caller's storage dtype.
 """
 
 from __future__ import annotations
@@ -81,22 +82,6 @@ def euclidean(a, b) -> float:
     a, b = _pair(a, b)
     diff = a - b
     return math.sqrt(float(np.dot(diff, diff)))
-
-
-def euclidean_gradients(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Partial derivatives of ``euclidean(a, b)``; zero at coincident points.
-
-    The distance is not differentiable at a == b; the zero subgradient is
-    returned there so callers never see NaN.
-    """
-    a, b = _pair(a, b)
-    diff = a - b
-    dist = math.sqrt(float(np.dot(diff, diff)))
-    if dist == 0.0:
-        zero = np.zeros_like(a)
-        return zero, zero.copy()
-    grad_a = diff / dist
-    return grad_a, -grad_a
 
 
 def exp_cos_score(a, b, tau: float) -> float:

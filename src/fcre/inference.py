@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from fcre.encoder import encode
+from fcre.encoder import encode_batch
 from fcre.geometry import as_embedding, cosine, euclidean, rank_scores
 
 if TYPE_CHECKING:  # pragma: no cover - import would be circular at runtime
@@ -72,6 +72,13 @@ def _argmax_by_id(scores: Mapping[int, float]) -> int:
     return int(best_rel)
 
 
+def _check_fusion_weights(alpha: float, epsilon: float) -> None:
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+
+
 def fuse_ranked_scores(
     e_scores: Mapping[int, float],
     c_scores: Mapping[int, float],
@@ -79,10 +86,7 @@ def fuse_ranked_scores(
     epsilon: float,
 ) -> dict[int, float]:
     """Reciprocal-rank fusion of two score tables over the same relations."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_fusion_weights(alpha, epsilon)
     if set(e_scores) != set(c_scores):
         raise ValueError(
             "mismatched relation registries: prototype scores cover "
@@ -218,13 +222,58 @@ class MetricsReport:
         return report
 
 
+# Test queries scored per pass of ``evaluate``; it caps the (queries, R, d)
+# block of differences to the prototypes.
+QUERY_BLOCK = 16
+
+
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """1-based rank of every column per row: smaller key first, ties by column.
+
+    Columns are relations in ascending id order, so a stable sort breaks
+    exact ties by ascending relation id, as ``rank_scores`` does.
+    """
+    order = np.argsort(keys, axis=1, kind="stable")
+    ranks = np.empty(keys.shape, dtype=np.float64)
+    np.put_along_axis(ranks, order, np.arange(1.0, keys.shape[1] + 1.0)[None, :], axis=1)
+    return ranks
+
+
+def _predict_block(
+    z: np.ndarray,
+    prototypes: np.ndarray,
+    means: np.ndarray | None,
+    mean_norms: np.ndarray | None,
+    hp,
+) -> np.ndarray:
+    """Column index of the predicted relation for each query row.
+
+    ``means is None`` selects the NCM head, otherwise DRI.  Both pick the
+    first best column, i.e. the lowest relation id among exact ties.
+    """
+    diff = z[:, None, :] - prototypes[None, :, :]
+    dist = np.sqrt(np.einsum("qrd,qrd->qr", diff, diff))
+    if means is None:
+        return np.argmin(dist, axis=1)
+    z_norms = np.sqrt(np.einsum("qd,qd->q", z, z))
+    if np.any(z_norms == 0.0):
+        raise ValueError("cosine undefined: first argument has zero norm")
+    cos = np.clip((z @ means.T) / (z_norms[:, None] * mean_norms[None, :]), -1.0, 1.0)
+    fused = hp.alpha / (hp.epsilon + _ranks(dist)) + (1.0 - hp.alpha) / (
+        hp.epsilon + _ranks(-cos)
+    )
+    return np.argmax(fused, axis=1)
+
+
 def evaluate(state: "ContinualState", through_task: int, head: str, hp) -> TaskAccuracy:
     """Score the test pools of tasks 1..through_task with one head.
 
     Every prediction runs against the full label space seen so far (the
     prototype registry), so earlier tasks get harder as the stream
-    grows.  The result is a pure fold over the test pools: sample order
-    cannot affect it.
+    grows.  Each pool is encoded and scored ``QUERY_BLOCK`` queries at a
+    time against an (R, d) prototype matrix and, for DRI, an (R, d)
+    matrix of mean descriptions.  The result is a pure fold over the
+    test pools: sample order cannot affect it.
     """
     if head not in HEADS:
         raise ValueError(f"unknown head {head!r}; expected one of {HEADS}")
@@ -238,19 +287,25 @@ def evaluate(state: "ContinualState", through_task: int, head: str, hp) -> TaskA
             "mismatched relation registries: prototypes cover "
             f"{sorted(proto_rels)} but descriptions cover {sorted(desc_rels)}"
         )
+    items = _relation_items(state.prototypes)
+    relations = np.array([r for r, _ in items], dtype=np.int64)
+    prototypes = np.stack([p for _, p in items])
+    means = mean_norms = None
+    if head == "dri":
+        _check_fusion_weights(hp.alpha, hp.epsilon)
+        means = np.stack([state.descriptions.mean(int(r)) for r in relations])
+        mean_norms = np.sqrt(np.einsum("rd,rd->r", means, means))
+        if np.any(mean_norms == 0.0):
+            raise ValueError("cosine undefined: second argument has zero norm")
     acc_per_task: dict[int, float] = {}
     for i in range(1, through_task + 1):
         task = done[i]
         hits = 0
-        for features, label in zip(task.test_x, task.test_y):
-            z = encode(state.encoder, features)
-            if head == "ncm":
-                pred = ncm_predict(z, state.prototypes)
-            else:
-                pred = dri_predict(
-                    z, state.prototypes, state.descriptions, hp.alpha, hp.epsilon
-                )
-            hits += int(pred == int(label))
+        for start in range(0, task.test_y.size, QUERY_BLOCK):
+            rows = slice(start, start + QUERY_BLOCK)
+            z = encode_batch(state.encoder, task.test_x[rows])
+            pred = relations[_predict_block(z, prototypes, means, mean_norms, hp)]
+            hits += int(np.count_nonzero(pred == task.test_y[rows]))
         acc_per_task[i] = hits / len(task.test_y)
     acc_avg = sum(acc_per_task.values()) / len(acc_per_task)
     return TaskAccuracy(

@@ -2,7 +2,7 @@
 
 A ``Batch`` carries, per sample: the embedding z (row of ``z``), an
 integer relation label, and the K frozen description vectors of that
-sample's relation.  Four per-sample objectives are defined on top of it:
+sample's relation.  Four objectives are defined per anchor sample x:
 
 * ``scl_loss``   -- supervised contrastive loss over the batch, using
   exp(cos/tau) scores with a shared denominator over all other samples.
@@ -18,6 +18,13 @@ sample's relation.  Four per-sample objectives are defined on top of it:
 * ``mi_loss``    -- InfoNCE-style bound contrasting bilinear scores
   z^T W d of the sample's own K descriptions against the descriptions
   of the batch negatives, computed in log-space.
+
+All four are computed by one kernel that evaluates a block of anchor
+rows at once with masked array operations: (rows, B) cosine and
+Euclidean matrices, a (rows, K, B) block of description cosines for
+mining and a (rows, B*K) block of bilinear scores.  ``joint_loss`` runs
+it over the batch in blocks of ``BLOCK_ROWS`` anchors; the per-anchor
+functions above are one-row views of the same kernel.
 
 Every loss returns its value together with d(value)/d(z) for the whole
 batch (and d(value)/dW where W participates).  Description vectors are
@@ -35,8 +42,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from fcre.geometry import euclidean, euclidean_gradients
 
 
 @dataclass
@@ -202,22 +207,243 @@ class JointResult(NamedTuple):
     clamped_count: int
 
 
-def _row_norms(rows: np.ndarray, what: str) -> np.ndarray:
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    if np.any(norms == 0.0):
-        idx = int(np.flatnonzero(norms == 0.0)[0])
-        raise ValueError(f"{what} {idx} has zero norm; cosine is undefined")
-    return norms
+# Anchor rows per kernel pass.  It caps every transient of the kernel at
+# BLOCK_ROWS x B x max(d, K) entries: the (rows, B, d) difference block of
+# HSMT, the (rows, K, B) description-cosine block of mining and the
+# (rows, B*K) bilinear score block of MI.
+BLOCK_ROWS = 16
+
+HSMT_FLOOR = 1e-6
 
 
-def _cosines_to(anchor: np.ndarray, rows: np.ndarray, what: str) -> np.ndarray:
-    """cos(anchor, rows[i]) for every row, with zero-norm rejection."""
-    an = math.sqrt(float(np.dot(anchor, anchor)))
-    if an == 0.0:
-        raise ValueError("anchor has zero norm; cosine is undefined")
-    norms = _row_norms(rows, what)
-    vals = (rows @ anchor) / (norms * an)
-    return np.clip(vals, -1.0, 1.0)
+class _Term(NamedTuple):
+    """One objective evaluated for a block of anchor rows."""
+
+    values: np.ndarray  # (rows,) value per anchor
+    grad_z: np.ndarray  # (B, d) gradient of the block's summed value
+    degenerate: np.ndarray  # (rows,) no positive / no pair / no negative
+    clamped: np.ndarray | None = None  # (rows,) HSMT clamp hits
+    grad_w: np.ndarray | None = None  # (d, d) MI only
+
+
+def _unit_differences(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Rows of d||a - b||/da = (a - b) / ||a - b||; zero at coincident points.
+
+    The distance is not differentiable at a == b; the zero subgradient is
+    used there so no NaN reaches a caller.
+    """
+    out = np.zeros_like(diff)
+    np.divide(diff, dist[:, None], out=out, where=dist[:, None] != 0.0)
+    return out
+
+
+class _Kernel:
+    """The four objectives for any block of anchor rows of one batch.
+
+    Built once per batch, it holds what every term shares: row norms,
+    unit rows and the same-label mask.  Each term method takes a slice of
+    anchor rows and evaluates the term for all of them at once from
+    (rows, B) similarity and distance matrices; the per-anchor functions
+    of this module are one-row views of the same methods.
+    """
+
+    def __init__(self, batch: Batch) -> None:
+        self.batch = batch
+        z = batch.z
+        self.norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+        # Every term that takes a cosine against a zero-norm row rejects
+        # it first; the stand-in norm only keeps unused entries finite.
+        self.safe_norms = np.where(self.norms == 0.0, 1.0, self.norms)
+        self.z_hat = z / self.safe_norms[:, None]
+        self.same = batch.labels[:, None] == batch.labels[None, :]
+        n_same = np.count_nonzero(self.same, axis=1)
+        self.has_pos = n_same > 1
+        self.has_neg = n_same < batch.size
+
+    def _masks(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Anchor indices of ``rows`` and their (rows, B) positive/negative masks."""
+        anchors = np.arange(rows.start, rows.stop)
+        pos = self.same[rows].copy()
+        pos[np.arange(anchors.size), anchors] = False
+        return anchors, pos, ~self.same[rows]
+
+    def _require_nonzero(self, used: np.ndarray) -> None:
+        bad = np.flatnonzero(used & (self.norms == 0.0))
+        if bad.size:
+            raise ValueError(
+                f"batch sample {int(bad[0])} has zero norm; cosine is undefined"
+            )
+
+    def scl(self, rows: slice, tau: float) -> _Term:
+        """Masked log-softmax over the rows of the cosine matrix."""
+        z = self.batch.z
+        active = self.has_pos[rows]
+        if not active.any():
+            return _Term(np.zeros(active.size), np.zeros_like(z), ~active)
+        self._require_nonzero(np.ones(z.shape[0], dtype=bool))
+        anchors, pos, _ = self._masks(rows)
+        cos = (z[rows] @ z.T) / (self.norms[rows, None] * self.norms[None, :])
+        cos = np.clip(cos, -1.0, 1.0)
+        s = cos / tau
+        s_other = s.copy()
+        s_other[np.arange(anchors.size), anchors] = -np.inf  # u != x
+        shift = s_other.max(axis=1, keepdims=True)
+        w = np.exp(s_other - shift)
+        total = w.sum(axis=1, keepdims=True)
+        log_total = shift[:, 0] + np.log(total[:, 0])
+        n_pos = np.count_nonzero(pos, axis=1)
+        values = np.where(active, n_pos * log_total - np.where(pos, s, 0.0).sum(axis=1), 0.0)
+
+        # dL/ds_u = n_pos * softmax_u - [u is positive]; rows without
+        # positives have n_pos == 0 and no positive, so a zero row.
+        coeff = (n_pos[:, None] * (w / total) - pos) / tau
+        # dcos/dz_u = (x_hat - cos u_hat) / |u|, dcos/dz_x = (u_hat - cos x_hat) / |x|
+        weighted_cos = coeff * cos
+        z_hat = self.z_hat
+        grad = (coeff.T @ z_hat[rows] - weighted_cos.sum(axis=0)[:, None] * z_hat)
+        grad /= self.norms[:, None]
+        grad[rows] += (
+            coeff @ z_hat - weighted_cos.sum(axis=1)[:, None] * z_hat[rows]
+        ) / self.norms[rows, None]
+        return _Term(values, grad, ~active)
+
+    def hsmt(self, rows: slice) -> _Term:
+        """Batch-hard pairs: row-wise argmax over positives, argmin over negatives."""
+        z = self.batch.z
+        anchors, pos, neg = self._masks(rows)
+        paired = pos.any(axis=1) & neg.any(axis=1)
+        grad = np.zeros_like(z)
+        if not paired.any():
+            return _Term(np.zeros(anchors.size), grad, ~paired, np.zeros_like(paired))
+        a = np.arange(anchors.size)
+        diff = z[rows][:, None, :] - z[None, :, :]
+        dist = np.sqrt(np.einsum("abk,abk->ab", diff, diff))
+        # argmax/argmin take the first hit, i.e. the lowest sample index
+        p_star = np.argmax(np.where(pos, dist, -np.inf), axis=1)
+        n_star = np.argmin(np.where(neg, dist, np.inf), axis=1)
+        dp = np.where(paired, dist[a, p_star], 0.0)
+        dn = np.where(paired, dist[a, n_star], 0.0)
+        exp_p = np.exp(dp)
+        exp_n = np.exp(dn)
+        arg = 1.0 + exp_p - exp_n
+        clamped = paired & (arg <= HSMT_FLOOR)
+        live = paired & ~clamped
+        arg = np.where(live, arg, 1.0)
+        values = np.where(live, -np.log(arg), 0.0)
+        values[clamped] = -math.log(HSMT_FLOOR)
+
+        # dL/d(dp) = -exp_p / arg, dL/d(dn) = +exp_n / arg; only the
+        # selected pair of a live anchor receives gradient.
+        g_p = np.where(live, -exp_p / arg, 0.0)[:, None] * _unit_differences(diff[a, p_star], dp)
+        g_n = np.where(live, exp_n / arg, 0.0)[:, None] * _unit_differences(diff[a, n_star], dn)
+        grad[rows] += g_p + g_n
+        np.add.at(grad, p_star, -g_p)
+        np.add.at(grad, n_star, -g_n)
+        return _Term(values, grad, ~paired, clamped)
+
+    def mine(
+        self, rows: slice, vectors: np.ndarray, active: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Hard sets of each active row against each of its description vectors.
+
+        ``vectors`` holds the (rows, K', d) description vectors to mine
+        against.  Returns the raw cosines cos(d_x^k, z_u) of shape
+        (rows, K', B), the unit anchors, and the hard-positive and
+        hard-negative masks (strict inequalities on 1 - cos).
+        """
+        _, pos, neg = self._masks(rows)
+        an = np.sqrt(np.einsum("akd,akd->ak", vectors, vectors))
+        if np.any(an[active] == 0.0):
+            raise ValueError("anchor has zero norm; cosine is undefined")
+        self._require_nonzero(np.any((pos | neg)[active], axis=0))
+        an = np.where(an == 0.0, 1.0, an)
+        cos = (vectors @ self.batch.z.T) / (an[:, :, None] * self.safe_norms)
+        dist = 1.0 - np.clip(cos, -1.0, 1.0)
+        pos, neg = pos[:, None, :], neg[:, None, :]
+        closest_neg = np.where(neg, dist, np.inf).min(axis=2, keepdims=True)
+        farthest_pos = np.where(pos, dist, -np.inf).max(axis=2, keepdims=True)
+        live = active[:, None, None]
+        hard_pos = live & pos & (dist > closest_neg)
+        hard_neg = live & neg & (dist < farthest_pos)
+        return cos, vectors / an[:, :, None], hard_pos, hard_neg
+
+    def hm(self, rows: slice, margin: float) -> _Term:
+        """Quadratic pulls on hard positives and pushes on hard negatives."""
+        batch = self.batch
+        active = self.has_pos[rows] & self.has_neg[rows]
+        if not active.any():
+            return _Term(np.zeros(active.size), np.zeros_like(batch.z), ~active)
+        cos, a_hat, hard_pos, hard_neg = self.mine(rows, batch.descriptions[rows], active)
+        t_pos = 1.0 - cos
+        t_neg = margin - 1.0 + cos
+        hard_neg &= t_neg > 0.0
+        values = (
+            np.where(hard_pos, t_pos * t_pos, 0.0) + np.where(hard_neg, t_neg * t_neg, 0.0)
+        ).sum(axis=(1, 2))
+        # dL/dcos per (anchor, k, sample); dcos/dz_u = (a_hat - cos z_hat_u) / |z_u|
+        g = np.where(hard_pos, -2.0 * t_pos, 0.0) + np.where(hard_neg, 2.0 * t_neg, 0.0)
+        b, d = batch.z.shape
+        grad = g.reshape(-1, b).T @ a_hat.reshape(-1, d)
+        grad -= (g * cos).sum(axis=(0, 1))[:, None] * self.z_hat
+        grad /= self.safe_norms[:, None]
+        return _Term(values, grad, ~active)
+
+    def mi(self, rows: slice, w_matrix: np.ndarray, tau: float) -> _Term:
+        """InfoNCE over one (rows, B*K) block of bilinear scores."""
+        batch = self.batch
+        b, d = batch.z.shape
+        k = batch.k_desc
+        anchors, _, neg = self._masks(rows)
+        has_neg = neg.any(axis=1)
+        grad = np.zeros_like(batch.z)
+        if not has_neg.any():
+            return _Term(np.zeros(anchors.size), grad, ~has_neg, grad_w=np.zeros_like(w_matrix))
+        own = np.zeros((anchors.size, b), dtype=bool)
+        own[np.arange(anchors.size), anchors] = True
+        own = np.repeat(own, k, axis=1)  # the anchor's own K descriptions
+        keep = own | np.repeat(neg, k, axis=1)  # plus K per negative sample
+        desc = batch.descriptions.reshape(b * k, d)
+        z_rows = batch.z[rows]
+        scores = ((z_rows @ w_matrix) @ desc.T) / tau  # z_x^T W d_u^k / tau
+        scores = np.where(keep, scores, -np.inf)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        s_all = e.sum(axis=1)
+        s_pos = np.where(own, e, 0.0).sum(axis=1)
+        values = np.where(has_neg, np.log(s_all) - np.log(s_pos), 0.0)
+
+        coeff = e / s_all[:, None] - np.where(own, e / s_pos[:, None], 0.0)
+        coeff[~has_neg] = 0.0
+        weighted = coeff @ desc  # sum_i coeff_i * d_i, per anchor
+        grad[rows] = (weighted @ w_matrix.T) / tau
+        grad_w = (z_rows.T @ weighted) / tau
+        return _Term(values, grad, ~has_neg, grad_w=grad_w)
+
+
+def _anchor_row(batch: Batch, x: int) -> slice:
+    batch._check_index(x)
+    return slice(x, x + 1)
+
+
+def _require_pair(batch: Batch, what: str) -> None:
+    if batch.size < 2:
+        raise ValueError(f"{what} needs a batch of at least two samples")
+
+
+def _require_tau(tau: float) -> None:
+    if not tau > 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+
+
+def _require_margin(margin: float) -> None:
+    if not 0.0 < margin <= 1.0:
+        raise ValueError(f"margin must lie in (0, 1], got {margin}")
+
+
+def _as_bilinear(w_matrix, d: int) -> np.ndarray:
+    w_matrix = np.asarray(w_matrix, dtype=np.float64)
+    if w_matrix.shape != (d, d):
+        raise ValueError(f"W must be ({d}, {d}), got {w_matrix.shape}")
+    return w_matrix
 
 
 def scl_loss(batch: Batch, x: int, tau: float) -> SclResult:
@@ -230,86 +456,27 @@ def scl_loss(batch: Batch, x: int, tau: float) -> SclResult:
     included.  Returns zero with ``no_positive`` set when x has no
     same-label partner.
     """
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if batch.size < 2:
-        raise ValueError("scl_loss needs a batch of at least two samples")
-    grad = np.zeros_like(batch.z)
-    pos = batch.positives(x)
-    if pos.size == 0:
-        return SclResult(0.0, grad, True)
-
-    others = np.flatnonzero(np.arange(batch.size) != x)
-    zx = batch.z[x]
-    zu = batch.z[others]
-    cos_vals = _cosines_to(zx, zu, "batch sample")
-    s = cos_vals / tau
-    shift = float(np.max(s))
-    w = np.exp(s - shift)
-    total = float(np.sum(w))
-    log_total = shift + math.log(total)
-
-    pos_mask = batch.labels[others] == batch.labels[x]
-    n_pos = int(np.count_nonzero(pos_mask))
-    value = n_pos * log_total - float(np.sum(s[pos_mask]))
-
-    # dL/ds_u = n_pos * softmax_u - [u is positive]
-    coeff = (n_pos * (w / total) - pos_mask.astype(np.float64)) / tau
-
-    xn = math.sqrt(float(np.dot(zx, zx)))
-    un = np.sqrt(np.einsum("ij,ij->i", zu, zu))
-    x_hat = zx / xn
-    u_hat = zu / un[:, None]
-    cos_col = cos_vals[:, None]
-    dcos_dzu = (x_hat[None, :] - cos_col * u_hat) / un[:, None]
-    dcos_dzx = (u_hat - cos_col * x_hat[None, :]) / xn
-
-    grad[others] += coeff[:, None] * dcos_dzu
-    grad[x] += coeff @ dcos_dzx
-    return SclResult(float(value), grad, False)
+    _require_tau(tau)
+    _require_pair(batch, "scl_loss")
+    term = _Kernel(batch).scl(_anchor_row(batch, x), tau)
+    return SclResult(float(term.values[0]), term.grad_z, bool(term.degenerate[0]))
 
 
 def hsmt_loss(batch: Batch, x: int) -> HsmtResult:
     """Hardest-pair margin loss for sample x.
 
     With p* the positive farthest from z_x and n* the negative nearest
-    to z_x (Euclidean), the loss is
+    to z_x (Euclidean; ties go to the lowest index), the loss is
     -log(max(1 + exp(d(z_x,z_p*)) - exp(d(z_x,z_n*)), 1e-6)).
     Only the selected pair receives gradient; when the clamp is active
     the gradient is zero everywhere.  Missing positives or negatives
     yield zero with ``no_pair`` set.
     """
-    if batch.size < 2:
-        raise ValueError("hsmt_loss needs a batch of at least two samples")
-    grad = np.zeros_like(batch.z)
-    pos = batch.positives(x)
-    neg = batch.negatives(x)
-    if pos.size == 0 or neg.size == 0:
-        return HsmtResult(0.0, grad, True, False)
-
-    zx = batch.z[x]
-    pos_dists = np.array([euclidean(zx, batch.z[p]) for p in pos])
-    neg_dists = np.array([euclidean(zx, batch.z[n]) for n in neg])
-    p_star = int(pos[np.argmax(pos_dists)])  # argmax takes first, i.e. lowest index
-    n_star = int(neg[np.argmin(neg_dists)])
-    dp = float(np.max(pos_dists))
-    dn = float(np.min(neg_dists))
-
-    exp_p = math.exp(dp)
-    exp_n = math.exp(dn)
-    arg = 1.0 + exp_p - exp_n
-    floor = 1e-6
-    if arg <= floor:
-        return HsmtResult(-math.log(floor), grad, False, True)
-
-    value = -math.log(arg)
-    # dL/d(dp) = -exp_p / arg, dL/d(dn) = +exp_n / arg
-    gp_x, gp_p = euclidean_gradients(zx, batch.z[p_star])
-    gn_x, gn_n = euclidean_gradients(zx, batch.z[n_star])
-    grad[x] += (-exp_p / arg) * gp_x + (exp_n / arg) * gn_x
-    grad[p_star] += (-exp_p / arg) * gp_p
-    grad[n_star] += (exp_n / arg) * gn_n
-    return HsmtResult(value, grad, False, False)
+    _require_pair(batch, "hsmt_loss")
+    term = _Kernel(batch).hsmt(_anchor_row(batch, x))
+    return HsmtResult(
+        float(term.values[0]), term.grad_z, bool(term.degenerate[0]), bool(term.clamped[0])
+    )
 
 
 def mine_hard(batch: Batch, x: int, k: int) -> MiningSets:
@@ -328,20 +495,16 @@ def mine_hard(batch: Batch, x: int, k: int) -> MiningSets:
         raise ValueError(f"sample {x} has no negatives to mine")
     if not 0 <= k < batch.k_desc:
         raise ValueError(f"description index {k} out of range for K={batch.k_desc}")
-
-    anchor = batch.descriptions[x, k]
-    pos_dist = 1.0 - _cosines_to(anchor, batch.z[pos], "batch sample")
-    neg_dist = 1.0 - _cosines_to(anchor, batch.z[neg], "batch sample")
-    closest_neg = float(np.min(neg_dist))
-    farthest_pos = float(np.max(pos_dist))
-    hard_pos = tuple(int(p) for p, dist in zip(pos, pos_dist) if dist > closest_neg)
-    hard_neg = tuple(int(n) for n, dist in zip(neg, neg_dist) if dist < farthest_pos)
+    rows = slice(x, x + 1)
+    _, _, hard_pos, hard_neg = _Kernel(batch).mine(
+        rows, batch.descriptions[rows, k : k + 1], np.ones(1, dtype=bool)
+    )
     return MiningSets(
         k=k,
         positives=tuple(int(p) for p in pos),
         negatives=tuple(int(n) for n in neg),
-        hard_positives=hard_pos,
-        hard_negatives=hard_neg,
+        hard_positives=tuple(int(p) for p in np.flatnonzero(hard_pos[0, 0])),
+        hard_negatives=tuple(int(n) for n in np.flatnonzero(hard_neg[0, 0])),
     )
 
 
@@ -356,40 +519,9 @@ def hm_loss(batch: Batch, x: int, margin: float) -> HmResult:
     receives gradient if it appears as somebody's mined example --
     never through its own anchor.  Empty P(x) or N(x) contributes zero.
     """
-    if not 0.0 < margin <= 1.0:
-        raise ValueError(f"margin must lie in (0, 1], got {margin}")
-    grad = np.zeros_like(batch.z)
-    pos = batch.positives(x)
-    neg = batch.negatives(x)
-    if pos.size == 0 or neg.size == 0:
-        return HmResult(0.0, grad, True)
-
-    value = 0.0
-    for k in range(batch.k_desc):
-        sets = mine_hard(batch, x, k)
-        anchor = batch.descriptions[x, k]
-        an = math.sqrt(float(np.dot(anchor, anchor)))
-        if an == 0.0:
-            raise ValueError("description anchor has zero norm")
-        a_hat = anchor / an
-        for p in sets.hard_positives:
-            zp = batch.z[p]
-            pn = math.sqrt(float(np.dot(zp, zp)))
-            c = float(np.dot(a_hat, zp)) / pn
-            t = 1.0 - c
-            value += t * t
-            dcos_dzp = (a_hat - c * (zp / pn)) / pn
-            grad[p] += -2.0 * t * dcos_dzp
-        for n in sets.hard_negatives:
-            zn = batch.z[n]
-            nn = math.sqrt(float(np.dot(zn, zn)))
-            c = float(np.dot(a_hat, zn)) / nn
-            t = margin - 1.0 + c
-            if t > 0.0:
-                value += t * t
-                dcos_dzn = (a_hat - c * (zn / nn)) / nn
-                grad[n] += 2.0 * t * dcos_dzn
-    return HmResult(float(value), grad, False)
+    _require_margin(margin)
+    term = _Kernel(batch).hm(_anchor_row(batch, x), margin)
+    return HmResult(float(term.values[0]), term.grad_z, bool(term.degenerate[0]))
 
 
 def mi_loss(batch: Batch, x: int, w_matrix: np.ndarray, tau: float) -> MiResult:
@@ -404,75 +536,56 @@ def mi_loss(batch: Batch, x: int, w_matrix: np.ndarray, tau: float) -> MiResult:
     log-space.  Returns zero (value and both gradients) when N(x) is
     empty.
     """
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    w_matrix = np.asarray(w_matrix, dtype=np.float64)
-    d = batch.embed_dim
-    if w_matrix.shape != (d, d):
-        raise ValueError(f"W must be ({d}, {d}), got {w_matrix.shape}")
-    grad_w = np.zeros_like(w_matrix)
-    neg = batch.negatives(x)
-    zx = batch.z[x]
-    if neg.size == 0:
-        return MiResult(0.0, np.zeros(d), grad_w, True)
-
-    k = batch.k_desc
-    own = batch.descriptions[x]  # (K, d)
-    neg_desc = batch.descriptions[neg].reshape(-1, d)  # (|N|*K, d)
-    all_desc = np.vstack([own, neg_desc])
-    wt_zx = w_matrix.T @ zx
-    scores = (all_desc @ wt_zx) / tau
-
-    shift = float(np.max(scores))
-    e = np.exp(scores - shift)
-    s_all = float(np.sum(e))
-    s_pos = float(np.sum(e[:k]))
-    value = math.log(s_all) - math.log(s_pos)
-
-    coeff = e / s_all
-    coeff[:k] -= e[:k] / s_pos
-    weighted = coeff @ all_desc  # sum_i coeff_i * d_i
-    grad_zx = (w_matrix @ weighted) / tau
-    grad_w = np.outer(zx, weighted) / tau
-    return MiResult(float(value), grad_zx, grad_w, False)
+    _require_tau(tau)
+    w_matrix = _as_bilinear(w_matrix, batch.embed_dim)
+    term = _Kernel(batch).mi(_anchor_row(batch, x), w_matrix, tau)
+    return MiResult(float(term.values[0]), term.grad_z[x], term.grad_w, bool(term.degenerate[0]))
 
 
 def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResult:
     """Batch-mean of the beta-weighted sum of all four objectives.
 
+    Evaluates every anchor of the batch in blocks of ``BLOCK_ROWS`` rows.
     Linear in each beta; terms with beta == 0 are skipped entirely, so
     disabling a loss also disables its degenerate-input flags.
     """
     hp.validate()
     b = batch.size
     w_matrix = np.asarray(w_matrix, dtype=np.float64)
+    if hp.beta_sc != 0.0:
+        _require_pair(batch, "scl_loss")
+    if hp.beta_st != 0.0:
+        _require_pair(batch, "hsmt_loss")
+    if hp.beta_mi != 0.0:
+        _as_bilinear(w_matrix, batch.embed_dim)
+    kernel = _Kernel(batch)
     total = 0.0
     grad_z = np.zeros_like(batch.z)
     grad_w = np.zeros_like(w_matrix)
     no_positive = 0
     no_pair = 0
     clamped = 0
-    for x in range(b):
+    for start in range(0, b, BLOCK_ROWS):
+        rows = slice(start, min(start + BLOCK_ROWS, b))
+        terms = []
         if hp.beta_sc != 0.0:
-            r = scl_loss(batch, x, hp.tau)
-            total += hp.beta_sc * r.value
-            grad_z += hp.beta_sc * r.grad_z
-            no_positive += int(r.no_positive)
+            term = kernel.scl(rows, hp.tau)
+            no_positive += int(np.count_nonzero(term.degenerate))
+            terms.append((hp.beta_sc, term))
         if hp.beta_st != 0.0:
-            r = hsmt_loss(batch, x)
-            total += hp.beta_st * r.value
-            grad_z += hp.beta_st * r.grad_z
-            no_pair += int(r.no_pair)
-            clamped += int(r.clamped)
+            term = kernel.hsmt(rows)
+            no_pair += int(np.count_nonzero(term.degenerate))
+            clamped += int(np.count_nonzero(term.clamped))
+            terms.append((hp.beta_st, term))
         if hp.beta_hm != 0.0:
-            r = hm_loss(batch, x, hp.margin)
-            total += hp.beta_hm * r.value
-            grad_z += hp.beta_hm * r.grad_z
+            terms.append((hp.beta_hm, kernel.hm(rows, hp.margin)))
         if hp.beta_mi != 0.0:
-            r = mi_loss(batch, x, w_matrix, hp.tau)
-            total += hp.beta_mi * r.value
-            grad_z[x] += hp.beta_mi * r.grad_z_x
-            grad_w += hp.beta_mi * r.grad_w
+            term = kernel.mi(rows, w_matrix, hp.tau)
+            grad_w += hp.beta_mi * term.grad_w
+            terms.append((hp.beta_mi, term))
+        for beta, term in terms:
+            total += beta * float(np.sum(term.values))
+            grad_z += beta * term.grad_z
     scale = 1.0 / b
     return JointResult(
         value=total * scale,

@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fcre
 from fcre.cli import (
     DEFAULT_SEEDS,
     EncoderConfig,
@@ -207,6 +212,41 @@ class TestRunCommand:
             a = (tmp_path / "serial" / run_id(serial, seed) / "metrics.csv").read_bytes()
             b = (tmp_path / "parallel" / run_id(parallel, seed) / "metrics.csv").read_bytes()
             assert a == b
+
+    def test_rerun_is_byte_identical_across_blas_threads(self, tmp_path):
+        # one process pinned to a single BLAS thread, one left at the
+        # library default; minibatches of 32 rows exercise the matrix paths
+        defaults = ExperimentConfig()
+        config = dataclasses.replace(
+            defaults,
+            synthetic=dataclasses.replace(defaults.synthetic, n_tasks=2, n_way=3),
+            seeds=(0,),
+        )
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_to_dict(config)))
+        src = str(Path(fcre.__file__).resolve().parents[1])
+        artifacts = []
+        for threads in ("1", None):
+            env = {
+                k: v
+                for k, v in os.environ.items()
+                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+            }
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"threads-{threads or 'default'}"
+            subprocess.run(
+                [sys.executable, "-m", "fcre", "run", "--config", str(path), "--out", str(out)],
+                env=env,
+                check=True,
+                capture_output=True,
+            )
+            run_dir = out / run_id(config, 0)
+            files = [run_dir / "metrics.csv", *sorted((run_dir / "checkpoints").iterdir())]
+            artifacts.append({f.name: f.read_bytes() for f in files})
+        assert sorted(artifacts[0]) == ["metrics.csv", "task_01.json", "task_02.json"]
+        assert artifacts[0] == artifacts[1]
 
     def test_bad_threads_value_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FCRE_THREADS", "many")

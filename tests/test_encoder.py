@@ -9,6 +9,8 @@ from fcre.encoder import (
     EncoderParams,
     encode,
     encode_backward,
+    encode_batch,
+    encode_batch_backward,
     floats_from_b64,
     floats_to_b64,
     init_adam,
@@ -93,6 +95,50 @@ class TestEncodeBackward:
     def test_grad_out_shape_checked(self):
         with pytest.raises(ValueError, match="grad_out"):
             encode_backward(small_params(), np.ones(5), np.ones(4))
+
+
+class TestEncodeBatch:
+    def test_rows_match_per_row_encode(self):
+        # BLAS sums a matrix-vector and a matrix-matrix product in different
+        # orders, so rows agree to rounding rather than bit for bit
+        rng = np.random.default_rng(42)
+        for n in (1, 2, 7, 33, 64):
+            params = init_encoder(32, 32, 16, rng)
+            x = rng.normal(size=(n, 32))
+            batched = encode_batch(params, x)
+            rows = np.stack([encode(params, row) for row in x])
+            np.testing.assert_allclose(batched, rows, rtol=1e-13, atol=1e-15)
+
+    def test_backward_is_sum_of_per_row_backward(self):
+        rng = np.random.default_rng(42)
+        for n in (1, 2, 7, 33, 64):
+            params = init_encoder(32, 32, 16, rng)
+            x = rng.normal(size=(n, 32))
+            grad_out = rng.normal(size=(n, 16))
+            grad_out[::3] = 0.0  # rows that receive no gradient
+            expected = sum(
+                encode_backward(params, row, g) for row, g in zip(x, grad_out)
+            )
+            np.testing.assert_allclose(
+                encode_batch_backward(params, x, grad_out), expected, rtol=1e-12, atol=1e-14
+            )
+
+    def test_all_zero_upstream_gives_zero_gradient(self):
+        params = small_params()
+        x = np.random.default_rng(1).normal(size=(4, 5))
+        grads = encode_batch_backward(params, x, np.zeros((4, 3)))
+        assert np.array_equal(grads, np.zeros(params.n_params))
+
+    def test_shapes_checked(self):
+        params = small_params()
+        with pytest.raises(ValueError, match="expects 5"):
+            encode_batch(params, np.ones((2, 6)))
+        with pytest.raises(ValueError, match="non-empty"):
+            encode_batch(params, np.ones(5))
+        with pytest.raises(ValueError, match="non-finite"):
+            encode_batch(params, np.full((2, 5), np.nan))
+        with pytest.raises(ValueError, match="grad_out"):
+            encode_batch_backward(params, np.ones((2, 5)), np.ones((3, 3)))
 
 
 class TestParamsVector:

@@ -11,7 +11,6 @@ from fcre.geometry import (
     cosine,
     cosine_gradients,
     euclidean,
-    euclidean_gradients,
     exp_cos_score,
     rank_scores,
     unit_normalize,
@@ -82,22 +81,6 @@ class TestEuclidean:
         for _ in range(50):
             a, b, c = rng.normal(size=(3, 4))
             assert euclidean(a, c) <= euclidean(a, b) + euclidean(b, c) + 1e-12
-
-    def test_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            a, b = rng.normal(size=(2, 5))
-            ga, gb = euclidean_gradients(a, b)
-            fa = num_grad(lambda v: euclidean(v, b), a, eps=1e-6)
-            fb = num_grad(lambda v: euclidean(a, v), b, eps=1e-6)
-            assert rel_err(ga, fa) < 1e-7
-            assert rel_err(gb, fb) < 1e-7
-
-    def test_zero_distance_subgradient_is_zero(self):
-        a = np.array([1.0, 2.0])
-        ga, gb = euclidean_gradients(a, a)
-        assert np.array_equal(ga, np.zeros(2))
-        assert np.array_equal(gb, np.zeros(2))
 
 
 class TestExpCosScore:

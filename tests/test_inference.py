@@ -1,18 +1,22 @@
 """Prediction heads, rank fusion, and the metrics CSV."""
 
+import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fcre.continual import run_task
+from fcre.continual import PrototypeStore, Task, run_task
 from fcre.descriptions import DescriptionSet
+from fcre.encoder import EncoderParams, encode, init_encoder
 from fcre.geometry import cosine, rank_scores
 from fcre.inference import (
     MetricsReport,
     TaskAccuracy,
     description_cosine_scores,
+    evaluate,
     dri_predict,
     dri_predict_from_scores,
     dri_score,
@@ -220,10 +224,126 @@ class TestEvaluate:
         run_task(state, task, make_descriptions([0, 1], 4), HP, heads=("ncm",))
         # descriptions for a relation the prototypes do not know
         state.descriptions = state.descriptions.union(make_descriptions([9], 4, seed=5))
-        from fcre.inference import evaluate
-
         with pytest.raises(ValueError, match="registries"):
             evaluate(state, 1, "dri", HP)
+
+
+def nonzero_rows(rng, n, dim, quantized):
+    """n rows of dim entries; quantized rows hold -1/0/1 and are never all zero."""
+    if not quantized:
+        return rng.normal(size=(n, dim))
+    rows = rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
+    rows[np.all(rows == 0.0, axis=1), 0] = 1.0
+    return rows
+
+
+def pool_state(rng, quantized, n_tasks=3, n_way=5, test_n=8, n_extra=4, dim=4):
+    """A state with completed tasks, prototypes and descriptions, untrained.
+
+    The quantized variant uses a saturating identity encoder, so every
+    embedding is a -1/0/1 vector computed exactly by any summation order,
+    and -1/0/1 prototypes and descriptions: distances and cosines then
+    tie exactly between relations in both rank channels.
+    """
+    n_rel = n_tasks * n_way + n_extra  # extra relations are registered but untested
+    relations = [int(r) for r in rng.choice(500, size=n_rel, replace=False)]
+    if quantized:
+        steep = 30.0 * np.eye(dim)  # tanh(30) rounds to 1.0
+        encoder = EncoderParams(w1=steep, b1=np.zeros(dim), w2=steep, b2=np.zeros(dim))
+    else:
+        encoder = init_encoder(dim, 6, dim, rng)
+    state = fresh_state(feature_dim=dim, hidden_dim=encoder.hidden_dim, embed_dim=dim)
+    state.encoder = encoder
+    protos = nonzero_rows(rng, n_rel, dim, quantized)
+    state.prototypes = PrototypeStore(dict(zip(relations, protos)))
+    blocks = {}
+    for rel in relations:
+        block = nonzero_rows(rng, 2, dim, quantized)
+        while not np.any(block.mean(axis=0)):
+            block = nonzero_rows(rng, 2, dim, quantized)
+        blocks[rel] = block
+    state.descriptions = DescriptionSet(blocks)
+    for t in range(n_tasks):
+        rels = relations[t * n_way : (t + 1) * n_way]
+        x = nonzero_rows(rng, n_way * test_n, dim, quantized)
+        y = np.repeat(rels, test_n)
+        state.completed_tasks.append(Task(t + 1, tuple(rels), x, y, x, y))
+    return state
+
+
+def per_query_evaluate(state, through_task, head, hp):
+    """Literal loop: encode and predict one query at a time."""
+    acc = {}
+    for task in state.completed_tasks[:through_task]:
+        hits = 0
+        for features, label in zip(task.test_x, task.test_y):
+            z = encode(state.encoder, features)
+            if head == "ncm":
+                pred = ncm_predict(z, state.prototypes)
+            else:
+                pred = dri_predict(z, state.prototypes, state.descriptions, hp.alpha, hp.epsilon)
+            hits += int(pred == int(label))
+        acc[task.index] = hits / len(task.test_y)
+    return TaskAccuracy(through_task, head, acc, sum(acc.values()) / len(acc))
+
+
+def tied_queries(state):
+    """Queries whose best distance, or best cosine, is shared by two relations."""
+    protos = np.stack([p for _, p in state.prototypes.items()])
+    means = np.stack([state.descriptions.mean(r) for r in state.prototypes.relations])
+    e_ties = c_ties = 0
+    for task in state.completed_tasks:
+        for features in task.test_x:
+            z = encode(state.encoder, features)
+            dist = np.linalg.norm(z - protos, axis=1)
+            cos = (means @ z) / (np.linalg.norm(means, axis=1) * np.linalg.norm(z))
+            e_ties += int(np.count_nonzero(dist == dist.min()) > 1)
+            c_ties += int(np.count_nonzero(cos == cos.max()) > 1)
+    return e_ties, c_ties
+
+
+class TestBatchedEvaluate:
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_matches_per_query_loop(self, quantized):
+        rng = np.random.default_rng(42)
+        for _ in range(4):
+            state = pool_state(rng, quantized)
+            if quantized:
+                e_ties, c_ties = tied_queries(state)
+                assert e_ties > 0 and c_ties > 0
+            runs = [("ncm", HP)] + [
+                ("dri", dataclasses.replace(HP, alpha=alpha)) for alpha in (0.0, 0.5, 1.0)
+            ]
+            for head, hp in runs:
+                assert evaluate(state, 3, head, hp) == per_query_evaluate(state, 3, head, hp)
+            assert evaluate(state, 1, "dri", HP) == per_query_evaluate(state, 1, "dri", HP)
+
+    def test_zero_norm_mean_description_rejected_for_dri(self):
+        state = pool_state(np.random.default_rng(0), quantized=True)
+        rel = state.prototypes.relations[0]
+        blocks = {r: state.descriptions.vectors(r) for r in state.descriptions.relations}
+        blocks[rel] = np.stack([blocks[rel][0], -blocks[rel][0]])
+        with pytest.warns(RuntimeWarning):
+            state.descriptions = DescriptionSet(blocks)
+        with pytest.raises(ValueError, match="zero norm"):
+            evaluate(state, 1, "dri", HP)
+        evaluate(state, 1, "ncm", HP)  # NCM never takes a cosine
+
+    def test_transient_memory_stays_under_one_megabyte(self):
+        # an eval_wide-sized pool: 150 queries against 80 relations; a
+        # (queries, relations, d) block of differences alone takes 1.5 MB
+        rng = np.random.default_rng(42)
+        state = pool_state(rng, False, n_tasks=1, n_way=10, test_n=15, n_extra=70, dim=16)
+        state.encoder = init_encoder(16, 32, 16, rng)
+        for head in ("ncm", "dri"):
+            evaluate(state, 1, head, HP)  # warm caches outside the measurement
+            tracemalloc.start()
+            try:
+                evaluate(state, 1, head, HP)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000, f"evaluate[{head}] peaked at {peak} bytes"
 
 
 class TestMetricsReport:

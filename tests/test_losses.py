@@ -1,6 +1,7 @@
 """Loss values against literal-formula oracles; gradients against FD."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fcre.losses import (
     mine_hard,
     scl_loss,
 )
+import loss_reference
 from helpers import num_grad, random_batch, rel_err
 
 
@@ -622,12 +624,54 @@ class TestMiLoss:
 # ------------------------------------------------------------------ joint
 
 
+def described_batch(rng, z, labels, k_desc=2):
+    """Batch over given embeddings with K random unit descriptions per label."""
+    z = np.asarray(z, dtype=np.float64)
+    labels = np.asarray(labels)
+    per_label = {}
+    for label in np.unique(labels):
+        block = rng.normal(size=(k_desc, z.shape[1]))
+        per_label[int(label)] = block / np.linalg.norm(block, axis=1, keepdims=True)
+    descriptions = np.stack([per_label[int(l)] for l in labels])
+    return Batch(z=z, labels=labels, descriptions=descriptions)
+
+
+def kernel_oracle_cases():
+    """Batches on which the kernel must match the per-anchor reference."""
+    rng = np.random.default_rng(42)
+    cases = [random_batch(rng, k_desc=2) for _ in range(10)]
+    z = rng.normal(size=(5, 4))
+    cases.append(described_batch(rng, z, [0, 1, 2, 3, 4]))  # every label a singleton
+    cases.append(described_batch(rng, z[:4], [3, 3, 3, 3]))  # one label only
+    cases.append(described_batch(rng, z[:2], [0, 1]))  # B=2, no positives
+    cases.append(described_batch(rng, z[:2], [0, 0]))  # B=2, no negatives
+    coincident = z.copy()
+    coincident[1] = coincident[0]  # the only positive of 0 sits on it
+    coincident[4] = coincident[0]  # and so does a negative
+    cases.append(described_batch(rng, coincident, [0, 0, 1, 1, 2]))
+    # positives 1 and 2 both exactly at distance 1 from sample 0
+    equal = np.array([[0.0, 1.0], [1.0, 1.0], [-1.0, 1.0], [0.0, 2.2]])
+    cases.append(described_batch(rng, equal, [0, 0, 0, 1], k_desc=1))
+    # coincident positives and a negative at log(2) - 1e-7: the argument
+    # 1 + e^0 - e^dn is about 2e-7, positive but below the 1e-6 clamp
+    near_floor = 1.0 + math.log(2.0) - 1e-7
+    cases.append(described_batch(rng, [[1.0], [1.0], [near_floor]], [0, 0, 1]))
+    cases.append(random_batch(rng, k_desc=1))  # K=1
+    cases.append(random_batch(rng, size=64, embed_dim=16, k_desc=7, n_relations=8))
+    return cases
+
+
+def assert_close(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=1e-10, atol=1e-13)
+
+
 class TestJointLoss:
+    HP = HyperParams(tau=0.5, margin=0.5, beta_sc=1.0, beta_st=0.7, beta_hm=0.4, beta_mi=1.3)
+
     def test_equals_weighted_mean_of_parts(self):
         rng = np.random.default_rng(42)
-        hp = HyperParams(tau=0.5, margin=0.5, beta_sc=1.0, beta_st=0.7, beta_hm=0.4, beta_mi=1.3)
-        for _ in range(10):
-            batch = random_batch(rng, k_desc=2)
+        hp = self.HP
+        for batch in kernel_oracle_cases():
             w = np.eye(batch.embed_dim) + 0.05 * rng.normal(
                 size=(batch.embed_dim, batch.embed_dim)
             )
@@ -653,6 +697,79 @@ class TestJointLoss:
             np.testing.assert_allclose(result.value, expected / batch.size, rtol=1e-12)
             np.testing.assert_allclose(result.grad_z, expected_gz / batch.size, rtol=1e-10, atol=1e-15)
             np.testing.assert_allclose(result.grad_w, expected_gw / batch.size, rtol=1e-10, atol=1e-15)
+
+            reference = loss_reference.joint_loss(batch, hp, w)
+            assert result.no_positive_count == reference.no_positive_count
+            assert result.no_pair_count == reference.no_pair_count
+            assert result.clamped_count == reference.clamped_count
+            assert_close(result.value, reference.value)
+            assert_close(result.grad_z, reference.grad_z)
+            assert_close(result.grad_w, reference.grad_w)
+
+    def test_views_match_per_anchor_reference(self):
+        rng = np.random.default_rng(7)
+        hp = self.HP
+        for batch in kernel_oracle_cases():
+            w = np.eye(batch.embed_dim) + 0.05 * rng.normal(
+                size=(batch.embed_dim, batch.embed_dim)
+            )
+            for x in range(batch.size):
+                got, ref = scl_loss(batch, x, hp.tau), loss_reference.scl_loss(batch, x, hp.tau)
+                assert got.no_positive == ref.no_positive
+                assert_close(got.value, ref.value)
+                assert_close(got.grad_z, ref.grad_z)
+
+                got, ref = hsmt_loss(batch, x), loss_reference.hsmt_loss(batch, x)
+                assert (got.no_pair, got.clamped) == (ref.no_pair, ref.clamped)
+                assert_close(got.value, ref.value)
+                assert_close(got.grad_z, ref.grad_z)
+
+                got = hm_loss(batch, x, hp.margin)
+                ref = loss_reference.hm_loss(batch, x, hp.margin)
+                assert got.no_pair == ref.no_pair
+                assert_close(got.value, ref.value)
+                assert_close(got.grad_z, ref.grad_z)
+
+                got = mi_loss(batch, x, w, hp.tau)
+                ref = loss_reference.mi_loss(batch, x, w, hp.tau)
+                assert got.no_negative == ref.no_negative
+                assert_close(got.value, ref.value)
+                assert_close(got.grad_z_x, ref.grad_z_x)
+                assert_close(got.grad_w, ref.grad_w)
+
+                if batch.positives(x).size and batch.negatives(x).size:
+                    for k in range(batch.k_desc):
+                        assert mine_hard(batch, x, k) == loss_reference.mine_hard(batch, x, k)
+
+    def test_coincident_points_get_the_zero_subgradient(self):
+        # sample 1 coincides with anchor 0 and is its only positive; the
+        # distance has no derivative there, so the pair contributes nothing
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(3, 4))
+        z[1] = z[0]
+        z[2] = z[0] + np.array([0.3, -0.2, 0.0, 0.1])  # near enough to stay off the clamp
+        batch = described_batch(rng, z, [0, 0, 1])
+        result = hsmt_loss(batch, 0)
+        assert not result.clamped and np.all(np.isfinite(result.grad_z))
+        assert np.array_equal(result.grad_z[1], np.zeros(4))
+        unit = (z[0] - z[2]) / np.linalg.norm(z[0] - z[2])
+        d_n = np.linalg.norm(z[0] - z[2])
+        coeff = math.exp(d_n) / (2.0 - math.exp(d_n))
+        np.testing.assert_allclose(result.grad_z[0], coeff * unit, rtol=1e-12)
+        np.testing.assert_allclose(result.grad_z[2], -coeff * unit, rtol=1e-12)
+
+    def test_transient_memory_stays_under_one_megabyte(self):
+        rng = np.random.default_rng(42)
+        batch = random_batch(rng, size=64, embed_dim=16, k_desc=7, n_relations=8)
+        w = np.eye(16)
+        joint_loss(batch, HyperParams(), w)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            joint_loss(batch, HyperParams(), w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"joint_loss peaked at {peak} bytes"
 
     def test_linear_in_each_beta(self):
         rng = np.random.default_rng(7)
