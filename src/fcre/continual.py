@@ -326,33 +326,42 @@ def build_prototypes(
 ) -> PrototypeStore:
     """Mean embedding of each relation's stored samples, freshly encoded.
 
-    Pure function of (memory, encoder): calling it twice with the same
-    arguments gives identical prototypes.
+    ``encode_fn`` maps an (n, f) block of features to (n, d) embeddings;
+    all of memory is encoded in one call.  Pure function of (memory,
+    encoder): calling it twice with the same arguments gives identical
+    prototypes.
     """
+    if len(memory) == 0:
+        return PrototypeStore()
+    features, _ = memory.stacked()
+    embedded = np.asarray(encode_fn(features), dtype=np.float64)
     protos: dict[int, np.ndarray] = {}
-    for rel in memory.relations:
-        block = memory.features(rel)
-        if block.shape[0] == 0:  # defensive; MemoryBuffer never stores empties
-            logger.warning("relation %d has empty memory; skipping prototype", rel)
-            continue
-        embedded = np.stack([np.asarray(encode_fn(row), dtype=np.float64) for row in block])
-        protos[rel] = embedded.mean(axis=0)
+    start = 0
+    for rel in memory.relations:  # stacked() keeps this order
+        stop = start + memory.features(rel).shape[0]
+        protos[rel] = embedded[start:stop].mean(axis=0)
+        start = stop
     return PrototypeStore(protos)
 
 
-def _description_block(
+def _description_table(
     descriptions: DescriptionSet, labels: np.ndarray, source: str
-) -> np.ndarray:
-    rows = []
-    for label in labels:
-        rel = int(label)
+) -> tuple[np.ndarray, np.ndarray]:
+    """One description block per relation of a pool, and each sample's row in it.
+
+    Returns the (R, K, d) table -- (R, 1, d) for ``raw-mean`` -- over the
+    pool's R relations in id order, and the (n,) row of each label, so a
+    minibatch's (B, K, d) block is ``table[row_of[idx]]``.
+    """
+    relations = sorted(set(labels.tolist()))
+    for rel in relations:
         if rel not in descriptions:
             raise ProtocolError(f"no descriptions registered for relation {rel}")
-        if source == "k-set":
-            rows.append(descriptions.vectors(rel))
-        else:
-            rows.append(descriptions.mean(rel)[None, :])
-    return np.stack(rows)
+    if source == "k-set":
+        table = np.stack([descriptions.vectors(rel) for rel in relations])
+    else:
+        table = np.stack([descriptions.mean(rel)[None, :] for rel in relations])
+    return table, np.searchsorted(relations, labels)
 
 
 def _epoch_batches(n: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -384,6 +393,7 @@ def _train(
     encoder = state.encoder
     w = state.bilinear.matrix
     n_enc = encoder.n_params
+    table, row_of = _description_table(state.descriptions, train_y, description_source)
     vec = np.concatenate([encoder.to_vector(), w.ravel()])
     for _ in range(epochs):
         for idx in _epoch_batches(n, state.rng):
@@ -391,7 +401,7 @@ def _train(
             batch = Batch(
                 z=encode_batch(encoder, x),
                 labels=train_y[idx],
-                descriptions=_description_block(state.descriptions, train_y[idx], description_source),
+                descriptions=table[row_of[idx]],
             )
             result = joint_loss(batch, hp, w)
             grads = np.concatenate(
@@ -464,9 +474,6 @@ def run_task(
     )
     for rel in sorted(selected):
         state.memory.add(rel, selected[rel])
-    state.prototypes = build_prototypes(
-        state.memory, lambda row: encode(state.encoder, row)
-    )
 
     old_x, old_y = state.memory.stacked(exclude=set(task.relations))
     if old_x.shape[0] > 0:
@@ -477,7 +484,7 @@ def run_task(
     _train(state, replay_x, replay_y, hp, hp.epochs_memory, description_source)
 
     state.prototypes = build_prototypes(
-        state.memory, lambda row: encode(state.encoder, row)
+        state.memory, lambda rows: encode_batch(state.encoder, rows)
     )
     state.completed_tasks.append(task)
     for head in heads:

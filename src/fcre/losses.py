@@ -23,8 +23,11 @@ All four are computed by one kernel that evaluates a block of anchor
 rows at once with masked array operations: (rows, B) cosine and
 Euclidean matrices, a (rows, K, B) block of description cosines for
 mining and a (rows, B*K) block of bilinear scores.  ``joint_loss`` runs
-it over the batch in blocks of ``BLOCK_ROWS`` anchors; the per-anchor
-functions above are one-row views of the same kernel.
+it over the batch in blocks of ``BLOCK_ENTRIES // (B * max(d, K))``
+anchors (at least one), so every batch of up to 32 samples at d=16 is
+one pass; the four terms of a block share its positive and negative
+masks.  The per-anchor functions above are one-row views of the same
+kernel.
 
 Every loss returns its value together with d(value)/d(z) for the whole
 batch (and d(value)/dW where W participates).  Description vectors are
@@ -207,11 +210,15 @@ class JointResult(NamedTuple):
     clamped_count: int
 
 
-# Anchor rows per kernel pass.  It caps every transient of the kernel at
-# BLOCK_ROWS x B x max(d, K) entries: the (rows, B, d) difference block of
-# HSMT, the (rows, K, B) description-cosine block of mining and the
-# (rows, B*K) bilinear score block of MI.
-BLOCK_ROWS = 16
+# Float64 entries per kernel transient.  A pass takes
+# max(1, BLOCK_ENTRIES // (B * max(d, K))) anchor rows, so the (rows, B, d)
+# difference block of HSMT, the (rows, K, B) description cosines of mining
+# and the (rows, B*K) bilinear scores of MI each hold at most this many
+# entries (128 KiB).  16,384 is 16 rows at the largest full batch (B=64,
+# d=16), which keeps one joint_loss call under 1 MB of transients, and it
+# lets every batch of up to 32 samples at d=16 take one pass: a pass costs
+# mostly fixed NumPy call overhead, so fewer passes are faster.
+BLOCK_ENTRIES = 16_384
 
 HSMT_FLOOR = 1e-6
 
@@ -224,6 +231,16 @@ class _Term(NamedTuple):
     degenerate: np.ndarray  # (rows,) no positive / no pair / no negative
     clamped: np.ndarray | None = None  # (rows,) HSMT clamp hits
     grad_w: np.ndarray | None = None  # (d, d) MI only
+
+
+class _Block(NamedTuple):
+    """A block of anchor rows and the label masks every term reads."""
+
+    rows: slice
+    anchors: np.ndarray  # (rows,) batch index of each anchor
+    local: np.ndarray  # (rows,) 0..rows-1; (local, anchors) is each anchor's own entry
+    pos: np.ndarray  # (rows, B) same label, the anchor itself excluded
+    neg: np.ndarray  # (rows, B) different label
 
 
 def _unit_differences(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -241,10 +258,11 @@ class _Kernel:
     """The four objectives for any block of anchor rows of one batch.
 
     Built once per batch, it holds what every term shares: row norms,
-    unit rows and the same-label mask.  Each term method takes a slice of
-    anchor rows and evaluates the term for all of them at once from
-    (rows, B) similarity and distance matrices; the per-anchor functions
-    of this module are one-row views of the same methods.
+    unit rows and the same-label mask.  ``block`` cuts a slice of anchor
+    rows with its masks; each term method evaluates the term for all of
+    the block's anchors at once from (rows, B) similarity and distance
+    matrices.  The per-anchor functions of this module are one-row views
+    of the same methods.
     """
 
     def __init__(self, batch: Batch) -> None:
@@ -260,12 +278,13 @@ class _Kernel:
         self.has_pos = n_same > 1
         self.has_neg = n_same < batch.size
 
-    def _masks(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def block(self, rows: slice) -> _Block:
         """Anchor indices of ``rows`` and their (rows, B) positive/negative masks."""
         anchors = np.arange(rows.start, rows.stop)
+        local = np.arange(anchors.size)
         pos = self.same[rows].copy()
-        pos[np.arange(anchors.size), anchors] = False
-        return anchors, pos, ~self.same[rows]
+        pos[local, anchors] = False
+        return _Block(rows, anchors, local, pos, ~self.same[rows])
 
     def _require_nonzero(self, used: np.ndarray) -> None:
         bad = np.flatnonzero(used & (self.norms == 0.0))
@@ -274,19 +293,26 @@ class _Kernel:
                 f"batch sample {int(bad[0])} has zero norm; cosine is undefined"
             )
 
-    def scl(self, rows: slice, tau: float) -> _Term:
-        """Masked log-softmax over the rows of the cosine matrix."""
+    def require_scl_norms(self, active: np.ndarray) -> None:
+        """SCL takes every row's cosine with each active anchor: all must be nonzero."""
+        if active.any():
+            self._require_nonzero(np.ones(self.norms.size, dtype=bool))
+
+    def scl(self, blk: _Block, tau: float) -> _Term:
+        """Masked log-softmax over the rows of the cosine matrix.
+
+        The caller has run ``require_scl_norms`` for these anchors.
+        """
         z = self.batch.z
+        rows, pos = blk.rows, blk.pos
         active = self.has_pos[rows]
         if not active.any():
             return _Term(np.zeros(active.size), np.zeros_like(z), ~active)
-        self._require_nonzero(np.ones(z.shape[0], dtype=bool))
-        anchors, pos, _ = self._masks(rows)
         cos = (z[rows] @ z.T) / (self.norms[rows, None] * self.norms[None, :])
         cos = np.clip(cos, -1.0, 1.0)
         s = cos / tau
         s_other = s.copy()
-        s_other[np.arange(anchors.size), anchors] = -np.inf  # u != x
+        s_other[blk.local, blk.anchors] = -np.inf  # u != x
         shift = s_other.max(axis=1, keepdims=True)
         w = np.exp(s_other - shift)
         total = w.sum(axis=1, keepdims=True)
@@ -307,20 +333,19 @@ class _Kernel:
         ) / self.norms[rows, None]
         return _Term(values, grad, ~active)
 
-    def hsmt(self, rows: slice) -> _Term:
+    def hsmt(self, blk: _Block) -> _Term:
         """Batch-hard pairs: row-wise argmax over positives, argmin over negatives."""
         z = self.batch.z
-        anchors, pos, neg = self._masks(rows)
-        paired = pos.any(axis=1) & neg.any(axis=1)
+        rows, a = blk.rows, blk.local
+        paired = blk.pos.any(axis=1) & blk.neg.any(axis=1)
         grad = np.zeros_like(z)
         if not paired.any():
-            return _Term(np.zeros(anchors.size), grad, ~paired, np.zeros_like(paired))
-        a = np.arange(anchors.size)
+            return _Term(np.zeros(a.size), grad, ~paired, np.zeros_like(paired))
         diff = z[rows][:, None, :] - z[None, :, :]
         dist = np.sqrt(np.einsum("abk,abk->ab", diff, diff))
         # argmax/argmin take the first hit, i.e. the lowest sample index
-        p_star = np.argmax(np.where(pos, dist, -np.inf), axis=1)
-        n_star = np.argmin(np.where(neg, dist, np.inf), axis=1)
+        p_star = np.argmax(np.where(blk.pos, dist, -np.inf), axis=1)
+        n_star = np.argmin(np.where(blk.neg, dist, np.inf), axis=1)
         dp = np.where(paired, dist[a, p_star], 0.0)
         dn = np.where(paired, dist[a, n_star], 0.0)
         exp_p = np.exp(dp)
@@ -342,7 +367,7 @@ class _Kernel:
         return _Term(values, grad, ~paired, clamped)
 
     def mine(
-        self, rows: slice, vectors: np.ndarray, active: np.ndarray
+        self, blk: _Block, vectors: np.ndarray, active: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Hard sets of each active row against each of its description vectors.
 
@@ -351,15 +376,14 @@ class _Kernel:
         (rows, K', B), the unit anchors, and the hard-positive and
         hard-negative masks (strict inequalities on 1 - cos).
         """
-        _, pos, neg = self._masks(rows)
         an = np.sqrt(np.einsum("akd,akd->ak", vectors, vectors))
         if np.any(an[active] == 0.0):
             raise ValueError("anchor has zero norm; cosine is undefined")
-        self._require_nonzero(np.any((pos | neg)[active], axis=0))
+        self._require_nonzero(np.any((blk.pos | blk.neg)[active], axis=0))
         an = np.where(an == 0.0, 1.0, an)
         cos = (vectors @ self.batch.z.T) / (an[:, :, None] * self.safe_norms)
         dist = 1.0 - np.clip(cos, -1.0, 1.0)
-        pos, neg = pos[:, None, :], neg[:, None, :]
+        pos, neg = blk.pos[:, None, :], blk.neg[:, None, :]
         closest_neg = np.where(neg, dist, np.inf).min(axis=2, keepdims=True)
         farthest_pos = np.where(pos, dist, -np.inf).max(axis=2, keepdims=True)
         live = active[:, None, None]
@@ -367,13 +391,14 @@ class _Kernel:
         hard_neg = live & neg & (dist < farthest_pos)
         return cos, vectors / an[:, :, None], hard_pos, hard_neg
 
-    def hm(self, rows: slice, margin: float) -> _Term:
+    def hm(self, blk: _Block, margin: float) -> _Term:
         """Quadratic pulls on hard positives and pushes on hard negatives."""
         batch = self.batch
+        rows = blk.rows
         active = self.has_pos[rows] & self.has_neg[rows]
         if not active.any():
             return _Term(np.zeros(active.size), np.zeros_like(batch.z), ~active)
-        cos, a_hat, hard_pos, hard_neg = self.mine(rows, batch.descriptions[rows], active)
+        cos, a_hat, hard_pos, hard_neg = self.mine(blk, batch.descriptions[rows], active)
         t_pos = 1.0 - cos
         t_neg = margin - 1.0 + cos
         hard_neg &= t_neg > 0.0
@@ -388,20 +413,20 @@ class _Kernel:
         grad /= self.safe_norms[:, None]
         return _Term(values, grad, ~active)
 
-    def mi(self, rows: slice, w_matrix: np.ndarray, tau: float) -> _Term:
+    def mi(self, blk: _Block, w_matrix: np.ndarray, tau: float) -> _Term:
         """InfoNCE over one (rows, B*K) block of bilinear scores."""
         batch = self.batch
         b, d = batch.z.shape
         k = batch.k_desc
-        anchors, _, neg = self._masks(rows)
-        has_neg = neg.any(axis=1)
+        rows, anchors = blk.rows, blk.anchors
+        has_neg = blk.neg.any(axis=1)
         grad = np.zeros_like(batch.z)
         if not has_neg.any():
             return _Term(np.zeros(anchors.size), grad, ~has_neg, grad_w=np.zeros_like(w_matrix))
         own = np.zeros((anchors.size, b), dtype=bool)
-        own[np.arange(anchors.size), anchors] = True
+        own[blk.local, anchors] = True
         own = np.repeat(own, k, axis=1)  # the anchor's own K descriptions
-        keep = own | np.repeat(neg, k, axis=1)  # plus K per negative sample
+        keep = own | np.repeat(blk.neg, k, axis=1)  # plus K per negative sample
         desc = batch.descriptions.reshape(b * k, d)
         z_rows = batch.z[rows]
         scores = ((z_rows @ w_matrix) @ desc.T) / tau  # z_x^T W d_u^k / tau
@@ -419,9 +444,11 @@ class _Kernel:
         return _Term(values, grad, ~has_neg, grad_w=grad_w)
 
 
-def _anchor_row(batch: Batch, x: int) -> slice:
+def _one_row(batch: Batch, x: int) -> tuple[_Kernel, _Block]:
+    """The kernel of ``batch`` and the one-row block of anchor x."""
     batch._check_index(x)
-    return slice(x, x + 1)
+    kernel = _Kernel(batch)
+    return kernel, kernel.block(slice(x, x + 1))
 
 
 def _require_pair(batch: Batch, what: str) -> None:
@@ -458,7 +485,9 @@ def scl_loss(batch: Batch, x: int, tau: float) -> SclResult:
     """
     _require_tau(tau)
     _require_pair(batch, "scl_loss")
-    term = _Kernel(batch).scl(_anchor_row(batch, x), tau)
+    kernel, blk = _one_row(batch, x)
+    kernel.require_scl_norms(kernel.has_pos[blk.rows])
+    term = kernel.scl(blk, tau)
     return SclResult(float(term.values[0]), term.grad_z, bool(term.degenerate[0]))
 
 
@@ -473,7 +502,8 @@ def hsmt_loss(batch: Batch, x: int) -> HsmtResult:
     yield zero with ``no_pair`` set.
     """
     _require_pair(batch, "hsmt_loss")
-    term = _Kernel(batch).hsmt(_anchor_row(batch, x))
+    kernel, blk = _one_row(batch, x)
+    term = kernel.hsmt(blk)
     return HsmtResult(
         float(term.values[0]), term.grad_z, bool(term.degenerate[0]), bool(term.clamped[0])
     )
@@ -495,9 +525,9 @@ def mine_hard(batch: Batch, x: int, k: int) -> MiningSets:
         raise ValueError(f"sample {x} has no negatives to mine")
     if not 0 <= k < batch.k_desc:
         raise ValueError(f"description index {k} out of range for K={batch.k_desc}")
-    rows = slice(x, x + 1)
-    _, _, hard_pos, hard_neg = _Kernel(batch).mine(
-        rows, batch.descriptions[rows, k : k + 1], np.ones(1, dtype=bool)
+    kernel, blk = _one_row(batch, x)
+    _, _, hard_pos, hard_neg = kernel.mine(
+        blk, batch.descriptions[blk.rows, k : k + 1], np.ones(1, dtype=bool)
     )
     return MiningSets(
         k=k,
@@ -520,7 +550,8 @@ def hm_loss(batch: Batch, x: int, margin: float) -> HmResult:
     never through its own anchor.  Empty P(x) or N(x) contributes zero.
     """
     _require_margin(margin)
-    term = _Kernel(batch).hm(_anchor_row(batch, x), margin)
+    kernel, blk = _one_row(batch, x)
+    term = kernel.hm(blk, margin)
     return HmResult(float(term.values[0]), term.grad_z, bool(term.degenerate[0]))
 
 
@@ -538,14 +569,16 @@ def mi_loss(batch: Batch, x: int, w_matrix: np.ndarray, tau: float) -> MiResult:
     """
     _require_tau(tau)
     w_matrix = _as_bilinear(w_matrix, batch.embed_dim)
-    term = _Kernel(batch).mi(_anchor_row(batch, x), w_matrix, tau)
+    kernel, blk = _one_row(batch, x)
+    term = kernel.mi(blk, w_matrix, tau)
     return MiResult(float(term.values[0]), term.grad_z[x], term.grad_w, bool(term.degenerate[0]))
 
 
 def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResult:
     """Batch-mean of the beta-weighted sum of all four objectives.
 
-    Evaluates every anchor of the batch in blocks of ``BLOCK_ROWS`` rows.
+    Evaluates every anchor of the batch in blocks of
+    ``BLOCK_ENTRIES // (B * max(d, K))`` rows (at least one).
     Linear in each beta; terms with beta == 0 are skipped entirely, so
     disabling a loss also disables its degenerate-input flags.
     """
@@ -559,28 +592,31 @@ def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResu
     if hp.beta_mi != 0.0:
         _as_bilinear(w_matrix, batch.embed_dim)
     kernel = _Kernel(batch)
+    if hp.beta_sc != 0.0:
+        kernel.require_scl_norms(kernel.has_pos)
+    block_rows = max(1, BLOCK_ENTRIES // (b * max(batch.embed_dim, batch.k_desc)))
     total = 0.0
     grad_z = np.zeros_like(batch.z)
     grad_w = np.zeros_like(w_matrix)
     no_positive = 0
     no_pair = 0
     clamped = 0
-    for start in range(0, b, BLOCK_ROWS):
-        rows = slice(start, min(start + BLOCK_ROWS, b))
+    for start in range(0, b, block_rows):
+        blk = kernel.block(slice(start, min(start + block_rows, b)))
         terms = []
         if hp.beta_sc != 0.0:
-            term = kernel.scl(rows, hp.tau)
+            term = kernel.scl(blk, hp.tau)
             no_positive += int(np.count_nonzero(term.degenerate))
             terms.append((hp.beta_sc, term))
         if hp.beta_st != 0.0:
-            term = kernel.hsmt(rows)
+            term = kernel.hsmt(blk)
             no_pair += int(np.count_nonzero(term.degenerate))
             clamped += int(np.count_nonzero(term.clamped))
             terms.append((hp.beta_st, term))
         if hp.beta_hm != 0.0:
-            terms.append((hp.beta_hm, kernel.hm(rows, hp.margin)))
+            terms.append((hp.beta_hm, kernel.hm(blk, hp.margin)))
         if hp.beta_mi != 0.0:
-            term = kernel.mi(rows, w_matrix, hp.tau)
+            term = kernel.mi(blk, w_matrix, hp.tau)
             grad_w += hp.beta_mi * term.grad_w
             terms.append((hp.beta_mi, term))
         for beta, term in terms:

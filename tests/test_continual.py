@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fcre.continual as continual
 from fcre.continual import (
     ContinualState,
     MemoryBuffer,
@@ -11,6 +12,7 @@ from fcre.continual import (
     Task,
     TaskStream,
     _epoch_batches,
+    _train,
     build_prototypes,
     init_state,
     read_checkpoint,
@@ -19,7 +21,7 @@ from fcre.continual import (
     write_checkpoint,
 )
 from fcre.descriptions import DescriptionSet, synth_descriptions
-from fcre.encoder import encode
+from fcre.encoder import encode, encode_batch
 from fcre.inference import evaluate
 from fcre.losses import HyperParams
 
@@ -273,7 +275,7 @@ class TestBuildPrototypes:
         buf.add(0, rng.normal(size=(3, 5)))
         buf.add(1, rng.normal(size=(2, 5)))
         state = fresh_state(feature_dim=5)
-        fn = lambda row: encode(state.encoder, row)
+        fn = lambda rows: encode_batch(state.encoder, rows)
         a = build_prototypes(buf, fn)
         b = build_prototypes(buf, fn)
         assert a.relations == b.relations
@@ -314,6 +316,51 @@ class TestEpochBatches:
         b = _epoch_batches(100, np.random.default_rng(5))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+
+class TestTrainDescriptionTable:
+    """``_train`` gathers each minibatch's descriptions from a per-pool table."""
+
+    def recorded_batches(self, monkeypatch, labels, source):
+        state = fresh_state()
+        state.descriptions = make_descriptions([2, 5, 9, 14], 4, k_desc=3)
+        seen = []
+        real = continual.joint_loss
+
+        def recording(batch, hp, w):
+            seen.append((batch.labels.copy(), batch.descriptions.copy()))
+            return real(batch, hp, w)
+
+        monkeypatch.setattr(continual, "joint_loss", recording)
+        x = np.random.default_rng(1).normal(size=(labels.size, 6))
+        _train(state, x, labels, HP, 2, source)
+        return state.descriptions, seen
+
+    @pytest.mark.parametrize("source", ["k-set", "raw-mean"])
+    def test_matches_per_sample_lookup(self, monkeypatch, source):
+        # non-contiguous ids, one registered relation (5) absent from the
+        # pool, and 70 samples: three shuffled minibatches per epoch
+        labels = np.random.default_rng(0).choice([14, 2, 9], size=70)
+        descriptions, seen = self.recorded_batches(monkeypatch, labels, source)
+        assert len(seen) == 6
+        for batch_labels, block in seen:
+            if source == "k-set":
+                expected = np.stack([descriptions.vectors(rel) for rel in batch_labels])
+            else:
+                expected = np.stack([descriptions.mean(rel)[None, :] for rel in batch_labels])
+            np.testing.assert_array_equal(block, expected)
+
+    def test_relation_without_descriptions_raises(self):
+        state = fresh_state()
+        state.descriptions = make_descriptions([2, 9], 4)
+        before = state.encoder.to_vector().copy()
+        labels = np.array([2, 9, 12, 2, 9, 12])
+        x = np.random.default_rng(1).normal(size=(labels.size, 6))
+        with pytest.raises(
+            ProtocolError, match=r"^no descriptions registered for relation 12$"
+        ):
+            _train(state, x, labels, HP, 1, "k-set")
+        np.testing.assert_array_equal(state.encoder.to_vector(), before)
 
 
 class TestRunTaskProtocol:
@@ -389,7 +436,7 @@ class TestRunTaskBehavior:
 
     def test_prototypes_match_final_encoder(self):
         state = self.run_stream(fresh_state(), HP)
-        rebuilt = build_prototypes(state.memory, lambda row: encode(state.encoder, row))
+        rebuilt = build_prototypes(state.memory, lambda rows: encode_batch(state.encoder, rows))
         assert rebuilt.relations == state.prototypes.relations
         for rel in rebuilt.relations:
             np.testing.assert_array_equal(rebuilt[rel], state.prototypes[rel])

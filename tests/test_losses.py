@@ -17,6 +17,7 @@ from fcre.losses import (
     mine_hard,
     scl_loss,
 )
+import fcre.losses as losses
 import loss_reference
 from helpers import num_grad, random_batch, rel_err
 
@@ -657,12 +658,49 @@ def kernel_oracle_cases():
     near_floor = 1.0 + math.log(2.0) - 1e-7
     cases.append(described_batch(rng, [[1.0], [1.0], [near_floor]], [0, 0, 1]))
     cases.append(random_batch(rng, k_desc=1))  # K=1
-    cases.append(random_batch(rng, size=64, embed_dim=16, k_desc=7, n_relations=8))
+    cases.append(random_batch(rng, size=64, embed_dim=16, k_desc=7, n_relations=8))  # 4 passes
+    cases.append(random_batch(rng, size=32, embed_dim=16, k_desc=7, n_relations=5))  # 1 pass
     return cases
+
+
+def kernel_blocks(batch):
+    """(start, stop) anchor rows of each kernel pass of one ``joint_loss`` call."""
+    blocks = []
+    real = losses._Kernel.scl
+
+    def counting(self, blk, tau):
+        blocks.append((blk.rows.start, blk.rows.stop))
+        return real(self, blk, tau)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(losses._Kernel, "scl", counting)
+        joint_loss(batch, HyperParams(), np.eye(batch.embed_dim))
+    return blocks
 
 
 def assert_close(actual, expected):
     np.testing.assert_allclose(actual, expected, rtol=1e-10, atol=1e-13)
+
+
+class TestKernelBlocks:
+    @pytest.mark.parametrize(
+        "size, embed_dim, k_desc, blocks",
+        [
+            (32, 16, 7, [(0, 32)]),
+            (64, 16, 7, [(0, 16), (16, 32), (32, 48), (48, 64)]),
+            (64, 4, 7, [(0, 36), (36, 64)]),  # K > d sets the row width
+            (20, 1024, 1, [(i, i + 1) for i in range(20)]),  # one row per pass at least
+        ],
+    )
+    def test_rows_per_pass_follow_the_entry_budget(self, size, embed_dim, k_desc, blocks):
+        rng = np.random.default_rng(5)
+        batch = random_batch(rng, size=size, embed_dim=embed_dim, k_desc=k_desc, n_relations=4)
+        assert kernel_blocks(batch) == blocks
+
+    def test_oracle_cases_span_one_and_several_passes(self):
+        passes = [(batch.size, len(kernel_blocks(batch))) for batch in kernel_oracle_cases()]
+        assert any(n > 1 for _, n in passes)
+        assert any(size > 16 and n == 1 for size, n in passes)
 
 
 class TestJointLoss:
