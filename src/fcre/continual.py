@@ -38,11 +38,12 @@ from fcre.encoder import (
     AdamState,
     BilinearForm,
     EncoderParams,
+    backward,
     encode,
     encode_batch,
-    encode_batch_backward,
     floats_from_b64,
     floats_to_b64,
+    forward,
     init_adam,
     init_bilinear,
     init_encoder,
@@ -397,15 +398,11 @@ def _train(
     vec = np.concatenate([encoder.to_vector(), w.ravel()])
     for _ in range(epochs):
         for idx in _epoch_batches(n, state.rng):
-            x = train_x[idx]
-            batch = Batch(
-                z=encode_batch(encoder, x),
-                labels=train_y[idx],
-                descriptions=table[row_of[idx]],
-            )
+            acts = forward(encoder, train_x[idx])
+            batch = Batch(z=acts.z, labels=train_y[idx], descriptions=table[row_of[idx]])
             result = joint_loss(batch, hp, w)
             grads = np.concatenate(
-                [encode_batch_backward(encoder, x, result.grad_z), result.grad_w.ravel()]
+                [backward(encoder, acts, result.grad_z), result.grad_w.ravel()]
             )
             vec, state.optimizer = step(state.optimizer, vec, grads)
             encoder = encoder.with_vector(vec[:n_enc])
@@ -487,8 +484,8 @@ def run_task(
         state.memory, lambda rows: encode_batch(state.encoder, rows)
     )
     state.completed_tasks.append(task)
-    for head in heads:
-        state.report.add(evaluate(state, task.index, head, hp))
+    for row in evaluate(state, task.index, heads, hp):
+        state.report.add(row)
     return state
 
 

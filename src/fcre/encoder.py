@@ -5,17 +5,21 @@ z = tanh(W2 @ tanh(W1 @ x + b1) + b2) of dim d.  Gradients are
 hand-derived and returned as a flat vector in the canonical packing
 order [W1, b1, W2, b2]; the optimizer operates on flat vectors only,
 so callers may concatenate extra trainable blocks (the bilinear matrix)
-onto the same parameter vector.  ``encode_batch`` embeds a (n, f) block
-of rows with two matrix products and ``encode_batch_backward`` returns
-the gradient summed over those rows as matrix products
-(dW1 = dH_pre^T X, db1 = sum of the rows of dH_pre, ...); ``encode`` and
-``encode_backward`` are their one-row views.
+onto the same parameter vector.  ``forward`` validates a (n, f) block
+of rows once and embeds it with two matrix products, keeping the hidden
+and output activations; ``backward`` chains a (n, d) output gradient
+through those activations to the gradient summed over the rows, as
+matrix products (dW1 = dH_pre^T X, db1 = sum of the rows of dH_pre, ...).
+A training step runs each once.  ``encode_batch`` and
+``encode_batch_backward`` are the one-shot forms, and ``encode`` and
+``encode_backward`` their one-row views.
 """
 
 from __future__ import annotations
 
 import base64
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +77,13 @@ class EncoderParams:
         )
 
     def with_vector(self, vec: np.ndarray) -> "EncoderParams":
-        """Rebuild parameters of this shape from a flat vector."""
-        vec = np.asarray(vec, dtype=np.float64)
+        """Parameters of this shape as views over a copy of a flat vector.
+
+        The shapes hold by construction, so only finiteness is checked,
+        once over the whole vector; a failure names the first weight
+        array that holds a non-finite entry.
+        """
+        vec = np.array(vec, dtype=np.float64)  # one copy, shared by the four views
         if vec.shape != (self.n_params,):
             raise ValueError(
                 f"expected a flat vector of {self.n_params} entries, got {vec.shape}"
@@ -88,7 +97,13 @@ class EncoderParams:
         w2 = vec[i : i + d * h].reshape(d, h)
         i += d * h
         b2 = vec[i : i + d]
-        return EncoderParams(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=b2.copy())
+        if not np.isfinite(vec).all():
+            for name, block in ("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2):
+                if not np.isfinite(block).all():
+                    raise ValueError(f"{name} contains non-finite entries")
+        params = object.__new__(EncoderParams)  # skips __post_init__'s per-array checks
+        params.w1, params.b1, params.w2, params.b2 = w1, b1, w2, b2
+        return params
 
 
 def init_encoder(
@@ -126,30 +141,35 @@ def _feature_rows(params: EncoderParams, features) -> np.ndarray:
     return x
 
 
-def _forward(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class Activations(NamedTuple):
+    """One forward pass over a block of rows: what ``backward`` needs."""
+
+    x: np.ndarray  # (n, f) validated feature rows
+    hidden: np.ndarray  # (n, h)
+    z: np.ndarray  # (n, d) embeddings, entries in (-1, 1)
+
+
+def forward(params: EncoderParams, features) -> Activations:
+    """Validate a (n, f) block of rows once and embed it, keeping the activations."""
+    x = _feature_rows(params, features)
     hidden = np.tanh(x @ params.w1.T + params.b1)
-    return hidden, np.tanh(hidden @ params.w2.T + params.b2)
+    return Activations(x, hidden, np.tanh(hidden @ params.w2.T + params.b2))
 
 
-def encode_batch(params: EncoderParams, features) -> np.ndarray:
-    """Embed each row of a (n, f) block; output entries lie in (-1, 1)."""
-    return _forward(params, _feature_rows(params, features))[1]
+def backward(params: EncoderParams, acts: Activations, grad_out) -> np.ndarray:
+    """Chain per-row ``grad_out`` (n, d) back through ``acts`` to one flat gradient.
 
-
-def encode_batch_backward(params: EncoderParams, features, grad_out) -> np.ndarray:
-    """Chain per-row ``grad_out`` (n, d) back to one flat parameter gradient.
-
+    ``acts`` must come from ``forward`` with the same parameters.
     Returns the sum over rows of d(loss)/d(params), packed in the same
     [W1, b1, W2, b2] order as ``EncoderParams.to_vector``.
     """
-    x = _feature_rows(params, features)
+    x, hidden, z = acts
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != (x.shape[0], params.embed_dim):
         raise ValueError(
             f"grad_out must have shape ({x.shape[0]}, {params.embed_dim}), "
             f"got {grad_out.shape}"
         )
-    hidden, z = _forward(params, x)
     dz_pre = grad_out * (1.0 - z * z)
     dw2 = dz_pre.T @ hidden
     db2 = dz_pre.sum(axis=0)
@@ -157,6 +177,20 @@ def encode_batch_backward(params: EncoderParams, features, grad_out) -> np.ndarr
     dw1 = dh_pre.T @ x
     db1 = dh_pre.sum(axis=0)
     return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+
+
+def encode_batch(params: EncoderParams, features) -> np.ndarray:
+    """Embed each row of a (n, f) block; output entries lie in (-1, 1)."""
+    return forward(params, features).z
+
+
+def encode_batch_backward(params: EncoderParams, features, grad_out) -> np.ndarray:
+    """Chain per-row ``grad_out`` (n, d) back to one flat parameter gradient.
+
+    Runs the forward pass again; a training step that has just run
+    ``forward`` calls ``backward`` on its activations instead.
+    """
+    return backward(params, forward(params, features), grad_out)
 
 
 def encode(params: EncoderParams, features) -> np.ndarray:

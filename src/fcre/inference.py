@@ -245,16 +245,19 @@ def _predict_block(
     means: np.ndarray | None,
     mean_norms: np.ndarray | None,
     hp,
-) -> np.ndarray:
-    """Column index of the predicted relation for each query row.
+) -> dict[str, np.ndarray]:
+    """Column index of the predicted relation for each query row, per head.
 
-    ``means is None`` selects the NCM head, otherwise DRI.  Both pick the
-    first best column, i.e. the lowest relation id among exact ties.
+    Both heads read one matrix of prototype distances: NCM takes its
+    argmin, and DRI (present when ``means`` is given) fuses its ranks
+    with the ranks of the description cosines.  Both pick the first best
+    column, i.e. the lowest relation id among exact ties.
     """
     diff = z[:, None, :] - prototypes[None, :, :]
     dist = np.sqrt(np.einsum("qrd,qrd->qr", diff, diff))
+    predictions = {"ncm": np.argmin(dist, axis=1)}
     if means is None:
-        return np.argmin(dist, axis=1)
+        return predictions
     z_norms = np.sqrt(np.einsum("qd,qd->q", z, z))
     if np.any(z_norms == 0.0):
         raise ValueError("cosine undefined: first argument has zero norm")
@@ -262,27 +265,33 @@ def _predict_block(
     fused = hp.alpha / (hp.epsilon + _ranks(dist)) + (1.0 - hp.alpha) / (
         hp.epsilon + _ranks(-cos)
     )
-    return np.argmax(fused, axis=1)
+    predictions["dri"] = np.argmax(fused, axis=1)
+    return predictions
 
 
-def evaluate(state: "ContinualState", through_task: int, head: str, hp) -> TaskAccuracy:
-    """Score the test pools of tasks 1..through_task with one head.
+def evaluate(
+    state: "ContinualState", through_task: int, heads: tuple[str, ...], hp
+) -> list[TaskAccuracy]:
+    """Score the test pools of tasks 1..through_task with each head.
 
     Every prediction runs against the full label space seen so far (the
     prototype registry), so earlier tasks get harder as the stream
-    grows.  Each pool is encoded and scored ``QUERY_BLOCK`` queries at a
-    time against an (R, d) prototype matrix and, for DRI, an (R, d)
-    matrix of mean descriptions.  The result is a pure fold over the
-    test pools: sample order cannot affect it.
+    grows.  Each pool is encoded once, ``QUERY_BLOCK`` queries at a
+    time, and every head scores the block from one matrix of distances
+    to the (R, d) prototypes; DRI also reads an (R, d) matrix of mean
+    descriptions.  Returns one row per head, in the order of ``heads``.
+    The result is a pure fold over the test pools: sample order cannot
+    affect it.
     """
-    if head not in HEADS:
-        raise ValueError(f"unknown head {head!r}; expected one of {HEADS}")
+    for head in heads:
+        if head not in HEADS:
+            raise ValueError(f"unknown head {head!r}; expected one of {HEADS}")
     done = {t.index: t for t in state.completed_tasks}
     if through_task < 1 or through_task > max(done, default=0):
         raise ValueError(f"through_task {through_task} has not been completed")
     proto_rels = set(state.prototypes.relations)
     desc_rels = set(state.descriptions.relations)
-    if head == "dri" and proto_rels != desc_rels:
+    if "dri" in heads and proto_rels != desc_rels:
         raise ValueError(
             "mismatched relation registries: prototypes cover "
             f"{sorted(proto_rels)} but descriptions cover {sorted(desc_rels)}"
@@ -291,23 +300,31 @@ def evaluate(state: "ContinualState", through_task: int, head: str, hp) -> TaskA
     relations = np.array([r for r, _ in items], dtype=np.int64)
     prototypes = np.stack([p for _, p in items])
     means = mean_norms = None
-    if head == "dri":
+    if "dri" in heads:
         _check_fusion_weights(hp.alpha, hp.epsilon)
         means = np.stack([state.descriptions.mean(int(r)) for r in relations])
         mean_norms = np.sqrt(np.einsum("rd,rd->r", means, means))
         if np.any(mean_norms == 0.0):
             raise ValueError("cosine undefined: second argument has zero norm")
-    acc_per_task: dict[int, float] = {}
+    acc_per_task: dict[str, dict[int, float]] = {head: {} for head in heads}
     for i in range(1, through_task + 1):
         task = done[i]
-        hits = 0
+        hits = dict.fromkeys(heads, 0)
         for start in range(0, task.test_y.size, QUERY_BLOCK):
             rows = slice(start, start + QUERY_BLOCK)
             z = encode_batch(state.encoder, task.test_x[rows])
-            pred = relations[_predict_block(z, prototypes, means, mean_norms, hp)]
-            hits += int(np.count_nonzero(pred == task.test_y[rows]))
-        acc_per_task[i] = hits / len(task.test_y)
-    acc_avg = sum(acc_per_task.values()) / len(acc_per_task)
-    return TaskAccuracy(
-        task_index=through_task, head=head, acc_per_task=acc_per_task, acc_avg=acc_avg
-    )
+            predictions = _predict_block(z, prototypes, means, mean_norms, hp)
+            for head in hits:
+                pred = relations[predictions[head]]
+                hits[head] += int(np.count_nonzero(pred == task.test_y[rows]))
+        for head, count in hits.items():
+            acc_per_task[head][i] = count / len(task.test_y)
+    return [
+        TaskAccuracy(
+            task_index=through_task,
+            head=head,
+            acc_per_task=acc_per_task[head],
+            acc_avg=sum(acc_per_task[head].values()) / len(acc_per_task[head]),
+        )
+        for head in heads
+    ]

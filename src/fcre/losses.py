@@ -20,14 +20,23 @@ sample's relation.  Four objectives are defined per anchor sample x:
   of the batch negatives, computed in log-space.
 
 All four are computed by one kernel that evaluates a block of anchor
-rows at once with masked array operations: (rows, B) cosine and
-Euclidean matrices, a (rows, K, B) block of description cosines for
-mining and a (rows, B*K) block of bilinear scores.  ``joint_loss`` runs
-it over the batch in blocks of ``BLOCK_ENTRIES // (B * max(d, K))``
-anchors (at least one), so every batch of up to 32 samples at d=16 is
-one pass; the four terms of a block share its positive and negative
-masks.  The per-anchor functions above are one-row views of the same
-kernel.
+rows at once with masked array operations.  ``joint_loss`` runs it over
+the batch in blocks of ``BLOCK_ENTRIES // (B * max(d, K))`` anchors (at
+least one), so every batch of up to 32 samples at d=16 is one pass; the
+four terms of a block share its positive and negative masks.  SCL and
+HSMT read (rows, B) cosine and Euclidean matrices.  The description
+side of HM and MI depends on an anchor only through its label and its
+description block, so it is done once per *description class*: within
+one label, samples share a class when each carries the (K, d) block of
+the label's first sample (every training batch does, since its blocks
+come from one table per relation); when some label's samples differ,
+every sample is its own class.  Mining and HM then read a (C, K, B)
+block of description cosines, one row per active class of the pass, and
+turn each class's hard sets into per-sample counts of the anchors they
+apply to (see ``_Kernel``); MI scores each anchor against the (C, K)
+class descriptions, weighting each class by the anchor's negatives in
+it plus one for its own class.  The per-anchor functions above are
+one-row views of the same kernel, with classes of one anchor.
 
 Every loss returns its value together with d(value)/d(z) for the whole
 batch (and d(value)/dW where W participates).  Description vectors are
@@ -226,7 +235,7 @@ HSMT_FLOOR = 1e-6
 class _Term(NamedTuple):
     """One objective evaluated for a block of anchor rows."""
 
-    values: np.ndarray  # (rows,) value per anchor
+    values: np.ndarray  # (rows,) value per anchor; (C,) per description class for HM
     grad_z: np.ndarray  # (B, d) gradient of the block's summed value
     degenerate: np.ndarray  # (rows,) no positive / no pair / no negative
     clamped: np.ndarray | None = None  # (rows,) HSMT clamp hits
@@ -241,6 +250,7 @@ class _Block(NamedTuple):
     local: np.ndarray  # (rows,) 0..rows-1; (local, anchors) is each anchor's own entry
     pos: np.ndarray  # (rows, B) same label, the anchor itself excluded
     neg: np.ndarray  # (rows, B) different label
+    own: np.ndarray  # (rows,) description class of each anchor
 
 
 def _unit_differences(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -258,16 +268,39 @@ class _Kernel:
     """The four objectives for any block of anchor rows of one batch.
 
     Built once per batch, it holds what every term shares: row norms,
-    unit rows and the same-label mask.  ``block`` cuts a slice of anchor
-    rows with its masks; each term method evaluates the term for all of
-    the block's anchors at once from (rows, B) similarity and distance
-    matrices.  The per-anchor functions of this module are one-row views
-    of the same methods.
+    unit rows, the same-label mask and the description classes.  Within
+    one label, samples share a class when each carries the (K, d) block
+    of the label's first sample, as every training batch does; when some
+    label's samples differ, every sample is its own class.  ``block``
+    cuts a slice of anchor rows with its masks; SCL and HSMT evaluate all
+    of the block's anchors at once from (rows, B) similarity and distance
+    matrices, and MI scores each anchor against the (C, K) class
+    descriptions.
+
+    Mining and HM work on one (K, B) cosine block per active class of
+    the block: a class whose anchors there have a positive and a
+    negative.  With dist = 1 - cos(d_c^k, z_u) and A the class's anchors
+    in the block:
+
+    * a same-label u with dist > the closest negative is a hard positive
+      for |A| - [u in A] anchors (an anchor is never its own positive);
+    * a negative u is a hard negative for
+      |A| [dist < top1] - [arg1 in A] [top2 <= dist < top1] anchors,
+      where top1/arg1 is the farthest same-label sample (lowest index on
+      ties) and top2 the farthest once arg1 is removed: every anchor but
+      arg1 has arg1 as its farthest positive, arg1 has top2.
+
+    HM's values and gradients are these counts times the per-class
+    terms.  The distances come from one (K, d) @ (d, B) product per
+    class, so the strict inequalities and the ties resolve as they do
+    per anchor.  The per-anchor functions of this module are one-row
+    views of the same methods, with classes of one anchor.
     """
 
     def __init__(self, batch: Batch) -> None:
         self.batch = batch
         z = batch.z
+        b = batch.size
         self.norms = np.sqrt(np.einsum("ij,ij->i", z, z))
         # Every term that takes a cosine against a zero-norm row rejects
         # it first; the stand-in norm only keeps unused entries finite.
@@ -276,15 +309,23 @@ class _Kernel:
         self.same = batch.labels[:, None] == batch.labels[None, :]
         n_same = np.count_nonzero(self.same, axis=1)
         self.has_pos = n_same > 1
-        self.has_neg = n_same < batch.size
+        self.has_neg = n_same < b
+        lead = np.argmax(self.same, axis=1)  # first sample of each sample's label
+        if (batch.descriptions[lead] != batch.descriptions).any():
+            lead = np.arange(b)
+        self.leads = np.flatnonzero(lead == np.arange(b))  # (C,) first sample of each class
+        class_index = np.empty(b, dtype=np.intp)
+        class_index[self.leads] = np.arange(self.leads.size)
+        self.class_of = class_index[lead]  # (B,) class of each sample
+        self.class_size = np.bincount(self.class_of, minlength=self.leads.size)
 
     def block(self, rows: slice) -> _Block:
-        """Anchor indices of ``rows`` and their (rows, B) positive/negative masks."""
+        """Anchor indices of ``rows``, their (rows, B) positive/negative masks and classes."""
         anchors = np.arange(rows.start, rows.stop)
         local = np.arange(anchors.size)
         pos = self.same[rows].copy()
         pos[local, anchors] = False
-        return _Block(rows, anchors, local, pos, ~self.same[rows])
+        return _Block(rows, anchors, local, pos, ~self.same[rows], self.class_of[rows])
 
     def _require_nonzero(self, used: np.ndarray) -> None:
         bad = np.flatnonzero(used & (self.norms == 0.0))
@@ -367,78 +408,95 @@ class _Kernel:
         return _Term(values, grad, ~paired, clamped)
 
     def mine(
-        self, blk: _Block, vectors: np.ndarray, active: np.ndarray
+        self, blk: _Block, ks: slice = slice(None)
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Hard sets of each active row against each of its description vectors.
+        """Hard sets of each active class of the block against its descriptions ``ks``.
 
-        ``vectors`` holds the (rows, K', d) description vectors to mine
-        against.  Returns the raw cosines cos(d_x^k, z_u) of shape
-        (rows, K', B), the unit anchors, and the hard-positive and
-        hard-negative masks (strict inequalities on 1 - cos).
+        Returns the raw cosines cos(d_c^k, z_u) of shape (C, K', B), the
+        unit descriptions, and the (C, K', B) counts of the class's
+        anchors for which u is a hard positive and a hard negative, as
+        the class docstring sets out.
         """
-        an = np.sqrt(np.einsum("akd,akd->ak", vectors, vectors))
-        if np.any(an[active] == 0.0):
+        n_anchors = np.bincount(blk.own, minlength=self.leads.size)
+        leads = self.leads
+        live = np.flatnonzero((n_anchors > 0) & self.has_pos[leads] & self.has_neg[leads])
+        vectors = self.batch.descriptions[leads[live], ks]  # (C, K', d)
+        an = np.sqrt(np.einsum("ckd,ckd->ck", vectors, vectors))
+        if (an == 0.0).any():
             raise ValueError("anchor has zero norm; cosine is undefined")
-        self._require_nonzero(np.any((blk.pos | blk.neg)[active], axis=0))
-        an = np.where(an == 0.0, 1.0, an)
+        if not self.norms.all():  # reject a zero-norm sample an active anchor compares with
+            active = self.has_pos[blk.rows] & self.has_neg[blk.rows]
+            self._require_nonzero(np.any((blk.pos | blk.neg)[active], axis=0))
         cos = (vectors @ self.batch.z.T) / (an[:, :, None] * self.safe_norms)
         dist = 1.0 - np.clip(cos, -1.0, 1.0)
-        pos, neg = blk.pos[:, None, :], blk.neg[:, None, :]
-        closest_neg = np.where(neg, dist, np.inf).min(axis=2, keepdims=True)
-        farthest_pos = np.where(pos, dist, -np.inf).max(axis=2, keepdims=True)
-        live = active[:, None, None]
-        hard_pos = live & pos & (dist > closest_neg)
-        hard_neg = live & neg & (dist < farthest_pos)
+        b = self.batch.size
+        same = self.same[leads[live]][:, None, :]  # (C, 1, B)
+        member = np.zeros((live.size, 1, b), dtype=bool)  # u in A
+        member[:, 0, blk.rows] = blk.own == live[:, None]
+        n_a = n_anchors[live][:, None, None]
+        neg_dist = np.where(same, np.inf, dist)
+        same_dist = np.where(same, dist, -np.inf)
+        arg1 = np.argmax(same_dist, axis=2)  # lowest index among the farthest
+        top = np.partition(same_dist, b - 2, axis=2)
+        top1, top2 = top[:, :, b - 1 :], top[:, :, b - 2 : b - 1]  # top2 = top1 on a tie
+        arg1_in_a = member[np.arange(live.size)[:, None], 0, arg1][:, :, None]
+        closest_neg = neg_dist.min(axis=2, keepdims=True)
+        hard_pos = np.where(same_dist > closest_neg, n_a - member, 0)
+        hard_neg = np.where(neg_dist < top1, n_a - (arg1_in_a & (neg_dist >= top2)), 0)
         return cos, vectors / an[:, :, None], hard_pos, hard_neg
 
     def hm(self, blk: _Block, margin: float) -> _Term:
-        """Quadratic pulls on hard positives and pushes on hard negatives."""
+        """Quadratic pulls on hard positives and pushes on hard negatives, per class."""
         batch = self.batch
         rows = blk.rows
         active = self.has_pos[rows] & self.has_neg[rows]
         if not active.any():
             return _Term(np.zeros(active.size), np.zeros_like(batch.z), ~active)
-        cos, a_hat, hard_pos, hard_neg = self.mine(blk, batch.descriptions[rows], active)
+        cos, a_hat, hard_pos, hard_neg = self.mine(blk)
         t_pos = 1.0 - cos
         t_neg = margin - 1.0 + cos
-        hard_neg &= t_neg > 0.0
-        values = (
-            np.where(hard_pos, t_pos * t_pos, 0.0) + np.where(hard_neg, t_neg * t_neg, 0.0)
-        ).sum(axis=(1, 2))
-        # dL/dcos per (anchor, k, sample); dcos/dz_u = (a_hat - cos z_hat_u) / |z_u|
-        g = np.where(hard_pos, -2.0 * t_pos, 0.0) + np.where(hard_neg, 2.0 * t_neg, 0.0)
+        hard_neg = np.where(t_neg > 0.0, hard_neg, 0)
+        values = (hard_pos * (t_pos * t_pos) + hard_neg * (t_neg * t_neg)).sum(axis=(1, 2))
+        # dL/dcos per (class, k, sample); dcos/dz_u = (a_hat - cos z_hat_u) / |z_u|
+        g = hard_neg * (2.0 * t_neg) - hard_pos * (2.0 * t_pos)
         b, d = batch.z.shape
         grad = g.reshape(-1, b).T @ a_hat.reshape(-1, d)
-        grad -= (g * cos).sum(axis=(0, 1))[:, None] * self.z_hat
+        grad -= np.einsum("ckb,ckb->b", g, cos)[:, None] * self.z_hat
         grad /= self.safe_norms[:, None]
         return _Term(values, grad, ~active)
 
     def mi(self, blk: _Block, w_matrix: np.ndarray, tau: float) -> _Term:
-        """InfoNCE over one (rows, B*K) block of bilinear scores."""
+        """InfoNCE over one (rows, C, K) block of bilinear scores against the classes.
+
+        Class c enters an anchor's denominator once per negative sample
+        it holds, plus once as the anchor's own class (the numerator).
+        """
         batch = self.batch
         b, d = batch.z.shape
         k = batch.k_desc
-        rows, anchors = blk.rows, blk.anchors
-        has_neg = blk.neg.any(axis=1)
+        c = self.leads.size
+        rows, local, own = blk.rows, blk.local, blk.own
+        has_neg = self.has_neg[rows]
         grad = np.zeros_like(batch.z)
         if not has_neg.any():
-            return _Term(np.zeros(anchors.size), grad, ~has_neg, grad_w=np.zeros_like(w_matrix))
-        own = np.zeros((anchors.size, b), dtype=bool)
-        own[blk.local, anchors] = True
-        own = np.repeat(own, k, axis=1)  # the anchor's own K descriptions
-        keep = own | np.repeat(blk.neg, k, axis=1)  # plus K per negative sample
-        desc = batch.descriptions.reshape(b * k, d)
+            return _Term(np.zeros(local.size), grad, ~has_neg, grad_w=np.zeros_like(w_matrix))
+        weight = np.where(blk.neg[:, self.leads], self.class_size, 0)
+        weight[local, own] += 1
+        desc = batch.descriptions[self.leads].reshape(c * k, d)
         z_rows = batch.z[rows]
-        scores = ((z_rows @ w_matrix) @ desc.T) / tau  # z_x^T W d_u^k / tau
-        scores = np.where(keep, scores, -np.inf)
-        e = np.exp(scores - scores.max(axis=1, keepdims=True))
-        s_all = e.sum(axis=1)
-        s_pos = np.where(own, e, 0.0).sum(axis=1)
+        scores = ((z_rows @ w_matrix) @ desc.T).reshape(-1, c, k) / tau  # z_x^T W d_c^k / tau
+        scores = np.where(weight[:, :, None] > 0, scores, -np.inf)
+        e = np.exp(scores - scores.max(axis=(1, 2), keepdims=True))
+        e_all = weight[:, :, None] * e
+        e_own = e[local, own]  # (rows, K)
+        s_all = e_all.sum(axis=(1, 2))
+        s_pos = e_own.sum(axis=1)
         values = np.where(has_neg, np.log(s_all) - np.log(s_pos), 0.0)
 
-        coeff = e / s_all[:, None] - np.where(own, e / s_pos[:, None], 0.0)
+        coeff = e_all / s_all[:, None, None]
+        coeff[local, own] -= e_own / s_pos[:, None]
         coeff[~has_neg] = 0.0
-        weighted = coeff @ desc  # sum_i coeff_i * d_i, per anchor
+        weighted = coeff.reshape(-1, c * k) @ desc  # sum_i coeff_i * d_i, per anchor
         grad[rows] = (weighted @ w_matrix.T) / tau
         grad_w = (z_rows.T @ weighted) / tau
         return _Term(values, grad, ~has_neg, grad_w=grad_w)
@@ -526,9 +584,7 @@ def mine_hard(batch: Batch, x: int, k: int) -> MiningSets:
     if not 0 <= k < batch.k_desc:
         raise ValueError(f"description index {k} out of range for K={batch.k_desc}")
     kernel, blk = _one_row(batch, x)
-    _, _, hard_pos, hard_neg = kernel.mine(
-        blk, batch.descriptions[blk.rows, k : k + 1], np.ones(1, dtype=bool)
-    )
+    _, _, hard_pos, hard_neg = kernel.mine(blk, slice(k, k + 1))  # x is its class's one anchor
     return MiningSets(
         k=k,
         positives=tuple(int(p) for p in pos),

@@ -497,9 +497,9 @@ class TestRunTaskBehavior:
             test_x=last.test_x[perm],
             test_y=last.test_y[perm],
         )
-        baseline = evaluate(state, 2, "ncm", HP)
+        baseline = evaluate(state, 2, ("ncm",), HP)
         state.completed_tasks[-1] = shuffled
-        permuted = evaluate(state, 2, "ncm", HP)
+        permuted = evaluate(state, 2, ("ncm",), HP)
         assert baseline == permuted
 
     def test_raw_mean_description_source_runs(self):

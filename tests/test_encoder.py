@@ -7,12 +7,14 @@ from fcre.encoder import (
     AdamState,
     BilinearForm,
     EncoderParams,
+    backward,
     encode,
     encode_backward,
     encode_batch,
     encode_batch_backward,
     floats_from_b64,
     floats_to_b64,
+    forward,
     init_adam,
     init_bilinear,
     init_encoder,
@@ -123,6 +125,17 @@ class TestEncodeBatch:
                 encode_batch_backward(params, x, grad_out), expected, rtol=1e-12, atol=1e-14
             )
 
+    def test_backward_from_kept_activations_matches_one_shot(self):
+        rng = np.random.default_rng(3)
+        params = init_encoder(32, 32, 16, rng)
+        x = rng.normal(size=(32, 32))
+        grad_out = rng.normal(size=(32, 16))
+        acts = forward(params, x)
+        assert np.array_equal(acts.z, encode_batch(params, x))
+        assert np.array_equal(
+            backward(params, acts, grad_out), encode_batch_backward(params, x, grad_out)
+        )
+
     def test_all_zero_upstream_gives_zero_gradient(self):
         params = small_params()
         x = np.random.default_rng(1).normal(size=(4, 5))
@@ -161,6 +174,20 @@ class TestParamsVector:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="39"):
             small_params().with_vector(np.zeros(7))
+
+    @pytest.mark.parametrize("index, name", [(0, "w1"), (20, "b1"), (24, "w2"), (38, "b2")])
+    def test_non_finite_entry_names_its_array(self, index, name):
+        vec = small_params().to_vector()
+        vec[index] = np.inf
+        with pytest.raises(ValueError, match=f"{name} contains non-finite"):
+            small_params().with_vector(vec)
+
+    def test_rebuilt_params_do_not_alias_the_vector(self):
+        params = small_params()
+        vec = params.to_vector()
+        rebuilt = params.with_vector(vec)
+        vec[:] = 0.0
+        assert np.array_equal(rebuilt.to_vector(), params.to_vector())
 
     def test_shape_consistency_enforced(self):
         with pytest.raises(ValueError, match="disagree"):

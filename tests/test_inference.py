@@ -24,6 +24,7 @@ from fcre.inference import (
     fuse_ranked_scores,
     ncm_predict,
 )
+import fcre.inference as inference
 from test_continual import HP, fresh_state, make_descriptions, make_task
 
 
@@ -225,7 +226,7 @@ class TestEvaluate:
         # descriptions for a relation the prototypes do not know
         state.descriptions = state.descriptions.union(make_descriptions([9], 4, seed=5))
         with pytest.raises(ValueError, match="registries"):
-            evaluate(state, 1, "dri", HP)
+            evaluate(state, 1, ("dri",), HP)
 
 
 def nonzero_rows(rng, n, dim, quantized):
@@ -315,8 +316,30 @@ class TestBatchedEvaluate:
                 ("dri", dataclasses.replace(HP, alpha=alpha)) for alpha in (0.0, 0.5, 1.0)
             ]
             for head, hp in runs:
-                assert evaluate(state, 3, head, hp) == per_query_evaluate(state, 3, head, hp)
-            assert evaluate(state, 1, "dri", HP) == per_query_evaluate(state, 1, "dri", HP)
+                assert evaluate(state, 3, (head,), hp) == [per_query_evaluate(state, 3, head, hp)]
+            assert evaluate(state, 1, ("dri",), HP) == [per_query_evaluate(state, 1, "dri", HP)]
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_both_heads_from_one_call_match_per_query_loop(self, quantized):
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            state = pool_state(rng, quantized)
+            for heads in (("ncm", "dri"), ("dri", "ncm")):
+                expected = [per_query_evaluate(state, 3, head, HP) for head in heads]
+                assert evaluate(state, 3, heads, HP) == expected
+
+    def test_each_pool_is_encoded_once_for_both_heads(self, monkeypatch):
+        state = pool_state(np.random.default_rng(3), False)
+        encoded = []
+        real = inference.encode_batch
+
+        def counting(params, rows):
+            encoded.append(len(rows))
+            return real(params, rows)
+
+        monkeypatch.setattr(inference, "encode_batch", counting)
+        evaluate(state, 3, ("ncm", "dri"), HP)
+        assert sum(encoded) == sum(t.test_y.size for t in state.completed_tasks)
 
     def test_zero_norm_mean_description_rejected_for_dri(self):
         state = pool_state(np.random.default_rng(0), quantized=True)
@@ -326,8 +349,10 @@ class TestBatchedEvaluate:
         with pytest.warns(RuntimeWarning):
             state.descriptions = DescriptionSet(blocks)
         with pytest.raises(ValueError, match="zero norm"):
-            evaluate(state, 1, "dri", HP)
-        evaluate(state, 1, "ncm", HP)  # NCM never takes a cosine
+            evaluate(state, 1, ("dri",), HP)
+        with pytest.raises(ValueError, match="zero norm"):
+            evaluate(state, 1, ("ncm", "dri"), HP)
+        evaluate(state, 1, ("ncm",), HP)  # NCM never takes a cosine
 
     def test_transient_memory_stays_under_one_megabyte(self):
         # an eval_wide-sized pool: 150 queries against 80 relations; a
@@ -336,10 +361,10 @@ class TestBatchedEvaluate:
         state = pool_state(rng, False, n_tasks=1, n_way=10, test_n=15, n_extra=70, dim=16)
         state.encoder = init_encoder(16, 32, 16, rng)
         for head in ("ncm", "dri"):
-            evaluate(state, 1, head, HP)  # warm caches outside the measurement
+            evaluate(state, 1, (head,), HP)  # warm caches outside the measurement
             tracemalloc.start()
             try:
-                evaluate(state, 1, head, HP)
+                evaluate(state, 1, (head,), HP)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

@@ -637,6 +637,51 @@ def described_batch(rng, z, labels, k_desc=2):
     return Batch(z=z, labels=labels, descriptions=descriptions)
 
 
+def perturbed_copy(batch, rng):
+    """``batch`` with one sample's description block moved off its label's block."""
+    i = next(j for j in range(batch.size) if np.count_nonzero(batch.labels == batch.labels[j]) > 1)
+    descriptions = batch.descriptions.copy()
+    descriptions[i] += 0.05 * rng.normal(size=descriptions[i].shape)
+    return Batch(z=batch.z, labels=batch.labels, descriptions=descriptions)
+
+
+def tied_farthest_batch():
+    """Label 0's positives 1 and 2 tie for the farthest spot from its description.
+
+    Both sit at cosine 0 from d = (1, 0), so top2 = top1: anchor 1, the
+    lowest-index farthest, still has sample 2 at that distance, and the
+    negative 3 at distance 0.4 is hard for every anchor of label 0.
+    """
+    z = np.array([[1.0, 0.1], [0.0, 1.0], [0.0, -1.0], [0.6, 0.8], [-0.5, 0.2]])
+    descriptions = np.array([[[1.0, 0.0]]] * 3 + [[[0.0, 1.0]]] * 2)
+    return Batch(z=z, labels=np.array([0, 0, 0, 1, 1]), descriptions=descriptions)
+
+
+def farthest_positive_batch(rng, same_pass):
+    """B=64 at d=16 (four 16-row passes) built around label 0's farthest positive.
+
+    Label 0 holds samples 0-3 next to its description d and one more at
+    cosine distance 0.4 from d, its farthest positive, with a negative
+    (sample 7) at 0.3: hard for every anchor of label 0 but the farthest
+    one, and inside the 0.5 margin, so HM counts it.  The farthest
+    positive is sample 5, an anchor of the same pass as 0-3, or 50, an
+    anchor of the fourth pass.
+    """
+    far = 5 if same_pass else 50
+    labels = rng.integers(1, 6, size=64)
+    labels[[0, 1, 2, 3, far]] = 0
+    batch = described_batch(rng, rng.normal(size=(64, 16)), labels, k_desc=1)
+    d = batch.descriptions[0, 0]
+    side = rng.normal(size=16)
+    side -= (side @ d) * d
+    side /= np.linalg.norm(side)
+    z = batch.z.copy()
+    z[:4] = d + 0.05 * rng.normal(size=(4, 16))
+    z[far] = 0.6 * d + 0.8 * side
+    z[7] = 0.7 * d + math.sqrt(0.51) * side
+    return Batch(z=z, labels=labels, descriptions=batch.descriptions)
+
+
 def kernel_oracle_cases():
     """Batches on which the kernel must match the per-anchor reference."""
     rng = np.random.default_rng(42)
@@ -660,6 +705,11 @@ def kernel_oracle_cases():
     cases.append(random_batch(rng, k_desc=1))  # K=1
     cases.append(random_batch(rng, size=64, embed_dim=16, k_desc=7, n_relations=8))  # 4 passes
     cases.append(random_batch(rng, size=32, embed_dim=16, k_desc=7, n_relations=5))  # 1 pass
+    shared = random_batch(rng, size=12, k_desc=3, n_relations=3)  # one class per label
+    cases += [shared, perturbed_copy(shared, rng)]  # and classes of one
+    cases.append(tied_farthest_batch())
+    cases.append(farthest_positive_batch(rng, same_pass=False))
+    cases.append(farthest_positive_batch(rng, same_pass=True))
     return cases
 
 
@@ -701,6 +751,37 @@ class TestKernelBlocks:
         passes = [(batch.size, len(kernel_blocks(batch))) for batch in kernel_oracle_cases()]
         assert any(n > 1 for _, n in passes)
         assert any(size > 16 and n == 1 for size, n in passes)
+
+
+class TestDescriptionClasses:
+    def test_labels_sharing_descriptions_form_one_class_each(self):
+        rng = np.random.default_rng(1)
+        batch = random_batch(rng, size=12, k_desc=3, n_relations=3)
+        kernel = losses._Kernel(batch)
+        first = [int(np.flatnonzero(batch.labels == label)[0]) for label in (0, 1, 2)]
+        assert list(kernel.leads) == sorted(first)
+        assert np.array_equal(kernel.leads[kernel.class_of], [first[l] for l in batch.labels])
+        assert np.array_equal(kernel.class_size, np.bincount(batch.labels)[batch.labels[kernel.leads]])
+
+    def test_one_differing_block_makes_every_sample_its_own_class(self):
+        rng = np.random.default_rng(1)
+        batch = perturbed_copy(random_batch(rng, size=12, k_desc=3, n_relations=3), rng)
+        kernel = losses._Kernel(batch)
+        assert np.array_equal(kernel.leads, np.arange(12))
+        assert np.array_equal(kernel.class_of, np.arange(12))
+
+    def test_multi_pass_cases_put_the_farthest_positive_where_named(self):
+        rng = np.random.default_rng(2)
+        for same_pass, far in ((True, 5), (False, 50)):
+            batch = farthest_positive_batch(rng, same_pass)
+            assert len(kernel_blocks(batch)) == 4
+            dist = np.array([1.0 - cosine(batch.descriptions[0, 0], z) for z in batch.z])
+            label0 = np.flatnonzero(batch.labels == 0)
+            assert label0[np.argmax(dist[label0])] == far
+            # the negative 7 lies between the second-farthest positive and
+            # far, inside the margin
+            assert sorted(dist[label0])[-2] <= dist[7] < dist[far]
+            assert dist[7] < TestJointLoss.HP.margin
 
 
 class TestJointLoss:
