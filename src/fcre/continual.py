@@ -7,7 +7,8 @@ memory-rehearsal recipe:
 2. train on the task's own data for ``epochs_current`` epochs,
 3. select ``memory_size`` representatives per new relation (the samples
    whose embeddings are closest to their relation's embedding centroid;
-   ties go to the lower sample index) and append them to the memory,
+   ties go to the lower sample index) from one encoding of the task's
+   training pool, and append them to the memory,
 4. train again on the union of all *previous* tasks' memory and the
    current task data for ``epochs_memory`` epochs,
 5. rebuild the prototypes from memory with the final encoder and log a
@@ -39,7 +40,6 @@ from fcre.encoder import (
     BilinearForm,
     EncoderParams,
     backward,
-    encode,
     encode_batch,
     floats_from_b64,
     floats_to_b64,
@@ -295,6 +295,18 @@ def init_state(
     )
 
 
+def _central_rows(embedded: np.ndarray, memory_size: int) -> list[int]:
+    """Indices of the ``memory_size`` rows closest to the rows' centroid.
+
+    Distance ties go to the lower row index; with fewer rows, all of
+    them, ordered by distance.
+    """
+    centroid = embedded.mean(axis=0)
+    dists = [euclidean(row, centroid) for row in embedded]
+    order = sorted(range(len(dists)), key=lambda i: (dists[i], i))
+    return order[:memory_size]
+
+
 def select_memory(
     samples_by_relation: Mapping[int, np.ndarray],
     encode_fn: Callable[[np.ndarray], np.ndarray],
@@ -305,6 +317,8 @@ def select_memory(
     Centrality is Euclidean distance from the relation's embedding
     centroid (a 1-means fit); distance ties are resolved by the lower
     sample index.  Relations with fewer samples keep everything.
+    ``encode_fn`` embeds one feature row at a time; ``run_task`` applies
+    the same rule to one batched encoding of the task's training pool.
     """
     if memory_size < 1:
         raise ValueError(f"memory_size must be >= 1, got {memory_size}")
@@ -314,11 +328,7 @@ def select_memory(
     for rel in sorted(samples_by_relation):
         block = _as_matrix(samples_by_relation[rel], f"samples for relation {rel}")
         embedded = np.stack([np.asarray(encode_fn(row), dtype=np.float64) for row in block])
-        centroid = embedded.mean(axis=0)
-        dists = [euclidean(embedded[i], centroid) for i in range(block.shape[0])]
-        order = sorted(range(block.shape[0]), key=lambda i: (dists[i], i))
-        keep = order[: min(memory_size, block.shape[0])]
-        selected[int(rel)] = block[keep].copy()
+        selected[int(rel)] = block[_central_rows(embedded, memory_size)].copy()
     return selected
 
 
@@ -465,12 +475,11 @@ def run_task(
 
     _train(state, task.train_x, task.train_y, hp, hp.epochs_current, description_source)
 
-    per_relation = {r: task.train_x[task.train_y == r] for r in task.relations}
-    selected = select_memory(
-        per_relation, lambda row: encode(state.encoder, row), hp.memory_size
-    )
-    for rel in sorted(selected):
-        state.memory.add(rel, selected[rel])
+    embedded = encode_batch(state.encoder, task.train_x)
+    for rel in task.relations:
+        rows = np.flatnonzero(task.train_y == rel)
+        keep = rows[_central_rows(embedded[rows], hp.memory_size)]
+        state.memory.add(rel, task.train_x[keep])
 
     old_x, old_y = state.memory.stacked(exclude=set(task.relations))
     if old_x.shape[0] > 0:
@@ -513,8 +522,9 @@ def checkpoint_dict(state: ContinualState) -> dict:
 
 def write_checkpoint(path, state: ContinualState) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(checkpoint_dict(state), fh, sort_keys=True)
-        fh.write("\n")
+        # one json.dumps call runs the C encoder; json.dump streams
+        # through the pure-Python one, to the same bytes
+        fh.write(json.dumps(checkpoint_dict(state), sort_keys=True) + "\n")
 
 
 def read_checkpoint(path) -> dict:

@@ -117,29 +117,46 @@ class DescriptionSet:
         except KeyError:
             raise KeyError(f"unknown relation {rel}") from None
 
+    @classmethod
+    def _from_validated(
+        cls,
+        vectors: dict[int, np.ndarray],
+        means: dict[int, np.ndarray],
+        k_desc: int | None,
+        dim: int | None,
+    ) -> "DescriptionSet":
+        """Assemble a set from blocks and means that a constructor already checked."""
+        out = cls.__new__(cls)
+        out._vectors = vectors
+        out._means = {r: means[r] for r in vectors}
+        out._k_desc, out._dim = (k_desc, dim) if vectors else (None, None)
+        return out
+
     def subset(self, relations: Iterable[int]) -> "DescriptionSet":
-        return DescriptionSet({r: self.vectors(r) for r in relations})
+        vectors = {int(r): self.vectors(r) for r in relations}
+        return DescriptionSet._from_validated(vectors, self._means, self._k_desc, self._dim)
 
     def union(self, other: "DescriptionSet") -> "DescriptionSet":
         """Merge two sets; overlapping relations or K/d mismatch are errors."""
-        if len(self) == 0:
-            return DescriptionSet(other._vectors)
-        if len(other) == 0:
-            return DescriptionSet(self._vectors)
-        overlap = set(self._vectors) & set(other._vectors)
-        if overlap:
-            raise ValueError(f"relations already registered: {sorted(overlap)}")
-        if other.k_desc != self.k_desc:
-            raise ValueError(
-                f"cannot merge description sets with K={self.k_desc} and K={other.k_desc}"
-            )
-        if other.dim != self.dim:
-            raise ValueError(
-                f"cannot merge description sets with d={self.dim} and d={other.dim}"
-            )
-        merged = dict(self._vectors)
-        merged.update(other._vectors)
-        return DescriptionSet(merged)
+        if len(self) > 0 and len(other) > 0:
+            overlap = set(self._vectors) & set(other._vectors)
+            if overlap:
+                raise ValueError(f"relations already registered: {sorted(overlap)}")
+            if other.k_desc != self.k_desc:
+                raise ValueError(
+                    f"cannot merge description sets with K={self.k_desc} and K={other.k_desc}"
+                )
+            if other.dim != self.dim:
+                raise ValueError(
+                    f"cannot merge description sets with d={self.dim} and d={other.dim}"
+                )
+        first = self if len(self) > 0 else other
+        return DescriptionSet._from_validated(
+            {**self._vectors, **other._vectors},
+            {**self._means, **other._means},
+            first.k_desc,
+            first.dim,
+        )
 
     def to_jsonl(self) -> str:
         """Canonical serialization: relations ascending, repr-exact floats."""

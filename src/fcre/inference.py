@@ -9,7 +9,13 @@ Two heads over the same frozen state:
   DRI(x, r) = alpha / (epsilon + rank_E(r)) + (1 - alpha) / (epsilon + rank_cos(r)).
 
 Both heads resolve exact score ties by ascending relation id, so
-predictions are deterministic functions of their inputs.  Accuracy is
+predictions are deterministic functions of their inputs.  These
+per-query functions are the reference for ``evaluate``, which scores
+whole test pools in passes of at most ``EVAL_BLOCK_ENTRIES`` (queries x
+relations) entries: it orders relations by the key |p_r|^2 - 2 z . p_r
+(the squared distance less a per-query constant) and ranks with
+NumPy's default sort, sorting again stably only the rows that hold an
+exact tie.  Accuracy is
 reported cumulatively: after task j, every earlier task's test pool is
 scored against the full label space seen so far, and ACC_j is the
 unweighted mean of those per-task accuracies.
@@ -222,18 +228,25 @@ class MetricsReport:
         return report
 
 
-# Test queries scored per pass of ``evaluate``; it caps the (queries, R, d)
-# block of differences to the prototypes.
-QUERY_BLOCK = 16
+# (queries x relations) entries per scoring pass of ``evaluate``: each
+# (queries, R) transient then takes at most 32 KB.
+EVAL_BLOCK_ENTRIES = 4_096
 
 
 def _ranks(keys: np.ndarray) -> np.ndarray:
     """1-based rank of every column per row: smaller key first, ties by column.
 
-    Columns are relations in ascending id order, so a stable sort breaks
-    exact ties by ascending relation id, as ``rank_scores`` does.
+    Columns are relations in ascending id order, so exact ties go to the
+    lower relation id, as ``rank_scores`` does.  The default sort is not
+    stable, but a row whose sorted keys hold no two equal neighbours has
+    one order only, which is the stable one; only rows with an exact tie
+    are sorted again, stably.
     """
-    order = np.argsort(keys, axis=1, kind="stable")
+    order = np.argsort(keys, axis=1)
+    ordered = np.take_along_axis(keys, order, axis=1)
+    tied = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
+    if tied.size:
+        order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
     ranks = np.empty(keys.shape, dtype=np.float64)
     np.put_along_axis(ranks, order, np.arange(1.0, keys.shape[1] + 1.0)[None, :], axis=1)
     return ranks
@@ -242,27 +255,30 @@ def _ranks(keys: np.ndarray) -> np.ndarray:
 def _predict_block(
     z: np.ndarray,
     prototypes: np.ndarray,
+    proto_sq_norms: np.ndarray,
     means: np.ndarray | None,
     mean_norms: np.ndarray | None,
     hp,
 ) -> dict[str, np.ndarray]:
     """Column index of the predicted relation for each query row, per head.
 
-    Both heads read one matrix of prototype distances: NCM takes its
-    argmin, and DRI (present when ``means`` is given) fuses its ranks
-    with the ranks of the description cosines.  Both pick the first best
-    column, i.e. the lowest relation id among exact ties.
+    Both heads read one (queries, R) key matrix (see ``evaluate``): NCM
+    takes its argmin, and DRI (present when ``means`` is given) fuses its
+    ranks with the ranks of the description cosines.  Both pick the
+    first best column, i.e. the lowest relation id among exact ties.
     """
-    diff = z[:, None, :] - prototypes[None, :, :]
-    dist = np.sqrt(np.einsum("qrd,qrd->qr", diff, diff))
-    predictions = {"ncm": np.argmin(dist, axis=1)}
+    # einsum, not ``z @ prototypes.T``: it sums every (q, r) entry in the
+    # same order, so two relations with one prototype get the same bits
+    # and still tie exactly; the matrix product may round them apart.
+    key = proto_sq_norms[None, :] - 2.0 * np.einsum("qd,rd->qr", z, prototypes)
+    predictions = {"ncm": np.argmin(key, axis=1)}
     if means is None:
         return predictions
     z_norms = np.sqrt(np.einsum("qd,qd->q", z, z))
     if np.any(z_norms == 0.0):
         raise ValueError("cosine undefined: first argument has zero norm")
     cos = np.clip((z @ means.T) / (z_norms[:, None] * mean_norms[None, :]), -1.0, 1.0)
-    fused = hp.alpha / (hp.epsilon + _ranks(dist)) + (1.0 - hp.alpha) / (
+    fused = hp.alpha / (hp.epsilon + _ranks(key)) + (1.0 - hp.alpha) / (
         hp.epsilon + _ranks(-cos)
     )
     predictions["dri"] = np.argmax(fused, axis=1)
@@ -276,10 +292,15 @@ def evaluate(
 
     Every prediction runs against the full label space seen so far (the
     prototype registry), so earlier tasks get harder as the stream
-    grows.  Each pool is encoded once, ``QUERY_BLOCK`` queries at a
-    time, and every head scores the block from one matrix of distances
-    to the (R, d) prototypes; DRI also reads an (R, d) matrix of mean
-    descriptions.  Returns one row per head, in the order of ``heads``.
+    grows.  Each pool is encoded once, in passes of
+    ``max(1, EVAL_BLOCK_ENTRIES // R)`` queries, and every head scores a
+    pass from one (queries, R) key matrix against the (R, d) prototypes,
+    key[q, r] = |p_r|^2 - 2 z_q . p_r: the squared distance less the
+    per-query constant |z_q|^2, so in exact arithmetic it orders the
+    relations as the distance does.  DRI also reads an (R, d) matrix of mean
+    descriptions.  Exact ties go to the lower relation id in both
+    heads and both rank channels, as in ``ncm_predict`` and
+    ``dri_predict``.  Returns one row per head, in the order of ``heads``.
     The result is a pure fold over the test pools: sample order cannot
     affect it.
     """
@@ -299,6 +320,7 @@ def evaluate(
     items = _relation_items(state.prototypes)
     relations = np.array([r for r, _ in items], dtype=np.int64)
     prototypes = np.stack([p for _, p in items])
+    proto_sq_norms = np.einsum("rd,rd->r", prototypes, prototypes)
     means = mean_norms = None
     if "dri" in heads:
         _check_fusion_weights(hp.alpha, hp.epsilon)
@@ -306,14 +328,17 @@ def evaluate(
         mean_norms = np.sqrt(np.einsum("rd,rd->r", means, means))
         if np.any(mean_norms == 0.0):
             raise ValueError("cosine undefined: second argument has zero norm")
+    block = max(1, EVAL_BLOCK_ENTRIES // relations.size)
     acc_per_task: dict[str, dict[int, float]] = {head: {} for head in heads}
     for i in range(1, through_task + 1):
         task = done[i]
         hits = dict.fromkeys(heads, 0)
-        for start in range(0, task.test_y.size, QUERY_BLOCK):
-            rows = slice(start, start + QUERY_BLOCK)
+        for start in range(0, task.test_y.size, block):
+            rows = slice(start, start + block)
             z = encode_batch(state.encoder, task.test_x[rows])
-            predictions = _predict_block(z, prototypes, means, mean_norms, hp)
+            predictions = _predict_block(
+                z, prototypes, proto_sq_norms, means, mean_norms, hp
+            )
             for head in hits:
                 pred = relations[predictions[head]]
                 hits[head] += int(np.count_nonzero(pred == task.test_y[rows]))

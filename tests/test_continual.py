@@ -1,5 +1,7 @@
 """Task lifecycle: memory selection, prototypes, replay, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -502,6 +504,24 @@ class TestRunTaskBehavior:
         permuted = evaluate(state, 2, ("ncm",), HP)
         assert baseline == permuted
 
+    @pytest.mark.parametrize("shots, memory_size", [(5, 3), (100, 10)])
+    def test_memory_picks_match_per_row_selection(self, shots, memory_size):
+        # no replay epochs, so the final encoder is the one that selected
+        hp = HyperParams(epochs_current=1, epochs_memory=0, memory_size=memory_size)
+        state = fresh_state(hp=hp)
+        rng = np.random.default_rng(7)
+        for t in (1, 2):
+            rels = [2 * t, 2 * t + 1, 2 * t + 7]
+            task = make_task(t, rels, rng, shots=shots)
+            run_task(state, task, make_descriptions(rels, 4, seed=t), hp)
+            expected = select_memory(
+                {r: task.train_x[task.train_y == r] for r in rels},
+                lambda row: encode(state.encoder, row),
+                memory_size,
+            )
+            for rel in rels:
+                np.testing.assert_array_equal(state.memory.features(rel), expected[rel])
+
     def test_raw_mean_description_source_runs(self):
         state = fresh_state()
         rng = np.random.default_rng(42)
@@ -544,3 +564,16 @@ class TestCheckpoint:
         write_checkpoint(first, state)
         write_checkpoint(second, state)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_bytes_equal_streamed_json_dump(self, tmp_path):
+        rng = np.random.default_rng(42)
+        state = fresh_state()
+        for t, rels in ((1, [0, 1]), (2, [2, 3])):
+            run_task(state, make_task(t, rels, rng), make_descriptions(rels, 4), HP)
+        path = tmp_path / "task_02.json"
+        write_checkpoint(path, state)
+        streamed = tmp_path / "streamed.json"
+        with open(streamed, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(continual.checkpoint_dict(state), fh, sort_keys=True)
+            fh.write("\n")
+        assert path.read_bytes() == streamed.read_bytes()

@@ -106,6 +106,28 @@ class TestDescriptionSet:
         assert a.union(DescriptionSet.empty()).relations == a.relations
         assert DescriptionSet.empty().union(a).relations == a.relations
 
+    def test_union_and_subset_equal_sets_built_from_the_merged_dict(self):
+        rng = np.random.default_rng(0)
+        blocks = {r: rng.normal(size=(3, 4)) for r in (9, 2, 5, 7)}
+        a = DescriptionSet({r: blocks[r] for r in (9, 2)})
+        b = DescriptionSet({r: blocks[r] for r in (5, 7)})
+        cases = [
+            (a.union(b), blocks),
+            (b.union(a), blocks),
+            (a.union(DescriptionSet.empty()), {r: blocks[r] for r in (9, 2)}),
+            (DescriptionSet.empty().union(b), {r: blocks[r] for r in (5, 7)}),
+            (a.union(b).subset([7, 2]), {r: blocks[r] for r in (7, 2)}),
+            (a.subset([]), {}),
+        ]
+        for merged, source in cases:
+            expected = DescriptionSet(source)
+            assert merged.relations == expected.relations
+            assert merged.k_desc == expected.k_desc
+            assert merged.dim == expected.dim
+            for r in expected.relations:
+                np.testing.assert_array_equal(merged.vectors(r), expected.vectors(r))
+                np.testing.assert_array_equal(merged.mean(r), expected.mean(r))
+
 
 class TestSynthDescriptions:
     def test_deterministic(self):

@@ -10,7 +10,7 @@ import pytest
 
 from fcre.continual import PrototypeStore, Task, run_task
 from fcre.descriptions import DescriptionSet
-from fcre.encoder import EncoderParams, encode, init_encoder
+from fcre.encoder import EncoderParams, encode, encode_batch, init_encoder
 from fcre.geometry import cosine, rank_scores
 from fcre.inference import (
     MetricsReport,
@@ -328,6 +328,28 @@ class TestBatchedEvaluate:
                 expected = [per_query_evaluate(state, 3, head, HP) for head in heads]
                 assert evaluate(state, 3, heads, HP) == expected
 
+    def test_relations_sharing_a_prototype_tie_exactly(self):
+        # Two relation ids share the prototype nearest to every query, so
+        # each NCM prediction, and each distance rank, rests on an exact
+        # tie that the lower id must win.  A BLAS matrix product may sum
+        # the two key columns in different orders and split the tie
+        # (OpenBLAS 0.3.31 does at d >= 32 for the last R mod 4 columns
+        # of a block whose query count is not a multiple of 8).
+        rng = np.random.default_rng(42)
+        runs = [("ncm", HP)] + [
+            ("dri", dataclasses.replace(HP, alpha=alpha)) for alpha in (0.0, 0.5, 1.0)
+        ]
+        for _ in range(4):
+            state = pool_state(rng, False, n_tasks=1, n_way=1, test_n=7, n_extra=18, dim=32)
+            task = state.completed_tasks[0]
+            (rel,) = task.relations
+            twin = max(r for r in state.prototypes.relations if r != rel)
+            protos = dict(state.prototypes.items())
+            protos[rel] = protos[twin] = encode_batch(state.encoder, task.test_x).mean(axis=0)
+            state.prototypes = PrototypeStore(protos)
+            for head, hp in runs:
+                assert evaluate(state, 1, (head,), hp) == [per_query_evaluate(state, 1, head, hp)]
+
     def test_each_pool_is_encoded_once_for_both_heads(self, monkeypatch):
         state = pool_state(np.random.default_rng(3), False)
         encoded = []
@@ -369,6 +391,27 @@ class TestBatchedEvaluate:
             finally:
                 tracemalloc.stop()
             assert peak < 1_000_000, f"evaluate[{head}] peaked at {peak} bytes"
+
+
+class TestRanks:
+    def test_equals_stable_argsort_ranks(self):
+        rng = np.random.default_rng(5)
+        keys = np.concatenate(
+            [
+                rng.normal(size=(3, 12)),  # no ties
+                rng.integers(-1, 2, size=(4, 12)).astype(np.float64),  # many ties
+                np.full((1, 12), 0.25),  # all tied
+                np.array([[0.0, -0.0] * 6]),  # signed zeros are equal keys
+            ]
+        )
+        keys[1, 7] = keys[1, 2]  # one tie in an otherwise distinct row
+        for matrix in (keys, keys[:, :1]):
+            order = np.argsort(matrix, axis=1, kind="stable")
+            expected = np.empty(matrix.shape)
+            np.put_along_axis(
+                expected, order, np.arange(1.0, matrix.shape[1] + 1.0)[None, :], axis=1
+            )
+            np.testing.assert_array_equal(inference._ranks(matrix), expected)
 
 
 class TestMetricsReport:
