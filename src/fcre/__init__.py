@@ -34,7 +34,6 @@ from fcre.descriptions import (
     DescriptionFormatError,
     DescriptionSet,
     ingest_descriptions,
-    mean_description,
     synth_descriptions,
 )
 from fcre.datagen import (

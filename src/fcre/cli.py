@@ -3,8 +3,11 @@
 A run is identified by a short hash of the fully-resolved config plus
 the seed, and owns a directory ``<out>/<run-id>/`` containing
 ``config.json``, ``metrics.csv``, and one checkpoint per task under
-``checkpoints/``.  Re-running the same config and seed rewrites the
-same directory with byte-identical contents.  Seeds are independent
+``checkpoints/``.  ``config.json`` is written before the first task,
+each checkpoint after its task and ``metrics.csv`` last, each through a
+temporary file renamed into place, so a failed run leaves whole files.
+Re-running the same config and seed rewrites the same directory with
+byte-identical contents.  Seeds are independent
 replicates; ``FCRE_THREADS`` caps how many run as parallel worker
 processes (default: serial).
 """
@@ -24,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fcre.continual import init_state, run_task, write_checkpoint
+from fcre.continual import init_state, run_task, write_atomic, write_checkpoint
 from fcre.datagen import SyntheticSpec, generate_stream, ingest_dataset, write_dataset
 from fcre.descriptions import DescriptionSet, ingest_descriptions, synth_descriptions
 from fcre.geometry import unit_normalize
@@ -259,6 +262,9 @@ def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
     run_dir = Path(config.out_dir) / run_id(config, seed)
     checkpoints = run_dir / "checkpoints"
     checkpoints.mkdir(parents=True, exist_ok=True)
+    resolved = config_to_dict(config)
+    resolved["seed"] = seed
+    write_atomic(run_dir / "config.json", json.dumps(resolved, sort_keys=True, indent=2) + "\n")
     for task in stream.tasks:
         run_task(
             state,
@@ -270,13 +276,7 @@ def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
         )
         write_checkpoint(checkpoints / f"task_{task.index:02d}.json", state)
         logger.info("seed %d: finished task %d/%d", seed, task.index, stream.n_tasks)
-    resolved = config_to_dict(config)
-    resolved["seed"] = seed
-    with open(run_dir / "config.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(resolved, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(run_dir / "metrics.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(state.report.to_csv(n_tasks=stream.n_tasks))
+    write_atomic(run_dir / "metrics.csv", state.report.to_csv(n_tasks=stream.n_tasks))
     summary = {"seed": seed, "run_dir": str(run_dir), "final": {}, "drop": {}}
     for head in config.heads:
         rows = state.report.head_rows(head)

@@ -19,31 +19,43 @@ current encoder, so rebuilding them twice in a row is a no-op.  Memory
 is append-only: once a relation's representatives are chosen they are
 never replaced.
 
-Batches are formed per epoch: one full batch when the pool fits in 64
-samples, otherwise shuffled minibatches of 32 (a would-be trailing
-singleton is merged into the previous batch, since the contrastive
-losses need company).
+Each training phase (steps 2 and 4) validates its pool once: the
+features, the hyperparameters and the pool's (R, K, d) description
+table, which go into a ``losses._Plan``.  Batches are formed per epoch:
+one full batch when the pool fits in 64 samples, otherwise shuffled
+minibatches of 32 (a would-be trailing singleton is merged into the
+previous batch, since the contrastive losses need company).  A full
+batch is the same rows every epoch, so its label layout is built once.
+Each step runs one encoder forward, one ``joint_loss`` pass over the
+plan's batch, one backward and one Adam update; the plan is dropped
+when the phase ends.  A non-finite gradient stops the run with an error
+naming the task, the phase, the epoch and the first loss term whose own
+gradient is non-finite.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
 from fcre.descriptions import DescriptionSet
 from fcre.encoder import (
+    Activations,
     AdamState,
     BilinearForm,
     EncoderParams,
+    _embed,
+    _feature_rows,
     backward,
     encode_batch,
     floats_from_b64,
     floats_to_b64,
-    forward,
     init_adam,
     init_bilinear,
     init_encoder,
@@ -53,7 +65,7 @@ from fcre.encoder import (
 )
 from fcre.geometry import euclidean
 from fcre.inference import HEADS, MetricsReport, evaluate
-from fcre.losses import Batch, HyperParams, joint_loss
+from fcre.losses import Batch, HyperParams, _Plan, joint_loss
 
 logger = logging.getLogger(__name__)
 
@@ -394,7 +406,16 @@ def _train(
     hp: HyperParams,
     epochs: int,
     description_source: str,
+    *,
+    task_index: int = 0,
+    phase: str = "current",
 ) -> None:
+    """Train on one pool for ``epochs`` epochs from a plan validated once.
+
+    A non-finite gradient stops training with a ``ValueError`` naming
+    ``task_index``, ``phase``, the epoch and the first loss term whose
+    own gradient is non-finite on the failing batch.
+    """
     n = train_x.shape[0]
     if epochs == 0 or n == 0:
         return
@@ -405,20 +426,48 @@ def _train(
     w = state.bilinear.matrix
     n_enc = encoder.n_params
     table, row_of = _description_table(state.descriptions, train_y, description_source)
+    x = _feature_rows(encoder, train_x)
+    plan = _Plan(table, row_of, train_y, encoder.embed_dim, hp)
     vec = np.concatenate([encoder.to_vector(), w.ravel()])
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         for idx in _epoch_batches(n, state.rng):
-            acts = forward(encoder, train_x[idx])
-            batch = Batch(z=acts.z, labels=train_y[idx], descriptions=table[row_of[idx]])
+            acts = _embed(encoder, x[idx])
+            batch = plan.batch(idx, acts.z)
             result = joint_loss(batch, hp, w)
             grads = np.concatenate(
                 [backward(encoder, acts, result.grad_z), result.grad_w.ravel()]
             )
-            vec, state.optimizer = step(state.optimizer, vec, grads)
+            try:
+                vec, state.optimizer = step(state.optimizer, vec, grads)
+            except ValueError as err:
+                if np.isfinite(grads).all():
+                    raise
+                raise ValueError(
+                    f"task {task_index}, {phase} phase, epoch {epoch}: non-finite gradient, "
+                    f"first from {_nonfinite_term(batch, hp, w, encoder, acts)}"
+                ) from err
             encoder = encoder.with_vector(vec[:n_enc])
             w = vec[n_enc:].reshape(w.shape)
     state.encoder = encoder
     state.bilinear = BilinearForm(matrix=w)
+
+
+_LOSS_TERMS = (("scl", "beta_sc"), ("hsmt", "beta_st"), ("hm", "beta_hm"), ("mi", "beta_mi"))
+
+
+def _nonfinite_term(
+    batch: Batch, hp: HyperParams, w: np.ndarray, encoder: EncoderParams, acts: Activations
+) -> str:
+    """The first enabled loss term whose gradient alone is non-finite on ``batch``."""
+    off = {beta: 0.0 for _, beta in _LOSS_TERMS}
+    for name, beta in _LOSS_TERMS:
+        if getattr(hp, beta) == 0.0:
+            continue
+        alone = joint_loss(batch, replace(hp, **{**off, beta: getattr(hp, beta)}), w)
+        grad = np.concatenate([backward(encoder, acts, alone.grad_z), alone.grad_w.ravel()])
+        if not np.isfinite(grad).all():
+            return f"the {name} term"
+    return "no single loss term"
 
 
 def run_task(
@@ -473,7 +522,10 @@ def run_task(
         )
     state.descriptions = state.descriptions.union(new_descriptions)
 
-    _train(state, task.train_x, task.train_y, hp, hp.epochs_current, description_source)
+    _train(
+        state, task.train_x, task.train_y, hp, hp.epochs_current, description_source,
+        task_index=task.index, phase="current",
+    )
 
     embedded = encode_batch(state.encoder, task.train_x)
     for rel in task.relations:
@@ -487,7 +539,10 @@ def run_task(
         replay_y = np.concatenate([old_y, task.train_y])
     else:
         replay_x, replay_y = task.train_x, task.train_y
-    _train(state, replay_x, replay_y, hp, hp.epochs_memory, description_source)
+    _train(
+        state, replay_x, replay_y, hp, hp.epochs_memory, description_source,
+        task_index=task.index, phase="replay",
+    )
 
     state.prototypes = build_prototypes(
         state.memory, lambda rows: encode_batch(state.encoder, rows)
@@ -520,11 +575,28 @@ def checkpoint_dict(state: ContinualState) -> dict:
     }
 
 
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all.
+
+    The text goes to a temporary file in the same directory, which
+    ``os.replace`` then renames over ``path``: a run killed mid-write
+    leaves the previous file, or none, never a partial one.  No newline
+    translation, so the bytes are the text's UTF-8 encoding.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only when the write or the rename failed
+
+
 def write_checkpoint(path, state: ContinualState) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        # one json.dumps call runs the C encoder; json.dump streams
-        # through the pure-Python one, to the same bytes
-        fh.write(json.dumps(checkpoint_dict(state), sort_keys=True) + "\n")
+    # one json.dumps call runs the C encoder; json.dump streams through
+    # the pure-Python one, to the same bytes
+    write_atomic(path, json.dumps(checkpoint_dict(state), sort_keys=True) + "\n")
 
 
 def read_checkpoint(path) -> dict:

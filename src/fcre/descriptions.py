@@ -172,11 +172,6 @@ class DescriptionSet:
             fh.write(self.to_jsonl())
 
 
-def mean_description(descriptions: DescriptionSet, rel: int) -> np.ndarray:
-    """Cached mean of the K description vectors of ``rel``."""
-    return descriptions.mean(rel)
-
-
 def synth_descriptions(
     seed: int,
     class_centers: Mapping[int, np.ndarray],

@@ -10,9 +10,9 @@ of rows once and embeds it with two matrix products, keeping the hidden
 and output activations; ``backward`` chains a (n, d) output gradient
 through those activations to the gradient summed over the rows, as
 matrix products (dW1 = dH_pre^T X, db1 = sum of the rows of dH_pre, ...).
-A training step runs each once.  ``encode_batch`` and
-``encode_batch_backward`` are the one-shot forms, and ``encode`` and
-``encode_backward`` their one-row views.
+A training step runs each once, on pool rows validated once per pool.
+``encode_batch`` is the one-shot forward, and ``encode`` and
+``encode_backward`` are one-row views.
 """
 
 from __future__ import annotations
@@ -151,7 +151,11 @@ class Activations(NamedTuple):
 
 def forward(params: EncoderParams, features) -> Activations:
     """Validate a (n, f) block of rows once and embed it, keeping the activations."""
-    x = _feature_rows(params, features)
+    return _embed(params, _feature_rows(params, features))
+
+
+def _embed(params: EncoderParams, x: np.ndarray) -> Activations:
+    """``forward`` over rows that ``_feature_rows`` has already validated."""
     hidden = np.tanh(x @ params.w1.T + params.b1)
     return Activations(x, hidden, np.tanh(hidden @ params.w2.T + params.b2))
 
@@ -184,15 +188,6 @@ def encode_batch(params: EncoderParams, features) -> np.ndarray:
     return forward(params, features).z
 
 
-def encode_batch_backward(params: EncoderParams, features, grad_out) -> np.ndarray:
-    """Chain per-row ``grad_out`` (n, d) back to one flat parameter gradient.
-
-    Runs the forward pass again; a training step that has just run
-    ``forward`` calls ``backward`` on its activations instead.
-    """
-    return backward(params, forward(params, features), grad_out)
-
-
 def encode(params: EncoderParams, features) -> np.ndarray:
     """Embed one feature vector; output entries lie in (-1, 1)."""
     x = as_embedding(features, name="features")
@@ -211,7 +206,7 @@ def encode_backward(params: EncoderParams, features, grad_out) -> np.ndarray:
         raise ValueError(
             f"grad_out must have shape ({params.embed_dim},), got {grad_out.shape}"
         )
-    return encode_batch_backward(params, x[None, :], grad_out[None, :])
+    return backward(params, forward(params, x[None, :]), grad_out[None, :])
 
 
 @dataclass

@@ -20,23 +20,30 @@ sample's relation.  Four objectives are defined per anchor sample x:
   of the batch negatives, computed in log-space.
 
 All four are computed by one kernel that evaluates a block of anchor
-rows at once with masked array operations.  ``joint_loss`` runs it over
-the batch in blocks of ``BLOCK_ENTRIES // (B * max(d, K))`` anchors (at
-least one), so every batch of up to 32 samples at d=16 is one pass; the
-four terms of a block share its positive and negative masks.  SCL and
-HSMT read (rows, B) cosine and Euclidean matrices.  The description
-side of HM and MI depends on an anchor only through its label and its
-description block, so it is done once per *description class*: within
-one label, samples share a class when each carries the (K, d) block of
-the label's first sample (every training batch does, since its blocks
-come from one table per relation); when some label's samples differ,
-every sample is its own class.  Mining and HM then read a (C, K, B)
-block of description cosines, one row per active class of the pass, and
-turn each class's hard sets into per-sample counts of the anchors they
-apply to (see ``_Kernel``); MI scores each anchor against the (C, K)
-class descriptions, weighting each class by the anchor's negatives in
-it plus one for its own class.  The per-anchor functions above are
-one-row views of the same kernel, with classes of one anchor.
+rows at once with masked array operations; the four terms of a block
+share its positive and negative masks.  SCL and HSMT read (rows, B)
+cosine and Euclidean matrices.  The description side of HM and MI
+depends on an anchor only through its label and its description block,
+so it is done once per *description class*: within one label, samples
+share a class when each carries the (K, d) block of the label's first
+sample; when some label's samples differ, every sample is its own
+class.  Mining and HM then read a (C, K, B) block of description
+cosines, one row per active class of the pass, and turn each class's
+hard sets into per-sample counts of the anchors they apply to (see
+``_Kernel``); MI scores each anchor against the (C, K) class
+descriptions, weighting each class by the anchor's negatives in it plus
+one for its own class.  The per-anchor functions above are one-row
+views of the same kernel, with classes of one anchor.
+
+``joint_loss`` validates a caller's ``Batch`` and tiles it into passes
+of ``BLOCK_ENTRIES // (B * max(d, K))`` anchors (at least one), so every
+batch of up to 32 samples at d=16 is one pass.  Training goes through a
+``_Plan`` instead, built once per pool: it validates the pool's (R, K, d)
+description table and the hyperparameters once, takes each batch's
+classes from its relations (a table row is one relation's block), keeps
+the label layout of a pool that trains as one full batch for every
+epoch, and hands ``joint_loss`` batches it evaluates in one pass.  A
+training step's result therefore does not depend on ``BLOCK_ENTRIES``.
 
 Every loss returns its value together with d(value)/d(z) for the whole
 batch (and d(value)/dW where W participates).  Description vectors are
@@ -219,14 +226,16 @@ class JointResult(NamedTuple):
     clamped_count: int
 
 
-# Float64 entries per kernel transient.  A pass takes
-# max(1, BLOCK_ENTRIES // (B * max(d, K))) anchor rows, so the (rows, B, d)
-# difference block of HSMT, the (rows, K, B) description cosines of mining
-# and the (rows, B*K) bilinear scores of MI each hold at most this many
-# entries (128 KiB).  16,384 is 16 rows at the largest full batch (B=64,
-# d=16), which keeps one joint_loss call under 1 MB of transients, and it
-# lets every batch of up to 32 samples at d=16 take one pass: a pass costs
-# mostly fixed NumPy call overhead, so fewer passes are faster.
+# Float64 entries per kernel transient when ``joint_loss`` tiles a caller's
+# batch.  A pass takes max(1, BLOCK_ENTRIES // (B * max(d, K))) anchor rows,
+# so the (rows, B, d) difference block of HSMT, the (rows, K, B) description
+# cosines of mining and the (rows, B*K) bilinear scores of MI each hold at
+# most this many entries (128 KiB).  16,384 is 16 rows at B=64, d=16, which
+# keeps one call under 1 MB of transients, and it lets every batch of up to
+# 32 samples at d=16 take one pass: a pass costs mostly fixed NumPy call
+# overhead, so fewer passes are faster.  A training step's batch comes from
+# a ``_Plan`` and is one pass whatever this budget: it holds at most 64 rows,
+# so its largest transient, HSMT's (64, 64, 16) block, is 512 KiB.
 BLOCK_ENTRIES = 16_384
 
 HSMT_FLOOR = 1e-6
@@ -243,7 +252,7 @@ class _Term(NamedTuple):
 
 
 class _Block(NamedTuple):
-    """A block of anchor rows and the label masks every term reads."""
+    """A block of anchor rows and what every term reads from its labels."""
 
     rows: slice
     anchors: np.ndarray  # (rows,) batch index of each anchor
@@ -251,6 +260,87 @@ class _Block(NamedTuple):
     pos: np.ndarray  # (rows, B) same label, the anchor itself excluded
     neg: np.ndarray  # (rows, B) different label
     own: np.ndarray  # (rows,) description class of each anchor
+    live: np.ndarray  # (C',) classes with an anchor here that has a positive and a negative
+    live_same: np.ndarray  # (C', 1, B) same label as the live class
+    member: np.ndarray  # (C', 1, B) u is one of the live class's anchors here (u in A)
+    n_a: np.ndarray  # (C', 1, 1) |A|
+    pos_count: np.ndarray  # (C', 1, B) |A| - [u in A]: anchors u can be a hard positive for
+    n_pos: np.ndarray  # (rows,) positives of each anchor
+    paired: np.ndarray  # (rows,) anchors with a positive and a negative
+    weight: np.ndarray  # (rows, C, 1) MI: anchor's negatives in each class, plus one for its own
+    scored: np.ndarray  # (rows, C, 1) weight > 0
+
+
+class _Layout:
+    """What a batch's terms read from its labels and its description classes.
+
+    Within one label, samples share a class when each carries the (K, d)
+    block of the label's first sample; a plain ``Batch`` checks this by
+    comparing its blocks, and when some label's samples differ every
+    sample is its own class.  ``class_desc`` holds each class's (K, d)
+    block and ``class_norms`` its (K,) description norms.  Nothing here
+    depends on z, so a ``_Plan`` builds a full-batch pool's layout once
+    and reuses it every epoch.
+    """
+
+    def __init__(
+        self,
+        same: np.ndarray,
+        lead: np.ndarray,
+        descriptions: np.ndarray,
+        desc_norms: np.ndarray | None = None,
+    ) -> None:
+        """Classes from ``lead``, each sample's class leader; blocks from ``descriptions``.
+
+        ``desc_norms``, when given, holds each sample's (K,) description
+        norms; otherwise the class norms are computed here.
+        """
+        b = same.shape[0]
+        self.same = same
+        self.n_same = n_same = same.sum(axis=1)  # (B,) samples of each sample's label
+        self.has_pos = n_same > 1
+        self.has_neg = n_same < b
+        self.leads = np.flatnonzero(lead == np.arange(b))  # (C,) first sample of each class
+        class_index = np.empty(b, dtype=np.intp)
+        class_index[self.leads] = np.arange(self.leads.size)
+        self.class_of = class_index[lead]  # (B,) class of each sample
+        self.class_size = np.bincount(self.class_of, minlength=self.leads.size)
+        self.class_desc = descriptions[self.leads]  # (C, K, d)
+        self.class_norms = (  # (C, K)
+            np.sqrt(np.einsum("ckd,ckd->ck", self.class_desc, self.class_desc))
+            if desc_norms is None
+            else desc_norms[self.leads]
+        )
+
+    @classmethod
+    def of_batch(cls, batch: Batch) -> "_Layout":
+        same = batch.labels[:, None] == batch.labels[None, :]
+        lead = np.argmax(same, axis=1)  # first sample of each sample's label
+        if (batch.descriptions[lead] != batch.descriptions).any():
+            lead = np.arange(batch.size)
+        return cls(same, lead, batch.descriptions)
+
+    def block(self, rows: slice) -> _Block:
+        """Anchor rows ``rows`` with their masks, live mining classes and MI weights."""
+        anchors = np.arange(rows.start, rows.stop)
+        local = np.arange(anchors.size)
+        pos = self.same[rows].copy()
+        pos[local, anchors] = False
+        neg = ~self.same[rows]
+        own = self.class_of[rows]
+        leads = self.leads
+        n_anchors = np.bincount(own, minlength=leads.size)
+        live = np.flatnonzero((n_anchors > 0) & self.has_pos[leads] & self.has_neg[leads])
+        member = np.zeros((live.size, 1, self.same.shape[0]), dtype=bool)
+        member[:, 0, rows] = own == live[:, None]
+        n_a = n_anchors[live][:, None, None]
+        weight = neg[:, leads] * self.class_size
+        weight[local, own] = 1  # the own class holds no negative
+        return _Block(
+            rows, anchors, local, pos, neg, own, live, self.same[leads[live]][:, None, :],
+            member, n_a, n_a - member, self.n_same[rows] - 1,
+            self.has_pos[rows] & self.has_neg[rows], weight[:, :, None], weight[:, :, None] > 0,
+        )
 
 
 def _unit_differences(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -267,15 +357,12 @@ def _unit_differences(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
 class _Kernel:
     """The four objectives for any block of anchor rows of one batch.
 
-    Built once per batch, it holds what every term shares: row norms,
-    unit rows, the same-label mask and the description classes.  Within
-    one label, samples share a class when each carries the (K, d) block
-    of the label's first sample, as every training batch does; when some
-    label's samples differ, every sample is its own class.  ``block``
-    cuts a slice of anchor rows with its masks; SCL and HSMT evaluate all
-    of the block's anchors at once from (rows, B) similarity and distance
-    matrices, and MI scores each anchor against the (C, K) class
-    descriptions.
+    Built once per batch, it holds the row norms and unit rows of z and
+    the batch's ``_Layout``: the same-label mask and the description
+    classes.  ``_Layout.block`` cuts a slice of anchor rows with its
+    masks; SCL and HSMT evaluate all of the block's anchors at once from
+    (rows, B) similarity and distance matrices, and MI scores each anchor
+    against the (C, K) class descriptions.
 
     Mining and HM work on one (K, B) cosine block per active class of
     the block: a class whose anchors there have a positive and a
@@ -297,35 +384,20 @@ class _Kernel:
     views of the same methods, with classes of one anchor.
     """
 
-    def __init__(self, batch: Batch) -> None:
+    def __init__(self, batch: Batch, layout: _Layout | None = None) -> None:
         self.batch = batch
         z = batch.z
-        b = batch.size
         self.norms = np.sqrt(np.einsum("ij,ij->i", z, z))
         # Every term that takes a cosine against a zero-norm row rejects
         # it first; the stand-in norm only keeps unused entries finite.
         self.safe_norms = np.where(self.norms == 0.0, 1.0, self.norms)
         self.z_hat = z / self.safe_norms[:, None]
-        self.same = batch.labels[:, None] == batch.labels[None, :]
-        n_same = np.count_nonzero(self.same, axis=1)
-        self.has_pos = n_same > 1
-        self.has_neg = n_same < b
-        lead = np.argmax(self.same, axis=1)  # first sample of each sample's label
-        if (batch.descriptions[lead] != batch.descriptions).any():
-            lead = np.arange(b)
-        self.leads = np.flatnonzero(lead == np.arange(b))  # (C,) first sample of each class
-        class_index = np.empty(b, dtype=np.intp)
-        class_index[self.leads] = np.arange(self.leads.size)
-        self.class_of = class_index[lead]  # (B,) class of each sample
-        self.class_size = np.bincount(self.class_of, minlength=self.leads.size)
+        self.layout = _Layout.of_batch(batch) if layout is None else layout
 
-    def block(self, rows: slice) -> _Block:
-        """Anchor indices of ``rows``, their (rows, B) positive/negative masks and classes."""
-        anchors = np.arange(rows.start, rows.stop)
-        local = np.arange(anchors.size)
-        pos = self.same[rows].copy()
-        pos[local, anchors] = False
-        return _Block(rows, anchors, local, pos, ~self.same[rows], self.class_of[rows])
+    # the description classes, as the class rule above derives them
+    leads = property(lambda self: self.layout.leads)
+    class_of = property(lambda self: self.layout.class_of)
+    class_size = property(lambda self: self.layout.class_size)
 
     def _require_nonzero(self, used: np.ndarray) -> None:
         bad = np.flatnonzero(used & (self.norms == 0.0))
@@ -346,7 +418,7 @@ class _Kernel:
         """
         z = self.batch.z
         rows, pos = blk.rows, blk.pos
-        active = self.has_pos[rows]
+        active = self.layout.has_pos[rows]
         if not active.any():
             return _Term(np.zeros(active.size), np.zeros_like(z), ~active)
         cos = (z[rows] @ z.T) / (self.norms[rows, None] * self.norms[None, :])
@@ -358,7 +430,7 @@ class _Kernel:
         w = np.exp(s_other - shift)
         total = w.sum(axis=1, keepdims=True)
         log_total = shift[:, 0] + np.log(total[:, 0])
-        n_pos = np.count_nonzero(pos, axis=1)
+        n_pos = blk.n_pos
         values = np.where(active, n_pos * log_total - np.where(pos, s, 0.0).sum(axis=1), 0.0)
 
         # dL/ds_u = n_pos * softmax_u - [u is positive]; rows without
@@ -378,7 +450,7 @@ class _Kernel:
         """Batch-hard pairs: row-wise argmax over positives, argmin over negatives."""
         z = self.batch.z
         rows, a = blk.rows, blk.local
-        paired = blk.pos.any(axis=1) & blk.neg.any(axis=1)
+        paired = blk.paired
         grad = np.zeros_like(z)
         if not paired.any():
             return _Term(np.zeros(a.size), grad, ~paired, np.zeros_like(paired))
@@ -417,23 +489,18 @@ class _Kernel:
         anchors for which u is a hard positive and a hard negative, as
         the class docstring sets out.
         """
-        n_anchors = np.bincount(blk.own, minlength=self.leads.size)
-        leads = self.leads
-        live = np.flatnonzero((n_anchors > 0) & self.has_pos[leads] & self.has_neg[leads])
-        vectors = self.batch.descriptions[leads[live], ks]  # (C, K', d)
-        an = np.sqrt(np.einsum("ckd,ckd->ck", vectors, vectors))
+        lay = self.layout
+        live = blk.live
+        an = lay.class_norms[live, ks]  # (C, K')
         if (an == 0.0).any():
             raise ValueError("anchor has zero norm; cosine is undefined")
         if not self.norms.all():  # reject a zero-norm sample an active anchor compares with
-            active = self.has_pos[blk.rows] & self.has_neg[blk.rows]
-            self._require_nonzero(np.any((blk.pos | blk.neg)[active], axis=0))
-        cos = (vectors @ self.batch.z.T) / (an[:, :, None] * self.safe_norms)
+            self._require_nonzero(np.any((blk.pos | blk.neg)[blk.paired], axis=0))
+        vectors = lay.class_desc[live]  # (C, K, d): one product over every k, sliced after
+        cos = (vectors @ self.batch.z.T)[:, ks] / (an[:, :, None] * self.safe_norms)
         dist = 1.0 - np.clip(cos, -1.0, 1.0)
         b = self.batch.size
-        same = self.same[leads[live]][:, None, :]  # (C, 1, B)
-        member = np.zeros((live.size, 1, b), dtype=bool)  # u in A
-        member[:, 0, blk.rows] = blk.own == live[:, None]
-        n_a = n_anchors[live][:, None, None]
+        same, member, n_a = blk.live_same, blk.member, blk.n_a
         neg_dist = np.where(same, np.inf, dist)
         same_dist = np.where(same, dist, -np.inf)
         arg1 = np.argmax(same_dist, axis=2)  # lowest index among the farthest
@@ -441,17 +508,16 @@ class _Kernel:
         top1, top2 = top[:, :, b - 1 :], top[:, :, b - 2 : b - 1]  # top2 = top1 on a tie
         arg1_in_a = member[np.arange(live.size)[:, None], 0, arg1][:, :, None]
         closest_neg = neg_dist.min(axis=2, keepdims=True)
-        hard_pos = np.where(same_dist > closest_neg, n_a - member, 0)
+        hard_pos = np.where(same_dist > closest_neg, blk.pos_count, 0)
         hard_neg = np.where(neg_dist < top1, n_a - (arg1_in_a & (neg_dist >= top2)), 0)
-        return cos, vectors / an[:, :, None], hard_pos, hard_neg
+        return cos, vectors[:, ks] / an[:, :, None], hard_pos, hard_neg
 
     def hm(self, blk: _Block, margin: float) -> _Term:
         """Quadratic pulls on hard positives and pushes on hard negatives, per class."""
-        batch = self.batch
-        rows = blk.rows
-        active = self.has_pos[rows] & self.has_neg[rows]
+        z = self.batch.z
+        active = blk.paired
         if not active.any():
-            return _Term(np.zeros(active.size), np.zeros_like(batch.z), ~active)
+            return _Term(np.zeros(active.size), np.zeros_like(z), ~active)
         cos, a_hat, hard_pos, hard_neg = self.mine(blk)
         t_pos = 1.0 - cos
         t_neg = margin - 1.0 + cos
@@ -459,7 +525,7 @@ class _Kernel:
         values = (hard_pos * (t_pos * t_pos) + hard_neg * (t_neg * t_neg)).sum(axis=(1, 2))
         # dL/dcos per (class, k, sample); dcos/dz_u = (a_hat - cos z_hat_u) / |z_u|
         g = hard_neg * (2.0 * t_neg) - hard_pos * (2.0 * t_pos)
-        b, d = batch.z.shape
+        b, d = z.shape
         grad = g.reshape(-1, b).T @ a_hat.reshape(-1, d)
         grad -= np.einsum("ckb,ckb->b", g, cos)[:, None] * self.z_hat
         grad /= self.safe_norms[:, None]
@@ -471,23 +537,19 @@ class _Kernel:
         Class c enters an anchor's denominator once per negative sample
         it holds, plus once as the anchor's own class (the numerator).
         """
-        batch = self.batch
-        b, d = batch.z.shape
-        k = batch.k_desc
-        c = self.leads.size
-        rows, local, own = blk.rows, blk.local, blk.own
-        has_neg = self.has_neg[rows]
-        grad = np.zeros_like(batch.z)
+        z = self.batch.z
+        c, k, d = self.layout.class_desc.shape
+        rows, local, own, weight = blk.rows, blk.local, blk.own, blk.weight
+        has_neg = self.layout.has_neg[rows]
+        grad = np.zeros_like(z)
         if not has_neg.any():
             return _Term(np.zeros(local.size), grad, ~has_neg, grad_w=np.zeros_like(w_matrix))
-        weight = np.where(blk.neg[:, self.leads], self.class_size, 0)
-        weight[local, own] += 1
-        desc = batch.descriptions[self.leads].reshape(c * k, d)
-        z_rows = batch.z[rows]
+        desc = self.layout.class_desc.reshape(c * k, d)
+        z_rows = z[rows]
         scores = ((z_rows @ w_matrix) @ desc.T).reshape(-1, c, k) / tau  # z_x^T W d_c^k / tau
-        scores = np.where(weight[:, :, None] > 0, scores, -np.inf)
+        scores = np.where(blk.scored, scores, -np.inf)
         e = np.exp(scores - scores.max(axis=(1, 2), keepdims=True))
-        e_all = weight[:, :, None] * e
+        e_all = weight * e
         e_own = e[local, own]  # (rows, K)
         s_all = e_all.sum(axis=(1, 2))
         s_pos = e_own.sum(axis=1)
@@ -506,7 +568,7 @@ def _one_row(batch: Batch, x: int) -> tuple[_Kernel, _Block]:
     """The kernel of ``batch`` and the one-row block of anchor x."""
     batch._check_index(x)
     kernel = _Kernel(batch)
-    return kernel, kernel.block(slice(x, x + 1))
+    return kernel, kernel.layout.block(slice(x, x + 1))
 
 
 def _require_pair(batch: Batch, what: str) -> None:
@@ -544,7 +606,7 @@ def scl_loss(batch: Batch, x: int, tau: float) -> SclResult:
     _require_tau(tau)
     _require_pair(batch, "scl_loss")
     kernel, blk = _one_row(batch, x)
-    kernel.require_scl_norms(kernel.has_pos[blk.rows])
+    kernel.require_scl_norms(kernel.layout.has_pos[blk.rows])
     term = kernel.scl(blk, tau)
     return SclResult(float(term.values[0]), term.grad_z, bool(term.degenerate[0]))
 
@@ -630,15 +692,87 @@ def mi_loss(batch: Batch, x: int, w_matrix: np.ndarray, tau: float) -> MiResult:
     return MiResult(float(term.values[0]), term.grad_z[x], term.grad_w, bool(term.degenerate[0]))
 
 
+class _PlanBatch(Batch):
+    """A training batch whose inputs a ``_Plan`` validated, with its label layout.
+
+    ``_Plan.batch`` builds it without ``Batch``'s checks and sets
+    ``hp`` (the plan's validated hyperparameters), ``layout`` and
+    ``block``, the one pass over every anchor that ``joint_loss`` runs.
+    """
+
+    hp: HyperParams
+    layout: _Layout
+    block: _Block
+
+
+class _Plan:
+    """One training pool's loss inputs, validated once, and the batches built on them.
+
+    Holds the pool's (R, K, d) description table, each sample's row in
+    it, the table's (R, K) description norms and the validated
+    hyperparameters.  A table row is one relation's block, so a batch's
+    description classes are its relations in order of first appearance:
+    what ``_Layout.of_batch`` finds for such blocks, without comparing
+    them.  A pool that trains as one full batch (the same rows in the
+    same order every epoch) has its layout built once.  Neither the plan
+    nor a layout refers to a batch or a kernel, so the per-pool state
+    goes as soon as the caller drops the plan.
+    """
+
+    def __init__(
+        self,
+        table: np.ndarray,
+        row_of: np.ndarray,
+        labels: np.ndarray,
+        embed_dim: int,
+        hp: HyperParams,
+    ) -> None:
+        self.hp = hp.validate()
+        table = np.asarray(table, dtype=np.float64)
+        if table.shape[2] != embed_dim:
+            raise ValueError(f"description dim {table.shape[2]} != embedding dim {embed_dim}")
+        if not np.all(np.isfinite(table)):
+            raise ValueError("descriptions contain non-finite entries")
+        self.table = table
+        self.norms = np.sqrt(np.einsum("rkd,rkd->rk", table, table))
+        self.row_of = row_of
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self._whole: tuple[np.ndarray, _Layout, _Block] | None = None
+
+    def batch(self, idx: np.ndarray, z: np.ndarray) -> Batch:
+        """The pool rows ``idx`` with their embeddings z = tanh(...) of validated inputs."""
+        rows = self.row_of[idx]
+        descriptions = self.table[rows]
+        if idx.size < self.labels.size:
+            layout = self._layout(rows, descriptions)
+            block = layout.block(slice(0, idx.size))
+        else:  # the whole pool, which trains as the same batch every epoch
+            if self._whole is None or not np.array_equal(self._whole[0], idx):
+                layout = self._layout(rows, descriptions)
+                self._whole = (idx.copy(), layout, layout.block(slice(0, idx.size)))
+            _, layout, block = self._whole
+        batch = object.__new__(_PlanBatch)  # z is finite, and the rest was checked here
+        batch.z, batch.labels, batch.descriptions = z, self.labels[idx], descriptions
+        batch.hp, batch.layout, batch.block = self.hp, layout, block
+        return batch
+
+    def _layout(self, rows: np.ndarray, descriptions: np.ndarray) -> _Layout:
+        same = rows[:, None] == rows[None, :]
+        return _Layout(same, np.argmax(same, axis=1), descriptions, self.norms[rows])
+
+
 def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResult:
     """Batch-mean of the beta-weighted sum of all four objectives.
 
-    Evaluates every anchor of the batch in blocks of
-    ``BLOCK_ENTRIES // (B * max(d, K))`` rows (at least one).
+    A batch from a training ``_Plan`` is evaluated in one pass.  Any
+    other batch is validated and tiled into blocks of
+    ``BLOCK_ENTRIES // (B * max(d, K))`` anchor rows (at least one).
     Linear in each beta; terms with beta == 0 are skipped entirely, so
     disabling a loss also disables its degenerate-input flags.
     """
-    hp.validate()
+    planned = isinstance(batch, _PlanBatch)
+    if not (planned and hp is batch.hp):
+        hp.validate()
     b = batch.size
     w_matrix = np.asarray(w_matrix, dtype=np.float64)
     if hp.beta_sc != 0.0:
@@ -647,18 +781,25 @@ def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResu
         _require_pair(batch, "hsmt_loss")
     if hp.beta_mi != 0.0:
         _as_bilinear(w_matrix, batch.embed_dim)
-    kernel = _Kernel(batch)
+    if planned:
+        kernel = _Kernel(batch, batch.layout)
+        blocks = [batch.block]
+    else:
+        kernel = _Kernel(batch)
+        step = max(1, BLOCK_ENTRIES // (b * max(batch.embed_dim, batch.k_desc)))
+        blocks = (
+            kernel.layout.block(slice(start, min(start + step, b)))
+            for start in range(0, b, step)
+        )
     if hp.beta_sc != 0.0:
-        kernel.require_scl_norms(kernel.has_pos)
-    block_rows = max(1, BLOCK_ENTRIES // (b * max(batch.embed_dim, batch.k_desc)))
+        kernel.require_scl_norms(kernel.layout.has_pos)
     total = 0.0
     grad_z = np.zeros_like(batch.z)
     grad_w = np.zeros_like(w_matrix)
     no_positive = 0
     no_pair = 0
     clamped = 0
-    for start in range(0, b, block_rows):
-        blk = kernel.block(slice(start, min(start + block_rows, b)))
+    for blk in blocks:
         terms = []
         if hp.beta_sc != 0.0:
             term = kernel.scl(blk, hp.tau)

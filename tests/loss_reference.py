@@ -169,9 +169,21 @@ def mine_hard(batch: Batch, x: int, k: int) -> MiningSets:
     if not 0 <= k < batch.k_desc:
         raise ValueError(f"description index {k} out of range for K={batch.k_desc}")
 
-    anchor = batch.descriptions[x, k]
-    pos_dist = 1.0 - _cosines_to(anchor, batch.z[pos], "batch sample")
-    neg_dist = 1.0 - _cosines_to(anchor, batch.z[neg], "batch sample")
+    # One (K, d) @ (d, B) product over every sample, as the kernel takes
+    # it, then split by label: coincident samples get equal distances.
+    anchors = batch.descriptions[x]
+    an = np.sqrt(np.einsum("kd,kd->k", anchors, anchors))
+    if an[k] == 0.0:
+        raise ValueError("anchor has zero norm; cosine is undefined")
+    norms = np.sqrt(np.einsum("ij,ij->i", batch.z, batch.z))
+    others = np.sort(np.concatenate([pos, neg]))
+    if np.any(norms[others] == 0.0):
+        idx = int(others[norms[others] == 0.0][0])
+        raise ValueError(f"batch sample {idx} has zero norm; cosine is undefined")
+    safe = np.where(norms == 0.0, 1.0, norms)  # x's own column is never read
+    dist = 1.0 - np.clip((anchors @ batch.z.T)[k] / (an[k] * safe), -1.0, 1.0)
+    pos_dist = dist[pos]
+    neg_dist = dist[neg]
     closest_neg = float(np.min(neg_dist))
     farthest_pos = float(np.max(pos_dist))
     hard_pos = tuple(int(p) for p, dist in zip(pos, pos_dist) if dist > closest_neg)

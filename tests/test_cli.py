@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import fcre
+import fcre.cli as cli
+import fcre.continual as continual
 from fcre.cli import (
     DEFAULT_SEEDS,
     EncoderConfig,
@@ -25,6 +27,7 @@ from fcre.cli import (
     run_id,
     run_single_seed,
 )
+from fcre.continual import write_atomic
 from fcre.datagen import SyntheticSpec, generate_stream, ingest_dataset
 from fcre.descriptions import ingest_descriptions
 from fcre.inference import MetricsReport
@@ -344,3 +347,44 @@ class TestReportCommand:
     def test_missing_metrics_exits_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nothing")]) == 2
         assert "metrics.csv" in capsys.readouterr().err
+
+
+class TestArtifactWrites:
+    def test_run_failing_in_task_two_leaves_whole_files(self, tmp_path, monkeypatch):
+        config = tiny_config(out_dir=str(tmp_path / "runs"))
+        real = cli.run_task
+
+        def failing(state, task, *args, **kwargs):
+            if task.index == 2:
+                raise RuntimeError("stopped in task 2")
+            return real(state, task, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_task", failing)
+        with pytest.raises(RuntimeError, match="stopped in task 2"):
+            run_single_seed(config, 0)
+        run_dir = tmp_path / "runs" / run_id(config, 0)
+        files = sorted(str(p.relative_to(run_dir)) for p in run_dir.rglob("*") if p.is_file())
+        assert files == ["checkpoints/task_01.json", "config.json"]
+        assert json.loads((run_dir / "config.json").read_text())["seed"] == 0
+
+    def test_artifacts_keep_their_bytes(self, tmp_path):
+        config = tiny_config(out_dir=str(tmp_path / "runs"))
+        run_single_seed(config, 0)
+        run_dir = tmp_path / "runs" / run_id(config, 0)
+        resolved = {**config_to_dict(config), "seed": 0}
+        expected = json.dumps(resolved, sort_keys=True, indent=2) + "\n"
+        assert (run_dir / "config.json").read_bytes() == expected.encode("utf-8")
+        assert sorted(p.name for p in run_dir.iterdir()) == ["checkpoints", "config.json", "metrics.csv"]
+
+    def test_failed_write_keeps_the_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "metrics.csv"
+        write_atomic(path, "old\n")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(continual.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            write_atomic(path, "new\n")
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]

@@ -1,11 +1,14 @@
 """Task lifecycle: memory selection, prototypes, replay, checkpoints."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 import fcre.continual as continual
+import fcre.losses as losses
 from fcre.continual import (
     ContinualState,
     MemoryBuffer,
@@ -577,3 +580,93 @@ class TestCheckpoint:
             json.dump(continual.checkpoint_dict(state), fh, sort_keys=True)
             fh.write("\n")
         assert path.read_bytes() == streamed.read_bytes()
+
+
+class TestTrainingPlan:
+    """``_train`` trains each pool from one validated plan."""
+
+    def run_stream(self, hp):
+        """Task 1 trains as minibatches (75 rows), task 2 as one full batch plus memory."""
+        rng = np.random.default_rng(8)
+        state = fresh_state(hp=hp)
+        outputs = []
+        for index, rels, shots in ((1, [0, 1, 2], 25), (2, [3, 4], 12)):
+            task = make_task(index, rels, rng, shots=shots)
+            run_task(state, task, make_descriptions(rels, 4, k_desc=3), hp)
+            outputs.append(json.dumps(continual.checkpoint_dict(state), sort_keys=True))
+        outputs.append(state.report.to_csv(n_tasks=2))
+        return outputs
+
+    def test_artifacts_do_not_depend_on_the_block_budget(self, monkeypatch):
+        runs = []
+        for budget in (1, losses.BLOCK_ENTRIES, 10**7):
+            monkeypatch.setattr(losses, "BLOCK_ENTRIES", budget)
+            runs.append(self.run_stream(HP))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_pool_state_is_freed_without_the_cycle_collector(self, monkeypatch):
+        layouts = []
+        real = continual.joint_loss
+
+        def recording(batch, hp, w):
+            layouts.append(weakref.ref(batch.layout))
+            return real(batch, hp, w)
+
+        monkeypatch.setattr(continual, "joint_loss", recording)
+        state = fresh_state()
+        state.descriptions = make_descriptions([0, 1], 4)
+        labels = np.array([0, 1] * 10)
+        x = np.random.default_rng(1).normal(size=(20, 6))
+        gc.disable()
+        try:
+            _train(state, x, labels, HP, 3, "k-set")
+            assert len(layouts) == 3
+            assert all(ref() is None for ref in layouts)
+        finally:
+            gc.enable()
+
+
+class TestNonFiniteGradient:
+    """A non-finite gradient names where training stopped and which term caused it."""
+
+    def nan_term(self, monkeypatch, name, from_call=1):
+        real = getattr(losses._Kernel, name)
+        calls = []
+
+        def broken(self, blk, *args):
+            term = real(self, blk, *args)
+            calls.append(None)
+            if len(calls) >= from_call:
+                term = term._replace(grad_z=np.full_like(term.grad_z, np.nan))
+            return term
+
+        monkeypatch.setattr(losses._Kernel, name, broken)
+
+    def run_two_tasks(self, hp):
+        rng = np.random.default_rng(4)
+        state = fresh_state(hp=hp)
+        for index, rels in ((1, [0, 1]), (2, [2, 3])):
+            run_task(state, make_task(index, rels, rng), make_descriptions([0, 1, 2, 3], 4), hp)
+
+    def test_names_task_phase_epoch_and_term(self, monkeypatch):
+        # one full batch per epoch: task 1 takes calls 1-2 (current) and 3-4
+        # (replay), task 2's current phase calls 5-6; call 6 is its epoch 2
+        self.nan_term(monkeypatch, "hm", from_call=6)
+        with pytest.raises(
+            ValueError,
+            match=r"^task 2, current phase, epoch 2: non-finite gradient, first from the hm term$",
+        ):
+            self.run_two_tasks(HP)
+
+    def test_names_the_replay_phase(self, monkeypatch):
+        self.nan_term(monkeypatch, "mi")
+        hp = HyperParams(epochs_current=0, epochs_memory=2)
+        with pytest.raises(ValueError, match=r"^task 1, replay phase, epoch 1: .* the mi term$"):
+            self.run_two_tasks(hp)
+
+    def test_names_the_first_broken_term(self, monkeypatch):
+        self.nan_term(monkeypatch, "mi")
+        self.nan_term(monkeypatch, "hsmt")
+        with pytest.raises(ValueError, match=r"first from the hsmt term$") as err:
+            self.run_two_tasks(HP)
+        assert "gradient contains non-finite entries" in str(err.value.__cause__)

@@ -10,7 +10,6 @@ from fcre.descriptions import (
     DescriptionFormatError,
     DescriptionSet,
     ingest_descriptions,
-    mean_description,
     synth_descriptions,
 )
 
@@ -50,7 +49,7 @@ class TestDescriptionSet:
         ds = simple_set()
         np.testing.assert_allclose(ds.mean(0), [0.5, 0.5])
         assert ds.mean(0) is ds.mean(0)  # same array object: computed once
-        np.testing.assert_allclose(mean_description(ds, 1), [0.5, 1.0])
+        np.testing.assert_allclose(ds.mean(1), [0.5, 1.0])
 
     def test_unknown_relation(self):
         with pytest.raises(KeyError):

@@ -11,7 +11,6 @@ from fcre.encoder import (
     encode,
     encode_backward,
     encode_batch,
-    encode_batch_backward,
     floats_from_b64,
     floats_to_b64,
     forward,
@@ -122,7 +121,7 @@ class TestEncodeBatch:
                 encode_backward(params, row, g) for row, g in zip(x, grad_out)
             )
             np.testing.assert_allclose(
-                encode_batch_backward(params, x, grad_out), expected, rtol=1e-12, atol=1e-14
+                backward(params, forward(params, x), grad_out), expected, rtol=1e-12, atol=1e-14
             )
 
     def test_backward_from_kept_activations_matches_one_shot(self):
@@ -133,13 +132,13 @@ class TestEncodeBatch:
         acts = forward(params, x)
         assert np.array_equal(acts.z, encode_batch(params, x))
         assert np.array_equal(
-            backward(params, acts, grad_out), encode_batch_backward(params, x, grad_out)
+            backward(params, acts, grad_out), backward(params, forward(params, x), grad_out)
         )
 
     def test_all_zero_upstream_gives_zero_gradient(self):
         params = small_params()
         x = np.random.default_rng(1).normal(size=(4, 5))
-        grads = encode_batch_backward(params, x, np.zeros((4, 3)))
+        grads = backward(params, forward(params, x), np.zeros((4, 3)))
         assert np.array_equal(grads, np.zeros(params.n_params))
 
     def test_shapes_checked(self):
@@ -151,7 +150,7 @@ class TestEncodeBatch:
         with pytest.raises(ValueError, match="non-finite"):
             encode_batch(params, np.full((2, 5), np.nan))
         with pytest.raises(ValueError, match="grad_out"):
-            encode_batch_backward(params, np.ones((2, 5)), np.ones((3, 3)))
+            backward(params, forward(params, np.ones((2, 5))), np.ones((3, 3)))
 
 
 class TestParamsVector:

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcre.geometry import cosine, euclidean
 from fcre.losses import (
@@ -923,3 +925,195 @@ class TestJointLoss:
         batch = orthogonal_batch([0, 0])
         with pytest.raises(ValueError, match="tau"):
             joint_loss(batch, HyperParams(tau=-1.0), np.eye(2))
+
+
+# ------------------------------------------------------- mining at exact ties
+
+
+def tied_batch(rng, size, dim, k_desc=3):
+    """Three labels in turn, and three points each shared by a positive and a negative.
+
+    The shared points sit along or against one description of the first
+    member's label, at the first, middle and last columns, so they are
+    often the closest negative or the farthest positive: an exact tie
+    there decides a hard set.
+    """
+    labels = np.arange(size) % 3
+    blocks = rng.normal(size=(3, k_desc, dim))
+    blocks /= np.linalg.norm(blocks, axis=2, keepdims=True)
+    z = rng.normal(size=(size, dim))
+    for first, sign in ((0, 1.0), (size // 2, -1.0), (size - 1, 1.0)):
+        group = [first, (first + 1) % size, (first + 3) % size]
+        point = sign * blocks[labels[first], rng.integers(k_desc)] + 1e-3 * rng.normal(size=dim)
+        z[group] = rng.uniform(0.5, 1.5) * point
+    return Batch(z=z, labels=labels, descriptions=blocks[labels])
+
+
+class TestMiningAtTies:
+    @pytest.mark.parametrize("size, dim", [(7, 3), (12, 4), (33, 16), (64, 16), (29, 32)])
+    def test_coincident_samples_mine_as_the_reference(self, size, dim):
+        rng = np.random.default_rng(size * dim)
+        for _ in range(4):
+            batch = tied_batch(rng, size, dim)
+            for x in range(size):
+                for k in range(batch.k_desc):
+                    assert mine_hard(batch, x, k) == loss_reference.mine_hard(batch, x, k)
+
+
+# ------------------------------------------------------------ training plan
+
+
+PLAN_HPS = (HyperParams(), TestJointLoss.HP)
+
+
+def plan_for(table, rows, hp):
+    """A plan over a pool whose sample i has relation id 10 * rows[i] + 3."""
+    rows = np.asarray(rows)
+    return losses._Plan(table, rows, 10 * rows + 3, table.shape[2], hp)
+
+
+def plain_twin(batch):
+    """The same arrays as a plain, validated ``Batch``."""
+    return Batch(z=batch.z.copy(), labels=batch.labels.copy(), descriptions=batch.descriptions.copy())
+
+
+def assert_same_result(got, expected, exact):
+    assert got[3:] == expected[3:]  # the degenerate-input counters
+    if exact:
+        assert got.value == expected.value
+        assert np.array_equal(got.grad_z, expected.grad_z)
+        assert np.array_equal(got.grad_w, expected.grad_w)
+    else:
+        np.testing.assert_allclose(got.value, expected.value, rtol=1e-12)
+        np.testing.assert_allclose(got.grad_z, expected.grad_z, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got.grad_w, expected.grad_w, rtol=1e-12, atol=1e-15)
+
+
+def one_pass(batch):
+    """Whether ``joint_loss`` tiles this plain batch into a single pass."""
+    step = losses.BLOCK_ENTRIES // (batch.size * max(batch.embed_dim, batch.k_desc))
+    return step >= batch.size
+
+
+@st.composite
+def plan_cases(draw):
+    """A description table, a pool's rows in it, and which pool rows form the batch."""
+    dim = draw(st.sampled_from([2, 4, 16]))
+    k_desc = draw(st.sampled_from([1, 3, 7]))
+    n_rel = draw(st.integers(1, 12))
+    size = draw(st.integers(2, 64))
+    rows = draw(st.lists(st.integers(0, n_rel - 1), min_size=size, max_size=size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.normal(size=(n_rel, k_desc, dim))
+    if n_rel > 1 and draw(st.booleans()):
+        table[1] = table[0]  # two relations share one description block
+    full = draw(st.booleans())  # the batch is the whole pool, else a minibatch of a larger one
+    extra = [] if full else draw(st.lists(st.integers(0, n_rel - 1), min_size=1, max_size=40))
+    pool = np.array(rows + extra)
+    idx = np.arange(size) if full else rng.permutation(pool.size)[:size]
+    duplicates = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), max_size=4))
+    hp = draw(st.sampled_from(PLAN_HPS))
+    return table, pool, idx, duplicates, hp, rng
+
+
+def embedded(rng, size, dim, duplicates=()):
+    z = np.tanh(rng.normal(size=(size, dim)))
+    for i, j in duplicates:
+        z[j] = z[i]
+    return z
+
+
+class TestTrainingPlan:
+    @given(plan_cases())
+    @settings(max_examples=120)
+    def test_plan_batch_equals_a_plain_batch(self, case):
+        table, pool, idx, duplicates, hp, rng = case
+        plan = plan_for(table, pool, hp)
+        dim = table.shape[2]
+        w = np.eye(dim) + 0.05 * rng.normal(size=(dim, dim))
+        layouts = []
+        for _ in range(3):  # epochs: a whole-pool batch reuses its layout
+            batch = plan.batch(idx, embedded(rng, idx.size, dim, duplicates))
+            layouts.append(batch.layout)
+            twin = plain_twin(batch)
+            assert np.array_equal(twin.descriptions, table[pool[idx]])
+            assert_same_result(joint_loss(batch, hp, w), joint_loss(twin, hp, w), one_pass(twin))
+        whole = idx.size == pool.size
+        assert (layouts[0] is layouts[1] is layouts[2]) == whole
+
+    def test_whole_pool_in_a_new_order_gets_its_own_layout(self):
+        rng = np.random.default_rng(9)
+        rows = rng.integers(0, 4, size=20)
+        hp = HyperParams()
+        plan = plan_for(rng.normal(size=(4, 3, 4)), rows, hp)
+        for idx in (np.arange(20), rng.permutation(20), rng.permutation(20)):
+            batch = plan.batch(idx, embedded(rng, 20, 4))
+            assert_same_result(joint_loss(batch, hp, np.eye(4)), joint_loss(plain_twin(batch), hp, np.eye(4)), True)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [0, 1, 2, 3, 4, 0],  # singleton labels
+            [2, 2, 2, 2],  # one label only
+            [0, 1, 0, 1, 2, 2, 0],  # relations 0 and 1 share one block (below)
+        ],
+    )
+    def test_named_cases_are_bit_identical(self, rows):
+        rng = np.random.default_rng(len(rows))
+        table = rng.normal(size=(5, 3, 4))
+        table[1] = table[0]
+        for hp in PLAN_HPS:
+            plan = plan_for(table, rows, hp)
+            batch = plan.batch(np.arange(len(rows)), embedded(rng, len(rows), 4, [(0, 2)]))
+            assert_same_result(joint_loss(batch, hp, np.eye(4)), joint_loss(plain_twin(batch), hp, np.eye(4)), True)
+
+    def test_a_plan_batch_is_one_pass_whatever_the_budget(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 8, size=64)
+        plan = plan_for(rng.normal(size=(8, 7, 16)), rows, HyperParams())
+        batch = plan.batch(np.arange(64), embedded(rng, 64, 16))
+        monkeypatch.setattr(losses, "BLOCK_ENTRIES", 1)
+        assert kernel_blocks(batch) == [(0, 64)]
+        assert len(kernel_blocks(plain_twin(batch))) == 64
+
+    def test_checks_run_once_with_the_plain_batch_messages(self):
+        table = np.ones((2, 3, 4))
+        with pytest.raises(ValueError, match=r"^description dim 4 != embedding dim 5$"):
+            losses._Plan(table, np.array([0, 1]), np.array([0, 1]), 5, HyperParams())
+        table[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^descriptions contain non-finite entries$"):
+            losses._Plan(table, np.array([0, 1]), np.array([0, 1]), 4, HyperParams())
+        with pytest.raises(ValueError, match="tau"):
+            losses._Plan(np.ones((2, 3, 4)), np.array([0, 1]), np.array([0, 1]), 4, HyperParams(tau=0.0))
+
+    @pytest.mark.parametrize("rows, raises", [([0, 0, 1, 1], True), ([0, 1, 1, 2, 2], False)])
+    def test_zero_norm_description_fails_only_when_its_class_is_mined(self, rows, raises):
+        rng = np.random.default_rng(3)
+        table = rng.normal(size=(3, 2, 4))
+        table[0, 1] = 0.0  # relation 0's second description; mined only when 0 has a pair
+        hp = HyperParams()
+        batch = plan_for(table, rows, hp).batch(np.arange(len(rows)), embedded(rng, len(rows), 4))
+        for candidate in (batch, plain_twin(batch)):
+            if raises:
+                with pytest.raises(ValueError, match=r"^anchor has zero norm; cosine is undefined$"):
+                    joint_loss(candidate, hp, np.eye(4))
+            else:
+                joint_loss(candidate, hp, np.eye(4))
+
+    def test_transient_memory_of_a_full_batch_stays_under_one_megabyte(self):
+        # the largest plan batch (64 rows) over 40 relations, as the last
+        # replay pool of a default run; the plan and its layout are built
+        # inside the measurement
+        rng = np.random.default_rng(42)
+        rows = np.concatenate([np.arange(40), rng.integers(0, 40, size=24)])
+        table = rng.normal(size=(40, 7, 16))
+        z = embedded(rng, 64, 16)
+        hp = HyperParams()
+        joint_loss(plan_for(table, rows, hp).batch(np.arange(64), z), hp, np.eye(16))
+        tracemalloc.start()
+        try:
+            joint_loss(plan_for(table, rows, hp).batch(np.arange(64), z), hp, np.eye(16))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"a 64-row plan batch peaked at {peak} bytes"
