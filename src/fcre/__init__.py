@@ -5,64 +5,14 @@ classification experiments: a trainable two-layer encoder, four
 description-anchored training losses with hand-derived gradients,
 memory-based rehearsal across a stream of disjoint tasks, and two
 prediction heads (nearest class mean and descriptive rank fusion).
+
+The package exports what the README's library example uses; everything
+else is imported from its module (``fcre.inference``, ``fcre.losses``, ...).
 """
 
-from fcre.geometry import RankTable, cosine, euclidean, exp_cos_score, rank_scores
-from fcre.encoder import (
-    AdamState,
-    BilinearForm,
-    EncoderParams,
-    encode,
-    encode_backward,
-    init_adam,
-    init_bilinear,
-    init_encoder,
-    step,
-)
-from fcre.losses import (
-    Batch,
-    HyperParams,
-    MiningSets,
-    hm_loss,
-    hsmt_loss,
-    joint_loss,
-    mi_loss,
-    mine_hard,
-    scl_loss,
-)
-from fcre.descriptions import (
-    DescriptionFormatError,
-    DescriptionSet,
-    ingest_descriptions,
-    synth_descriptions,
-)
-from fcre.datagen import (
-    DatasetFormatError,
-    GenerationError,
-    SyntheticSpec,
-    generate_stream,
-    ingest_dataset,
-    write_dataset,
-)
-from fcre.continual import (
-    ContinualState,
-    MemoryBuffer,
-    ProtocolError,
-    PrototypeStore,
-    Task,
-    TaskStream,
-    build_prototypes,
-    init_state,
-    run_task,
-    select_memory,
-)
-from fcre.inference import (
-    MetricsReport,
-    TaskAccuracy,
-    dri_predict,
-    dri_score,
-    evaluate,
-    ncm_predict,
-)
+from fcre.continual import init_state, run_task
+from fcre.datagen import SyntheticSpec, generate_stream
+from fcre.descriptions import DescriptionSet, synth_descriptions
+from fcre.losses import HyperParams
 
 __version__ = "0.1.0"

@@ -27,11 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
-from fcre.continual import init_state, run_task, write_atomic, write_checkpoint
+from fcre.continual import check_description_source, init_state, run_task, write_checkpoint
 from fcre.datagen import SyntheticSpec, generate_stream, ingest_dataset, write_dataset
-from fcre.descriptions import DescriptionSet, ingest_descriptions, synth_descriptions
+from fcre.descriptions import ingest_descriptions, synth_descriptions
+from fcre.formats import write_atomic
 from fcre.geometry import unit_normalize
-from fcre.inference import HEADS, MetricsReport
+from fcre.inference import HEADS, MetricsReport, check_heads
 from fcre.losses import HyperParams
 
 logger = logging.getLogger(__name__)
@@ -91,18 +92,8 @@ class ExperimentConfig:
             raise ValueError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"duplicate seeds: {self.seeds}")
-        if not self.heads:
-            raise ValueError("at least one prediction head is required")
-        for head in self.heads:
-            if head not in HEADS:
-                raise ValueError(f"unknown head {head!r}; expected one of {HEADS}")
-        if len(set(self.heads)) != len(self.heads):
-            raise ValueError(f"duplicate heads: {self.heads}")
-        if self.description_source not in ("k-set", "raw-mean"):
-            raise ValueError(
-                f"description_source must be 'k-set' or 'raw-mean', "
-                f"got {self.description_source!r}"
-            )
+        check_heads(self.heads)
+        check_description_source(self.description_source)
         if self.description_spread < 0.0:
             raise ValueError(
                 f"description_spread must be >= 0, got {self.description_spread}"
@@ -292,13 +283,7 @@ def cmd_generate(config: ExperimentConfig, out_dir: str) -> int:
         raise ValueError("generate requires a synthetic data config")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec = config.synthetic
-    stream, center_map = generate_stream(spec)
-    proj_seed, desc_seed = _derived_seeds(spec.seed)
-    centers_d = _description_centers(center_map, config.encoder.embed_dim, proj_seed)
-    descriptions = synth_descriptions(
-        desc_seed, centers_d, config.hyper.k_desc, config.description_spread
-    )
+    stream, descriptions = _synthetic_data(config, config.synthetic.seed)
     dataset_path = out / "dataset.jsonl"
     descriptions_path = out / "descriptions.jsonl"
     write_dataset(stream, dataset_path)
@@ -345,13 +330,7 @@ def cmd_run(config: ExperimentConfig) -> int:
         for head in config.heads:
             finals = [results[s]["final"][head] for s in config.seeds if s in results]
             drops = [results[s]["drop"][head] for s in config.seeds if s in results]
-            mean = sum(finals) / len(finals)
-            std = _sample_std(finals)
-            mean_drop = sum(drops) / len(drops)
-            print(
-                f"  {head}: final_acc {mean:.4f} +/- {std:.4f}  "
-                f"drop {mean_drop:.4f}  signed_delta {-mean_drop:.4f}"
-            )
+            _print_aggregate(head, finals, sum(drops) / len(drops))
     return 1 if failures else 0
 
 
@@ -360,6 +339,16 @@ def _sample_std(values: list[float]) -> float:
         return 0.0
     mean = sum(values) / len(values)
     return math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
+
+
+def _print_aggregate(head: str, finals: list[float], drop: float) -> None:
+    """One head's mean +/- std of final accuracy, its drop and signed delta."""
+    mean = sum(finals) / len(finals)
+    # 0.0 - drop, not -drop: a zero drop prints as 0.0000, not -0.0000
+    print(
+        f"  {head}: final_acc {mean:.4f} +/- {_sample_std(finals):.4f}  "
+        f"drop {drop:.4f}  signed_delta {0.0 - drop:.4f}"
+    )
 
 
 def _worker_count(n_seeds: int) -> int:
@@ -398,8 +387,7 @@ def cmd_report(run_dirs: list[str], out: str | None) -> int:
             lines.append([str(task), head, repr(mean), repr(_sample_std(values)), str(len(values))])
     rendered = "\r\n".join(",".join(row) for row in lines) + "\r\n"
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rendered)
+        write_atomic(out, rendered)
         print(f"wrote {out}")
     print(f"aggregated {len(reports)} run(s):")
     for head in heads:
@@ -407,12 +395,7 @@ def cmd_report(run_dirs: list[str], out: str | None) -> int:
         last = cells.get((tasks[-1], head))
         if not first or not last:
             continue
-        mean_first = sum(first) / len(first)
-        mean_last = sum(last) / len(last)
-        print(
-            f"  {head}: final_acc {mean_last:.4f} +/- {_sample_std(last):.4f}  "
-            f"drop {mean_first - mean_last:.4f}  signed_delta {mean_last - mean_first:.4f}"
-        )
+        _print_aggregate(head, last, sum(first) / len(first) - sum(last) / len(last))
     return 0
 
 
@@ -449,7 +432,7 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
     return config
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fcre",
         description="Few-shot continual classification experiments.",
@@ -483,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "generate":

@@ -16,8 +16,10 @@ memory-rehearsal recipe:
 
 Prototypes are always recomputed from raw stored features with the
 current encoder, so rebuilding them twice in a row is a no-op.  Memory
-is append-only: once a relation's representatives are chosen they are
-never replaced.
+is one (n, f) feature matrix with an (n,) relation-id vector, in
+insertion order, and is append-only: once a relation's representatives
+are chosen they are never replaced.  The prototypes are one (R, d)
+matrix over ascending relation ids, which ``evaluate`` reads as it is.
 
 Each training phase (steps 2 and 4) validates its pool once: the
 features, the hyperparameters and the pool's (R, K, d) description
@@ -37,9 +39,7 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
@@ -63,20 +63,29 @@ from fcre.encoder import (
     params_to_json_dict,
     step,
 )
+from fcre.formats import write_atomic
 from fcre.geometry import euclidean
-from fcre.inference import HEADS, MetricsReport, evaluate
+from fcre.inference import HEADS, MetricsReport, check_heads, evaluate
 from fcre.losses import Batch, HyperParams, _Plan, joint_loss
 
 logger = logging.getLogger(__name__)
 
-FULL_BATCH_MAX = 64
-MINIBATCH_SIZE = 32
+_FULL_BATCH_MAX = 64
+_MINIBATCH_SIZE = 32
 
 DESCRIPTION_SOURCES = ("k-set", "raw-mean")
 
 
 class ProtocolError(RuntimeError):
     """Violation of the task-stream contract (ordering, overlap, coverage)."""
+
+
+def check_description_source(source: str) -> None:
+    """Reject a description source that is not one of ``DESCRIPTION_SOURCES``."""
+    if source not in DESCRIPTION_SOURCES:
+        raise ValueError(
+            f"description_source must be one of {DESCRIPTION_SOURCES}, got {source!r}"
+        )
 
 
 def _as_matrix(values, name: str) -> np.ndarray:
@@ -136,10 +145,6 @@ class Task:
     def feature_dim(self) -> int:
         return self.train_x.shape[1]
 
-    @property
-    def n_way(self) -> int:
-        return len(self.relations)
-
 
 @dataclass(frozen=True)
 class TaskStream:
@@ -182,86 +187,71 @@ class TaskStream:
 
 
 class MemoryBuffer:
-    """Append-only store of raw feature representatives per relation."""
+    """Append-only replay memory as arrays, in insertion (task) order.
 
-    def __init__(self) -> None:
-        self._entries: dict[int, np.ndarray] = {}
+    ``features`` is the (n, f) matrix of stored raw feature rows and
+    ``labels`` the (n,) relation id of each row.  A relation's rows are
+    appended once, in one call, and never change.
+    """
 
-    def add(self, relation: int, features) -> None:
-        relation = int(relation)
-        if relation in self._entries:
+    def __init__(self, feature_dim: int) -> None:
+        self.features = np.zeros((0, feature_dim))
+        self.labels = np.zeros(0, dtype=np.int64)
+
+    def append(self, features, labels) -> None:
+        """Store new relations' rows; a relation already in memory is rejected."""
+        features = _as_matrix(features, "memory features")
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (features.shape[0],):
+            raise ValueError("memory labels do not match memory features")
+        if features.shape[1] != self.features.shape[1]:
+            raise ValueError(
+                f"memory features have dimension {features.shape[1]}, "
+                f"expected {self.features.shape[1]}"
+            )
+        # Python sets, not np.intersect1d/np.unique: those import numpy.ma,
+        # which adds about 1 MB to a run's peak memory
+        stored = set(labels.tolist()) & set(self.labels.tolist())
+        if stored:
             raise ProtocolError(
-                f"memory for relation {relation} was already selected; "
+                f"memory for relation {min(stored)} was already selected; "
                 "memory is append-only"
             )
-        block = _as_matrix(features, f"memory for relation {relation}")
-        self._entries[relation] = block.copy()  # snapshot; callers may reuse buffers
+        # new arrays, never views of the caller's: earlier snapshots stay intact
+        self.features = np.concatenate([self.features, features])
+        self.labels = np.concatenate([self.labels, labels])
 
     @property
     def relations(self) -> tuple[int, ...]:
         """Relations in insertion (task) order."""
-        return tuple(self._entries)
-
-    def __contains__(self, relation: int) -> bool:
-        return int(relation) in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        return tuple(dict.fromkeys(self.labels.tolist()))
 
     @property
     def total_samples(self) -> int:
-        return sum(block.shape[0] for block in self._entries.values())
-
-    def features(self, relation: int) -> np.ndarray:
-        try:
-            return self._entries[int(relation)]
-        except KeyError:
-            raise KeyError(f"no memory for relation {relation}") from None
-
-    def stacked(self, exclude: set[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """All stored samples (insertion order) as one (X, y) pair."""
-        exclude = exclude or set()
-        xs = []
-        ys = []
-        for rel, block in self._entries.items():
-            if rel in exclude:
-                continue
-            xs.append(block)
-            ys.append(np.full(block.shape[0], rel, dtype=np.int64))
-        if not xs:
-            return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
-        return np.concatenate(xs), np.concatenate(ys)
+        return self.labels.size
 
 
-class PrototypeStore:
-    """Relation id -> class-mean embedding under some encoder snapshot."""
+@dataclass(frozen=True, eq=False)
+class Prototypes:
+    """Class-mean embeddings: ascending (R,) relation ids and their (R, d) rows."""
 
-    def __init__(self, prototypes: Mapping[int, np.ndarray] | None = None) -> None:
-        self._protos: dict[int, np.ndarray] = {}
-        for rel, vec in (prototypes or {}).items():
-            vec = np.asarray(vec, dtype=np.float64)
-            if vec.ndim != 1 or not np.all(np.isfinite(vec)):
-                raise ValueError(f"prototype for relation {rel} must be a finite vector")
-            self._protos[int(rel)] = vec.copy()
+    relations: np.ndarray
+    vectors: np.ndarray
 
-    @property
-    def relations(self) -> tuple[int, ...]:
-        return tuple(sorted(self._protos))
-
-    def items(self):
-        return [(r, self._protos[r]) for r in self.relations]
-
-    def __getitem__(self, relation: int) -> np.ndarray:
-        try:
-            return self._protos[int(relation)]
-        except KeyError:
-            raise KeyError(f"no prototype for relation {relation}") from None
-
-    def __contains__(self, relation: int) -> bool:
-        return int(relation) in self._protos
-
-    def __len__(self) -> int:
-        return len(self._protos)
+    def __post_init__(self) -> None:
+        relations = np.asarray(self.relations, dtype=np.int64)
+        vectors = np.asarray(self.vectors, dtype=np.float64)
+        if relations.ndim != 1 or np.any(relations[1:] <= relations[:-1]):
+            raise ValueError("prototype relations must be strictly ascending ids")
+        if vectors.ndim != 2 or vectors.shape[0] != relations.size:
+            raise ValueError(
+                f"expected one prototype row per relation, got shape {vectors.shape} "
+                f"for {relations.size} relations"
+            )
+        if not np.all(np.isfinite(vectors)):
+            raise ValueError("prototypes contain non-finite entries")
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "vectors", vectors)
 
 
 @dataclass
@@ -272,7 +262,7 @@ class ContinualState:
     bilinear: BilinearForm
     optimizer: AdamState
     memory: MemoryBuffer
-    prototypes: PrototypeStore
+    prototypes: Prototypes
     descriptions: DescriptionSet
     completed_tasks: list[Task] = field(default_factory=list)
     report: MetricsReport = field(default_factory=MetricsReport)
@@ -300,8 +290,8 @@ def init_state(
         encoder=params,
         bilinear=bilinear,
         optimizer=optimizer,
-        memory=MemoryBuffer(),
-        prototypes=PrototypeStore(),
+        memory=MemoryBuffer(feature_dim),
+        prototypes=Prototypes(np.zeros(0, dtype=np.int64), np.zeros((0, embed_dim))),
         descriptions=DescriptionSet.empty(),
         rng=rng,
     )
@@ -346,25 +336,20 @@ def select_memory(
 
 def build_prototypes(
     memory: MemoryBuffer, encode_fn: Callable[[np.ndarray], np.ndarray]
-) -> PrototypeStore:
+) -> Prototypes:
     """Mean embedding of each relation's stored samples, freshly encoded.
 
     ``encode_fn`` maps an (n, f) block of features to (n, d) embeddings;
-    all of memory is encoded in one call.  Pure function of (memory,
-    encoder): calling it twice with the same arguments gives identical
-    prototypes.
+    all of memory is encoded in one call, and the rows come out in
+    ascending relation id.  Pure function of (memory, encoder): calling
+    it twice with the same arguments gives identical prototypes.
     """
-    if len(memory) == 0:
-        return PrototypeStore()
-    features, _ = memory.stacked()
-    embedded = np.asarray(encode_fn(features), dtype=np.float64)
-    protos: dict[int, np.ndarray] = {}
-    start = 0
-    for rel in memory.relations:  # stacked() keeps this order
-        stop = start + memory.features(rel).shape[0]
-        protos[rel] = embedded[start:stop].mean(axis=0)
-        start = stop
-    return PrototypeStore(protos)
+    relations = np.array(sorted(memory.relations), dtype=np.int64)
+    if relations.size == 0:
+        raise ValueError("memory is empty; there is nothing to build prototypes from")
+    embedded = np.asarray(encode_fn(memory.features), dtype=np.float64)
+    vectors = np.stack([embedded[memory.labels == rel].mean(axis=0) for rel in relations])
+    return Prototypes(relations, vectors)
 
 
 def _description_table(
@@ -388,10 +373,10 @@ def _description_table(
 
 
 def _epoch_batches(n: int, rng: np.random.Generator) -> list[np.ndarray]:
-    if n <= FULL_BATCH_MAX:
+    if n <= _FULL_BATCH_MAX:
         return [np.arange(n)]
     perm = rng.permutation(n)
-    batches = [perm[i : i + MINIBATCH_SIZE] for i in range(0, n, MINIBATCH_SIZE)]
+    batches = [perm[i : i + _MINIBATCH_SIZE] for i in range(0, n, _MINIBATCH_SIZE)]
     if len(batches) > 1 and batches[-1].size == 1:
         # Contrastive terms need at least a pair; fold the straggler in.
         batches[-2] = np.concatenate([batches[-2], batches[-1]])
@@ -485,14 +470,8 @@ def run_task(
     head and returns the (mutated) state.
     """
     hp.validate()
-    if description_source not in DESCRIPTION_SOURCES:
-        raise ValueError(
-            f"description_source must be one of {DESCRIPTION_SOURCES}, "
-            f"got {description_source!r}"
-        )
-    for head in heads:
-        if head not in HEADS:
-            raise ValueError(f"unknown head {head!r}; expected one of {HEADS}")
+    check_description_source(description_source)
+    check_heads(heads)
     expected_index = len(state.completed_tasks) + 1
     if task.index != expected_index:
         raise ProtocolError(
@@ -527,20 +506,17 @@ def run_task(
         task_index=task.index, phase="current",
     )
 
+    old_x, old_y = state.memory.features, state.memory.labels  # earlier tasks only
     embedded = encode_batch(state.encoder, task.train_x)
+    keep = []
     for rel in task.relations:
         rows = np.flatnonzero(task.train_y == rel)
-        keep = rows[_central_rows(embedded[rows], hp.memory_size)]
-        state.memory.add(rel, task.train_x[keep])
+        keep.extend(rows[_central_rows(embedded[rows], hp.memory_size)])
+    state.memory.append(task.train_x[keep], task.train_y[keep])
 
-    old_x, old_y = state.memory.stacked(exclude=set(task.relations))
-    if old_x.shape[0] > 0:
-        replay_x = np.concatenate([old_x, task.train_x])
-        replay_y = np.concatenate([old_y, task.train_y])
-    else:
-        replay_x, replay_y = task.train_x, task.train_y
     _train(
-        state, replay_x, replay_y, hp, hp.epochs_memory, description_source,
+        state, np.concatenate([old_x, task.train_x]), np.concatenate([old_y, task.train_y]),
+        hp, hp.epochs_memory, description_source,
         task_index=task.index, phase="replay",
     )
 
@@ -555,6 +531,8 @@ def run_task(
 
 def checkpoint_dict(state: ContinualState) -> dict:
     """JSON-safe snapshot taken after the most recent completed task."""
+    memory = state.memory
+    blocks = [(rel, memory.features[memory.labels == rel]) for rel in memory.relations]
     return {
         "task_index": len(state.completed_tasks),
         "relations": list(state.seen_relations),
@@ -565,32 +543,14 @@ def checkpoint_dict(state: ContinualState) -> dict:
         },
         "memory": [
             {
-                "relation": int(rel),
-                "count": int(state.memory.features(rel).shape[0]),
-                "feature_dim": int(state.memory.features(rel).shape[1]),
-                "data": floats_to_b64(state.memory.features(rel).ravel()),
+                "relation": rel,
+                "count": int(block.shape[0]),
+                "feature_dim": int(block.shape[1]),
+                "data": floats_to_b64(block.ravel()),
             }
-            for rel in state.memory.relations
+            for rel, block in blocks
         ],
     }
-
-
-def write_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all.
-
-    The text goes to a temporary file in the same directory, which
-    ``os.replace`` then renames over ``path``: a run killed mid-write
-    leaves the previous file, or none, never a partial one.  No newline
-    translation, so the bytes are the text's UTF-8 encoding.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)  # left only when the write or the rename failed
 
 
 def write_checkpoint(path, state: ContinualState) -> None:
@@ -612,13 +572,13 @@ def read_checkpoint(path) -> dict:
     bilinear = BilinearForm(
         matrix=floats_from_b64(obj["bilinear"]["data"], dim * dim).reshape(dim, dim)
     )
-    memory = MemoryBuffer()
+    memory = MemoryBuffer(encoder.feature_dim)
     for entry in obj["memory"]:
         count = int(entry["count"])
         fdim = int(entry["feature_dim"])
-        memory.add(
-            entry["relation"],
+        memory.append(
             floats_from_b64(entry["data"], count * fdim).reshape(count, fdim),
+            np.full(count, entry["relation"], dtype=np.int64),
         )
     return {
         "task_index": int(obj["task_index"]),

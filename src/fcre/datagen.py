@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fcre.continual import Task, TaskStream
+from fcre.formats import write_atomic
 from fcre.geometry import unit_normalize
 
 _MAX_ATTEMPTS_PER_CENTER = 10_000
@@ -136,22 +137,22 @@ def generate_stream(spec: SyntheticSpec) -> tuple[TaskStream, dict[int, np.ndarr
 
 
 def write_dataset(stream: TaskStream, path) -> None:
-    """Serialize a stream in canonical JSONL order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for task in stream.tasks:
-            for split, xs, ys in (
-                ("train", task.train_x, task.train_y),
-                ("test", task.test_x, task.test_y),
-            ):
-                for row, label in zip(xs, ys):
-                    obj = {
-                        "task": task.index,
-                        "relation": int(label),
-                        "split": split,
-                        "features": [float(v) for v in row],
-                    }
-                    fh.write(json.dumps(obj, separators=(", ", ": ")))
-                    fh.write("\n")
+    """Serialize a stream in canonical JSONL order, whole or not at all."""
+    lines = []
+    for task in stream.tasks:
+        for split, xs, ys in (
+            ("train", task.train_x, task.train_y),
+            ("test", task.test_x, task.test_y),
+        ):
+            for row, label in zip(xs, ys):
+                obj = {
+                    "task": task.index,
+                    "relation": int(label),
+                    "split": split,
+                    "features": [float(v) for v in row],
+                }
+                lines.append(json.dumps(obj, separators=(", ", ": ")) + "\n")
+    write_atomic(path, "".join(lines))
 
 
 def ingest_dataset(path) -> TaskStream:

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from fcre.formats import write_atomic
 from fcre.geometry import unit_normalize
 
 
@@ -168,8 +169,7 @@ class DescriptionSet:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_jsonl())
+        write_atomic(path, self.to_jsonl())
 
 
 def synth_descriptions(

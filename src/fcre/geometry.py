@@ -12,8 +12,7 @@ is done in float64 regardless of the caller's storage dtype.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -59,36 +58,11 @@ def cosine(a, b) -> float:
     return min(1.0, max(-1.0, value))
 
 
-def cosine_gradients(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Partial derivatives of ``cosine(a, b)`` with respect to a and b.
-
-    d cos / d a = (b_hat - cos * a_hat) / ||a||, symmetrically for b.
-    """
-    a, b = _pair(a, b)
-    na = math.sqrt(float(np.dot(a, a)))
-    nb = math.sqrt(float(np.dot(b, b)))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine gradient undefined for zero-norm input")
-    a_hat = a / na
-    b_hat = b / nb
-    c = float(np.dot(a_hat, b_hat))
-    grad_a = (b_hat - c * a_hat) / na
-    grad_b = (a_hat - c * b_hat) / nb
-    return grad_a, grad_b
-
-
 def euclidean(a, b) -> float:
     """Euclidean distance between two equal-length vectors."""
     a, b = _pair(a, b)
     diff = a - b
     return math.sqrt(float(np.dot(diff, diff)))
-
-
-def exp_cos_score(a, b, tau: float) -> float:
-    """exp(cosine(a, b) / tau) for a temperature tau > 0."""
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    return math.exp(cosine(a, b) / tau)
 
 
 def unit_normalize(v, *, name: str = "vector") -> np.ndarray:
@@ -100,31 +74,19 @@ def unit_normalize(v, *, name: str = "vector") -> np.ndarray:
     return v / n
 
 
-@dataclass(frozen=True)
-class RankTable:
-    """Scores keyed by relation id together with their 1-based ranks.
-
-    Rank 1 is the highest score; exact score ties are broken by ascending
-    relation id, so the rank assignment is always a bijection onto
-    1..len(scores).
-    """
+class Ranking(NamedTuple):
+    """Scores keyed by relation id and their 1-based ranks; rank 1 is the highest score."""
 
     scores: dict[int, float]
     ranks: dict[int, int]
 
-    def __post_init__(self) -> None:
-        if set(self.scores) != set(self.ranks):
-            raise ValueError("scores and ranks must cover the same relation ids")
-        n = len(self.ranks)
-        if sorted(self.ranks.values()) != list(range(1, n + 1)):
-            raise ValueError("ranks must be a bijection onto 1..n")
 
-
-def rank_scores(scores: Mapping[int, float]) -> RankTable:
+def rank_scores(scores: Mapping[int, float]) -> Ranking:
     """Assign deterministic 1-based ranks to per-relation scores.
 
     Higher score gets the smaller rank; ties are broken by ascending
-    relation id.  NaN scores and empty input are rejected.
+    relation id, so the ranks are always a bijection onto 1..len(scores).
+    NaN scores and empty input are rejected.
     """
     if len(scores) == 0:
         raise ValueError("cannot rank an empty score table")
@@ -136,4 +98,4 @@ def rank_scores(scores: Mapping[int, float]) -> RankTable:
         clean[int(rel)] = value
     order = sorted(clean, key=lambda rel: (-clean[rel], rel))
     ranks = {rel: i + 1 for i, rel in enumerate(order)}
-    return RankTable(scores=clean, ranks=ranks)
+    return Ranking(clean, ranks)

@@ -13,7 +13,9 @@ predictions are deterministic functions of their inputs.  These
 per-query functions are the reference for ``evaluate``, which scores
 whole test pools in passes of at most ``EVAL_BLOCK_ENTRIES`` (queries x
 relations) entries: it orders relations by the key |p_r|^2 - 2 z . p_r
-(the squared distance less a per-query constant) and ranks with
+(the squared distance less a per-query constant), takes both that key's
+and the cosines' products with ``einsum`` so that relations sharing a
+prototype or a mean description tie exactly, and ranks with
 NumPy's default sort, sorting again stably only the rows that hold an
 exact tie.  Accuracy is
 reported cumulatively: after task j, every earlier task's test pool is
@@ -33,6 +35,7 @@ import numpy as np
 
 from fcre.encoder import encode_batch
 from fcre.geometry import as_embedding, cosine, euclidean, rank_scores
+from fcre.losses import _check_fusion_weights
 
 if TYPE_CHECKING:  # pragma: no cover - import would be circular at runtime
     from fcre.continual import ContinualState
@@ -41,10 +44,21 @@ if TYPE_CHECKING:  # pragma: no cover - import would be circular at runtime
 HEADS = ("ncm", "dri")
 
 
+def check_heads(heads) -> None:
+    """Reject anything but a non-empty sequence of distinct names from ``HEADS``."""
+    heads = tuple(heads)
+    if not heads:
+        raise ValueError("at least one prediction head is required")
+    for head in heads:
+        if head not in HEADS:
+            raise ValueError(f"unknown head {head!r}; expected one of {HEADS}")
+    if len(set(heads)) != len(heads):
+        raise ValueError(f"duplicate heads: {heads}")
+
+
 def _relation_items(prototypes) -> list[tuple[int, np.ndarray]]:
-    """Accept a PrototypeStore or any mapping of relation id -> vector."""
-    items = prototypes.items() if hasattr(prototypes, "items") else prototypes
-    out = [(int(r), np.asarray(p, dtype=np.float64)) for r, p in items]
+    """(id, vector) pairs of a mapping of relation id -> prototype, ids ascending."""
+    out = [(int(r), np.asarray(p, dtype=np.float64)) for r, p in prototypes.items()]
     if not out:
         raise ValueError("prototype store is empty")
     return sorted(out, key=lambda pair: pair[0])
@@ -76,13 +90,6 @@ def _argmax_by_id(scores: Mapping[int, float]) -> int:
             best = scores[rel]
             best_rel = rel
     return int(best_rel)
-
-
-def _check_fusion_weights(alpha: float, epsilon: float) -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
 
 
 def fuse_ranked_scores(
@@ -158,8 +165,6 @@ class MetricsReport:
     rows: list[TaskAccuracy] = field(default_factory=list)
 
     def add(self, row: TaskAccuracy) -> None:
-        if row.head not in HEADS:
-            raise ValueError(f"unknown head {row.head!r}")
         self.rows.append(row)
 
     def head_rows(self, head: str) -> list[TaskAccuracy]:
@@ -171,10 +176,6 @@ class MetricsReport:
         if not rows:
             raise ValueError(f"no rows recorded for head {head!r}")
         return rows[0].acc_avg - rows[-1].acc_avg
-
-    def signed_delta(self, head: str) -> float:
-        """ACC_T - ACC_1; negative means performance degraded."""
-        return -self.final_drop(head)
 
     def n_tasks(self) -> int:
         return max((r.task_index for r in self.rows), default=0)
@@ -213,6 +214,7 @@ class MetricsReport:
         for cells in reader:
             if not cells:
                 continue
+            check_heads([cells[1]])
             acc_per_task = {}
             for col, cell in zip(task_cols, cells[3:-1]):
                 if cell != "":
@@ -267,9 +269,10 @@ def _predict_block(
     ranks with the ranks of the description cosines.  Both pick the
     first best column, i.e. the lowest relation id among exact ties.
     """
-    # einsum, not ``z @ prototypes.T``: it sums every (q, r) entry in the
-    # same order, so two relations with one prototype get the same bits
-    # and still tie exactly; the matrix product may round them apart.
+    # einsum, not a matrix product, in both channels: it sums every (q, r)
+    # entry in the same order, so two relations with one prototype, or one
+    # mean description, get the same bits and still tie exactly;
+    # ``z @ prototypes.T`` may round them apart.
     key = proto_sq_norms[None, :] - 2.0 * np.einsum("qd,rd->qr", z, prototypes)
     predictions = {"ncm": np.argmin(key, axis=1)}
     if means is None:
@@ -277,7 +280,8 @@ def _predict_block(
     z_norms = np.sqrt(np.einsum("qd,qd->q", z, z))
     if np.any(z_norms == 0.0):
         raise ValueError("cosine undefined: first argument has zero norm")
-    cos = np.clip((z @ means.T) / (z_norms[:, None] * mean_norms[None, :]), -1.0, 1.0)
+    dots = np.einsum("qd,rd->qr", z, means)
+    cos = np.clip(dots / (z_norms[:, None] * mean_norms[None, :]), -1.0, 1.0)
     fused = hp.alpha / (hp.epsilon + _ranks(key)) + (1.0 - hp.alpha) / (
         hp.epsilon + _ranks(-cos)
     )
@@ -294,7 +298,8 @@ def evaluate(
     prototype registry), so earlier tasks get harder as the stream
     grows.  Each pool is encoded once, in passes of
     ``max(1, EVAL_BLOCK_ENTRIES // R)`` queries, and every head scores a
-    pass from one (queries, R) key matrix against the (R, d) prototypes,
+    pass from one (queries, R) key matrix against the (R, d) matrix of
+    ``state.prototypes``,
     key[q, r] = |p_r|^2 - 2 z_q . p_r: the squared distance less the
     per-query constant |z_q|^2, so in exact arithmetic it orders the
     relations as the distance does.  DRI also reads an (R, d) matrix of mean
@@ -304,22 +309,18 @@ def evaluate(
     The result is a pure fold over the test pools: sample order cannot
     affect it.
     """
-    for head in heads:
-        if head not in HEADS:
-            raise ValueError(f"unknown head {head!r}; expected one of {HEADS}")
+    check_heads(heads)
     done = {t.index: t for t in state.completed_tasks}
     if through_task < 1 or through_task > max(done, default=0):
         raise ValueError(f"through_task {through_task} has not been completed")
-    proto_rels = set(state.prototypes.relations)
-    desc_rels = set(state.descriptions.relations)
-    if "dri" in heads and proto_rels != desc_rels:
+    relations, prototypes = state.prototypes.relations, state.prototypes.vectors
+    if relations.size == 0:
+        raise ValueError("prototype store is empty")
+    if "dri" in heads and tuple(relations.tolist()) != state.descriptions.relations:
         raise ValueError(
             "mismatched relation registries: prototypes cover "
-            f"{sorted(proto_rels)} but descriptions cover {sorted(desc_rels)}"
+            f"{relations.tolist()} but descriptions cover {list(state.descriptions.relations)}"
         )
-    items = _relation_items(state.prototypes)
-    relations = np.array([r for r, _ in items], dtype=np.int64)
-    prototypes = np.stack([p for _, p in items])
     proto_sq_norms = np.einsum("rd,rd->r", prototypes, prototypes)
     means = mean_norms = None
     if "dri" in heads:

@@ -87,19 +87,14 @@ class HyperParams:
     learning_rate: float = 1e-3
 
     def validate(self) -> "HyperParams":
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if not 0.0 < self.margin <= 1.0:
-            raise ValueError(f"margin must lie in (0, 1], got {self.margin}")
+        _require_tau(self.tau)
+        _require_margin(self.margin)
         betas = (self.beta_sc, self.beta_st, self.beta_hm, self.beta_mi)
         if any(b < 0.0 for b in betas):
             raise ValueError(f"loss weights must be non-negative, got {betas}")
         if all(b == 0.0 for b in betas):
             raise ValueError("at least one loss weight must be positive")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        _check_fusion_weights(self.alpha, self.epsilon)
         if self.k_desc < 1:
             raise ValueError(f"k_desc must be >= 1, got {self.k_desc}")
         if self.memory_size < 1:
@@ -394,11 +389,6 @@ class _Kernel:
         self.z_hat = z / self.safe_norms[:, None]
         self.layout = _Layout.of_batch(batch) if layout is None else layout
 
-    # the description classes, as the class rule above derives them
-    leads = property(lambda self: self.layout.leads)
-    class_of = property(lambda self: self.layout.class_of)
-    class_size = property(lambda self: self.layout.class_size)
-
     def _require_nonzero(self, used: np.ndarray) -> None:
         bad = np.flatnonzero(used & (self.norms == 0.0))
         if bad.size:
@@ -584,6 +574,13 @@ def _require_tau(tau: float) -> None:
 def _require_margin(margin: float) -> None:
     if not 0.0 < margin <= 1.0:
         raise ValueError(f"margin must lie in (0, 1], got {margin}")
+
+
+def _check_fusion_weights(alpha: float, epsilon: float) -> None:
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
 
 
 def _as_bilinear(w_matrix, d: int) -> np.ndarray:

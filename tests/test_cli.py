@@ -12,7 +12,7 @@ import pytest
 
 import fcre
 import fcre.cli as cli
-import fcre.continual as continual
+import fcre.formats as formats
 from fcre.cli import (
     DEFAULT_SEEDS,
     EncoderConfig,
@@ -27,10 +27,10 @@ from fcre.cli import (
     run_id,
     run_single_seed,
 )
-from fcre.continual import write_atomic
-from fcre.datagen import SyntheticSpec, generate_stream, ingest_dataset
-from fcre.descriptions import ingest_descriptions
-from fcre.inference import MetricsReport
+from fcre.datagen import SyntheticSpec, generate_stream, ingest_dataset, write_dataset
+from fcre.descriptions import DescriptionSet, ingest_descriptions
+from fcre.formats import write_atomic
+from fcre.inference import MetricsReport, TaskAccuracy
 from fcre.losses import HyperParams
 
 
@@ -377,14 +377,29 @@ class TestArtifactWrites:
         assert sorted(p.name for p in run_dir.iterdir()) == ["checkpoints", "config.json", "metrics.csv"]
 
     def test_failed_write_keeps_the_old_file_and_no_temp(self, tmp_path, monkeypatch):
-        path = tmp_path / "metrics.csv"
-        write_atomic(path, "old\n")
+        stream, _ = generate_stream(tiny_config().synthetic)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        report = MetricsReport()
+        report.add(TaskAccuracy(1, "ncm", {1: 1.0}, 1.0))
+        write_atomic(run_dir / "metrics.csv", report.to_csv())
+        writers = {
+            "metrics.csv": lambda path: write_atomic(path, "new\n"),
+            "dataset.jsonl": lambda path: write_dataset(stream, path),
+            "descriptions.jsonl": DescriptionSet({0: np.ones((1, 2))}).write,
+            "combined.csv": lambda path: cmd_report([str(run_dir)], str(path)),
+        }
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in writers:
+            write_atomic(out / name, "old\n")
 
         def failing_replace(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(continual.os, "replace", failing_replace)
-        with pytest.raises(OSError, match="disk full"):
-            write_atomic(path, "new\n")
-        assert path.read_bytes() == b"old\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+        monkeypatch.setattr(formats.os, "replace", failing_replace)
+        for name, write in writers.items():
+            with pytest.raises(OSError, match="disk full"):
+                write(out / name)
+            assert (out / name).read_bytes() == b"old\n", name
+        assert sorted(p.name for p in out.iterdir()) == sorted(writers)

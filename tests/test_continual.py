@@ -13,7 +13,7 @@ from fcre.continual import (
     ContinualState,
     MemoryBuffer,
     ProtocolError,
-    PrototypeStore,
+    Prototypes,
     Task,
     TaskStream,
     _epoch_batches,
@@ -61,6 +61,11 @@ def make_descriptions(relations, embed_dim, seed=0, k_desc=2):
 
 def fresh_state(seed=0, feature_dim=6, hidden_dim=8, embed_dim=4, hp=HP):
     return init_state(feature_dim, hidden_dim, embed_dim, hp, seed)
+
+
+def stored(memory, rel):
+    """The memory rows of one relation."""
+    return memory.features[memory.labels == rel]
 
 
 class TestTaskValidation:
@@ -153,41 +158,60 @@ class TestTaskStream:
 
 class TestMemoryBuffer:
     def test_append_only(self):
-        buf = MemoryBuffer()
-        buf.add(3, np.ones((2, 4)))
-        with pytest.raises(ProtocolError, match="append-only"):
-            buf.add(3, np.zeros((1, 4)))
+        buf = MemoryBuffer(4)
+        buf.append(np.ones((2, 4)), [3, 3])
+        with pytest.raises(ProtocolError, match="relation 3 .* append-only"):
+            buf.append(np.zeros((2, 4)), [4, 3])
+        assert buf.total_samples == 2  # a rejected append stores nothing
 
     def test_insertion_order_preserved(self):
-        buf = MemoryBuffer()
-        buf.add(5, np.ones((1, 2)))
-        buf.add(2, np.ones((1, 2)))
-        assert buf.relations == (5, 2)
-        assert 5 in buf and 2 in buf and 7 not in buf
-        assert len(buf) == 2
-        assert buf.total_samples == 2
+        buf = MemoryBuffer(2)
+        buf.append(np.ones((1, 2)), [5])
+        buf.append(np.full((3, 2), 2.0), [2, 9, 2])
+        assert buf.relations == (5, 2, 9)
+        np.testing.assert_array_equal(buf.labels, [5, 2, 9, 2])
+        np.testing.assert_array_equal(buf.features[:, 0], [1.0, 2.0, 2.0, 2.0])
+        assert buf.total_samples == 4
 
-    def test_stacked_excludes_requested_relations(self):
-        buf = MemoryBuffer()
-        buf.add(0, np.zeros((2, 3)))
-        buf.add(1, np.ones((1, 3)))
-        x, y = buf.stacked(exclude={1})
-        assert x.shape == (2, 3)
-        np.testing.assert_array_equal(y, [0, 0])
-        x_all, y_all = buf.stacked()
-        assert x_all.shape == (3, 3)
-        np.testing.assert_array_equal(y_all, [0, 0, 1])
+    def test_stacked_excludes_requested_relations(self, monkeypatch):
+        # replay stacks the memory of earlier tasks, never the current task's picks
+        pools = []
+        real = continual._train
+
+        def recording(state, x, y, *args, **kwargs):
+            pools.append((kwargs["phase"], x.copy(), y.copy()))
+            return real(state, x, y, *args, **kwargs)
+
+        monkeypatch.setattr(continual, "_train", recording)
+        hp = HyperParams(epochs_current=1, epochs_memory=1, memory_size=2)
+        state = fresh_state(hp=hp)
+        rng = np.random.default_rng(3)
+        for t in (1, 2, 3):
+            rels = [2 * t + 1, 2 * t]
+            before_x, before_y = state.memory.features, state.memory.labels
+            task = make_task(t, rels, rng)
+            run_task(state, task, make_descriptions(rels, 4, seed=t), hp)
+            phase, x, y = pools[-1]
+            assert phase == "replay" and before_y.size == 4 * (t - 1)
+            np.testing.assert_array_equal(x, np.concatenate([before_x, task.train_x]))
+            np.testing.assert_array_equal(y, np.concatenate([before_y, task.train_y]))
 
     def test_stacked_empty(self):
-        x, y = MemoryBuffer().stacked()
-        assert x.shape == (0, 0) and y.shape == (0,)
+        # memory is always one stacked matrix; empty, it keeps its width
+        buf = MemoryBuffer(3)
+        assert buf.features.shape == (0, 3) and buf.labels.shape == (0,)
+        assert buf.relations == () and buf.total_samples == 0
+        with pytest.raises(ValueError, match="dimension 2, expected 3"):
+            buf.append(np.ones((1, 2)), [0])
+        with pytest.raises(ValueError, match="labels do not match"):
+            buf.append(np.ones((2, 3)), [0])
 
     def test_stored_features_copied(self):
-        buf = MemoryBuffer()
+        buf = MemoryBuffer(2)
         block = np.ones((1, 2))
-        buf.add(0, block)
+        buf.append(block, [0])
         block[0, 0] = 99.0
-        assert buf.features(0)[0, 0] == 1.0
+        assert buf.features[0, 0] == 1.0
 
     def test_entries_never_change_across_tasks(self):
         # the buffer only grows: earlier blocks stay bitwise intact
@@ -201,11 +225,11 @@ class TestMemoryBuffer:
             descriptions = make_descriptions(rels, 4, seed=t)
             run_task(state, task, descriptions, hp, heads=("ncm",))
             for rel in state.memory.relations:
-                stored = state.memory.features(rel)
+                rows = stored(state.memory, rel)
                 if rel in snapshots:
-                    np.testing.assert_array_equal(stored, snapshots[rel])
+                    np.testing.assert_array_equal(rows, snapshots[rel])
                 else:
-                    snapshots[rel] = stored.copy()
+                    snapshots[rel] = rows
         assert len(snapshots) == 6
 
 
@@ -269,31 +293,39 @@ class TestSelectMemory:
 
 class TestBuildPrototypes:
     def test_mean_of_encoded_memory(self):
-        buf = MemoryBuffer()
-        buf.add(0, np.array([[1.0, 0.0], [3.0, 0.0]]))
+        buf = MemoryBuffer(2)
+        buf.append(np.array([[1.0, 0.0], [3.0, 0.0]]), [0, 0])
         protos = build_prototypes(buf, lambda row: row * 2.0)
-        np.testing.assert_allclose(protos[0], [4.0, 0.0])
+        np.testing.assert_array_equal(protos.relations, [0])
+        np.testing.assert_allclose(protos.vectors, [[4.0, 0.0]])
 
     def test_idempotent_bitwise(self):
         rng = np.random.default_rng(42)
-        buf = MemoryBuffer()
-        buf.add(0, rng.normal(size=(3, 5)))
-        buf.add(1, rng.normal(size=(2, 5)))
+        buf = MemoryBuffer(5)
+        buf.append(rng.normal(size=(3, 5)), [0, 0, 0])
+        buf.append(rng.normal(size=(2, 5)), [1, 1])
         state = fresh_state(feature_dim=5)
         fn = lambda rows: encode_batch(state.encoder, rows)
         a = build_prototypes(buf, fn)
         b = build_prototypes(buf, fn)
-        assert a.relations == b.relations
-        for rel in a.relations:
-            np.testing.assert_array_equal(a[rel], b[rel])
+        np.testing.assert_array_equal(a.relations, b.relations)
+        np.testing.assert_array_equal(a.vectors, b.vectors)
 
     def test_store_is_mapping_like(self):
-        store = PrototypeStore({3: np.ones(2), 1: np.zeros(2)})
-        assert store.relations == (1, 3)
-        assert [rel for rel, _ in store.items()] == [1, 3]
-        assert 3 in store and 0 not in store
-        with pytest.raises(KeyError):
-            store[7]
+        # rows follow ascending relation ids, whatever the memory's order
+        buf = MemoryBuffer(2)
+        buf.append(np.ones((2, 2)), [3, 3])
+        buf.append(np.zeros((1, 2)), [1])
+        store = build_prototypes(buf, lambda rows: rows)
+        np.testing.assert_array_equal(store.relations, [1, 3])
+        np.testing.assert_array_equal(store.vectors, [[0.0, 0.0], [1.0, 1.0]])
+        for relations in ([3, 1], [1, 1]):
+            with pytest.raises(ValueError, match="ascending"):
+                Prototypes(np.array(relations), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="one prototype row per relation"):
+            Prototypes(np.array([1, 3]), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="memory is empty"):
+            build_prototypes(MemoryBuffer(2), lambda rows: rows)
 
 
 class TestEpochBatches:
@@ -426,7 +458,7 @@ class TestRunTaskBehavior:
         state = self.run_stream(fresh_state(), HP)
         assert state.seen_relations == (0, 1, 2, 3, 4, 5)
         assert state.memory.relations == (0, 1, 2, 3, 4, 5)
-        assert state.prototypes.relations == (0, 1, 2, 3, 4, 5)
+        assert state.prototypes.relations.tolist() == [0, 1, 2, 3, 4, 5]
         assert state.descriptions.relations == (0, 1, 2, 3, 4, 5)
         # one row per head per task, cumulative accuracy vectors grow
         assert len(state.report.rows) == 6
@@ -437,14 +469,13 @@ class TestRunTaskBehavior:
         hp = HyperParams(epochs_current=1, epochs_memory=1, memory_size=2)
         state = self.run_stream(fresh_state(hp=hp), hp)
         for rel in state.memory.relations:
-            assert state.memory.features(rel).shape == (2, 6)
+            assert stored(state.memory, rel).shape == (2, 6)
 
     def test_prototypes_match_final_encoder(self):
         state = self.run_stream(fresh_state(), HP)
         rebuilt = build_prototypes(state.memory, lambda rows: encode_batch(state.encoder, rows))
-        assert rebuilt.relations == state.prototypes.relations
-        for rel in rebuilt.relations:
-            np.testing.assert_array_equal(rebuilt[rel], state.prototypes[rel])
+        np.testing.assert_array_equal(rebuilt.relations, state.prototypes.relations)
+        np.testing.assert_array_equal(rebuilt.vectors, state.prototypes.vectors)
 
     def test_zero_epochs_leaves_encoder_untouched(self):
         hp = HyperParams(epochs_current=0, epochs_memory=0)
@@ -459,7 +490,7 @@ class TestRunTaskBehavior:
         hp = HyperParams(epochs_current=0, epochs_memory=0)
         state = self.run_stream(fresh_state(hp=hp), hp, n_tasks=2, heads=("ncm",))
         # recompute by hand with the frozen encoder
-        protos = {rel: state.prototypes[rel] for rel in state.prototypes.relations}
+        protos = dict(zip(state.prototypes.relations.tolist(), state.prototypes.vectors))
         for row in state.report.rows:
             for i in range(1, row.task_index + 1):
                 task = state.completed_tasks[i - 1]
@@ -523,7 +554,7 @@ class TestRunTaskBehavior:
                 memory_size,
             )
             for rel in rels:
-                np.testing.assert_array_equal(state.memory.features(rel), expected[rel])
+                np.testing.assert_array_equal(stored(state.memory, rel), expected[rel])
 
     def test_raw_mean_description_source_runs(self):
         state = fresh_state()
@@ -551,11 +582,8 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             loaded["bilinear"].matrix, state.bilinear.matrix
         )
-        assert loaded["memory"].relations == state.memory.relations
-        for rel in state.memory.relations:
-            np.testing.assert_array_equal(
-                loaded["memory"].features(rel), state.memory.features(rel)
-            )
+        np.testing.assert_array_equal(loaded["memory"].labels, state.memory.labels)
+        np.testing.assert_array_equal(loaded["memory"].features, state.memory.features)
 
     def test_checkpoint_bytes_stable(self, tmp_path):
         rng = np.random.default_rng(42)

@@ -4,11 +4,15 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fcre.continual import PrototypeStore, Task, run_task
+from fcre.cli import ExperimentConfig, run_single_seed
+from fcre.continual import Prototypes, Task, run_task
 from fcre.descriptions import DescriptionSet
 from fcre.encoder import EncoderParams, encode, encode_batch, init_encoder
 from fcre.geometry import cosine, rank_scores
@@ -256,7 +260,8 @@ def pool_state(rng, quantized, n_tasks=3, n_way=5, test_n=8, n_extra=4, dim=4):
     state = fresh_state(feature_dim=dim, hidden_dim=encoder.hidden_dim, embed_dim=dim)
     state.encoder = encoder
     protos = nonzero_rows(rng, n_rel, dim, quantized)
-    state.prototypes = PrototypeStore(dict(zip(relations, protos)))
+    order = np.argsort(relations)
+    state.prototypes = Prototypes(np.array(relations)[order], protos[order])
     blocks = {}
     for rel in relations:
         block = nonzero_rows(rng, 2, dim, quantized)
@@ -274,15 +279,16 @@ def pool_state(rng, quantized, n_tasks=3, n_way=5, test_n=8, n_extra=4, dim=4):
 
 def per_query_evaluate(state, through_task, head, hp):
     """Literal loop: encode and predict one query at a time."""
+    protos = dict(zip(state.prototypes.relations.tolist(), state.prototypes.vectors))
     acc = {}
     for task in state.completed_tasks[:through_task]:
         hits = 0
         for features, label in zip(task.test_x, task.test_y):
             z = encode(state.encoder, features)
             if head == "ncm":
-                pred = ncm_predict(z, state.prototypes)
+                pred = ncm_predict(z, protos)
             else:
-                pred = dri_predict(z, state.prototypes, state.descriptions, hp.alpha, hp.epsilon)
+                pred = dri_predict(z, protos, state.descriptions, hp.alpha, hp.epsilon)
             hits += int(pred == int(label))
         acc[task.index] = hits / len(task.test_y)
     return TaskAccuracy(through_task, head, acc, sum(acc.values()) / len(acc))
@@ -290,7 +296,7 @@ def per_query_evaluate(state, through_task, head, hp):
 
 def tied_queries(state):
     """Queries whose best distance, or best cosine, is shared by two relations."""
-    protos = np.stack([p for _, p in state.prototypes.items()])
+    protos = state.prototypes.vectors
     means = np.stack([state.descriptions.mean(r) for r in state.prototypes.relations])
     e_ties = c_ties = 0
     for task in state.completed_tasks:
@@ -303,7 +309,78 @@ def tied_queries(state):
     return e_ties, c_ties
 
 
+def share_nearest_prototype(state):
+    """Give the one tested relation and the highest other id one prototype.
+
+    It is the mean embedding of the test pool, so it is nearest to most
+    queries.  Returns (relation, twin).
+    """
+    task = state.completed_tasks[0]
+    (rel,) = task.relations
+    relations = state.prototypes.relations
+    twin = int(relations[relations != rel].max())
+    vectors = state.prototypes.vectors.copy()
+    vectors[np.isin(relations, [rel, twin])] = encode_batch(state.encoder, task.test_x).mean(axis=0)
+    state.prototypes = Prototypes(relations, vectors)
+    return rel, twin
+
+
+@st.composite
+def shared_row_states(draw):
+    """A one-task state whose relations share prototypes and mean descriptions.
+
+    Relation i takes the prototype of relation ``proto_src[i] <= i`` and
+    the description block of ``desc_src[i] <= i``, so both heads and both
+    rank channels meet exact ties.  Source prototypes are means of query
+    embeddings, and unquantized source blocks are query embeddings, so
+    shared rows are often a query's best.
+    """
+    n_rel = draw(st.integers(2, 12))
+    dim = draw(st.sampled_from([3, 32, 48]))
+    quantized = draw(st.booleans())
+    proto_src = [draw(st.integers(0, i)) for i in range(n_rel)]
+    desc_src = [draw(st.integers(0, i)) for i in range(n_rel)]
+    n_tested = draw(st.integers(1, n_rel))
+    test_n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    relations = np.sort(rng.choice(500, size=n_rel, replace=False))
+    if quantized:  # the saturating identity encoder of ``pool_state``
+        steep = 30.0 * np.eye(dim)
+        encoder = EncoderParams(w1=steep, b1=np.zeros(dim), w2=steep, b2=np.zeros(dim))
+    else:
+        encoder = init_encoder(dim, 6, dim, rng)
+    state = fresh_state(feature_dim=dim, hidden_dim=encoder.hidden_dim, embed_dim=dim)
+    state.encoder = encoder
+    tested = rng.choice(relations, size=n_tested, replace=False)
+    x = nonzero_rows(rng, n_tested * test_n, dim, quantized)
+    y = np.repeat(tested, test_n)
+    state.completed_tasks.append(Task(1, tuple(tested.tolist()), x, y, x, y))
+    z = encode_batch(encoder, x)
+    protos = np.stack([z[rng.choice(z.shape[0], size=2)].mean(axis=0) for _ in relations])
+    state.prototypes = Prototypes(relations, protos[proto_src])
+    blocks = []
+    for _ in relations:
+        if quantized:
+            block = nonzero_rows(rng, 2, dim, quantized)
+            while not np.any(block.mean(axis=0)):
+                block = nonzero_rows(rng, 2, dim, quantized)
+        else:
+            block = z[rng.choice(z.shape[0], size=2)]
+        blocks.append(block)
+    state.descriptions = DescriptionSet(
+        {int(r): blocks[src] for r, src in zip(relations, desc_src)}
+    )
+    return state
+
+
 class TestBatchedEvaluate:
+    @given(shared_row_states(), st.sampled_from([0.0, 0.4, 1.0]))
+    @settings(max_examples=160)
+    def test_shared_prototypes_and_means_match_per_query_oracle(self, state, alpha):
+        hp = dataclasses.replace(HP, alpha=alpha)
+        expected = [per_query_evaluate(state, 1, head, hp) for head in ("ncm", "dri")]
+        assert evaluate(state, 1, ("ncm", "dri"), hp) == expected
+
     @pytest.mark.parametrize("quantized", [False, True])
     def test_matches_per_query_loop(self, quantized):
         rng = np.random.default_rng(42)
@@ -343,12 +420,41 @@ class TestBatchedEvaluate:
             state = pool_state(rng, False, n_tasks=1, n_way=1, test_n=7, n_extra=18, dim=32)
             task = state.completed_tasks[0]
             (rel,) = task.relations
-            twin = max(r for r in state.prototypes.relations if r != rel)
-            protos = dict(state.prototypes.items())
-            protos[rel] = protos[twin] = encode_batch(state.encoder, task.test_x).mean(axis=0)
-            state.prototypes = PrototypeStore(protos)
+            share_nearest_prototype(state)
             for head, hp in runs:
                 assert evaluate(state, 1, (head,), hp) == [per_query_evaluate(state, 1, head, hp)]
+        # The twins also share a description block, so at alpha 0 each DRI
+        # prediction rests on an exact cosine tie too.  A matrix product
+        # for the cosines split it in two of these ten states (seeds 5, 8).
+        hp = dataclasses.replace(HP, alpha=0.0)
+        for seed in range(10):
+            state = pool_state(
+                np.random.default_rng(seed), False, n_tasks=1, n_way=1, test_n=7,
+                n_extra=18, dim=32,
+            )
+            rel, twin = share_nearest_prototype(state)
+            blocks = {r: state.descriptions.vectors(r) for r in state.descriptions.relations}
+            blocks[rel] = blocks[twin]
+            state.descriptions = DescriptionSet(blocks)
+            assert evaluate(state, 1, ("dri",), hp) == [per_query_evaluate(state, 1, "dri", hp)]
+
+    def test_artifacts_do_not_depend_on_the_block_budget(self, tmp_path, monkeypatch):
+        # One query per pass, the default, and every pool in one pass, on the
+        # default stream with two epochs per phase.  Only metrics.csv and the
+        # checkpoints are compared: config.json records out_dir.
+        runs = []
+        for budget in (1, inference.EVAL_BLOCK_ENTRIES, 10**7):
+            monkeypatch.setattr(inference, "EVAL_BLOCK_ENTRIES", budget)
+            out = tmp_path / str(budget)
+            config = ExperimentConfig(hyper=HP, seeds=(0, 1, 2), out_dir=str(out))
+            artifacts = {}
+            for seed in config.seeds:
+                run_dir = Path(run_single_seed(config, seed)["run_dir"])
+                for path in [run_dir / "metrics.csv", *(run_dir / "checkpoints").iterdir()]:
+                    artifacts[str(path.relative_to(out))] = path.read_bytes()
+            runs.append(artifacts)
+        assert len(runs[0]) == 3 * 9
+        assert runs[0] == runs[1] == runs[2]
 
     def test_each_pool_is_encoded_once_for_both_heads(self, monkeypatch):
         state = pool_state(np.random.default_rng(3), False)
@@ -365,7 +471,7 @@ class TestBatchedEvaluate:
 
     def test_zero_norm_mean_description_rejected_for_dri(self):
         state = pool_state(np.random.default_rng(0), quantized=True)
-        rel = state.prototypes.relations[0]
+        rel = int(state.prototypes.relations[0])
         blocks = {r: state.descriptions.vectors(r) for r in state.descriptions.relations}
         blocks[rel] = np.stack([blocks[rel][0], -blocks[rel][0]])
         with pytest.warns(RuntimeWarning):
@@ -428,8 +534,16 @@ class TestMetricsReport:
     def test_drop_and_delta(self):
         report = self.make_report()
         np.testing.assert_allclose(report.final_drop("ncm"), 0.5)
-        np.testing.assert_allclose(report.signed_delta("ncm"), -0.5)
         np.testing.assert_allclose(report.final_drop("dri"), 0.9 - 0.6)
+        rising = MetricsReport()
+        rising.add(TaskAccuracy(1, "ncm", {1: 0.5}, 0.5))
+        rising.add(TaskAccuracy(2, "ncm", {1: 0.75, 2: 0.75}, 0.75))
+        assert rising.final_drop("ncm") == -0.25  # a gain is a negative drop
+
+    def test_from_csv_rejects_unknown_head(self):
+        text = self.make_report().to_csv().replace(",dri,", ",knn,")
+        with pytest.raises(ValueError, match="unknown head 'knn'"):
+            MetricsReport.from_csv(text)
 
     def test_csv_header_and_line_endings(self):
         text = self.make_report().to_csv()

@@ -759,18 +759,18 @@ class TestDescriptionClasses:
     def test_labels_sharing_descriptions_form_one_class_each(self):
         rng = np.random.default_rng(1)
         batch = random_batch(rng, size=12, k_desc=3, n_relations=3)
-        kernel = losses._Kernel(batch)
+        layout = losses._Kernel(batch).layout
         first = [int(np.flatnonzero(batch.labels == label)[0]) for label in (0, 1, 2)]
-        assert list(kernel.leads) == sorted(first)
-        assert np.array_equal(kernel.leads[kernel.class_of], [first[l] for l in batch.labels])
-        assert np.array_equal(kernel.class_size, np.bincount(batch.labels)[batch.labels[kernel.leads]])
+        assert list(layout.leads) == sorted(first)
+        assert np.array_equal(layout.leads[layout.class_of], [first[l] for l in batch.labels])
+        assert np.array_equal(layout.class_size, np.bincount(batch.labels)[batch.labels[layout.leads]])
 
     def test_one_differing_block_makes_every_sample_its_own_class(self):
         rng = np.random.default_rng(1)
         batch = perturbed_copy(random_batch(rng, size=12, k_desc=3, n_relations=3), rng)
-        kernel = losses._Kernel(batch)
-        assert np.array_equal(kernel.leads, np.arange(12))
-        assert np.array_equal(kernel.class_of, np.arange(12))
+        layout = losses._Kernel(batch).layout
+        assert np.array_equal(layout.leads, np.arange(12))
+        assert np.array_equal(layout.class_of, np.arange(12))
 
     def test_multi_pass_cases_put_the_farthest_positive_where_named(self):
         rng = np.random.default_rng(2)
