@@ -21,7 +21,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from fcre.continual import check_description_source, init_state, run_task, write
 from fcre.datagen import SyntheticSpec, generate_stream, ingest_dataset, write_dataset
 from fcre.descriptions import ingest_descriptions, synth_descriptions
 from fcre.formats import write_atomic
-from fcre.geometry import unit_normalize
+from fcre.geometry import unit_rows
 from fcre.inference import HEADS, MetricsReport, check_heads
 from fcre.losses import HyperParams
 
@@ -198,10 +197,12 @@ def _description_centers(
     rng = np.random.default_rng(seed)
     feature_dim = next(iter(center_map.values())).size
     proj = rng.standard_normal((embed_dim, feature_dim)) / math.sqrt(feature_dim)
-    return {
-        rel: unit_normalize(proj @ center_map[rel], name=f"projected center {rel}")
-        for rel in sorted(center_map)
-    }
+    relations = sorted(center_map)
+    # one matrix-vector product per center: a single matrix product would
+    # round the rows differently
+    projected = np.stack([proj @ center_map[rel] for rel in relations])
+    rows = unit_rows(projected, [f"projected center {rel}" for rel in relations])
+    return dict(zip(relations, rows))
 
 
 def _synthetic_data(config: ExperimentConfig, seed: int):
@@ -300,6 +301,9 @@ def cmd_run(config: ExperimentConfig) -> int:
     results: dict[int, dict] = {}
     failures: dict[int, str] = {}
     if threads > 1 and len(config.seeds) > 1:
+        # imported here: it loads multiprocessing, which a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = {
                 seed: pool.submit(run_single_seed, config, seed)

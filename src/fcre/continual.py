@@ -8,11 +8,15 @@ memory-rehearsal recipe:
 3. select ``memory_size`` representatives per new relation (the samples
    whose embeddings are closest to their relation's embedding centroid;
    ties go to the lower sample index) from one encoding of the task's
-   training pool, and append them to the memory,
+   training pool, for all the task's relations at once: group means,
+   per-row distances and one stable sort, with the bits and the picks
+   of a per-relation loop; then append them to the memory,
 4. train again on the union of all *previous* tasks' memory and the
    current task data for ``epochs_memory`` epochs,
-5. rebuild the prototypes from memory with the final encoder and log a
-   cumulative evaluation row per prediction head.
+5. rebuild the prototypes from memory with the final encoder, as group
+   means over one encoding of the memory (each with the bits of its
+   relation's own ``mean(axis=0)``, also when one append interleaves
+   relations), and log a cumulative evaluation row per prediction head.
 
 Prototypes are always recomputed from raw stored features with the
 current encoder, so rebuilding them twice in a row is a no-op.  Memory
@@ -20,6 +24,8 @@ is one (n, f) feature matrix with an (n,) relation-id vector, in
 insertion order, and is append-only: once a relation's representatives
 are chosen they are never replaced.  The prototypes are one (R, d)
 matrix over ascending relation ids, which ``evaluate`` reads as it is.
+A checkpoint groups the memory rows by relation with one stable sort
+and lists the relations in order of first appearance.
 
 Each training phase (steps 2 and 4) validates its pool once: the
 features, the hyperparameters and the pool's (R, K, d) description
@@ -64,7 +70,7 @@ from fcre.encoder import (
     step,
 )
 from fcre.formats import write_atomic
-from fcre.geometry import euclidean
+from fcre.geometry import row_dots
 from fcre.inference import HEADS, MetricsReport, check_heads, evaluate
 from fcre.losses import Batch, HyperParams, _Plan, joint_loss
 
@@ -128,18 +134,19 @@ class Task:
         if self.train_x.shape[1] != self.test_x.shape[1]:
             raise ValueError("train and test feature dimensions differ")
         rel_set = set(rels)
+        present = {}
         for split, labels in ("train", self.train_y), ("test", self.test_y):
-            extra = set(int(v) for v in labels) - rel_set
+            present[split] = set(labels.tolist())
+            extra = present[split] - rel_set
             if extra:
                 raise ValueError(
                     f"task {self.index} {split} labels {sorted(extra)} are not in "
                     f"its relation set"
                 )
         for r in rels:
-            if not np.any(self.train_y == r):
-                raise ValueError(f"task {self.index}: relation {r} has no train samples")
-            if not np.any(self.test_y == r):
-                raise ValueError(f"task {self.index}: relation {r} has no test samples")
+            for split in ("train", "test"):
+                if r not in present[split]:
+                    raise ValueError(f"task {self.index}: relation {r} has no {split} samples")
 
     @property
     def feature_dim(self) -> int:
@@ -297,16 +304,38 @@ def init_state(
     )
 
 
-def _central_rows(embedded: np.ndarray, memory_size: int) -> list[int]:
-    """Indices of the ``memory_size`` rows closest to the rows' centroid.
+def _group_means(rows: np.ndarray, group: np.ndarray, n_groups: int) -> np.ndarray:
+    """Mean of each group's rows, with the bits of ``rows[group == g].mean(axis=0)``.
 
-    Distance ties go to the lower row index; with fewer rows, all of
-    them, ordered by distance.
+    Every group in ``0 .. n_groups - 1`` must hold a row.
     """
-    centroid = embedded.mean(axis=0)
-    dists = [euclidean(row, centroid) for row in embedded]
-    order = sorted(range(len(dists)), key=lambda i: (dists[i], i))
-    return order[:memory_size]
+    if rows.shape[1] == 1:
+        # mean(axis=0) of an (n, 1) block sums its one column pairwise,
+        # which no batched sum reproduces
+        return np.stack([rows[group == g].mean(axis=0) for g in range(n_groups)])
+    # mean(axis=0) of an (n, d >= 2) block adds its rows one by one to 0.0,
+    # and np.add.at adds them in row order
+    sums = np.zeros((n_groups, rows.shape[1]))
+    np.add.at(sums, group, rows)
+    return sums / np.bincount(group, minlength=n_groups)[:, None]
+
+
+def _central_rows(
+    embedded: np.ndarray, group: np.ndarray, n_groups: int, memory_size: int
+) -> np.ndarray:
+    """The ``memory_size`` rows of each group closest to the group's centroid.
+
+    Groups come in ascending order, each group's rows by distance; ties
+    go to the lower row index, and a group with fewer rows keeps all of
+    them.  Each distance has the bits of ``geometry.euclidean(row,
+    centroid)``.
+    """
+    diff = embedded - _group_means(embedded, group, n_groups)[group]
+    dists = np.sqrt(row_dots(diff, diff))
+    order = np.lexsort((dists, group))  # stable: equal distances keep row order
+    starts = np.searchsorted(group[order], np.arange(n_groups))
+    rank = np.arange(order.size) - starts[group[order]]
+    return order[rank < memory_size]
 
 
 def select_memory(
@@ -330,7 +359,8 @@ def select_memory(
     for rel in sorted(samples_by_relation):
         block = _as_matrix(samples_by_relation[rel], f"samples for relation {rel}")
         embedded = np.stack([np.asarray(encode_fn(row), dtype=np.float64) for row in block])
-        selected[int(rel)] = block[_central_rows(embedded, memory_size)].copy()
+        group = np.zeros(len(block), dtype=np.int64)
+        selected[int(rel)] = block[_central_rows(embedded, group, 1, memory_size)].copy()
     return selected
 
 
@@ -341,15 +371,16 @@ def build_prototypes(
 
     ``encode_fn`` maps an (n, f) block of features to (n, d) embeddings;
     all of memory is encoded in one call, and the rows come out in
-    ascending relation id.  Pure function of (memory, encoder): calling
-    it twice with the same arguments gives identical prototypes.
+    ascending relation id, each with the bits of the mean of its
+    relation's rows.  Pure function of (memory, encoder): calling it
+    twice with the same arguments gives identical prototypes.
     """
     relations = np.array(sorted(memory.relations), dtype=np.int64)
     if relations.size == 0:
         raise ValueError("memory is empty; there is nothing to build prototypes from")
     embedded = np.asarray(encode_fn(memory.features), dtype=np.float64)
-    vectors = np.stack([embedded[memory.labels == rel].mean(axis=0) for rel in relations])
-    return Prototypes(relations, vectors)
+    group = np.searchsorted(relations, memory.labels)
+    return Prototypes(relations, _group_means(embedded, group, relations.size))
 
 
 def _description_table(
@@ -365,10 +396,11 @@ def _description_table(
     for rel in relations:
         if rel not in descriptions:
             raise ProtocolError(f"no descriptions registered for relation {rel}")
+    rows = descriptions.rows(relations)
     if source == "k-set":
-        table = np.stack([descriptions.vectors(rel) for rel in relations])
+        table = descriptions.table[rows]
     else:
-        table = np.stack([descriptions.mean(rel)[None, :] for rel in relations])
+        table = descriptions.means[rows][:, None, :]
     return table, np.searchsorted(relations, labels)
 
 
@@ -508,10 +540,8 @@ def run_task(
 
     old_x, old_y = state.memory.features, state.memory.labels  # earlier tasks only
     embedded = encode_batch(state.encoder, task.train_x)
-    keep = []
-    for rel in task.relations:
-        rows = np.flatnonzero(task.train_y == rel)
-        keep.extend(rows[_central_rows(embedded[rows], hp.memory_size)])
+    group = np.searchsorted(task.relations, task.train_y)
+    keep = _central_rows(embedded, group, len(task.relations), hp.memory_size)
     state.memory.append(task.train_x[keep], task.train_y[keep])
 
     _train(
@@ -532,7 +562,20 @@ def run_task(
 def checkpoint_dict(state: ContinualState) -> dict:
     """JSON-safe snapshot taken after the most recent completed task."""
     memory = state.memory
-    blocks = [(rel, memory.features[memory.labels == rel]) for rel in memory.relations]
+    blocks = []
+    if memory.labels.size:
+        # one stable sort puts each relation's rows together, in insertion order
+        # (not np.unique, which imports numpy.ma)
+        order = np.argsort(memory.labels, kind="stable")
+        ordered = memory.labels[order]
+        starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+        bounds = np.append(starts, order.size)
+        grouped = memory.features[order]
+        # relations in order of first appearance, as ``memory.relations`` lists them
+        blocks = [
+            (int(ordered[starts[g]]), grouped[bounds[g] : bounds[g + 1]])
+            for g in np.argsort(order[starts])
+        ]
     return {
         "task_index": len(state.completed_tasks),
         "relations": list(state.seen_relations),

@@ -2,9 +2,12 @@
 
 Synthetic data places one unit-norm class center per relation on the
 feature sphere (rejection-sampled so every pair of centers is at least
-``cluster_separation`` radians apart) and draws samples as
-center + within_class_noise * gaussian.  Relation ids are dense:
-task t (1-based) owns ids (t-1)*n_way .. t*n_way - 1.
+``cluster_separation`` radians apart; a candidate is decided from one
+stacked product with the centers accepted so far, whose entries have
+the bits of per-pair ``np.dot`` calls) and draws samples as
+center + within_class_noise * gaussian, one draw per task, which takes
+the numbers in the order separate per-relation draws would.  Relation
+ids are dense: task t (1-based) owns ids (t-1)*n_way .. t*n_way - 1.
 
 Dataset files are JSONL, one sample per line:
 
@@ -12,7 +15,8 @@ Dataset files are JSONL, one sample per line:
 
 ``write_dataset`` emits a canonical ordering (task ascending, train
 rows before test rows, stored sample order within a split), so
-serialize -> parse -> serialize is byte-identical.
+serialize -> parse -> serialize is byte-identical.  Feature entries
+must be JSON numbers: ``true`` or ``"0.5"`` is rejected with its line.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from fcre.continual import Task, TaskStream
-from fcre.formats import write_atomic
-from fcre.geometry import unit_normalize
+from fcre.formats import json_floats, write_atomic
+from fcre.geometry import row_dots, unit_normalize
 
 _MAX_ATTEMPTS_PER_CENTER = 10_000
 
@@ -77,19 +81,19 @@ def sample_separated_centers(
 ) -> np.ndarray:
     """Unit vectors with pairwise angle >= min_angle, by rejection."""
     max_dot = math.cos(min_angle)
-    centers: list[np.ndarray] = []
+    centers = np.empty((count, dim))
     for i in range(count):
         for _ in range(_MAX_ATTEMPTS_PER_CENTER):
             candidate = unit_normalize(rng.standard_normal(dim))
-            if all(float(np.dot(candidate, c)) <= max_dot for c in centers):
-                centers.append(candidate)
+            if np.all(row_dots(centers[:i], candidate) <= max_dot):
+                centers[i] = candidate
                 break
         else:
             raise GenerationError(
                 f"placed only {i} of {count} class centers in {dim} dimensions "
                 f"at separation {min_angle}; try a smaller cluster_separation"
             )
-    return np.stack(centers)
+    return centers
 
 
 def generate_stream(spec: SyntheticSpec) -> tuple[TaskStream, dict[int, np.ndarray]]:
@@ -105,31 +109,22 @@ def generate_stream(spec: SyntheticSpec) -> tuple[TaskStream, dict[int, np.ndarr
         rng, spec.n_relations, spec.feature_dim, spec.cluster_separation
     )
     tasks = []
+    n_test, dim = spec.test_per_relation, spec.feature_dim
     for t in range(1, spec.n_tasks + 1):
-        relations = list(range((t - 1) * spec.n_way, t * spec.n_way))
+        relations = np.arange((t - 1) * spec.n_way, t * spec.n_way)
         n_train = spec.task1_oversample if t == 1 else spec.shots
-        train_blocks, train_labels = [], []
-        test_blocks, test_labels = [], []
-        for rel in relations:
-            center = centers[rel]
-            train_blocks.append(
-                center + spec.within_class_noise
-                * rng.standard_normal((n_train, spec.feature_dim))
-            )
-            train_labels.append(np.full(n_train, rel, dtype=np.int64))
-            test_blocks.append(
-                center + spec.within_class_noise
-                * rng.standard_normal((spec.test_per_relation, spec.feature_dim))
-            )
-            test_labels.append(np.full(spec.test_per_relation, rel, dtype=np.int64))
+        # relation by relation, train rows before test rows: the order in
+        # which one draw per pool would take them from the stream
+        noise = rng.standard_normal((spec.n_way, n_train + n_test, dim))
+        samples = centers[relations][:, None, :] + spec.within_class_noise * noise
         tasks.append(
             Task(
                 index=t,
-                relations=tuple(relations),
-                train_x=np.concatenate(train_blocks),
-                train_y=np.concatenate(train_labels),
-                test_x=np.concatenate(test_blocks),
-                test_y=np.concatenate(test_labels),
+                relations=tuple(relations.tolist()),
+                train_x=samples[:, :n_train].reshape(-1, dim),
+                train_y=np.repeat(relations, n_train),
+                test_x=samples[:, n_train:].reshape(-1, dim),
+                test_y=np.repeat(relations, n_test),
             )
         )
     center_map = {rel: centers[rel] for rel in range(spec.n_relations)}
@@ -144,13 +139,8 @@ def write_dataset(stream: TaskStream, path) -> None:
             ("train", task.train_x, task.train_y),
             ("test", task.test_x, task.test_y),
         ):
-            for row, label in zip(xs, ys):
-                obj = {
-                    "task": task.index,
-                    "relation": int(label),
-                    "split": split,
-                    "features": [float(v) for v in row],
-                }
+            for row, label in zip(xs.tolist(), ys.tolist()):
+                obj = {"task": task.index, "relation": label, "split": split, "features": row}
                 lines.append(json.dumps(obj, separators=(", ", ": ")) + "\n")
     write_atomic(path, "".join(lines))
 
@@ -197,8 +187,8 @@ def ingest_dataset(path) -> TaskStream:
                     f"line {lineno}: features must be a non-empty list"
                 )
             try:
-                values = [float(v) for v in feats]
-            except (TypeError, ValueError):
+                values = json_floats(feats)
+            except TypeError:
                 raise DatasetFormatError(
                     f"line {lineno}: features contain non-numeric entries"
                 ) from None

@@ -1,15 +1,21 @@
 """Per-relation description vectors: storage, synthesis, file ingestion.
 
 Each relation carries exactly K description vectors of the embedding
-dimension d.  K and d are uniform across the whole set.  Description
-vectors are frozen inputs to training and inference -- nothing in the
-package ever writes gradient into them.
+dimension d.  K and d are uniform across the whole set, which holds them
+as one (R, K, d) table and their means as one (R, d) matrix over
+ascending relation ids.  Construction checks each relation's block in
+ascending id order and raises for the first bad one, naming the
+relation and vector.  Synthesis draws each relation's (K, d) block
+in one call and normalizes its rows with the bits of ``unit_normalize``.
+Description vectors are frozen inputs to training and inference --
+nothing in the package ever writes gradient into them.
 
 File format (JSONL, one relation per line):
 
     {"relation": 3, "vectors": [[0.1, ...], [0.2, ...]]}
 
-Parsing errors carry 1-based line numbers.
+Parsing errors carry 1-based line numbers; vector entries must be JSON
+numbers, so ``true`` or ``"0.5"`` is rejected.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from fcre.formats import write_atomic
-from fcre.geometry import unit_normalize
+from fcre.formats import json_floats, write_atomic
+from fcre.geometry import unit_rows
 
 
 class DescriptionFormatError(ValueError):
@@ -32,56 +38,51 @@ class DescriptionFormatError(ValueError):
 class DescriptionSet:
     """Immutable-by-convention map of relation id -> (K, d) vectors.
 
-    Means are cached at construction.  A zero-norm mean (opposite
-    vectors cancelling) is legal but degenerate: it is surfaced as a
-    warning here and will fail later only if something actually asks
-    for a cosine against it.
+    The blocks are held as one (R, K, d) table and their means as one
+    (R, d) matrix, both over ascending relation ids; ``vectors`` and
+    ``mean`` hand out rows of them, and ``evaluate`` reads ``means`` as
+    it is.  A zero-norm mean (opposite vectors cancelling) is legal but
+    degenerate: it is surfaced as a warning here and will fail later only
+    if something actually asks for a cosine against it.
     """
 
     def __init__(self, vectors_by_relation: Mapping[int, np.ndarray]):
-        self._vectors: dict[int, np.ndarray] = {}
-        self._means: dict[int, np.ndarray] = {}
-        k_desc: int | None = None
-        dim: int | None = None
-        for rel in sorted(vectors_by_relation):
+        relations = sorted(vectors_by_relation)
+        blocks, means = [], []
+        k_desc = dim = None
+        for rel in relations:  # raises for the first bad relation
             block = np.asarray(vectors_by_relation[rel], dtype=np.float64)
-            if block.ndim != 2:
-                raise ValueError(
-                    f"relation {rel}: vectors must be a (K, d) array, got shape {block.shape}"
-                )
-            if not np.all(np.isfinite(block)):
-                raise ValueError(f"relation {rel}: non-finite description entries")
-            k, d = block.shape
-            if k < 1 or d < 1:
-                raise ValueError(f"relation {rel}: K and d must be >= 1")
-            if k_desc is None:
-                k_desc, dim = k, d
-            elif k != k_desc:
-                raise ValueError(
-                    f"relation {rel} has {k} description vectors, expected {k_desc}"
-                )
-            elif d != dim:
-                raise ValueError(
-                    f"relation {rel} has dimension {d}, expected {dim}"
-                )
-            norms = np.sqrt(np.einsum("ij,ij->i", block, block))
-            if np.any(norms == 0.0):
-                bad = int(np.flatnonzero(norms == 0.0)[0])
-                raise ValueError(
-                    f"relation {rel}: description vector {bad} has zero norm"
-                )
+            k_desc, dim = _check_block(rel, block, k_desc, dim)
             mean = block.mean(axis=0)
-            if math.sqrt(float(np.dot(mean, mean))) == 0.0:
+            if np.dot(mean, mean) == 0.0:
                 warnings.warn(
                     f"relation {rel}: description vectors average to the zero "
                     "vector; cosine-based inference against it will fail",
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            self._vectors[int(rel)] = block.copy()
-            self._means[int(rel)] = mean
-        self._k_desc = k_desc
-        self._dim = dim
+            blocks.append(block)
+            means.append(mean)
+        if not blocks:
+            self._set((), np.zeros((0, 0, 0)), np.zeros((0, 0)))
+            return
+        self._set(tuple(int(r) for r in relations), np.stack(blocks), np.stack(means))
+
+    def _set(self, relations: tuple[int, ...], table: np.ndarray, means: np.ndarray) -> None:
+        self._relations = relations
+        self._table = table
+        self._means = means
+        self._index = {r: i for i, r in enumerate(relations)}
+        self._mean_rows = list(means)  # one view per row, so ``mean`` returns the same object
+
+    @classmethod
+    def _from_arrays(
+        cls, relations: tuple[int, ...], table: np.ndarray, means: np.ndarray
+    ) -> "DescriptionSet":
+        """Assemble a set from rows that a constructor already checked."""
+        out = cls.__new__(cls)
+        out._set(relations, table, means)
+        return out
 
     @classmethod
     def empty(cls) -> "DescriptionSet":
@@ -89,87 +90,113 @@ class DescriptionSet:
 
     @property
     def relations(self) -> tuple[int, ...]:
-        return tuple(sorted(self._vectors))
+        return self._relations
 
     @property
     def k_desc(self) -> int | None:
         """Vectors per relation, or None while the set is empty."""
-        return self._k_desc
+        return self._table.shape[1] if self._relations else None
 
     @property
     def dim(self) -> int | None:
-        return self._dim
+        return self._table.shape[2] if self._relations else None
+
+    @property
+    def table(self) -> np.ndarray:
+        """The (R, K, d) description blocks, one per relation in ascending id."""
+        return self._table
+
+    @property
+    def means(self) -> np.ndarray:
+        """The (R, d) mean descriptions, one row per relation in ascending id."""
+        return self._means
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._relations)
 
     def __contains__(self, rel: int) -> bool:
-        return int(rel) in self._vectors
+        return int(rel) in self._index
+
+    def _row(self, rel: int) -> int:
+        try:
+            return self._index[int(rel)]
+        except KeyError:
+            raise KeyError(f"unknown relation {rel}") from None
+
+    def rows(self, relations: Iterable[int]) -> np.ndarray:
+        """Row of each of ``relations`` in ``table`` and ``means``."""
+        return np.array([self._row(r) for r in relations], dtype=np.int64)
 
     def vectors(self, rel: int) -> np.ndarray:
-        try:
-            return self._vectors[int(rel)]
-        except KeyError:
-            raise KeyError(f"unknown relation {rel}") from None
+        return self._table[self._row(rel)]
 
     def mean(self, rel: int) -> np.ndarray:
-        try:
-            return self._means[int(rel)]
-        except KeyError:
-            raise KeyError(f"unknown relation {rel}") from None
-
-    @classmethod
-    def _from_validated(
-        cls,
-        vectors: dict[int, np.ndarray],
-        means: dict[int, np.ndarray],
-        k_desc: int | None,
-        dim: int | None,
-    ) -> "DescriptionSet":
-        """Assemble a set from blocks and means that a constructor already checked."""
-        out = cls.__new__(cls)
-        out._vectors = vectors
-        out._means = {r: means[r] for r in vectors}
-        out._k_desc, out._dim = (k_desc, dim) if vectors else (None, None)
-        return out
+        """Mean description of ``rel``: the same array object on every call."""
+        return self._mean_rows[self._row(rel)]
 
     def subset(self, relations: Iterable[int]) -> "DescriptionSet":
-        vectors = {int(r): self.vectors(r) for r in relations}
-        return DescriptionSet._from_validated(vectors, self._means, self._k_desc, self._dim)
+        rows = sorted(set(self.rows(relations).tolist()))
+        return DescriptionSet._from_arrays(
+            tuple(self._relations[i] for i in rows), self._table[rows], self._means[rows]
+        )
 
     def union(self, other: "DescriptionSet") -> "DescriptionSet":
         """Merge two sets; overlapping relations or K/d mismatch are errors."""
-        if len(self) > 0 and len(other) > 0:
-            overlap = set(self._vectors) & set(other._vectors)
-            if overlap:
-                raise ValueError(f"relations already registered: {sorted(overlap)}")
-            if other.k_desc != self.k_desc:
-                raise ValueError(
-                    f"cannot merge description sets with K={self.k_desc} and K={other.k_desc}"
-                )
-            if other.dim != self.dim:
-                raise ValueError(
-                    f"cannot merge description sets with d={self.dim} and d={other.dim}"
-                )
-        first = self if len(self) > 0 else other
-        return DescriptionSet._from_validated(
-            {**self._vectors, **other._vectors},
-            {**self._means, **other._means},
-            first.k_desc,
-            first.dim,
+        if len(self) == 0 or len(other) == 0:
+            first = self if len(self) > 0 else other
+            return DescriptionSet._from_arrays(first._relations, first._table, first._means)
+        overlap = set(self._relations) & set(other._relations)
+        if overlap:
+            raise ValueError(f"relations already registered: {sorted(overlap)}")
+        if other.k_desc != self.k_desc:
+            raise ValueError(
+                f"cannot merge description sets with K={self.k_desc} and K={other.k_desc}"
+            )
+        if other.dim != self.dim:
+            raise ValueError(
+                f"cannot merge description sets with d={self.dim} and d={other.dim}"
+            )
+        relations = self._relations + other._relations
+        order = np.argsort(relations, kind="stable")
+        return DescriptionSet._from_arrays(
+            tuple(relations[i] for i in order),
+            np.concatenate([self._table, other._table])[order],
+            np.concatenate([self._means, other._means])[order],
         )
 
     def to_jsonl(self) -> str:
         """Canonical serialization: relations ascending, repr-exact floats."""
-        lines = []
-        for rel in self.relations:
-            block = self._vectors[rel]
-            obj = {"relation": rel, "vectors": [[float(v) for v in row] for row in block]}
-            lines.append(json.dumps(obj, separators=(", ", ": ")))
+        lines = [
+            json.dumps({"relation": rel, "vectors": block}, separators=(", ", ": "))
+            for rel, block in zip(self._relations, self._table.tolist())
+        ]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def write(self, path) -> None:
         write_atomic(path, self.to_jsonl())
+
+
+def _check_block(
+    rel: int, block: np.ndarray, k_desc: int | None, dim: int | None
+) -> tuple[int, int]:
+    """One relation's checks, in the order that decides which error a bad block raises."""
+    if block.ndim != 2:
+        raise ValueError(
+            f"relation {rel}: vectors must be a (K, d) array, got shape {block.shape}"
+        )
+    if not np.all(np.isfinite(block)):
+        raise ValueError(f"relation {rel}: non-finite description entries")
+    k, d = block.shape
+    if k < 1 or d < 1:
+        raise ValueError(f"relation {rel}: K and d must be >= 1")
+    if k_desc is not None and k != k_desc:
+        raise ValueError(f"relation {rel} has {k} description vectors, expected {k_desc}")
+    if dim is not None and d != dim:
+        raise ValueError(f"relation {rel} has dimension {d}, expected {dim}")
+    zero = np.flatnonzero(np.einsum("ij,ij->i", block, block) == 0.0)
+    if zero.size:
+        raise ValueError(f"relation {rel}: description vector {int(zero[0])} has zero norm")
+    return k, d
 
 
 def synth_descriptions(
@@ -182,7 +209,8 @@ def synth_descriptions(
 
     Each vector is normalize(center + spread * g) with g drawn from a
     generator seeded by ``seed``; relations are processed in ascending
-    id order so the draw sequence is reproducible.
+    id order, one (K, d) draw each, so the draw sequence is reproducible
+    and is the one K separate draws would take.
     """
     if k_desc < 1:
         raise ValueError(f"k_desc must be >= 1, got {k_desc}")
@@ -196,11 +224,8 @@ def synth_descriptions(
         center = np.asarray(class_centers[rel], dtype=np.float64)
         if center.ndim != 1 or center.size < 1:
             raise ValueError(f"relation {rel}: center must be a 1-D vector")
-        rows = []
-        for _ in range(k_desc):
-            g = rng.standard_normal(center.size)
-            rows.append(unit_normalize(center + spread * g, name=f"relation {rel} description"))
-        out[int(rel)] = np.stack(rows)
+        block = center + spread * rng.standard_normal((k_desc, center.size))
+        out[int(rel)] = unit_rows(block, (f"relation {rel} description",) * k_desc)
     return DescriptionSet(out)
 
 
@@ -241,8 +266,8 @@ def ingest_descriptions(path, expected_dim: int | None = None) -> DescriptionSet
                         f"line {lineno}: vector {i} of relation {rel} is not a non-empty list"
                     )
                 try:
-                    values = [float(v) for v in row]
-                except (TypeError, ValueError):
+                    values = json_floats(row)
+                except TypeError:
                     raise DescriptionFormatError(
                         f"line {lineno}: vector {i} of relation {rel} has non-numeric entries"
                     ) from None

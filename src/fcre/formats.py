@@ -1,7 +1,7 @@
-"""Whole-file writes for every artifact the package saves.
+"""Whole-file writes for every artifact the package saves, and JSON numbers.
 
 A leaf module: it imports nothing from ``fcre``, so any module can route
-its file output through it.
+its file output, and its parsers' numeric entries, through it.
 """
 
 from __future__ import annotations
@@ -26,3 +26,22 @@ def write_atomic(path, text: str) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # left only when the write or the rename failed
+
+
+def json_floats(entries: list) -> list[float]:
+    """The entries of a parsed JSON array as floats (the list itself if it holds only floats).
+
+    Raises ``TypeError`` unless every entry is a JSON number that a float
+    can hold.  ``json`` parses ``true`` and ``false`` to ``bool``, which
+    ``float`` would take as 1.0 and 0.0, and ``float`` also parses numeric
+    strings, so the type is checked first.
+    """
+    types = set(map(type, entries))
+    if types == {float}:
+        return entries
+    if not types <= {float, int}:
+        raise TypeError("entries must be JSON numbers")
+    try:
+        return [float(v) for v in entries]
+    except OverflowError:  # an integer beyond the float range
+        raise TypeError("entries must be JSON numbers a float can hold") from None

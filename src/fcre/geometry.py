@@ -5,8 +5,12 @@ per-query prediction heads call them, and they validate every input: an
 embedding is a finite, non-empty 1-D vector, and any operation that
 divides by a norm rejects zero-norm input with an error naming the
 offending argument.  The batched loss kernel and ``evaluate`` work on
-whole matrices instead and validate once, at the batch.  All arithmetic
-is done in float64 regardless of the caller's storage dtype.
+whole matrices instead and validate once, at the batch.  ``row_dots``
+and ``unit_rows`` are block forms with the bits that ``np.dot`` and
+``unit_normalize`` give each row alone, for the callers whose results
+must not depend on whether a vector is handled alone or in a block:
+data generation, description synthesis and memory selection.  All
+arithmetic is done in float64 regardless of the caller's storage dtype.
 """
 
 from __future__ import annotations
@@ -72,6 +76,32 @@ def unit_normalize(v, *, name: str = "vector") -> np.ndarray:
     if n == 0.0:
         raise ValueError(f"cannot normalize {name} with zero norm")
     return v / n
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a[i], b[i])`` for every row of an (n, d) block; ``b`` may be one (d,) vector.
+
+    The stacked (1, d) @ (d, 1) product runs NumPy's vector dot on each
+    row, so every entry has the bits of ``np.dot`` on that row (at d = 1
+    a zero may differ in sign, which no comparison sees).  A reduction
+    such as ``einsum("nd,nd->n", a, b)`` sums in another order and gave
+    other bits on about 40% of random rows.
+    """
+    return np.matmul(a[:, None, :], b[..., :, None])[:, 0, 0]
+
+
+def unit_rows(block: np.ndarray, names) -> np.ndarray:
+    """``unit_normalize`` of every row of a (n, d) block, with its bits and its errors.
+
+    ``names[i]`` names row i; the first row that is non-finite or has
+    zero norm raises the error ``unit_normalize`` gives for it.
+    """
+    sq_norms = row_dots(block, block)
+    bad = ~np.isfinite(block).all(axis=1) | (sq_norms == 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        unit_normalize(block[i], name=names[i])
+    return block / np.sqrt(sq_norms)[:, None]
 
 
 class Ranking(NamedTuple):

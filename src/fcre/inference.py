@@ -10,14 +10,15 @@ Two heads over the same frozen state:
 
 Both heads resolve exact score ties by ascending relation id, so
 predictions are deterministic functions of their inputs.  These
-per-query functions are the reference for ``evaluate``, which scores
-whole test pools in passes of at most ``EVAL_BLOCK_ENTRIES`` (queries x
-relations) entries: it orders relations by the key |p_r|^2 - 2 z . p_r
-(the squared distance less a per-query constant), takes both that key's
-and the cosines' products with ``einsum`` so that relations sharing a
-prototype or a mean description tie exactly, and ranks with
-NumPy's default sort, sorting again stably only the rows that hold an
-exact tie.  Accuracy is
+per-query functions are the reference for ``evaluate``, which encodes
+each test pool once and scores it in passes of at most
+``EVAL_BLOCK_ENTRIES`` (queries x relations) entries: it orders
+relations by the key |p_r|^2 - 2 z . p_r (the squared distance less a
+per-query constant), takes both that key's and the cosines' products
+with ``einsum`` so that relations sharing a prototype or a mean
+description tie exactly, and ranks with NumPy's default sort, finding
+ties in the sorted keys and sorting again stably only the rows that
+hold one.  Accuracy is
 reported cumulatively: after task j, every earlier task's test pool is
 scored against the full label space seen so far, and ACC_j is the
 unweighted mean of those per-task accuracies.
@@ -231,7 +232,10 @@ class MetricsReport:
 
 
 # (queries x relations) entries per scoring pass of ``evaluate``: each
-# (queries, R) transient then takes at most 32 KB.
+# (queries, R) transient then takes at most 32 KB, and the DRI rank
+# channels, sorted together, 64 KB.  The budget bounds scoring only: a
+# pool of n queries is encoded whole, so the encoder's transients take
+# n x (hidden + d) floats and grow with the pool.
 EVAL_BLOCK_ENTRIES = 4_096
 
 
@@ -242,15 +246,18 @@ def _ranks(keys: np.ndarray) -> np.ndarray:
     lower relation id, as ``rank_scores`` does.  The default sort is not
     stable, but a row whose sorted keys hold no two equal neighbours has
     one order only, which is the stable one; only rows with an exact tie
-    are sorted again, stably.
+    (two equal neighbours in the sorted keys) are sorted again, stably.
+    The ranks are scattered into place with one fancy-indexed assignment.
     """
+    n_rows, n_cols = keys.shape
     order = np.argsort(keys, axis=1)
-    ordered = np.take_along_axis(keys, order, axis=1)
+    ordered = np.sort(keys, axis=1)
     tied = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
     if tied.size:
         order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
-    ranks = np.empty(keys.shape, dtype=np.float64)
-    np.put_along_axis(ranks, order, np.arange(1.0, keys.shape[1] + 1.0)[None, :], axis=1)
+    ranks = np.empty(keys.shape)
+    # order[q, k] is the column ranked k + 1 in row q
+    ranks[np.arange(n_rows)[:, None], order] = np.arange(1.0, n_cols + 1.0)
     return ranks
 
 
@@ -282,9 +289,9 @@ def _predict_block(
         raise ValueError("cosine undefined: first argument has zero norm")
     dots = np.einsum("qd,rd->qr", z, means)
     cos = np.clip(dots / (z_norms[:, None] * mean_norms[None, :]), -1.0, 1.0)
-    fused = hp.alpha / (hp.epsilon + _ranks(key)) + (1.0 - hp.alpha) / (
-        hp.epsilon + _ranks(-cos)
-    )
+    ranks = _ranks(np.concatenate([key, -cos]))  # both channels in one sort
+    n = z.shape[0]
+    fused = hp.alpha / (hp.epsilon + ranks[:n]) + (1.0 - hp.alpha) / (hp.epsilon + ranks[n:])
     predictions["dri"] = np.argmax(fused, axis=1)
     return predictions
 
@@ -296,16 +303,19 @@ def evaluate(
 
     Every prediction runs against the full label space seen so far (the
     prototype registry), so earlier tasks get harder as the stream
-    grows.  Each pool is encoded once, in passes of
-    ``max(1, EVAL_BLOCK_ENTRIES // R)`` queries, and every head scores a
+    grows.  Each pool is encoded once, whole (the encoder's transients,
+    n x (hidden + d) floats for n queries, grow with the pool), and
+    scored in passes of ``max(1, EVAL_BLOCK_ENTRIES // R)`` queries,
+    which bound the scoring transients; every head scores a
     pass from one (queries, R) key matrix against the (R, d) matrix of
     ``state.prototypes``,
     key[q, r] = |p_r|^2 - 2 z_q . p_r: the squared distance less the
     per-query constant |z_q|^2, so in exact arithmetic it orders the
-    relations as the distance does.  DRI also reads an (R, d) matrix of mean
-    descriptions.  Exact ties go to the lower relation id in both
-    heads and both rank channels, as in ``ncm_predict`` and
-    ``dri_predict``.  Returns one row per head, in the order of ``heads``.
+    relations as the distance does.  DRI also reads the (R, d) matrix of
+    mean descriptions that ``state.descriptions`` holds.  Exact ties go to
+    the lower relation id in both heads and both rank channels, as in
+    ``ncm_predict`` and ``dri_predict``.  Returns one row per head, in the
+    order of ``heads``.
     The result is a pure fold over the test pools: sample order cannot
     affect it.
     """
@@ -325,7 +335,7 @@ def evaluate(
     means = mean_norms = None
     if "dri" in heads:
         _check_fusion_weights(hp.alpha, hp.epsilon)
-        means = np.stack([state.descriptions.mean(int(r)) for r in relations])
+        means = state.descriptions.means
         mean_norms = np.sqrt(np.einsum("rd,rd->r", means, means))
         if np.any(mean_norms == 0.0):
             raise ValueError("cosine undefined: second argument has zero norm")
@@ -334,11 +344,11 @@ def evaluate(
     for i in range(1, through_task + 1):
         task = done[i]
         hits = dict.fromkeys(heads, 0)
+        embedded = encode_batch(state.encoder, task.test_x)
         for start in range(0, task.test_y.size, block):
             rows = slice(start, start + block)
-            z = encode_batch(state.encoder, task.test_x[rows])
             predictions = _predict_block(
-                z, prototypes, proto_sq_norms, means, mean_norms, hp
+                embedded[rows], prototypes, proto_sq_norms, means, mean_norms, hp
             )
             for head in hits:
                 pred = relations[predictions[head]]

@@ -403,3 +403,33 @@ class TestArtifactWrites:
                 write(out / name)
             assert (out / name).read_bytes() == b"old\n", name
         assert sorted(p.name for p in out.iterdir()) == sorted(writers)
+
+
+class TestImportFootprint:
+    def test_a_serial_run_loads_neither_numpy_ma_nor_multiprocessing(self, tmp_path):
+        # numpy.ma (pulled in by np.unique and friends) adds about 1.3 MB to
+        # a run's peak memory, and multiprocessing is only needed by
+        # FCRE_THREADS > 1; both stay out of a plain import and serial run
+        config = tiny_config(out_dir=str(tmp_path / "runs"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_to_dict(config)))
+        script = (
+            "import json, sys\n"
+            "import fcre.cli as cli\n"
+            "cli.run_single_seed(cli.load_config(sys.argv[1]), 0)\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        src = str(Path(fcre.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "FCRE_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env=env,
+            check=True,
+            capture_output=True,
+            text=True,
+        )
+        loaded = set(json.loads(done.stdout.splitlines()[-1]))
+        assert "fcre.continual" in loaded
+        for name in ("numpy.ma", "concurrent.futures.process", "multiprocessing"):
+            assert name not in loaded, name

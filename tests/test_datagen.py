@@ -229,6 +229,18 @@ class TestDatasetJsonl:
                 ['{"task": 1, "relation": 0, "split": "train", "features": [1.0, NaN]}'],
                 r"line 1",
             ),
+            (
+                ['{"task": 1, "relation": 0, "split": "train", "features": [true, 0.5]}'],
+                r"line 1.*numeric",
+            ),
+            (
+                ['{"task": 1, "relation": 0, "split": "train", "features": [1.0, "0.5"]}'],
+                r"line 1.*numeric",
+            ),
+            (
+                ['{"task": 1, "relation": 0, "split": "train", "features": [1' + "0" * 400 + "]}"],
+                r"line 1.*numeric",
+            ),
         ],
     )
     def test_malformed_rows_name_the_line(self, tmp_path, rows, pattern):

@@ -234,6 +234,18 @@ class TestDescriptionsJsonl:
             (['{"relation": 0, "vectors": [[1.0, NaN]]}'], r"line 1"),
             (['{"relation": 0, "vectors": [[1.0, "x"]]}'], r"line 1.*numeric"),
             (['{"relation": 0, "vectors": []}'], r"line 1.*non-empty"),
+            (['{"relation": 0, "vectors": [[1.0, true]]}'], r"line 1.*vector 0.*numeric"),
+            (
+                ['{"relation": 0, "vectors": [[1.0, 0.0], ["0.5", 1.0]]}'],
+                r"line 1.*vector 1.*numeric",
+            ),
+            (
+                [
+                    '{"relation": 0, "vectors": [[1.0]]}',
+                    '{"relation": 1, "vectors": [[false]]}',
+                ],
+                r"line 2.*numeric",
+            ),
         ],
     )
     def test_malformed_lines_name_the_line(self, tmp_path, lines, pattern):
