@@ -373,8 +373,11 @@ def cmd_report(run_dirs: list[str], out: str | None) -> int:
         path = Path(dirname) / "metrics.csv"
         if not path.exists():
             raise ValueError(f"no metrics.csv under {dirname}")
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reports.append(MetricsReport.from_csv(fh.read()))
+        try:  # a parse or decoding error names the file
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                reports.append(MetricsReport.from_csv(fh.read()))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     cells: dict[tuple[int, str], list[float]] = {}
     for report in reports:
         for row in report.rows:

@@ -15,17 +15,19 @@ def write_atomic(path, text: str) -> None:
 
     The text goes to a temporary file in the same directory, which
     ``os.replace`` then renames over ``path``: a run killed mid-write
-    leaves the previous file, or none, never a partial one.  No newline
-    translation, so the bytes are the text's UTF-8 encoding.
+    leaves the previous file, or none, never a partial one.  The bytes
+    are the text's UTF-8 encoding, with no newline translation.  The
+    temporary file is removed when the write or the rename fails.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)  # left only when the write or the rename failed
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def json_floats(entries: list) -> list[float]:

@@ -203,31 +203,30 @@ class MetricsReport:
 
     @classmethod
     def from_csv(cls, text: str) -> "MetricsReport":
+        """Parse ``to_csv`` output; a malformed line raises ``ValueError`` naming it (1-based)."""
         reader = csv.reader(io.StringIO(text))
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError("metrics CSV is empty") from None
         if header[:3] != ["task", "head", "acc_avg"] or header[-1] != "drop":
-            raise ValueError(f"unrecognized metrics CSV header: {header}")
-        task_cols = header[3:-1]
+            raise ValueError(f"line 1: unrecognized metrics CSV header: {header}")
+        tasks = [col.removeprefix("acc_per_task_") for col in header[3:-1]]
+        for col, task in zip(header[3:-1], tasks):
+            if task == col or not task.isdecimal():
+                raise ValueError(f"line 1: column {col!r} is not acc_per_task_<task>")
         report = cls()
         for cells in reader:
             if not cells:
                 continue
-            check_heads([cells[1]])
-            acc_per_task = {}
-            for col, cell in zip(task_cols, cells[3:-1]):
-                if cell != "":
-                    acc_per_task[int(col.rsplit("_", 1)[1])] = float(cell)
-            report.add(
-                TaskAccuracy(
-                    task_index=int(cells[0]),
-                    head=cells[1],
-                    acc_per_task=acc_per_task,
-                    acc_avg=float(cells[2]),
-                )
-            )
+            try:
+                if len(cells) != len(header):
+                    raise ValueError(f"{len(cells)} cells, expected {len(header)}")
+                check_heads([cells[1]])
+                acc = {int(task): float(cell) for task, cell in zip(tasks, cells[3:-1]) if cell != ""}
+                report.add(TaskAccuracy(int(cells[0]), cells[1], acc, float(cells[2])))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
         return report
 
 

@@ -35,15 +35,15 @@ descriptions, weighting each class by the anchor's negatives in it plus
 one for its own class.  The per-anchor functions above are one-row
 views of the same kernel, with classes of one anchor.
 
-``joint_loss`` validates a caller's ``Batch`` and tiles it into passes
-of ``BLOCK_ENTRIES // (B * max(d, K))`` anchors (at least one), so every
-batch of up to 32 samples at d=16 is one pass.  Training goes through a
-``_Plan`` instead, built once per pool: it validates the pool's (R, K, d)
-description table and the hyperparameters once, takes each batch's
-classes from its relations (a table row is one relation's block), keeps
-the label layout of a pool that trains as one full batch for every
-epoch, and hands ``joint_loss`` batches it evaluates in one pass.  A
-training step's result therefore does not depend on ``BLOCK_ENTRIES``.
+``joint_loss`` evaluates every anchor of a batch in one kernel pass, so
+its transients grow as B^2 * max(d, K) floats: HSMT's (B, B, d)
+differences, mining's (C, K, B) cosines, MI's (B, C*K) scores.  Training
+batches hold at most 64 rows, so HSMT's block, the largest, is 512 KiB.
+A caller's ``Batch`` is validated when it is built.  Training goes
+through a ``_Plan`` instead, built once per pool: it validates the pool's
+(R, K, d) description table once, takes each batch's classes from its
+relations (a table row is one relation's block), and keeps the label
+layout of a pool that trains as one full batch for every epoch.
 
 Every loss returns its value together with d(value)/d(z) for the whole
 batch (and d(value)/dW where W participates).  Description vectors are
@@ -136,16 +136,11 @@ class Batch:
             raise ValueError(
                 f"descriptions must be (B, K, d), got {self.descriptions.shape}"
             )
-        if self.descriptions.shape[2] != d:
-            raise ValueError(
-                f"description dim {self.descriptions.shape[2]} != embedding dim {d}"
-            )
+        _check_descriptions(self.descriptions, d)
         if self.descriptions.shape[1] < 1:
             raise ValueError("need at least one description vector per sample")
         if not np.all(np.isfinite(self.z)):
             raise ValueError("z contains non-finite entries")
-        if not np.all(np.isfinite(self.descriptions)):
-            raise ValueError("descriptions contain non-finite entries")
 
     @property
     def size(self) -> int:
@@ -174,6 +169,14 @@ class Batch:
     def _check_index(self, x: int) -> None:
         if not 0 <= x < self.size:
             raise ValueError(f"sample index {x} out of range for batch of {self.size}")
+
+
+def _check_descriptions(descriptions: np.ndarray, embed_dim: int) -> None:
+    """(.., K, d) description vectors must match the embedding dim and be finite."""
+    if descriptions.shape[2] != embed_dim:
+        raise ValueError(f"description dim {descriptions.shape[2]} != embedding dim {embed_dim}")
+    if not np.all(np.isfinite(descriptions)):
+        raise ValueError("descriptions contain non-finite entries")
 
 
 class MiningSets(NamedTuple):
@@ -221,18 +224,6 @@ class JointResult(NamedTuple):
     clamped_count: int
 
 
-# Float64 entries per kernel transient when ``joint_loss`` tiles a caller's
-# batch.  A pass takes max(1, BLOCK_ENTRIES // (B * max(d, K))) anchor rows,
-# so the (rows, B, d) difference block of HSMT, the (rows, K, B) description
-# cosines of mining and the (rows, B*K) bilinear scores of MI each hold at
-# most this many entries (128 KiB).  16,384 is 16 rows at B=64, d=16, which
-# keeps one call under 1 MB of transients, and it lets every batch of up to
-# 32 samples at d=16 take one pass: a pass costs mostly fixed NumPy call
-# overhead, so fewer passes are faster.  A training step's batch comes from
-# a ``_Plan`` and is one pass whatever this budget: it holds at most 64 rows,
-# so its largest transient, HSMT's (64, 64, 16) block, is 512 KiB.
-BLOCK_ENTRIES = 16_384
-
 HSMT_FLOOR = 1e-6
 
 
@@ -279,16 +270,11 @@ class _Layout:
     """
 
     def __init__(
-        self,
-        same: np.ndarray,
-        lead: np.ndarray,
-        descriptions: np.ndarray,
-        desc_norms: np.ndarray | None = None,
+        self, same: np.ndarray, lead: np.ndarray, descriptions: np.ndarray, desc_norms: np.ndarray
     ) -> None:
         """Classes from ``lead``, each sample's class leader; blocks from ``descriptions``.
 
-        ``desc_norms``, when given, holds each sample's (K,) description
-        norms; otherwise the class norms are computed here.
+        ``desc_norms`` holds each sample's (K,) description norms.
         """
         b = same.shape[0]
         self.same = same
@@ -301,11 +287,7 @@ class _Layout:
         self.class_of = class_index[lead]  # (B,) class of each sample
         self.class_size = np.bincount(self.class_of, minlength=self.leads.size)
         self.class_desc = descriptions[self.leads]  # (C, K, d)
-        self.class_norms = (  # (C, K)
-            np.sqrt(np.einsum("ckd,ckd->ck", self.class_desc, self.class_desc))
-            if desc_norms is None
-            else desc_norms[self.leads]
-        )
+        self.class_norms = desc_norms[self.leads]  # (C, K)
 
     @classmethod
     def of_batch(cls, batch: Batch) -> "_Layout":
@@ -313,7 +295,8 @@ class _Layout:
         lead = np.argmax(same, axis=1)  # first sample of each sample's label
         if (batch.descriptions[lead] != batch.descriptions).any():
             lead = np.arange(batch.size)
-        return cls(same, lead, batch.descriptions)
+        norms = np.sqrt(np.einsum("bkd,bkd->bk", batch.descriptions, batch.descriptions))
+        return cls(same, lead, batch.descriptions, norms)
 
     def block(self, rows: slice) -> _Block:
         """Anchor rows ``rows`` with their masks, live mining classes and MI weights."""
@@ -350,14 +333,16 @@ def _unit_differences(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
 
 
 class _Kernel:
-    """The four objectives for any block of anchor rows of one batch.
+    """The four objectives for a block of anchor rows of one batch.
 
     Built once per batch, it holds the row norms and unit rows of z and
     the batch's ``_Layout``: the same-label mask and the description
     classes.  ``_Layout.block`` cuts a slice of anchor rows with its
-    masks; SCL and HSMT evaluate all of the block's anchors at once from
-    (rows, B) similarity and distance matrices, and MI scores each anchor
-    against the (C, K) class descriptions.
+    masks: every row for ``joint_loss``, one row for the per-anchor
+    functions.  SCL and HSMT evaluate all of the block's anchors at once
+    from (rows, B) similarity and distance matrices, and MI scores each
+    anchor against the (C, K) class descriptions.  The transients of a
+    block grow as rows * B * max(d, K) floats.
 
     Mining and HM work on one (K, B) cosine block per active class of
     the block: a class whose anchors there have a positive and a
@@ -379,7 +364,7 @@ class _Kernel:
     views of the same methods, with classes of one anchor.
     """
 
-    def __init__(self, batch: Batch, layout: _Layout | None = None) -> None:
+    def __init__(self, batch: Batch, layout: _Layout) -> None:
         self.batch = batch
         z = batch.z
         self.norms = np.sqrt(np.einsum("ij,ij->i", z, z))
@@ -387,7 +372,7 @@ class _Kernel:
         # it first; the stand-in norm only keeps unused entries finite.
         self.safe_norms = np.where(self.norms == 0.0, 1.0, self.norms)
         self.z_hat = z / self.safe_norms[:, None]
-        self.layout = _Layout.of_batch(batch) if layout is None else layout
+        self.layout = layout
 
     def _require_nonzero(self, used: np.ndarray) -> None:
         bad = np.flatnonzero(used & (self.norms == 0.0))
@@ -396,21 +381,15 @@ class _Kernel:
                 f"batch sample {int(bad[0])} has zero norm; cosine is undefined"
             )
 
-    def require_scl_norms(self, active: np.ndarray) -> None:
-        """SCL takes every row's cosine with each active anchor: all must be nonzero."""
-        if active.any():
-            self._require_nonzero(np.ones(self.norms.size, dtype=bool))
-
     def scl(self, blk: _Block, tau: float) -> _Term:
-        """Masked log-softmax over the rows of the cosine matrix.
-
-        The caller has run ``require_scl_norms`` for these anchors.
-        """
+        """Masked log-softmax over the rows of the cosine matrix."""
         z = self.batch.z
         rows, pos = blk.rows, blk.pos
         active = self.layout.has_pos[rows]
         if not active.any():
             return _Term(np.zeros(active.size), np.zeros_like(z), ~active)
+        # an active anchor takes its cosine with every row: all must be nonzero
+        self._require_nonzero(np.ones(self.norms.size, dtype=bool))
         cos = (z[rows] @ z.T) / (self.norms[rows, None] * self.norms[None, :])
         cos = np.clip(cos, -1.0, 1.0)
         s = cos / tau
@@ -557,8 +536,8 @@ class _Kernel:
 def _one_row(batch: Batch, x: int) -> tuple[_Kernel, _Block]:
     """The kernel of ``batch`` and the one-row block of anchor x."""
     batch._check_index(x)
-    kernel = _Kernel(batch)
-    return kernel, kernel.layout.block(slice(x, x + 1))
+    layout = _Layout.of_batch(batch)
+    return _Kernel(batch, layout), layout.block(slice(x, x + 1))
 
 
 def _require_pair(batch: Batch, what: str) -> None:
@@ -603,7 +582,6 @@ def scl_loss(batch: Batch, x: int, tau: float) -> SclResult:
     _require_tau(tau)
     _require_pair(batch, "scl_loss")
     kernel, blk = _one_row(batch, x)
-    kernel.require_scl_norms(kernel.layout.has_pos[blk.rows])
     term = kernel.scl(blk, tau)
     return SclResult(float(term.values[0]), term.grad_z, bool(term.degenerate[0]))
 
@@ -693,11 +671,11 @@ class _PlanBatch(Batch):
     """A training batch whose inputs a ``_Plan`` validated, with its label layout.
 
     ``_Plan.batch`` builds it without ``Batch``'s checks and sets
-    ``hp`` (the plan's validated hyperparameters), ``layout`` and
-    ``block``, the one pass over every anchor that ``joint_loss`` runs.
+    ``layout`` and ``block``, the block of every anchor that
+    ``joint_loss`` evaluates; a whole-pool batch shares both across
+    epochs.
     """
 
-    hp: HyperParams
     layout: _Layout
     block: _Block
 
@@ -706,14 +684,14 @@ class _Plan:
     """One training pool's loss inputs, validated once, and the batches built on them.
 
     Holds the pool's (R, K, d) description table, each sample's row in
-    it, the table's (R, K) description norms and the validated
-    hyperparameters.  A table row is one relation's block, so a batch's
-    description classes are its relations in order of first appearance:
-    what ``_Layout.of_batch`` finds for such blocks, without comparing
-    them.  A pool that trains as one full batch (the same rows in the
-    same order every epoch) has its layout built once.  Neither the plan
-    nor a layout refers to a batch or a kernel, so the per-pool state
-    goes as soon as the caller drops the plan.
+    it and the table's (R, K) description norms; the hyperparameters are
+    checked before training starts.  A table row is one relation's block,
+    so a batch's description classes are its relations in order of first
+    appearance: what ``_Layout.of_batch`` finds for such blocks, without
+    comparing them.  A pool that trains as one full batch (the same rows
+    in the same order every epoch) has its layout built once.  Neither
+    the plan nor a layout refers to a batch or a kernel, so the per-pool
+    state goes as soon as the caller drops the plan.
     """
 
     def __init__(
@@ -724,12 +702,9 @@ class _Plan:
         embed_dim: int,
         hp: HyperParams,
     ) -> None:
-        self.hp = hp.validate()
+        hp.validate()
         table = np.asarray(table, dtype=np.float64)
-        if table.shape[2] != embed_dim:
-            raise ValueError(f"description dim {table.shape[2]} != embedding dim {embed_dim}")
-        if not np.all(np.isfinite(table)):
-            raise ValueError("descriptions contain non-finite entries")
+        _check_descriptions(table, embed_dim)
         self.table = table
         self.norms = np.sqrt(np.einsum("rkd,rkd->rk", table, table))
         self.row_of = row_of
@@ -740,36 +715,30 @@ class _Plan:
         """The pool rows ``idx`` with their embeddings z = tanh(...) of validated inputs."""
         rows = self.row_of[idx]
         descriptions = self.table[rows]
-        if idx.size < self.labels.size:
-            layout = self._layout(rows, descriptions)
-            block = layout.block(slice(0, idx.size))
-        else:  # the whole pool, which trains as the same batch every epoch
-            if self._whole is None or not np.array_equal(self._whole[0], idx):
-                layout = self._layout(rows, descriptions)
-                self._whole = (idx.copy(), layout, layout.block(slice(0, idx.size)))
-            _, layout, block = self._whole
+        whole = self._whole
+        if whole is None or not np.array_equal(whole[0], idx):
+            same = rows[:, None] == rows[None, :]
+            layout = _Layout(same, np.argmax(same, axis=1), descriptions, self.norms[rows])
+            whole = (idx.copy(), layout, layout.block(slice(0, idx.size)))
+            if idx.size == self.labels.size:  # the whole pool trains as the same batch every epoch
+                self._whole = whole
         batch = object.__new__(_PlanBatch)  # z is finite, and the rest was checked here
         batch.z, batch.labels, batch.descriptions = z, self.labels[idx], descriptions
-        batch.hp, batch.layout, batch.block = self.hp, layout, block
+        _, batch.layout, batch.block = whole
         return batch
-
-    def _layout(self, rows: np.ndarray, descriptions: np.ndarray) -> _Layout:
-        same = rows[:, None] == rows[None, :]
-        return _Layout(same, np.argmax(same, axis=1), descriptions, self.norms[rows])
 
 
 def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResult:
     """Batch-mean of the beta-weighted sum of all four objectives.
 
-    A batch from a training ``_Plan`` is evaluated in one pass.  Any
-    other batch is validated and tiled into blocks of
-    ``BLOCK_ENTRIES // (B * max(d, K))`` anchor rows (at least one).
-    Linear in each beta; terms with beta == 0 are skipped entirely, so
-    disabling a loss also disables its degenerate-input flags.
+    Every anchor is evaluated in one kernel pass, whose transients grow
+    as B^2 * max(d, K) floats (training batches hold at most 64 rows); a
+    ``_Plan`` batch brings its label layout, any other batch has it built
+    here.  ``hp`` is validated on every call.  Linear in each beta;
+    terms with beta == 0 are skipped entirely, so disabling a loss also
+    disables its degenerate-input flags.
     """
-    planned = isinstance(batch, _PlanBatch)
-    if not (planned and hp is batch.hp):
-        hp.validate()
+    hp.validate()
     b = batch.size
     w_matrix = np.asarray(w_matrix, dtype=np.float64)
     if hp.beta_sc != 0.0:
@@ -778,44 +747,37 @@ def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResu
         _require_pair(batch, "hsmt_loss")
     if hp.beta_mi != 0.0:
         _as_bilinear(w_matrix, batch.embed_dim)
-    if planned:
-        kernel = _Kernel(batch, batch.layout)
-        blocks = [batch.block]
+    if isinstance(batch, _PlanBatch):
+        layout, blk = batch.layout, batch.block
     else:
-        kernel = _Kernel(batch)
-        step = max(1, BLOCK_ENTRIES // (b * max(batch.embed_dim, batch.k_desc)))
-        blocks = (
-            kernel.layout.block(slice(start, min(start + step, b)))
-            for start in range(0, b, step)
-        )
-    if hp.beta_sc != 0.0:
-        kernel.require_scl_norms(kernel.layout.has_pos)
+        layout = _Layout.of_batch(batch)
+        blk = layout.block(slice(0, b))
+    kernel = _Kernel(batch, layout)
     total = 0.0
     grad_z = np.zeros_like(batch.z)
     grad_w = np.zeros_like(w_matrix)
     no_positive = 0
     no_pair = 0
     clamped = 0
-    for blk in blocks:
-        terms = []
-        if hp.beta_sc != 0.0:
-            term = kernel.scl(blk, hp.tau)
-            no_positive += int(np.count_nonzero(term.degenerate))
-            terms.append((hp.beta_sc, term))
-        if hp.beta_st != 0.0:
-            term = kernel.hsmt(blk)
-            no_pair += int(np.count_nonzero(term.degenerate))
-            clamped += int(np.count_nonzero(term.clamped))
-            terms.append((hp.beta_st, term))
-        if hp.beta_hm != 0.0:
-            terms.append((hp.beta_hm, kernel.hm(blk, hp.margin)))
-        if hp.beta_mi != 0.0:
-            term = kernel.mi(blk, w_matrix, hp.tau)
-            grad_w += hp.beta_mi * term.grad_w
-            terms.append((hp.beta_mi, term))
-        for beta, term in terms:
-            total += beta * float(np.sum(term.values))
-            grad_z += beta * term.grad_z
+    terms = []
+    if hp.beta_sc != 0.0:
+        term = kernel.scl(blk, hp.tau)
+        no_positive = int(np.count_nonzero(term.degenerate))
+        terms.append((hp.beta_sc, term))
+    if hp.beta_st != 0.0:
+        term = kernel.hsmt(blk)
+        no_pair = int(np.count_nonzero(term.degenerate))
+        clamped = int(np.count_nonzero(term.clamped))
+        terms.append((hp.beta_st, term))
+    if hp.beta_hm != 0.0:
+        terms.append((hp.beta_hm, kernel.hm(blk, hp.margin)))
+    if hp.beta_mi != 0.0:
+        term = kernel.mi(blk, w_matrix, hp.tau)
+        grad_w += hp.beta_mi * term.grad_w
+        terms.append((hp.beta_mi, term))
+    for beta, term in terms:
+        total += beta * float(np.sum(term.values))
+        grad_z += beta * term.grad_z
     scale = 1.0 / b
     return JointResult(
         value=total * scale,

@@ -348,6 +348,22 @@ class TestReportCommand:
         assert main(["report", str(tmp_path / "nothing")]) == 2
         assert "metrics.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("task,head,acc_avg,acc_per_task_1,drop\r\n1\r\n", "line 2: 1 cells, expected 5"),
+            (
+                "task,head,acc_avg,acc_per_task_x,drop\r\n1,ncm,1.0,1.0,0.0\r\n",
+                "line 1: column 'acc_per_task_x' is not acc_per_task_<task>",
+            ),
+        ],
+    )
+    def test_malformed_metrics_exits_2_naming_file_and_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
 
 class TestArtifactWrites:
     def test_run_failing_in_task_two_leaves_whole_files(self, tmp_path, monkeypatch):

@@ -613,25 +613,6 @@ class TestCheckpoint:
 class TestTrainingPlan:
     """``_train`` trains each pool from one validated plan."""
 
-    def run_stream(self, hp):
-        """Task 1 trains as minibatches (75 rows), task 2 as one full batch plus memory."""
-        rng = np.random.default_rng(8)
-        state = fresh_state(hp=hp)
-        outputs = []
-        for index, rels, shots in ((1, [0, 1, 2], 25), (2, [3, 4], 12)):
-            task = make_task(index, rels, rng, shots=shots)
-            run_task(state, task, make_descriptions(rels, 4, k_desc=3), hp)
-            outputs.append(json.dumps(continual.checkpoint_dict(state), sort_keys=True))
-        outputs.append(state.report.to_csv(n_tasks=2))
-        return outputs
-
-    def test_artifacts_do_not_depend_on_the_block_budget(self, monkeypatch):
-        runs = []
-        for budget in (1, losses.BLOCK_ENTRIES, 10**7):
-            monkeypatch.setattr(losses, "BLOCK_ENTRIES", budget)
-            runs.append(self.run_stream(HP))
-        assert runs[0] == runs[1] == runs[2]
-
     def test_pool_state_is_freed_without_the_cycle_collector(self, monkeypatch):
         layouts = []
         real = continual.joint_loss

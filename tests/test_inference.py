@@ -542,8 +542,30 @@ class TestMetricsReport:
 
     def test_from_csv_rejects_unknown_head(self):
         text = self.make_report().to_csv().replace(",dri,", ",knn,")
-        with pytest.raises(ValueError, match="unknown head 'knn'"):
+        with pytest.raises(ValueError, match="^line 3: unknown head 'knn';"):
             MetricsReport.from_csv(text)
+
+    HEADER = "task,head,acc_avg,acc_per_task_1,drop\r\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (HEADER + "1\r\n", "line 2: 1 cells, expected 5"),
+            (HEADER + "1,ncm,1.0,1.0,0.0\r\n2,ncm,1.0,1.0,0.0,0.0\r\n", "line 3: 6 cells, expected 5"),
+            (HEADER + "x,ncm,1.0,1.0,0.0\r\n", "line 2: invalid literal for int() with base 10: 'x'"),
+            (HEADER + "1.5,ncm,1.0,1.0,0.0\r\n", "line 2: invalid literal for int() with base 10: '1.5'"),
+            (HEADER + "1,ncm,abc,1.0,0.0\r\n", "line 2: could not convert string to float: 'abc'"),
+            # the blank line 3 still counts
+            (HEADER + "1,ncm,1.0,1.0,0.0\r\n\r\n2,ncm,1.0,?,0.0\r\n", "line 4: could not convert string to float: '?'"),
+            ("task,head,acc_avg,acc_per_task_x,drop\r\n", "line 1: column 'acc_per_task_x' is not acc_per_task_<task>"),
+            ("task,head,acc_avg,acc_per_task_,drop\r\n", "line 1: column 'acc_per_task_' is not acc_per_task_<task>"),
+            ("task,head,acc_avg,score_1,drop\r\n", "line 1: column 'score_1' is not acc_per_task_<task>"),
+        ],
+    )
+    def test_from_csv_names_the_malformed_line(self, text, message):
+        with pytest.raises(ValueError) as err:
+            MetricsReport.from_csv(text)
+        assert str(err.value) == message
 
     def test_csv_header_and_line_endings(self):
         text = self.make_report().to_csv()

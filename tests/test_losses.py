@@ -660,14 +660,14 @@ def tied_farthest_batch():
 
 
 def farthest_positive_batch(rng, same_pass):
-    """B=64 at d=16 (four 16-row passes) built around label 0's farthest positive.
+    """B=64 at d=16 built around label 0's farthest positive.
 
     Label 0 holds samples 0-3 next to its description d and one more at
     cosine distance 0.4 from d, its farthest positive, with a negative
     (sample 7) at 0.3: hard for every anchor of label 0 but the farthest
     one, and inside the 0.5 margin, so HM counts it.  The farthest
-    positive is sample 5, an anchor of the same pass as 0-3, or 50, an
-    anchor of the fourth pass.
+    positive is sample 5, next to 0-3, or 50, far from them in the
+    batch order.
     """
     far = 5 if same_pass else 50
     labels = rng.integers(1, 6, size=64)
@@ -734,32 +734,35 @@ def assert_close(actual, expected):
     np.testing.assert_allclose(actual, expected, rtol=1e-10, atol=1e-13)
 
 
+def plan_batch_64(rng):
+    """A 64-row training batch over 8 relations from a ``_Plan``, at d=16 and K=7."""
+    rows = rng.integers(0, 8, size=64)
+    return plan_for(rng.normal(size=(8, 7, 16)), rows, HyperParams()).batch(np.arange(64), embedded(rng, 64, 16))
+
+
 class TestKernelBlocks:
     @pytest.mark.parametrize(
-        "size, embed_dim, k_desc, blocks",
+        "make",
         [
-            (32, 16, 7, [(0, 32)]),
-            (64, 16, 7, [(0, 16), (16, 32), (32, 48), (48, 64)]),
-            (64, 4, 7, [(0, 36), (36, 64)]),  # K > d sets the row width
-            (20, 1024, 1, [(i, i + 1) for i in range(20)]),  # one row per pass at least
+            lambda rng: random_batch(rng, size=32, embed_dim=16, k_desc=7, n_relations=4),
+            lambda rng: random_batch(rng, size=64, embed_dim=16, k_desc=7, n_relations=4),
+            lambda rng: random_batch(rng, size=64, embed_dim=4, k_desc=7, n_relations=4),  # K > d
+            lambda rng: random_batch(rng, size=20, embed_dim=1024, k_desc=1, n_relations=4),
+            plan_batch_64,
+            lambda rng: plain_twin(plan_batch_64(rng)),
         ],
+        ids=["32-16-7", "64-16-7", "64-4-7", "20-1024-1", "plan-64", "plain-twin-64"],
     )
-    def test_rows_per_pass_follow_the_entry_budget(self, size, embed_dim, k_desc, blocks):
-        rng = np.random.default_rng(5)
-        batch = random_batch(rng, size=size, embed_dim=embed_dim, k_desc=k_desc, n_relations=4)
-        assert kernel_blocks(batch) == blocks
-
-    def test_oracle_cases_span_one_and_several_passes(self):
-        passes = [(batch.size, len(kernel_blocks(batch))) for batch in kernel_oracle_cases()]
-        assert any(n > 1 for _, n in passes)
-        assert any(size > 16 and n == 1 for size, n in passes)
+    def test_every_batch_is_one_pass(self, make):
+        batch = make(np.random.default_rng(5))
+        assert kernel_blocks(batch) == [(0, batch.size)]
 
 
 class TestDescriptionClasses:
     def test_labels_sharing_descriptions_form_one_class_each(self):
         rng = np.random.default_rng(1)
         batch = random_batch(rng, size=12, k_desc=3, n_relations=3)
-        layout = losses._Kernel(batch).layout
+        layout = losses._Layout.of_batch(batch)
         first = [int(np.flatnonzero(batch.labels == label)[0]) for label in (0, 1, 2)]
         assert list(layout.leads) == sorted(first)
         assert np.array_equal(layout.leads[layout.class_of], [first[l] for l in batch.labels])
@@ -768,7 +771,7 @@ class TestDescriptionClasses:
     def test_one_differing_block_makes_every_sample_its_own_class(self):
         rng = np.random.default_rng(1)
         batch = perturbed_copy(random_batch(rng, size=12, k_desc=3, n_relations=3), rng)
-        layout = losses._Kernel(batch).layout
+        layout = losses._Layout.of_batch(batch)
         assert np.array_equal(layout.leads, np.arange(12))
         assert np.array_equal(layout.class_of, np.arange(12))
 
@@ -776,7 +779,7 @@ class TestDescriptionClasses:
         rng = np.random.default_rng(2)
         for same_pass, far in ((True, 5), (False, 50)):
             batch = farthest_positive_batch(rng, same_pass)
-            assert len(kernel_blocks(batch)) == 4
+            assert kernel_blocks(batch) == [(0, 64)]
             dist = np.array([1.0 - cosine(batch.descriptions[0, 0], z) for z in batch.z])
             label0 = np.flatnonzero(batch.labels == 0)
             assert label0[np.argmax(dist[label0])] == far
@@ -977,22 +980,11 @@ def plain_twin(batch):
     return Batch(z=batch.z.copy(), labels=batch.labels.copy(), descriptions=batch.descriptions.copy())
 
 
-def assert_same_result(got, expected, exact):
+def assert_same_result(got, expected):
     assert got[3:] == expected[3:]  # the degenerate-input counters
-    if exact:
-        assert got.value == expected.value
-        assert np.array_equal(got.grad_z, expected.grad_z)
-        assert np.array_equal(got.grad_w, expected.grad_w)
-    else:
-        np.testing.assert_allclose(got.value, expected.value, rtol=1e-12)
-        np.testing.assert_allclose(got.grad_z, expected.grad_z, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(got.grad_w, expected.grad_w, rtol=1e-12, atol=1e-15)
-
-
-def one_pass(batch):
-    """Whether ``joint_loss`` tiles this plain batch into a single pass."""
-    step = losses.BLOCK_ENTRIES // (batch.size * max(batch.embed_dim, batch.k_desc))
-    return step >= batch.size
+    assert got.value == expected.value
+    assert np.array_equal(got.grad_z, expected.grad_z)
+    assert np.array_equal(got.grad_w, expected.grad_w)
 
 
 @st.composite
@@ -1037,7 +1029,7 @@ class TestTrainingPlan:
             layouts.append(batch.layout)
             twin = plain_twin(batch)
             assert np.array_equal(twin.descriptions, table[pool[idx]])
-            assert_same_result(joint_loss(batch, hp, w), joint_loss(twin, hp, w), one_pass(twin))
+            assert_same_result(joint_loss(batch, hp, w), joint_loss(twin, hp, w))
         whole = idx.size == pool.size
         assert (layouts[0] is layouts[1] is layouts[2]) == whole
 
@@ -1048,7 +1040,7 @@ class TestTrainingPlan:
         plan = plan_for(rng.normal(size=(4, 3, 4)), rows, hp)
         for idx in (np.arange(20), rng.permutation(20), rng.permutation(20)):
             batch = plan.batch(idx, embedded(rng, 20, 4))
-            assert_same_result(joint_loss(batch, hp, np.eye(4)), joint_loss(plain_twin(batch), hp, np.eye(4)), True)
+            assert_same_result(joint_loss(batch, hp, np.eye(4)), joint_loss(plain_twin(batch), hp, np.eye(4)))
 
     @pytest.mark.parametrize(
         "rows",
@@ -1065,16 +1057,7 @@ class TestTrainingPlan:
         for hp in PLAN_HPS:
             plan = plan_for(table, rows, hp)
             batch = plan.batch(np.arange(len(rows)), embedded(rng, len(rows), 4, [(0, 2)]))
-            assert_same_result(joint_loss(batch, hp, np.eye(4)), joint_loss(plain_twin(batch), hp, np.eye(4)), True)
-
-    def test_a_plan_batch_is_one_pass_whatever_the_budget(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        rows = rng.integers(0, 8, size=64)
-        plan = plan_for(rng.normal(size=(8, 7, 16)), rows, HyperParams())
-        batch = plan.batch(np.arange(64), embedded(rng, 64, 16))
-        monkeypatch.setattr(losses, "BLOCK_ENTRIES", 1)
-        assert kernel_blocks(batch) == [(0, 64)]
-        assert len(kernel_blocks(plain_twin(batch))) == 64
+            assert_same_result(joint_loss(batch, hp, np.eye(4)), joint_loss(plain_twin(batch), hp, np.eye(4)))
 
     def test_checks_run_once_with_the_plain_batch_messages(self):
         table = np.ones((2, 3, 4))

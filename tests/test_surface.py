@@ -1,0 +1,131 @@
+"""The public surface of the ``fcre`` modules, pinned.
+
+A public name is a top-level ``def``, ``class`` or assignment target
+without a leading underscore, ``logger`` excluded, in every module but
+``__init__`` and ``__main__``.  Adding or deleting one changes this list
+and the count that ROADMAP tracks as the package's public symbols.
+"""
+
+import ast
+from pathlib import Path
+
+import fcre
+
+PUBLIC = [
+    "cli.DEFAULT_SEEDS",
+    "cli.EncoderConfig",
+    "cli.ExperimentConfig",
+    "cli.cmd_generate",
+    "cli.cmd_report",
+    "cli.cmd_run",
+    "cli.config_from_dict",
+    "cli.config_to_dict",
+    "cli.load_config",
+    "cli.main",
+    "cli.run_id",
+    "cli.run_single_seed",
+    "continual.ContinualState",
+    "continual.DESCRIPTION_SOURCES",
+    "continual.MemoryBuffer",
+    "continual.ProtocolError",
+    "continual.Prototypes",
+    "continual.Task",
+    "continual.TaskStream",
+    "continual.build_prototypes",
+    "continual.check_description_source",
+    "continual.checkpoint_dict",
+    "continual.init_state",
+    "continual.read_checkpoint",
+    "continual.run_task",
+    "continual.select_memory",
+    "continual.write_checkpoint",
+    "datagen.DatasetFormatError",
+    "datagen.GenerationError",
+    "datagen.SyntheticSpec",
+    "datagen.generate_stream",
+    "datagen.ingest_dataset",
+    "datagen.sample_separated_centers",
+    "datagen.write_dataset",
+    "descriptions.DescriptionFormatError",
+    "descriptions.DescriptionSet",
+    "descriptions.ingest_descriptions",
+    "descriptions.synth_descriptions",
+    "encoder.Activations",
+    "encoder.AdamState",
+    "encoder.BilinearForm",
+    "encoder.EncoderParams",
+    "encoder.backward",
+    "encoder.encode",
+    "encoder.encode_backward",
+    "encoder.encode_batch",
+    "encoder.floats_from_b64",
+    "encoder.floats_to_b64",
+    "encoder.forward",
+    "encoder.init_adam",
+    "encoder.init_bilinear",
+    "encoder.init_encoder",
+    "encoder.params_from_json_dict",
+    "encoder.params_to_json_dict",
+    "encoder.step",
+    "formats.json_floats",
+    "formats.write_atomic",
+    "geometry.Ranking",
+    "geometry.as_embedding",
+    "geometry.cosine",
+    "geometry.euclidean",
+    "geometry.rank_scores",
+    "geometry.row_dots",
+    "geometry.unit_normalize",
+    "geometry.unit_rows",
+    "inference.EVAL_BLOCK_ENTRIES",
+    "inference.HEADS",
+    "inference.MetricsReport",
+    "inference.TaskAccuracy",
+    "inference.check_heads",
+    "inference.description_cosine_scores",
+    "inference.dri_predict",
+    "inference.dri_predict_from_scores",
+    "inference.dri_score",
+    "inference.euclidean_scores",
+    "inference.evaluate",
+    "inference.fuse_ranked_scores",
+    "inference.ncm_predict",
+    "losses.Batch",
+    "losses.HSMT_FLOOR",
+    "losses.HmResult",
+    "losses.HsmtResult",
+    "losses.HyperParams",
+    "losses.JointResult",
+    "losses.MiResult",
+    "losses.MiningSets",
+    "losses.SclResult",
+    "losses.hm_loss",
+    "losses.hsmt_loss",
+    "losses.joint_loss",
+    "losses.mi_loss",
+    "losses.mine_hard",
+    "losses.scl_loss",
+]
+
+
+def public_names(source: str) -> list[str]:
+    """Public top-level names of one module's source, in order of definition."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if not name.startswith("_") and name != "logger"]
+
+
+def test_public_names_are_the_pinned_list():
+    found = set()
+    for path in Path(fcre.__file__).parent.glob("*.py"):
+        if path.stem not in ("__init__", "__main__"):
+            found.update(f"{path.stem}.{name}" for name in public_names(path.read_text(encoding="utf-8")))
+    assert sorted(found) == PUBLIC
+    assert len(PUBLIC) == 93
+
