@@ -15,7 +15,9 @@ processes (default: serial).
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import logging
 import math
@@ -29,7 +31,7 @@ import numpy as np
 from fcre.continual import check_description_source, init_state, run_task, write_checkpoint
 from fcre.datagen import SyntheticSpec, generate_stream, ingest_dataset, write_dataset
 from fcre.descriptions import ingest_descriptions, synth_descriptions
-from fcre.formats import write_atomic
+from fcre.formats import checked, read_json, write_atomic
 from fcre.geometry import unit_rows
 from fcre.inference import HEADS, MetricsReport, check_heads
 from fcre.losses import HyperParams
@@ -118,61 +120,49 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
-def _take_section(obj: dict, name: str, allowed: set[str]) -> dict:
-    section = obj.get(name, {})
-    if not isinstance(section, dict):
-        raise ValueError(f"config section {name!r} must be an object")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ValueError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    return section
+def _checked(value, default, key: str):
+    """``value`` if its JSON type is that of ``default``; a ``ValueError`` names ``key`` otherwise.
+
+    Unknown keys are errors, a list's entries take its first default's
+    type, and a field whose default is None takes a string or null.
+    """
+    if isinstance(default, dict):
+        value = checked(value, dict, f"config section {key!r}" if key else "config")
+        unknown = set(value) - set(default)
+        if unknown:
+            where = f"keys in config section {key!r}" if key else "top-level config keys"
+            raise ValueError(f"unknown {where}: {sorted(unknown)}")
+        return {k: _checked(v, default[k], f"{key}.{k}" if key else k) for k, v in value.items()}
+    if isinstance(default, list):
+        return checked(value, [type(default[0])], key)
+    if default is None and value is None:
+        return None
+    return checked(value, str if default is None else type(default), key)
 
 
-def config_from_dict(obj: dict) -> ExperimentConfig:
-    """Build a config from parsed JSON; unknown keys are rejected."""
-    if not isinstance(obj, dict):
-        raise ValueError("config must be a JSON object")
-    top_allowed = {
-        "data", "encoder", "hyperparams", "seeds", "heads",
-        "description_source", "description_spread", "out_dir",
-    }
-    unknown = set(obj) - top_allowed
-    if unknown:
-        raise ValueError(f"unknown top-level config keys: {sorted(unknown)}")
-    data = _take_section(obj, "data", {"mode", "synthetic", "dataset_path", "descriptions_path"})
-    synth_fields = set(SyntheticSpec.__dataclass_fields__)
-    synth_section = data.get("synthetic", {})
-    if not isinstance(synth_section, dict):
-        raise ValueError("config section 'data.synthetic' must be an object")
-    unknown = set(synth_section) - synth_fields
-    if unknown:
-        raise ValueError(f"unknown keys in config section 'data.synthetic': {sorted(unknown)}")
-    enc_section = _take_section(obj, "encoder", set(EncoderConfig.__dataclass_fields__))
-    hyper_section = _take_section(obj, "hyperparams", set(HyperParams.__dataclass_fields__))
+def config_from_dict(obj) -> ExperimentConfig:
+    """Build a config from parsed JSON; unknown keys and wrong JSON types are rejected."""
     defaults = ExperimentConfig()
+    obj = _checked(obj, config_to_dict(defaults), "")
+    data = obj.get("data", {})
     config = ExperimentConfig(
         data_mode=data.get("mode", defaults.data_mode),
-        synthetic=replace(defaults.synthetic, **synth_section),
+        synthetic=replace(defaults.synthetic, **data.get("synthetic", {})),
         dataset_path=data.get("dataset_path"),
         descriptions_path=data.get("descriptions_path"),
-        encoder=replace(defaults.encoder, **enc_section),
-        hyper=replace(defaults.hyper, **hyper_section),
-        seeds=tuple(int(s) for s in obj.get("seeds", defaults.seeds)),
+        encoder=replace(defaults.encoder, **obj.get("encoder", {})),
+        hyper=replace(defaults.hyper, **obj.get("hyperparams", {})),
+        seeds=tuple(obj.get("seeds", defaults.seeds)),
         heads=tuple(obj.get("heads", defaults.heads)),
         description_source=obj.get("description_source", defaults.description_source),
-        description_spread=float(obj.get("description_spread", defaults.description_spread)),
-        out_dir=str(obj.get("out_dir", defaults.out_dir)),
+        description_spread=obj.get("description_spread", defaults.description_spread),
+        out_dir=obj.get("out_dir", defaults.out_dir),
     )
     return config.validate()
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
-    return config_from_dict(obj)
+    return config_from_dict(read_json(path))
 
 
 def run_id(config: ExperimentConfig, seed: int) -> str:
@@ -384,17 +374,17 @@ def cmd_report(run_dirs: list[str], out: str | None) -> int:
             cells.setdefault((row.task_index, row.head), []).append(row.acc_avg)
     heads = sorted({head for _, head in cells})
     tasks = sorted({task for task, _ in cells})
-    lines = [["task", "head", "mean_acc_avg", "std_acc_avg", "n_runs"]]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["task", "head", "mean_acc_avg", "std_acc_avg", "n_runs"])
     for task in tasks:
         for head in heads:
             values = cells.get((task, head))
-            if not values:
-                continue
-            mean = sum(values) / len(values)
-            lines.append([str(task), head, repr(mean), repr(_sample_std(values)), str(len(values))])
-    rendered = "\r\n".join(",".join(row) for row in lines) + "\r\n"
+            if values:
+                mean = sum(values) / len(values)
+                writer.writerow([task, head, repr(mean), repr(_sample_std(values)), len(values)])
     if out:
-        write_atomic(out, rendered)
+        write_atomic(out, buf.getvalue())
         print(f"wrote {out}")
     print(f"aggregated {len(reports)} run(s):")
     for head in heads:

@@ -24,8 +24,9 @@ is one (n, f) feature matrix with an (n,) relation-id vector, in
 insertion order, and is append-only: once a relation's representatives
 are chosen they are never replaced.  The prototypes are one (R, d)
 matrix over ascending relation ids, which ``evaluate`` reads as it is.
-A checkpoint groups the memory rows by relation with one stable sort
-and lists the relations in order of first appearance.
+This module owns the checkpoint schema, its encoder block included.  A
+checkpoint groups the memory rows by relation with one stable sort and
+lists the relations in order of first appearance.
 
 Each training phase (steps 2 and 4) validates its pool once: the
 features, the hyperparameters and the pool's (R, K, d) description
@@ -60,16 +61,12 @@ from fcre.encoder import (
     _feature_rows,
     backward,
     encode_batch,
-    floats_from_b64,
-    floats_to_b64,
     init_adam,
     init_bilinear,
     init_encoder,
-    params_from_json_dict,
-    params_to_json_dict,
     step,
 )
-from fcre.formats import write_atomic
+from fcre.formats import _floats_from_b64, _floats_to_b64, checked, read_json, write_atomic
 from fcre.geometry import row_dots
 from fcre.inference import HEADS, MetricsReport, check_heads, evaluate
 from fcre.losses import Batch, HyperParams, _Plan, joint_loss
@@ -559,6 +556,16 @@ def run_task(
     return state
 
 
+# the JSON type of each checkpoint key; every ``data`` is a ``_floats_to_b64`` payload
+_CHECKPOINT = {
+    "task_index": int,
+    "relations": [int],
+    "encoder": {"feature_dim": int, "hidden_dim": int, "embed_dim": int, "data": str},
+    "bilinear": {"dim": int, "data": str},
+    "memory": [{"relation": int, "count": int, "feature_dim": int, "data": str}],
+}
+
+
 def checkpoint_dict(state: ContinualState) -> dict:
     """JSON-safe snapshot taken after the most recent completed task."""
     memory = state.memory
@@ -576,20 +583,26 @@ def checkpoint_dict(state: ContinualState) -> dict:
             (int(ordered[starts[g]]), grouped[bounds[g] : bounds[g + 1]])
             for g in np.argsort(order[starts])
         ]
+    encoder = state.encoder
     return {
         "task_index": len(state.completed_tasks),
         "relations": list(state.seen_relations),
-        "encoder": params_to_json_dict(state.encoder),
+        "encoder": {
+            "feature_dim": encoder.feature_dim,
+            "hidden_dim": encoder.hidden_dim,
+            "embed_dim": encoder.embed_dim,
+            "data": _floats_to_b64(encoder.to_vector()),
+        },
         "bilinear": {
             "dim": state.bilinear.dim,
-            "data": floats_to_b64(state.bilinear.matrix.ravel()),
+            "data": _floats_to_b64(state.bilinear.matrix.ravel()),
         },
         "memory": [
             {
                 "relation": rel,
                 "count": int(block.shape[0]),
                 "feature_dim": int(block.shape[1]),
-                "data": floats_to_b64(block.ravel()),
+                "data": _floats_to_b64(block.ravel()),
             }
             for rel, block in blocks
         ],
@@ -606,26 +619,31 @@ def read_checkpoint(path) -> dict:
     """Load a checkpoint back into live objects.
 
     Returns a dict with keys: task_index, relations, encoder
-    (EncoderParams), bilinear (BilinearForm), memory (MemoryBuffer).
+    (EncoderParams), bilinear (BilinearForm), memory (MemoryBuffer).  A
+    missing key, a wrong JSON type or a bad payload raises ``ValueError``
+    naming the file and the key.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    encoder = params_from_json_dict(obj["encoder"])
-    dim = int(obj["bilinear"]["dim"])
-    bilinear = BilinearForm(
-        matrix=floats_from_b64(obj["bilinear"]["data"], dim * dim).reshape(dim, dim)
-    )
-    memory = MemoryBuffer(encoder.feature_dim)
-    for entry in obj["memory"]:
-        count = int(entry["count"])
-        fdim = int(entry["feature_dim"])
-        memory.append(
-            floats_from_b64(entry["data"], count * fdim).reshape(count, fdim),
-            np.full(count, entry["relation"], dtype=np.int64),
-        )
+    obj = read_json(path)
+    try:
+        checked(obj, _CHECKPOINT, "")
+        enc, bil = obj["encoder"], obj["bilinear"]
+        f, h, d = enc["feature_dim"], enc["hidden_dim"], enc["embed_dim"]
+        template = EncoderParams(np.zeros((h, f)), np.zeros(h), np.zeros((d, h)), np.zeros(d))
+        encoder = template.with_vector(_floats_from_b64(enc["data"], template.n_params, "encoder"))
+        n = bil["dim"]
+        bilinear = BilinearForm(_floats_from_b64(bil["data"], n * n, "bilinear").reshape(n, n))
+        memory = MemoryBuffer(f)
+        for i, entry in enumerate(obj["memory"]):
+            count, fdim = entry["count"], entry["feature_dim"]
+            memory.append(
+                _floats_from_b64(entry["data"], count * fdim, f"memory[{i}]").reshape(count, fdim),
+                np.full(count, entry["relation"], dtype=np.int64),
+            )
+    except (ValueError, ProtocolError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return {
-        "task_index": int(obj["task_index"]),
-        "relations": [int(r) for r in obj["relations"]],
+        "task_index": obj["task_index"],
+        "relations": obj["relations"],
         "encoder": encoder,
         "bilinear": bilinear,
         "memory": memory,

@@ -9,7 +9,8 @@ center + within_class_noise * gaussian, one draw per task, which takes
 the numbers in the order separate per-relation draws would.  Relation
 ids are dense: task t (1-based) owns ids (t-1)*n_way .. t*n_way - 1.
 
-Dataset files are JSONL, one sample per line:
+Dataset files are JSONL, one sample per line; this module owns their
+schema, and ``formats`` the line reader, the checks and the writer:
 
     {"task": 1, "relation": 0, "split": "train", "features": [...]}
 
@@ -21,17 +22,17 @@ must be JSON numbers: ``true`` or ``"0.5"`` is rejected with its line.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from fcre.continual import Task, TaskStream
-from fcre.formats import json_floats, write_atomic
+from fcre.formats import float_row, read_jsonl, write_jsonl
 from fcre.geometry import row_dots, unit_normalize
 
 _MAX_ATTEMPTS_PER_CENTER = 10_000
+_SCHEMA = {"task": int, "relation": int, "split": str, "features": list}
 
 
 class GenerationError(RuntimeError):
@@ -133,16 +134,15 @@ def generate_stream(spec: SyntheticSpec) -> tuple[TaskStream, dict[int, np.ndarr
 
 def write_dataset(stream: TaskStream, path) -> None:
     """Serialize a stream in canonical JSONL order, whole or not at all."""
-    lines = []
-    for task in stream.tasks:
+    records = (
+        {"task": task.index, "relation": label, "split": split, "features": row}
+        for task in stream.tasks
         for split, xs, ys in (
-            ("train", task.train_x, task.train_y),
-            ("test", task.test_x, task.test_y),
-        ):
-            for row, label in zip(xs.tolist(), ys.tolist()):
-                obj = {"task": task.index, "relation": label, "split": split, "features": row}
-                lines.append(json.dumps(obj, separators=(", ", ": ")) + "\n")
-    write_atomic(path, "".join(lines))
+            ("train", task.train_x, task.train_y), ("test", task.test_x, task.test_y)
+        )
+        for row, label in zip(xs.tolist(), ys.tolist())
+    )
+    write_jsonl(path, records)
 
 
 def ingest_dataset(path) -> TaskStream:
@@ -150,68 +150,26 @@ def ingest_dataset(path) -> TaskStream:
     rows: dict[int, dict[str, tuple[list[list[float]], list[int]]]] = {}
     relation_home: dict[int, int] = {}
     dim: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"line {lineno}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise DatasetFormatError(f"line {lineno}: expected a JSON object")
-            missing = {"task", "relation", "split", "features"} - set(obj)
-            if missing:
-                raise DatasetFormatError(
-                    f"line {lineno}: missing keys {sorted(missing)}"
-                )
-            task = obj["task"]
-            rel = obj["relation"]
-            split = obj["split"]
-            feats = obj["features"]
-            if not isinstance(task, int) or isinstance(task, bool) or task < 1:
-                raise DatasetFormatError(
-                    f"line {lineno}: task must be an integer >= 1, got {task!r}"
-                )
-            if not isinstance(rel, int) or isinstance(rel, bool) or rel < 0:
-                raise DatasetFormatError(
-                    f"line {lineno}: relation must be a non-negative integer, got {rel!r}"
-                )
-            if split not in ("train", "test"):
-                raise DatasetFormatError(
-                    f"line {lineno}: split must be 'train' or 'test', got {split!r}"
-                )
-            if not isinstance(feats, list) or not feats:
-                raise DatasetFormatError(
-                    f"line {lineno}: features must be a non-empty list"
-                )
-            try:
-                values = json_floats(feats)
-            except TypeError:
-                raise DatasetFormatError(
-                    f"line {lineno}: features contain non-numeric entries"
-                ) from None
-            if not all(math.isfinite(v) for v in values):
-                raise DatasetFormatError(
-                    f"line {lineno}: features contain non-finite entries"
-                )
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise DatasetFormatError(
-                    f"line {lineno}: features have dimension {len(values)}, "
-                    f"expected {dim}"
-                )
-            if rel in relation_home and relation_home[rel] != task:
-                raise DatasetFormatError(
-                    f"line {lineno}: relation {rel} appears in both task "
-                    f"{relation_home[rel]} and task {task}"
-                )
-            relation_home[rel] = task
-            split_rows = rows.setdefault(task, {"train": ([], []), "test": ([], [])})
-            split_rows[split][0].append(values)
-            split_rows[split][1].append(rel)
+    for lineno, obj in read_jsonl(path, _SCHEMA, DatasetFormatError):
+        task, rel, split = obj["task"], obj["relation"], obj["split"]
+        if task < 1:
+            raise DatasetFormatError(f"line {lineno}: task must be an integer >= 1, got {task}")
+        if rel < 0:
+            raise DatasetFormatError(f"line {lineno}: relation must be an integer >= 0, got {rel}")
+        if split not in ("train", "test"):
+            raise DatasetFormatError(
+                f"line {lineno}: split must be 'train' or 'test', got {split!r}"
+            )
+        values = float_row(obj["features"], dim, f"line {lineno}: features", DatasetFormatError)
+        dim = len(values)
+        if relation_home.setdefault(rel, task) != task:
+            raise DatasetFormatError(
+                f"line {lineno}: relation {rel} appears in both task "
+                f"{relation_home[rel]} and task {task}"
+            )
+        split_rows = rows.setdefault(task, {"train": ([], []), "test": ([], [])})
+        split_rows[split][0].append(values)
+        split_rows[split][1].append(rel)
     if not rows:
         raise DatasetFormatError("dataset file is empty")
     indices = sorted(rows)

@@ -10,7 +10,8 @@ in one call and normalizes its rows with the bits of ``unit_normalize``.
 Description vectors are frozen inputs to training and inference --
 nothing in the package ever writes gradient into them.
 
-File format (JSONL, one relation per line):
+File format (JSONL, one relation per line); this module owns its
+schema, and ``formats`` the line reader, the checks and the writer:
 
     {"relation": 3, "vectors": [[0.1, ...], [0.2, ...]]}
 
@@ -20,15 +21,15 @@ numbers, so ``true`` or ``"0.5"`` is rejected.
 
 from __future__ import annotations
 
-import json
-import math
 import warnings
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from fcre.formats import json_floats, write_atomic
+from fcre.formats import float_row, read_jsonl, write_jsonl
 from fcre.geometry import unit_rows
+
+_SCHEMA = {"relation": int, "vectors": list}
 
 
 class DescriptionFormatError(ValueError):
@@ -164,16 +165,10 @@ class DescriptionSet:
             np.concatenate([self._means, other._means])[order],
         )
 
-    def to_jsonl(self) -> str:
-        """Canonical serialization: relations ascending, repr-exact floats."""
-        lines = [
-            json.dumps({"relation": rel, "vectors": block}, separators=(", ", ": "))
-            for rel, block in zip(self._relations, self._table.tolist())
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def write(self, path) -> None:
-        write_atomic(path, self.to_jsonl())
+        """Write the canonical JSONL form: relations ascending, repr-exact floats."""
+        blocks = zip(self._relations, self._table.tolist())
+        write_jsonl(path, ({"relation": rel, "vectors": block} for rel, block in blocks))
 
 
 def _check_block(
@@ -234,67 +229,25 @@ def ingest_descriptions(path, expected_dim: int | None = None) -> DescriptionSet
     vectors: dict[int, list[list[float]]] = {}
     k_desc: int | None = None
     dim: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DescriptionFormatError(f"line {lineno}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict) or "relation" not in obj or "vectors" not in obj:
-                raise DescriptionFormatError(
-                    f"line {lineno}: expected an object with 'relation' and 'vectors'"
-                )
-            rel = obj["relation"]
-            if not isinstance(rel, int) or isinstance(rel, bool):
-                raise DescriptionFormatError(
-                    f"line {lineno}: relation id must be an integer, got {rel!r}"
-                )
-            if rel in vectors:
-                raise DescriptionFormatError(f"line {lineno}: duplicate relation {rel}")
-            rows = obj["vectors"]
-            if not isinstance(rows, list) or not rows:
-                raise DescriptionFormatError(
-                    f"line {lineno}: 'vectors' must be a non-empty list of rows"
-                )
-            parsed_rows: list[list[float]] = []
-            for i, row in enumerate(rows):
-                if not isinstance(row, list) or not row:
-                    raise DescriptionFormatError(
-                        f"line {lineno}: vector {i} of relation {rel} is not a non-empty list"
-                    )
-                try:
-                    values = json_floats(row)
-                except TypeError:
-                    raise DescriptionFormatError(
-                        f"line {lineno}: vector {i} of relation {rel} has non-numeric entries"
-                    ) from None
-                if not all(math.isfinite(v) for v in values):
-                    raise DescriptionFormatError(
-                        f"line {lineno}: vector {i} of relation {rel} has non-finite entries"
-                    )
-                if dim is None:
-                    dim = len(values)
-                elif len(values) != dim:
-                    raise DescriptionFormatError(
-                        f"line {lineno}: vector {i} of relation {rel} has dimension "
-                        f"{len(values)}, expected {dim}"
-                    )
-                if all(v == 0.0 for v in values):
-                    raise DescriptionFormatError(
-                        f"line {lineno}: vector {i} of relation {rel} is the zero vector"
-                    )
-                parsed_rows.append(values)
-            if k_desc is None:
-                k_desc = len(parsed_rows)
-            elif len(parsed_rows) != k_desc:
-                raise DescriptionFormatError(
-                    f"line {lineno}: relation {rel} has {len(parsed_rows)} vectors, "
-                    f"expected {k_desc}"
-                )
-            vectors[rel] = parsed_rows
+    for lineno, obj in read_jsonl(path, _SCHEMA, DescriptionFormatError):
+        rel, rows = obj["relation"], obj["vectors"]
+        if rel in vectors:
+            raise DescriptionFormatError(f"line {lineno}: duplicate relation {rel}")
+        if not rows:
+            raise DescriptionFormatError(f"line {lineno}: 'vectors' must be a non-empty list")
+        block: list[list[float]] = []
+        for i, row in enumerate(rows):
+            name = f"line {lineno}: vector {i} of relation {rel}"
+            block.append(float_row(row, dim, name, DescriptionFormatError))
+            dim = len(block[-1])
+            if not any(map(float.__mul__, block[-1], block[-1])):  # the rule of ``_check_block``
+                raise DescriptionFormatError(f"{name} is a zero vector, or its squares underflow")
+        k_desc = k_desc or len(block)  # the first line sets K
+        if len(block) != k_desc:
+            raise DescriptionFormatError(
+                f"line {lineno}: relation {rel} has {len(block)} vectors, expected {k_desc}"
+            )
+        vectors[rel] = block
     if not vectors:
         raise DescriptionFormatError("description file is empty")
     if expected_dim is not None and dim != expected_dim:

@@ -12,12 +12,12 @@ through those activations to the gradient summed over the rows, as
 matrix products (dW1 = dH_pre^T X, db1 = sum of the rows of dH_pre, ...).
 A training step runs each once, on pool rows validated once per pool.
 ``encode_batch`` is the one-shot forward, and ``encode`` and
-``encode_backward`` are one-row views.
+``encode_backward`` are one-row views.  No serialization lives here:
+``continual`` owns the checkpoint format, its encoder block included.
 """
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -291,39 +291,3 @@ def step(opt: AdamState, params: np.ndarray, grads: np.ndarray) -> tuple[np.ndar
     new_params = params - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)
     new_state = replace(opt, step_count=t, m=m, v=v)
     return new_params, new_state
-
-
-def floats_to_b64(arr: np.ndarray) -> str:
-    """Base64 of the little-endian float64 bytes; exact round-trip."""
-    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
-
-
-def floats_from_b64(payload: str, n: int) -> np.ndarray:
-    raw = base64.b64decode(payload.encode("ascii"))
-    arr = np.frombuffer(raw, dtype="<f8")
-    if arr.size != n:
-        raise ValueError(f"payload holds {arr.size} floats, expected {n}")
-    return arr.astype(np.float64)
-
-
-def params_to_json_dict(params: EncoderParams) -> dict:
-    """JSON-safe snapshot: shape header plus base64 float64 payload."""
-    return {
-        "feature_dim": params.feature_dim,
-        "hidden_dim": params.hidden_dim,
-        "embed_dim": params.embed_dim,
-        "data": floats_to_b64(params.to_vector()),
-    }
-
-
-def params_from_json_dict(obj: dict) -> EncoderParams:
-    """Inverse of ``params_to_json_dict``; exact float64 round-trip."""
-    f = int(obj["feature_dim"])
-    h = int(obj["hidden_dim"])
-    d = int(obj["embed_dim"])
-    n = h * f + h + d * h + d
-    vec = floats_from_b64(obj["data"], n)
-    template = EncoderParams(
-        w1=np.zeros((h, f)), b1=np.zeros(h), w2=np.zeros((d, h)), b2=np.zeros(d)
-    )
-    return template.with_vector(vec)

@@ -1,13 +1,24 @@
-"""Whole-file writes for every artifact the package saves, and JSON numbers.
+"""The code every file format shares: writes, JSON and JSONL readers, checks, the float codec.
 
-A leaf module: it imports nothing from ``fcre``, so any module can route
-its file output, and its parsers' numeric entries, through it.
+Each schema lives beside the type it builds (the dataset in ``datagen``,
+descriptions in ``descriptions``, checkpoints in ``continual``, the
+config in ``cli``, ``metrics.csv`` in ``inference``); this module alone
+parses JSON and encodes base64.  A leaf: it imports nothing from ``fcre``.
 """
 
 from __future__ import annotations
 
+import base64
+import json
+import math
 import os
 from pathlib import Path
+from typing import Iterable, Iterator
+
+import numpy as np
+
+_KINDS = {int: "an integer", float: "a finite numeric value", str: "a string",
+          list: "a list", dict: "an object"}
 
 
 def write_atomic(path, text: str) -> None:
@@ -30,20 +41,100 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def json_floats(entries: list) -> list[float]:
-    """The entries of a parsed JSON array as floats (the list itself if it holds only floats).
+def write_jsonl(path, records: Iterable[dict]) -> None:
+    """Write one JSON object per line, whole or not at all, in the canonical form:
+    keys in record order, ``", "``/``": "`` separators, repr-exact floats."""
+    write_atomic(path, "".join([json.dumps(r, separators=(", ", ": ")) + "\n" for r in records]))
 
-    Raises ``TypeError`` unless every entry is a JSON number that a float
-    can hold.  ``json`` parses ``true`` and ``false`` to ``bool``, which
-    ``float`` would take as 1.0 and 0.0, and ``float`` also parses numeric
-    strings, so the type is checked first.
+
+def read_json(path):
+    """The parsed contents of a whole JSON file; text that is not JSON names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
+
+
+def read_jsonl(path, schema: dict, error: type[ValueError]) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line, 1-based, of a JSONL file.
+
+    A line that is not JSON or does not match ``schema`` (see ``checked``)
+    raises ``error`` with a message that starts with ``line N:``.
     """
-    types = set(map(type, entries))
-    if types == {float}:
-        return entries
-    if not types <= {float, int}:
-        raise TypeError("entries must be JSON numbers")
+    with open(path, "rb") as fh:  # bytes, so a line that is not UTF-8 is named too
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = checked(json.loads(line.decode("utf-8")), schema, "", error)
+            except error as exc:
+                raise error(f"line {lineno}: {exc}") from None
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise error(f"line {lineno}: invalid JSON: {exc}") from None
+            yield lineno, obj
+
+
+def checked(value, schema, name: str, error: type[ValueError] = ValueError):
+    """``value`` if it matches ``schema``; else ``error`` naming the first part that does not.
+
+    A schema is a JSON kind (int, float, str, list or dict), ``[s]`` for a
+    list of ``s``, or a dict of the keys an object must hold and their
+    schemas; parts are named ``name.key`` and ``name[i]``.  An int takes
+    no bool (``json`` parses ``true`` to one); a float must be finite and
+    takes an integer too, which a float schema returns as a float.
+    """
+    if isinstance(schema, dict):
+        checked(value, dict, name or "the record", error)
+        for key, part in schema.items():
+            child = f"{name}.{key}" if name else key
+            if key not in value:
+                raise error(f"missing key {child}")
+            checked(value[key], part, child, error)
+        return value
+    if isinstance(schema, list):
+        for i, entry in enumerate(checked(value, list, name, error)):
+            checked(entry, schema[0], f"{name}[{i}]", error)
+        return value
+    if type(value) is schema:
+        if schema is not float or math.isfinite(value):
+            return value
+    elif schema is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise error(f"{name} must be {_KINDS[schema]}, got {value!r}")
+
+
+def float_row(entries, length: int | None, name: str, error=ValueError) -> list[float]:
+    """A parsed JSON array as floats (the list itself if it holds only floats).
+
+    It must be a non-empty list of finite JSON numbers (see ``checked``),
+    of ``length`` entries unless that is None, or ``error`` names ``name``.
+    """
+    if type(entries) is not list or not entries:
+        raise error(f"{name} must be a non-empty list")
+    if set(map(type, entries)) != {float}:  # each entry checked, and named if it fails
+        entries = [checked(v, float, f"{name}[{i}]", error) for i, v in enumerate(entries)]
+    if not all(map(math.isfinite, entries)):
+        raise error(f"{name} has non-finite entries")
+    if length is not None and len(entries) != length:
+        raise error(f"{name} has dimension {len(entries)}, expected {length}")
+    return entries
+
+
+def _floats_to_b64(arr: np.ndarray) -> str:
+    """Base64 of the little-endian float64 bytes; exact round-trip."""
+    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _floats_from_b64(payload: str, n: int, name: str) -> np.ndarray:
+    """The ``n`` floats of the payload ``name.data``; ``ValueError`` naming it for any other."""
     try:
-        return [float(v) for v in entries]
-    except OverflowError:  # an integer beyond the float range
-        raise TypeError("entries must be JSON numbers a float can hold") from None
+        arr = np.frombuffer(base64.b64decode(payload.encode("ascii"), validate=True), dtype="<f8")
+        if arr.size != n:
+            raise ValueError(f"payload holds {arr.size} floats, expected {n}")
+    except ValueError as exc:  # not base64, not whole float64 values, or too few or many
+        raise ValueError(f"{name}.data: {exc}") from None
+    return arr.astype(np.float64)

@@ -203,7 +203,8 @@ class MetricsReport:
 
     @classmethod
     def from_csv(cls, text: str) -> "MetricsReport":
-        """Parse ``to_csv`` output; a malformed line raises ``ValueError`` naming it (1-based)."""
+        """Parse ``to_csv`` output; a malformed line raises ``ValueError`` naming it (1-based),
+        as do an accuracy outside [0, 1], a non-finite drop and a second (task, head) row."""
         reader = csv.reader(io.StringIO(text))
         try:
             header = next(reader)
@@ -216,6 +217,7 @@ class MetricsReport:
             if task == col or not task.isdecimal():
                 raise ValueError(f"line 1: column {col!r} is not acc_per_task_<task>")
         report = cls()
+        seen = set()
         for cells in reader:
             if not cells:
                 continue
@@ -223,8 +225,18 @@ class MetricsReport:
                 if len(cells) != len(header):
                     raise ValueError(f"{len(cells)} cells, expected {len(header)}")
                 check_heads([cells[1]])
-                acc = {int(task): float(cell) for task, cell in zip(tasks, cells[3:-1]) if cell != ""}
-                report.add(TaskAccuracy(int(cells[0]), cells[1], acc, float(cells[2])))
+                key = int(cells[0]), cells[1]
+                if key in seen:
+                    raise ValueError(f"a second row for task {key[0]}, head {key[1]!r}")
+                seen.add(key)
+                acc = {int(task): float(cell) for task, cell in zip(tasks, cells[3:-1]) if cell}
+                row = TaskAccuracy(key[0], key[1], acc, float(cells[2]))
+                for value in (row.acc_avg, *acc.values()):
+                    if not 0.0 <= value <= 1.0:  # also false for nan
+                        raise ValueError(f"accuracy {value!r} is not in [0, 1]")
+                if not math.isfinite(float(cells[-1])):
+                    raise ValueError(f"drop {cells[-1]!r} is not finite")
+                report.add(row)
             except ValueError as exc:
                 raise ValueError(f"line {reader.line_num}: {exc}") from None
         return report

@@ -72,6 +72,12 @@ class TestConfigSerialization:
         assert config.seeds == (7,)
         assert config.hyper == HyperParams()
 
+    def test_an_integer_fills_a_float_field_as_a_float(self):
+        config = config_from_dict({"hyperparams": {"alpha": 1}, "description_spread": 0})
+        assert type(config.hyper.alpha) is float and config.hyper.alpha == 1.0
+        assert type(config.description_spread) is float
+        assert config_to_dict(config)["hyperparams"]["alpha"] == 1.0
+
     @pytest.mark.parametrize(
         "obj, pattern",
         [
@@ -81,6 +87,20 @@ class TestConfigSerialization:
             ({"encoder": {"depth": 3}}, "encoder"),
             ({"hyperparams": {"gamma": 1.0}}, "hyperparams"),
             ({"hyperparams": {"tau": -1.0}}, "tau"),
+            ({"hyperparams": {"tau": "abc"}}, r"^hyperparams\.tau must be a finite numeric value, got 'abc'$"),
+            ({"hyperparams": {"k_desc": True}}, r"^hyperparams\.k_desc must be an integer, got True$"),
+            ({"encoder": {"embed_dim": None}}, r"^encoder\.embed_dim must be an integer, got None$"),
+            (
+                {"data": {"synthetic": {"n_tasks": 2.5}}},
+                r"^data\.synthetic\.n_tasks must be an integer, got 2\.5$",
+            ),
+            ({"data": {"dataset_path": 3}}, r"^data\.dataset_path must be a string, got 3$"),
+            ({"heads": "ncm"}, r"^heads must be a list, got 'ncm'$"),
+            ({"seeds": "abc"}, r"^seeds must be a list, got 'abc'$"),
+            ({"seeds": [0, "1"]}, r"^seeds\[1\] must be an integer, got '1'$"),
+            ({"description_spread": float("nan")}, r"^description_spread must be a finite numeric value"),
+            ({"data": []}, r"^config section 'data' must be an object, got \[\]$"),
+            ([], r"^config must be an object, got \[\]$"),
         ],
     )
     def test_bad_configs_rejected(self, obj, pattern):
@@ -355,6 +375,10 @@ class TestReportCommand:
             (
                 "task,head,acc_avg,acc_per_task_x,drop\r\n1,ncm,1.0,1.0,0.0\r\n",
                 "line 1: column 'acc_per_task_x' is not acc_per_task_<task>",
+            ),
+            (
+                "task,head,acc_avg,acc_per_task_1,drop\r\n1,ncm,nan,2.5,zz\r\n1,ncm,nan,2.5,zz\r\n",
+                "line 2: accuracy nan is not in [0, 1]",
             ),
         ],
     )

@@ -585,6 +585,45 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded["memory"].labels, state.memory.labels)
         np.testing.assert_array_equal(loaded["memory"].features, state.memory.features)
 
+    def test_a_state_rebuilt_from_a_checkpoint_writes_the_same_checkpoint(self, tmp_path):
+        rng = np.random.default_rng(7)
+        state = fresh_state(seed=7)
+        run_task(state, make_task(1, [0, 1], rng), make_descriptions([0, 1], 4), HP)
+        path = tmp_path / "task_01.json"
+        write_checkpoint(path, state)
+        loaded = read_checkpoint(path)
+        state.encoder, state.bilinear = loaded["encoder"], loaded["bilinear"]
+        state.memory = loaded["memory"]
+        assert continual.checkpoint_dict(state) == json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda ck: ck.pop("encoder"), "missing key encoder"),
+            (lambda ck: ck["encoder"].pop("hidden_dim"), "missing key encoder.hidden_dim"),
+            (lambda ck: ck["bilinear"].update(dim="4"), "bilinear.dim must be an integer, got '4'"),
+            (
+                lambda ck: ck["memory"][1].update(relation=True),
+                "memory[1].relation must be an integer, got True",
+            ),
+            (lambda ck: ck["relations"].append(None), "relations[2] must be an integer, got None"),
+            (lambda ck: ck["encoder"].update(data=""), "encoder.data: payload holds 0 floats, expected 92"),
+            (lambda ck: ck["memory"][0].update(data="@@@@"), "memory[0].data: "),
+            (lambda ck: ck["memory"][0].update(count=2), "memory[0].data: payload holds 6 floats, expected 12"),
+        ],
+    )
+    def test_malformed_file_names_the_file_and_the_key(self, tmp_path, edit, message):
+        state = fresh_state()
+        run_task(state, make_task(1, [0, 1], np.random.default_rng(42)), make_descriptions([0, 1], 4), HP)
+        path = tmp_path / "task_01.json"
+        write_checkpoint(path, state)
+        checkpoint = json.loads(path.read_text())
+        edit(checkpoint)
+        path.write_text(json.dumps(checkpoint))
+        with pytest.raises(ValueError) as err:
+            read_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: {message}")
+
     def test_checkpoint_bytes_stable(self, tmp_path):
         rng = np.random.default_rng(42)
         state = fresh_state()

@@ -246,6 +246,7 @@ class TestDescriptionsJsonl:
                 ],
                 r"line 2.*numeric",
             ),
+            (['{"relation": 0, "vectors": [[1e-200, 0.0]]}'], r"line 1: vector 0 .*underflow"),
         ],
     )
     def test_malformed_lines_name_the_line(self, tmp_path, lines, pattern):

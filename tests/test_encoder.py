@@ -1,4 +1,4 @@
-"""Encoder forward/backward, Adam, and parameter serialization."""
+"""Encoder forward/backward and Adam."""
 
 import numpy as np
 import pytest
@@ -11,14 +11,10 @@ from fcre.encoder import (
     encode,
     encode_backward,
     encode_batch,
-    floats_from_b64,
-    floats_to_b64,
     forward,
     init_adam,
     init_bilinear,
     init_encoder,
-    params_from_json_dict,
-    params_to_json_dict,
     step,
 )
 from helpers import num_grad, rel_err
@@ -276,21 +272,3 @@ class TestAdam:
     def test_learning_rate_must_be_positive(self):
         with pytest.raises(ValueError, match="learning_rate"):
             init_adam(2, learning_rate=0.0)
-
-
-class TestSerialization:
-    def test_params_json_round_trip_exact(self):
-        params = small_params(seed=7)
-        obj = params_to_json_dict(params)
-        rebuilt = params_from_json_dict(obj)
-        assert np.array_equal(rebuilt.to_vector(), params.to_vector())
-        assert params_to_json_dict(rebuilt) == obj
-
-    def test_b64_round_trip_exact(self):
-        rng = np.random.default_rng(42)
-        arr = rng.normal(size=17)
-        assert np.array_equal(floats_from_b64(floats_to_b64(arr), 17), arr)
-
-    def test_b64_length_checked(self):
-        with pytest.raises(ValueError, match="expected 3"):
-            floats_from_b64(floats_to_b64(np.zeros(2)), 3)

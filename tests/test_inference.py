@@ -560,6 +560,15 @@ class TestMetricsReport:
             ("task,head,acc_avg,acc_per_task_x,drop\r\n", "line 1: column 'acc_per_task_x' is not acc_per_task_<task>"),
             ("task,head,acc_avg,acc_per_task_,drop\r\n", "line 1: column 'acc_per_task_' is not acc_per_task_<task>"),
             ("task,head,acc_avg,score_1,drop\r\n", "line 1: column 'score_1' is not acc_per_task_<task>"),
+            (HEADER + "1,ncm,nan,1.0,0.0\r\n", "line 2: accuracy nan is not in [0, 1]"),
+            (HEADER + "1,ncm,1.0,1.0,inf\r\n", "line 2: drop 'inf' is not finite"),
+            (HEADER + "1,ncm,1.0,2.5,0.0\r\n", "line 2: accuracy 2.5 is not in [0, 1]"),
+            (HEADER + "1,ncm,-0.25,1.0,0.0\r\n", "line 2: accuracy -0.25 is not in [0, 1]"),
+            (HEADER + "1,ncm,1.0,1.0,zz\r\n", "line 2: could not convert string to float: 'zz'"),
+            (
+                HEADER + "1,ncm,1.0,1.0,0.0\r\n1,dri,1.0,1.0,0.0\r\n1,ncm,0.5,0.5,0.5\r\n",
+                "line 4: a second row for task 1, head 'ncm'",
+            ),
         ],
     )
     def test_from_csv_names_the_malformed_line(self, text, message):

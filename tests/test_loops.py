@@ -32,7 +32,7 @@ from fcre.continual import (
 )
 from fcre.datagen import SyntheticSpec, generate_stream, sample_separated_centers
 from fcre.descriptions import DescriptionSet, synth_descriptions
-from fcre.encoder import floats_to_b64
+from fcre.formats import _floats_to_b64
 from fcre.geometry import row_dots, unit_normalize
 from fcre.inference import _ranks
 from fcre.losses import HyperParams
@@ -330,7 +330,7 @@ class TestMemoryAndPrototypes:
         assert [entry["relation"] for entry in got] == [rel for rel, _ in blocks]
         for entry, (_, block) in zip(got, blocks):
             assert entry["count"] == block.shape[0]
-            assert entry["data"] == floats_to_b64(block.ravel())
+            assert entry["data"] == _floats_to_b64(block.ravel())
 
     def test_checkpoint_of_empty_memory_lists_no_blocks(self, tmp_path):
         state = init_state(4, 3, 2, HyperParams(), 0)  # before any task

@@ -1,4 +1,4 @@
-"""The public surface of the ``fcre`` modules, pinned.
+"""The public surface of the ``fcre`` modules, and the owner of file parsing, pinned.
 
 A public name is a top-level ``def``, ``class`` or assignment target
 without a leading underscore, ``logger`` excluded, in every module but
@@ -58,17 +58,17 @@ PUBLIC = [
     "encoder.encode",
     "encoder.encode_backward",
     "encoder.encode_batch",
-    "encoder.floats_from_b64",
-    "encoder.floats_to_b64",
     "encoder.forward",
     "encoder.init_adam",
     "encoder.init_bilinear",
     "encoder.init_encoder",
-    "encoder.params_from_json_dict",
-    "encoder.params_to_json_dict",
     "encoder.step",
-    "formats.json_floats",
+    "formats.checked",
+    "formats.float_row",
+    "formats.read_json",
+    "formats.read_jsonl",
     "formats.write_atomic",
+    "formats.write_jsonl",
     "geometry.Ranking",
     "geometry.as_embedding",
     "geometry.cosine",
@@ -121,11 +121,42 @@ def public_names(source: str) -> list[str]:
     return [name for name in names if not name.startswith("_") and name != "logger"]
 
 
+MODULES = sorted(Path(fcre.__file__).parent.glob("*.py"))
+
+
 def test_public_names_are_the_pinned_list():
     found = set()
-    for path in Path(fcre.__file__).parent.glob("*.py"):
+    for path in MODULES:
         if path.stem not in ("__init__", "__main__"):
             found.update(f"{path.stem}.{name}" for name in public_names(path.read_text(encoding="utf-8")))
     assert sorted(found) == PUBLIC
     assert len(PUBLIC) == 93
+
+
+def parsing_uses(source: str) -> set[str]:
+    """The imports of ``base64`` and the uses of ``json.load``/``json.loads`` in one module."""
+    uses = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            uses.update(alias.name for alias in node.names if alias.name == "base64")
+        elif isinstance(node, ast.ImportFrom) and node.module == "base64":
+            uses.add("base64")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            uses.update(f"json.{a.name}" for a in node.names if a.name in ("load", "loads"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+            and node.attr in ("load", "loads")
+        ):
+            uses.add(f"json.{node.attr}")
+    return uses
+
+
+def test_only_formats_decodes_files():
+    """One owner per file format: base64 and JSON parsing live in ``formats`` only."""
+    found = {path.stem: parsing_uses(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {stem: uses for stem, uses in found.items() if uses} == {
+        "formats": {"base64", "json.load", "json.loads"}
+    }
 
