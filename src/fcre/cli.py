@@ -23,7 +23,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,7 @@ class EncoderConfig:
     embed_dim: int = 16
 
     def validate(self) -> "EncoderConfig":
+        checked(vars(self), {f.name: type(f.default) for f in fields(self)}, "encoder")
         for name, value in asdict(self).items():
             if value < 1:
                 raise ValueError(f"encoder.{name} must be >= 1, got {value}")
@@ -93,6 +94,8 @@ class ExperimentConfig:
             raise ValueError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"duplicate seeds: {self.seeds}")
+        if min(checked(list(self.seeds), [int], "seeds")) < 0:
+            raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
         check_heads(self.heads)
         check_description_source(self.description_source)
         if self.description_spread < 0.0:

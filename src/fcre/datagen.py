@@ -23,12 +23,12 @@ must be JSON numbers: ``true`` or ``"0.5"`` is rejected with its line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from fcre.continual import Task, TaskStream
-from fcre.formats import float_row, read_jsonl, write_jsonl
+from fcre.formats import checked, float_row, read_jsonl, write_jsonl
 from fcre.geometry import row_dots, unit_normalize
 
 _MAX_ATTEMPTS_PER_CENTER = 10_000
@@ -45,7 +45,11 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Knobs of the synthetic stream generator."""
+    """Knobs of the synthetic stream generator.
+
+    ``validate`` requires each field to hold a number of its default's
+    kind (an integer that is not a bool, or a finite real) in its range.
+    """
 
     n_tasks: int = 8
     n_way: int = 5
@@ -58,6 +62,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self) -> "SyntheticSpec":
+        checked(vars(self), {f.name: type(f.default) for f in fields(self)}, "")
         for name in ("n_tasks", "n_way", "shots", "test_per_relation", "feature_dim",
                      "task1_oversample"):
             if getattr(self, name) < 1:
@@ -70,6 +75,8 @@ class SyntheticSpec:
             raise ValueError(
                 f"within_class_noise must be >= 0, got {self.within_class_noise}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         return self
 
     @property

@@ -5,8 +5,10 @@ dimension d.  K and d are uniform across the whole set, which holds them
 as one (R, K, d) table and their means as one (R, d) matrix over
 ascending relation ids.  Construction checks each relation's block in
 ascending id order and raises for the first bad one, naming the
-relation and vector.  Synthesis draws each relation's (K, d) block
-in one call and normalizes its rows with the bits of ``unit_normalize``.
+relation and vector; the file parser checks the same rules line by line
+and assembles its set without checking the blocks again.  Synthesis
+draws each relation's (K, d) block in one call and normalizes its rows
+with the bits of ``unit_normalize``.
 Description vectors are frozen inputs to training and inference --
 nothing in the package ever writes gradient into them.
 
@@ -48,26 +50,33 @@ class DescriptionSet:
     """
 
     def __init__(self, vectors_by_relation: Mapping[int, np.ndarray]):
-        relations = sorted(vectors_by_relation)
-        blocks, means = [], []
+        blocks = {}
         k_desc = dim = None
-        for rel in relations:  # raises for the first bad relation
-            block = np.asarray(vectors_by_relation[rel], dtype=np.float64)
-            k_desc, dim = _check_block(rel, block, k_desc, dim)
-            mean = block.mean(axis=0)
+        for rel in sorted(vectors_by_relation):  # raises for the first bad relation
+            blocks[rel] = np.asarray(vectors_by_relation[rel], dtype=np.float64)
+            k_desc, dim = _check_block(rel, blocks[rel], k_desc, dim)
+        self._set_blocks(blocks)
+
+    def _set_blocks(self, blocks: Mapping[int, np.ndarray]) -> None:
+        """Hold checked (K, d) blocks by relation, one ``block.mean(axis=0)`` each.
+
+        A zero mean warns, naming its relation.
+        """
+        relations = sorted(blocks)
+        means = [blocks[rel].mean(axis=0) for rel in relations]
+        for rel, mean in zip(relations, means):
             if np.dot(mean, mean) == 0.0:
                 warnings.warn(
                     f"relation {rel}: description vectors average to the zero "
                     "vector; cosine-based inference against it will fail",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
-            blocks.append(block)
-            means.append(mean)
-        if not blocks:
+        if not relations:
             self._set((), np.zeros((0, 0, 0)), np.zeros((0, 0)))
             return
-        self._set(tuple(int(r) for r in relations), np.stack(blocks), np.stack(means))
+        table = np.stack([blocks[rel] for rel in relations])
+        self._set(tuple(int(r) for r in relations), table, np.stack(means))
 
     def _set(self, relations: tuple[int, ...], table: np.ndarray, means: np.ndarray) -> None:
         self._relations = relations
@@ -254,4 +263,7 @@ def ingest_descriptions(path, expected_dim: int | None = None) -> DescriptionSet
         raise DescriptionFormatError(
             f"description dimension {dim} does not match expected {expected_dim}"
         )
-    return DescriptionSet({r: np.array(rows) for r, rows in vectors.items()})
+    # the lines above checked every rule of ``_check_block``, so the blocks go in unchecked
+    out = DescriptionSet.__new__(DescriptionSet)
+    out._set_blocks({rel: np.array(rows) for rel, rows in vectors.items()})
+    return out

@@ -25,6 +25,11 @@ import numpy as np
 
 from fcre.geometry import as_embedding
 
+_BILINEAR_NOISE = 0.01  # scale of the Gaussian noise added to W's identity start
+_ADAM_BETA1 = 0.9  # Adam's first-moment decay
+_ADAM_BETA2 = 0.999  # Adam's second-moment decay
+_ADAM_EPS = 1e-8  # Adam's denominator floor
+
 
 @dataclass
 class EncoderParams:
@@ -227,14 +232,12 @@ class BilinearForm:
         return self.matrix.shape[0]
 
 
-def init_bilinear(
-    embed_dim: int, rng: np.random.Generator, noise_scale: float = 0.01
-) -> BilinearForm:
+def init_bilinear(embed_dim: int, rng: np.random.Generator) -> BilinearForm:
     """Identity plus small Gaussian noise; keeps early scores near cosine."""
     if int(embed_dim) < 1:
         raise ValueError(f"embed_dim must be >= 1, got {embed_dim}")
     noise = rng.standard_normal((embed_dim, embed_dim))
-    return BilinearForm(matrix=np.eye(embed_dim) + noise_scale * noise)
+    return BilinearForm(matrix=np.eye(embed_dim) + _BILINEAR_NOISE * noise)
 
 
 @dataclass
@@ -242,30 +245,18 @@ class AdamState:
     """First/second moment accumulators for one flat parameter vector."""
 
     learning_rate: float
-    beta1: float
-    beta2: float
-    eps: float
     step_count: int
     m: np.ndarray
     v: np.ndarray
 
 
-def init_adam(
-    n_params: int,
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
+def init_adam(n_params: int, learning_rate: float = 1e-3) -> AdamState:
     if n_params < 1:
         raise ValueError(f"n_params must be >= 1, got {n_params}")
     if not learning_rate > 0.0:
         raise ValueError(f"learning_rate must be positive, got {learning_rate}")
     return AdamState(
         learning_rate=float(learning_rate),
-        beta1=float(beta1),
-        beta2=float(beta2),
-        eps=float(eps),
         step_count=0,
         m=np.zeros(n_params),
         v=np.zeros(n_params),
@@ -284,10 +275,10 @@ def step(opt: AdamState, params: np.ndarray, grads: np.ndarray) -> tuple[np.ndar
     if not np.all(np.isfinite(grads)):
         raise ValueError("gradient contains non-finite entries")
     t = opt.step_count + 1
-    m = opt.beta1 * opt.m + (1.0 - opt.beta1) * grads
-    v = opt.beta2 * opt.v + (1.0 - opt.beta2) * grads * grads
-    m_hat = m / (1.0 - opt.beta1**t)
-    v_hat = v / (1.0 - opt.beta2**t)
-    new_params = params - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)
+    m = _ADAM_BETA1 * opt.m + (1.0 - _ADAM_BETA1) * grads
+    v = _ADAM_BETA2 * opt.v + (1.0 - _ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - _ADAM_BETA1**t)
+    v_hat = v / (1.0 - _ADAM_BETA2**t)
+    new_params = params - opt.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     new_state = replace(opt, step_count=t, m=m, v=v)
     return new_params, new_state

@@ -82,7 +82,9 @@ def checked(value, schema, name: str, error: type[ValueError] = ValueError):
     list of ``s``, or a dict of the keys an object must hold and their
     schemas; parts are named ``name.key`` and ``name[i]``.  An int takes
     no bool (``json`` parses ``true`` to one); a float must be finite and
-    takes an integer too, which a float schema returns as a float.
+    takes an integer too, which a float schema returns as a float.  A
+    NumPy scalar counts as the Python value it holds, so the dataclasses
+    that validate their fields here accept one.
     """
     if isinstance(schema, dict):
         checked(value, dict, name or "the record", error)
@@ -96,6 +98,8 @@ def checked(value, schema, name: str, error: type[ValueError] = ValueError):
         for i, entry in enumerate(checked(value, list, name, error)):
             checked(entry, schema[0], f"{name}[{i}]", error)
         return value
+    if isinstance(value, np.generic):
+        value = value.item()
     if type(value) is schema:
         if schema is not float or math.isfinite(value):
             return value

@@ -246,7 +246,11 @@ class MetricsReport:
 # (queries, R) transient then takes at most 32 KB, and the DRI rank
 # channels, sorted together, 64 KB.  The budget bounds scoring only: a
 # pool of n queries is encoded whole, so the encoder's transients take
-# n x (hidden + d) floats and grow with the pool.
+# n x (hidden + d) floats and grow with the pool.  Scoring each test pool
+# in one pass instead writes the same metrics.csv but raised the peak RSS
+# of an eval_wide seed (80 relations, 5,400 queries per head) from 40,988
+# to 41,768 KB (median of 8 fresh-interpreter seeds on a 2-core Xeon),
+# about 1.9%, close to the benchmark's 0.02 bound on peak_rss_mb.
 EVAL_BLOCK_ENTRIES = 4_096
 
 

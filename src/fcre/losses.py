@@ -19,26 +19,28 @@ sample's relation.  Four objectives are defined per anchor sample x:
   z^T W d of the sample's own K descriptions against the descriptions
   of the batch negatives, computed in log-space.
 
-All four are computed by one kernel that evaluates a block of anchor
-rows at once with masked array operations; the four terms of a block
-share its positive and negative masks.  SCL and HSMT read (rows, B)
-cosine and Euclidean matrices.  The description side of HM and MI
-depends on an anchor only through its label and its description block,
-so it is done once per *description class*: within one label, samples
-share a class when each carries the (K, d) block of the label's first
-sample; when some label's samples differ, every sample is its own
-class.  Mining and HM then read a (C, K, B) block of description
-cosines, one row per active class of the pass, and turn each class's
+All four are computed by one kernel that evaluates a set of anchor
+rows at once with masked array operations, from z and a ``_Layout``
+that holds everything the terms read from the labels: the anchors'
+positive and negative masks are shared by the four terms.  SCL and
+HSMT read (rows, B) cosine and Euclidean matrices.  The description
+side of HM and MI depends on an anchor only through its label and its
+description block, so it is done once per *description class*: within
+one label, samples share a class when each carries the (K, d) block of
+the label's first sample; when some label's samples differ, every
+sample is its own class.  Mining and HM then read a (C, K, B) block of
+description cosines, one row per active class, and turn each class's
 hard sets into per-sample counts of the anchors they apply to (see
 ``_Kernel``); MI scores each anchor against the (C, K) class
 descriptions, weighting each class by the anchor's negatives in it plus
-one for its own class.  The per-anchor functions above are one-row
-views of the same kernel, with classes of one anchor.
+one for its own class.  The per-anchor functions above run the same
+kernel over a one-row layout, with classes of one anchor.
 
-``joint_loss`` evaluates every anchor of a batch in one kernel pass, so
-its transients grow as B^2 * max(d, K) floats: HSMT's (B, B, d)
+``joint_loss`` takes every row of a batch as an anchor, so its
+transients grow as B^2 * max(d, K) floats: HSMT's (B, B, d)
 differences, mining's (C, K, B) cosines, MI's (B, C*K) scores.  Training
-batches hold at most 64 rows, so HSMT's block, the largest, is 512 KiB.
+batches hold at most 64 rows, so HSMT's differences, the largest,
+take 512 KiB.
 A caller's ``Batch`` is validated when it is built.  Training goes
 through a ``_Plan`` instead, built once per pool: it validates the pool's
 (R, K, d) description table once, takes each batch's classes from its
@@ -57,10 +59,12 @@ beta-weighted sum of the four terms over the batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
+
+from fcre.formats import checked
 
 
 @dataclass
@@ -69,7 +73,8 @@ class HyperParams:
 
     ``epochs_current``/``epochs_memory`` may be zero (frozen-encoder
     runs are legitimate baselines); every other constraint is enforced
-    by ``validate``.
+    by ``validate``, which first requires each field to hold a number of
+    its default's kind: an integer that is not a bool, or a finite real.
     """
 
     tau: float = 0.1
@@ -87,6 +92,7 @@ class HyperParams:
     learning_rate: float = 1e-3
 
     def validate(self) -> "HyperParams":
+        checked(vars(self), {f.name: type(f.default) for f in fields(self)}, "")
         _require_tau(self.tau)
         _require_margin(self.margin)
         betas = (self.beta_sc, self.beta_st, self.beta_hm, self.beta_mi)
@@ -228,97 +234,81 @@ HSMT_FLOOR = 1e-6
 
 
 class _Term(NamedTuple):
-    """One objective evaluated for a block of anchor rows."""
+    """One objective evaluated for the anchor rows of a layout."""
 
     values: np.ndarray  # (rows,) value per anchor; (C,) per description class for HM
-    grad_z: np.ndarray  # (B, d) gradient of the block's summed value
+    grad_z: np.ndarray  # (B, d) gradient of the anchors' summed value
     degenerate: np.ndarray  # (rows,) no positive / no pair / no negative
     clamped: np.ndarray | None = None  # (rows,) HSMT clamp hits
     grad_w: np.ndarray | None = None  # (d, d) MI only
 
 
-class _Block(NamedTuple):
-    """A block of anchor rows and what every term reads from its labels."""
-
-    rows: slice
-    anchors: np.ndarray  # (rows,) batch index of each anchor
-    local: np.ndarray  # (rows,) 0..rows-1; (local, anchors) is each anchor's own entry
-    pos: np.ndarray  # (rows, B) same label, the anchor itself excluded
-    neg: np.ndarray  # (rows, B) different label
-    own: np.ndarray  # (rows,) description class of each anchor
-    live: np.ndarray  # (C',) classes with an anchor here that has a positive and a negative
-    live_same: np.ndarray  # (C', 1, B) same label as the live class
-    member: np.ndarray  # (C', 1, B) u is one of the live class's anchors here (u in A)
-    n_a: np.ndarray  # (C', 1, 1) |A|
-    pos_count: np.ndarray  # (C', 1, B) |A| - [u in A]: anchors u can be a hard positive for
-    n_pos: np.ndarray  # (rows,) positives of each anchor
-    paired: np.ndarray  # (rows,) anchors with a positive and a negative
-    weight: np.ndarray  # (rows, C, 1) MI: anchor's negatives in each class, plus one for its own
-    scored: np.ndarray  # (rows, C, 1) weight > 0
-
-
 class _Layout:
-    """What a batch's terms read from its labels and its description classes.
+    """What the four terms read from a batch's labels and description classes.
 
-    Within one label, samples share a class when each carries the (K, d)
-    block of the label's first sample; a plain ``Batch`` checks this by
-    comparing its blocks, and when some label's samples differ every
-    sample is its own class.  ``class_desc`` holds each class's (K, d)
-    block and ``class_norms`` its (K,) description norms.  Nothing here
-    depends on z, so a ``_Plan`` builds a full-batch pool's layout once
-    and reuses it every epoch.
+    It is built for a fixed set of anchor rows, ``rows``: every row for
+    ``joint_loss``, one row for the per-anchor functions.  Within one
+    label, samples share a class when each carries the (K, d) block of
+    the label's first sample; a plain ``Batch`` checks this by comparing
+    its blocks, and when some label's samples differ every sample is its
+    own class.  ``class_desc`` holds each class's (K, d) block and
+    ``class_norms`` its (K,) description norms.  Nothing here depends on
+    z, so a ``_Plan`` builds a full-batch pool's layout once and reuses
+    it every epoch.
     """
 
     def __init__(
-        self, same: np.ndarray, lead: np.ndarray, descriptions: np.ndarray, desc_norms: np.ndarray
+        self, same: np.ndarray, lead: np.ndarray, descriptions: np.ndarray, desc_norms: np.ndarray,
+        rows: slice,
     ) -> None:
         """Classes from ``lead``, each sample's class leader; blocks from ``descriptions``.
 
-        ``desc_norms`` holds each sample's (K,) description norms.
+        ``same`` is the (B, B) same-label mask and ``desc_norms`` holds
+        each sample's (K,) description norms.
         """
         b = same.shape[0]
-        self.same = same
-        self.n_same = n_same = same.sum(axis=1)  # (B,) samples of each sample's label
-        self.has_pos = n_same > 1
-        self.has_neg = n_same < b
-        self.leads = np.flatnonzero(lead == np.arange(b))  # (C,) first sample of each class
+        n_same = same.sum(axis=1)  # (B,) samples of each sample's label
+        has_pos, has_neg = n_same > 1, n_same < b
+        self.leads = leads = np.flatnonzero(lead == np.arange(b))  # (C,) first sample of each class
         class_index = np.empty(b, dtype=np.intp)
-        class_index[self.leads] = np.arange(self.leads.size)
-        self.class_of = class_index[lead]  # (B,) class of each sample
-        self.class_size = np.bincount(self.class_of, minlength=self.leads.size)
-        self.class_desc = descriptions[self.leads]  # (C, K, d)
-        self.class_norms = desc_norms[self.leads]  # (C, K)
+        class_index[leads] = np.arange(leads.size)
+        self.class_of = class_of = class_index[lead]  # (B,) class of each sample
+        self.class_size = np.bincount(class_of, minlength=leads.size)
+        self.class_desc = descriptions[leads]  # (C, K, d)
+        self.class_norms = desc_norms[leads]  # (C, K)
+
+        self.rows = rows
+        self.anchors = anchors = np.arange(rows.start, rows.stop)  # batch index of each anchor
+        self.local = local = np.arange(anchors.size)  # (local, anchors) is each anchor's own entry
+        self.pos = same[rows].copy()  # (rows, B) same label, the anchor itself excluded
+        self.pos[local, anchors] = False
+        self.neg = neg = ~same[rows]  # (rows, B) different label
+        self.n_pos = n_same[rows] - 1  # (rows,) positives of each anchor
+        self.has_pos, self.has_neg = has_pos[rows], has_neg[rows]
+        self.paired = self.has_pos & self.has_neg
+        self.own = own = class_of[rows]  # (rows,) description class of each anchor
+        # mining: classes with an anchor here that has a positive and a negative
+        n_anchors = np.bincount(own, minlength=leads.size)
+        self.live = live = np.flatnonzero((n_anchors > 0) & has_pos[leads] & has_neg[leads])
+        self.live_same = same[leads[live]][:, None, :]  # (C', 1, B) same label as the live class
+        self.member = np.zeros((live.size, 1, b), dtype=bool)  # u is one of the class's anchors
+        self.member[:, 0, rows] = own == live[:, None]
+        self.n_a = n_anchors[live][:, None, None]  # (C', 1, 1) |A|
+        self.pos_count = self.n_a - self.member  # |A| - [u in A]: anchors u is a hard positive for
+        # MI: each anchor's negatives in each class, plus one for its own
+        weight = neg[:, leads] * self.class_size
+        weight[local, own] = 1  # the own class holds no negative
+        self.weight = weight[:, :, None]  # (rows, C, 1)
+        self.scored = self.weight > 0
 
     @classmethod
-    def of_batch(cls, batch: Batch) -> "_Layout":
+    def of_batch(cls, batch: Batch, rows: slice) -> "_Layout":
         same = batch.labels[:, None] == batch.labels[None, :]
         lead = np.argmax(same, axis=1)  # first sample of each sample's label
         if (batch.descriptions[lead] != batch.descriptions).any():
             lead = np.arange(batch.size)
         norms = np.sqrt(np.einsum("bkd,bkd->bk", batch.descriptions, batch.descriptions))
-        return cls(same, lead, batch.descriptions, norms)
-
-    def block(self, rows: slice) -> _Block:
-        """Anchor rows ``rows`` with their masks, live mining classes and MI weights."""
-        anchors = np.arange(rows.start, rows.stop)
-        local = np.arange(anchors.size)
-        pos = self.same[rows].copy()
-        pos[local, anchors] = False
-        neg = ~self.same[rows]
-        own = self.class_of[rows]
-        leads = self.leads
-        n_anchors = np.bincount(own, minlength=leads.size)
-        live = np.flatnonzero((n_anchors > 0) & self.has_pos[leads] & self.has_neg[leads])
-        member = np.zeros((live.size, 1, self.same.shape[0]), dtype=bool)
-        member[:, 0, rows] = own == live[:, None]
-        n_a = n_anchors[live][:, None, None]
-        weight = neg[:, leads] * self.class_size
-        weight[local, own] = 1  # the own class holds no negative
-        return _Block(
-            rows, anchors, local, pos, neg, own, live, self.same[leads[live]][:, None, :],
-            member, n_a, n_a - member, self.n_same[rows] - 1,
-            self.has_pos[rows] & self.has_neg[rows], weight[:, :, None], weight[:, :, None] > 0,
-        )
+        return cls(same, lead, batch.descriptions, norms, rows)
 
 
 def _unit_differences(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -333,21 +323,17 @@ def _unit_differences(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
 
 
 class _Kernel:
-    """The four objectives for a block of anchor rows of one batch.
+    """The four objectives of one batch's embeddings z over a ``_Layout``.
 
-    Built once per batch, it holds the row norms and unit rows of z and
-    the batch's ``_Layout``: the same-label mask and the description
-    classes.  ``_Layout.block`` cuts a slice of anchor rows with its
-    masks: every row for ``joint_loss``, one row for the per-anchor
-    functions.  SCL and HSMT evaluate all of the block's anchors at once
-    from (rows, B) similarity and distance matrices, and MI scores each
-    anchor against the (C, K) class descriptions.  The transients of a
-    block grow as rows * B * max(d, K) floats.
+    It holds z, its row norms and unit rows, and the layout: the anchor
+    rows with their masks and the description classes.  SCL and HSMT
+    evaluate every anchor at once from (rows, B) similarity and distance
+    matrices, and MI scores each anchor against the (C, K) class
+    descriptions.  The transients grow as rows * B * max(d, K) floats.
 
-    Mining and HM work on one (K, B) cosine block per active class of
-    the block: a class whose anchors there have a positive and a
-    negative.  With dist = 1 - cos(d_c^k, z_u) and A the class's anchors
-    in the block:
+    Mining and HM work on one (K, B) cosine block per active class: a
+    class whose anchors have a positive and a negative.  With
+    dist = 1 - cos(d_c^k, z_u) and A the class's anchors:
 
     * a same-label u with dist > the closest negative is a hard positive
       for |A| - [u in A] anchors (an anchor is never its own positive);
@@ -360,13 +346,12 @@ class _Kernel:
     HM's values and gradients are these counts times the per-class
     terms.  The distances come from one (K, d) @ (d, B) product per
     class, so the strict inequalities and the ties resolve as they do
-    per anchor.  The per-anchor functions of this module are one-row
-    views of the same methods, with classes of one anchor.
+    per anchor.  The per-anchor functions of this module run the same
+    methods over a one-row layout, with classes of one anchor.
     """
 
-    def __init__(self, batch: Batch, layout: _Layout) -> None:
-        self.batch = batch
-        z = batch.z
+    def __init__(self, z: np.ndarray, layout: _Layout) -> None:
+        self.z = z
         self.norms = np.sqrt(np.einsum("ij,ij->i", z, z))
         # Every term that takes a cosine against a zero-norm row rejects
         # it first; the stand-in norm only keeps unused entries finite.
@@ -381,11 +366,10 @@ class _Kernel:
                 f"batch sample {int(bad[0])} has zero norm; cosine is undefined"
             )
 
-    def scl(self, blk: _Block, tau: float) -> _Term:
+    def scl(self, tau: float) -> _Term:
         """Masked log-softmax over the rows of the cosine matrix."""
-        z = self.batch.z
-        rows, pos = blk.rows, blk.pos
-        active = self.layout.has_pos[rows]
+        z, lay = self.z, self.layout
+        rows, pos, active = lay.rows, lay.pos, lay.has_pos
         if not active.any():
             return _Term(np.zeros(active.size), np.zeros_like(z), ~active)
         # an active anchor takes its cosine with every row: all must be nonzero
@@ -394,12 +378,12 @@ class _Kernel:
         cos = np.clip(cos, -1.0, 1.0)
         s = cos / tau
         s_other = s.copy()
-        s_other[blk.local, blk.anchors] = -np.inf  # u != x
+        s_other[lay.local, lay.anchors] = -np.inf  # u != x
         shift = s_other.max(axis=1, keepdims=True)
         w = np.exp(s_other - shift)
         total = w.sum(axis=1, keepdims=True)
         log_total = shift[:, 0] + np.log(total[:, 0])
-        n_pos = blk.n_pos
+        n_pos = lay.n_pos
         values = np.where(active, n_pos * log_total - np.where(pos, s, 0.0).sum(axis=1), 0.0)
 
         # dL/ds_u = n_pos * softmax_u - [u is positive]; rows without
@@ -415,19 +399,18 @@ class _Kernel:
         ) / self.norms[rows, None]
         return _Term(values, grad, ~active)
 
-    def hsmt(self, blk: _Block) -> _Term:
+    def hsmt(self) -> _Term:
         """Batch-hard pairs: row-wise argmax over positives, argmin over negatives."""
-        z = self.batch.z
-        rows, a = blk.rows, blk.local
-        paired = blk.paired
+        z, lay = self.z, self.layout
+        rows, a, paired = lay.rows, lay.local, lay.paired
         grad = np.zeros_like(z)
         if not paired.any():
             return _Term(np.zeros(a.size), grad, ~paired, np.zeros_like(paired))
         diff = z[rows][:, None, :] - z[None, :, :]
         dist = np.sqrt(np.einsum("abk,abk->ab", diff, diff))
         # argmax/argmin take the first hit, i.e. the lowest sample index
-        p_star = np.argmax(np.where(blk.pos, dist, -np.inf), axis=1)
-        n_star = np.argmin(np.where(blk.neg, dist, np.inf), axis=1)
+        p_star = np.argmax(np.where(lay.pos, dist, -np.inf), axis=1)
+        n_star = np.argmin(np.where(lay.neg, dist, np.inf), axis=1)
         dp = np.where(paired, dist[a, p_star], 0.0)
         dn = np.where(paired, dist[a, n_star], 0.0)
         exp_p = np.exp(dp)
@@ -449,9 +432,9 @@ class _Kernel:
         return _Term(values, grad, ~paired, clamped)
 
     def mine(
-        self, blk: _Block, ks: slice = slice(None)
+        self, ks: slice = slice(None)
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Hard sets of each active class of the block against its descriptions ``ks``.
+        """Hard sets of each active class against its descriptions ``ks``.
 
         Returns the raw cosines cos(d_c^k, z_u) of shape (C, K', B), the
         unit descriptions, and the (C, K', B) counts of the class's
@@ -459,17 +442,17 @@ class _Kernel:
         the class docstring sets out.
         """
         lay = self.layout
-        live = blk.live
+        live = lay.live
         an = lay.class_norms[live, ks]  # (C, K')
         if (an == 0.0).any():
             raise ValueError("anchor has zero norm; cosine is undefined")
         if not self.norms.all():  # reject a zero-norm sample an active anchor compares with
-            self._require_nonzero(np.any((blk.pos | blk.neg)[blk.paired], axis=0))
+            self._require_nonzero(np.any((lay.pos | lay.neg)[lay.paired], axis=0))
         vectors = lay.class_desc[live]  # (C, K, d): one product over every k, sliced after
-        cos = (vectors @ self.batch.z.T)[:, ks] / (an[:, :, None] * self.safe_norms)
+        cos = (vectors @ self.z.T)[:, ks] / (an[:, :, None] * self.safe_norms)
         dist = 1.0 - np.clip(cos, -1.0, 1.0)
-        b = self.batch.size
-        same, member, n_a = blk.live_same, blk.member, blk.n_a
+        b = self.z.shape[0]
+        same, member, n_a = lay.live_same, lay.member, lay.n_a
         neg_dist = np.where(same, np.inf, dist)
         same_dist = np.where(same, dist, -np.inf)
         arg1 = np.argmax(same_dist, axis=2)  # lowest index among the farthest
@@ -477,17 +460,17 @@ class _Kernel:
         top1, top2 = top[:, :, b - 1 :], top[:, :, b - 2 : b - 1]  # top2 = top1 on a tie
         arg1_in_a = member[np.arange(live.size)[:, None], 0, arg1][:, :, None]
         closest_neg = neg_dist.min(axis=2, keepdims=True)
-        hard_pos = np.where(same_dist > closest_neg, blk.pos_count, 0)
+        hard_pos = np.where(same_dist > closest_neg, lay.pos_count, 0)
         hard_neg = np.where(neg_dist < top1, n_a - (arg1_in_a & (neg_dist >= top2)), 0)
         return cos, vectors[:, ks] / an[:, :, None], hard_pos, hard_neg
 
-    def hm(self, blk: _Block, margin: float) -> _Term:
+    def hm(self, margin: float) -> _Term:
         """Quadratic pulls on hard positives and pushes on hard negatives, per class."""
-        z = self.batch.z
-        active = blk.paired
+        z = self.z
+        active = self.layout.paired
         if not active.any():
             return _Term(np.zeros(active.size), np.zeros_like(z), ~active)
-        cos, a_hat, hard_pos, hard_neg = self.mine(blk)
+        cos, a_hat, hard_pos, hard_neg = self.mine()
         t_pos = 1.0 - cos
         t_neg = margin - 1.0 + cos
         hard_neg = np.where(t_neg > 0.0, hard_neg, 0)
@@ -500,23 +483,22 @@ class _Kernel:
         grad /= self.safe_norms[:, None]
         return _Term(values, grad, ~active)
 
-    def mi(self, blk: _Block, w_matrix: np.ndarray, tau: float) -> _Term:
+    def mi(self, w_matrix: np.ndarray, tau: float) -> _Term:
         """InfoNCE over one (rows, C, K) block of bilinear scores against the classes.
 
         Class c enters an anchor's denominator once per negative sample
         it holds, plus once as the anchor's own class (the numerator).
         """
-        z = self.batch.z
-        c, k, d = self.layout.class_desc.shape
-        rows, local, own, weight = blk.rows, blk.local, blk.own, blk.weight
-        has_neg = self.layout.has_neg[rows]
+        z, lay = self.z, self.layout
+        c, k, d = lay.class_desc.shape
+        rows, local, own, weight, has_neg = lay.rows, lay.local, lay.own, lay.weight, lay.has_neg
         grad = np.zeros_like(z)
         if not has_neg.any():
             return _Term(np.zeros(local.size), grad, ~has_neg, grad_w=np.zeros_like(w_matrix))
-        desc = self.layout.class_desc.reshape(c * k, d)
+        desc = lay.class_desc.reshape(c * k, d)
         z_rows = z[rows]
         scores = ((z_rows @ w_matrix) @ desc.T).reshape(-1, c, k) / tau  # z_x^T W d_c^k / tau
-        scores = np.where(blk.scored, scores, -np.inf)
+        scores = np.where(lay.scored, scores, -np.inf)
         e = np.exp(scores - scores.max(axis=(1, 2), keepdims=True))
         e_all = weight * e
         e_own = e[local, own]  # (rows, K)
@@ -533,11 +515,10 @@ class _Kernel:
         return _Term(values, grad, ~has_neg, grad_w=grad_w)
 
 
-def _one_row(batch: Batch, x: int) -> tuple[_Kernel, _Block]:
-    """The kernel of ``batch`` and the one-row block of anchor x."""
+def _one_row(batch: Batch, x: int) -> _Kernel:
+    """The kernel of ``batch`` over the one-row layout of anchor x."""
     batch._check_index(x)
-    layout = _Layout.of_batch(batch)
-    return _Kernel(batch, layout), layout.block(slice(x, x + 1))
+    return _Kernel(batch.z, _Layout.of_batch(batch, slice(x, x + 1)))
 
 
 def _require_pair(batch: Batch, what: str) -> None:
@@ -581,8 +562,7 @@ def scl_loss(batch: Batch, x: int, tau: float) -> SclResult:
     """
     _require_tau(tau)
     _require_pair(batch, "scl_loss")
-    kernel, blk = _one_row(batch, x)
-    term = kernel.scl(blk, tau)
+    term = _one_row(batch, x).scl(tau)
     return SclResult(float(term.values[0]), term.grad_z, bool(term.degenerate[0]))
 
 
@@ -597,8 +577,7 @@ def hsmt_loss(batch: Batch, x: int) -> HsmtResult:
     yield zero with ``no_pair`` set.
     """
     _require_pair(batch, "hsmt_loss")
-    kernel, blk = _one_row(batch, x)
-    term = kernel.hsmt(blk)
+    term = _one_row(batch, x).hsmt()
     return HsmtResult(
         float(term.values[0]), term.grad_z, bool(term.degenerate[0]), bool(term.clamped[0])
     )
@@ -620,8 +599,8 @@ def mine_hard(batch: Batch, x: int, k: int) -> MiningSets:
         raise ValueError(f"sample {x} has no negatives to mine")
     if not 0 <= k < batch.k_desc:
         raise ValueError(f"description index {k} out of range for K={batch.k_desc}")
-    kernel, blk = _one_row(batch, x)
-    _, _, hard_pos, hard_neg = kernel.mine(blk, slice(k, k + 1))  # x is its class's one anchor
+    # x is its class's one anchor
+    _, _, hard_pos, hard_neg = _one_row(batch, x).mine(slice(k, k + 1))
     return MiningSets(
         k=k,
         positives=tuple(int(p) for p in pos),
@@ -643,8 +622,7 @@ def hm_loss(batch: Batch, x: int, margin: float) -> HmResult:
     never through its own anchor.  Empty P(x) or N(x) contributes zero.
     """
     _require_margin(margin)
-    kernel, blk = _one_row(batch, x)
-    term = kernel.hm(blk, margin)
+    term = _one_row(batch, x).hm(margin)
     return HmResult(float(term.values[0]), term.grad_z, bool(term.degenerate[0]))
 
 
@@ -662,8 +640,7 @@ def mi_loss(batch: Batch, x: int, w_matrix: np.ndarray, tau: float) -> MiResult:
     """
     _require_tau(tau)
     w_matrix = _as_bilinear(w_matrix, batch.embed_dim)
-    kernel, blk = _one_row(batch, x)
-    term = kernel.mi(blk, w_matrix, tau)
+    term = _one_row(batch, x).mi(w_matrix, tau)
     return MiResult(float(term.values[0]), term.grad_z[x], term.grad_w, bool(term.degenerate[0]))
 
 
@@ -671,13 +648,11 @@ class _PlanBatch(Batch):
     """A training batch whose inputs a ``_Plan`` validated, with its label layout.
 
     ``_Plan.batch`` builds it without ``Batch``'s checks and sets
-    ``layout`` and ``block``, the block of every anchor that
-    ``joint_loss`` evaluates; a whole-pool batch shares both across
-    epochs.
+    ``layout``, the layout over every anchor row that ``joint_loss``
+    evaluates; a whole-pool batch shares it across epochs.
     """
 
     layout: _Layout
-    block: _Block
 
 
 class _Plan:
@@ -709,7 +684,7 @@ class _Plan:
         self.norms = np.sqrt(np.einsum("rkd,rkd->rk", table, table))
         self.row_of = row_of
         self.labels = np.asarray(labels, dtype=np.int64)
-        self._whole: tuple[np.ndarray, _Layout, _Block] | None = None
+        self._whole: tuple[np.ndarray, _Layout] | None = None
 
     def batch(self, idx: np.ndarray, z: np.ndarray) -> Batch:
         """The pool rows ``idx`` with their embeddings z = tanh(...) of validated inputs."""
@@ -718,25 +693,28 @@ class _Plan:
         whole = self._whole
         if whole is None or not np.array_equal(whole[0], idx):
             same = rows[:, None] == rows[None, :]
-            layout = _Layout(same, np.argmax(same, axis=1), descriptions, self.norms[rows])
-            whole = (idx.copy(), layout, layout.block(slice(0, idx.size)))
+            layout = _Layout(
+                same, np.argmax(same, axis=1), descriptions, self.norms[rows], slice(0, idx.size)
+            )
+            whole = (idx.copy(), layout)
             if idx.size == self.labels.size:  # the whole pool trains as the same batch every epoch
                 self._whole = whole
         batch = object.__new__(_PlanBatch)  # z is finite, and the rest was checked here
         batch.z, batch.labels, batch.descriptions = z, self.labels[idx], descriptions
-        _, batch.layout, batch.block = whole
+        batch.layout = whole[1]
         return batch
 
 
 def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResult:
     """Batch-mean of the beta-weighted sum of all four objectives.
 
-    Every anchor is evaluated in one kernel pass, whose transients grow
-    as B^2 * max(d, K) floats (training batches hold at most 64 rows); a
-    ``_Plan`` batch brings its label layout, any other batch has it built
-    here.  ``hp`` is validated on every call.  Linear in each beta;
-    terms with beta == 0 are skipped entirely, so disabling a loss also
-    disables its degenerate-input flags.
+    Every row is an anchor, so the kernel's transients grow as
+    B^2 * max(d, K) floats (training batches hold at most 64 rows).  A
+    ``_Plan`` batch brings its label layout; any other batch has it built
+    here by comparing its description blocks.  ``hp`` is validated on
+    every call.  Linear in each beta; terms with beta == 0 are skipped
+    entirely, so disabling a loss also disables its degenerate-input
+    flags.
     """
     hp.validate()
     b = batch.size
@@ -747,12 +725,8 @@ def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResu
         _require_pair(batch, "hsmt_loss")
     if hp.beta_mi != 0.0:
         _as_bilinear(w_matrix, batch.embed_dim)
-    if isinstance(batch, _PlanBatch):
-        layout, blk = batch.layout, batch.block
-    else:
-        layout = _Layout.of_batch(batch)
-        blk = layout.block(slice(0, b))
-    kernel = _Kernel(batch, layout)
+    layout = batch.layout if isinstance(batch, _PlanBatch) else _Layout.of_batch(batch, slice(0, b))
+    kernel = _Kernel(batch.z, layout)
     total = 0.0
     grad_z = np.zeros_like(batch.z)
     grad_w = np.zeros_like(w_matrix)
@@ -761,18 +735,18 @@ def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResu
     clamped = 0
     terms = []
     if hp.beta_sc != 0.0:
-        term = kernel.scl(blk, hp.tau)
+        term = kernel.scl(hp.tau)
         no_positive = int(np.count_nonzero(term.degenerate))
         terms.append((hp.beta_sc, term))
     if hp.beta_st != 0.0:
-        term = kernel.hsmt(blk)
+        term = kernel.hsmt()
         no_pair = int(np.count_nonzero(term.degenerate))
         clamped = int(np.count_nonzero(term.clamped))
         terms.append((hp.beta_st, term))
     if hp.beta_hm != 0.0:
-        terms.append((hp.beta_hm, kernel.hm(blk, hp.margin)))
+        terms.append((hp.beta_hm, kernel.hm(hp.margin)))
     if hp.beta_mi != 0.0:
-        term = kernel.mi(blk, w_matrix, hp.tau)
+        term = kernel.mi(w_matrix, hp.tau)
         grad_w += hp.beta_mi * term.grad_w
         terms.append((hp.beta_mi, term))
     for beta, term in terms:

@@ -99,6 +99,8 @@ class TestConfigSerialization:
             ({"seeds": "abc"}, r"^seeds must be a list, got 'abc'$"),
             ({"seeds": [0, "1"]}, r"^seeds\[1\] must be an integer, got '1'$"),
             ({"description_spread": float("nan")}, r"^description_spread must be a finite numeric value"),
+            ({"seeds": [0, -1]}, r"^seeds must be >= 0, got -1$"),
+            ({"data": {"synthetic": {"seed": -3}}}, r"^seed must be >= 0, got -3$"),
             ({"data": []}, r"^config section 'data' must be an object, got \[\]$"),
             ([], r"^config must be an object, got \[\]$"),
         ],
@@ -122,6 +124,36 @@ class TestConfigSerialization:
             tiny_config(seeds=(1, 1)).validate()
         with pytest.raises(ValueError, match="unknown head"):
             tiny_config(heads=("knn",)).validate()
+
+    @pytest.mark.parametrize(
+        "overrides, pattern",
+        [
+            ({"encoder": EncoderConfig(feature_dim=8, hidden_dim=2.5, embed_dim=4)},
+             r"^encoder\.hidden_dim must be an integer, got 2\.5$"),
+            ({"encoder": EncoderConfig(feature_dim=8, hidden_dim=8, embed_dim=True)},
+             r"^encoder\.embed_dim must be an integer, got True$"),
+            ({"seeds": (0, -1)}, r"^seeds must be >= 0, got -1$"),
+            ({"seeds": (0.5,)}, r"^seeds\[0\] must be an integer, got 0\.5$"),
+        ],
+    )
+    def test_encoder_fields_and_seeds_of_the_wrong_type_or_sign_rejected(self, overrides, pattern):
+        with pytest.raises(ValueError, match=pattern):
+            tiny_config(**overrides).validate()
+
+    def test_numpy_scalars_accepted(self):
+        encoder = EncoderConfig(feature_dim=np.int64(8), hidden_dim=np.int32(8), embed_dim=4)
+        tiny_config(encoder=encoder, seeds=(np.int64(0),)).validate()
+
+    @pytest.mark.parametrize(
+        "argv, pattern",
+        [
+            (["run", "--seed", "-1"], "error: seeds must be >= 0, got -1\n"),
+            (["generate", "--seed", "-3"], "error: seed must be >= 0, got -3\n"),
+        ],
+    )
+    def test_negative_seed_flag_exits_2_naming_its_key(self, tmp_path, capsys, argv, pattern):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == pattern
 
 
 class TestRunId:

@@ -47,6 +47,10 @@ class TestSyntheticSpec:
             ({"cluster_separation": math.pi}, "cluster_separation"),
             ({"within_class_noise": -0.1}, "within_class_noise"),
             ({"task1_oversample": 0}, "task1_oversample"),
+            ({"n_tasks": 2.5}, r"^n_tasks must be an integer, got 2\.5$"),
+            ({"shots": True}, r"^shots must be an integer, got True$"),
+            ({"within_class_noise": math.nan}, r"^within_class_noise must be a finite numeric value, got nan$"),
+            ({"seed": -1}, r"^seed must be >= 0, got -1$"),
         ],
     )
     def test_constraint_violations(self, kwargs, pattern):
@@ -54,6 +58,9 @@ class TestSyntheticSpec:
         base.update(kwargs)
         with pytest.raises(ValueError, match=pattern):
             SyntheticSpec(**base).validate()
+
+    def test_numpy_scalars_accepted(self):
+        SyntheticSpec(n_tasks=np.int64(2), seed=np.uint32(7), within_class_noise=np.float64(0.2)).validate()
 
 
 class TestSampleSeparatedCenters:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fcre import descriptions
 from fcre.descriptions import (
     DescriptionFormatError,
     DescriptionSet,
@@ -264,3 +265,21 @@ class TestDescriptionsJsonl:
     def test_missing_file_is_os_error(self, tmp_path):
         with pytest.raises(OSError):
             ingest_descriptions(tmp_path / "nope.jsonl")
+
+    def test_parsed_set_equals_the_checked_constructor_without_checking_again(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        # K = 9: from 8 rows up a mean summed in another order can round differently
+        ds = DescriptionSet({r: rng.normal(size=(9, 5)) for r in (7, 2, 4)})
+        path = tmp_path / "desc.jsonl"
+        ds.write(path)
+        monkeypatch.setattr(descriptions, "_check_block", None)  # the parser checked each line
+        back = ingest_descriptions(path)
+        assert back.relations == ds.relations
+        assert back.table.tobytes() == ds.table.tobytes()
+        assert back.means.tobytes() == ds.means.tobytes()
+
+    def test_parsed_zero_mean_warns(self, tmp_path):
+        path = tmp_path / "desc.jsonl"
+        path.write_text('{"relation": 0, "vectors": [[1.0, 0.0], [-1.0, 0.0]]}\n')
+        with pytest.warns(RuntimeWarning, match="^relation 0: description vectors average to the zero"):
+            ingest_descriptions(path)

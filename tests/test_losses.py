@@ -150,11 +150,20 @@ class TestHyperParams:
             ({"memory_size": 0}, "memory_size"),
             ({"epochs_current": -1}, "epoch"),
             ({"learning_rate": 0.0}, "learning_rate"),
+            ({"epochs_current": 2.5}, r"^epochs_current must be an integer, got 2\.5$"),
+            ({"memory_size": 2.5}, r"^memory_size must be an integer, got 2\.5$"),
+            ({"k_desc": True}, r"^k_desc must be an integer, got True$"),
+            ({"beta_sc": math.nan}, r"^beta_sc must be a finite numeric value, got nan$"),
+            ({"beta_mi": math.inf}, r"^beta_mi must be a finite numeric value, got inf$"),
+            ({"tau": "0.1"}, r"^tau must be a finite numeric value, got '0\.1'$"),
         ],
     )
     def test_constraint_violations(self, kwargs, pattern):
         with pytest.raises(ValueError, match=pattern):
             HyperParams(**kwargs).validate()
+
+    def test_numpy_scalars_accepted(self):
+        HyperParams(tau=np.float64(0.2), k_desc=np.int64(3), alpha=np.float32(0.5)).validate()
 
 
 # -------------------------------------------------------------------- SCL
@@ -720,9 +729,9 @@ def kernel_blocks(batch):
     blocks = []
     real = losses._Kernel.scl
 
-    def counting(self, blk, tau):
-        blocks.append((blk.rows.start, blk.rows.stop))
-        return real(self, blk, tau)
+    def counting(self, *args):
+        blocks.append((self.layout.rows.start, self.layout.rows.stop))
+        return real(self, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(losses._Kernel, "scl", counting)
@@ -762,7 +771,7 @@ class TestDescriptionClasses:
     def test_labels_sharing_descriptions_form_one_class_each(self):
         rng = np.random.default_rng(1)
         batch = random_batch(rng, size=12, k_desc=3, n_relations=3)
-        layout = losses._Layout.of_batch(batch)
+        layout = losses._Layout.of_batch(batch, slice(0, batch.size))
         first = [int(np.flatnonzero(batch.labels == label)[0]) for label in (0, 1, 2)]
         assert list(layout.leads) == sorted(first)
         assert np.array_equal(layout.leads[layout.class_of], [first[l] for l in batch.labels])
@@ -771,7 +780,7 @@ class TestDescriptionClasses:
     def test_one_differing_block_makes_every_sample_its_own_class(self):
         rng = np.random.default_rng(1)
         batch = perturbed_copy(random_batch(rng, size=12, k_desc=3, n_relations=3), rng)
-        layout = losses._Layout.of_batch(batch)
+        layout = losses._Layout.of_batch(batch, slice(0, batch.size))
         assert np.array_equal(layout.leads, np.arange(12))
         assert np.array_equal(layout.class_of, np.arange(12))
 
