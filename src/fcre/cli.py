@@ -98,7 +98,7 @@ class ExperimentConfig:
             raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
         check_heads(self.heads)
         check_description_source(self.description_source)
-        if self.description_spread < 0.0:
+        if checked(self.description_spread, float, "description_spread") < 0.0:
             raise ValueError(
                 f"description_spread must be >= 0, got {self.description_spread}"
             )

@@ -36,10 +36,11 @@ minibatches of 32 (a would-be trailing singleton is merged into the
 previous batch, since the contrastive losses need company).  A full
 batch is the same rows every epoch, so its label layout is built once.
 Each step runs one encoder forward, one ``joint_loss`` pass over the
-plan's batch, one backward and one Adam update; the plan is dropped
-when the phase ends.  A non-finite gradient stops the run with an error
-naming the task, the phase, the epoch and the first loss term whose own
-gradient is non-finite.
+plan's batch, one backward into a flat gradient buffer and one Adam
+update in place on the flat parameter vector; the plan and the buffers
+are dropped when the phase ends.  A non-finite gradient stops the run
+with an error naming the task, the phase, the epoch and the first loss
+term whose own gradient is non-finite.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ from fcre.encoder import (
     AdamState,
     BilinearForm,
     EncoderParams,
+    _adam,
+    _backward,
     _embed,
     _feature_rows,
     backward,
@@ -64,7 +67,6 @@ from fcre.encoder import (
     init_adam,
     init_bilinear,
     init_encoder,
-    step,
 )
 from fcre.formats import _floats_from_b64, _floats_to_b64, checked, read_json, write_atomic
 from fcre.geometry import row_dots
@@ -426,7 +428,15 @@ def _train(
 ) -> None:
     """Train on one pool for ``epochs`` epochs from a plan validated once.
 
-    A non-finite gradient stops training with a ``ValueError`` naming
+    The encoder's four weight arrays and W are views into one flat
+    parameter vector, and ``backward`` and MI's W gradient write into the
+    matching views of one flat gradient buffer; Adam updates the vector
+    and its moments in place.  So a step allocates no parameter or
+    optimizer arrays.  ``state.optimizer`` gets copies of the moments
+    before the first step, and ``state.encoder`` and ``state.bilinear``
+    copies of the weights after the last: objects taken from the state
+    before or after this call never change with a later step.  A
+    non-finite gradient stops training with a ``ValueError`` naming
     ``task_index``, ``phase``, the epoch and the first loss term whose
     own gradient is non-finite on the failing batch.
     """
@@ -436,34 +446,37 @@ def _train(
     if n == 1:
         logger.warning("training pool has a single sample; nothing to contrast, skipping")
         return
-    encoder = state.encoder
-    w = state.bilinear.matrix
-    n_enc = encoder.n_params
+    start, n_enc = state.encoder, state.encoder.n_params
     table, row_of = _description_table(state.descriptions, train_y, description_source)
-    x = _feature_rows(encoder, train_x)
-    plan = _Plan(table, row_of, train_y, encoder.embed_dim, hp)
-    vec = np.concatenate([encoder.to_vector(), w.ravel()])
+    x = _feature_rows(start, train_x)
+    plan = _Plan(table, row_of, train_y, start.embed_dim, hp, state.bilinear.matrix)
+    vec = np.concatenate([start.to_vector(), state.bilinear.matrix.ravel()])
+    grads = np.empty_like(vec)
+    encoder, grad_encoder = start._views(vec[:n_enc]), start._views(grads[:n_enc])
+    w = vec[n_enc:].reshape(state.bilinear.matrix.shape)
+    grad_w = grads[n_enc:].reshape(w.shape)
+    # the moments are updated in place, so the state gets copies; the
+    # caller's earlier AdamState stays as it was
+    opt = state.optimizer = replace(
+        state.optimizer, m=state.optimizer.m.copy(), v=state.optimizer.v.copy()
+    )
+    work = np.empty((2, vec.size))
     for epoch in range(1, epochs + 1):
         for idx in _epoch_batches(n, state.rng):
             acts = _embed(encoder, x[idx])
             batch = plan.batch(idx, acts.z)
             result = joint_loss(batch, hp, w)
-            grads = np.concatenate(
-                [backward(encoder, acts, result.grad_z), result.grad_w.ravel()]
-            )
+            _backward(encoder, acts, result.grad_z, grad_encoder)
+            grad_w[...] = result.grad_w
             try:
-                vec, state.optimizer = step(state.optimizer, vec, grads)
+                _adam(opt, vec, grads, work)
             except ValueError as err:
-                if np.isfinite(grads).all():
-                    raise
                 raise ValueError(
                     f"task {task_index}, {phase} phase, epoch {epoch}: non-finite gradient, "
                     f"first from {_nonfinite_term(batch, hp, w, encoder, acts)}"
                 ) from err
-            encoder = encoder.with_vector(vec[:n_enc])
-            w = vec[n_enc:].reshape(w.shape)
-    state.encoder = encoder
-    state.bilinear = BilinearForm(matrix=w)
+    state.encoder = start.with_vector(vec[:n_enc])
+    state.bilinear = BilinearForm(matrix=w.copy())
 
 
 _LOSS_TERMS = (("scl", "beta_sc"), ("hsmt", "beta_st"), ("hm", "beta_hm"), ("mi", "beta_mi"))

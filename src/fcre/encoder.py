@@ -10,10 +10,14 @@ of rows once and embeds it with two matrix products, keeping the hidden
 and output activations; ``backward`` chains a (n, d) output gradient
 through those activations to the gradient summed over the rows, as
 matrix products (dW1 = dH_pre^T X, db1 = sum of the rows of dH_pre, ...).
-A training step runs each once, on pool rows validated once per pool.
-``encode_batch`` is the one-shot forward, and ``encode`` and
-``encode_backward`` are one-row views.  No serialization lives here:
-``continual`` owns the checkpoint format, its encoder block included.
+A training step runs each once, on pool rows validated once per pool,
+with the weights as views into one flat parameter vector: ``backward``'s
+private form writes into the views of a flat gradient buffer, and Adam
+updates the vector and its moments in place.  The public ``step`` runs
+the same update on copies.  ``encode_batch`` is the one-shot forward,
+and ``encode`` and ``encode_backward`` are one-row views.  No
+serialization lives here: ``continual`` owns the checkpoint format, its
+encoder block included.
 """
 
 from __future__ import annotations
@@ -93,6 +97,15 @@ class EncoderParams:
             raise ValueError(
                 f"expected a flat vector of {self.n_params} entries, got {vec.shape}"
             )
+        params = self._views(vec)
+        if not np.isfinite(vec).all():
+            for name in ("w1", "b1", "w2", "b2"):
+                if not np.isfinite(getattr(params, name)).all():
+                    raise ValueError(f"{name} contains non-finite entries")
+        return params
+
+    def _views(self, vec: np.ndarray) -> "EncoderParams":
+        """Arrays of this shape as views into the flat [W1, b1, W2, b2] vector ``vec``, unchecked."""
         f, h, d = self.feature_dim, self.hidden_dim, self.embed_dim
         i = 0
         w1 = vec[i : i + h * f].reshape(h, f)
@@ -102,10 +115,6 @@ class EncoderParams:
         w2 = vec[i : i + d * h].reshape(d, h)
         i += d * h
         b2 = vec[i : i + d]
-        if not np.isfinite(vec).all():
-            for name, block in ("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2):
-                if not np.isfinite(block).all():
-                    raise ValueError(f"{name} contains non-finite entries")
         params = object.__new__(EncoderParams)  # skips __post_init__'s per-array checks
         params.w1, params.b1, params.w2, params.b2 = w1, b1, w2, b2
         return params
@@ -172,20 +181,28 @@ def backward(params: EncoderParams, acts: Activations, grad_out) -> np.ndarray:
     Returns the sum over rows of d(loss)/d(params), packed in the same
     [W1, b1, W2, b2] order as ``EncoderParams.to_vector``.
     """
-    x, hidden, z = acts
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (x.shape[0], params.embed_dim):
+    if grad_out.shape != (acts.x.shape[0], params.embed_dim):
         raise ValueError(
-            f"grad_out must have shape ({x.shape[0]}, {params.embed_dim}), "
+            f"grad_out must have shape ({acts.x.shape[0]}, {params.embed_dim}), "
             f"got {grad_out.shape}"
         )
+    out = np.empty(params.n_params)
+    _backward(params, acts, grad_out, params._views(out))
+    return out
+
+
+def _backward(
+    params: EncoderParams, acts: Activations, grad_out: np.ndarray, out: EncoderParams
+) -> None:
+    """``backward`` of a checked (n, d) ``grad_out``, written into the arrays of ``out``."""
+    x, hidden, z = acts
     dz_pre = grad_out * (1.0 - z * z)
-    dw2 = dz_pre.T @ hidden
-    db2 = dz_pre.sum(axis=0)
+    np.matmul(dz_pre.T, hidden, out=out.w2)
+    np.add.reduce(dz_pre, axis=0, out=out.b2)  # dz_pre.sum(axis=0)
     dh_pre = (dz_pre @ params.w2) * (1.0 - hidden * hidden)
-    dw1 = dh_pre.T @ x
-    db1 = dh_pre.sum(axis=0)
-    return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+    np.matmul(dh_pre.T, x, out=out.w1)
+    np.add.reduce(dh_pre, axis=0, out=out.b1)
 
 
 def encode_batch(params: EncoderParams, features) -> np.ndarray:
@@ -264,21 +281,44 @@ def init_adam(n_params: int, learning_rate: float = 1e-3) -> AdamState:
 
 
 def step(opt: AdamState, params: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, AdamState]:
-    """One Adam update with bias correction; returns new params and state."""
-    params = np.asarray(params, dtype=np.float64)
+    """One Adam update with bias correction; returns new params and state.
+
+    The update is ``_adam``'s, on copies of ``params`` and of the state.
+    """
+    params = np.array(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != opt.m.shape or grads.shape != opt.m.shape:
         raise ValueError(
             f"params/grads must match optimizer size {opt.m.shape}, "
             f"got {params.shape} and {grads.shape}"
         )
-    if not np.all(np.isfinite(grads)):
+    new_state = replace(opt, m=opt.m.copy(), v=opt.v.copy())
+    _adam(new_state, params, grads, np.empty((2, params.size)))
+    return params, new_state
+
+
+def _adam(opt: AdamState, params: np.ndarray, grads: np.ndarray, work: np.ndarray) -> None:
+    """One Adam update of ``params``, ``opt.m`` and ``opt.v`` in place.
+
+    ``work`` is (2, n) scratch space.  Each operation is one of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    params - lr m_hat / (sqrt(v_hat) + eps), in the order those
+    expressions evaluate, so the result has their bits.  A non-finite
+    gradient raises before anything changes.
+    """
+    if not np.isfinite(grads).all():
         raise ValueError("gradient contains non-finite entries")
     t = opt.step_count + 1
-    m = _ADAM_BETA1 * opt.m + (1.0 - _ADAM_BETA1) * grads
-    v = _ADAM_BETA2 * opt.v + (1.0 - _ADAM_BETA2) * grads * grads
-    m_hat = m / (1.0 - _ADAM_BETA1**t)
-    v_hat = v / (1.0 - _ADAM_BETA2**t)
-    new_params = params - opt.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-    new_state = replace(opt, step_count=t, m=m, v=v)
-    return new_params, new_state
+    m, v, (a, b) = opt.m, opt.v, work
+    m *= _ADAM_BETA1
+    m += np.multiply(grads, 1.0 - _ADAM_BETA1, out=a)
+    v *= _ADAM_BETA2
+    np.multiply(grads, 1.0 - _ADAM_BETA2, out=a)
+    v += np.multiply(a, grads, out=a)
+    np.divide(m, 1.0 - _ADAM_BETA1**t, out=a)  # m_hat
+    a *= opt.learning_rate
+    np.sqrt(np.divide(v, 1.0 - _ADAM_BETA2**t, out=b), out=b)  # sqrt(v_hat)
+    b += _ADAM_EPS
+    a /= b
+    params -= a
+    opt.step_count = t

@@ -43,9 +43,11 @@ batches hold at most 64 rows, so HSMT's differences, the largest,
 take 512 KiB.
 A caller's ``Batch`` is validated when it is built.  Training goes
 through a ``_Plan`` instead, built once per pool: it validates the pool's
-(R, K, d) description table once, takes each batch's classes from its
-relations (a table row is one relation's block), and keeps the label
-layout of a pool that trains as one full batch for every epoch.
+(R, K, d) description table and the hyperparameters once, takes each
+batch's classes from its relations (a table row is one relation's
+block), and keeps the label layout of a pool that trains as one full
+batch for every epoch.  ``joint_loss`` runs no per-call checks on a
+plan's batch, and its kernel does only the work that depends on z.
 
 Every loss returns its value together with d(value)/d(z) for the whole
 batch (and d(value)/dW where W participates).  Description vectors are
@@ -251,75 +253,105 @@ class _Layout:
     label, samples share a class when each carries the (K, d) block of
     the label's first sample; a plain ``Batch`` checks this by comparing
     its blocks, and when some label's samples differ every sample is its
-    own class.  ``class_desc`` holds each class's (K, d) block and
-    ``class_norms`` its (K,) description norms.  Nothing here depends on
-    z, so a ``_Plan`` builds a full-batch pool's layout once and reuses
-    it every epoch.
+    own class.  ``class_desc`` holds each class's (K, d) block.  Nothing
+    here depends on z: besides the masks, the layout holds whether each
+    term has an anchor to evaluate (``any_pos``, ``any_paired``,
+    ``any_neg``), the degenerate-anchor counts, and the mined classes'
+    description blocks, norms and unit descriptions.  So a ``_Plan``
+    builds a full-batch pool's layout once and reuses it every epoch.
     """
 
     def __init__(
-        self, same: np.ndarray, lead: np.ndarray, descriptions: np.ndarray, desc_norms: np.ndarray,
-        rows: slice,
+        self, same: np.ndarray, lead: np.ndarray, rows: slice,
+        table: np.ndarray, norms: np.ndarray, unit: np.ndarray, table_row: np.ndarray,
     ) -> None:
-        """Classes from ``lead``, each sample's class leader; blocks from ``descriptions``.
+        """Classes from ``lead``, each sample's class leader, over the anchors ``rows``.
 
-        ``same`` is the (B, B) same-label mask and ``desc_norms`` holds
-        each sample's (K,) description norms.
+        ``same`` is the (B, B) same-label mask.  Sample i carries the
+        (K, d) block ``table[table_row[i]]``, whose (K,) norms are
+        ``norms[table_row[i]]`` and unit vectors ``unit[table_row[i]]``.
         """
         b = same.shape[0]
-        n_same = same.sum(axis=1)  # (B,) samples of each sample's label
+        n_same = np.add.reduce(same, axis=1)  # (B,) samples of each sample's label
         has_pos, has_neg = n_same > 1, n_same < b
-        self.leads = leads = np.flatnonzero(lead == np.arange(b))  # (C,) first sample of each class
-        class_index = np.empty(b, dtype=np.intp)
-        class_index[leads] = np.arange(leads.size)
-        self.class_of = class_of = class_index[lead]  # (B,) class of each sample
-        self.class_size = np.bincount(class_of, minlength=leads.size)
-        self.class_desc = descriptions[leads]  # (C, K, d)
-        self.class_norms = desc_norms[leads]  # (C, K)
+        paired = has_pos & has_neg
+        index = np.arange(b)
+        self.leads = leads = (lead == index).nonzero()[0]  # (C,) first sample of each class
+        self.class_of = class_of = leads.searchsorted(lead)  # (B,) class of each sample
+        self.class_size = class_size = np.bincount(class_of, minlength=leads.size)
+        block = table_row[leads]  # (C,) table row of each class
+        self.class_desc = table[block]  # (C, K, d)
 
         self.rows = rows
-        self.anchors = anchors = np.arange(rows.start, rows.stop)  # batch index of each anchor
-        self.local = local = np.arange(anchors.size)  # (local, anchors) is each anchor's own entry
-        self.pos = same[rows].copy()  # (rows, B) same label, the anchor itself excluded
-        self.pos[local, anchors] = False
+        self.anchors = anchors = index[rows]  # batch index of each anchor
+        self.local = local = index[: anchors.size]  # (local, anchors) is each anchor's own entry
+        self.pos = pos = same[rows].copy()  # (rows, B) same label, the anchor itself excluded
+        pos[local, anchors] = False
         self.neg = neg = ~same[rows]  # (rows, B) different label
+        # HSMT ranks (2, rows, B) keys: the distance to a positive and minus
+        # the distance to a negative, with -inf at every other sample
+        self.sign = np.array([[[1.0]], [[-1.0]]])
+        self.pair_fill = np.where((pos, neg), 0.0, -np.inf)
         self.n_pos = n_same[rows] - 1  # (rows,) positives of each anchor
-        self.has_pos, self.has_neg = has_pos[rows], has_neg[rows]
-        self.paired = self.has_pos & self.has_neg
+        self.has_pos, self.paired = has_pos[rows], paired[rows]
+        # the anchors each term skips, and whether it has any other; an
+        # anchor has a negative exactly when the batch holds two labels,
+        # so has_neg is all true or all false
+        self.no_pos, self.no_neg, self.no_pair = ~self.has_pos, ~has_neg[rows], ~self.paired
+        self.n_no_pos = int(np.add.reduce(self.no_pos))
+        self.n_no_pair = int(np.add.reduce(self.no_pair))
+        self.any_pos = self.n_no_pos < anchors.size
+        self.any_paired = self.n_no_pair < anchors.size
+        self.any_neg = bool(has_neg[0])
         self.own = own = class_of[rows]  # (rows,) description class of each anchor
-        # mining: classes with an anchor here that has a positive and a negative
-        n_anchors = np.bincount(own, minlength=leads.size)
-        self.live = live = np.flatnonzero((n_anchors > 0) & has_pos[leads] & has_neg[leads])
-        self.live_same = same[leads[live]][:, None, :]  # (C', 1, B) same label as the live class
-        self.member = np.zeros((live.size, 1, b), dtype=bool)  # u is one of the class's anchors
-        self.member[:, 0, rows] = own == live[:, None]
+        # mining: the live classes, those with an anchor here that has a
+        # positive and a negative, and member: u is one of the class's anchors
+        if own.size == b:  # every sample is an anchor
+            n_anchors = class_size
+            live = paired[leads].nonzero()[0]
+            member = class_of == live[:, None]
+        else:
+            n_anchors = np.bincount(own, minlength=leads.size)
+            live = ((n_anchors > 0) & paired[leads]).nonzero()[0]
+            member = np.zeros((live.size, b), dtype=bool)
+            member[:, rows] = own == live[:, None]
+        self.member = member  # (C', B)
+        live_same = same[leads[live]][:, None, :]  # (C', 1, B) same label as the live class
+        # mining's distances to the live class's label, and to the other labels
+        self.same_fill = np.where(live_same, 0.0, -np.inf)
+        self.other_fill = np.where(live_same, np.inf, 0.0)
         self.n_a = n_anchors[live][:, None, None]  # (C', 1, 1) |A|
-        self.pos_count = self.n_a - self.member  # |A| - [u in A]: anchors u is a hard positive for
+        self.pos_count = self.n_a - member[:, None, :]  # |A| - [u in A]: anchors u is a hard positive for
+        self.live_index = np.arange(live.size)[:, None]
+        live_block = block[live]
+        self.live_desc, self.live_norms = table[live_block], norms[live_block]  # (C', K, d), (C', K)
+        self.live_unit = unit[live_block]  # (C', K, d)
         # MI: each anchor's negatives in each class, plus one for its own
-        weight = neg[:, leads] * self.class_size
+        weight = neg[:, leads] * class_size
         weight[local, own] = 1  # the own class holds no negative
         self.weight = weight[:, :, None]  # (rows, C, 1)
-        self.scored = self.weight > 0
+        self.score_fill = np.where(self.weight > 0, 0.0, -np.inf)  # MI scores no empty class
 
     @classmethod
     def of_batch(cls, batch: Batch, rows: slice) -> "_Layout":
         same = batch.labels[:, None] == batch.labels[None, :]
-        lead = np.argmax(same, axis=1)  # first sample of each sample's label
+        lead = same.argmax(axis=1)  # first sample of each sample's label
         if (batch.descriptions[lead] != batch.descriptions).any():
             lead = np.arange(batch.size)
-        norms = np.sqrt(np.einsum("bkd,bkd->bk", batch.descriptions, batch.descriptions))
-        return cls(same, lead, batch.descriptions, norms, rows)
+        norms, unit = _unit_blocks(batch.descriptions)
+        return cls(same, lead, rows, batch.descriptions, norms, unit, np.arange(batch.size))
 
 
-def _unit_differences(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Rows of d||a - b||/da = (a - b) / ||a - b||; zero at coincident points.
+def _unit_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (.., K) norms of (.., K, d) description blocks and their unit vectors.
 
-    The distance is not differentiable at a == b; the zero subgradient is
-    used there so no NaN reaches a caller.
+    A zero-norm vector gets a zero unit vector and no warning: mining
+    rejects a zero norm before it reads the unit vector.
     """
-    out = np.zeros_like(diff)
-    np.divide(diff, dist[:, None], out=out, where=dist[:, None] != 0.0)
-    return out
+    norms = np.sqrt(np.einsum("...kd,...kd->...k", blocks, blocks))
+    unit = np.zeros(blocks.shape)
+    np.divide(blocks, norms[..., None], out=unit, where=norms[..., None] != 0.0)
+    return norms, unit
 
 
 class _Kernel:
@@ -352,15 +384,16 @@ class _Kernel:
 
     def __init__(self, z: np.ndarray, layout: _Layout) -> None:
         self.z = z
-        self.norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+        self.norms = norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+        self.nonzero = norms.all()
         # Every term that takes a cosine against a zero-norm row rejects
         # it first; the stand-in norm only keeps unused entries finite.
-        self.safe_norms = np.where(self.norms == 0.0, 1.0, self.norms)
+        self.safe_norms = norms if self.nonzero else np.where(norms == 0.0, 1.0, norms)
         self.z_hat = z / self.safe_norms[:, None]
         self.layout = layout
 
     def _require_nonzero(self, used: np.ndarray) -> None:
-        bad = np.flatnonzero(used & (self.norms == 0.0))
+        bad = (used & (self.norms == 0.0)).nonzero()[0]
         if bad.size:
             raise ValueError(
                 f"batch sample {int(bad[0])} has zero norm; cosine is undefined"
@@ -368,23 +401,24 @@ class _Kernel:
 
     def scl(self, tau: float) -> _Term:
         """Masked log-softmax over the rows of the cosine matrix."""
-        z, lay = self.z, self.layout
+        z, lay, norms = self.z, self.layout, self.norms
         rows, pos, active = lay.rows, lay.pos, lay.has_pos
-        if not active.any():
-            return _Term(np.zeros(active.size), np.zeros_like(z), ~active)
-        # an active anchor takes its cosine with every row: all must be nonzero
-        self._require_nonzero(np.ones(self.norms.size, dtype=bool))
-        cos = (z[rows] @ z.T) / (self.norms[rows, None] * self.norms[None, :])
-        cos = np.clip(cos, -1.0, 1.0)
+        if not lay.any_pos:
+            return _Term(np.zeros(active.size), np.zeros(z.shape), lay.no_pos)
+        if not self.nonzero:  # an active anchor takes its cosine with every row
+            self._require_nonzero(np.ones(self.norms.size, dtype=bool))
+        cos = (z[rows] @ z.T) / (norms[rows, None] * norms[None, :])
+        np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos)  # np.clip, in place
         s = cos / tau
         s_other = s.copy()
         s_other[lay.local, lay.anchors] = -np.inf  # u != x
-        shift = s_other.max(axis=1, keepdims=True)
+        shift = np.maximum.reduce(s_other, axis=1, keepdims=True)
         w = np.exp(s_other - shift)
-        total = w.sum(axis=1, keepdims=True)
+        total = np.add.reduce(w, axis=1, keepdims=True)
         log_total = shift[:, 0] + np.log(total[:, 0])
         n_pos = lay.n_pos
-        values = np.where(active, n_pos * log_total - np.where(pos, s, 0.0).sum(axis=1), 0.0)
+        pos_s = np.add.reduce(np.where(pos, s, 0.0), axis=1)
+        values = np.where(active, n_pos * log_total - pos_s, 0.0)
 
         # dL/ds_u = n_pos * softmax_u - [u is positive]; rows without
         # positives have n_pos == 0 and no positive, so a zero row.
@@ -392,29 +426,30 @@ class _Kernel:
         # dcos/dz_u = (x_hat - cos u_hat) / |u|, dcos/dz_x = (u_hat - cos x_hat) / |x|
         weighted_cos = coeff * cos
         z_hat = self.z_hat
-        grad = (coeff.T @ z_hat[rows] - weighted_cos.sum(axis=0)[:, None] * z_hat)
-        grad /= self.norms[:, None]
+        grad = coeff.T @ z_hat[rows] - np.add.reduce(weighted_cos, axis=0)[:, None] * z_hat
+        grad /= norms[:, None]
         grad[rows] += (
-            coeff @ z_hat - weighted_cos.sum(axis=1)[:, None] * z_hat[rows]
-        ) / self.norms[rows, None]
-        return _Term(values, grad, ~active)
+            coeff @ z_hat - np.add.reduce(weighted_cos, axis=1)[:, None] * z_hat[rows]
+        ) / norms[rows, None]
+        return _Term(values, grad, lay.no_pos)
 
     def hsmt(self) -> _Term:
         """Batch-hard pairs: row-wise argmax over positives, argmin over negatives."""
         z, lay = self.z, self.layout
         rows, a, paired = lay.rows, lay.local, lay.paired
-        grad = np.zeros_like(z)
-        if not paired.any():
-            return _Term(np.zeros(a.size), grad, ~paired, np.zeros_like(paired))
-        diff = z[rows][:, None, :] - z[None, :, :]
+        grad = np.zeros(z.shape)
+        if not lay.any_paired:
+            return _Term(np.zeros(a.size), grad, lay.no_pair, np.zeros(a.size, dtype=bool))
+        diff = z[rows][:, None, :] - z[None, :, :]  # (rows, B, d), the kernel's largest transient
         dist = np.sqrt(np.einsum("abk,abk->ab", diff, diff))
-        # argmax/argmin take the first hit, i.e. the lowest sample index
-        p_star = np.argmax(np.where(lay.pos, dist, -np.inf), axis=1)
-        n_star = np.argmin(np.where(lay.neg, dist, np.inf), axis=1)
-        dp = np.where(paired, dist[a, p_star], 0.0)
-        dn = np.where(paired, dist[a, n_star], 0.0)
-        exp_p = np.exp(dp)
-        exp_n = np.exp(dn)
+        del diff
+        # (2, rows): p*, the farthest positive, and n*, the nearest negative
+        # as the farthest of -dist; argmax takes the lowest index on ties
+        key = dist * lay.sign
+        key += lay.pair_fill
+        star = key.argmax(axis=2)
+        d_star = np.where(paired, dist[a, star], 0.0)
+        exp_p, exp_n = e = np.exp(d_star)
         arg = 1.0 + exp_p - exp_n
         clamped = paired & (arg <= HSMT_FLOOR)
         live = paired & ~clamped
@@ -423,13 +458,18 @@ class _Kernel:
         values[clamped] = -math.log(HSMT_FLOOR)
 
         # dL/d(dp) = -exp_p / arg, dL/d(dn) = +exp_n / arg; only the
-        # selected pair of a live anchor receives gradient.
-        g_p = np.where(live, -exp_p / arg, 0.0)[:, None] * _unit_differences(diff[a, p_star], dp)
-        g_n = np.where(live, exp_n / arg, 0.0)[:, None] * _unit_differences(diff[a, n_star], dn)
-        grad[rows] += g_p + g_n
-        np.add.at(grad, p_star, -g_p)
-        np.add.at(grad, n_star, -g_n)
-        return _Term(values, grad, ~paired, clamped)
+        # selected pair of a live anchor receives gradient, along
+        # d||a - b||/da = (a - b) / ||a - b||, taken as zero where a == b
+        coeff = np.where(live, -lay.sign[:, :, 0] * e / arg, 0.0)
+        diff_star = z[rows] - z[star]  # (2, rows, d), the rows of diff at p* and n*
+        unit = np.zeros(diff_star.shape)
+        np.divide(diff_star, d_star[:, :, None], out=unit, where=d_star[:, :, None] != 0.0)
+        g = coeff[:, :, None] * unit
+        grad[rows] += g[0] + g[1]
+        # the p* rows, then the n* rows, added in order to the flat gradient
+        d = z.shape[1]
+        np.add.at(grad.reshape(-1), (star[:, :, None] * d + np.arange(d)).reshape(-1), -g.reshape(-1))
+        return _Term(values, grad, lay.no_pair, clamped)
 
     def mine(
         self, ks: slice = slice(None)
@@ -442,46 +482,45 @@ class _Kernel:
         the class docstring sets out.
         """
         lay = self.layout
-        live = lay.live
-        an = lay.class_norms[live, ks]  # (C, K')
-        if (an == 0.0).any():
+        an = lay.live_norms[:, ks]  # (C, K')
+        if not an.all():
             raise ValueError("anchor has zero norm; cosine is undefined")
-        if not self.norms.all():  # reject a zero-norm sample an active anchor compares with
-            self._require_nonzero(np.any((lay.pos | lay.neg)[lay.paired], axis=0))
-        vectors = lay.class_desc[live]  # (C, K, d): one product over every k, sliced after
-        cos = (vectors @ self.z.T)[:, ks] / (an[:, :, None] * self.safe_norms)
-        dist = 1.0 - np.clip(cos, -1.0, 1.0)
+        if not self.nonzero:  # reject a zero-norm sample an active anchor compares with
+            self._require_nonzero((lay.pos | lay.neg)[lay.paired].any(axis=0))
+        # one product over every k, sliced after
+        cos = (lay.live_desc @ self.z.T)[:, ks] / (an[:, :, None] * self.safe_norms)
+        dist = 1.0 - np.minimum(np.maximum(cos, -1.0), 1.0)  # np.clip
         b = self.z.shape[0]
-        same, member, n_a = lay.live_same, lay.member, lay.n_a
-        neg_dist = np.where(same, np.inf, dist)
-        same_dist = np.where(same, dist, -np.inf)
-        arg1 = np.argmax(same_dist, axis=2)  # lowest index among the farthest
-        top = np.partition(same_dist, b - 2, axis=2)
+        n_a = lay.n_a
+        neg_dist = dist + lay.other_fill
+        same_dist = dist + lay.same_fill
+        arg1 = same_dist.argmax(axis=2)  # lowest index among the farthest
+        top = same_dist.copy()
+        top.partition(b - 2, axis=2)
         top1, top2 = top[:, :, b - 1 :], top[:, :, b - 2 : b - 1]  # top2 = top1 on a tie
-        arg1_in_a = member[np.arange(live.size)[:, None], 0, arg1][:, :, None]
-        closest_neg = neg_dist.min(axis=2, keepdims=True)
+        arg1_in_a = lay.member[lay.live_index, arg1][:, :, None]
+        closest_neg = np.minimum.reduce(neg_dist, axis=2, keepdims=True)
         hard_pos = np.where(same_dist > closest_neg, lay.pos_count, 0)
         hard_neg = np.where(neg_dist < top1, n_a - (arg1_in_a & (neg_dist >= top2)), 0)
-        return cos, vectors[:, ks] / an[:, :, None], hard_pos, hard_neg
+        return cos, lay.live_unit[:, ks], hard_pos, hard_neg
 
     def hm(self, margin: float) -> _Term:
         """Quadratic pulls on hard positives and pushes on hard negatives, per class."""
-        z = self.z
-        active = self.layout.paired
-        if not active.any():
-            return _Term(np.zeros(active.size), np.zeros_like(z), ~active)
+        z, lay = self.z, self.layout
+        if not lay.any_paired:
+            return _Term(np.zeros(lay.paired.size), np.zeros(z.shape), lay.no_pair)
         cos, a_hat, hard_pos, hard_neg = self.mine()
         t_pos = 1.0 - cos
         t_neg = margin - 1.0 + cos
         hard_neg = np.where(t_neg > 0.0, hard_neg, 0)
-        values = (hard_pos * (t_pos * t_pos) + hard_neg * (t_neg * t_neg)).sum(axis=(1, 2))
+        values = np.add.reduce(hard_pos * (t_pos * t_pos) + hard_neg * (t_neg * t_neg), axis=(1, 2))
         # dL/dcos per (class, k, sample); dcos/dz_u = (a_hat - cos z_hat_u) / |z_u|
         g = hard_neg * (2.0 * t_neg) - hard_pos * (2.0 * t_pos)
         b, d = z.shape
         grad = g.reshape(-1, b).T @ a_hat.reshape(-1, d)
         grad -= np.einsum("ckb,ckb->b", g, cos)[:, None] * self.z_hat
         grad /= self.safe_norms[:, None]
-        return _Term(values, grad, ~active)
+        return _Term(values, grad, lay.no_pair)
 
     def mi(self, w_matrix: np.ndarray, tau: float) -> _Term:
         """InfoNCE over one (rows, C, K) block of bilinear scores against the classes.
@@ -491,28 +530,27 @@ class _Kernel:
         """
         z, lay = self.z, self.layout
         c, k, d = lay.class_desc.shape
-        rows, local, own, weight, has_neg = lay.rows, lay.local, lay.own, lay.weight, lay.has_neg
-        grad = np.zeros_like(z)
-        if not has_neg.any():
-            return _Term(np.zeros(local.size), grad, ~has_neg, grad_w=np.zeros_like(w_matrix))
+        rows, local, own, weight = lay.rows, lay.local, lay.own, lay.weight
+        grad = np.zeros(z.shape)
+        if not lay.any_neg:
+            return _Term(np.zeros(local.size), grad, lay.no_neg, grad_w=np.zeros(w_matrix.shape))
         desc = lay.class_desc.reshape(c * k, d)
         z_rows = z[rows]
         scores = ((z_rows @ w_matrix) @ desc.T).reshape(-1, c, k) / tau  # z_x^T W d_c^k / tau
-        scores = np.where(lay.scored, scores, -np.inf)
-        e = np.exp(scores - scores.max(axis=(1, 2), keepdims=True))
+        scores += lay.score_fill
+        e = np.exp(scores - np.maximum.reduce(scores, axis=(1, 2), keepdims=True))
         e_all = weight * e
         e_own = e[local, own]  # (rows, K)
-        s_all = e_all.sum(axis=(1, 2))
-        s_pos = e_own.sum(axis=1)
-        values = np.where(has_neg, np.log(s_all) - np.log(s_pos), 0.0)
+        s_all = np.add.reduce(e_all, axis=(1, 2))
+        s_pos = np.add.reduce(e_own, axis=1)
+        values = np.log(s_all) - np.log(s_pos)  # every anchor has a negative here
 
         coeff = e_all / s_all[:, None, None]
         coeff[local, own] -= e_own / s_pos[:, None]
-        coeff[~has_neg] = 0.0
         weighted = coeff.reshape(-1, c * k) @ desc  # sum_i coeff_i * d_i, per anchor
         grad[rows] = (weighted @ w_matrix.T) / tau
         grad_w = (z_rows.T @ weighted) / tau
-        return _Term(values, grad, ~has_neg, grad_w=grad_w)
+        return _Term(values, grad, lay.no_neg, grad_w=grad_w)
 
 
 def _one_row(batch: Batch, x: int) -> _Kernel:
@@ -649,24 +687,36 @@ class _PlanBatch(Batch):
 
     ``_Plan.batch`` builds it without ``Batch``'s checks and sets
     ``layout``, the layout over every anchor row that ``joint_loss``
-    evaluates; a whole-pool batch shares it across epochs.
+    evaluates (a whole-pool batch shares it across epochs), and ``hp``,
+    the hyperparameters its plan validated.  ``joint_loss`` reads the
+    description classes from the layout, so the (B, K, d) block is
+    gathered from the plan's table only when something else reads it.
     """
 
     layout: _Layout
+    hp: HyperParams
+    _table: np.ndarray  # the plan's (R, K, d) description table
+    _rows: np.ndarray  # (B,) each sample's row in it
+
+    @property
+    def descriptions(self) -> np.ndarray:
+        return self._table[self._rows]
 
 
 class _Plan:
     """One training pool's loss inputs, validated once, and the batches built on them.
 
     Holds the pool's (R, K, d) description table, each sample's row in
-    it and the table's (R, K) description norms; the hyperparameters are
-    checked before training starts.  A table row is one relation's block,
-    so a batch's description classes are its relations in order of first
-    appearance: what ``_Layout.of_batch`` finds for such blocks, without
-    comparing them.  A pool that trains as one full batch (the same rows
-    in the same order every epoch) has its layout built once.  Neither
-    the plan nor a layout refers to a batch or a kernel, so the per-pool
-    state goes as soon as the caller drops the plan.
+    it, and the table's (R, K) description norms and unit descriptions;
+    the hyperparameters are checked before training starts, and so is
+    ``w_matrix``'s shape when one is given.  A table row is one
+    relation's block, so a batch's description classes are its relations
+    in order of first appearance: what ``_Layout.of_batch`` finds for
+    such blocks, without comparing them.  A pool that trains as one full
+    batch (the same rows in the same order every epoch) has its layout
+    built once.  The plan's batches hold at least two rows, as training's
+    do.  Neither the plan nor a layout refers to a batch or a kernel, so
+    the per-pool state goes as soon as the caller drops the plan.
     """
 
     def __init__(
@@ -676,32 +726,37 @@ class _Plan:
         labels: np.ndarray,
         embed_dim: int,
         hp: HyperParams,
+        w_matrix: np.ndarray | None = None,
     ) -> None:
         hp.validate()
         table = np.asarray(table, dtype=np.float64)
         _check_descriptions(table, embed_dim)
+        if w_matrix is not None and hp.beta_mi != 0.0:
+            _as_bilinear(w_matrix, embed_dim)
         self.table = table
-        self.norms = np.sqrt(np.einsum("rkd,rkd->rk", table, table))
+        self.norms, self.unit = _unit_blocks(table)
         self.row_of = row_of
         self.labels = np.asarray(labels, dtype=np.int64)
+        self.hp = hp
         self._whole: tuple[np.ndarray, _Layout] | None = None
 
     def batch(self, idx: np.ndarray, z: np.ndarray) -> Batch:
         """The pool rows ``idx`` with their embeddings z = tanh(...) of validated inputs."""
         rows = self.row_of[idx]
-        descriptions = self.table[rows]
         whole = self._whole
-        if whole is None or not np.array_equal(whole[0], idx):
+        if whole is not None and idx.size == whole[0].size and (whole[0] == idx).all():
+            layout = whole[1]
+        else:
             same = rows[:, None] == rows[None, :]
             layout = _Layout(
-                same, np.argmax(same, axis=1), descriptions, self.norms[rows], slice(0, idx.size)
+                same, same.argmax(axis=1), slice(0, idx.size), self.table, self.norms, self.unit,
+                rows,
             )
-            whole = (idx.copy(), layout)
             if idx.size == self.labels.size:  # the whole pool trains as the same batch every epoch
-                self._whole = whole
+                self._whole = (idx.copy(), layout)
         batch = object.__new__(_PlanBatch)  # z is finite, and the rest was checked here
-        batch.z, batch.labels, batch.descriptions = z, self.labels[idx], descriptions
-        batch.layout = whole[1]
+        batch.z, batch.labels, batch._table, batch._rows = z, self.labels[idx], self.table, rows
+        batch.layout, batch.hp = layout, self.hp
         return batch
 
 
@@ -710,37 +765,40 @@ def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResu
 
     Every row is an anchor, so the kernel's transients grow as
     B^2 * max(d, K) floats (training batches hold at most 64 rows).  A
-    ``_Plan`` batch brings its label layout; any other batch has it built
-    here by comparing its description blocks.  ``hp`` is validated on
-    every call.  Linear in each beta; terms with beta == 0 are skipped
-    entirely, so disabling a loss also disables its degenerate-input
-    flags.
+    ``_Plan`` batch brings its label layout, and with its plan's ``hp``
+    it skips validation: the plan checked ``hp`` (and, in training, W's
+    shape) once, and its batches hold at least two rows.  Any other call
+    validates ``hp``, the batch size and W, and a plain batch has its
+    layout built here by comparing its description blocks.
+    Linear in each beta; terms with beta == 0 are skipped entirely, so
+    disabling a loss also disables its degenerate-input flags.
     """
-    hp.validate()
     b = batch.size
-    w_matrix = np.asarray(w_matrix, dtype=np.float64)
-    if hp.beta_sc != 0.0:
-        _require_pair(batch, "scl_loss")
-    if hp.beta_st != 0.0:
-        _require_pair(batch, "hsmt_loss")
-    if hp.beta_mi != 0.0:
-        _as_bilinear(w_matrix, batch.embed_dim)
-    layout = batch.layout if isinstance(batch, _PlanBatch) else _Layout.of_batch(batch, slice(0, b))
+    planned = isinstance(batch, _PlanBatch)
+    if not (planned and hp is batch.hp):
+        hp.validate()
+        w_matrix = np.asarray(w_matrix, dtype=np.float64)
+        if hp.beta_sc != 0.0:
+            _require_pair(batch, "scl_loss")
+        if hp.beta_st != 0.0:
+            _require_pair(batch, "hsmt_loss")
+        if hp.beta_mi != 0.0:
+            _as_bilinear(w_matrix, batch.embed_dim)
+    layout = batch.layout if planned else _Layout.of_batch(batch, slice(0, b))
     kernel = _Kernel(batch.z, layout)
     total = 0.0
-    grad_z = np.zeros_like(batch.z)
-    grad_w = np.zeros_like(w_matrix)
+    grad_z = np.zeros(batch.z.shape)
+    grad_w = np.zeros(w_matrix.shape)
     no_positive = 0
     no_pair = 0
     clamped = 0
     terms = []
     if hp.beta_sc != 0.0:
-        term = kernel.scl(hp.tau)
-        no_positive = int(np.count_nonzero(term.degenerate))
-        terms.append((hp.beta_sc, term))
+        no_positive = layout.n_no_pos
+        terms.append((hp.beta_sc, kernel.scl(hp.tau)))
     if hp.beta_st != 0.0:
         term = kernel.hsmt()
-        no_pair = int(np.count_nonzero(term.degenerate))
+        no_pair = layout.n_no_pair
         clamped = int(np.count_nonzero(term.clamped))
         terms.append((hp.beta_st, term))
     if hp.beta_hm != 0.0:
@@ -749,14 +807,18 @@ def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResu
         term = kernel.mi(w_matrix, hp.tau)
         grad_w += hp.beta_mi * term.grad_w
         terms.append((hp.beta_mi, term))
+    # the terms add up from zero in this order (a zero start turns a
+    # -0.0 entry into 0.0, so it is part of the bits)
     for beta, term in terms:
-        total += beta * float(np.sum(term.values))
+        total += beta * float(np.add.reduce(term.values))
         grad_z += beta * term.grad_z
     scale = 1.0 / b
+    grad_z *= scale
+    grad_w *= scale
     return JointResult(
         value=total * scale,
-        grad_z=grad_z * scale,
-        grad_w=grad_w * scale,
+        grad_z=grad_z,
+        grad_w=grad_w,
         no_positive_count=no_positive,
         no_pair_count=no_pair,
         clamped_count=clamped,

@@ -2,8 +2,11 @@
 
 These are the loops that data generation, memory selection, prototypes,
 checkpoints and the rank step of ``evaluate`` ran before they became
-array operations, and the relation-by-relation checks whose errors and
-bits ``DescriptionSet`` keeps.  They are kept as the oracle:
+array operations, the relation-by-relation checks whose errors and bits
+``DescriptionSet`` keeps, and the training step from before the encoder,
+W and the gradient shared one flat buffer each: a fresh parameter
+vector per Adam step, rebuilt weights, and a ``joint_loss`` that
+validates a plain ``Batch``.  They are kept as the oracle:
 ``tests/test_loops.py`` requires the array code to give the same bits,
 the same picks and the same errors.
 """
@@ -15,7 +18,9 @@ import warnings
 
 import numpy as np
 
+from fcre.encoder import forward, step
 from fcre.geometry import euclidean, unit_normalize
+from fcre.losses import Batch, joint_loss
 
 _MAX_ATTEMPTS_PER_CENTER = 10_000
 
@@ -173,3 +178,63 @@ def ranks(keys):
     out = np.empty(keys.shape, dtype=np.float64)
     np.put_along_axis(out, order, np.arange(1.0, keys.shape[1] + 1.0)[None, :], axis=1)
     return out
+
+
+def backward(params, acts, grad_out):
+    """``encoder.backward`` from fresh products, packed by one ``np.concatenate``."""
+    x, hidden, z = acts
+    dz_pre = grad_out * (1.0 - z * z)
+    dw2 = dz_pre.T @ hidden
+    db2 = dz_pre.sum(axis=0)
+    dh_pre = (dz_pre @ params.w2) * (1.0 - hidden * hidden)
+    dw1 = dh_pre.T @ x
+    db1 = dh_pre.sum(axis=0)
+    return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+
+
+def adam_step(m, v, step_count, learning_rate, params, grads):
+    """Adam as one expression per array, on fresh arrays: (params, m, v, step_count)."""
+    t = step_count + 1
+    m = 0.9 * m + (1.0 - 0.9) * grads
+    v = 0.999 * v + (1.0 - 0.999) * grads * grads
+    m_hat = m / (1.0 - 0.9**t)
+    v_hat = v / (1.0 - 0.999**t)
+    return params - learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8), m, v, t
+
+
+def epoch_batches(n, rng):
+    """One full batch up to 64 rows, else shuffled minibatches of 32, a straggler folded in."""
+    if n <= 64:
+        return [np.arange(n)]
+    perm = rng.permutation(n)
+    batches = [perm[i : i + 32] for i in range(0, n, 32)]
+    if len(batches) > 1 and batches[-1].size == 1:
+        batches[-2] = np.concatenate([batches[-2], batches[-1]])
+        batches.pop()
+    return batches
+
+
+def train(state, train_x, train_y, hp, epochs, description_source):
+    """``_train`` step by step: (encoder, W, optimizer), with ``state.rng`` advanced.
+
+    Each step embeds the batch, builds a validated ``Batch`` from the
+    samples' own description blocks, and concatenates the encoder and W
+    gradients into a new vector for the pure ``encoder.step``.
+    """
+    descriptions = state.descriptions
+    if description_source == "k-set":
+        blocks = np.stack([descriptions.vectors(int(r)) for r in train_y])
+    else:
+        blocks = np.stack([descriptions.mean(int(r))[None, :] for r in train_y])
+    encoder, w, opt = state.encoder, state.bilinear.matrix, state.optimizer
+    n_enc = encoder.n_params
+    vec = np.concatenate([encoder.to_vector(), w.ravel()])
+    for _ in range(epochs):
+        for idx in epoch_batches(train_x.shape[0], state.rng):
+            acts = forward(encoder, train_x[idx])
+            result = joint_loss(Batch(acts.z, train_y[idx], blocks[idx]), hp, w)
+            grads = np.concatenate([backward(encoder, acts, result.grad_z), result.grad_w.ravel()])
+            vec, opt = step(opt, vec, grads)
+            encoder = encoder.with_vector(vec[:n_enc])
+            w = vec[n_enc:].reshape(w.shape)
+    return encoder, w, opt

@@ -5,6 +5,9 @@ time before it computed every anchor of a batch in one blocked kernel.
 They are kept here, outside the package, as the oracle that
 ``tests/test_losses.py`` compares the kernel and its per-anchor views
 against: values, gradients, hard sets and degenerate counters.
+``batch_hard_hsmt`` is the whole-batch HSMT of the kernel with its pair
+selection and scatters spelled out one at a time, the order that fixes
+the gradient's bits.
 """
 
 import math
@@ -150,6 +153,47 @@ def hsmt_loss(batch: Batch, x: int) -> HsmtResult:
     grad[p_star] += (-exp_p / arg) * gp_p
     grad[n_star] += (exp_n / arg) * gn_n
     return HsmtResult(value, grad, False, False)
+
+
+def batch_hard_hsmt(z: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every anchor's HSMT value and the (B, d) gradient of their sum.
+
+    p* is an argmax over the positives, n* an argmin over the negatives,
+    and the pair gradients scatter by one ``np.add.at`` per side, the
+    p* side first.
+    """
+    b = z.shape[0]
+    same = labels[:, None] == labels[None, :]
+    pos = same & ~np.eye(b, dtype=bool)
+    neg = ~same
+    paired = pos.any(axis=1) & neg.any(axis=1)
+    diff = z[:, None, :] - z[None, :, :]
+    dist = np.sqrt(np.einsum("abk,abk->ab", diff, diff))
+    p_star = np.argmax(np.where(pos, dist, -np.inf), axis=1)
+    n_star = np.argmin(np.where(neg, dist, np.inf), axis=1)
+    a = np.arange(b)
+    dp = np.where(paired, dist[a, p_star], 0.0)
+    dn = np.where(paired, dist[a, n_star], 0.0)
+    exp_p, exp_n = np.exp(dp), np.exp(dn)
+    arg = 1.0 + exp_p - exp_n
+    clamped = paired & (arg <= 1e-6)
+    live = paired & ~clamped
+    arg = np.where(live, arg, 1.0)
+    values = np.where(live, -np.log(arg), 0.0)
+    values[clamped] = -math.log(1e-6)
+    g_p = np.where(live, -exp_p / arg, 0.0)[:, None] * _unit_rows(diff[a, p_star], dp)
+    g_n = np.where(live, exp_n / arg, 0.0)[:, None] * _unit_rows(diff[a, n_star], dn)
+    grad = np.zeros_like(z)
+    grad += g_p + g_n
+    np.add.at(grad, p_star, -g_p)
+    np.add.at(grad, n_star, -g_n)
+    return values, grad
+
+
+def _unit_rows(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(diff)
+    np.divide(diff, dist[:, None], out=out, where=dist[:, None] != 0.0)
+    return out
 
 
 def mine_hard(batch: Batch, x: int, k: int) -> MiningSets:

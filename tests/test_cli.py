@@ -103,6 +103,7 @@ class TestConfigSerialization:
             ({"data": {"synthetic": {"seed": -3}}}, r"^seed must be >= 0, got -3$"),
             ({"data": []}, r"^config section 'data' must be an object, got \[\]$"),
             ([], r"^config must be an object, got \[\]$"),
+            ({"description_spread": float("inf")}, r"^description_spread must be a finite numeric value"),
         ],
     )
     def test_bad_configs_rejected(self, obj, pattern):
@@ -134,6 +135,8 @@ class TestConfigSerialization:
              r"^encoder\.embed_dim must be an integer, got True$"),
             ({"seeds": (0, -1)}, r"^seeds must be >= 0, got -1$"),
             ({"seeds": (0.5,)}, r"^seeds\[0\] must be an integer, got 0\.5$"),
+            ({"description_spread": float("nan")}, r"^description_spread must be a finite numeric value, got nan$"),
+            ({"description_spread": float("inf")}, r"^description_spread must be a finite numeric value, got inf$"),
         ],
     )
     def test_encoder_fields_and_seeds_of_the_wrong_type_or_sign_rejected(self, overrides, pattern):

@@ -673,6 +673,26 @@ class TestTrainingPlan:
         finally:
             gc.enable()
 
+    def test_trained_state_does_not_alias_the_training_buffers(self):
+        # a later _train updates its own flat vector and moments in place;
+        # what an earlier one left in the state must not move with them
+        state = fresh_state()
+        state.descriptions = make_descriptions([0, 1], 4)
+        labels = np.array([0, 1] * 10)
+        x = np.random.default_rng(1).normal(size=(20, 6))
+        _train(state, x, labels, HP, 2, "k-set")
+        encoder, bilinear, optimizer = state.encoder, state.bilinear, state.optimizer
+        kept = [a.copy() for a in (encoder.w1, encoder.b1, encoder.w2, encoder.b2, bilinear.matrix)]
+        kept_moments = optimizer.m.copy(), optimizer.v.copy(), optimizer.step_count
+        _train(state, x, labels, HP, 2, "k-set")
+        assert state.optimizer.step_count == kept_moments[2] + 2
+        assert not np.array_equal(state.encoder.to_vector(), encoder.to_vector())
+        for now, then in zip((encoder.w1, encoder.b1, encoder.w2, encoder.b2, bilinear.matrix), kept):
+            np.testing.assert_array_equal(now, then)
+        np.testing.assert_array_equal(optimizer.m, kept_moments[0])
+        np.testing.assert_array_equal(optimizer.v, kept_moments[1])
+        assert optimizer.step_count == kept_moments[2]
+
 
 class TestNonFiniteGradient:
     """A non-finite gradient names where training stopped and which term caused it."""

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+import loop_reference
 from fcre.encoder import (
     AdamState,
     BilinearForm,
     EncoderParams,
+    _adam,
     backward,
     encode,
     encode_backward,
@@ -18,6 +22,10 @@ from fcre.encoder import (
     step,
 )
 from helpers import num_grad, rel_err
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def small_params(seed=42, f=5, h=4, d=3):
@@ -130,6 +138,14 @@ class TestEncodeBatch:
         assert np.array_equal(
             backward(params, acts, grad_out), backward(params, forward(params, x), grad_out)
         )
+
+    def test_backward_has_the_bits_of_fresh_products(self):
+        rng = np.random.default_rng(11)
+        params = small_params(f=32, h=32, d=16)
+        acts = forward(params, rng.normal(size=(33, 32)))
+        grad_out = rng.normal(size=(33, 16))
+        grad_out[3] = -0.0
+        assert same_bits(backward(params, acts, grad_out), loop_reference.backward(params, acts, grad_out))
 
     def test_all_zero_upstream_gives_zero_gradient(self):
         params = small_params()
@@ -251,6 +267,34 @@ class TestAdam:
             ref_params = ref_params - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
             np.testing.assert_allclose(params, ref_params, rtol=1e-12)
         assert opt.step_count == 5
+
+    def test_pure_step_and_in_place_update_agree_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        n = 12
+        grads = [rng.normal(size=n) * 10.0 ** rng.integers(-8, 4, size=n) for _ in range(5)]
+        grads[1][:4] = 0.0
+        grads[2][:4] = -0.0  # a zero gradient of either sign, on moments already nonzero
+        grads[3][4:8] = -0.0  # and on moments that were zero so far
+        opt = init_adam(n, learning_rate=0.01)
+        params = rng.normal(size=n)
+        in_place = replace(opt, m=opt.m.copy(), v=opt.v.copy())
+        vec = params.copy()
+        ref = (params.copy(), np.zeros(n), np.zeros(n), 0)
+        for g in grads:
+            params, opt = step(opt, params, g)
+            _adam(in_place, vec, g, np.empty((2, n)))
+            ref = loop_reference.adam_step(ref[1], ref[2], ref[3], 0.01, ref[0], g)
+            for pure, updated, expression in zip((params, opt.m, opt.v), (vec, in_place.m, in_place.v), ref):
+                assert same_bits(pure, updated) and same_bits(pure, expression)
+            assert opt.step_count == in_place.step_count == ref[3]
+
+    def test_in_place_update_rejects_a_non_finite_gradient_before_any_change(self):
+        opt = init_adam(2)
+        params = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="^gradient contains non-finite entries$"):
+            _adam(opt, params, np.array([1.0, np.nan]), np.empty((2, 2)))
+        assert opt.step_count == 0 and not opt.m.any() and not opt.v.any()
+        assert params.tolist() == [1.0, 2.0]
 
     def test_original_state_not_mutated(self):
         opt = init_adam(2, learning_rate=0.1)

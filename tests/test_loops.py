@@ -2,12 +2,14 @@
 
 ``loop_reference`` holds the per-relation and per-row loops that data
 generation, memory selection, prototypes, checkpoints and ``evaluate``'s
-rank step ran before they became array operations, and the description
-checks that ``DescriptionSet`` keeps.  Every property here requires the same bits, the same picks
-and the same errors, on random inputs and on the adversarial ones: a
-center candidate at the separation bound, coincident rows, labels
-interleaved within one append, keys with many exact ties, zero-norm
-vectors and zero means.
+rank step ran before they became array operations, the description
+checks that ``DescriptionSet`` keeps, and the training step that built a
+new parameter vector per Adam step.  Every property here requires the
+same bits, the same picks and the same errors, on random inputs and on
+the adversarial ones: a center candidate at the separation bound,
+coincident rows, labels interleaved within one append, keys with many
+exact ties, zero-norm vectors and zero means, minibatches with a folded
+straggler.
 """
 
 import math
@@ -21,9 +23,11 @@ from hypothesis import strategies as st
 import loop_reference as ref
 from fcre.cli import _description_centers
 from fcre.continual import (
+    DESCRIPTION_SOURCES,
     MemoryBuffer,
     Task,
     _central_rows,
+    _train,
     build_prototypes,
     checkpoint_dict,
     init_state,
@@ -32,6 +36,7 @@ from fcre.continual import (
 )
 from fcre.datagen import SyntheticSpec, generate_stream, sample_separated_centers
 from fcre.descriptions import DescriptionSet, synth_descriptions
+from fcre.encoder import BilinearForm
 from fcre.formats import _floats_to_b64
 from fcre.geometry import row_dots, unit_normalize
 from fcre.inference import _ranks
@@ -351,3 +356,31 @@ class TestRanks:
         else:
             keys = rng.normal(size=(n_rows, n_cols))
         assert np.array_equal(_ranks(keys), ref.ranks(keys))
+
+
+class TestTrainingStep:
+    @pytest.mark.parametrize("source", DESCRIPTION_SOURCES)
+    @pytest.mark.parametrize(
+        "n, epochs",
+        [(97, 2), (40, 3)],
+        ids=["minibatches-32-32-33", "full-batch"],
+    )
+    def test_train_matches_the_step_by_step_oracle(self, source, n, epochs):
+        rng = np.random.default_rng(n)
+        relations = [3, 5, 8, 11]
+        labels = np.concatenate([relations, rng.choice(relations, size=n - len(relations))])
+        features = rng.normal(size=(n, 6))
+        descriptions = synth_descriptions(n, {r: rng.normal(size=4) for r in relations}, 3, 0.3)
+        hp = HyperParams(k_desc=3)
+        got, want = init_state(6, 8, 4, hp, n), init_state(6, 8, 4, hp, n)
+        got.descriptions = want.descriptions = descriptions
+        for _ in range(2):  # the second phase starts from the first one's optimizer
+            _train(got, features, labels, hp, epochs, source)
+            encoder, w, optimizer = ref.train(want, features, labels, hp, epochs, source)
+            want.encoder, want.bilinear, want.optimizer = encoder, BilinearForm(w), optimizer
+        assert same_bits(got.encoder.to_vector(), want.encoder.to_vector())
+        assert same_bits(got.bilinear.matrix, want.bilinear.matrix)
+        assert same_bits(got.optimizer.m, want.optimizer.m)
+        assert same_bits(got.optimizer.v, want.optimizer.v)
+        assert got.optimizer.step_count == want.optimizer.step_count == 2 * epochs * (n // 32 or 1)
+        assert got.rng.bit_generator.state == want.rng.bit_generator.state

@@ -1,6 +1,8 @@
 """Loss values against literal-formula oracles; gradients against FD."""
 
+import cProfile
 import math
+import pstats
 import tracemalloc
 
 import numpy as np
@@ -739,6 +741,11 @@ def kernel_blocks(batch):
     return blocks
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def assert_close(actual, expected):
     np.testing.assert_allclose(actual, expected, rtol=1e-10, atol=1e-13)
 
@@ -838,6 +845,41 @@ class TestJointLoss:
             assert_close(result.value, reference.value)
             assert_close(result.grad_z, reference.grad_z)
             assert_close(result.grad_w, reference.grad_w)
+
+    def test_batch_hsmt_scatters_in_the_reference_order(self):
+        # two samples often share a p* or an n*, so the order of the
+        # scatter-adds sets the gradient's bits
+        rng = np.random.default_rng(8)
+        cases = kernel_oracle_cases() + [tied_batch(rng, 64, 16), tied_batch(rng, 33, 4)]
+        for batch in cases:
+            term = losses._Kernel(batch.z, losses._Layout.of_batch(batch, slice(0, batch.size))).hsmt()
+            values, grad = loss_reference.batch_hard_hsmt(batch.z, batch.labels)
+            assert same_bits(term.values, values)
+            assert same_bits(term.grad_z, grad)
+
+    def test_terms_add_up_from_zero_in_order(self):
+        # SCL, HSMT, HM and MI, each onto zeros: a zero start turns a
+        # -0.0 into 0.0, so it is part of the bits
+        rng = np.random.default_rng(9)
+        hp = self.HP
+        for batch in kernel_oracle_cases():
+            w = np.eye(batch.embed_dim) + 0.05 * rng.normal(size=(batch.embed_dim,) * 2)
+            kernel = losses._Kernel(batch.z, losses._Layout.of_batch(batch, slice(0, batch.size)))
+            terms = [
+                (hp.beta_sc, kernel.scl(hp.tau)),
+                (hp.beta_st, kernel.hsmt()),
+                (hp.beta_hm, kernel.hm(hp.margin)),
+                (hp.beta_mi, kernel.mi(w, hp.tau)),
+            ]
+            total, grad_z, grad_w = 0.0, np.zeros(batch.z.shape), np.zeros(w.shape)
+            for beta, term in terms:
+                total += beta * float(np.sum(term.values))
+                grad_z += beta * term.grad_z
+            grad_w += hp.beta_mi * terms[3][1].grad_w
+            result = joint_loss(batch, hp, w)
+            assert result.value == total * (1.0 / batch.size)
+            assert same_bits(result.grad_z, grad_z * (1.0 / batch.size))
+            assert same_bits(result.grad_w, grad_w * (1.0 / batch.size))
 
     def test_views_match_per_anchor_reference(self):
         rng = np.random.default_rng(7)
@@ -1072,6 +1114,8 @@ class TestTrainingPlan:
         table = np.ones((2, 3, 4))
         with pytest.raises(ValueError, match=r"^description dim 4 != embedding dim 5$"):
             losses._Plan(table, np.array([0, 1]), np.array([0, 1]), 5, HyperParams())
+        with pytest.raises(ValueError, match=r"^W must be \(4, 4\), got \(3, 3\)$"):
+            losses._Plan(table, np.array([0, 1]), np.array([0, 1]), 4, HyperParams(), np.eye(3))
         table[1, 2, 0] = np.nan
         with pytest.raises(ValueError, match=r"^descriptions contain non-finite entries$"):
             losses._Plan(table, np.array([0, 1]), np.array([0, 1]), 4, HyperParams())
@@ -1091,6 +1135,33 @@ class TestTrainingPlan:
                     joint_loss(candidate, hp, np.eye(4))
             else:
                 joint_loss(candidate, hp, np.eye(4))
+
+    def test_other_hyperparameters_are_validated_on_a_plan_batch(self):
+        # only the plan's own hp skips validation
+        rng = np.random.default_rng(4)
+        batch = plan_for(rng.normal(size=(2, 3, 4)), [0, 1, 0, 1], HyperParams()).batch(
+            np.arange(4), embedded(rng, 4, 4)
+        )
+        with pytest.raises(ValueError, match=r"^tau must be positive, got 0\.0$"):
+            joint_loss(batch, HyperParams(tau=0.0), np.eye(4))
+        with pytest.raises(ValueError, match=r"^W must be \(4, 4\), got \(3, 3\)$"):
+            joint_loss(batch, HyperParams(), np.eye(3))
+
+    def test_a_training_step_stays_under_its_call_ceiling(self):
+        # cProfile's count of Python and built-in calls in one B=32
+        # minibatch step (R=5, K=7, d=16): per-call overhead, not
+        # arithmetic, sets the cost of a step at training sizes
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, 5, size=100)
+        hp = HyperParams()
+        plan = losses._Plan(rng.normal(size=(5, 7, 16)), labels, labels, 16, hp)
+        idx, z, w = rng.permutation(100)[:32], embedded(rng, 32, 16), np.eye(16)
+        joint_loss(plan.batch(idx, z), hp, w)  # anything imported lazily is imported
+        profile = cProfile.Profile()
+        profile.enable()
+        joint_loss(plan.batch(idx, z), hp, w)
+        profile.disable()
+        assert pstats.Stats(profile).total_calls <= 116
 
     def test_transient_memory_of_a_full_batch_stays_under_one_megabyte(self):
         # the largest plan batch (64 rows) over 40 relations, as the last
