@@ -10,6 +10,8 @@ Re-running the same config and seed rewrites the same directory with
 byte-identical contents.  Seeds are independent
 replicates; ``FCRE_THREADS`` caps how many run as parallel worker
 processes (default: serial).
+A config is frozen and checks itself when built, as do the configs it
+nests, so the commands take the configs they are given as valid.
 """
 
 from __future__ import annotations
@@ -41,23 +43,22 @@ logger = logging.getLogger(__name__)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
     feature_dim: int = 32
     hidden_dim: int = 32
     embed_dim: int = 16
 
-    def validate(self) -> "EncoderConfig":
+    def __post_init__(self) -> None:
         checked(vars(self), {f.name: type(f.default) for f in fields(self)}, "encoder")
         for name, value in asdict(self).items():
             if value < 1:
                 raise ValueError(f"encoder.{name} must be >= 1, got {value}")
-        return self
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully-resolved description of one experiment (all seeds)."""
+    """Fully-resolved description of one experiment (all seeds), valid once built."""
 
     data_mode: str = "synthetic"
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
@@ -71,7 +72,7 @@ class ExperimentConfig:
     description_spread: float = 0.1
     out_dir: str = "runs"
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self) -> None:
         if self.data_mode not in ("synthetic", "files"):
             raise ValueError(
                 f"data_mode must be 'synthetic' or 'files', got {self.data_mode!r}"
@@ -81,15 +82,11 @@ class ExperimentConfig:
                 raise ValueError(
                     "data_mode 'files' requires both dataset_path and descriptions_path"
                 )
-        else:
-            self.synthetic.validate()
-            if self.synthetic.feature_dim != self.encoder.feature_dim:
-                raise ValueError(
-                    f"synthetic feature_dim {self.synthetic.feature_dim} does not "
-                    f"match encoder feature_dim {self.encoder.feature_dim}"
-                )
-        self.encoder.validate()
-        self.hyper.validate()
+        elif self.synthetic.feature_dim != self.encoder.feature_dim:
+            raise ValueError(
+                f"synthetic feature_dim {self.synthetic.feature_dim} does not "
+                f"match encoder feature_dim {self.encoder.feature_dim}"
+            )
         if not self.seeds:
             raise ValueError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
@@ -102,7 +99,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"description_spread must be >= 0, got {self.description_spread}"
             )
-        return self
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -148,7 +144,7 @@ def config_from_dict(obj) -> ExperimentConfig:
     defaults = ExperimentConfig()
     obj = _checked(obj, config_to_dict(defaults), "")
     data = obj.get("data", {})
-    config = ExperimentConfig(
+    return ExperimentConfig(
         data_mode=data.get("mode", defaults.data_mode),
         synthetic=replace(defaults.synthetic, **data.get("synthetic", {})),
         dataset_path=data.get("dataset_path"),
@@ -161,7 +157,6 @@ def config_from_dict(obj) -> ExperimentConfig:
         description_spread=obj.get("description_spread", defaults.description_spread),
         out_dir=obj.get("out_dir", defaults.out_dir),
     )
-    return config.validate()
 
 
 def load_config(path) -> ExperimentConfig:
@@ -227,7 +222,6 @@ def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
 
     Returns a summary dict: run_dir plus final accuracy and drop per head.
     """
-    config.validate()
     if config.data_mode == "synthetic":
         stream, descriptions = _synthetic_data(config, seed)
     else:
@@ -272,7 +266,6 @@ def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
 
 def cmd_generate(config: ExperimentConfig, out_dir: str) -> int:
     """Write dataset.jsonl and descriptions.jsonl for the synthetic spec."""
-    config.validate()
     if config.data_mode != "synthetic":
         raise ValueError("generate requires a synthetic data config")
     out = Path(out_dir)
@@ -289,7 +282,6 @@ def cmd_generate(config: ExperimentConfig, out_dir: str) -> int:
 
 def cmd_run(config: ExperimentConfig) -> int:
     """Run every seed, print per-seed and aggregate summaries."""
-    config.validate()
     threads = _worker_count(len(config.seeds))
     results: dict[int, dict] = {}
     failures: dict[int, str] = {}
@@ -355,8 +347,10 @@ def _worker_count(n_seeds: int) -> int:
     try:
         threads = int(raw)
     except ValueError:
-        raise ValueError(f"FCRE_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(threads, n_seeds))
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"FCRE_THREADS must be a positive integer, got {raw!r}")
+    return min(threads, n_seeds)
 
 
 def cmd_report(run_dirs: list[str], out: str | None) -> int:
@@ -481,8 +475,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_generate(config, args.out)
         if args.command == "run":
             config = load_config(args.config) if args.config else ExperimentConfig()
-            config = _apply_overrides(config, args).validate()
-            return cmd_run(config)
+            return cmd_run(_apply_overrides(config, args))
         if args.command == "report":
             return cmd_report(args.run_dirs, args.out)
     except (ValueError, OSError, RuntimeError) as exc:

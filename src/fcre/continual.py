@@ -29,8 +29,8 @@ checkpoint groups the memory rows by relation with one stable sort and
 lists the relations in order of first appearance.
 
 Each training phase (steps 2 and 4) validates its pool once: the
-features, the hyperparameters and the pool's (R, K, d) description
-table, which go into a ``losses._Plan``.  Batches are formed per epoch:
+features and the pool's (R, K, d) description table, which go into a
+``losses._Plan`` with W.  Batches are formed per epoch:
 one full batch when the pool fits in 64 samples, otherwise shuffled
 minibatches of 32 (a would-be trailing singleton is merged into the
 previous batch, since the contrastive losses need company).  A full
@@ -287,7 +287,6 @@ def init_state(
     seed: int,
 ) -> ContinualState:
     """Fresh state: seeded encoder/bilinear init and one Adam over both."""
-    hp.validate()
     rng = np.random.default_rng(seed)
     params = init_encoder(feature_dim, hidden_dim, embed_dim, rng)
     bilinear = init_bilinear(embed_dim, rng)
@@ -511,7 +510,6 @@ def run_task(
     relations are absorbed into the state.  Appends one metrics row per
     head and returns the (mutated) state.
     """
-    hp.validate()
     check_description_source(description_source)
     check_heads(heads)
     expected_index = len(state.completed_tasks) + 1

@@ -45,10 +45,11 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Knobs of the synthetic stream generator.
+    """Knobs of the synthetic stream generator, valid once built.
 
-    ``validate`` requires each field to hold a number of its default's
-    kind (an integer that is not a bool, or a finite real) in its range.
+    Construction (``dataclasses.replace`` included) requires each field
+    to hold a number of its default's kind (an integer that is not a
+    bool, or a finite real) in its range.
     """
 
     n_tasks: int = 8
@@ -61,7 +62,7 @@ class SyntheticSpec:
     task1_oversample: int = 100
     seed: int = 0
 
-    def validate(self) -> "SyntheticSpec":
+    def __post_init__(self) -> None:
         checked(vars(self), {f.name: type(f.default) for f in fields(self)}, "")
         for name in ("n_tasks", "n_way", "shots", "test_per_relation", "feature_dim",
                      "task1_oversample"):
@@ -77,7 +78,6 @@ class SyntheticSpec:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        return self
 
     @property
     def n_relations(self) -> int:
@@ -111,7 +111,6 @@ def generate_stream(spec: SyntheticSpec) -> tuple[TaskStream, dict[int, np.ndarr
     order (centers, then task by task, relation by relation, train pool
     before test pool), so identical specs produce identical streams.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     centers = sample_separated_centers(
         rng, spec.n_relations, spec.feature_dim, spec.cluster_separation

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from fcre.formats import float_row, read_jsonl, write_jsonl
+from fcre.formats import checked, float_row, read_jsonl, write_jsonl
 from fcre.geometry import unit_rows
 
 _SCHEMA = {"relation": int, "vectors": list}
@@ -50,6 +50,8 @@ class DescriptionSet:
     """
 
     def __init__(self, vectors_by_relation: Mapping[int, np.ndarray]):
+        for rel in vectors_by_relation:  # the table stores int(rel): 2.5 is not relation 2
+            checked(rel, int, "relation id")
         blocks = {}
         k_desc = dim = None
         for rel in sorted(vectors_by_relation):  # raises for the first bad relation

@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from fcre.formats import checked
 from fcre.geometry import as_embedding
 
 _BILINEAR_NOISE = 0.01  # scale of the Gaussian noise added to W's identity start
@@ -129,7 +130,7 @@ def init_encoder(
         ("hidden_dim", hidden_dim),
         ("embed_dim", embed_dim),
     ):
-        if int(value) < 1:
+        if checked(value, int, name) < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     s1 = 1.0 / np.sqrt(feature_dim)
     s2 = 1.0 / np.sqrt(hidden_dim)
@@ -251,7 +252,7 @@ class BilinearForm:
 
 def init_bilinear(embed_dim: int, rng: np.random.Generator) -> BilinearForm:
     """Identity plus small Gaussian noise; keeps early scores near cosine."""
-    if int(embed_dim) < 1:
+    if checked(embed_dim, int, "embed_dim") < 1:
         raise ValueError(f"embed_dim must be >= 1, got {embed_dim}")
     noise = rng.standard_normal((embed_dim, embed_dim))
     return BilinearForm(matrix=np.eye(embed_dim) + _BILINEAR_NOISE * noise)
@@ -268,7 +269,7 @@ class AdamState:
 
 
 def init_adam(n_params: int, learning_rate: float = 1e-3) -> AdamState:
-    if n_params < 1:
+    if checked(n_params, int, "n_params") < 1:
         raise ValueError(f"n_params must be >= 1, got {n_params}")
     if not learning_rate > 0.0:
         raise ValueError(f"learning_rate must be positive, got {learning_rate}")

@@ -36,7 +36,7 @@ import numpy as np
 
 from fcre.encoder import encode_batch
 from fcre.geometry import as_embedding, cosine, euclidean, rank_scores
-from fcre.losses import _check_fusion_weights
+from fcre.losses import HyperParams, _check_fusion_weights
 
 if TYPE_CHECKING:  # pragma: no cover - import would be circular at runtime
     from fcre.continual import ContinualState
@@ -282,7 +282,7 @@ def _predict_block(
     proto_sq_norms: np.ndarray,
     means: np.ndarray | None,
     mean_norms: np.ndarray | None,
-    hp,
+    hp: HyperParams,
 ) -> dict[str, np.ndarray]:
     """Column index of the predicted relation for each query row, per head.
 
@@ -312,7 +312,7 @@ def _predict_block(
 
 
 def evaluate(
-    state: "ContinualState", through_task: int, heads: tuple[str, ...], hp
+    state: "ContinualState", through_task: int, heads: tuple[str, ...], hp: HyperParams
 ) -> list[TaskAccuracy]:
     """Score the test pools of tasks 1..through_task with each head.
 
@@ -349,7 +349,6 @@ def evaluate(
     proto_sq_norms = np.einsum("rd,rd->r", prototypes, prototypes)
     means = mean_norms = None
     if "dri" in heads:
-        _check_fusion_weights(hp.alpha, hp.epsilon)
         means = state.descriptions.means
         mean_norms = np.sqrt(np.einsum("rd,rd->r", means, means))
         if np.any(mean_norms == 0.0):

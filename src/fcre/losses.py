@@ -43,11 +43,11 @@ batches hold at most 64 rows, so HSMT's differences, the largest,
 take 512 KiB.
 A caller's ``Batch`` is validated when it is built.  Training goes
 through a ``_Plan`` instead, built once per pool: it validates the pool's
-(R, K, d) description table and the hyperparameters once, takes each
-batch's classes from its relations (a table row is one relation's
-block), and keeps the label layout of a pool that trains as one full
-batch for every epoch.  ``joint_loss`` runs no per-call checks on a
-plan's batch, and its kernel does only the work that depends on z.
+(R, K, d) description table and W once, takes each batch's classes from
+its relations (a table row is one relation's block), and keeps the label
+layout of a pool that trains as one full batch for every epoch.
+``joint_loss`` runs no per-call checks on a plan's batch, and its kernel
+does only the work that depends on z.
 
 Every loss returns its value together with d(value)/d(z) for the whole
 batch (and d(value)/dW where W participates).  Description vectors are
@@ -69,14 +69,15 @@ import numpy as np
 from fcre.formats import checked
 
 
-@dataclass
+@dataclass(frozen=True)
 class HyperParams:
-    """All tunables of the training and inference pipeline.
+    """All tunables of the training and inference pipeline, valid once built.
 
     ``epochs_current``/``epochs_memory`` may be zero (frozen-encoder
-    runs are legitimate baselines); every other constraint is enforced
-    by ``validate``, which first requires each field to hold a number of
-    its default's kind: an integer that is not a bool, or a finite real.
+    runs are legitimate baselines); every other constraint is checked
+    at construction, ``dataclasses.replace`` included, after each field
+    is found to hold a number of its default's kind: an integer that is
+    not a bool, or a finite real.
     """
 
     tau: float = 0.1
@@ -93,7 +94,7 @@ class HyperParams:
     epochs_memory: int = 10
     learning_rate: float = 1e-3
 
-    def validate(self) -> "HyperParams":
+    def __post_init__(self) -> None:
         checked(vars(self), {f.name: type(f.default) for f in fields(self)}, "")
         _require_tau(self.tau)
         _require_margin(self.margin)
@@ -111,7 +112,6 @@ class HyperParams:
             raise ValueError("epoch counts must be >= 0")
         if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        return self
 
 
 @dataclass
@@ -175,7 +175,7 @@ class Batch:
         return np.flatnonzero(self.labels != self.labels[x])
 
     def _check_index(self, x: int) -> None:
-        if not 0 <= x < self.size:
+        if not 0 <= checked(x, int, "sample index") < self.size:
             raise ValueError(f"sample index {x} out of range for batch of {self.size}")
 
 
@@ -635,7 +635,7 @@ def mine_hard(batch: Batch, x: int, k: int) -> MiningSets:
         raise ValueError(f"sample {x} has no positives to mine")
     if neg.size == 0:
         raise ValueError(f"sample {x} has no negatives to mine")
-    if not 0 <= k < batch.k_desc:
+    if not 0 <= checked(k, int, "description index") < batch.k_desc:
         raise ValueError(f"description index {k} out of range for K={batch.k_desc}")
     # x is its class's one anchor
     _, _, hard_pos, hard_neg = _one_row(batch, x).mine(slice(k, k + 1))
@@ -687,14 +687,13 @@ class _PlanBatch(Batch):
 
     ``_Plan.batch`` builds it without ``Batch``'s checks and sets
     ``layout``, the layout over every anchor row that ``joint_loss``
-    evaluates (a whole-pool batch shares it across epochs), and ``hp``,
-    the hyperparameters its plan validated.  ``joint_loss`` reads the
-    description classes from the layout, so the (B, K, d) block is
-    gathered from the plan's table only when something else reads it.
+    evaluates (a whole-pool batch shares it across epochs).
+    ``joint_loss`` reads the description classes from the layout, so the
+    (B, K, d) block is gathered from the plan's table only when something
+    else reads it.
     """
 
     layout: _Layout
-    hp: HyperParams
     _table: np.ndarray  # the plan's (R, K, d) description table
     _rows: np.ndarray  # (B,) each sample's row in it
 
@@ -708,11 +707,11 @@ class _Plan:
 
     Holds the pool's (R, K, d) description table, each sample's row in
     it, and the table's (R, K) description norms and unit descriptions;
-    the hyperparameters are checked before training starts, and so is
-    ``w_matrix``'s shape when one is given.  A table row is one
-    relation's block, so a batch's description classes are its relations
-    in order of first appearance: what ``_Layout.of_batch`` finds for
-    such blocks, without comparing them.  A pool that trains as one full
+    ``w_matrix``'s shape is checked before training starts when one is
+    given and ``hp`` enables MI.  A table row is one relation's block,
+    so a batch's description classes are its relations in order of first
+    appearance: what ``_Layout.of_batch`` finds for such blocks, without
+    comparing them.  A pool that trains as one full
     batch (the same rows in the same order every epoch) has its layout
     built once.  The plan's batches hold at least two rows, as training's
     do.  Neither the plan nor a layout refers to a batch or a kernel, so
@@ -728,7 +727,6 @@ class _Plan:
         hp: HyperParams,
         w_matrix: np.ndarray | None = None,
     ) -> None:
-        hp.validate()
         table = np.asarray(table, dtype=np.float64)
         _check_descriptions(table, embed_dim)
         if w_matrix is not None and hp.beta_mi != 0.0:
@@ -737,7 +735,6 @@ class _Plan:
         self.norms, self.unit = _unit_blocks(table)
         self.row_of = row_of
         self.labels = np.asarray(labels, dtype=np.int64)
-        self.hp = hp
         self._whole: tuple[np.ndarray, _Layout] | None = None
 
     def batch(self, idx: np.ndarray, z: np.ndarray) -> Batch:
@@ -756,7 +753,7 @@ class _Plan:
                 self._whole = (idx.copy(), layout)
         batch = object.__new__(_PlanBatch)  # z is finite, and the rest was checked here
         batch.z, batch.labels, batch._table, batch._rows = z, self.labels[idx], self.table, rows
-        batch.layout, batch.hp = layout, self.hp
+        batch.layout = layout
         return batch
 
 
@@ -765,18 +762,17 @@ def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResu
 
     Every row is an anchor, so the kernel's transients grow as
     B^2 * max(d, K) floats (training batches hold at most 64 rows).  A
-    ``_Plan`` batch brings its label layout, and with its plan's ``hp``
-    it skips validation: the plan checked ``hp`` (and, in training, W's
-    shape) once, and its batches hold at least two rows.  Any other call
-    validates ``hp``, the batch size and W, and a plain batch has its
-    layout built here by comparing its description blocks.
+    ``_Plan`` batch brings its label layout and runs no checks: its
+    batches hold at least two rows, and the plan checked the W it trains
+    with.  A plain batch has its size and W checked and its layout built
+    here by comparing its description blocks.
     Linear in each beta; terms with beta == 0 are skipped entirely, so
     disabling a loss also disables its degenerate-input flags.
     """
     b = batch.size
-    planned = isinstance(batch, _PlanBatch)
-    if not (planned and hp is batch.hp):
-        hp.validate()
+    if isinstance(batch, _PlanBatch):
+        layout = batch.layout
+    else:
         w_matrix = np.asarray(w_matrix, dtype=np.float64)
         if hp.beta_sc != 0.0:
             _require_pair(batch, "scl_loss")
@@ -784,7 +780,7 @@ def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResu
             _require_pair(batch, "hsmt_loss")
         if hp.beta_mi != 0.0:
             _as_bilinear(w_matrix, batch.embed_dim)
-    layout = batch.layout if planned else _Layout.of_batch(batch, slice(0, b))
+        layout = _Layout.of_batch(batch, slice(0, b))
     kernel = _Kernel(batch.z, layout)
     total = 0.0
     grad_z = np.zeros(batch.z.shape)

@@ -339,7 +339,6 @@ def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResu
     Linear in each beta; terms with beta == 0 are skipped entirely, so
     disabling a loss also disables its degenerate-input flags.
     """
-    hp.validate()
     b = batch.size
     w_matrix = np.asarray(w_matrix, dtype=np.float64)
     total = 0.0

@@ -101,6 +101,11 @@ class TestConfigSerialization:
             ({"description_spread": float("nan")}, r"^description_spread must be a finite numeric value"),
             ({"seeds": [0, -1]}, r"^seeds must be >= 0, got -1$"),
             ({"data": {"synthetic": {"seed": -3}}}, r"^seed must be >= 0, got -3$"),
+            (
+                {"data": {"mode": "files", "dataset_path": "d.jsonl", "descriptions_path": "e.jsonl",
+                          "synthetic": {"n_way": 0}}},
+                r"^n_way must be >= 1, got 0$",
+            ),
             ({"data": []}, r"^config section 'data' must be an object, got \[\]$"),
             ([], r"^config must be an object, got \[\]$"),
             ({"description_spread": float("inf")}, r"^description_spread must be a finite numeric value"),
@@ -118,20 +123,26 @@ class TestConfigSerialization:
 
     def test_validate_cross_checks(self):
         with pytest.raises(ValueError, match="does not match encoder"):
-            tiny_config(encoder=EncoderConfig(feature_dim=9, hidden_dim=8, embed_dim=4)).validate()
+            tiny_config(encoder=EncoderConfig(feature_dim=9, hidden_dim=8, embed_dim=4))
         with pytest.raises(ValueError, match="requires both"):
-            tiny_config(data_mode="files").validate()
+            tiny_config(data_mode="files")
         with pytest.raises(ValueError, match="duplicate seeds"):
-            tiny_config(seeds=(1, 1)).validate()
+            tiny_config(seeds=(1, 1))
         with pytest.raises(ValueError, match="unknown head"):
-            tiny_config(heads=("knn",)).validate()
+            tiny_config(heads=("knn",))
+
+    def test_replace_checks_the_new_value(self):
+        with pytest.raises(ValueError, match=r"^at least one seed is required$"):
+            dataclasses.replace(ExperimentConfig(), seeds=())
+        with pytest.raises(ValueError, match=r"^encoder\.embed_dim must be >= 1, got 0$"):
+            dataclasses.replace(EncoderConfig(), embed_dim=0)
 
     @pytest.mark.parametrize(
         "overrides, pattern",
         [
-            ({"encoder": EncoderConfig(feature_dim=8, hidden_dim=2.5, embed_dim=4)},
+            ({"encoder": {"feature_dim": 8, "hidden_dim": 2.5, "embed_dim": 4}},
              r"^encoder\.hidden_dim must be an integer, got 2\.5$"),
-            ({"encoder": EncoderConfig(feature_dim=8, hidden_dim=8, embed_dim=True)},
+            ({"encoder": {"feature_dim": 8, "hidden_dim": 8, "embed_dim": True}},
              r"^encoder\.embed_dim must be an integer, got True$"),
             ({"seeds": (0, -1)}, r"^seeds must be >= 0, got -1$"),
             ({"seeds": (0.5,)}, r"^seeds\[0\] must be an integer, got 0\.5$"),
@@ -141,11 +152,13 @@ class TestConfigSerialization:
     )
     def test_encoder_fields_and_seeds_of_the_wrong_type_or_sign_rejected(self, overrides, pattern):
         with pytest.raises(ValueError, match=pattern):
-            tiny_config(**overrides).validate()
+            if "encoder" in overrides:
+                overrides = {**overrides, "encoder": EncoderConfig(**overrides["encoder"])}
+            tiny_config(**overrides)
 
     def test_numpy_scalars_accepted(self):
         encoder = EncoderConfig(feature_dim=np.int64(8), hidden_dim=np.int32(8), embed_dim=4)
-        tiny_config(encoder=encoder, seeds=(np.int64(0),)).validate()
+        tiny_config(encoder=encoder, seeds=(np.int64(0),))
 
     @pytest.mark.parametrize(
         "argv, pattern",
@@ -306,11 +319,13 @@ class TestRunCommand:
         assert sorted(artifacts[0]) == ["metrics.csv", "task_01.json", "task_02.json"]
         assert artifacts[0] == artifacts[1]
 
-    def test_bad_threads_value_rejected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FCRE_THREADS", "many")
+    @pytest.mark.parametrize("value", ["many", "0", "-1"])
+    def test_bad_threads_value_rejected(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("FCRE_THREADS", value)
         config = tiny_config(out_dir=str(tmp_path / "runs"))
         assert self.run_main(tmp_path, config) == 2
-        assert "FCRE_THREADS" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: FCRE_THREADS must be a positive integer, got {value!r}\n"
+        assert not (tmp_path / "runs").exists()  # rejected before any seed runs
 
     def test_loss_ablation_flags(self, tmp_path):
         config = tiny_config(out_dir=str(tmp_path / "runs"))

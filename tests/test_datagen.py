@@ -32,7 +32,6 @@ SMALL = SyntheticSpec(
 
 class TestSyntheticSpec:
     def test_defaults_validate(self):
-        SyntheticSpec().validate()
         assert SyntheticSpec().n_relations == 40
 
     @pytest.mark.parametrize(
@@ -57,10 +56,14 @@ class TestSyntheticSpec:
         base = {"shots": 5, "task1_oversample": 5}
         base.update(kwargs)
         with pytest.raises(ValueError, match=pattern):
-            SyntheticSpec(**base).validate()
+            SyntheticSpec(**base)
 
     def test_numpy_scalars_accepted(self):
-        SyntheticSpec(n_tasks=np.int64(2), seed=np.uint32(7), within_class_noise=np.float64(0.2)).validate()
+        SyntheticSpec(n_tasks=np.int64(2), seed=np.uint32(7), within_class_noise=np.float64(0.2))
+
+    def test_replace_checks_the_new_value(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            dataclasses.replace(SyntheticSpec(), seed=-1)
 
 
 class TestSampleSeparatedCenters:

@@ -35,6 +35,20 @@ class TestDescriptionSet:
         )
         assert ds.relations == (1, 3, 5)
 
+    @pytest.mark.parametrize(
+        "key, shown",
+        [(2.5, r"2\.5"), (3.0, r"3\.0"), (True, "True"), ("7", "'7'")],
+    )
+    def test_a_relation_id_that_is_not_an_integer_is_rejected(self, key, shown):
+        # 2.5 was stored as relation 2 beside a real relation 2, "7" as relation 7
+        with pytest.raises(ValueError, match=rf"^relation id must be an integer, got {shown}$"):
+            DescriptionSet({2: np.ones((1, 2)), key: np.ones((1, 2))})
+
+    def test_a_numpy_integer_relation_id_is_accepted(self):
+        ds = DescriptionSet({np.int64(4): np.ones((1, 2)), np.uint8(1): np.ones((1, 2))})
+        assert ds.relations == (1, 4)
+        assert all(type(rel) is int for rel in ds.relations)
+
     def test_vectors_and_shape_accessors(self):
         ds = simple_set()
         assert ds.k_desc == 2

@@ -220,9 +220,25 @@ class TestInit:
         b = init_encoder(6, 5, 4, np.random.default_rng(123))
         assert np.array_equal(a.to_vector(), b.to_vector())
 
-    def test_bad_dims_rejected(self):
-        with pytest.raises(ValueError, match="hidden_dim"):
-            init_encoder(4, 0, 3, np.random.default_rng(0))
+    @pytest.mark.parametrize(
+        "init, pattern",
+        [
+            (lambda rng: init_encoder(4, 0, 3, rng), "hidden_dim"),
+            (lambda rng: init_encoder(3, 2.5, 2, rng), r"^hidden_dim must be an integer, got 2\.5$"),
+            (lambda rng: init_encoder(True, 3, 2, rng), r"^feature_dim must be an integer, got True$"),
+            (lambda rng: init_bilinear(2.5, rng), r"^embed_dim must be an integer, got 2\.5$"),
+            (lambda rng: init_adam(2.5), r"^n_params must be an integer, got 2\.5$"),
+        ],
+    )
+    def test_bad_dims_rejected(self, init, pattern):
+        with pytest.raises(ValueError, match=pattern):
+            init(np.random.default_rng(0))
+
+    def test_numpy_integer_sizes_accepted(self):
+        a = init_encoder(np.int64(6), np.int32(5), np.uint8(4), np.random.default_rng(1))
+        b = init_encoder(6, 5, 4, np.random.default_rng(1))
+        assert np.array_equal(a.to_vector(), b.to_vector())
+        assert init_adam(np.int64(3)).m.shape == (3,)
 
     def test_bilinear_starts_near_identity(self):
         w = init_bilinear(8, np.random.default_rng(42))

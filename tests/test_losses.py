@@ -1,6 +1,7 @@
 """Loss values against literal-formula oracles; gradients against FD."""
 
 import cProfile
+import dataclasses
 import math
 import pstats
 import tracemalloc
@@ -111,10 +112,21 @@ class TestBatch:
         assert list(batch.negatives(0)) == [2, 4]
         assert list(batch.positives(2)) == [4]
 
-    def test_index_out_of_range(self):
+    @pytest.mark.parametrize(
+        "x, pattern",
+        [
+            (2, "out of range"),
+            (1.0, r"^sample index must be an integer, got 1\.0$"),
+            (True, r"^sample index must be an integer, got True$"),
+            ("0", r"^sample index must be an integer, got '0'$"),
+        ],
+    )
+    def test_index_out_of_range(self, x, pattern):
         batch = orthogonal_batch([0, 1])
-        with pytest.raises(ValueError, match="out of range"):
-            batch.positives(2)
+        with pytest.raises(ValueError, match=pattern):
+            batch.positives(x)
+        with pytest.raises(ValueError, match=pattern):
+            scl_loss(batch, x, 0.5)
 
     def test_label_shape_mismatch(self):
         with pytest.raises(ValueError, match="labels"):
@@ -133,10 +145,10 @@ class TestBatch:
 
 class TestHyperParams:
     def test_defaults_validate(self):
-        HyperParams().validate()
+        HyperParams()
 
     def test_zero_epochs_allowed(self):
-        HyperParams(epochs_current=0, epochs_memory=0).validate()
+        HyperParams(epochs_current=0, epochs_memory=0)
 
     @pytest.mark.parametrize(
         "kwargs, pattern",
@@ -162,10 +174,16 @@ class TestHyperParams:
     )
     def test_constraint_violations(self, kwargs, pattern):
         with pytest.raises(ValueError, match=pattern):
-            HyperParams(**kwargs).validate()
+            HyperParams(**kwargs)
 
     def test_numpy_scalars_accepted(self):
-        HyperParams(tau=np.float64(0.2), k_desc=np.int64(3), alpha=np.float32(0.5)).validate()
+        HyperParams(tau=np.float64(0.2), k_desc=np.int64(3), alpha=np.float32(0.5))
+
+    def test_replace_checks_the_new_value(self):
+        with pytest.raises(ValueError, match=r"^tau must be positive, got 0\.0$"):
+            dataclasses.replace(HyperParams(), tau=0.0)
+        with pytest.raises(ValueError, match=r"^k_desc must be an integer, got 2\.5$"):
+            dataclasses.replace(HyperParams(), k_desc=2.5)
 
 
 # -------------------------------------------------------------------- SCL
@@ -414,10 +432,18 @@ class TestMineHard:
         with pytest.raises(ValueError, match="no positives"):
             mine_hard(batch, 0, 0)
 
-    def test_k_out_of_range(self):
+    @pytest.mark.parametrize(
+        "x, k, pattern",
+        [
+            (0, 1, "description index"),
+            (0, True, r"^description index must be an integer, got True$"),
+            (1.0, 0, r"^sample index must be an integer, got 1\.0$"),
+        ],
+    )
+    def test_k_out_of_range(self, x, k, pattern):
         batch = orthogonal_batch([0, 0, 1])
-        with pytest.raises(ValueError, match="description index"):
-            mine_hard(batch, 0, 1)
+        with pytest.raises(ValueError, match=pattern):
+            mine_hard(batch, x, k)
 
 
 class TestHmLoss:
@@ -1136,11 +1162,14 @@ class TestTrainingPlan:
             else:
                 joint_loss(candidate, hp, np.eye(4))
 
-    def test_other_hyperparameters_are_validated_on_a_plan_batch(self):
-        # only the plan's own hp skips validation
+    def test_hyperparameters_and_w_are_checked_on_a_plain_batch(self):
+        # a plan batch runs no checks: its plan checked W, and hp checks
+        # itself when it is built
         rng = np.random.default_rng(4)
-        batch = plan_for(rng.normal(size=(2, 3, 4)), [0, 1, 0, 1], HyperParams()).batch(
-            np.arange(4), embedded(rng, 4, 4)
+        batch = plain_twin(
+            plan_for(rng.normal(size=(2, 3, 4)), [0, 1, 0, 1], HyperParams()).batch(
+                np.arange(4), embedded(rng, 4, 4)
+            )
         )
         with pytest.raises(ValueError, match=r"^tau must be positive, got 0\.0$"):
             joint_loss(batch, HyperParams(tau=0.0), np.eye(4))

@@ -7,9 +7,15 @@ and the count that ROADMAP tracks as the package's public symbols.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
+import pytest
+
 import fcre
+from fcre.cli import EncoderConfig, ExperimentConfig
+from fcre.datagen import SyntheticSpec
+from fcre.losses import HyperParams
 
 PUBLIC = [
     "cli.DEFAULT_SEEDS",
@@ -160,3 +166,28 @@ def test_only_formats_decodes_files():
         "formats": {"base64", "json.load", "json.loads"}
     }
 
+
+def validate_uses(source: str) -> list[str]:
+    """Each ``validate`` a module defines and each ``.validate`` it reads, by line."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "validate":
+            uses.append(f"def validate, line {node.lineno}")
+        elif isinstance(node, ast.Attribute) and node.attr == "validate":
+            uses.append(f".validate, line {node.lineno}")
+    return uses
+
+
+def test_no_module_defines_or_calls_validate():
+    """A config is checked once, when it is built, so nothing re-validates one."""
+    found = {path.stem: validate_uses(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {stem: uses for stem, uses in found.items() if uses} == {}
+
+
+@pytest.mark.parametrize("config_type", [ExperimentConfig, SyntheticSpec, EncoderConfig, HyperParams])
+def test_config_types_are_frozen_and_check_themselves(config_type):
+    assert config_type.__dataclass_params__.frozen
+    assert "__post_init__" in vars(config_type)
+    config = config_type()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, dataclasses.fields(config)[0].name, None)
