@@ -25,7 +25,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ import numpy as np
 from fcre.continual import check_description_source, init_state, run_task, write_checkpoint
 from fcre.datagen import SyntheticSpec, generate_stream, ingest_dataset, write_dataset
 from fcre.descriptions import ingest_descriptions, synth_descriptions
-from fcre.formats import checked, read_json, write_atomic
+from fcre.formats import _checked_fields, checked, read_json, write_atomic
 from fcre.geometry import unit_rows
 from fcre.inference import HEADS, MetricsReport, check_heads
 from fcre.losses import HyperParams
@@ -50,7 +50,7 @@ class EncoderConfig:
     embed_dim: int = 16
 
     def __post_init__(self) -> None:
-        checked(vars(self), {f.name: type(f.default) for f in fields(self)}, "encoder")
+        _checked_fields(self, "encoder.")
         for name, value in asdict(self).items():
             if value < 1:
                 raise ValueError(f"encoder.{name} must be >= 1, got {value}")
@@ -58,7 +58,11 @@ class EncoderConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully-resolved description of one experiment (all seeds), valid once built."""
+    """Fully-resolved description of one experiment (all seeds), valid once built.
+
+    ``seeds`` is stored as a tuple of Python ints and ``description_spread``
+    as a float, whatever numbers built them, as the nested configs store theirs.
+    """
 
     data_mode: str = "synthetic"
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
@@ -91,14 +95,15 @@ class ExperimentConfig:
             raise ValueError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"duplicate seeds: {self.seeds}")
-        if min(checked(list(self.seeds), [int], "seeds")) < 0:
+        object.__setattr__(self, "seeds", tuple(checked(list(self.seeds), [int], "seeds")))
+        if min(self.seeds) < 0:
             raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
         check_heads(self.heads)
         check_description_source(self.description_source)
-        if checked(self.description_spread, float, "description_spread") < 0.0:
-            raise ValueError(
-                f"description_spread must be >= 0, got {self.description_spread}"
-            )
+        spread = checked(self.description_spread, float, "description_spread")
+        object.__setattr__(self, "description_spread", spread)
+        if spread < 0.0:
+            raise ValueError(f"description_spread must be >= 0, got {spread}")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

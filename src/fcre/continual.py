@@ -34,13 +34,14 @@ features and the pool's (R, K, d) description table, which go into a
 one full batch when the pool fits in 64 samples, otherwise shuffled
 minibatches of 32 (a would-be trailing singleton is merged into the
 previous batch, since the contrastive losses need company).  A full
-batch is the same rows every epoch, so its label layout is built once.
-Each step runs one encoder forward, one ``joint_loss`` pass over the
-plan's batch, one backward into a flat gradient buffer and one Adam
-update in place on the flat parameter vector; the plan and the buffers
-are dropped when the phase ends.  A non-finite gradient stops the run
-with an error naming the task, the phase, the epoch and the first loss
-term whose own gradient is non-finite.
+batch is the same rows every epoch, so its label layout is built once,
+before the first epoch; a minibatch's is built at its step.  Each step
+runs one encoder forward, one ``losses._joint`` kernel pass over z and
+the layout, one backward into a flat gradient buffer and one Adam update
+in place on the flat parameter vector; the plan and the buffers are
+dropped when the phase ends.  A non-finite gradient stops the run with
+an error naming the task, the phase, the epoch and the first loss term
+whose own gradient is non-finite.
 """
 
 from __future__ import annotations
@@ -71,7 +72,9 @@ from fcre.encoder import (
 from fcre.formats import _floats_from_b64, _floats_to_b64, checked, read_json, write_atomic
 from fcre.geometry import row_dots
 from fcre.inference import HEADS, MetricsReport, check_heads, evaluate
-from fcre.losses import Batch, HyperParams, _Plan, joint_loss
+# training calls ``_joint``; ``joint_loss`` stays bound here for code that
+# wraps ``continual.joint_loss``, as perfbench's tracer does
+from fcre.losses import HyperParams, _joint, _Layout, _Plan, joint_loss  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -427,6 +430,11 @@ def _train(
 ) -> None:
     """Train on one pool for ``epochs`` epochs from a plan validated once.
 
+    Each step passes the batch's embeddings and its ``_Plan`` layout to
+    ``losses._joint``, with no ``Batch`` in between.  A pool of at most
+    ``_FULL_BATCH_MAX`` rows trains as ``np.arange(n)`` every epoch, so
+    its layout is built once, before the first epoch.
+
     The encoder's four weight arrays and W are views into one flat
     parameter vector, and ``backward`` and MI's W gradient write into the
     matching views of one flat gradient buffer; Adam updates the vector
@@ -448,7 +456,8 @@ def _train(
     start, n_enc = state.encoder, state.encoder.n_params
     table, row_of = _description_table(state.descriptions, train_y, description_source)
     x = _feature_rows(start, train_x)
-    plan = _Plan(table, row_of, train_y, start.embed_dim, hp, state.bilinear.matrix)
+    plan = _Plan(table, row_of, start.embed_dim, hp, state.bilinear.matrix)
+    whole = plan.layout(np.arange(n)) if n <= _FULL_BATCH_MAX else None
     vec = np.concatenate([start.to_vector(), state.bilinear.matrix.ravel()])
     grads = np.empty_like(vec)
     encoder, grad_encoder = start._views(vec[:n_enc]), start._views(grads[:n_enc])
@@ -463,8 +472,8 @@ def _train(
     for epoch in range(1, epochs + 1):
         for idx in _epoch_batches(n, state.rng):
             acts = _embed(encoder, x[idx])
-            batch = plan.batch(idx, acts.z)
-            result = joint_loss(batch, hp, w)
+            layout = plan.layout(idx) if whole is None else whole
+            result = _joint(acts.z, layout, hp, w)
             _backward(encoder, acts, result.grad_z, grad_encoder)
             grad_w[...] = result.grad_w
             try:
@@ -472,7 +481,7 @@ def _train(
             except ValueError as err:
                 raise ValueError(
                     f"task {task_index}, {phase} phase, epoch {epoch}: non-finite gradient, "
-                    f"first from {_nonfinite_term(batch, hp, w, encoder, acts)}"
+                    f"first from {_nonfinite_term(acts, layout, hp, w, encoder)}"
                 ) from err
     state.encoder = start.with_vector(vec[:n_enc])
     state.bilinear = BilinearForm(matrix=w.copy())
@@ -482,14 +491,14 @@ _LOSS_TERMS = (("scl", "beta_sc"), ("hsmt", "beta_st"), ("hm", "beta_hm"), ("mi"
 
 
 def _nonfinite_term(
-    batch: Batch, hp: HyperParams, w: np.ndarray, encoder: EncoderParams, acts: Activations
+    acts: Activations, layout: _Layout, hp: HyperParams, w: np.ndarray, encoder: EncoderParams
 ) -> str:
-    """The first enabled loss term whose gradient alone is non-finite on ``batch``."""
+    """The first enabled loss term whose gradient alone is non-finite on a step's z and layout."""
     off = {beta: 0.0 for _, beta in _LOSS_TERMS}
     for name, beta in _LOSS_TERMS:
         if getattr(hp, beta) == 0.0:
             continue
-        alone = joint_loss(batch, replace(hp, **{**off, beta: getattr(hp, beta)}), w)
+        alone = _joint(acts.z, layout, replace(hp, **{**off, beta: getattr(hp, beta)}), w)
         grad = np.concatenate([backward(encoder, acts, alone.grad_z), alone.grad_w.ravel()])
         if not np.isfinite(grad).all():
             return f"the {name} term"

@@ -23,12 +23,12 @@ must be JSON numbers: ``true`` or ``"0.5"`` is rejected with its line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from fcre.continual import Task, TaskStream
-from fcre.formats import checked, float_row, read_jsonl, write_jsonl
+from fcre.formats import _checked_fields, float_row, read_jsonl, write_jsonl
 from fcre.geometry import row_dots, unit_normalize
 
 _MAX_ATTEMPTS_PER_CENTER = 10_000
@@ -49,7 +49,8 @@ class SyntheticSpec:
 
     Construction (``dataclasses.replace`` included) requires each field
     to hold a number of its default's kind (an integer that is not a
-    bool, or a finite real) in its range.
+    bool, or a finite real) in its range, and stores the Python int or
+    float it holds.
     """
 
     n_tasks: int = 8
@@ -63,7 +64,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        checked(vars(self), {f.name: type(f.default) for f in fields(self)}, "")
+        _checked_fields(self)
         for name in ("n_tasks", "n_way", "shots", "test_per_relation", "feature_dim",
                      "task1_oversample"):
             if getattr(self, name) < 1:

@@ -12,6 +12,7 @@ import base64
 import json
 import math
 import os
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -83,8 +84,8 @@ def checked(value, schema, name: str, error: type[ValueError] = ValueError):
     schemas; parts are named ``name.key`` and ``name[i]``.  An int takes
     no bool (``json`` parses ``true`` to one); a float must be finite and
     takes an integer too, which a float schema returns as a float.  A
-    NumPy scalar counts as the Python value it holds, so the dataclasses
-    that validate their fields here accept one.
+    NumPy scalar counts as, and is returned as, the Python value it holds.
+    A list schema returns a new list of its checked entries.
     """
     if isinstance(schema, dict):
         checked(value, dict, name or "the record", error)
@@ -95,9 +96,8 @@ def checked(value, schema, name: str, error: type[ValueError] = ValueError):
             checked(value[key], part, child, error)
         return value
     if isinstance(schema, list):
-        for i, entry in enumerate(checked(value, list, name, error)):
-            checked(entry, schema[0], f"{name}[{i}]", error)
-        return value
+        return [checked(entry, schema[0], f"{name}[{i}]", error)
+                for i, entry in enumerate(checked(value, list, name, error))]
     if isinstance(value, np.generic):
         value = value.item()
     if type(value) is schema:
@@ -109,6 +109,19 @@ def checked(value, schema, name: str, error: type[ValueError] = ValueError):
         except OverflowError:  # an integer beyond the float range
             pass
     raise error(f"{name} must be {_KINDS[schema]}, got {value!r}")
+
+
+def _checked_fields(config, prefix: str = "") -> None:
+    """Store each field of a frozen dataclass as ``checked`` returns it for its default's kind.
+
+    So a field holds a Python int or float whatever number it was given:
+    ``alpha=1`` is stored as ``1.0`` and ``np.int64(7)`` as ``7``, and a
+    config serializes the same as one built from the stored values.
+    Errors name the field as ``prefix + name``.
+    """
+    for f in fields(config):
+        value = checked(getattr(config, f.name), type(f.default), prefix + f.name)
+        object.__setattr__(config, f.name, value)
 
 
 def float_row(entries, length: int | None, name: str, error=ValueError) -> list[float]:

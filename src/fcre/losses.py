@@ -41,13 +41,13 @@ transients grow as B^2 * max(d, K) floats: HSMT's (B, B, d)
 differences, mining's (C, K, B) cosines, MI's (B, C*K) scores.  Training
 batches hold at most 64 rows, so HSMT's differences, the largest,
 take 512 KiB.
-A caller's ``Batch`` is validated when it is built.  Training goes
-through a ``_Plan`` instead, built once per pool: it validates the pool's
-(R, K, d) description table and W once, takes each batch's classes from
-its relations (a table row is one relation's block), and keeps the label
-layout of a pool that trains as one full batch for every epoch.
-``joint_loss`` runs no per-call checks on a plan's batch, and its kernel
-does only the work that depends on z.
+A caller's ``Batch`` is validated when it is built; ``joint_loss``
+checks its size and W, builds its layout and calls ``_joint``, the
+kernel pass.  Training builds no ``Batch``: a ``_Plan``, built once per
+pool, validates the pool's (R, K, d) description table and W once and
+builds each batch's layout from its relations (a table row is one
+relation's block), and the trainer hands z and that layout to
+``_joint``, which does only the work that depends on z.
 
 Every loss returns its value together with d(value)/d(z) for the whole
 batch (and d(value)/dW where W participates).  Description vectors are
@@ -61,12 +61,12 @@ beta-weighted sum of the four terms over the batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from fcre.formats import checked
+from fcre.formats import _checked_fields, checked
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,9 @@ class HyperParams:
     ``epochs_current``/``epochs_memory`` may be zero (frozen-encoder
     runs are legitimate baselines); every other constraint is checked
     at construction, ``dataclasses.replace`` included, after each field
-    is found to hold a number of its default's kind: an integer that is
-    not a bool, or a finite real.
+    is found to hold a number of its default's kind (an integer that is
+    not a bool, or a finite real) and stored as the Python int or float
+    it holds.
     """
 
     tau: float = 0.1
@@ -95,7 +96,7 @@ class HyperParams:
     learning_rate: float = 1e-3
 
     def __post_init__(self) -> None:
-        checked(vars(self), {f.name: type(f.default) for f in fields(self)}, "")
+        _checked_fields(self)
         _require_tau(self.tau)
         _require_margin(self.margin)
         betas = (self.beta_sc, self.beta_st, self.beta_hm, self.beta_mi)
@@ -257,8 +258,8 @@ class _Layout:
     here depends on z: besides the masks, the layout holds whether each
     term has an anchor to evaluate (``any_pos``, ``any_paired``,
     ``any_neg``), the degenerate-anchor counts, and the mined classes'
-    description blocks, norms and unit descriptions.  So a ``_Plan``
-    builds a full-batch pool's layout once and reuses it every epoch.
+    description blocks, norms and unit descriptions.  So a pool that
+    trains as one full batch has its layout built once for every epoch.
     """
 
     def __init__(
@@ -682,28 +683,8 @@ def mi_loss(batch: Batch, x: int, w_matrix: np.ndarray, tau: float) -> MiResult:
     return MiResult(float(term.values[0]), term.grad_z[x], term.grad_w, bool(term.degenerate[0]))
 
 
-class _PlanBatch(Batch):
-    """A training batch whose inputs a ``_Plan`` validated, with its label layout.
-
-    ``_Plan.batch`` builds it without ``Batch``'s checks and sets
-    ``layout``, the layout over every anchor row that ``joint_loss``
-    evaluates (a whole-pool batch shares it across epochs).
-    ``joint_loss`` reads the description classes from the layout, so the
-    (B, K, d) block is gathered from the plan's table only when something
-    else reads it.
-    """
-
-    layout: _Layout
-    _table: np.ndarray  # the plan's (R, K, d) description table
-    _rows: np.ndarray  # (B,) each sample's row in it
-
-    @property
-    def descriptions(self) -> np.ndarray:
-        return self._table[self._rows]
-
-
 class _Plan:
-    """One training pool's loss inputs, validated once, and the batches built on them.
+    """One training pool's loss inputs, validated once, and the layouts built on them.
 
     Holds the pool's (R, K, d) description table, each sample's row in
     it, and the table's (R, K) description norms and unit descriptions;
@@ -711,18 +692,16 @@ class _Plan:
     given and ``hp`` enables MI.  A table row is one relation's block,
     so a batch's description classes are its relations in order of first
     appearance: what ``_Layout.of_batch`` finds for such blocks, without
-    comparing them.  A pool that trains as one full
-    batch (the same rows in the same order every epoch) has its layout
-    built once.  The plan's batches hold at least two rows, as training's
-    do.  Neither the plan nor a layout refers to a batch or a kernel, so
-    the per-pool state goes as soon as the caller drops the plan.
+    comparing them.  Training's batches hold at least two rows, so
+    ``_joint`` runs no checks on a plan's layout.  Neither the plan nor a
+    layout refers to a batch or a kernel, so the per-pool state goes as
+    soon as the caller drops the plan.
     """
 
     def __init__(
         self,
         table: np.ndarray,
         row_of: np.ndarray,
-        labels: np.ndarray,
         embed_dim: int,
         hp: HyperParams,
         w_matrix: np.ndarray | None = None,
@@ -734,56 +713,42 @@ class _Plan:
         self.table = table
         self.norms, self.unit = _unit_blocks(table)
         self.row_of = row_of
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self._whole: tuple[np.ndarray, _Layout] | None = None
 
-    def batch(self, idx: np.ndarray, z: np.ndarray) -> Batch:
-        """The pool rows ``idx`` with their embeddings z = tanh(...) of validated inputs."""
+    def layout(self, idx: np.ndarray) -> _Layout:
+        """The layout of the pool rows ``idx``, every row an anchor."""
         rows = self.row_of[idx]
-        whole = self._whole
-        if whole is not None and idx.size == whole[0].size and (whole[0] == idx).all():
-            layout = whole[1]
-        else:
-            same = rows[:, None] == rows[None, :]
-            layout = _Layout(
-                same, same.argmax(axis=1), slice(0, idx.size), self.table, self.norms, self.unit,
-                rows,
-            )
-            if idx.size == self.labels.size:  # the whole pool trains as the same batch every epoch
-                self._whole = (idx.copy(), layout)
-        batch = object.__new__(_PlanBatch)  # z is finite, and the rest was checked here
-        batch.z, batch.labels, batch._table, batch._rows = z, self.labels[idx], self.table, rows
-        batch.layout = layout
-        return batch
+        same = rows[:, None] == rows[None, :]
+        return _Layout(
+            same, same.argmax(axis=1), slice(0, idx.size), self.table, self.norms, self.unit, rows
+        )
 
 
 def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResult:
     """Batch-mean of the beta-weighted sum of all four objectives.
 
     Every row is an anchor, so the kernel's transients grow as
-    B^2 * max(d, K) floats (training batches hold at most 64 rows).  A
-    ``_Plan`` batch brings its label layout and runs no checks: its
-    batches hold at least two rows, and the plan checked the W it trains
-    with.  A plain batch has its size and W checked and its layout built
-    here by comparing its description blocks.
-    Linear in each beta; terms with beta == 0 are skipped entirely, so
-    disabling a loss also disables its degenerate-input flags.
+    B^2 * max(d, K) floats (training batches hold at most 64 rows).  The
+    batch's size and W are checked, and its layout is built by comparing
+    its description blocks; training calls ``_joint`` on a ``_Plan``'s
+    layout instead.  Linear in each beta; terms with beta == 0 are
+    skipped entirely, so disabling a loss also disables its
+    degenerate-input flags.
     """
-    b = batch.size
-    if isinstance(batch, _PlanBatch):
-        layout = batch.layout
-    else:
-        w_matrix = np.asarray(w_matrix, dtype=np.float64)
-        if hp.beta_sc != 0.0:
-            _require_pair(batch, "scl_loss")
-        if hp.beta_st != 0.0:
-            _require_pair(batch, "hsmt_loss")
-        if hp.beta_mi != 0.0:
-            _as_bilinear(w_matrix, batch.embed_dim)
-        layout = _Layout.of_batch(batch, slice(0, b))
-    kernel = _Kernel(batch.z, layout)
+    w_matrix = np.asarray(w_matrix, dtype=np.float64)
+    if hp.beta_sc != 0.0:
+        _require_pair(batch, "scl_loss")
+    if hp.beta_st != 0.0:
+        _require_pair(batch, "hsmt_loss")
+    if hp.beta_mi != 0.0:
+        _as_bilinear(w_matrix, batch.embed_dim)
+    return _joint(batch.z, _Layout.of_batch(batch, slice(0, batch.size)), hp, w_matrix)
+
+
+def _joint(z: np.ndarray, layout: _Layout, hp: HyperParams, w_matrix: np.ndarray) -> JointResult:
+    """``joint_loss`` of the (B, d) embeddings z over a layout of every row, unchecked."""
+    kernel = _Kernel(z, layout)
     total = 0.0
-    grad_z = np.zeros(batch.z.shape)
+    grad_z = np.zeros(z.shape)
     grad_w = np.zeros(w_matrix.shape)
     no_positive = 0
     no_pair = 0
@@ -808,7 +773,7 @@ def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResu
     for beta, term in terms:
         total += beta * float(np.add.reduce(term.values))
         grad_z += beta * term.grad_z
-    scale = 1.0 / b
+    scale = 1.0 / z.shape[0]
     grad_z *= scale
     grad_w *= scale
     return JointResult(

@@ -161,6 +161,27 @@ class TestConfigSerialization:
         tiny_config(encoder=encoder, seeds=(np.int64(0),))
 
     @pytest.mark.parametrize(
+        "given, canonical",
+        [
+            ({"hyper": HyperParams(alpha=1, k_desc=np.int64(7))},
+             {"hyper": HyperParams(alpha=1.0, k_desc=7)}),
+            ({"synthetic": SyntheticSpec(n_tasks=np.int64(8), within_class_noise=0)},
+             {"synthetic": SyntheticSpec(n_tasks=8, within_class_noise=0.0)}),
+            ({"encoder": EncoderConfig(embed_dim=np.int64(16))}, {"encoder": EncoderConfig(embed_dim=16)}),
+            ({"seeds": (np.int64(0),), "description_spread": 0},
+             {"seeds": (0,), "description_spread": 0.0}),
+        ],
+        ids=["HyperParams", "SyntheticSpec", "EncoderConfig", "ExperimentConfig"],
+    )
+    def test_a_field_stores_the_python_number_of_its_kind(self, given, canonical):
+        # configs that compare equal serialize alike and share one run
+        # directory, whatever kind of number built them
+        config, expected = ExperimentConfig(**given), ExperimentConfig(**canonical)
+        assert config == expected
+        assert json.dumps(config_to_dict(config)) == json.dumps(config_to_dict(expected))
+        assert run_id(config, 0) == run_id(expected, 0)
+
+    @pytest.mark.parametrize(
         "argv, pattern",
         [
             (["run", "--seed", "-1"], "error: seeds must be >= 0, got -1\n"),
@@ -358,7 +379,9 @@ class TestRunCommand:
         assert {r.head for r in report.rows} == {"ncm"}
 
     def test_file_mode_round_trip(self, tmp_path):
-        config = tiny_config()
+        # the files that ``generate`` writes train to the bytes of the
+        # synthetic run of the same seed
+        config = tiny_config(out_dir=str(tmp_path / "synthetic"))
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config_to_dict(config)))
         assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "data")]) == 0
@@ -368,8 +391,12 @@ class TestRunCommand:
             descriptions_path=str(tmp_path / "data" / "descriptions.jsonl"),
             out_dir=str(tmp_path / "runs"),
         )
-        summary = run_single_seed(file_config, 0)
-        assert 0.0 <= summary["final"]["ncm"] <= 1.0
+        synthetic = Path(run_single_seed(config, 0)["run_dir"])
+        from_files = Path(run_single_seed(file_config, 0)["run_dir"])
+        checkpoints = ["task_01.json", "task_02.json"]
+        assert sorted(p.name for p in (from_files / "checkpoints").iterdir()) == checkpoints
+        for name in ["metrics.csv"] + [f"checkpoints/{c}" for c in checkpoints]:
+            assert (from_files / name).read_bytes() == (synthetic / name).read_bytes(), name
 
     def test_missing_dataset_file_fails_run(self, tmp_path, capsys):
         config = tiny_config(

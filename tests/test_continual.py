@@ -362,13 +362,15 @@ class TestTrainDescriptionTable:
         state = fresh_state()
         state.descriptions = make_descriptions([2, 5, 9, 14], 4, k_desc=3)
         seen = []
-        real = continual.joint_loss
+        real = losses._Plan.layout
 
-        def recording(batch, hp, w):
-            seen.append((batch.labels.copy(), batch.descriptions.copy()))
-            return real(batch, hp, w)
+        def recording(plan, idx):
+            layout = real(plan, idx)
+            # each sample's description block, as its class holds it
+            seen.append((labels[idx], layout.class_desc[layout.class_of]))
+            return layout
 
-        monkeypatch.setattr(continual, "joint_loss", recording)
+        monkeypatch.setattr(losses._Plan, "layout", recording)
         x = np.random.default_rng(1).normal(size=(labels.size, 6))
         _train(state, x, labels, HP, 2, source)
         return state.descriptions, seen
@@ -652,15 +654,49 @@ class TestCheckpoint:
 class TestTrainingPlan:
     """``_train`` trains each pool from one validated plan."""
 
+    def recorded_steps(self, monkeypatch, n_rows, epochs):
+        """The layouts ``_Plan.layout`` built and those each ``_joint`` call got, in order."""
+        built, used = [], []
+        real_layout, real_joint = losses._Plan.layout, continual._joint
+
+        def building(plan, idx):
+            built.append(real_layout(plan, idx))
+            return built[-1]
+
+        def joint(z, layout, hp, w):
+            used.append(layout)
+            return real_joint(z, layout, hp, w)
+
+        monkeypatch.setattr(losses._Plan, "layout", building)
+        monkeypatch.setattr(continual, "_joint", joint)
+        state = fresh_state()
+        state.descriptions = make_descriptions([0, 1], 4)
+        labels = np.array([0, 1] * (n_rows // 2))
+        x = np.random.default_rng(1).normal(size=(n_rows, 6))
+        _train(state, x, labels, HP, epochs, "k-set")
+        return built, used
+
+    def test_a_full_batch_pool_builds_one_layout_for_every_epoch(self, monkeypatch):
+        built, used = self.recorded_steps(monkeypatch, 20, 3)
+        assert len(built) == 1
+        assert len(used) == 3 and all(layout is built[0] for layout in used)
+
+    def test_a_minibatch_pool_builds_one_layout_per_step(self, monkeypatch):
+        # 70 rows: minibatches of 32, 32 and 6 in each of 2 epochs
+        built, used = self.recorded_steps(monkeypatch, 70, 2)
+        assert len(built) == 6
+        assert all(a is b for a, b in zip(used, built, strict=True))
+        assert len({id(layout) for layout in built}) == 6
+
     def test_pool_state_is_freed_without_the_cycle_collector(self, monkeypatch):
         layouts = []
-        real = continual.joint_loss
+        real = continual._joint
 
-        def recording(batch, hp, w):
-            layouts.append(weakref.ref(batch.layout))
-            return real(batch, hp, w)
+        def recording(z, layout, hp, w):
+            layouts.append(weakref.ref(layout))
+            return real(z, layout, hp, w)
 
-        monkeypatch.setattr(continual, "joint_loss", recording)
+        monkeypatch.setattr(continual, "_joint", recording)
         state = fresh_state()
         state.descriptions = make_descriptions([0, 1], 4)
         labels = np.array([0, 1] * 10)

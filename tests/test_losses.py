@@ -752,8 +752,11 @@ def kernel_oracle_cases():
     return cases
 
 
-def kernel_blocks(batch):
-    """(start, stop) anchor rows of each kernel pass of one ``joint_loss`` call."""
+def kernel_blocks(batch, layout=None):
+    """(start, stop) anchor rows of each kernel pass of one ``joint_loss`` call.
+
+    With a ``layout``, of one ``_joint`` call on the batch's z and that layout.
+    """
     blocks = []
     real = losses._Kernel.scl
 
@@ -763,7 +766,10 @@ def kernel_blocks(batch):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(losses._Kernel, "scl", counting)
-        joint_loss(batch, HyperParams(), np.eye(batch.embed_dim))
+        if layout is None:
+            joint_loss(batch, HyperParams(), np.eye(batch.embed_dim))
+        else:
+            losses._joint(batch.z, layout, HyperParams(), np.eye(batch.embed_dim))
     return blocks
 
 
@@ -777,27 +783,31 @@ def assert_close(actual, expected):
 
 
 def plan_batch_64(rng):
-    """A 64-row training batch over 8 relations from a ``_Plan``, at d=16 and K=7."""
-    rows = rng.integers(0, 8, size=64)
-    return plan_for(rng.normal(size=(8, 7, 16)), rows, HyperParams()).batch(np.arange(64), embedded(rng, 64, 16))
+    """A 64-row training batch over 8 relations from a ``_Plan``, at d=16 and K=7.
+
+    Returns its plain twin and its plan layout.
+    """
+    plan = plan_for(rng.normal(size=(8, 7, 16)), rng.integers(0, 8, size=64), HyperParams())
+    idx = np.arange(64)
+    return plain_twin(plan, idx, embedded(rng, 64, 16)), plan.layout(idx)
 
 
 class TestKernelBlocks:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda rng: random_batch(rng, size=32, embed_dim=16, k_desc=7, n_relations=4),
-            lambda rng: random_batch(rng, size=64, embed_dim=16, k_desc=7, n_relations=4),
-            lambda rng: random_batch(rng, size=64, embed_dim=4, k_desc=7, n_relations=4),  # K > d
-            lambda rng: random_batch(rng, size=20, embed_dim=1024, k_desc=1, n_relations=4),
+            lambda rng: (random_batch(rng, size=32, embed_dim=16, k_desc=7, n_relations=4), None),
+            lambda rng: (random_batch(rng, size=64, embed_dim=16, k_desc=7, n_relations=4), None),
+            lambda rng: (random_batch(rng, size=64, embed_dim=4, k_desc=7, n_relations=4), None),  # K > d
+            lambda rng: (random_batch(rng, size=20, embed_dim=1024, k_desc=1, n_relations=4), None),
             plan_batch_64,
-            lambda rng: plain_twin(plan_batch_64(rng)),
+            lambda rng: (plan_batch_64(rng)[0], None),
         ],
         ids=["32-16-7", "64-16-7", "64-4-7", "20-1024-1", "plan-64", "plain-twin-64"],
     )
     def test_every_batch_is_one_pass(self, make):
-        batch = make(np.random.default_rng(5))
-        assert kernel_blocks(batch) == [(0, batch.size)]
+        batch, layout = make(np.random.default_rng(5))
+        assert kernel_blocks(batch, layout) == [(0, batch.size)]
 
 
 class TestDescriptionClasses:
@@ -1047,14 +1057,17 @@ PLAN_HPS = (HyperParams(), TestJointLoss.HP)
 
 
 def plan_for(table, rows, hp):
-    """A plan over a pool whose sample i has relation id 10 * rows[i] + 3."""
-    rows = np.asarray(rows)
-    return losses._Plan(table, rows, 10 * rows + 3, table.shape[2], hp)
+    """A plan over a pool whose sample i carries the description block ``table[rows[i]]``."""
+    return losses._Plan(table, np.asarray(rows), table.shape[2], hp)
 
 
-def plain_twin(batch):
-    """The same arrays as a plain, validated ``Batch``."""
-    return Batch(z=batch.z.copy(), labels=batch.labels.copy(), descriptions=batch.descriptions.copy())
+def plain_twin(plan, idx, z):
+    """The plan's rows ``idx`` with embeddings z as a plain, validated ``Batch``.
+
+    A sample of table row r has relation id 10 * r + 3.
+    """
+    rows = plan.row_of[idx]
+    return Batch(z=z.copy(), labels=10 * rows + 3, descriptions=plan.table[rows])
 
 
 def assert_same_result(got, expected):
@@ -1100,24 +1113,12 @@ class TestTrainingPlan:
         plan = plan_for(table, pool, hp)
         dim = table.shape[2]
         w = np.eye(dim) + 0.05 * rng.normal(size=(dim, dim))
-        layouts = []
-        for _ in range(3):  # epochs: a whole-pool batch reuses its layout
-            batch = plan.batch(idx, embedded(rng, idx.size, dim, duplicates))
-            layouts.append(batch.layout)
-            twin = plain_twin(batch)
+        layout = plan.layout(idx)
+        for _ in range(3):  # epochs: a layout holds nothing of z, so one serves every epoch
+            z = embedded(rng, idx.size, dim, duplicates)
+            twin = plain_twin(plan, idx, z)
             assert np.array_equal(twin.descriptions, table[pool[idx]])
-            assert_same_result(joint_loss(batch, hp, w), joint_loss(twin, hp, w))
-        whole = idx.size == pool.size
-        assert (layouts[0] is layouts[1] is layouts[2]) == whole
-
-    def test_whole_pool_in_a_new_order_gets_its_own_layout(self):
-        rng = np.random.default_rng(9)
-        rows = rng.integers(0, 4, size=20)
-        hp = HyperParams()
-        plan = plan_for(rng.normal(size=(4, 3, 4)), rows, hp)
-        for idx in (np.arange(20), rng.permutation(20), rng.permutation(20)):
-            batch = plan.batch(idx, embedded(rng, 20, 4))
-            assert_same_result(joint_loss(batch, hp, np.eye(4)), joint_loss(plain_twin(batch), hp, np.eye(4)))
+            assert_same_result(losses._joint(z, layout, hp, w), joint_loss(twin, hp, w))
 
     @pytest.mark.parametrize(
         "rows",
@@ -1132,21 +1133,24 @@ class TestTrainingPlan:
         table = rng.normal(size=(5, 3, 4))
         table[1] = table[0]
         for hp in PLAN_HPS:
-            plan = plan_for(table, rows, hp)
-            batch = plan.batch(np.arange(len(rows)), embedded(rng, len(rows), 4, [(0, 2)]))
-            assert_same_result(joint_loss(batch, hp, np.eye(4)), joint_loss(plain_twin(batch), hp, np.eye(4)))
+            plan, idx = plan_for(table, rows, hp), np.arange(len(rows))
+            z = embedded(rng, len(rows), 4, [(0, 2)])
+            assert_same_result(
+                losses._joint(z, plan.layout(idx), hp, np.eye(4)),
+                joint_loss(plain_twin(plan, idx, z), hp, np.eye(4)),
+            )
 
     def test_checks_run_once_with_the_plain_batch_messages(self):
         table = np.ones((2, 3, 4))
         with pytest.raises(ValueError, match=r"^description dim 4 != embedding dim 5$"):
-            losses._Plan(table, np.array([0, 1]), np.array([0, 1]), 5, HyperParams())
+            losses._Plan(table, np.array([0, 1]), 5, HyperParams())
         with pytest.raises(ValueError, match=r"^W must be \(4, 4\), got \(3, 3\)$"):
-            losses._Plan(table, np.array([0, 1]), np.array([0, 1]), 4, HyperParams(), np.eye(3))
+            losses._Plan(table, np.array([0, 1]), 4, HyperParams(), np.eye(3))
         table[1, 2, 0] = np.nan
         with pytest.raises(ValueError, match=r"^descriptions contain non-finite entries$"):
-            losses._Plan(table, np.array([0, 1]), np.array([0, 1]), 4, HyperParams())
+            losses._Plan(table, np.array([0, 1]), 4, HyperParams())
         with pytest.raises(ValueError, match="tau"):
-            losses._Plan(np.ones((2, 3, 4)), np.array([0, 1]), np.array([0, 1]), 4, HyperParams(tau=0.0))
+            losses._Plan(np.ones((2, 3, 4)), np.array([0, 1]), 4, HyperParams(tau=0.0))
 
     @pytest.mark.parametrize("rows, raises", [([0, 0, 1, 1], True), ([0, 1, 1, 2, 2], False)])
     def test_zero_norm_description_fails_only_when_its_class_is_mined(self, rows, raises):
@@ -1154,23 +1158,23 @@ class TestTrainingPlan:
         table = rng.normal(size=(3, 2, 4))
         table[0, 1] = 0.0  # relation 0's second description; mined only when 0 has a pair
         hp = HyperParams()
-        batch = plan_for(table, rows, hp).batch(np.arange(len(rows)), embedded(rng, len(rows), 4))
-        for candidate in (batch, plain_twin(batch)):
+        plan, idx = plan_for(table, rows, hp), np.arange(len(rows))
+        z = embedded(rng, len(rows), 4)
+        twin = plain_twin(plan, idx, z)
+        for run in (lambda: losses._joint(z, plan.layout(idx), hp, np.eye(4)),
+                    lambda: joint_loss(twin, hp, np.eye(4))):
             if raises:
                 with pytest.raises(ValueError, match=r"^anchor has zero norm; cosine is undefined$"):
-                    joint_loss(candidate, hp, np.eye(4))
+                    run()
             else:
-                joint_loss(candidate, hp, np.eye(4))
+                run()
 
     def test_hyperparameters_and_w_are_checked_on_a_plain_batch(self):
-        # a plan batch runs no checks: its plan checked W, and hp checks
-        # itself when it is built
+        # training's _joint runs no checks: its plan checked W, and hp
+        # checks itself when it is built
         rng = np.random.default_rng(4)
-        batch = plain_twin(
-            plan_for(rng.normal(size=(2, 3, 4)), [0, 1, 0, 1], HyperParams()).batch(
-                np.arange(4), embedded(rng, 4, 4)
-            )
-        )
+        plan = plan_for(rng.normal(size=(2, 3, 4)), [0, 1, 0, 1], HyperParams())
+        batch = plain_twin(plan, np.arange(4), embedded(rng, 4, 4))
         with pytest.raises(ValueError, match=r"^tau must be positive, got 0\.0$"):
             joint_loss(batch, HyperParams(tau=0.0), np.eye(4))
         with pytest.raises(ValueError, match=r"^W must be \(4, 4\), got \(3, 3\)$"):
@@ -1183,14 +1187,14 @@ class TestTrainingPlan:
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 5, size=100)
         hp = HyperParams()
-        plan = losses._Plan(rng.normal(size=(5, 7, 16)), labels, labels, 16, hp)
+        plan = losses._Plan(rng.normal(size=(5, 7, 16)), labels, 16, hp)
         idx, z, w = rng.permutation(100)[:32], embedded(rng, 32, 16), np.eye(16)
-        joint_loss(plan.batch(idx, z), hp, w)  # anything imported lazily is imported
+        losses._joint(z, plan.layout(idx), hp, w)  # anything imported lazily is imported
         profile = cProfile.Profile()
         profile.enable()
-        joint_loss(plan.batch(idx, z), hp, w)
+        losses._joint(z, plan.layout(idx), hp, w)
         profile.disable()
-        assert pstats.Stats(profile).total_calls <= 116
+        assert pstats.Stats(profile).total_calls <= 113
 
     def test_transient_memory_of_a_full_batch_stays_under_one_megabyte(self):
         # the largest plan batch (64 rows) over 40 relations, as the last
@@ -1201,10 +1205,11 @@ class TestTrainingPlan:
         table = rng.normal(size=(40, 7, 16))
         z = embedded(rng, 64, 16)
         hp = HyperParams()
-        joint_loss(plan_for(table, rows, hp).batch(np.arange(64), z), hp, np.eye(16))
+        idx = np.arange(64)
+        losses._joint(z, plan_for(table, rows, hp).layout(idx), hp, np.eye(16))
         tracemalloc.start()
         try:
-            joint_loss(plan_for(table, rows, hp).batch(np.arange(64), z), hp, np.eye(16))
+            losses._joint(z, plan_for(table, rows, hp).layout(idx), hp, np.eye(16))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
