@@ -25,12 +25,13 @@ import logging
 import math
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from fcre.continual import check_description_source, init_state, run_task, write_checkpoint
+from fcre.continual import init_state, run_task, write_checkpoint
 from fcre.datagen import SyntheticSpec, generate_stream, ingest_dataset, write_dataset
 from fcre.descriptions import ingest_descriptions, synth_descriptions
 from fcre.formats import _checked_fields, checked, read_json, write_atomic
@@ -60,8 +61,10 @@ class EncoderConfig:
 class ExperimentConfig:
     """Fully-resolved description of one experiment (all seeds), valid once built.
 
-    ``seeds`` is stored as a tuple of Python ints and ``description_spread``
-    as a float, whatever numbers built them, as the nested configs store theirs.
+    ``seeds`` is stored as a tuple of Python ints, ``heads`` as a tuple of
+    strings and ``description_spread`` as a float, whatever built them, as
+    the nested configs store theirs.  Either tuple may be given as any
+    sequence but a string.
     """
 
     data_mode: str = "synthetic"
@@ -72,7 +75,6 @@ class ExperimentConfig:
     hyper: HyperParams = field(default_factory=HyperParams)
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     heads: tuple[str, ...] = HEADS
-    description_source: str = "k-set"
     description_spread: float = 0.1
     out_dir: str = "runs"
 
@@ -91,15 +93,18 @@ class ExperimentConfig:
                 f"synthetic feature_dim {self.synthetic.feature_dim} does not "
                 f"match encoder feature_dim {self.encoder.feature_dim}"
             )
+        for name, kind in (("seeds", int), ("heads", str)):
+            value = getattr(self, name)
+            if isinstance(value, Sequence) and not isinstance(value, str):
+                value = list(value)  # anything else fails as a config file's value does
+            object.__setattr__(self, name, tuple(checked(value, [kind], name)))
         if not self.seeds:
             raise ValueError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"duplicate seeds: {self.seeds}")
-        object.__setattr__(self, "seeds", tuple(checked(list(self.seeds), [int], "seeds")))
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
         check_heads(self.heads)
-        check_description_source(self.description_source)
         spread = checked(self.description_spread, float, "description_spread")
         object.__setattr__(self, "description_spread", spread)
         if spread < 0.0:
@@ -118,7 +123,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "hyperparams": asdict(config.hyper),
         "seeds": list(config.seeds),
         "heads": list(config.heads),
-        "description_source": config.description_source,
         "description_spread": config.description_spread,
         "out_dir": config.out_dir,
     }
@@ -156,9 +160,8 @@ def config_from_dict(obj) -> ExperimentConfig:
         descriptions_path=data.get("descriptions_path"),
         encoder=replace(defaults.encoder, **obj.get("encoder", {})),
         hyper=replace(defaults.hyper, **obj.get("hyperparams", {})),
-        seeds=tuple(obj.get("seeds", defaults.seeds)),
-        heads=tuple(obj.get("heads", defaults.heads)),
-        description_source=obj.get("description_source", defaults.description_source),
+        seeds=obj.get("seeds", defaults.seeds),
+        heads=obj.get("heads", defaults.heads),
         description_spread=obj.get("description_spread", defaults.description_spread),
         out_dir=obj.get("out_dir", defaults.out_dir),
     )
@@ -250,14 +253,7 @@ def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
     resolved["seed"] = seed
     write_atomic(run_dir / "config.json", json.dumps(resolved, sort_keys=True, indent=2) + "\n")
     for task in stream.tasks:
-        run_task(
-            state,
-            task,
-            descriptions,
-            config.hyper,
-            heads=config.heads,
-            description_source=config.description_source,
-        )
+        run_task(state, task, descriptions, config.hyper, heads=config.heads)
         write_checkpoint(checkpoints / f"task_{task.index:02d}.json", state)
         logger.info("seed %d: finished task %d/%d", seed, task.index, stream.n_tasks)
     write_atomic(run_dir / "metrics.csv", state.report.to_csv(n_tasks=stream.n_tasks))

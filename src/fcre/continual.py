@@ -28,20 +28,23 @@ This module owns the checkpoint schema, its encoder block included.  A
 checkpoint groups the memory rows by relation with one stable sort and
 lists the relations in order of first appearance.
 
-Each training phase (steps 2 and 4) validates its pool once: the
-features and the pool's (R, K, d) description table, which go into a
-``losses._Plan`` with W.  Batches are formed per epoch:
-one full batch when the pool fits in 64 samples, otherwise shuffled
-minibatches of 32 (a would-be trailing singleton is merged into the
-previous batch, since the contrastive losses need company).  A full
-batch is the same rows every epoch, so its label layout is built once,
-before the first epoch; a minibatch's is built at its step.  Each step
-runs one encoder forward, one ``losses._joint`` kernel pass over z and
-the layout, one backward into a flat gradient buffer and one Adam update
-in place on the flat parameter vector; the plan and the buffers are
-dropped when the phase ends.  A non-finite gradient stops the run with
-an error naming the task, the phase, the epoch and the first loss term
-whose own gradient is non-finite.
+A task's features, W and descriptions are checked once, where they
+enter (``Task``, ``run_task``, ``DescriptionSet``), so a training phase
+(steps 2 and 4) checks nothing again: it gathers the pool's (R, K, d)
+description table, one row per relation, and the table's norms and
+unit descriptions.  Batches are formed per epoch: one full batch when
+the pool fits in 64 samples, otherwise shuffled minibatches of 32 (a
+would-be trailing singleton is merged into the previous batch, since
+the contrastive losses need company).  A full batch is the same rows
+every epoch, so its layout is built once, before the first epoch; a
+minibatch's is built at its step, by ``losses._Layout.of_rows`` from
+the table rows of its samples.  Each step runs one encoder forward, one
+``losses._joint`` kernel pass over z and the layout, one backward into
+a flat gradient buffer and one Adam update in place on the flat
+parameter vector; the table and the buffers are dropped when the phase
+ends.  A non-finite gradient stops the run with an error naming the
+task, the phase, the epoch and the first loss term whose own gradient is
+non-finite.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ from fcre.encoder import (
     _adam,
     _backward,
     _embed,
-    _feature_rows,
     backward,
     encode_batch,
     init_adam,
@@ -72,28 +74,19 @@ from fcre.encoder import (
 from fcre.formats import _floats_from_b64, _floats_to_b64, checked, read_json, write_atomic
 from fcre.geometry import row_dots
 from fcre.inference import HEADS, MetricsReport, check_heads, evaluate
+from fcre.losses import HyperParams, _as_bilinear, _joint, _Layout, _unit_blocks
 # training calls ``_joint``; ``joint_loss`` stays bound here for code that
 # wraps ``continual.joint_loss``, as perfbench's tracer does
-from fcre.losses import HyperParams, _joint, _Layout, _Plan, joint_loss  # noqa: F401
+from fcre.losses import joint_loss  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
 _FULL_BATCH_MAX = 64
 _MINIBATCH_SIZE = 32
 
-DESCRIPTION_SOURCES = ("k-set", "raw-mean")
-
 
 class ProtocolError(RuntimeError):
     """Violation of the task-stream contract (ordering, overlap, coverage)."""
-
-
-def check_description_source(source: str) -> None:
-    """Reject a description source that is not one of ``DESCRIPTION_SOURCES``."""
-    if source not in DESCRIPTION_SOURCES:
-        raise ValueError(
-            f"description_source must be one of {DESCRIPTION_SOURCES}, got {source!r}"
-        )
 
 
 def _as_matrix(values, name: str) -> np.ndarray:
@@ -385,24 +378,19 @@ def build_prototypes(
 
 
 def _description_table(
-    descriptions: DescriptionSet, labels: np.ndarray, source: str
+    descriptions: DescriptionSet, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One description block per relation of a pool, and each sample's row in it.
 
-    Returns the (R, K, d) table -- (R, 1, d) for ``raw-mean`` -- over the
-    pool's R relations in id order, and the (n,) row of each label, so a
-    minibatch's (B, K, d) block is ``table[row_of[idx]]``.
+    Returns the (R, K, d) table over the pool's R relations in id order,
+    and the (n,) row of each label, so a minibatch's (B, K, d) block is
+    ``table[row_of[idx]]``.
     """
     relations = sorted(set(labels.tolist()))
     for rel in relations:
         if rel not in descriptions:
             raise ProtocolError(f"no descriptions registered for relation {rel}")
-    rows = descriptions.rows(relations)
-    if source == "k-set":
-        table = descriptions.table[rows]
-    else:
-        table = descriptions.means[rows][:, None, :]
-    return table, np.searchsorted(relations, labels)
+    return descriptions.table[descriptions.rows(relations)], np.searchsorted(relations, labels)
 
 
 def _epoch_batches(n: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -423,17 +411,18 @@ def _train(
     train_y: np.ndarray,
     hp: HyperParams,
     epochs: int,
-    description_source: str,
     *,
     task_index: int = 0,
     phase: str = "current",
 ) -> None:
-    """Train on one pool for ``epochs`` epochs from a plan validated once.
+    """Train on one pool of checked rows for ``epochs`` epochs.
 
-    Each step passes the batch's embeddings and its ``_Plan`` layout to
-    ``losses._joint``, with no ``Batch`` in between.  A pool of at most
-    ``_FULL_BATCH_MAX`` rows trains as ``np.arange(n)`` every epoch, so
-    its layout is built once, before the first epoch.
+    The pool's description table and its norms and unit descriptions
+    are gathered once.  Each step passes the batch's embeddings and its
+    ``_Layout.of_rows`` layout to ``losses._joint``, with no ``Batch`` in
+    between.  A pool of at most ``_FULL_BATCH_MAX`` rows trains as
+    ``np.arange(n)`` every epoch, so its layout is built once, before
+    the first epoch.
 
     The encoder's four weight arrays and W are views into one flat
     parameter vector, and ``backward`` and MI's W gradient write into the
@@ -454,10 +443,9 @@ def _train(
         logger.warning("training pool has a single sample; nothing to contrast, skipping")
         return
     start, n_enc = state.encoder, state.encoder.n_params
-    table, row_of = _description_table(state.descriptions, train_y, description_source)
-    x = _feature_rows(start, train_x)
-    plan = _Plan(table, row_of, start.embed_dim, hp, state.bilinear.matrix)
-    whole = plan.layout(np.arange(n)) if n <= _FULL_BATCH_MAX else None
+    table, row_of = _description_table(state.descriptions, train_y)
+    norms, unit = _unit_blocks(table)
+    whole = _Layout.of_rows(row_of, table, norms, unit) if n <= _FULL_BATCH_MAX else None
     vec = np.concatenate([start.to_vector(), state.bilinear.matrix.ravel()])
     grads = np.empty_like(vec)
     encoder, grad_encoder = start._views(vec[:n_enc]), start._views(grads[:n_enc])
@@ -471,8 +459,8 @@ def _train(
     work = np.empty((2, vec.size))
     for epoch in range(1, epochs + 1):
         for idx in _epoch_batches(n, state.rng):
-            acts = _embed(encoder, x[idx])
-            layout = plan.layout(idx) if whole is None else whole
+            acts = _embed(encoder, train_x[idx])
+            layout = _Layout.of_rows(row_of[idx], table, norms, unit) if whole is None else whole
             result = _joint(acts.z, layout, hp, w)
             _backward(encoder, acts, result.grad_z, grad_encoder)
             grad_w[...] = result.grad_w
@@ -511,15 +499,15 @@ def run_task(
     descriptions: DescriptionSet,
     hp: HyperParams,
     heads: tuple[str, ...] = HEADS,
-    description_source: str = "k-set",
 ) -> ContinualState:
     """Consume one task: train, remember, re-train, evaluate.
 
     ``descriptions`` must cover every relation of the task; only those
     relations are absorbed into the state.  Appends one metrics row per
-    head and returns the (mutated) state.
+    head and returns the (mutated) state.  The task's order and feature
+    dimension, W's shape and the descriptions are checked against the
+    state before anything in it changes.
     """
-    check_description_source(description_source)
     check_heads(heads)
     expected_index = len(state.completed_tasks) + 1
     if task.index != expected_index:
@@ -537,6 +525,7 @@ def run_task(
             f"task features have dimension {task.feature_dim}, encoder expects "
             f"{state.encoder.feature_dim}"
         )
+    _as_bilinear(state.bilinear.matrix, state.encoder.embed_dim)
     missing = [r for r in task.relations if r not in descriptions]
     if missing:
         raise ProtocolError(
@@ -551,7 +540,7 @@ def run_task(
     state.descriptions = state.descriptions.union(new_descriptions)
 
     _train(
-        state, task.train_x, task.train_y, hp, hp.epochs_current, description_source,
+        state, task.train_x, task.train_y, hp, hp.epochs_current,
         task_index=task.index, phase="current",
     )
 
@@ -563,8 +552,7 @@ def run_task(
 
     _train(
         state, np.concatenate([old_x, task.train_x]), np.concatenate([old_y, task.train_y]),
-        hp, hp.epochs_memory, description_source,
-        task_index=task.index, phase="replay",
+        hp, hp.epochs_memory, task_index=task.index, phase="replay",
     )
 
     state.prototypes = build_prototypes(

@@ -10,14 +10,15 @@ of rows once and embeds it with two matrix products, keeping the hidden
 and output activations; ``backward`` chains a (n, d) output gradient
 through those activations to the gradient summed over the rows, as
 matrix products (dW1 = dH_pre^T X, db1 = sum of the rows of dH_pre, ...).
-A training step runs each once, on pool rows validated once per pool,
-with the weights as views into one flat parameter vector: ``backward``'s
-private form writes into the views of a flat gradient buffer, and Adam
-updates the vector and its moments in place.  The public ``step`` runs
-the same update on copies.  ``encode_batch`` is the one-shot forward,
-and ``encode`` and ``encode_backward`` are one-row views.  No
-serialization lives here: ``continual`` owns the checkpoint format, its
-encoder block included.
+A training step runs each once, with no checks: ``Task`` and the replay
+memory checked its pool's rows when they came in.  The weights are
+views into one flat parameter vector, ``backward``'s private form
+writes into the views of a flat gradient buffer, and Adam updates the
+vector and its moments in place.  The public ``step`` runs the same
+update on copies.  ``encode_batch`` is the one-shot forward, and
+``encode`` and ``encode_backward`` are one-row views.  No serialization
+lives here: ``continual`` owns the checkpoint format, its encoder block
+included.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def forward(params: EncoderParams, features) -> Activations:
 
 
 def _embed(params: EncoderParams, x: np.ndarray) -> Activations:
-    """``forward`` over rows that ``_feature_rows`` has already validated."""
+    """``forward`` over checked (n, f) float rows: by ``_feature_rows``, ``Task`` or the memory."""
     hidden = np.tanh(x @ params.w1.T + params.b1)
     return Activations(x, hidden, np.tanh(hidden @ params.w2.T + params.b2))
 

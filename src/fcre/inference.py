@@ -207,9 +207,12 @@ class MetricsReport:
         as do an accuracy outside [0, 1], a non-finite drop and a second (task, head) row."""
         reader = csv.reader(io.StringIO(text))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("metrics CSV is empty") from None
+            lines = [(reader.line_num, cells) for cells in reader]
+        except csv.Error as exc:  # a carriage return inside an unquoted field, say
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
+        if not lines:
+            raise ValueError("metrics CSV is empty")
+        header = lines[0][1]
         if header[:3] != ["task", "head", "acc_avg"] or header[-1] != "drop":
             raise ValueError(f"line 1: unrecognized metrics CSV header: {header}")
         tasks = [col.removeprefix("acc_per_task_") for col in header[3:-1]]
@@ -218,7 +221,7 @@ class MetricsReport:
                 raise ValueError(f"line 1: column {col!r} is not acc_per_task_<task>")
         report = cls()
         seen = set()
-        for cells in reader:
+        for line, cells in lines[1:]:
             if not cells:
                 continue
             try:
@@ -238,7 +241,7 @@ class MetricsReport:
                     raise ValueError(f"drop {cells[-1]!r} is not finite")
                 report.add(row)
             except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}") from None
+                raise ValueError(f"line {line}: {exc}") from None
         return report
 
 

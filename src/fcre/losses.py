@@ -43,9 +43,10 @@ batches hold at most 64 rows, so HSMT's differences, the largest,
 take 512 KiB.
 A caller's ``Batch`` is validated when it is built; ``joint_loss``
 checks its size and W, builds its layout and calls ``_joint``, the
-kernel pass.  Training builds no ``Batch``: a ``_Plan``, built once per
-pool, validates the pool's (R, K, d) description table and W once and
-builds each batch's layout from its relations (a table row is one
+kernel pass.  Training builds no ``Batch``: its pool's (R, K, d)
+description table and W were checked where they entered (the
+description set, ``run_task``), so ``_Layout.of_rows`` builds each
+batch's layout from the table rows of its samples (a table row is one
 relation's block), and the trainer hands z and that layout to
 ``_joint``, which does only the work that depends on z.
 
@@ -145,7 +146,10 @@ class Batch:
             raise ValueError(
                 f"descriptions must be (B, K, d), got {self.descriptions.shape}"
             )
-        _check_descriptions(self.descriptions, d)
+        if self.descriptions.shape[2] != d:
+            raise ValueError(f"description dim {self.descriptions.shape[2]} != embedding dim {d}")
+        if not np.all(np.isfinite(self.descriptions)):
+            raise ValueError("descriptions contain non-finite entries")
         if self.descriptions.shape[1] < 1:
             raise ValueError("need at least one description vector per sample")
         if not np.all(np.isfinite(self.z)):
@@ -178,14 +182,6 @@ class Batch:
     def _check_index(self, x: int) -> None:
         if not 0 <= checked(x, int, "sample index") < self.size:
             raise ValueError(f"sample index {x} out of range for batch of {self.size}")
-
-
-def _check_descriptions(descriptions: np.ndarray, embed_dim: int) -> None:
-    """(.., K, d) description vectors must match the embedding dim and be finite."""
-    if descriptions.shape[2] != embed_dim:
-        raise ValueError(f"description dim {descriptions.shape[2]} != embedding dim {embed_dim}")
-    if not np.all(np.isfinite(descriptions)):
-        raise ValueError("descriptions contain non-finite entries")
 
 
 class MiningSets(NamedTuple):
@@ -250,16 +246,20 @@ class _Layout:
     """What the four terms read from a batch's labels and description classes.
 
     It is built for a fixed set of anchor rows, ``rows``: every row for
-    ``joint_loss``, one row for the per-anchor functions.  Within one
-    label, samples share a class when each carries the (K, d) block of
-    the label's first sample; a plain ``Batch`` checks this by comparing
-    its blocks, and when some label's samples differ every sample is its
-    own class.  ``class_desc`` holds each class's (K, d) block.  Nothing
-    here depends on z: besides the masks, the layout holds whether each
-    term has an anchor to evaluate (``any_pos``, ``any_paired``,
-    ``any_neg``), the degenerate-anchor counts, and the mined classes'
-    description blocks, norms and unit descriptions.  So a pool that
-    trains as one full batch has its layout built once for every epoch.
+    ``joint_loss`` and training, one row for the per-anchor functions.
+    Within one label, samples share a class when each carries the (K, d)
+    block of the label's first sample; ``of_batch`` checks this on a
+    plain ``Batch`` by comparing its blocks, and when some label's
+    samples differ every sample is its own class.  ``of_rows`` builds a
+    training batch's layout from its samples' rows in a description
+    table, one relation per row, so it needs no comparison.
+    ``class_desc`` holds each class's (K, d) block.  Nothing here
+    depends on z, and nothing refers to a batch or a kernel: besides the
+    masks, the layout holds whether each term has an anchor to evaluate
+    (``any_pos``, ``any_paired``, ``any_neg``), the degenerate-anchor
+    counts, and the mined classes' description blocks, norms and unit
+    descriptions.  So a pool that trains as one full batch has its
+    layout built once for every epoch.
     """
 
     def __init__(
@@ -341,6 +341,22 @@ class _Layout:
             lead = np.arange(batch.size)
         norms, unit = _unit_blocks(batch.descriptions)
         return cls(same, lead, rows, batch.descriptions, norms, unit, np.arange(batch.size))
+
+    @classmethod
+    def of_rows(
+        cls, table_row: np.ndarray, table: np.ndarray, norms: np.ndarray, unit: np.ndarray
+    ) -> "_Layout":
+        """The layout of samples that carry ``table[table_row]``, every sample an anchor.
+
+        ``norms, unit = _unit_blocks(table)``.  A table row is one
+        relation's block, so the labels are the table rows and the
+        description classes are the relations in order of first
+        appearance: what ``of_batch`` finds for such blocks, without
+        comparing them.
+        """
+        same = table_row[:, None] == table_row[None, :]
+        rows = slice(0, table_row.size)
+        return cls(same, same.argmax(axis=1), rows, table, norms, unit, table_row)
 
 
 def _unit_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -683,56 +699,16 @@ def mi_loss(batch: Batch, x: int, w_matrix: np.ndarray, tau: float) -> MiResult:
     return MiResult(float(term.values[0]), term.grad_z[x], term.grad_w, bool(term.degenerate[0]))
 
 
-class _Plan:
-    """One training pool's loss inputs, validated once, and the layouts built on them.
-
-    Holds the pool's (R, K, d) description table, each sample's row in
-    it, and the table's (R, K) description norms and unit descriptions;
-    ``w_matrix``'s shape is checked before training starts when one is
-    given and ``hp`` enables MI.  A table row is one relation's block,
-    so a batch's description classes are its relations in order of first
-    appearance: what ``_Layout.of_batch`` finds for such blocks, without
-    comparing them.  Training's batches hold at least two rows, so
-    ``_joint`` runs no checks on a plan's layout.  Neither the plan nor a
-    layout refers to a batch or a kernel, so the per-pool state goes as
-    soon as the caller drops the plan.
-    """
-
-    def __init__(
-        self,
-        table: np.ndarray,
-        row_of: np.ndarray,
-        embed_dim: int,
-        hp: HyperParams,
-        w_matrix: np.ndarray | None = None,
-    ) -> None:
-        table = np.asarray(table, dtype=np.float64)
-        _check_descriptions(table, embed_dim)
-        if w_matrix is not None and hp.beta_mi != 0.0:
-            _as_bilinear(w_matrix, embed_dim)
-        self.table = table
-        self.norms, self.unit = _unit_blocks(table)
-        self.row_of = row_of
-
-    def layout(self, idx: np.ndarray) -> _Layout:
-        """The layout of the pool rows ``idx``, every row an anchor."""
-        rows = self.row_of[idx]
-        same = rows[:, None] == rows[None, :]
-        return _Layout(
-            same, same.argmax(axis=1), slice(0, idx.size), self.table, self.norms, self.unit, rows
-        )
-
-
 def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResult:
     """Batch-mean of the beta-weighted sum of all four objectives.
 
     Every row is an anchor, so the kernel's transients grow as
     B^2 * max(d, K) floats (training batches hold at most 64 rows).  The
     batch's size and W are checked, and its layout is built by comparing
-    its description blocks; training calls ``_joint`` on a ``_Plan``'s
-    layout instead.  Linear in each beta; terms with beta == 0 are
-    skipped entirely, so disabling a loss also disables its
-    degenerate-input flags.
+    its description blocks; training calls ``_joint`` on a layout from
+    ``_Layout.of_rows`` instead.  Linear in each beta; terms with
+    beta == 0 are skipped entirely, so disabling a loss also disables
+    its degenerate-input flags.
     """
     w_matrix = np.asarray(w_matrix, dtype=np.float64)
     if hp.beta_sc != 0.0:

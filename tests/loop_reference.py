@@ -214,18 +214,14 @@ def epoch_batches(n, rng):
     return batches
 
 
-def train(state, train_x, train_y, hp, epochs, description_source):
+def train(state, train_x, train_y, hp, epochs):
     """``_train`` step by step: (encoder, W, optimizer), with ``state.rng`` advanced.
 
     Each step embeds the batch, builds a validated ``Batch`` from the
     samples' own description blocks, and concatenates the encoder and W
     gradients into a new vector for the pure ``encoder.step``.
     """
-    descriptions = state.descriptions
-    if description_source == "k-set":
-        blocks = np.stack([descriptions.vectors(int(r)) for r in train_y])
-    else:
-        blocks = np.stack([descriptions.mean(int(r))[None, :] for r in train_y])
+    blocks = np.stack([state.descriptions.vectors(int(r)) for r in train_y])
     encoder, w, opt = state.encoder, state.bilinear.matrix, state.optimizer
     n_enc = encoder.n_params
     vec = np.concatenate([encoder.to_vector(), w.ravel()])

@@ -182,6 +182,42 @@ class TestConfigSerialization:
         assert run_id(config, 0) == run_id(expected, 0)
 
     @pytest.mark.parametrize(
+        "given, canonical",
+        [
+            ({"heads": ["ncm"]}, {"heads": ("ncm",)}),
+            ({"heads": ["dri", "ncm"], "seeds": [3, 0]}, {"heads": ("dri", "ncm"), "seeds": (3, 0)}),
+            ({"seeds": range(2)}, {"seeds": (0, 1)}),
+        ],
+    )
+    def test_heads_and_seeds_are_stored_as_tuples(self, given, canonical):
+        # a list once kept its type: it compared unequal to the tuple of
+        # the same run id, and hash() raised TypeError
+        config, expected = tiny_config(**given), tiny_config(**canonical)
+        assert type(config.heads) is tuple and type(config.seeds) is tuple
+        assert config == expected and hash(config) == hash(expected)
+        assert run_id(config, 0) == run_id(expected, 0)
+
+    @pytest.mark.parametrize(
+        "overrides, pattern",
+        [
+            ({"heads": "ncm"}, r"^heads must be a list, got 'ncm'$"),
+            ({"heads": None}, r"^heads must be a list, got None$"),
+            ({"heads": ("ncm", 1)}, r"^heads\[1\] must be a string, got 1$"),
+            ({"seeds": 5}, r"^seeds must be a list, got 5$"),
+            ({"seeds": "0"}, r"^seeds must be a list, got '0'$"),
+            ({"seeds": np.arange(2)}, r"^seeds must be a list, got array\(\[0, 1\]\)$"),
+        ],
+    )
+    def test_heads_and_seeds_that_are_not_sequences_rejected(self, overrides, pattern):
+        # the messages a config file's value gets
+        with pytest.raises(ValueError, match=pattern):
+            tiny_config(**overrides)
+        key, value = next(iter(overrides.items()))
+        if isinstance(value, (str, int, type(None))):
+            with pytest.raises(ValueError, match=pattern):
+                config_from_dict({key: value})
+
+    @pytest.mark.parametrize(
         "argv, pattern",
         [
             (["run", "--seed", "-1"], "error: seeds must be >= 0, got -1\n"),
@@ -377,26 +413,6 @@ class TestRunCommand:
         with open(run_dir / "metrics.csv", newline="") as fh:
             report = MetricsReport.from_csv(fh.read())
         assert {r.head for r in report.rows} == {"ncm"}
-
-    def test_file_mode_round_trip(self, tmp_path):
-        # the files that ``generate`` writes train to the bytes of the
-        # synthetic run of the same seed
-        config = tiny_config(out_dir=str(tmp_path / "synthetic"))
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(config_to_dict(config)))
-        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "data")]) == 0
-        file_config = tiny_config(
-            data_mode="files",
-            dataset_path=str(tmp_path / "data" / "dataset.jsonl"),
-            descriptions_path=str(tmp_path / "data" / "descriptions.jsonl"),
-            out_dir=str(tmp_path / "runs"),
-        )
-        synthetic = Path(run_single_seed(config, 0)["run_dir"])
-        from_files = Path(run_single_seed(file_config, 0)["run_dir"])
-        checkpoints = ["task_01.json", "task_02.json"]
-        assert sorted(p.name for p in (from_files / "checkpoints").iterdir()) == checkpoints
-        for name in ["metrics.csv"] + [f"checkpoints/{c}" for c in checkpoints]:
-            assert (from_files / name).read_bytes() == (synthetic / name).read_bytes(), name
 
     def test_missing_dataset_file_fails_run(self, tmp_path, capsys):
         config = tiny_config(

@@ -26,7 +26,7 @@ from fcre.continual import (
     write_checkpoint,
 )
 from fcre.descriptions import DescriptionSet, synth_descriptions
-from fcre.encoder import encode, encode_batch
+from fcre.encoder import BilinearForm, encode, encode_batch
 from fcre.inference import evaluate
 from fcre.losses import HyperParams
 
@@ -61,6 +61,19 @@ def make_descriptions(relations, embed_dim, seed=0, k_desc=2):
 
 def fresh_state(seed=0, feature_dim=6, hidden_dim=8, embed_dim=4, hp=HP):
     return init_state(feature_dim, hidden_dim, embed_dim, hp, seed)
+
+
+def record_layouts(monkeypatch):
+    """A list to which ``_Layout.of_rows`` appends each layout it builds from now on."""
+    built = []
+    real = losses._Layout.of_rows
+
+    def building(table_row, table, norms, unit):
+        built.append(real(table_row, table, norms, unit))
+        return built[-1]
+
+    monkeypatch.setattr(losses._Layout, "of_rows", staticmethod(building))
+    return built
 
 
 def stored(memory, rel):
@@ -358,35 +371,34 @@ class TestEpochBatches:
 class TestTrainDescriptionTable:
     """``_train`` gathers each minibatch's descriptions from a per-pool table."""
 
-    def recorded_batches(self, monkeypatch, labels, source):
+    def recorded_batches(self, monkeypatch, labels):
+        """Each step's labels and each sample's description block, as its class holds it."""
         state = fresh_state()
         state.descriptions = make_descriptions([2, 5, 9, 14], 4, k_desc=3)
-        seen = []
-        real = losses._Plan.layout
+        batches = []
+        real = continual._epoch_batches
 
-        def recording(plan, idx):
-            layout = real(plan, idx)
-            # each sample's description block, as its class holds it
-            seen.append((labels[idx], layout.class_desc[layout.class_of]))
-            return layout
+        def drawing(n, rng):
+            epoch = real(n, rng)
+            batches.extend(epoch)
+            return epoch
 
-        monkeypatch.setattr(losses._Plan, "layout", recording)
+        built = record_layouts(monkeypatch)
+        monkeypatch.setattr(continual, "_epoch_batches", drawing)
         x = np.random.default_rng(1).normal(size=(labels.size, 6))
-        _train(state, x, labels, HP, 2, source)
+        _train(state, x, labels, HP, 2)
+        seen = [(labels[idx], layout.class_desc[layout.class_of])
+                for idx, layout in zip(batches, built, strict=True)]
         return state.descriptions, seen
 
-    @pytest.mark.parametrize("source", ["k-set", "raw-mean"])
-    def test_matches_per_sample_lookup(self, monkeypatch, source):
+    def test_matches_per_sample_lookup(self, monkeypatch):
         # non-contiguous ids, one registered relation (5) absent from the
         # pool, and 70 samples: three shuffled minibatches per epoch
         labels = np.random.default_rng(0).choice([14, 2, 9], size=70)
-        descriptions, seen = self.recorded_batches(monkeypatch, labels, source)
+        descriptions, seen = self.recorded_batches(monkeypatch, labels)
         assert len(seen) == 6
         for batch_labels, block in seen:
-            if source == "k-set":
-                expected = np.stack([descriptions.vectors(rel) for rel in batch_labels])
-            else:
-                expected = np.stack([descriptions.mean(rel)[None, :] for rel in batch_labels])
+            expected = np.stack([descriptions.vectors(rel) for rel in batch_labels])
             np.testing.assert_array_equal(block, expected)
 
     def test_relation_without_descriptions_raises(self):
@@ -398,7 +410,7 @@ class TestTrainDescriptionTable:
         with pytest.raises(
             ProtocolError, match=r"^no descriptions registered for relation 12$"
         ):
-            _train(state, x, labels, HP, 1, "k-set")
+            _train(state, x, labels, HP, 1)
         np.testing.assert_array_equal(state.encoder.to_vector(), before)
 
 
@@ -439,11 +451,18 @@ class TestRunTaskProtocol:
         with pytest.raises(ValueError, match="unknown head"):
             run_task(self.state, self.task1, self.descriptions, HP, heads=("knn",))
 
-    def test_unknown_description_source_rejected(self):
-        with pytest.raises(ValueError, match="description_source"):
-            run_task(
-                self.state, self.task1, self.descriptions, HP, description_source="best"
-            )
+    def test_wrong_sized_w_rejected_before_the_state_changes(self):
+        state = self.state
+        state.bilinear = BilinearForm(np.eye(3))  # the encoder embeds into 4 dims
+        encoder, optimizer = state.encoder.to_vector(), state.optimizer
+        rng = state.rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"^W must be \(4, 4\), got \(3, 3\)$"):
+            run_task(state, self.task1, self.descriptions, HP)
+        np.testing.assert_array_equal(state.encoder.to_vector(), encoder)
+        np.testing.assert_array_equal(state.bilinear.matrix, np.eye(3))
+        assert state.optimizer is optimizer and state.rng.bit_generator.state == rng
+        assert len(state.descriptions) == 0 and state.memory.total_samples == 0
+        assert state.completed_tasks == [] and state.report.rows == []
 
 
 class TestRunTaskBehavior:
@@ -558,14 +577,6 @@ class TestRunTaskBehavior:
             for rel in rels:
                 np.testing.assert_array_equal(stored(state.memory, rel), expected[rel])
 
-    def test_raw_mean_description_source_runs(self):
-        state = fresh_state()
-        rng = np.random.default_rng(42)
-        task = make_task(1, [0, 1], rng)
-        descriptions = make_descriptions([0, 1], 4)
-        run_task(state, task, descriptions, HP, description_source="raw-mean")
-        assert len(state.report.rows) == 2
-
 
 class TestCheckpoint:
     def test_round_trip_restores_live_objects(self, tmp_path):
@@ -651,29 +662,25 @@ class TestCheckpoint:
         assert path.read_bytes() == streamed.read_bytes()
 
 
-class TestTrainingPlan:
-    """``_train`` trains each pool from one validated plan."""
+class TestTrainingLayouts:
+    """``_train`` gathers each pool's description table once and builds layouts from it."""
 
     def recorded_steps(self, monkeypatch, n_rows, epochs):
-        """The layouts ``_Plan.layout`` built and those each ``_joint`` call got, in order."""
-        built, used = [], []
-        real_layout, real_joint = losses._Plan.layout, continual._joint
-
-        def building(plan, idx):
-            built.append(real_layout(plan, idx))
-            return built[-1]
+        """The layouts ``_Layout.of_rows`` built and those each ``_joint`` call got, in order."""
+        used = []
+        real_joint = continual._joint
 
         def joint(z, layout, hp, w):
             used.append(layout)
             return real_joint(z, layout, hp, w)
 
-        monkeypatch.setattr(losses._Plan, "layout", building)
+        built = record_layouts(monkeypatch)
         monkeypatch.setattr(continual, "_joint", joint)
         state = fresh_state()
         state.descriptions = make_descriptions([0, 1], 4)
         labels = np.array([0, 1] * (n_rows // 2))
         x = np.random.default_rng(1).normal(size=(n_rows, 6))
-        _train(state, x, labels, HP, epochs, "k-set")
+        _train(state, x, labels, HP, epochs)
         return built, used
 
     def test_a_full_batch_pool_builds_one_layout_for_every_epoch(self, monkeypatch):
@@ -703,7 +710,7 @@ class TestTrainingPlan:
         x = np.random.default_rng(1).normal(size=(20, 6))
         gc.disable()
         try:
-            _train(state, x, labels, HP, 3, "k-set")
+            _train(state, x, labels, HP, 3)
             assert len(layouts) == 3
             assert all(ref() is None for ref in layouts)
         finally:
@@ -716,11 +723,11 @@ class TestTrainingPlan:
         state.descriptions = make_descriptions([0, 1], 4)
         labels = np.array([0, 1] * 10)
         x = np.random.default_rng(1).normal(size=(20, 6))
-        _train(state, x, labels, HP, 2, "k-set")
+        _train(state, x, labels, HP, 2)
         encoder, bilinear, optimizer = state.encoder, state.bilinear, state.optimizer
         kept = [a.copy() for a in (encoder.w1, encoder.b1, encoder.w2, encoder.b2, bilinear.matrix)]
         kept_moments = optimizer.m.copy(), optimizer.v.copy(), optimizer.step_count
-        _train(state, x, labels, HP, 2, "k-set")
+        _train(state, x, labels, HP, 2)
         assert state.optimizer.step_count == kept_moments[2] + 2
         assert not np.array_equal(state.encoder.to_vector(), encoder.to_vector())
         for now, then in zip((encoder.w1, encoder.b1, encoder.w2, encoder.b2, bilinear.matrix), kept):

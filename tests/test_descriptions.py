@@ -82,6 +82,12 @@ class TestDescriptionSet:
         with pytest.raises(ValueError, match="zero norm"):
             DescriptionSet({0: np.array([[0.0, 0.0]])})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # training reads the set's table unchecked, so this is the one check
+        with pytest.raises(ValueError, match=r"^relation 0: non-finite description entries$"):
+            DescriptionSet({0: [[bad, 1.0]]})
+
     def test_zero_mean_warns(self):
         vectors = np.array([[1.0, 0.0], [-1.0, 0.0]])
         with pytest.warns(RuntimeWarning, match="average to the zero"):

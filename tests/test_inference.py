@@ -373,51 +373,6 @@ def shared_row_states(draw):
     return state
 
 
-def evaluated_predictions(state, through_task, hp):
-    """``evaluate``'s rows for both heads, and the per-query predictions of each scoring pass."""
-    passes = []
-    real = inference._predict_block
-
-    def recording(*args):
-        passes.append(real(*args))
-        return passes[-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(inference, "_predict_block", recording)
-        rows = evaluate(state, through_task, ("ncm", "dri"), hp)
-    return rows, passes
-
-
-class TestAlphaOne:
-    """At alpha = 1 the fused score is 1 / (epsilon + rank_E(r)), so DRI's
-    argmax is rank 1 of the distance channel: NCM's argmin, under the same
-    lowest-id tie rule.  So the two heads predict alike, query by query."""
-
-    HP1 = dataclasses.replace(HP, alpha=1.0)
-
-    @pytest.mark.parametrize("quantized", [False, True])
-    def test_dri_predicts_the_ncm_relation_for_every_query(self, quantized):
-        rng = np.random.default_rng(13)
-        for _ in range(4):
-            state = pool_state(rng, quantized)
-            vectors = state.prototypes.vectors.copy()
-            n_pairs = vectors.shape[0] // 3
-            vectors[1 : 3 * n_pairs : 3] = vectors[0 : 3 * n_pairs : 3]  # relations share prototypes
-            state.prototypes = Prototypes(state.prototypes.relations, vectors)
-            assert tied_queries(state)[0] > 0  # some queries' nearest prototype is shared
-            (ncm, dri), passes = evaluated_predictions(state, 3, self.HP1)
-            assert ncm.acc_avg < 1.0
-            assert dri.acc_per_task == ncm.acc_per_task
-            assert passes and all(np.array_equal(p["dri"], p["ncm"]) for p in passes)
-
-    @given(shared_row_states())
-    @settings(max_examples=100)
-    def test_holds_on_shared_prototypes_and_means(self, state):
-        (ncm, dri), passes = evaluated_predictions(state, 1, self.HP1)
-        assert dri.acc_per_task == ncm.acc_per_task
-        assert all(np.array_equal(p["dri"], p["ncm"]) for p in passes)
-
-
 class TestBatchedEvaluate:
     @given(shared_row_states(), st.sampled_from([0.0, 0.4, 1.0]))
     @settings(max_examples=160)

@@ -782,14 +782,13 @@ def assert_close(actual, expected):
     np.testing.assert_allclose(actual, expected, rtol=1e-10, atol=1e-13)
 
 
-def plan_batch_64(rng):
-    """A 64-row training batch over 8 relations from a ``_Plan``, at d=16 and K=7.
+def training_batch_64(rng):
+    """A 64-row training batch over 8 relations, at d=16 and K=7.
 
-    Returns its plain twin and its plan layout.
+    Returns its plain twin and its training layout.
     """
-    plan = plan_for(rng.normal(size=(8, 7, 16)), rng.integers(0, 8, size=64), HyperParams())
-    idx = np.arange(64)
-    return plain_twin(plan, idx, embedded(rng, 64, 16)), plan.layout(idx)
+    table, rows = rng.normal(size=(8, 7, 16)), rng.integers(0, 8, size=64)
+    return plain_twin(table, rows, embedded(rng, 64, 16)), layout_for(table, rows)
 
 
 class TestKernelBlocks:
@@ -800,10 +799,10 @@ class TestKernelBlocks:
             lambda rng: (random_batch(rng, size=64, embed_dim=16, k_desc=7, n_relations=4), None),
             lambda rng: (random_batch(rng, size=64, embed_dim=4, k_desc=7, n_relations=4), None),  # K > d
             lambda rng: (random_batch(rng, size=20, embed_dim=1024, k_desc=1, n_relations=4), None),
-            plan_batch_64,
-            lambda rng: (plan_batch_64(rng)[0], None),
+            training_batch_64,
+            lambda rng: (training_batch_64(rng)[0], None),
         ],
-        ids=["32-16-7", "64-16-7", "64-4-7", "20-1024-1", "plan-64", "plain-twin-64"],
+        ids=["32-16-7", "64-16-7", "64-4-7", "20-1024-1", "training-64", "plain-twin-64"],
     )
     def test_every_batch_is_one_pass(self, make):
         batch, layout = make(np.random.default_rng(5))
@@ -1050,24 +1049,24 @@ class TestMiningAtTies:
                     assert mine_hard(batch, x, k) == loss_reference.mine_hard(batch, x, k)
 
 
-# ------------------------------------------------------------ training plan
+# ------------------------------------------------------------ training layouts
 
 
-PLAN_HPS = (HyperParams(), TestJointLoss.HP)
+TRAINING_HPS = (HyperParams(), TestJointLoss.HP)
 
 
-def plan_for(table, rows, hp):
-    """A plan over a pool whose sample i carries the description block ``table[rows[i]]``."""
-    return losses._Plan(table, np.asarray(rows), table.shape[2], hp)
+def layout_for(table, rows):
+    """The layout training builds for samples where sample i carries ``table[rows[i]]``."""
+    return losses._Layout.of_rows(np.asarray(rows), table, *losses._unit_blocks(table))
 
 
-def plain_twin(plan, idx, z):
-    """The plan's rows ``idx`` with embeddings z as a plain, validated ``Batch``.
+def plain_twin(table, rows, z):
+    """Samples where sample i carries ``table[rows[i]]``, with embeddings z, as a plain ``Batch``.
 
     A sample of table row r has relation id 10 * r + 3.
     """
-    rows = plan.row_of[idx]
-    return Batch(z=z.copy(), labels=10 * rows + 3, descriptions=plan.table[rows])
+    rows = np.asarray(rows)
+    return Batch(z=z.copy(), labels=10 * rows + 3, descriptions=table[rows])
 
 
 def assert_same_result(got, expected):
@@ -1078,7 +1077,7 @@ def assert_same_result(got, expected):
 
 
 @st.composite
-def plan_cases(draw):
+def pool_cases(draw):
     """A description table, a pool's rows in it, and which pool rows form the batch."""
     dim = draw(st.sampled_from([2, 4, 16]))
     k_desc = draw(st.sampled_from([1, 3, 7]))
@@ -1094,7 +1093,7 @@ def plan_cases(draw):
     pool = np.array(rows + extra)
     idx = np.arange(size) if full else rng.permutation(pool.size)[:size]
     duplicates = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), max_size=4))
-    hp = draw(st.sampled_from(PLAN_HPS))
+    hp = draw(st.sampled_from(TRAINING_HPS))
     return table, pool, idx, duplicates, hp, rng
 
 
@@ -1105,18 +1104,17 @@ def embedded(rng, size, dim, duplicates=()):
     return z
 
 
-class TestTrainingPlan:
-    @given(plan_cases())
+class TestTrainingLayout:
+    @given(pool_cases())
     @settings(max_examples=120)
-    def test_plan_batch_equals_a_plain_batch(self, case):
+    def test_training_layout_equals_a_plain_batch(self, case):
         table, pool, idx, duplicates, hp, rng = case
-        plan = plan_for(table, pool, hp)
         dim = table.shape[2]
         w = np.eye(dim) + 0.05 * rng.normal(size=(dim, dim))
-        layout = plan.layout(idx)
+        layout = layout_for(table, pool[idx])
         for _ in range(3):  # epochs: a layout holds nothing of z, so one serves every epoch
             z = embedded(rng, idx.size, dim, duplicates)
-            twin = plain_twin(plan, idx, z)
+            twin = plain_twin(table, pool[idx], z)
             assert np.array_equal(twin.descriptions, table[pool[idx]])
             assert_same_result(losses._joint(z, layout, hp, w), joint_loss(twin, hp, w))
 
@@ -1132,25 +1130,12 @@ class TestTrainingPlan:
         rng = np.random.default_rng(len(rows))
         table = rng.normal(size=(5, 3, 4))
         table[1] = table[0]
-        for hp in PLAN_HPS:
-            plan, idx = plan_for(table, rows, hp), np.arange(len(rows))
+        for hp in TRAINING_HPS:
             z = embedded(rng, len(rows), 4, [(0, 2)])
             assert_same_result(
-                losses._joint(z, plan.layout(idx), hp, np.eye(4)),
-                joint_loss(plain_twin(plan, idx, z), hp, np.eye(4)),
+                losses._joint(z, layout_for(table, rows), hp, np.eye(4)),
+                joint_loss(plain_twin(table, rows, z), hp, np.eye(4)),
             )
-
-    def test_checks_run_once_with_the_plain_batch_messages(self):
-        table = np.ones((2, 3, 4))
-        with pytest.raises(ValueError, match=r"^description dim 4 != embedding dim 5$"):
-            losses._Plan(table, np.array([0, 1]), 5, HyperParams())
-        with pytest.raises(ValueError, match=r"^W must be \(4, 4\), got \(3, 3\)$"):
-            losses._Plan(table, np.array([0, 1]), 4, HyperParams(), np.eye(3))
-        table[1, 2, 0] = np.nan
-        with pytest.raises(ValueError, match=r"^descriptions contain non-finite entries$"):
-            losses._Plan(table, np.array([0, 1]), 4, HyperParams())
-        with pytest.raises(ValueError, match="tau"):
-            losses._Plan(np.ones((2, 3, 4)), np.array([0, 1]), 4, HyperParams(tau=0.0))
 
     @pytest.mark.parametrize("rows, raises", [([0, 0, 1, 1], True), ([0, 1, 1, 2, 2], False)])
     def test_zero_norm_description_fails_only_when_its_class_is_mined(self, rows, raises):
@@ -1158,10 +1143,9 @@ class TestTrainingPlan:
         table = rng.normal(size=(3, 2, 4))
         table[0, 1] = 0.0  # relation 0's second description; mined only when 0 has a pair
         hp = HyperParams()
-        plan, idx = plan_for(table, rows, hp), np.arange(len(rows))
         z = embedded(rng, len(rows), 4)
-        twin = plain_twin(plan, idx, z)
-        for run in (lambda: losses._joint(z, plan.layout(idx), hp, np.eye(4)),
+        twin = plain_twin(table, rows, z)
+        for run in (lambda: losses._joint(z, layout_for(table, rows), hp, np.eye(4)),
                     lambda: joint_loss(twin, hp, np.eye(4))):
             if raises:
                 with pytest.raises(ValueError, match=r"^anchor has zero norm; cosine is undefined$"):
@@ -1170,11 +1154,10 @@ class TestTrainingPlan:
                 run()
 
     def test_hyperparameters_and_w_are_checked_on_a_plain_batch(self):
-        # training's _joint runs no checks: its plan checked W, and hp
+        # training's _joint runs no checks: run_task checked W, and hp
         # checks itself when it is built
         rng = np.random.default_rng(4)
-        plan = plan_for(rng.normal(size=(2, 3, 4)), [0, 1, 0, 1], HyperParams())
-        batch = plain_twin(plan, np.arange(4), embedded(rng, 4, 4))
+        batch = plain_twin(rng.normal(size=(2, 3, 4)), [0, 1, 0, 1], embedded(rng, 4, 4))
         with pytest.raises(ValueError, match=r"^tau must be positive, got 0\.0$"):
             joint_loss(batch, HyperParams(tau=0.0), np.eye(4))
         with pytest.raises(ValueError, match=r"^W must be \(4, 4\), got \(3, 3\)$"):
@@ -1187,30 +1170,31 @@ class TestTrainingPlan:
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 5, size=100)
         hp = HyperParams()
-        plan = losses._Plan(rng.normal(size=(5, 7, 16)), labels, 16, hp)
+        table = rng.normal(size=(5, 7, 16))
+        norms, unit = losses._unit_blocks(table)
         idx, z, w = rng.permutation(100)[:32], embedded(rng, 32, 16), np.eye(16)
-        losses._joint(z, plan.layout(idx), hp, w)  # anything imported lazily is imported
+        # a first step imports anything imported lazily
+        losses._joint(z, losses._Layout.of_rows(labels[idx], table, norms, unit), hp, w)
         profile = cProfile.Profile()
         profile.enable()
-        losses._joint(z, plan.layout(idx), hp, w)
+        losses._joint(z, losses._Layout.of_rows(labels[idx], table, norms, unit), hp, w)
         profile.disable()
         assert pstats.Stats(profile).total_calls <= 113
 
     def test_transient_memory_of_a_full_batch_stays_under_one_megabyte(self):
-        # the largest plan batch (64 rows) over 40 relations, as the last
-        # replay pool of a default run; the plan and its layout are built
-        # inside the measurement
+        # the largest training batch (64 rows) over 40 relations, as the
+        # last replay pool of a default run; the table's norms and unit
+        # descriptions and the layout are built inside the measurement
         rng = np.random.default_rng(42)
         rows = np.concatenate([np.arange(40), rng.integers(0, 40, size=24)])
         table = rng.normal(size=(40, 7, 16))
         z = embedded(rng, 64, 16)
         hp = HyperParams()
-        idx = np.arange(64)
-        losses._joint(z, plan_for(table, rows, hp).layout(idx), hp, np.eye(16))
+        losses._joint(z, layout_for(table, rows), hp, np.eye(16))
         tracemalloc.start()
         try:
-            losses._joint(z, plan_for(table, rows, hp).layout(idx), hp, np.eye(16))
+            losses._joint(z, layout_for(table, rows), hp, np.eye(16))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1_000_000, f"a 64-row plan batch peaked at {peak} bytes"
+        assert peak < 1_000_000, f"a 64-row training batch peaked at {peak} bytes"

@@ -31,14 +31,12 @@ PUBLIC = [
     "cli.run_id",
     "cli.run_single_seed",
     "continual.ContinualState",
-    "continual.DESCRIPTION_SOURCES",
     "continual.MemoryBuffer",
     "continual.ProtocolError",
     "continual.Prototypes",
     "continual.Task",
     "continual.TaskStream",
     "continual.build_prototypes",
-    "continual.check_description_source",
     "continual.checkpoint_dict",
     "continual.init_state",
     "continual.read_checkpoint",
@@ -136,7 +134,7 @@ def test_public_names_are_the_pinned_list():
         if path.stem not in ("__init__", "__main__"):
             found.update(f"{path.stem}.{name}" for name in public_names(path.read_text(encoding="utf-8")))
     assert sorted(found) == PUBLIC
-    assert len(PUBLIC) == 93
+    assert len(PUBLIC) == 91
 
 
 def parsing_uses(source: str) -> set[str]:
