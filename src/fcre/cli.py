@@ -3,13 +3,15 @@
 A run is identified by a short hash of the fully-resolved config plus
 the seed, and owns a directory ``<out>/<run-id>/`` containing
 ``config.json``, ``metrics.csv``, and one checkpoint per task under
-``checkpoints/``.  ``config.json`` is written before the first task,
+``checkpoints/``.  Neither the output directory nor the config's other
+seeds enter the hash, so a seed writes the same directory whichever
+seed list ran it.  ``config.json`` is written before the first task,
 each checkpoint after its task and ``metrics.csv`` last, each through a
 temporary file renamed into place, so a failed run leaves whole files.
 Re-running the same config and seed rewrites the same directory with
-byte-identical contents.  Seeds are independent
-replicates; ``FCRE_THREADS`` caps how many run as parallel worker
-processes (default: serial).
+byte-identical contents.  Seeds are independent replicates, run one
+after another; several ``fcre run --seed N`` into one ``--out``, one
+per core, followed by ``fcre report``, spread them over cores.
 A config is frozen and checks itself when built, as do the configs it
 nests, so the commands take the configs they are given as valid.
 """
@@ -23,7 +25,6 @@ import io
 import json
 import logging
 import math
-import os
 import sys
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
@@ -79,6 +80,10 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "out_dir", checked(self.out_dir, str, "out_dir"))
+        for name in ("dataset_path", "descriptions_path"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, checked(getattr(self, name), str, name))
         if self.data_mode not in ("synthetic", "files"):
             raise ValueError(
                 f"data_mode must be 'synthetic' or 'files', got {self.data_mode!r}"
@@ -172,9 +177,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def run_id(config: ExperimentConfig, seed: int) -> str:
-    """Short stable identifier; the output location does not affect it."""
+    """Short stable identifier; neither the output location nor the other seeds affect it."""
     ident = config_to_dict(config)
     ident.pop("out_dir")
+    ident.pop("seeds")
     payload = json.dumps(ident, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(f"{payload}|seed={seed}".encode("utf-8")).hexdigest()
     return digest[:12]
@@ -250,6 +256,7 @@ def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
     checkpoints = run_dir / "checkpoints"
     checkpoints.mkdir(parents=True, exist_ok=True)
     resolved = config_to_dict(config)
+    resolved["seeds"] = [seed]
     resolved["seed"] = seed
     write_atomic(run_dir / "config.json", json.dumps(resolved, sort_keys=True, indent=2) + "\n")
     for task in stream.tasks:
@@ -282,46 +289,23 @@ def cmd_generate(config: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_run(config: ExperimentConfig) -> int:
-    """Run every seed, print per-seed and aggregate summaries."""
-    threads = _worker_count(len(config.seeds))
-    results: dict[int, dict] = {}
-    failures: dict[int, str] = {}
-    if threads > 1 and len(config.seeds) > 1:
-        # imported here: it loads multiprocessing, which a serial run never uses
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                seed: pool.submit(run_single_seed, config, seed)
-                for seed in config.seeds
-            }
-        for seed, future in futures.items():
-            try:
-                results[seed] = future.result()
-            except Exception as exc:  # noqa: BLE001 - report and keep going
-                failures[seed] = str(exc)
-    else:
-        for seed in config.seeds:
-            try:
-                results[seed] = run_single_seed(config, seed)
-            except Exception as exc:  # noqa: BLE001
-                failures[seed] = str(exc)
+    """Run the seeds in order, printing each one's summary or failure, then the aggregate."""
+    results = []
     for seed in config.seeds:
-        if seed in results:
-            summary = results[seed]
-            finals = "  ".join(
-                f"{head}={summary['final'][head]:.4f}" for head in config.heads
-            )
-            print(f"seed {seed}: {finals}  -> {summary['run_dir']}")
-        else:
-            print(f"seed {seed}: FAILED: {failures[seed]}", file=sys.stderr)
+        try:
+            summary = run_single_seed(config, seed)
+        except Exception as exc:  # noqa: BLE001 - report and keep going
+            print(f"seed {seed}: FAILED: {exc}", file=sys.stderr)
+            continue
+        results.append(summary)
+        finals = "  ".join(f"{head}={summary['final'][head]:.4f}" for head in config.heads)
+        print(f"seed {seed}: {finals}  -> {summary['run_dir']}")
     if results:
         print("aggregate over", len(results), "seed(s):")
         for head in config.heads:
-            finals = [results[s]["final"][head] for s in config.seeds if s in results]
-            drops = [results[s]["drop"][head] for s in config.seeds if s in results]
-            _print_aggregate(head, finals, sum(drops) / len(drops))
-    return 1 if failures else 0
+            drops = [r["drop"][head] for r in results]
+            _print_aggregate(head, [r["final"][head] for r in results], sum(drops) / len(drops))
+    return 1 if len(results) < len(config.seeds) else 0
 
 
 def _sample_std(values: list[float]) -> float:
@@ -339,19 +323,6 @@ def _print_aggregate(head: str, finals: list[float], drop: float) -> None:
         f"  {head}: final_acc {mean:.4f} +/- {_sample_std(finals):.4f}  "
         f"drop {drop:.4f}  signed_delta {0.0 - drop:.4f}"
     )
-
-
-def _worker_count(n_seeds: int) -> int:
-    raw = os.environ.get("FCRE_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"FCRE_THREADS must be a positive integer, got {raw!r}")
-    return min(threads, n_seeds)
 
 
 def cmd_report(run_dirs: list[str], out: str | None) -> int:

@@ -74,7 +74,7 @@ from fcre.encoder import (
 from fcre.formats import _floats_from_b64, _floats_to_b64, checked, read_json, write_atomic
 from fcre.geometry import row_dots
 from fcre.inference import HEADS, MetricsReport, check_heads, evaluate
-from fcre.losses import HyperParams, _as_bilinear, _joint, _Layout, _unit_blocks
+from fcre.losses import HyperParams, _as_bilinear, _as_labels, _joint, _Layout, _unit_blocks
 # training calls ``_joint``; ``joint_loss`` stays bound here for code that
 # wraps ``continual.joint_loss``, as perfbench's tracer does
 from fcre.losses import joint_loss  # noqa: F401
@@ -112,7 +112,7 @@ class Task:
     def __post_init__(self) -> None:
         if self.index < 1:
             raise ValueError(f"task index must be >= 1, got {self.index}")
-        rels = tuple(int(r) for r in self.relations)
+        rels = tuple(checked(r, int, "relation id") for r in self.relations)
         if len(rels) == 0:
             raise ValueError("task must cover at least one relation")
         if len(set(rels)) != len(rels):
@@ -120,8 +120,8 @@ class Task:
         object.__setattr__(self, "relations", tuple(sorted(rels)))
         object.__setattr__(self, "train_x", _as_matrix(self.train_x, "train_x"))
         object.__setattr__(self, "test_x", _as_matrix(self.test_x, "test_x"))
-        object.__setattr__(self, "train_y", np.asarray(self.train_y, dtype=np.int64))
-        object.__setattr__(self, "test_y", np.asarray(self.test_y, dtype=np.int64))
+        object.__setattr__(self, "train_y", _as_labels(self.train_y, "train_y"))
+        object.__setattr__(self, "test_y", _as_labels(self.test_y, "test_y"))
         if self.train_y.shape != (self.train_x.shape[0],):
             raise ValueError("train labels do not match train features")
         if self.test_y.shape != (self.test_x.shape[0],):
@@ -203,7 +203,7 @@ class MemoryBuffer:
     def append(self, features, labels) -> None:
         """Store new relations' rows; a relation already in memory is rejected."""
         features = _as_matrix(features, "memory features")
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = _as_labels(labels, "memory labels")
         if labels.shape != (features.shape[0],):
             raise ValueError("memory labels do not match memory features")
         if features.shape[1] != self.features.shape[1]:

@@ -116,6 +116,17 @@ class HyperParams:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
+def _as_labels(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array; a float, bool or other array is an error naming ``name``.
+
+    Integer arrays of any width are taken, so no label is silently truncated.
+    """
+    labels = np.asarray(values)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got dtype {labels.dtype}")
+    return labels.astype(np.int64, copy=False)
+
+
 @dataclass
 class Batch:
     """Embeddings, labels, and per-sample description vectors.
@@ -131,7 +142,7 @@ class Batch:
 
     def __post_init__(self) -> None:
         self.z = np.asarray(self.z, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = _as_labels(self.labels, "labels")
         self.descriptions = np.asarray(self.descriptions, dtype=np.float64)
         if self.z.ndim != 2:
             raise ValueError(f"z must be (B, d), got shape {self.z.shape}")

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,11 @@ def tiny_config(**overrides):
         seeds=(0,),
     )
     return dataclasses.replace(base, **overrides)
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    """The bytes of every file under ``root``, keyed by its path relative to ``root``."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 class TestConfigSerialization:
@@ -148,9 +154,15 @@ class TestConfigSerialization:
             ({"seeds": (0.5,)}, r"^seeds\[0\] must be an integer, got 0\.5$"),
             ({"description_spread": float("nan")}, r"^description_spread must be a finite numeric value, got nan$"),
             ({"description_spread": float("inf")}, r"^description_spread must be a finite numeric value, got inf$"),
+            ({"out_dir": None}, r"^out_dir must be a string, got None$"),
+            ({"out_dir": Path("runs")}, r"^out_dir must be a string, got \w*Path\('runs'\)$"),
+            ({"data_mode": "files", "dataset_path": 3, "descriptions_path": "d.jsonl"},
+             r"^dataset_path must be a string, got 3$"),
+            ({"data_mode": "files", "dataset_path": "d.jsonl", "descriptions_path": ["x"]},
+             r"^descriptions_path must be a string, got \['x'\]$"),
         ],
     )
-    def test_encoder_fields_and_seeds_of_the_wrong_type_or_sign_rejected(self, overrides, pattern):
+    def test_fields_of_the_wrong_type_or_sign_rejected(self, overrides, pattern):
         with pytest.raises(ValueError, match=pattern):
             if "encoder" in overrides:
                 overrides = {**overrides, "encoder": EncoderConfig(**overrides["encoder"])}
@@ -246,6 +258,10 @@ class TestRunId:
         moved = dataclasses.replace(config, out_dir="/somewhere/else")
         assert run_id(config, 0) == run_id(moved, 0)
 
+    def test_other_seeds_ignored(self):
+        config = tiny_config()
+        assert run_id(config, 0) == run_id(dataclasses.replace(config, seeds=(0, 3)), 0)
+
 
 class TestSeedListParsing:
     def test_forms(self):
@@ -329,17 +345,31 @@ class TestRunCommand:
         second = (tmp_path / "runs" / run_id(config, 0) / "metrics.csv").read_bytes()
         assert first == second
 
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
-        serial = tiny_config(seeds=(0, 1), out_dir=str(tmp_path / "serial"))
-        monkeypatch.delenv("FCRE_THREADS", raising=False)
-        assert cmd_run(serial) == 0
-        parallel = dataclasses.replace(serial, out_dir=str(tmp_path / "parallel"))
-        monkeypatch.setenv("FCRE_THREADS", "2")
-        assert cmd_run(parallel) == 0
+    def test_one_run_over_two_seeds_writes_the_bytes_of_two_single_seed_runs(self, tmp_path):
+        config = tiny_config(seeds=(0, 1), out_dir=str(tmp_path / "runs"))
+        assert cmd_run(config) == 0
+        together = _tree(tmp_path / "runs")
+        shutil.rmtree(tmp_path / "runs")
         for seed in (0, 1):
-            a = (tmp_path / "serial" / run_id(serial, seed) / "metrics.csv").read_bytes()
-            b = (tmp_path / "parallel" / run_id(parallel, seed) / "metrics.csv").read_bytes()
-            assert a == b
+            assert cmd_run(dataclasses.replace(config, seeds=(seed,))) == 0
+        assert _tree(tmp_path / "runs") == together
+
+    def test_a_seed_rerun_with_another_seed_list_rewrites_its_own_directory(self, tmp_path, capsys):
+        # one seed's directory once depended on the other seeds of its
+        # invocation, so a report over runs/* counted seed 0 twice
+        config = tiny_config(out_dir=str(tmp_path / "runs"))
+        assert self.run_main(tmp_path, config, extra=["--seed", "0"]) == 0
+        first = _tree(tmp_path / "runs")
+        assert self.run_main(tmp_path, config, extra=["--seed", "0,1"]) == 0
+        both = _tree(tmp_path / "runs")
+        dirs = sorted((tmp_path / "runs").iterdir())
+        assert [d.name for d in dirs] == sorted(run_id(config, seed) for seed in (0, 1))
+        assert {name: both[name] for name in first} == first
+        saved = json.loads((tmp_path / "runs" / run_id(config, 1) / "config.json").read_text())
+        assert (saved["seeds"], saved["seed"]) == ([1], 1)
+        capsys.readouterr()
+        assert cmd_report([str(d) for d in dirs], None) == 0
+        assert "aggregated 2 run(s):" in capsys.readouterr().out
 
     def test_rerun_is_byte_identical_across_blas_threads(self, tmp_path):
         # one process pinned to a single BLAS thread, one left at the
@@ -375,14 +405,6 @@ class TestRunCommand:
             artifacts.append({f.name: f.read_bytes() for f in files})
         assert sorted(artifacts[0]) == ["metrics.csv", "task_01.json", "task_02.json"]
         assert artifacts[0] == artifacts[1]
-
-    @pytest.mark.parametrize("value", ["many", "0", "-1"])
-    def test_bad_threads_value_rejected(self, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("FCRE_THREADS", value)
-        config = tiny_config(out_dir=str(tmp_path / "runs"))
-        assert self.run_main(tmp_path, config) == 2
-        assert capsys.readouterr().err == f"error: FCRE_THREADS must be a positive integer, got {value!r}\n"
-        assert not (tmp_path / "runs").exists()  # rejected before any seed runs
 
     def test_loss_ablation_flags(self, tmp_path):
         config = tiny_config(out_dir=str(tmp_path / "runs"))
@@ -541,8 +563,8 @@ class TestArtifactWrites:
 class TestImportFootprint:
     def test_a_serial_run_loads_neither_numpy_ma_nor_multiprocessing(self, tmp_path):
         # numpy.ma (pulled in by np.unique and friends) adds about 1.3 MB to
-        # a run's peak memory, and multiprocessing is only needed by
-        # FCRE_THREADS > 1; both stay out of a plain import and serial run
+        # a run's peak memory, and nothing needs multiprocessing; both stay
+        # out of a plain import and a run
         config = tiny_config(out_dir=str(tmp_path / "runs"))
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config_to_dict(config)))
@@ -553,7 +575,7 @@ class TestImportFootprint:
             "print(json.dumps(sorted(sys.modules)))\n"
         )
         src = str(Path(fcre.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items() if k != "FCRE_THREADS"}
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         done = subprocess.run(
             [sys.executable, "-c", script, str(path)],

@@ -133,6 +133,35 @@ class TestTaskValidation:
                 np.array([0, 1]),
             )
 
+    @pytest.mark.parametrize(
+        "relations, train_y, test_y, pattern",
+        [
+            ((2.5, 3.7), [2.5, 3.7], [2.9, 3.1], r"^relation id must be an integer, got 2\.5$"),
+            ((True, 2), [1, 2], [1, 2], r"^relation id must be an integer, got True$"),
+            (("1", 2), [1, 2], [1, 2], r"^relation id must be an integer, got '1'$"),
+            ((1, 2), [1.0, 2.0], [1, 2], r"^train_y must hold integers, got dtype float64$"),
+            ((0, 1), [0, 1], [False, True], r"^test_y must hold integers, got dtype bool$"),
+            ((1, 2), [1, 2], np.array([1, 2], dtype=object), r"^test_y must hold integers, got dtype object$"),
+        ],
+    )
+    def test_non_integer_relations_and_labels_rejected(self, relations, train_y, test_y, pattern):
+        # each was once truncated to an integer: relations (2.5, 3.7) became (2, 3)
+        with pytest.raises(ValueError, match=pattern):
+            Task(1, relations, np.ones((2, 3)), train_y, np.ones((2, 3)), test_y)
+
+    def test_integers_of_any_width_accepted(self):
+        task = Task(
+            1,
+            (np.int64(1), np.uint8(2)),
+            np.ones((2, 3)),
+            np.array([1, 2], dtype=np.uint16),
+            np.ones((2, 3)),
+            np.array([2, 1], dtype=np.int8),
+        )
+        assert task.relations == (1, 2) and all(type(r) is int for r in task.relations)
+        assert task.train_y.dtype == task.test_y.dtype == np.int64
+        np.testing.assert_array_equal(task.test_y, [2, 1])
+
     def test_index_must_be_positive(self):
         rng = np.random.default_rng(42)
         base = make_task(1, [0], rng)
@@ -176,6 +205,21 @@ class TestMemoryBuffer:
         with pytest.raises(ProtocolError, match="relation 3 .* append-only"):
             buf.append(np.zeros((2, 4)), [4, 3])
         assert buf.total_samples == 2  # a rejected append stores nothing
+
+    @pytest.mark.parametrize(
+        "labels, dtype", [([0.9], "float64"), ([True], "bool"), (np.array([7], dtype=object), "object")]
+    )
+    def test_non_integer_labels_rejected(self, labels, dtype):
+        # [0.9] was once stored as label 0
+        buf = MemoryBuffer(2)
+        with pytest.raises(ValueError, match=rf"^memory labels must hold integers, got dtype {dtype}$"):
+            buf.append(np.ones((1, 2)), labels)
+        assert buf.total_samples == 0
+
+    def test_integer_labels_of_any_width_accepted(self):
+        buf = MemoryBuffer(2)
+        buf.append(np.ones((2, 2)), np.array([4, 1], dtype=np.uint8))
+        assert buf.labels.dtype == np.int64 and buf.relations == (4, 1)
 
     def test_insertion_order_preserved(self):
         buf = MemoryBuffer(2)

@@ -132,15 +132,25 @@ class TestBatch:
         with pytest.raises(ValueError, match="labels"):
             Batch(z=np.eye(3), labels=np.array([0, 1]), descriptions=np.ones((3, 1, 3)))
 
+    @pytest.mark.parametrize("labels, dtype", [([0.0, 1.5, 1.0], "float64"), ([False, True, True], "bool")])
+    def test_non_integer_labels_rejected(self, labels, dtype):
+        with pytest.raises(ValueError, match=rf"^labels must hold integers, got dtype {dtype}$"):
+            Batch(z=np.eye(3), labels=labels, descriptions=np.ones((3, 1, 3)))
+
+    def test_integer_labels_of_any_width_accepted(self):
+        batch = Batch(z=np.eye(3), labels=np.array([0, 1, 1], dtype=np.int16), descriptions=np.ones((3, 1, 3)))
+        assert batch.labels.dtype == np.int64
+        assert list(batch.positives(1)) == [2]
+
     def test_description_dim_mismatch(self):
         with pytest.raises(ValueError, match="description dim"):
-            Batch(z=np.eye(3), labels=np.zeros(3), descriptions=np.ones((3, 1, 4)))
+            Batch(z=np.eye(3), labels=np.zeros(3, dtype=int), descriptions=np.ones((3, 1, 4)))
 
     def test_non_finite_rejected(self):
         z = np.eye(2)
         z[0, 0] = float("nan")
         with pytest.raises(ValueError, match="non-finite"):
-            Batch(z=z, labels=np.zeros(2), descriptions=np.ones((2, 1, 2)))
+            Batch(z=z, labels=np.zeros(2, dtype=int), descriptions=np.ones((2, 1, 2)))
 
 
 class TestHyperParams:
