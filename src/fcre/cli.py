@@ -223,6 +223,11 @@ def _file_data(config: ExperimentConfig):
     descriptions = ingest_descriptions(
         config.descriptions_path, expected_dim=config.encoder.embed_dim
     )
+    if descriptions.k_desc != config.hyper.k_desc:
+        raise ValueError(
+            f"{config.descriptions_path} holds {descriptions.k_desc} description vectors "
+            f"per relation, but hyperparams.k_desc is {config.hyper.k_desc}"
+        )
     missing = set(stream.relations) - set(descriptions.relations)
     if missing:
         raise ValueError(

@@ -30,10 +30,11 @@ lists the relations in order of first appearance.
 
 A task's features, W and descriptions are checked once, where they
 enter (``Task``, ``run_task``, ``DescriptionSet``), so a training phase
-(steps 2 and 4) checks nothing again: it gathers the pool's (R, K, d)
-description table, one row per relation, and the table's norms and
-unit descriptions.  Batches are formed per epoch: one full batch when
-the pool fits in 64 samples, otherwise shuffled minibatches of 32 (a
+(steps 2 and 4) checks nothing again: it reads the registry's (R, K, d)
+description table in place, finds each sample's row in it with one
+``DescriptionSet.rows`` call, and takes the table's norms and unit
+descriptions.  Batches are formed per epoch: one full batch when the
+pool fits in 64 samples, otherwise shuffled minibatches of 32 (a
 would-be trailing singleton is merged into the previous batch, since
 the contrastive losses need company).  A full batch is the same rows
 every epoch, so its layout is built once, before the first epoch; a
@@ -41,10 +42,10 @@ minibatch's is built at its step, by ``losses._Layout.of_rows`` from
 the table rows of its samples.  Each step runs one encoder forward, one
 ``losses._joint`` kernel pass over z and the layout, one backward into
 a flat gradient buffer and one Adam update in place on the flat
-parameter vector; the table and the buffers are dropped when the phase
-ends.  A non-finite gradient stops the run with an error naming the
-task, the phase, the epoch and the first loss term whose own gradient is
-non-finite.
+parameter vector; the norms, unit descriptions and buffers are dropped
+when the phase ends.  A non-finite gradient stops the run with an error
+naming the task, the phase, the epoch and the first loss term whose own
+gradient is non-finite.
 """
 
 from __future__ import annotations
@@ -71,10 +72,11 @@ from fcre.encoder import (
     init_bilinear,
     init_encoder,
 )
-from fcre.formats import _floats_from_b64, _floats_to_b64, checked, read_json, write_atomic
+from fcre.formats import _as_labels, _floats_from_b64, _floats_to_b64, checked, read_json
+from fcre.formats import write_atomic
 from fcre.geometry import row_dots
 from fcre.inference import HEADS, MetricsReport, check_heads, evaluate
-from fcre.losses import HyperParams, _as_bilinear, _as_labels, _joint, _Layout, _unit_blocks
+from fcre.losses import HyperParams, _as_bilinear, _joint, _Layout, _unit_blocks
 # training calls ``_joint``; ``joint_loss`` stays bound here for code that
 # wraps ``continual.joint_loss``, as perfbench's tracer does
 from fcre.losses import joint_loss  # noqa: F401
@@ -100,24 +102,19 @@ def _as_matrix(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Task:
-    """One N-way few-shot task: disjoint train and test pools."""
+    """One N-way few-shot task: disjoint train and test pools over the same ``relations``."""
 
     index: int
-    relations: tuple[int, ...]
     train_x: np.ndarray
     train_y: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
+    relations: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "index", checked(self.index, int, "task index"))
         if self.index < 1:
             raise ValueError(f"task index must be >= 1, got {self.index}")
-        rels = tuple(checked(r, int, "relation id") for r in self.relations)
-        if len(rels) == 0:
-            raise ValueError("task must cover at least one relation")
-        if len(set(rels)) != len(rels):
-            raise ValueError(f"task {self.index} has duplicate relations: {rels}")
-        object.__setattr__(self, "relations", tuple(sorted(rels)))
         object.__setattr__(self, "train_x", _as_matrix(self.train_x, "train_x"))
         object.__setattr__(self, "test_x", _as_matrix(self.test_x, "test_x"))
         object.__setattr__(self, "train_y", _as_labels(self.train_y, "train_y"))
@@ -128,20 +125,12 @@ class Task:
             raise ValueError("test labels do not match test features")
         if self.train_x.shape[1] != self.test_x.shape[1]:
             raise ValueError("train and test feature dimensions differ")
-        rel_set = set(rels)
-        present = {}
-        for split, labels in ("train", self.train_y), ("test", self.test_y):
-            present[split] = set(labels.tolist())
-            extra = present[split] - rel_set
-            if extra:
-                raise ValueError(
-                    f"task {self.index} {split} labels {sorted(extra)} are not in "
-                    f"its relation set"
-                )
-        for r in rels:
-            for split in ("train", "test"):
-                if r not in present[split]:
-                    raise ValueError(f"task {self.index}: relation {r} has no {split} samples")
+        train, test = set(self.train_y.tolist()), set(self.test_y.tolist())
+        if train != test:
+            rel = min(train ^ test)
+            split = "test" if rel in train else "train"
+            raise ValueError(f"task {self.index}: relation {rel} has no {split} samples")
+        object.__setattr__(self, "relations", tuple(sorted(train)))
 
     @property
     def feature_dim(self) -> int:
@@ -377,22 +366,6 @@ def build_prototypes(
     return Prototypes(relations, _group_means(embedded, group, relations.size))
 
 
-def _description_table(
-    descriptions: DescriptionSet, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One description block per relation of a pool, and each sample's row in it.
-
-    Returns the (R, K, d) table over the pool's R relations in id order,
-    and the (n,) row of each label, so a minibatch's (B, K, d) block is
-    ``table[row_of[idx]]``.
-    """
-    relations = sorted(set(labels.tolist()))
-    for rel in relations:
-        if rel not in descriptions:
-            raise ProtocolError(f"no descriptions registered for relation {rel}")
-    return descriptions.table[descriptions.rows(relations)], np.searchsorted(relations, labels)
-
-
 def _epoch_batches(n: int, rng: np.random.Generator) -> list[np.ndarray]:
     if n <= _FULL_BATCH_MAX:
         return [np.arange(n)]
@@ -417,12 +390,13 @@ def _train(
 ) -> None:
     """Train on one pool of checked rows for ``epochs`` epochs.
 
-    The pool's description table and its norms and unit descriptions
-    are gathered once.  Each step passes the batch's embeddings and its
-    ``_Layout.of_rows`` layout to ``losses._joint``, with no ``Batch`` in
-    between.  A pool of at most ``_FULL_BATCH_MAX`` rows trains as
-    ``np.arange(n)`` every epoch, so its layout is built once, before
-    the first epoch.
+    It reads ``state.descriptions.table`` in place, each sample's row
+    from one ``DescriptionSet.rows`` call, and takes the table's norms
+    and unit descriptions once.  Each step passes the batch's embeddings
+    and its ``_Layout.of_rows`` layout to ``losses._joint``, with no
+    ``Batch`` in between.  A pool of at most ``_FULL_BATCH_MAX`` rows
+    trains as ``np.arange(n)`` every epoch, so its layout is built once,
+    before the first epoch.
 
     The encoder's four weight arrays and W are views into one flat
     parameter vector, and ``backward`` and MI's W gradient write into the
@@ -443,7 +417,7 @@ def _train(
         logger.warning("training pool has a single sample; nothing to contrast, skipping")
         return
     start, n_enc = state.encoder, state.encoder.n_params
-    table, row_of = _description_table(state.descriptions, train_y)
+    table, row_of = state.descriptions.table, state.descriptions.rows(train_y)
     norms, unit = _unit_blocks(table)
     whole = _Layout.of_rows(row_of, table, norms, unit) if n <= _FULL_BATCH_MAX else None
     vec = np.concatenate([start.to_vector(), state.bilinear.matrix.ravel()])

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fcre.continual import Task, TaskStream
-from fcre.formats import _checked_fields, float_row, read_jsonl, write_jsonl
+from fcre.formats import _checked_fields, _relation_id, float_row, read_jsonl, write_jsonl
 from fcre.geometry import row_dots, unit_normalize
 
 _MAX_ATTEMPTS_PER_CENTER = 10_000
@@ -128,7 +128,6 @@ def generate_stream(spec: SyntheticSpec) -> tuple[TaskStream, dict[int, np.ndarr
         tasks.append(
             Task(
                 index=t,
-                relations=tuple(relations.tolist()),
                 train_x=samples[:, :n_train].reshape(-1, dim),
                 train_y=np.repeat(relations, n_train),
                 test_x=samples[:, n_train:].reshape(-1, dim),
@@ -163,6 +162,7 @@ def ingest_dataset(path) -> TaskStream:
             raise DatasetFormatError(f"line {lineno}: task must be an integer >= 1, got {task}")
         if rel < 0:
             raise DatasetFormatError(f"line {lineno}: relation must be an integer >= 0, got {rel}")
+        _relation_id(rel, f"line {lineno}: relation", DatasetFormatError)
         if split not in ("train", "test"):
             raise DatasetFormatError(
                 f"line {lineno}: split must be 'train' or 'test', got {split!r}"
@@ -188,7 +188,6 @@ def ingest_dataset(path) -> TaskStream:
     for t in indices:
         train_rows, train_labels = rows[t]["train"]
         test_rows, test_labels = rows[t]["test"]
-        relations = sorted(set(train_labels) | set(test_labels))
         if not train_rows:
             raise DatasetFormatError(f"task {t} has no train samples")
         if not test_rows:
@@ -197,7 +196,6 @@ def ingest_dataset(path) -> TaskStream:
             tasks.append(
                 Task(
                     index=t,
-                    relations=tuple(relations),
                     train_x=np.array(train_rows),
                     train_y=np.array(train_labels, dtype=np.int64),
                     test_x=np.array(test_rows),

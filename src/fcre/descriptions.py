@@ -28,7 +28,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from fcre.formats import checked, float_row, read_jsonl, write_jsonl
+from fcre.formats import _as_labels, _relation_id, float_row, read_jsonl, write_jsonl
 from fcre.geometry import unit_rows
 
 _SCHEMA = {"relation": int, "vectors": list}
@@ -51,7 +51,7 @@ class DescriptionSet:
 
     def __init__(self, vectors_by_relation: Mapping[int, np.ndarray]):
         for rel in vectors_by_relation:  # the table stores int(rel): 2.5 is not relation 2
-            checked(rel, int, "relation id")
+            _relation_id(rel, "relation id")
         blocks = {}
         k_desc = dim = None
         for rel in sorted(vectors_by_relation):  # raises for the first bad relation
@@ -82,6 +82,7 @@ class DescriptionSet:
 
     def _set(self, relations: tuple[int, ...], table: np.ndarray, means: np.ndarray) -> None:
         self._relations = relations
+        self._ids = np.array(relations, dtype=np.int64)
         self._table = table
         self._means = means
         self._index = {r: i for i, r in enumerate(relations)}
@@ -136,8 +137,15 @@ class DescriptionSet:
             raise KeyError(f"unknown relation {rel}") from None
 
     def rows(self, relations: Iterable[int]) -> np.ndarray:
-        """Row of each of ``relations`` in ``table`` and ``means``."""
-        return np.array([self._row(r) for r in relations], dtype=np.int64)
+        """Row of each id in ``table`` and ``means``; the first unknown id raises ``KeyError``."""
+        ids = relations if isinstance(relations, np.ndarray) else np.fromiter(relations, np.int64)
+        ids = _as_labels(ids, "relation ids")
+        at = np.searchsorted(self._ids, ids)
+        known = at < self._ids.size
+        known[known] = self._ids[at[known]] == ids[known]
+        if not known.all():
+            raise KeyError(f"unknown relation {ids[~known][0]}")
+        return at
 
     def vectors(self, rel: int) -> np.ndarray:
         return self._table[self._row(rel)]
@@ -241,7 +249,8 @@ def ingest_descriptions(path, expected_dim: int | None = None) -> DescriptionSet
     k_desc: int | None = None
     dim: int | None = None
     for lineno, obj in read_jsonl(path, _SCHEMA, DescriptionFormatError):
-        rel, rows = obj["relation"], obj["vectors"]
+        rel = _relation_id(obj["relation"], f"line {lineno}: relation", DescriptionFormatError)
+        rows = obj["vectors"]
         if rel in vectors:
             raise DescriptionFormatError(f"line {lineno}: duplicate relation {rel}")
         if not rows:

@@ -111,6 +111,27 @@ def checked(value, schema, name: str, error: type[ValueError] = ValueError):
     raise error(f"{name} must be {_KINDS[schema]}, got {value!r}")
 
 
+def _relation_id(value, name: str, error: type[ValueError] = ValueError) -> int:
+    """``checked(value, int, name, error)`` that also fits in an int64, as a relation id must."""
+    if not -(2**63) <= checked(value, int, name, error) < 2**63:
+        raise error(f"{name} must fit in an int64, got {value}")
+    return int(value)
+
+
+def _as_labels(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array; a float, bool or other array is an error naming ``name``.
+
+    Integer arrays of any width are taken, so no label is silently
+    truncated; an unsigned label beyond the int64 range is an error.
+    """
+    labels = np.asarray(values)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got dtype {labels.dtype}")
+    if labels.dtype.kind == "u" and labels.size and labels.max() >= 2**63:
+        raise ValueError(f"{name} must fit in an int64, got {labels.max()}")
+    return labels.astype(np.int64, copy=False)
+
+
 def _checked_fields(config, prefix: str = "") -> None:
     """Store each field of a frozen dataclass as ``checked`` returns it for its default's kind.
 

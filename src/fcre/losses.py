@@ -43,12 +43,12 @@ batches hold at most 64 rows, so HSMT's differences, the largest,
 take 512 KiB.
 A caller's ``Batch`` is validated when it is built; ``joint_loss``
 checks its size and W, builds its layout and calls ``_joint``, the
-kernel pass.  Training builds no ``Batch``: its pool's (R, K, d)
-description table and W were checked where they entered (the
-description set, ``run_task``), so ``_Layout.of_rows`` builds each
-batch's layout from the table rows of its samples (a table row is one
-relation's block), and the trainer hands z and that layout to
-``_joint``, which does only the work that depends on z.
+kernel pass.  Training builds no ``Batch``: it reads the description
+registry's (R, K, d) table, and W, as they were checked where they
+entered (the description set, ``run_task``), so ``_Layout.of_rows``
+builds each batch's layout from the registry rows of its samples (a
+table row is one relation's block), and the trainer hands z and that
+layout to ``_joint``, which does only the work that depends on z.
 
 Every loss returns its value together with d(value)/d(z) for the whole
 batch (and d(value)/dW where W participates).  Description vectors are
@@ -67,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fcre.formats import _checked_fields, checked
+from fcre.formats import _as_labels, _checked_fields, checked
 
 
 @dataclass(frozen=True)
@@ -114,17 +114,6 @@ class HyperParams:
             raise ValueError("epoch counts must be >= 0")
         if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-
-
-def _as_labels(values, name: str) -> np.ndarray:
-    """``values`` as an int64 array; a float, bool or other array is an error naming ``name``.
-
-    Integer arrays of any width are taken, so no label is silently truncated.
-    """
-    labels = np.asarray(values)
-    if labels.dtype.kind not in "iu":
-        raise ValueError(f"{name} must hold integers, got dtype {labels.dtype}")
-    return labels.astype(np.int64, copy=False)
 
 
 @dataclass

@@ -305,6 +305,20 @@ class TestGenerateCommand:
         assert code == 2
         assert "cluster_separation" in capsys.readouterr().err
 
+    def test_generate_takes_one_seed(self, tmp_path, capsys):
+        code = main(["generate", "--seed", "0,1", "--out", str(tmp_path / "data")])
+        assert code == 2
+        assert "error: generate takes a single --seed" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    def test_generate_k_desc_flag(self, tmp_path):
+        config = tiny_config()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_to_dict(config)))
+        assert main(["generate", "--config", str(path), "--k-desc", "3", "--out", str(tmp_path / "data")]) == 0
+        descriptions = ingest_descriptions(tmp_path / "data" / "descriptions.jsonl")
+        assert (descriptions.k_desc, config.hyper.k_desc) == (3, 2)
+
     def test_generate_seed_override(self, tmp_path):
         config = tiny_config()
         path = tmp_path / "config.json"
@@ -435,6 +449,39 @@ class TestRunCommand:
         with open(run_dir / "metrics.csv", newline="") as fh:
             report = MetricsReport.from_csv(fh.read())
         assert {r.head for r in report.rows} == {"ncm"}
+
+    def test_hyperparameter_and_output_flags_reach_the_config(self, tmp_path):
+        config = tiny_config(out_dir=str(tmp_path / "ignored"))
+        extra = ["--alpha", "0.25", "--epsilon", "30", "--k-desc", "3", "--out", str(tmp_path / "runs")]
+        assert self.run_main(tmp_path, config, extra=extra) == 0
+        hyper = dataclasses.replace(config.hyper, alpha=0.25, epsilon=30.0, k_desc=3)
+        expected = dataclasses.replace(config, hyper=hyper, out_dir=str(tmp_path / "runs"))
+        saved = json.loads((tmp_path / "runs" / run_id(expected, 0) / "config.json").read_text())
+        assert saved["hyperparams"] == config_to_dict(expected)["hyperparams"]
+        assert saved["out_dir"] == str(tmp_path / "runs")
+        assert not (tmp_path / "ignored").exists()
+
+    def test_files_mode_rejects_a_description_file_of_another_k(self, tmp_path, capsys):
+        # the run once trained on the file's K while config.json recorded k_desc
+        data = tmp_path / "data"
+        assert cli.cmd_generate(tiny_config(), str(data)) == 0  # K = 2
+        config = tiny_config(
+            data_mode="files",
+            dataset_path=str(data / "dataset.jsonl"),
+            descriptions_path=str(data / "descriptions.jsonl"),
+            out_dir=str(tmp_path / "runs"),
+            seeds=(0, 1),
+        )
+        capsys.readouterr()
+        assert self.run_main(tmp_path, config, extra=["--k-desc", "3"]) == 1
+        message = (
+            f"{data / 'descriptions.jsonl'} holds 2 description vectors per relation, "
+            "but hyperparams.k_desc is 3"
+        )
+        failures = [line for line in capsys.readouterr().err.splitlines() if "FAILED" in line]
+        assert failures == [f"seed {seed}: FAILED: {message}" for seed in (0, 1)]
+        assert not (tmp_path / "runs").exists()
+        assert self.run_main(tmp_path, config, extra=["--k-desc", "2"]) == 0
 
     def test_missing_dataset_file_fails_run(self, tmp_path, capsys):
         config = tiny_config(

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import logging
 import weakref
 
 import numpy as np
@@ -45,7 +46,6 @@ def make_task(index, relations, rng, feature_dim=6, shots=4, test_n=3):
         test_y.extend([rel] * test_n)
     return Task(
         index=index,
-        relations=tuple(rels),
         train_x=np.concatenate(train_x),
         train_y=np.array(train_y),
         test_x=np.concatenate(test_x),
@@ -84,26 +84,24 @@ def stored(memory, rel):
 class TestTaskValidation:
     def test_relations_sorted_and_deduped(self):
         rng = np.random.default_rng(42)
-        task = make_task(1, [3, 1], rng)
-        assert task.relations == (1, 3)
-
-    def test_duplicate_relations_rejected(self):
-        rng = np.random.default_rng(42)
-        base = make_task(1, [0, 1], rng)
-        with pytest.raises(ValueError, match="duplicate"):
-            Task(1, (0, 0), base.train_x, base.train_y, base.test_x, base.test_y)
+        assert make_task(1, [3, 1], rng).relations == (1, 3)
+        # the distinct train labels in ascending order, as Python ints
+        task = Task(1, np.ones((5, 2)), np.array([9, 2, 9, 5, 2]), np.ones((3, 2)), np.array([5, 9, 2]))
+        assert task.relations == (2, 5, 9) and all(type(r) is int for r in task.relations)
 
     def test_labels_outside_relations_rejected(self):
+        # a test label that no train sample carries is not one of the task's relations
         rng = np.random.default_rng(42)
         base = make_task(1, [0, 1], rng)
-        with pytest.raises(ValueError, match="not in"):
-            Task(1, (0, 2), base.train_x, base.train_y, base.test_x, base.test_y)
+        test_y = base.test_y.copy()
+        test_y[-1] = 2
+        with pytest.raises(ValueError, match=r"^task 1: relation 2 has no train samples$"):
+            Task(1, base.train_x, base.train_y, base.test_x, test_y)
 
     def test_empty_test_pool_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             Task(
                 1,
-                (0,),
                 np.ones((2, 3)),
                 np.zeros(2, dtype=int),
                 np.empty((0, 3)),
@@ -111,11 +109,9 @@ class TestTaskValidation:
             )
 
     def test_relation_without_test_samples_rejected(self):
-        # relation 1 appears in the registry but never in the test pool
         with pytest.raises(ValueError, match="relation 1 has no test samples"):
             Task(
                 1,
-                (0, 1),
                 np.ones((2, 3)),
                 np.array([0, 1]),
                 np.ones((2, 3)),
@@ -126,33 +122,33 @@ class TestTaskValidation:
         with pytest.raises(ValueError, match="relation 1 has no train samples"):
             Task(
                 1,
-                (0, 1),
                 np.ones((2, 3)),
                 np.array([0, 0]),
                 np.ones((2, 3)),
                 np.array([0, 1]),
             )
 
+    def test_the_lowest_relation_in_one_split_only_is_named(self):
+        # 3 has no test samples and 2 no train samples: 2 is the lower id
+        with pytest.raises(ValueError, match=r"^task 4: relation 2 has no train samples$"):
+            Task(4, np.ones((2, 3)), np.array([0, 3]), np.ones((2, 3)), np.array([2, 0]))
+
     @pytest.mark.parametrize(
-        "relations, train_y, test_y, pattern",
+        "train_y, test_y, pattern",
         [
-            ((2.5, 3.7), [2.5, 3.7], [2.9, 3.1], r"^relation id must be an integer, got 2\.5$"),
-            ((True, 2), [1, 2], [1, 2], r"^relation id must be an integer, got True$"),
-            (("1", 2), [1, 2], [1, 2], r"^relation id must be an integer, got '1'$"),
-            ((1, 2), [1.0, 2.0], [1, 2], r"^train_y must hold integers, got dtype float64$"),
-            ((0, 1), [0, 1], [False, True], r"^test_y must hold integers, got dtype bool$"),
-            ((1, 2), [1, 2], np.array([1, 2], dtype=object), r"^test_y must hold integers, got dtype object$"),
+            ([1.0, 2.0], [1, 2], r"^train_y must hold integers, got dtype float64$"),
+            ([0, 1], [False, True], r"^test_y must hold integers, got dtype bool$"),
+            ([1, 2], np.array([1, 2], dtype=object), r"^test_y must hold integers, got dtype object$"),
         ],
     )
-    def test_non_integer_relations_and_labels_rejected(self, relations, train_y, test_y, pattern):
-        # each was once truncated to an integer: relations (2.5, 3.7) became (2, 3)
+    def test_non_integer_labels_rejected(self, train_y, test_y, pattern):
+        # each was once cast to int64 labels: [2.5, 3.7] became [2, 3]
         with pytest.raises(ValueError, match=pattern):
-            Task(1, relations, np.ones((2, 3)), train_y, np.ones((2, 3)), test_y)
+            Task(1, np.ones((2, 3)), train_y, np.ones((2, 3)), test_y)
 
     def test_integers_of_any_width_accepted(self):
         task = Task(
             1,
-            (np.int64(1), np.uint8(2)),
             np.ones((2, 3)),
             np.array([1, 2], dtype=np.uint16),
             np.ones((2, 3)),
@@ -162,11 +158,42 @@ class TestTaskValidation:
         assert task.train_y.dtype == task.test_y.dtype == np.int64
         np.testing.assert_array_equal(task.test_y, [2, 1])
 
+    @pytest.mark.parametrize(
+        "train_y, shown",
+        [
+            (np.array([0, 2**63], dtype=np.uint64), "9223372036854775808"),
+            ([2**63], "9223372036854775808"),  # NumPy makes this list uint64
+            (np.array([2**64 - 1], dtype=np.uint64), "18446744073709551615"),
+        ],
+    )
+    def test_labels_beyond_int64_rejected(self, train_y, shown):
+        # np.array([0, 2**63], dtype=np.uint64) was once taken as labels 0 and -2**63
+        with pytest.raises(ValueError, match=rf"^train_y must fit in an int64, got {shown}$"):
+            Task(1, np.ones((len(train_y), 3)), train_y, np.ones((1, 3)), [0])
+
+    def test_the_largest_int64_label_accepted(self):
+        labels = np.array([2**63 - 1], dtype=np.uint64)
+        task = Task(1, np.ones((1, 3)), labels, np.ones((1, 3)), labels)
+        assert task.relations == (2**63 - 1,)
+
     def test_index_must_be_positive(self):
         rng = np.random.default_rng(42)
         base = make_task(1, [0], rng)
         with pytest.raises(ValueError, match="task index"):
-            Task(0, (0,), base.train_x, base.train_y, base.test_x, base.test_y)
+            Task(0, base.train_x, base.train_y, base.test_x, base.test_y)
+
+    @pytest.mark.parametrize(
+        "index, shown", [(1.0, r"1\.0"), (np.float64(1.0), r"1\.0"), (True, "True"), ("1", "'1'")]
+    )
+    def test_non_integer_index_rejected(self, index, shown):
+        # 1.0 was once accepted, and a run then failed after its first task
+        # when the checkpoint name formatted it with ":02d"
+        with pytest.raises(ValueError, match=rf"^task index must be an integer, got {shown}$"):
+            Task(index, np.ones((1, 3)), [0], np.ones((1, 3)), [0])
+
+    def test_numpy_integer_index_stored_as_python_int(self):
+        task = Task(np.int64(2), np.ones((1, 3)), [0], np.ones((1, 3)), [0])
+        assert task.index == 2 and type(task.index) is int
 
 
 class TestTaskStream:
@@ -214,6 +241,13 @@ class TestMemoryBuffer:
         buf = MemoryBuffer(2)
         with pytest.raises(ValueError, match=rf"^memory labels must hold integers, got dtype {dtype}$"):
             buf.append(np.ones((1, 2)), labels)
+        assert buf.total_samples == 0
+
+    def test_labels_beyond_int64_rejected(self):
+        # 2**64 - 1 was once stored as label -1
+        buf = MemoryBuffer(2)
+        with pytest.raises(ValueError, match=r"^memory labels must fit in an int64, got 18446744073709551615$"):
+            buf.append(np.ones((1, 2)), np.array([2**64 - 1], dtype=np.uint64))
         assert buf.total_samples == 0
 
     def test_integer_labels_of_any_width_accepted(self):
@@ -451,11 +485,23 @@ class TestTrainDescriptionTable:
         before = state.encoder.to_vector().copy()
         labels = np.array([2, 9, 12, 2, 9, 12])
         x = np.random.default_rng(1).normal(size=(labels.size, 6))
-        with pytest.raises(
-            ProtocolError, match=r"^no descriptions registered for relation 12$"
-        ):
+        with pytest.raises(KeyError, match=r"^'unknown relation 12'$"):
             _train(state, x, labels, HP, 1)
         np.testing.assert_array_equal(state.encoder.to_vector(), before)
+
+    def test_a_one_sample_pool_warns_and_trains_nothing(self, caplog):
+        state = fresh_state()
+        state.descriptions = make_descriptions([2], 4)
+        encoder, bilinear, optimizer = state.encoder, state.bilinear, state.optimizer
+        before = [encoder.to_vector(), bilinear.matrix, optimizer.m, optimizer.v]
+        before = [a.copy() for a in before]
+        with caplog.at_level(logging.WARNING, logger="fcre.continual"):
+            _train(state, np.ones((1, 6)), np.array([2]), HP, 3)
+        assert "training pool has a single sample; nothing to contrast, skipping" in caplog.messages
+        assert state.encoder is encoder and state.bilinear is bilinear and state.optimizer is optimizer
+        after = [encoder.to_vector(), bilinear.matrix, optimizer.m, optimizer.v]
+        assert all(np.array_equal(a, b) for a, b in zip(after, before, strict=True))
+        assert optimizer.step_count == 0
 
 
 class TestRunTaskProtocol:
@@ -592,7 +638,6 @@ class TestRunTaskBehavior:
         perm = np.random.default_rng(0).permutation(last.test_y.size)
         shuffled = Task(
             index=last.index,
-            relations=last.relations,
             train_x=last.train_x,
             train_y=last.train_y,
             test_x=last.test_x[perm],

@@ -257,6 +257,19 @@ class TestDatasetJsonl:
         with pytest.raises(DatasetFormatError, match=pattern):
             ingest_dataset(self._write_rows(tmp_path, rows))
 
+    @pytest.mark.parametrize("relation", [2**63, 2**64])
+    def test_a_relation_beyond_int64_is_rejected_on_its_line(self, tmp_path, relation):
+        # 2**63 once raised a bare OverflowError with no line number
+        rows = [self._valid_row(split="train"), self._valid_row(relation=relation, split="test")]
+        with pytest.raises(
+            DatasetFormatError, match=rf"^line 2: relation must fit in an int64, got {relation}$"
+        ):
+            ingest_dataset(self._write_rows(tmp_path, rows))
+
+    def test_the_largest_int64_relation_accepted(self, tmp_path):
+        rows = [self._valid_row(relation=2**63 - 1, split=split) for split in ("train", "test")]
+        assert ingest_dataset(self._write_rows(tmp_path, rows)).relations == (2**63 - 1,)
+
     def test_ragged_features_rejected(self, tmp_path):
         rows = [
             self._valid_row(),

@@ -44,6 +44,16 @@ class TestDescriptionSet:
         with pytest.raises(ValueError, match=rf"^relation id must be an integer, got {shown}$"):
             DescriptionSet({2: np.ones((1, 2)), key: np.ones((1, 2))})
 
+    @pytest.mark.parametrize("key", [2**63, -(2**63) - 1])
+    def test_a_relation_id_beyond_int64_is_rejected(self, key):
+        with pytest.raises(ValueError, match=rf"^relation id must fit in an int64, got {key}$"):
+            DescriptionSet({2: np.ones((1, 2)), key: np.ones((1, 2))})
+
+    def test_the_int64_extremes_are_accepted(self):
+        ds = DescriptionSet({2**63 - 1: np.ones((1, 2)), -(2**63): np.ones((1, 2))})
+        assert ds.relations == (-(2**63), 2**63 - 1)
+        np.testing.assert_array_equal(ds.rows([2**63 - 1, -(2**63)]), [1, 0])
+
     def test_a_numpy_integer_relation_id_is_accepted(self):
         ds = DescriptionSet({np.int64(4): np.ones((1, 2)), np.uint8(1): np.ones((1, 2))})
         assert ds.relations == (1, 4)
@@ -69,6 +79,47 @@ class TestDescriptionSet:
     def test_unknown_relation(self):
         with pytest.raises(KeyError):
             simple_set().vectors(9)
+
+    def test_rows_of_ids_in_any_order_with_repeats(self):
+        ds = DescriptionSet({r: np.ones((1, 2)) for r in (3, 8, 20)})
+        ids = [20, 3, 20, 8, 3]
+        for given in (ids, tuple(ids), iter(ids), np.array(ids), np.array(ids, dtype=np.uint8)):
+            assert ds.rows(given).tolist() == [2, 0, 2, 1, 0]
+        assert ds.rows([]).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "ids, unknown",
+        [([8, 1, 25], 1), ([3, 5, 1], 5), ([20, 21, 5], 21)],
+        ids=["below", "between", "above"],
+    )
+    def test_rows_of_an_unknown_id_name_the_first(self, ids, unknown):
+        ds = DescriptionSet({r: np.ones((1, 2)) for r in (3, 8, 20)})
+        with pytest.raises(KeyError, match=rf"^'unknown relation {unknown}'$"):
+            ds.rows(ids)
+        with pytest.raises(KeyError, match=rf"^'unknown relation {unknown}'$"):
+            ds.rows(np.array(ids))
+
+    def test_rows_of_an_array_take_only_int64_ids(self):
+        ds = DescriptionSet({-1: np.ones((1, 2)), 2: np.ones((1, 2))})
+        with pytest.raises(ValueError, match=r"^relation ids must fit in an int64, got 18446744073709551615$"):
+            ds.rows(np.array([2**64 - 1], dtype=np.uint64))  # a cast would make it relation -1
+        with pytest.raises(ValueError, match=r"^relation ids must hold integers, got dtype float64$"):
+            ds.rows(np.array([2.0]))
+
+    def test_rows_on_an_empty_set(self):
+        empty = DescriptionSet.empty()
+        assert empty.rows([]).shape == (0,)
+        with pytest.raises(KeyError, match=r"^'unknown relation 4'$"):
+            empty.rows([4, 2])
+
+    def test_rows_agree_with_the_per_id_lookup(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            registered = rng.choice(np.arange(-20, 40), size=int(rng.integers(1, 12)), replace=False)
+            ds = DescriptionSet({int(r): np.ones((1, 2)) for r in registered})
+            ids = rng.choice(registered, size=int(rng.integers(0, 40)))
+            assert ds.rows(ids).tolist() == [ds._row(r) for r in ids]
+            assert ds.rows(ids.tolist()).tolist() == [ds._row(r) for r in ids]
 
     def test_ragged_k_rejected(self):
         with pytest.raises(ValueError, match="description vectors, expected"):
@@ -274,6 +325,16 @@ class TestDescriptionsJsonl:
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DescriptionFormatError, match=pattern):
+            ingest_descriptions(path)
+
+    @pytest.mark.parametrize("relation", [2**63, -(2**63) - 1])
+    def test_a_relation_beyond_int64_is_rejected_on_its_line(self, tmp_path, relation):
+        path = tmp_path / "big.jsonl"
+        lines = [{"relation": 0, "vectors": [[1.0]]}, {"relation": relation, "vectors": [[1.0]]}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(
+            DescriptionFormatError, match=rf"^line 2: relation must fit in an int64, got {relation}$"
+        ):
             ingest_descriptions(path)
 
     def test_empty_file_rejected(self, tmp_path):

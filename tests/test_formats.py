@@ -102,7 +102,7 @@ def streams(draw):
             rows = draw(st.lists(row, min_size=len(labels), max_size=len(labels)))
             pools.append((np.array(rows), np.array(labels)))
         (train_x, train_y), (test_x, test_y) = pools
-        tasks.append(Task(index, tuple(relations), train_x, train_y, test_x, test_y))
+        tasks.append(Task(index, train_x, train_y, test_x, test_y))
     return TaskStream(tuple(tasks))
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcre.cli import ExperimentConfig, run_single_seed
-from fcre.continual import Prototypes, Task, run_task
+from fcre.continual import Prototypes, Task, build_prototypes, run_task
 from fcre.descriptions import DescriptionSet
 from fcre.encoder import EncoderParams, encode, encode_batch, init_encoder
 from fcre.geometry import cosine, rank_scores
@@ -232,6 +232,17 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="registries"):
             evaluate(state, 1, ("dri",), HP)
 
+    def test_a_zero_query_embedding_fails_dri_only(self):
+        state = fresh_state()
+        run_task(state, make_task(1, [0, 1], np.random.default_rng(42)), make_descriptions([0, 1], 4), HP)
+        # an all-zero encoder embeds every query, and every prototype, as the zero vector
+        state.encoder = state.encoder.with_vector(np.zeros(state.encoder.n_params))
+        state.prototypes = build_prototypes(state.memory, lambda rows: encode_batch(state.encoder, rows))
+        with pytest.raises(ValueError, match=r"^cosine undefined: first argument has zero norm$"):
+            evaluate(state, 1, ("dri",), HP)
+        (row,) = evaluate(state, 1, ("ncm",), HP)
+        assert row.head == "ncm" and row.acc_avg == 0.5  # every tie goes to relation 0
+
 
 def nonzero_rows(rng, n, dim, quantized):
     """n rows of dim entries; quantized rows hold -1/0/1 and are never all zero."""
@@ -273,7 +284,7 @@ def pool_state(rng, quantized, n_tasks=3, n_way=5, test_n=8, n_extra=4, dim=4):
         rels = relations[t * n_way : (t + 1) * n_way]
         x = nonzero_rows(rng, n_way * test_n, dim, quantized)
         y = np.repeat(rels, test_n)
-        state.completed_tasks.append(Task(t + 1, tuple(rels), x, y, x, y))
+        state.completed_tasks.append(Task(t + 1, x, y, x, y))
     return state
 
 
@@ -354,7 +365,7 @@ def shared_row_states(draw):
     tested = rng.choice(relations, size=n_tested, replace=False)
     x = nonzero_rows(rng, n_tested * test_n, dim, quantized)
     y = np.repeat(tested, test_n)
-    state.completed_tasks.append(Task(1, tuple(tested.tolist()), x, y, x, y))
+    state.completed_tasks.append(Task(1, x, y, x, y))
     z = encode_batch(encoder, x)
     protos = np.stack([z[rng.choice(z.shape[0], size=2)].mean(axis=0) for _ in relations])
     state.prototypes = Prototypes(relations, protos[proto_src])

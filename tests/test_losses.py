@@ -137,6 +137,11 @@ class TestBatch:
         with pytest.raises(ValueError, match=rf"^labels must hold integers, got dtype {dtype}$"):
             Batch(z=np.eye(3), labels=labels, descriptions=np.ones((3, 1, 3)))
 
+    def test_labels_beyond_int64_rejected(self):
+        labels = np.array([0, 2**63, 1], dtype=np.uint64)
+        with pytest.raises(ValueError, match=r"^labels must fit in an int64, got 9223372036854775808$"):
+            Batch(z=np.eye(3), labels=labels, descriptions=np.ones((3, 1, 3)))
+
     def test_integer_labels_of_any_width_accepted(self):
         batch = Batch(z=np.eye(3), labels=np.array([0, 1, 1], dtype=np.int16), descriptions=np.ones((3, 1, 3)))
         assert batch.labels.dtype == np.int64
@@ -1046,6 +1051,37 @@ def tied_batch(rng, size, dim, k_desc=3):
         point = sign * blocks[labels[first], rng.integers(k_desc)] + 1e-3 * rng.normal(size=dim)
         z[group] = rng.uniform(0.5, 1.5) * point
     return Batch(z=z, labels=labels, descriptions=blocks[labels])
+
+
+class TestZeroNormRows:
+    """A zero row of z leaves every cosine with it undefined, so the cosine terms reject it."""
+
+    @staticmethod
+    def zero_row_batch(labels):
+        z = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])[: len(labels)]
+        return Batch(z=z, labels=np.array(labels), descriptions=np.tile(np.eye(2), (len(labels), 1, 1)))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda b: scl_loss(b, 0, 0.5),
+            lambda b: hm_loss(b, 0, 0.5),
+            lambda b: mine_hard(b, 0, 0),
+            lambda b: joint_loss(b, HyperParams(), np.eye(2)),
+        ],
+        ids=["scl", "hm", "mine_hard", "joint"],
+    )
+    def test_a_zero_row_is_rejected_by_name(self, call):
+        batch = self.zero_row_batch([0, 0, 1, 1])
+        with pytest.raises(ValueError, match=r"^batch sample 1 has zero norm; cosine is undefined$"):
+            call(batch)
+
+    def test_scl_without_a_positive_ignores_a_zero_row(self):
+        batch = self.zero_row_batch([0, 1, 2])  # no anchor has a positive
+        for x in range(3):
+            result = scl_loss(batch, x, 0.5)
+            assert result.value == 0.0 and result.no_positive
+            assert not result.grad_z.any()
 
 
 class TestMiningAtTies:
