@@ -220,9 +220,17 @@ def _synthetic_data(config: ExperimentConfig, seed: int):
 
 def _file_data(config: ExperimentConfig):
     stream = ingest_dataset(config.dataset_path)
-    descriptions = ingest_descriptions(
-        config.descriptions_path, expected_dim=config.encoder.embed_dim
-    )
+    if stream.feature_dim != config.encoder.feature_dim:
+        raise ValueError(
+            f"{config.dataset_path} holds features of dimension {stream.feature_dim}, "
+            f"but encoder.feature_dim is {config.encoder.feature_dim}"
+        )
+    descriptions = ingest_descriptions(config.descriptions_path)
+    if descriptions.dim != config.encoder.embed_dim:
+        raise ValueError(
+            f"{config.descriptions_path} holds description vectors of dimension "
+            f"{descriptions.dim}, but encoder.embed_dim is {config.encoder.embed_dim}"
+        )
     if descriptions.k_desc != config.hyper.k_desc:
         raise ValueError(
             f"{config.descriptions_path} holds {descriptions.k_desc} description vectors "
@@ -231,7 +239,8 @@ def _file_data(config: ExperimentConfig):
     missing = set(stream.relations) - set(descriptions.relations)
     if missing:
         raise ValueError(
-            f"description file covers no vectors for relations {sorted(missing)}"
+            f"{config.descriptions_path} holds no description vectors for relations "
+            f"{sorted(missing)} of {config.dataset_path}"
         )
     return stream, descriptions
 
@@ -245,11 +254,6 @@ def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
         stream, descriptions = _synthetic_data(config, seed)
     else:
         stream, descriptions = _file_data(config)
-    if stream.feature_dim != config.encoder.feature_dim:
-        raise ValueError(
-            f"dataset feature dimension {stream.feature_dim} does not match "
-            f"encoder feature_dim {config.encoder.feature_dim}"
-        )
     state = init_state(
         config.encoder.feature_dim,
         config.encoder.hidden_dim,

@@ -72,8 +72,8 @@ from fcre.encoder import (
     init_bilinear,
     init_encoder,
 )
-from fcre.formats import _as_labels, _floats_from_b64, _floats_to_b64, checked, read_json
-from fcre.formats import write_atomic
+from fcre.formats import _as_labels, _floats_from_b64, _floats_to_b64, _relation_items, checked
+from fcre.formats import read_json, write_atomic
 from fcre.geometry import row_dots
 from fcre.inference import HEADS, MetricsReport, check_heads, evaluate
 from fcre.losses import HyperParams, _as_bilinear, _joint, _Layout, _unit_blocks
@@ -339,11 +339,11 @@ def select_memory(
     if len(samples_by_relation) == 0:
         raise ValueError("no relations to select memory from")
     selected: dict[int, np.ndarray] = {}
-    for rel in sorted(samples_by_relation):
-        block = _as_matrix(samples_by_relation[rel], f"samples for relation {rel}")
+    for rel, samples in _relation_items(samples_by_relation):
+        block = _as_matrix(samples, f"samples for relation {rel}")
         embedded = np.stack([np.asarray(encode_fn(row), dtype=np.float64) for row in block])
         group = np.zeros(len(block), dtype=np.int64)
-        selected[int(rel)] = block[_central_rows(embedded, group, 1, memory_size)].copy()
+        selected[rel] = block[_central_rows(embedded, group, 1, memory_size)].copy()
     return selected
 
 
@@ -500,10 +500,10 @@ def run_task(
             f"{state.encoder.feature_dim}"
         )
     _as_bilinear(state.bilinear.matrix, state.encoder.embed_dim)
-    missing = [r for r in task.relations if r not in descriptions]
+    missing = set(task.relations) - set(descriptions.relations)
     if missing:
         raise ProtocolError(
-            f"descriptions missing for relations {missing} of task {task.index}"
+            f"descriptions missing for relations {sorted(missing)} of task {task.index}"
         )
     new_descriptions = descriptions.subset(task.relations)
     if new_descriptions.dim != state.encoder.embed_dim:

@@ -2,13 +2,13 @@
 
 Each relation carries exactly K description vectors of the embedding
 dimension d.  K and d are uniform across the whole set, which holds them
-as one (R, K, d) table and their means as one (R, d) matrix over
-ascending relation ids.  Construction checks each relation's block in
-ascending id order and raises for the first bad one, naming the
-relation and vector; the file parser checks the same rules line by line
-and assembles its set without checking the blocks again.  Synthesis
-draws each relation's (K, d) block in one call and normalizes its rows
-with the bits of ``unit_normalize``.
+as one (R, K, d) table and their means as one (R, d) matrix over the
+ascending int64 relation ids, the one index that every lookup searches.
+Construction checks each relation's block in ascending id order and
+raises for the first bad one; the file parser checks the same rules line
+by line.  Both then stack the blocks and their means the same way.
+Synthesis checks every id, then draws each relation's (K, d) block in
+one call and normalizes its rows with the bits of ``unit_normalize``.
 Description vectors are frozen inputs to training and inference --
 nothing in the package ever writes gradient into them.
 
@@ -28,7 +28,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from fcre.formats import _as_labels, _relation_id, float_row, read_jsonl, write_jsonl
+from fcre.formats import _as_labels, _relation_id, _relation_items, float_row, read_jsonl
+from fcre.formats import write_jsonl
 from fcre.geometry import unit_rows
 
 _SCHEMA = {"relation": int, "vectors": list}
@@ -44,29 +45,30 @@ class DescriptionSet:
     The blocks are held as one (R, K, d) table and their means as one
     (R, d) matrix, both over ascending relation ids; ``vectors`` and
     ``mean`` hand out rows of them, and ``evaluate`` reads ``means`` as
-    it is.  A zero-norm mean (opposite vectors cancelling) is legal but
-    degenerate: it is surfaced as a warning here and will fail later only
-    if something actually asks for a cosine against it.
+    it is.  Every lookup goes through ``rows``, so ``in``, ``vectors``
+    and ``mean`` take exactly the ids that ``rows`` takes.  A zero-norm
+    mean (opposite vectors cancelling) is legal but degenerate: it is
+    surfaced as a warning here and will fail later only if something
+    actually asks for a cosine against it.
     """
 
     def __init__(self, vectors_by_relation: Mapping[int, np.ndarray]):
-        for rel in vectors_by_relation:  # the table stores int(rel): 2.5 is not relation 2
-            _relation_id(rel, "relation id")
         blocks = {}
         k_desc = dim = None
-        for rel in sorted(vectors_by_relation):  # raises for the first bad relation
-            blocks[rel] = np.asarray(vectors_by_relation[rel], dtype=np.float64)
+        for rel, vectors in _relation_items(vectors_by_relation):  # raises for the first bad one
+            blocks[rel] = np.asarray(vectors, dtype=np.float64)
             k_desc, dim = _check_block(rel, blocks[rel], k_desc, dim)
-        self._set_blocks(blocks)
+        self._fill(blocks)
 
-    def _set_blocks(self, blocks: Mapping[int, np.ndarray]) -> None:
-        """Hold checked (K, d) blocks by relation, one ``block.mean(axis=0)`` each.
+    def _fill(self, blocks: Mapping[int, np.ndarray]) -> None:
+        """Stack checked (K, d) blocks and their ``block.mean(axis=0)`` over ascending relations.
 
         A zero mean warns, naming its relation.
         """
-        relations = sorted(blocks)
-        means = [blocks[rel].mean(axis=0) for rel in relations]
-        for rel, mean in zip(relations, means):
+        rels = self._relations = tuple(sorted(blocks))
+        self._ids = np.array(rels, dtype=np.int64)
+        means = [blocks[rel].mean(axis=0) for rel in rels]
+        for rel, mean in zip(rels, means):
             if np.dot(mean, mean) == 0.0:
                 warnings.warn(
                     f"relation {rel}: description vectors average to the zero "
@@ -74,27 +76,17 @@ class DescriptionSet:
                     RuntimeWarning,
                     stacklevel=3,
                 )
-        if not relations:
-            self._set((), np.zeros((0, 0, 0)), np.zeros((0, 0)))
-            return
-        table = np.stack([blocks[rel] for rel in relations])
-        self._set(tuple(int(r) for r in relations), table, np.stack(means))
+        self._table = np.stack([blocks[rel] for rel in rels]) if rels else np.zeros((0, 0, 0))
+        self._means = np.stack(means) if rels else np.zeros((0, 0))
 
-    def _set(self, relations: tuple[int, ...], table: np.ndarray, means: np.ndarray) -> None:
-        self._relations = relations
-        self._ids = np.array(relations, dtype=np.int64)
-        self._table = table
-        self._means = means
-        self._index = {r: i for i, r in enumerate(relations)}
-        self._mean_rows = list(means)  # one view per row, so ``mean`` returns the same object
-
-    @classmethod
-    def _from_arrays(
-        cls, relations: tuple[int, ...], table: np.ndarray, means: np.ndarray
-    ) -> "DescriptionSet":
-        """Assemble a set from rows that a constructor already checked."""
-        out = cls.__new__(cls)
-        out._set(relations, table, means)
+    @staticmethod
+    def _of_rows(sets: list["DescriptionSet"], rows) -> "DescriptionSet":
+        """The ``rows`` of the sets' stacked arrays, as a set; their constructors checked them."""
+        out = DescriptionSet.__new__(DescriptionSet)
+        out._ids = np.concatenate([s._ids for s in sets])[rows]
+        out._relations = tuple(out._ids.tolist())
+        out._table = np.concatenate([s._table for s in sets])[rows]
+        out._means = np.concatenate([s._means for s in sets])[rows]
         return out
 
     @classmethod
@@ -127,19 +119,21 @@ class DescriptionSet:
     def __len__(self) -> int:
         return len(self._relations)
 
-    def __contains__(self, rel: int) -> bool:
-        return int(rel) in self._index
-
-    def _row(self, rel: int) -> int:
+    def __contains__(self, rel) -> bool:
         try:
-            return self._index[int(rel)]
-        except KeyError:
-            raise KeyError(f"unknown relation {rel}") from None
+            return self.rows((rel,)).size == 1
+        except (KeyError, ValueError):
+            return False
 
     def rows(self, relations: Iterable[int]) -> np.ndarray:
-        """Row of each id in ``table`` and ``means``; the first unknown id raises ``KeyError``."""
-        ids = relations if isinstance(relations, np.ndarray) else np.fromiter(relations, np.int64)
-        ids = _as_labels(ids, "relation ids")
+        """Row of each id in ``table`` and ``means``; the first unknown id raises ``KeyError``.
+
+        An array is checked by ``_as_labels``, other ids one by one by ``_relation_id``.
+        """
+        if isinstance(relations, np.ndarray):
+            ids = _as_labels(relations, "relation ids")
+        else:
+            ids = np.array([_relation_id(r, "relation id") for r in relations], dtype=np.int64)
         at = np.searchsorted(self._ids, ids)
         known = at < self._ids.size
         known[known] = self._ids[at[known]] == ids[known]
@@ -148,23 +142,19 @@ class DescriptionSet:
         return at
 
     def vectors(self, rel: int) -> np.ndarray:
-        return self._table[self._row(rel)]
+        return self._table[self.rows((rel,))[0]]
 
     def mean(self, rel: int) -> np.ndarray:
-        """Mean description of ``rel``: the same array object on every call."""
-        return self._mean_rows[self._row(rel)]
+        """Mean description of ``rel``: its row of ``means``."""
+        return self._means[self.rows((rel,))[0]]
 
     def subset(self, relations: Iterable[int]) -> "DescriptionSet":
-        rows = sorted(set(self.rows(relations).tolist()))
-        return DescriptionSet._from_arrays(
-            tuple(self._relations[i] for i in rows), self._table[rows], self._means[rows]
-        )
+        return DescriptionSet._of_rows([self], sorted(set(self.rows(relations).tolist())))
 
     def union(self, other: "DescriptionSet") -> "DescriptionSet":
         """Merge two sets; overlapping relations or K/d mismatch are errors."""
         if len(self) == 0 or len(other) == 0:
-            first = self if len(self) > 0 else other
-            return DescriptionSet._from_arrays(first._relations, first._table, first._means)
+            return DescriptionSet._of_rows([self if len(self) > 0 else other], slice(None))
         overlap = set(self._relations) & set(other._relations)
         if overlap:
             raise ValueError(f"relations already registered: {sorted(overlap)}")
@@ -176,13 +166,8 @@ class DescriptionSet:
             raise ValueError(
                 f"cannot merge description sets with d={self.dim} and d={other.dim}"
             )
-        relations = self._relations + other._relations
-        order = np.argsort(relations, kind="stable")
-        return DescriptionSet._from_arrays(
-            tuple(relations[i] for i in order),
-            np.concatenate([self._table, other._table])[order],
-            np.concatenate([self._means, other._means])[order],
-        )
+        order = np.argsort(np.concatenate([self._ids, other._ids]), kind="stable")
+        return DescriptionSet._of_rows([self, other], order)
 
     def write(self, path) -> None:
         """Write the canonical JSONL form: relations ascending, repr-exact floats."""
@@ -234,16 +219,16 @@ def synth_descriptions(
         raise ValueError("need at least one class center")
     rng = np.random.default_rng(seed)
     out: dict[int, np.ndarray] = {}
-    for rel in sorted(class_centers):
-        center = np.asarray(class_centers[rel], dtype=np.float64)
+    for rel, center in _relation_items(class_centers):  # every id checked before the first draw
+        center = np.asarray(center, dtype=np.float64)
         if center.ndim != 1 or center.size < 1:
             raise ValueError(f"relation {rel}: center must be a 1-D vector")
         block = center + spread * rng.standard_normal((k_desc, center.size))
-        out[int(rel)] = unit_rows(block, (f"relation {rel} description",) * k_desc)
+        out[rel] = unit_rows(block, (f"relation {rel} description",) * k_desc)
     return DescriptionSet(out)
 
 
-def ingest_descriptions(path, expected_dim: int | None = None) -> DescriptionSet:
+def ingest_descriptions(path) -> DescriptionSet:
     """Parse a JSONL description file; all errors carry line numbers."""
     vectors: dict[int, list[list[float]]] = {}
     k_desc: int | None = None
@@ -270,11 +255,7 @@ def ingest_descriptions(path, expected_dim: int | None = None) -> DescriptionSet
         vectors[rel] = block
     if not vectors:
         raise DescriptionFormatError("description file is empty")
-    if expected_dim is not None and dim != expected_dim:
-        raise DescriptionFormatError(
-            f"description dimension {dim} does not match expected {expected_dim}"
-        )
     # the lines above checked every rule of ``_check_block``, so the blocks go in unchecked
     out = DescriptionSet.__new__(DescriptionSet)
-    out._set_blocks({rel: np.array(rows) for rel, rows in vectors.items()})
+    out._fill({rel: np.array(rows) for rel, rows in vectors.items()})
     return out

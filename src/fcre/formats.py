@@ -118,6 +118,12 @@ def _relation_id(value, name: str, error: type[ValueError] = ValueError) -> int:
     return int(value)
 
 
+def _relation_items(mapping) -> list[tuple[int, object]]:
+    """The (relation id, value) pairs of ``mapping`` in ascending id, every id checked first."""
+    pairs = [(_relation_id(rel, "relation id"), value) for rel, value in mapping.items()]
+    return sorted(pairs, key=lambda pair: pair[0])
+
+
 def _as_labels(values, name: str) -> np.ndarray:
     """``values`` as an int64 array; a float, bool or other array is an error naming ``name``.
 

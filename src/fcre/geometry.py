@@ -20,6 +20,8 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from fcre.formats import _relation_id
+
 
 def as_embedding(values, *, name: str = "embedding") -> np.ndarray:
     """Coerce ``values`` to a finite 1-D float64 vector.
@@ -122,10 +124,10 @@ def rank_scores(scores: Mapping[int, float]) -> Ranking:
         raise ValueError("cannot rank an empty score table")
     clean: dict[int, float] = {}
     for rel, value in scores.items():
-        value = float(value)
+        rel, value = _relation_id(rel, "relation id"), float(value)
         if math.isnan(value):
             raise ValueError(f"score for relation {rel} is NaN")
-        clean[int(rel)] = value
+        clean[rel] = value
     order = sorted(clean, key=lambda rel: (-clean[rel], rel))
     ranks = {rel: i + 1 for i, rel in enumerate(order)}
     return Ranking(clean, ranks)

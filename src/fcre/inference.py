@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from fcre.encoder import encode_batch
+from fcre.formats import _relation_id, _relation_items
 from fcre.geometry import as_embedding, cosine, euclidean, rank_scores
 from fcre.losses import HyperParams, _check_fusion_weights
 
@@ -57,24 +58,18 @@ def check_heads(heads) -> None:
         raise ValueError(f"duplicate heads: {heads}")
 
 
-def _relation_items(prototypes) -> list[tuple[int, np.ndarray]]:
-    """(id, vector) pairs of a mapping of relation id -> prototype, ids ascending."""
-    out = [(int(r), np.asarray(p, dtype=np.float64)) for r, p in prototypes.items()]
-    if not out:
-        raise ValueError("prototype store is empty")
-    return sorted(out, key=lambda pair: pair[0])
-
-
 def euclidean_scores(z, prototypes) -> dict[int, float]:
     """E(x, r) = -||z - p_r|| for every registered relation."""
     z = as_embedding(z, name="embedding")
+    if len(prototypes) == 0:
+        raise ValueError("prototype store is empty")
     return {r: -euclidean(z, p) for r, p in _relation_items(prototypes)}
 
 
 def description_cosine_scores(z, descriptions: "DescriptionSet") -> dict[int, float]:
     """cos(z, mean description of r) for every relation in the set."""
     z = as_embedding(z, name="embedding")
-    return {r: cosine(z, descriptions.mean(r)) for r in descriptions.relations}
+    return {r: cosine(z, m) for r, m in zip(descriptions.relations, descriptions.means)}
 
 
 def ncm_predict(z, prototypes) -> int:
@@ -128,15 +123,16 @@ def dri_score(
     z, rel: int, prototypes, descriptions: "DescriptionSet", alpha: float, epsilon: float
 ) -> float:
     """Fused score of one relation (ranks are computed over all of them)."""
+    rel = _relation_id(rel, "relation id")
     fused = fuse_ranked_scores(
         euclidean_scores(z, prototypes),
         description_cosine_scores(z, descriptions),
         alpha,
         epsilon,
     )
-    if int(rel) not in fused:
+    if rel not in fused:
         raise ValueError(f"relation {rel} is not registered")
-    return fused[int(rel)]
+    return fused[rel]
 
 
 def dri_predict(z, prototypes, descriptions: "DescriptionSet", alpha: float, epsilon: float) -> int:

@@ -483,6 +483,39 @@ class TestRunCommand:
         assert not (tmp_path / "runs").exists()
         assert self.run_main(tmp_path, config, extra=["--k-desc", "2"]) == 0
 
+    @pytest.mark.parametrize("case", ["feature_dim", "embed_dim", "relation"])
+    def test_files_mode_names_the_file_that_does_not_fit(self, tmp_path, capsys, case):
+        data = tmp_path / "data"
+        assert cli.cmd_generate(tiny_config(), str(data)) == 0  # feature_dim 8, embed_dim 4
+        dataset, described = data / "dataset.jsonl", data / "descriptions.jsonl"
+        encoder = {"feature_dim": 8, "hidden_dim": 8, "embed_dim": 4}
+        if case == "feature_dim":
+            encoder["feature_dim"] = 5
+            message = f"{dataset} holds features of dimension 8, but encoder.feature_dim is 5"
+        elif case == "embed_dim":
+            encoder["embed_dim"] = 3
+            message = (
+                f"{described} holds description vectors of dimension 4, "
+                "but encoder.embed_dim is 3"
+            )
+        else:
+            lines = described.read_text().splitlines(keepends=True)
+            described.write_text("".join(lines[:-1]))
+            last = json.loads(lines[-1])["relation"]
+            message = f"{described} holds no description vectors for relations [{last}] of {dataset}"
+        config = tiny_config(
+            data_mode="files",
+            dataset_path=str(dataset),
+            descriptions_path=str(described),
+            encoder=EncoderConfig(**encoder),
+            out_dir=str(tmp_path / "runs"),
+        )
+        capsys.readouterr()
+        assert self.run_main(tmp_path, config) == 1
+        failures = [line for line in capsys.readouterr().err.splitlines() if "FAILED" in line]
+        assert failures == [f"seed 0: FAILED: {message}"]
+        assert not (tmp_path / "runs").exists()
+
     def test_missing_dataset_file_fails_run(self, tmp_path, capsys):
         config = tiny_config(
             data_mode="files",

@@ -375,6 +375,18 @@ class TestSelectMemory:
                 expected = block[order[: min(size, len(dists))]]
                 np.testing.assert_array_equal(kept[rel], expected)
 
+    @pytest.mark.parametrize("key, shown", [(2.5, r"2\.5"), (True, "True"), ("7", "'7'")])
+    def test_a_relation_id_that_is_not_an_integer_is_rejected(self, key, shown):
+        # {2.5: rows, 7: rows} came back keyed [2, 7]
+        samples = {key: np.ones((2, 3)), 9: np.ones((2, 3))}
+        with pytest.raises(ValueError, match=rf"^relation id must be an integer, got {shown}$"):
+            select_memory(samples, lambda row: row, 1)
+
+    def test_numpy_integer_ids_come_back_as_python_ints(self):
+        kept = select_memory({np.int64(4): np.ones((2, 3)), np.uint8(1): np.ones((1, 3))}, lambda r: r, 1)
+        assert list(kept) == [1, 4]
+        assert all(type(rel) is int for rel in kept)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="memory_size"):
             select_memory({0: np.ones((1, 2))}, lambda r: r, 0)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,10 +71,9 @@ class TestDescriptionSet:
         assert ds.relations == ()
         assert ds.k_desc is None and ds.dim is None
 
-    def test_mean_is_cached_row_mean(self):
+    def test_mean_is_the_row_mean(self):
         ds = simple_set()
         np.testing.assert_allclose(ds.mean(0), [0.5, 0.5])
-        assert ds.mean(0) is ds.mean(0)  # same array object: computed once
         np.testing.assert_allclose(ds.mean(1), [0.5, 1.0])
 
     def test_unknown_relation(self):
@@ -116,10 +116,42 @@ class TestDescriptionSet:
         rng = np.random.default_rng(5)
         for _ in range(30):
             registered = rng.choice(np.arange(-20, 40), size=int(rng.integers(1, 12)), replace=False)
-            ds = DescriptionSet({int(r): np.ones((1, 2)) for r in registered})
+            ds = DescriptionSet({int(r): rng.normal(size=(2, 3)) for r in registered})
+            order = np.argsort(registered)
             ids = rng.choice(registered, size=int(rng.integers(0, 40)))
-            assert ds.rows(ids).tolist() == [ds._row(r) for r in ids]
-            assert ds.rows(ids.tolist()).tolist() == [ds._row(r) for r in ids]
+            expected = np.searchsorted(registered[order], ids)
+            assert ds.rows(ids).tolist() == ds.rows(ids.tolist()).tolist() == expected.tolist()
+            for rel, row in zip(ids.tolist(), expected):
+                assert rel in ds
+                assert ds.vectors(rel).tobytes() == ds.table[row].tobytes()
+                assert ds.mean(rel).tobytes() == ds.means[row].tobytes()
+            lookups = (ds.vectors, ds.mean, lambda r: ds.rows([r]), lambda r: ds.rows(np.array([r])))
+            for rel in set(range(-25, 45)) - set(registered.tolist()):
+                assert rel not in ds
+                for lookup in lookups:
+                    with pytest.raises(KeyError, match=rf"^'unknown relation {rel}'$"):
+                        lookup(rel)
+
+    @pytest.mark.parametrize("rel", [2.5, 2.0, "x", "5", True, np.float64(5.0), 2**63, None])
+    def test_an_id_that_rows_would_reject_is_not_in_the_set(self, rel):
+        # 2.5 was relation 2, and 2**63 raised OverflowError
+        assert rel not in DescriptionSet({2: np.ones((1, 2)), 5: np.ones((1, 2))})
+
+    @pytest.mark.parametrize(
+        "lookup, rel, message",
+        [
+            ("vectors", 2.9, "must be an integer, got 2.9"),  # was relation 2's block
+            ("mean", "5", "must be an integer, got '5'"),
+            ("rows", [2.5], "must be an integer, got 2.5"),  # was row 0
+            ("rows", ["5"], "must be an integer, got '5'"),  # was row 1
+            ("rows", [True], "must be an integer, got True"),
+            ("rows", [2**63], f"must fit in an int64, got {2**63}"),  # was OverflowError
+        ],
+    )
+    def test_a_lookup_of_an_id_that_is_not_an_int64_integer_names_it(self, lookup, rel, message):
+        ds = DescriptionSet({2: np.ones((1, 2)), 5: np.ones((1, 2))})
+        with pytest.raises(ValueError, match=rf"^relation id {re.escape(message)}$"):
+            getattr(ds, lookup)(rel)
 
     def test_ragged_k_rejected(self):
         with pytest.raises(ValueError, match="description vectors, expected"):
@@ -229,6 +261,20 @@ class TestSynthDescriptions:
         expected = np.tile(center / 5.0, (3, 1))
         np.testing.assert_allclose(ds.vectors(2), expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("key, shown", [(2.5, r"2\.5"), (True, "True"), ("3", "'3'")])
+    def test_a_relation_id_that_is_not_an_integer_is_rejected_before_a_draw(self, key, shown):
+        # {2: c, 2.5: c2} was one relation 2 holding the block drawn for 2.5; True was relation 1
+        centers = {2: np.array([1.0, 0.0]), key: np.array([0.0, 1.0])}
+        with pytest.raises(ValueError, match=rf"^relation id must be an integer, got {shown}$"):
+            synth_descriptions(0, centers, k_desc=2, spread=0.1)
+
+    def test_numpy_integer_ids_draw_as_the_same_python_ints(self):
+        centers = {np.int64(4): np.array([1.0, 0.0]), np.uint8(1): np.array([0.0, 1.0])}
+        ds = synth_descriptions(3, centers, k_desc=2, spread=0.1)
+        plain = synth_descriptions(3, {4: centers[4], 1: centers[1]}, k_desc=2, spread=0.1)
+        assert ds.relations == plain.relations == (1, 4)
+        assert ds.table.tobytes() == plain.table.tobytes()
+
     def test_invalid_arguments(self):
         centers = {0: np.array([1.0, 0.0])}
         with pytest.raises(ValueError, match="k_desc"):
@@ -266,13 +312,6 @@ class TestDescriptionsJsonl:
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert [row["relation"] for row in rows] == [2, 4]
         assert rows[0]["vectors"] == [[3.0, 3.0]]
-
-    def test_expected_dim_enforced(self, tmp_path):
-        path = tmp_path / "desc.jsonl"
-        simple_set().write(path)
-        assert ingest_descriptions(path, expected_dim=2).dim == 2
-        with pytest.raises(DescriptionFormatError, match="expected 3"):
-            ingest_descriptions(path, expected_dim=3)
 
     @pytest.mark.parametrize(
         "lines, pattern",

@@ -100,6 +100,17 @@ class TestRankScores:
         with pytest.raises(ValueError, match="NaN"):
             rank_scores({0: float("nan")})
 
+    @pytest.mark.parametrize("key, shown", [(2.5, r"2\.5"), (True, "True"), ("7", "'7'")])
+    def test_a_relation_id_that_is_not_an_integer_is_rejected(self, key, shown):
+        # {2.5: 1.0, 2: 0.5} was ranked as one entry, {2: 0.5}
+        with pytest.raises(ValueError, match=rf"^relation id must be an integer, got {shown}$"):
+            rank_scores({key: 1.0, 2: 0.5})
+
+    def test_numpy_integer_ids_are_ranked_as_python_ints(self):
+        ranking = rank_scores({np.int64(4): 0.5, np.uint8(1): 0.9})
+        assert ranking == ({4: 0.5, 1: 0.9}, {1: 1, 4: 2})
+        assert all(type(rel) is int for rel in ranking.ranks)
+
 
 class TestEmbeddingValidation:
     def test_as_embedding_coerces_to_float64(self):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -63,6 +64,19 @@ class TestNcmPredict:
     def test_empty_prototypes_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             ncm_predict(np.ones(2), {})
+
+    @pytest.mark.parametrize("key, shown", [(2.5, r"2\.5"), (True, "True"), ("7", "'7'")])
+    def test_a_relation_id_that_is_not_an_integer_is_rejected(self, key, shown):
+        # {2.5: p, 7: q} predicted relation 2, which was never given
+        protos = {key: np.array([1.0, 0.0]), 9: np.array([0.0, 1.0])}
+        ds = DescriptionSet({2: np.ones((1, 2)), 9: np.ones((1, 2))})
+        for predict in (
+            lambda z: ncm_predict(z, protos),
+            lambda z: euclidean_scores(z, protos),
+            lambda z: dri_predict(z, protos, ds, 0.5, 60.0),
+        ):
+            with pytest.raises(ValueError, match=rf"^relation id must be an integer, got {shown}$"):
+                predict(np.array([1.0, 0.0]))
 
 
 class TestScoreTables:
@@ -161,6 +175,15 @@ class TestDriPredict:
         best = max(scores.values())
         expected = min(r for r in scores if scores[r] == best)
         assert dri_predict(z, protos, ds, 0.4, 60.0) == expected
+
+    def test_dri_score_takes_only_an_integer_relation_id(self):
+        z, protos, ds = self.build(np.random.default_rng(7))
+        rel = min(protos)
+        assert dri_score(z, np.int64(rel), protos, ds, 0.4, 60.0) == dri_score(z, rel, protos, ds, 0.4, 60.0)
+        for bad, shown in ((rel + 0.9, re.escape(repr(rel + 0.9))), (True, "True"), (str(rel), f"'{rel}'")):
+            # rel + 0.9 was scored as relation rel
+            with pytest.raises(ValueError, match=rf"^relation id must be an integer, got {shown}$"):
+                dri_score(z, bad, protos, ds, 0.4, 60.0)
 
     def test_alpha_one_matches_ncm(self):
         rng = np.random.default_rng(42)
