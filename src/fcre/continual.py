@@ -72,8 +72,8 @@ from fcre.encoder import (
     init_bilinear,
     init_encoder,
 )
-from fcre.formats import _as_labels, _floats_from_b64, _floats_to_b64, _relation_items, checked
-from fcre.formats import read_json, write_atomic
+from fcre.formats import _as_labels, _floats_from_b64, _floats_to_b64, _relation_ids
+from fcre.formats import _relation_items, checked, read_json, write_atomic
 from fcre.geometry import row_dots
 from fcre.inference import HEADS, MetricsReport, check_heads, evaluate
 from fcre.losses import HyperParams, _as_bilinear, _joint, _Layout, _unit_blocks
@@ -230,7 +230,7 @@ class Prototypes:
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        relations = np.asarray(self.relations, dtype=np.int64)
+        relations = _relation_ids(self.relations, "prototype relations")
         vectors = np.asarray(self.vectors, dtype=np.float64)
         if relations.ndim != 1 or np.any(relations[1:] <= relations[:-1]):
             raise ValueError("prototype relations must be strictly ascending ids")

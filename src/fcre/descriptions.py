@@ -28,7 +28,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from fcre.formats import _as_labels, _relation_id, _relation_items, float_row, read_jsonl
+from fcre.formats import _relation_id, _relation_ids, _relation_items, float_row, read_jsonl
 from fcre.formats import write_jsonl
 from fcre.geometry import unit_rows
 
@@ -126,14 +126,8 @@ class DescriptionSet:
             return False
 
     def rows(self, relations: Iterable[int]) -> np.ndarray:
-        """Row of each id in ``table`` and ``means``; the first unknown id raises ``KeyError``.
-
-        An array is checked by ``_as_labels``, other ids one by one by ``_relation_id``.
-        """
-        if isinstance(relations, np.ndarray):
-            ids = _as_labels(relations, "relation ids")
-        else:
-            ids = np.array([_relation_id(r, "relation id") for r in relations], dtype=np.int64)
+        """Row of each id in ``table`` and ``means``; the first unknown id raises ``KeyError``."""
+        ids = _relation_ids(relations, "relation ids")
         at = np.searchsorted(self._ids, ids)
         known = at < self._ids.size
         known[known] = self._ids[at[known]] == ids[known]

@@ -138,6 +138,13 @@ def _as_labels(values, name: str) -> np.ndarray:
     return labels.astype(np.int64, copy=False)
 
 
+def _relation_ids(values, name: str) -> np.ndarray:
+    """Relation ids as an int64 array: an array checked by ``_as_labels``, others one by one."""
+    if isinstance(values, np.ndarray):
+        return _as_labels(values, name)
+    return np.array([_relation_id(v, "relation id") for v in values], dtype=np.int64)
+
+
 def _checked_fields(config, prefix: str = "") -> None:
     """Store each field of a frozen dataclass as ``checked`` returns it for its default's kind.
 

@@ -1,4 +1,4 @@
-"""Vector similarity primitives and deterministic score ranking.
+"""Vector similarity primitives and the one ordering of relations.
 
 These are the one-vector primitives: memory selection and the
 per-query prediction heads call them, and they validate every input: an
@@ -9,8 +9,10 @@ whole matrices instead and validate once, at the batch.  ``row_dots``
 and ``unit_rows`` are block forms with the bits that ``np.dot`` and
 ``unit_normalize`` give each row alone, for the callers whose results
 must not depend on whether a vector is handled alone or in a block:
-data generation, description synthesis and memory selection.  All
-arithmetic is done in float64 regardless of the caller's storage dtype.
+data generation, description synthesis and memory selection.  ``_ranks``
+orders relations for ``rank_scores`` and both prediction heads, smaller
+key first and exact ties to the lower relation id.  All arithmetic is
+done in float64 regardless of the caller's storage dtype.
 """
 
 from __future__ import annotations
@@ -106,6 +108,28 @@ def unit_rows(block: np.ndarray, names) -> np.ndarray:
     return block / np.sqrt(sq_norms)[:, None]
 
 
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """1-based rank of every column per row: smaller key first, ties by column.
+
+    Columns are relations in ascending id order, so exact ties go to the
+    lower relation id.  The default sort is not stable, but a row whose
+    sorted keys hold no two equal neighbours has one order only, which is
+    the stable one; only rows with an exact tie (two equal neighbours in
+    the sorted keys) are sorted again, stably.  The ranks are scattered
+    into place with one fancy-indexed assignment.
+    """
+    n_rows, n_cols = keys.shape
+    order = np.argsort(keys, axis=1)
+    ordered = np.sort(keys, axis=1)
+    tied = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
+    if tied.size:
+        order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
+    ranks = np.empty(keys.shape)
+    # order[q, k] is the column ranked k + 1 in row q
+    ranks[np.arange(n_rows)[:, None], order] = np.arange(1.0, n_cols + 1.0)
+    return ranks
+
+
 class Ranking(NamedTuple):
     """Scores keyed by relation id and their 1-based ranks; rank 1 is the highest score."""
 
@@ -113,13 +137,8 @@ class Ranking(NamedTuple):
     ranks: dict[int, int]
 
 
-def rank_scores(scores: Mapping[int, float]) -> Ranking:
-    """Assign deterministic 1-based ranks to per-relation scores.
-
-    Higher score gets the smaller rank; ties are broken by ascending
-    relation id, so the ranks are always a bijection onto 1..len(scores).
-    NaN scores and empty input are rejected.
-    """
+def _checked_scores(scores: Mapping[int, float]) -> dict[int, float]:
+    """A non-empty score table as a dict of checked relation ids to floats, none NaN."""
     if len(scores) == 0:
         raise ValueError("cannot rank an empty score table")
     clean: dict[int, float] = {}
@@ -128,6 +147,18 @@ def rank_scores(scores: Mapping[int, float]) -> Ranking:
         if math.isnan(value):
             raise ValueError(f"score for relation {rel} is NaN")
         clean[rel] = value
-    order = sorted(clean, key=lambda rel: (-clean[rel], rel))
-    ranks = {rel: i + 1 for i, rel in enumerate(order)}
-    return Ranking(clean, ranks)
+    return clean
+
+
+def rank_scores(scores: Mapping[int, float]) -> Ranking:
+    """Assign deterministic 1-based ranks to per-relation scores.
+
+    Higher score gets the smaller rank; ties are broken by ascending
+    relation id, so the ranks are always a bijection onto 1..len(scores).
+    The ranks are ``_ranks`` of the negated scores, in rank order.
+    NaN scores and empty input are rejected.
+    """
+    clean = _checked_scores(scores)
+    relations = sorted(clean)
+    ranks = _ranks(-np.array([[clean[rel] for rel in relations]]))[0]
+    return Ranking(clean, {relations[i]: k for k, i in enumerate(np.argsort(ranks), start=1)})

@@ -8,20 +8,19 @@ Two heads over the same frozen state:
   by E(x, r) and once by cos(z, mean description of r), then fuse
   DRI(x, r) = alpha / (epsilon + rank_E(r)) + (1 - alpha) / (epsilon + rank_cos(r)).
 
-Both heads resolve exact score ties by ascending relation id, so
-predictions are deterministic functions of their inputs.  These
-per-query functions are the reference for ``evaluate``, which encodes
-each test pool once and scores it in passes of at most
-``EVAL_BLOCK_ENTRIES`` (queries x relations) entries: it orders
-relations by the key |p_r|^2 - 2 z . p_r (the squared distance less a
-per-query constant), takes both that key's and the cosines' products
-with ``einsum`` so that relations sharing a prototype or a mean
-description tie exactly, and ranks with NumPy's default sort, finding
-ties in the sorted keys and sorting again stably only the rows that
-hold one.  Accuracy is
-reported cumulatively: after task j, every earlier task's test pool is
-scored against the full label space seen so far, and ACC_j is the
-unweighted mean of those per-task accuracies.
+Both heads decide through one core, so exact ties go to the lower
+relation id everywhere: NCM takes the first argmin of its keys, and DRI
+ranks both channels with ``geometry._ranks`` and picks the first best
+column in ``_fuse``.  The per-query heads take their keys from
+``geometry.euclidean`` and ``geometry.cosine`` and are the reference for
+``evaluate``, which encodes each test pool once and scores it in passes
+of at most ``EVAL_BLOCK_ENTRIES`` (queries x relations) entries, with the
+key |p_r|^2 - 2 z . p_r (the squared distance less a per-query constant)
+and the cosines taken with ``einsum`` so that relations sharing a
+prototype or a mean description tie exactly.  Accuracy is reported
+cumulatively: after task j, every earlier task's test pool is scored
+against the full label space seen so far, and ACC_j is the unweighted
+mean of those per-task accuracies.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 
 from fcre.encoder import encode_batch
 from fcre.formats import _relation_id, _relation_items
-from fcre.geometry import as_embedding, cosine, euclidean, rank_scores
+from fcre.geometry import _checked_scores, _ranks, as_embedding, cosine, euclidean
 from fcre.losses import HyperParams, _check_fusion_weights
 
 if TYPE_CHECKING:  # pragma: no cover - import would be circular at runtime
@@ -58,55 +57,45 @@ def check_heads(heads) -> None:
         raise ValueError(f"duplicate heads: {heads}")
 
 
-def euclidean_scores(z, prototypes) -> dict[int, float]:
-    """E(x, r) = -||z - p_r|| for every registered relation."""
+def _distances(z, prototypes) -> tuple[list[int], np.ndarray]:
+    """The ascending relation ids of ``prototypes`` and ``euclidean(z, p_r)`` for each."""
     z = as_embedding(z, name="embedding")
     if len(prototypes) == 0:
         raise ValueError("prototype store is empty")
-    return {r: -euclidean(z, p) for r, p in _relation_items(prototypes)}
-
-
-def description_cosine_scores(z, descriptions: "DescriptionSet") -> dict[int, float]:
-    """cos(z, mean description of r) for every relation in the set."""
-    z = as_embedding(z, name="embedding")
-    return {r: cosine(z, m) for r, m in zip(descriptions.relations, descriptions.means)}
+    items = _relation_items(prototypes)
+    return [r for r, _ in items], np.array([euclidean(z, p) for _, p in items])
 
 
 def ncm_predict(z, prototypes) -> int:
-    """Nearest-class-mean prediction; distance ties go to the lower id."""
-    scores = euclidean_scores(z, prototypes)
-    return _argmax_by_id(scores)
+    """Nearest-class-mean prediction: the first argmin of the distances, ties to the lower id."""
+    relations, distances = _distances(z, prototypes)
+    return relations[int(np.argmin(distances))]
 
 
-def _argmax_by_id(scores: Mapping[int, float]) -> int:
-    best_rel = None
-    best = -math.inf
-    for rel in sorted(scores):
-        if scores[rel] > best:
-            best = scores[rel]
-            best_rel = rel
-    return int(best_rel)
+def _fuse(e_keys: np.ndarray, c_keys: np.ndarray, alpha: float, epsilon: float) -> tuple:
+    """DRI of two (n, R) key blocks, and the first best column of each row.
+
+    Columns are relations in ascending id order.  Each channel ranks a
+    row by ``geometry._ranks`` (smaller key first, exact ties to the lower
+    id), DRI = alpha / (epsilon + rank_e) + (1 - alpha) / (epsilon + rank_c),
+    and ``argmax`` picks the first best column: fused ties go to the lower id.
+    """
+    n = e_keys.shape[0]
+    ranks = _ranks(np.concatenate([e_keys, c_keys]))  # both channels in one sort
+    fused = alpha / (epsilon + ranks[:n]) + (1.0 - alpha) / (epsilon + ranks[n:])
+    return fused, np.argmax(fused, axis=1)
 
 
-def fuse_ranked_scores(
-    e_scores: Mapping[int, float],
-    c_scores: Mapping[int, float],
-    alpha: float,
-    epsilon: float,
-) -> dict[int, float]:
-    """Reciprocal-rank fusion of two score tables over the same relations."""
+def _fuse_one(relations, e_keys, c_relations, c_keys, alpha, epsilon) -> tuple[np.ndarray, int]:
+    """``_fuse`` of one query's keys, once the weights and the two channels' ids are checked."""
     _check_fusion_weights(alpha, epsilon)
-    if set(e_scores) != set(c_scores):
+    if relations != c_relations:
         raise ValueError(
             "mismatched relation registries: prototype scores cover "
-            f"{sorted(e_scores)} but description scores cover {sorted(c_scores)}"
+            f"{relations} but description scores cover {c_relations}"
         )
-    e_ranks = rank_scores(e_scores).ranks
-    c_ranks = rank_scores(c_scores).ranks
-    return {
-        r: alpha / (epsilon + e_ranks[r]) + (1.0 - alpha) / (epsilon + c_ranks[r])
-        for r in e_ranks
-    }
+    fused, best = _fuse(np.array([e_keys]), np.array([c_keys]), alpha, epsilon)
+    return fused[0], int(best[0])
 
 
 def dri_predict_from_scores(
@@ -115,8 +104,20 @@ def dri_predict_from_scores(
     alpha: float,
     epsilon: float,
 ) -> int:
-    fused = fuse_ranked_scores(e_scores, c_scores, alpha, epsilon)
-    return _argmax_by_id(fused)
+    """DRI prediction from two score tables (higher scores rank first); ties go to the lower id."""
+    e, c = _checked_scores(e_scores), _checked_scores(c_scores)
+    relations, c_relations = sorted(e), sorted(c)
+    e_keys, c_keys = [-e[r] for r in relations], [-c[r] for r in c_relations]
+    return relations[_fuse_one(relations, e_keys, c_relations, c_keys, alpha, epsilon)[1]]
+
+
+def _dri(z, prototypes, descriptions: "DescriptionSet", alpha, epsilon):
+    """One query's ascending relation ids, their DRI and its best column, from ``_fuse_one``."""
+    relations, distances = _distances(z, prototypes)
+    c_keys = [-cosine(z, m) for m in descriptions.means]
+    return relations, *_fuse_one(
+        relations, distances, list(descriptions.relations), c_keys, alpha, epsilon
+    )
 
 
 def dri_score(
@@ -124,25 +125,16 @@ def dri_score(
 ) -> float:
     """Fused score of one relation (ranks are computed over all of them)."""
     rel = _relation_id(rel, "relation id")
-    fused = fuse_ranked_scores(
-        euclidean_scores(z, prototypes),
-        description_cosine_scores(z, descriptions),
-        alpha,
-        epsilon,
-    )
-    if rel not in fused:
+    relations, fused, _ = _dri(z, prototypes, descriptions, alpha, epsilon)
+    if rel not in relations:
         raise ValueError(f"relation {rel} is not registered")
-    return fused[rel]
+    return float(fused[relations.index(rel)])
 
 
 def dri_predict(z, prototypes, descriptions: "DescriptionSet", alpha: float, epsilon: float) -> int:
     """Descriptive rank-fusion prediction; fused ties go to the lower id."""
-    return dri_predict_from_scores(
-        euclidean_scores(z, prototypes),
-        description_cosine_scores(z, descriptions),
-        alpha,
-        epsilon,
-    )
+    relations, _, best = _dri(z, prototypes, descriptions, alpha, epsilon)
+    return relations[best]
 
 
 @dataclass(frozen=True)
@@ -253,28 +245,6 @@ class MetricsReport:
 EVAL_BLOCK_ENTRIES = 4_096
 
 
-def _ranks(keys: np.ndarray) -> np.ndarray:
-    """1-based rank of every column per row: smaller key first, ties by column.
-
-    Columns are relations in ascending id order, so exact ties go to the
-    lower relation id, as ``rank_scores`` does.  The default sort is not
-    stable, but a row whose sorted keys hold no two equal neighbours has
-    one order only, which is the stable one; only rows with an exact tie
-    (two equal neighbours in the sorted keys) are sorted again, stably.
-    The ranks are scattered into place with one fancy-indexed assignment.
-    """
-    n_rows, n_cols = keys.shape
-    order = np.argsort(keys, axis=1)
-    ordered = np.sort(keys, axis=1)
-    tied = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
-    if tied.size:
-        order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
-    ranks = np.empty(keys.shape)
-    # order[q, k] is the column ranked k + 1 in row q
-    ranks[np.arange(n_rows)[:, None], order] = np.arange(1.0, n_cols + 1.0)
-    return ranks
-
-
 def _predict_block(
     z: np.ndarray,
     prototypes: np.ndarray,
@@ -286,9 +256,9 @@ def _predict_block(
     """Column index of the predicted relation for each query row, per head.
 
     Both heads read one (queries, R) key matrix (see ``evaluate``): NCM
-    takes its argmin, and DRI (present when ``means`` is given) fuses its
-    ranks with the ranks of the description cosines.  Both pick the
-    first best column, i.e. the lowest relation id among exact ties.
+    takes its first argmin, and DRI (present when ``means`` is given)
+    fuses it with the negated description cosines in ``_fuse``, as the
+    per-query heads do.
     """
     # einsum, not a matrix product, in both channels: it sums every (q, r)
     # entry in the same order, so two relations with one prototype, or one
@@ -303,10 +273,7 @@ def _predict_block(
         raise ValueError("cosine undefined: first argument has zero norm")
     dots = np.einsum("qd,rd->qr", z, means)
     cos = np.clip(dots / (z_norms[:, None] * mean_norms[None, :]), -1.0, 1.0)
-    ranks = _ranks(np.concatenate([key, -cos]))  # both channels in one sort
-    n = z.shape[0]
-    fused = hp.alpha / (hp.epsilon + ranks[:n]) + (1.0 - hp.alpha) / (hp.epsilon + ranks[n:])
-    predictions["dri"] = np.argmax(fused, axis=1)
+    predictions["dri"] = _fuse(key, -cos, hp.alpha, hp.epsilon)[1]
     return predictions
 
 

@@ -2,7 +2,8 @@
 
 These are the loops that data generation, memory selection, prototypes,
 checkpoints and the rank step of ``evaluate`` ran before they became
-array operations, the relation-by-relation checks whose errors and bits
+array operations, the score tables that the per-query heads ranked and
+fused as dicts, the relation-by-relation checks whose errors and bits
 ``DescriptionSet`` keeps, and the training step from before the encoder,
 W and the gradient shared one flat buffer each: a fresh parameter
 vector per Adam step, rebuilt weights, and a ``joint_loss`` that
@@ -19,7 +20,7 @@ import warnings
 import numpy as np
 
 from fcre.encoder import forward, step
-from fcre.geometry import euclidean, unit_normalize
+from fcre.geometry import cosine, euclidean, unit_normalize
 from fcre.losses import Batch, joint_loss
 
 _MAX_ATTEMPTS_PER_CENTER = 10_000
@@ -162,7 +163,7 @@ def memory_blocks(features, labels):
 
 
 def ranks(keys):
-    """``evaluate``'s ranks through ``take_along_axis`` and ``put_along_axis``."""
+    """``geometry._ranks`` through ``take_along_axis`` and ``put_along_axis``."""
     order = np.argsort(keys, axis=1)
     ordered = np.take_along_axis(keys, order, axis=1)
     tied = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
@@ -171,6 +172,32 @@ def ranks(keys):
     out = np.empty(keys.shape, dtype=np.float64)
     np.put_along_axis(out, order, np.arange(1.0, keys.shape[1] + 1.0)[None, :], axis=1)
     return out
+
+
+def sorted_ranks(scores):
+    """1-based ranks by the literal sort ``sorted(ids, key=(-score, id))``: ties to the lower id."""
+    return {r: k for k, r in enumerate(sorted(scores, key=lambda r: (-scores[r], r)), start=1)}
+
+
+def head_scores(z, prototypes, descriptions):
+    """The two score tables of one query: -euclidean(z, p_r) and cos(z, mean description of r)."""
+    e_scores = {r: -euclidean(z, p) for r, p in prototypes.items()}
+    c_scores = {r: cosine(z, descriptions.mean(r)) for r in prototypes}
+    return e_scores, c_scores
+
+
+def fuse_ranked_scores(e_scores, c_scores, alpha, epsilon):
+    """DRI of every relation from the ``sorted_ranks`` of two score tables."""
+    e_ranks, c_ranks = sorted_ranks(e_scores), sorted_ranks(c_scores)
+    return {
+        r: alpha / (epsilon + e_ranks[r]) + (1.0 - alpha) / (epsilon + c_ranks[r])
+        for r in e_ranks
+    }
+
+
+def best(scores):
+    """The relation that ``sorted_ranks`` ranks first."""
+    return sorted(scores, key=lambda r: (-scores[r], r))[0]
 
 
 def backward(params, acts, grad_out):

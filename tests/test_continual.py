@@ -430,6 +430,22 @@ class TestBuildPrototypes:
         with pytest.raises(ValueError, match="memory is empty"):
             build_prototypes(MemoryBuffer(2), lambda rows: rows)
 
+    @pytest.mark.parametrize(
+        "relations, message",
+        [
+            ([2.5, 3.9], r"^relation id must be an integer, got 2\.5$"),  # was stored as [2, 3]
+            ([True, 2], r"^relation id must be an integer, got True$"),  # was stored as [1, 2]
+            (  # was stored as -9223372036854775803
+                np.array([2**63 + 5], dtype=np.uint64),
+                r"^prototype relations must fit in an int64, got 9223372036854775813$",
+            ),
+        ],
+    )
+    def test_relation_ids_are_checked_not_truncated(self, relations, message):
+        with pytest.raises(ValueError, match=message):
+            Prototypes(relations, np.ones((len(relations), 2)))
+        assert Prototypes([], np.zeros((0, 2))).relations.dtype == np.int64
+
 
 class TestEpochBatches:
     def test_small_pool_is_one_full_batch(self):

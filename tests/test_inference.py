@@ -12,21 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loop_reference as ref
 from fcre.cli import ExperimentConfig, run_single_seed
 from fcre.continual import Prototypes, Task, build_prototypes, run_task
 from fcre.descriptions import DescriptionSet
 from fcre.encoder import EncoderParams, encode, encode_batch, init_encoder
-from fcre.geometry import cosine, rank_scores
+from fcre.geometry import _ranks, rank_scores
 from fcre.inference import (
     MetricsReport,
     TaskAccuracy,
-    description_cosine_scores,
+    _distances,
+    _fuse,
     evaluate,
     dri_predict,
     dri_predict_from_scores,
     dri_score,
-    euclidean_scores,
-    fuse_ranked_scores,
     ncm_predict,
 )
 import fcre.inference as inference
@@ -36,6 +36,11 @@ from test_continual import HP, fresh_state, make_descriptions, make_task
 def unit(v):
     v = np.asarray(v, dtype=np.float64)
     return v / np.linalg.norm(v)
+
+
+def key_rows(*tables):
+    """One row of ``_fuse`` keys per score table: the negated scores in ascending id order."""
+    return [np.array([[-table[r] for r in sorted(table)]]) for table in tables]
 
 
 class TestNcmPredict:
@@ -72,7 +77,6 @@ class TestNcmPredict:
         ds = DescriptionSet({2: np.ones((1, 2)), 9: np.ones((1, 2))})
         for predict in (
             lambda z: ncm_predict(z, protos),
-            lambda z: euclidean_scores(z, protos),
             lambda z: dri_predict(z, protos, ds, 0.5, 60.0),
         ):
             with pytest.raises(ValueError, match=rf"^relation id must be an integer, got {shown}$"):
@@ -80,42 +84,47 @@ class TestNcmPredict:
 
 
 class TestScoreTables:
-    def test_euclidean_scores_are_negated_distances(self):
-        protos = {0: np.zeros(2), 1: np.array([3.0, 4.0])}
-        scores = euclidean_scores(np.zeros(2), protos)
-        assert scores[0] == 0.0
-        np.testing.assert_allclose(scores[1], -5.0)
+    def test_distances_are_euclidean_in_ascending_id_order(self):
+        protos = {1: np.array([3.0, 4.0]), 0: np.zeros(2)}
+        relations, distances = _distances(np.zeros(2), protos)
+        assert relations == [0, 1]
+        np.testing.assert_array_equal(distances, [0.0, 5.0])
 
-    def test_description_scores_use_mean_vector(self):
-        ds = DescriptionSet({0: np.array([[1.0, 0.0], [0.0, 1.0]])})
-        z = np.array([1.0, 1.0])
-        scores = description_cosine_scores(z, ds)
-        np.testing.assert_allclose(scores[0], cosine(z, np.array([0.5, 0.5])))
+    def test_description_channel_uses_mean_vector(self):
+        # relation 0's mean [0.5, 0.5] points at z, though neither of its
+        # descriptions is as close to z as relation 1's
+        ds = DescriptionSet({0: np.array([[1.0, 0.0], [0.0, 1.0]]), 1: np.array([[1.0, 0.8]] * 2)})
+        protos = {0: np.zeros(2), 1: np.zeros(2)}
+        assert dri_predict(np.array([1.0, 1.0]), protos, ds, 0.0, 60.0) == 0
 
 
 class TestFuseRankedScores:
+    """Reciprocal-rank fusion through ``inference._fuse`` and the public DRI heads."""
+
     def test_single_relation_hits_upper_bound_for_any_alpha(self):
         for alpha in (0.0, 0.1, 0.4, 0.5, 0.9, 1.0):
-            fused = fuse_ranked_scores({5: -1.0}, {5: 0.3}, alpha, 60.0)
-            np.testing.assert_allclose(fused[5], 1.0 / 61.0, rtol=1e-12)
+            fused, best = _fuse(*key_rows({5: -1.0}, {5: 0.3}), alpha, 60.0)
+            np.testing.assert_allclose(fused[0, 0], 1.0 / 61.0, rtol=1e-12)
+            assert best.tolist() == [0]
 
     def test_upper_bound_attained_iff_rank_one_on_both(self):
         e = {0: 3.0, 1: 2.0, 2: 1.0}
         c_aligned = {0: 0.9, 1: 0.5, 2: 0.1}
         c_flipped = {0: 0.1, 1: 0.5, 2: 0.9}
         bound = 1.0 / 61.0
-        fused = fuse_ranked_scores(e, c_aligned, 0.4, 60.0)
-        np.testing.assert_allclose(fused[0], bound, rtol=1e-12)
-        fused = fuse_ranked_scores(e, c_flipped, 0.4, 60.0)
-        for rel in fused:
-            assert fused[rel] < bound
+        fused, _ = _fuse(*key_rows(e, c_aligned), 0.4, 60.0)
+        np.testing.assert_allclose(fused[0, 0], bound, rtol=1e-12)
+        fused, _ = _fuse(*key_rows(e, c_flipped), 0.4, 60.0)
+        assert np.all(fused < bound)
 
     def test_hand_computed_fusion(self):
         e = {0: 10.0, 1: 5.0}  # ranks: 0 -> 1, 1 -> 2
         c = {0: 0.1, 1: 0.9}  # ranks: 0 -> 2, 1 -> 1
-        fused = fuse_ranked_scores(e, c, alpha=0.25, epsilon=2.0)
-        np.testing.assert_allclose(fused[0], 0.25 / 3.0 + 0.75 / 4.0, rtol=1e-12)
-        np.testing.assert_allclose(fused[1], 0.25 / 4.0 + 0.75 / 3.0, rtol=1e-12)
+        fused, best = _fuse(*key_rows(e, c), alpha=0.25, epsilon=2.0)
+        np.testing.assert_allclose(fused[0, 0], 0.25 / 3.0 + 0.75 / 4.0, rtol=1e-12)
+        np.testing.assert_allclose(fused[0, 1], 0.25 / 4.0 + 0.75 / 3.0, rtol=1e-12)
+        assert best.tolist() == [1]
+        assert dri_predict_from_scores(e, c, 0.25, 2.0) == 1
 
     def test_alpha_extremes_defer_to_one_channel(self):
         rng = np.random.default_rng(42)
@@ -123,21 +132,30 @@ class TestFuseRankedScores:
             ids = [int(r) for r in rng.choice(30, size=5, replace=False)]
             e = {r: float(rng.normal()) for r in ids}
             c = {r: float(rng.normal()) for r in ids}
-            only_e = fuse_ranked_scores(e, c, 1.0, 60.0)
-            only_c = fuse_ranked_scores(e, c, 0.0, 60.0)
-            e_ranks = rank_scores(e).ranks
-            c_ranks = rank_scores(c).ranks
-            for r in ids:
-                np.testing.assert_allclose(only_e[r], 1.0 / (60.0 + e_ranks[r]), rtol=1e-12)
-                np.testing.assert_allclose(only_c[r], 1.0 / (60.0 + c_ranks[r]), rtol=1e-12)
+            only_e, _ = _fuse(*key_rows(e, c), 1.0, 60.0)
+            only_c, _ = _fuse(*key_rows(e, c), 0.0, 60.0)
+            e_ranks, c_ranks = ref.sorted_ranks(e), ref.sorted_ranks(c)
+            for col, r in enumerate(sorted(ids)):
+                np.testing.assert_allclose(only_e[0, col], 1.0 / (60.0 + e_ranks[r]), rtol=1e-12)
+                np.testing.assert_allclose(only_c[0, col], 1.0 / (60.0 + c_ranks[r]), rtol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="alpha"):
-            fuse_ranked_scores({0: 1.0}, {0: 1.0}, 1.5, 60.0)
+            dri_predict_from_scores({0: 1.0}, {0: 1.0}, 1.5, 60.0)
         with pytest.raises(ValueError, match="epsilon"):
-            fuse_ranked_scores({0: 1.0}, {0: 1.0}, 0.5, 0.0)
+            dri_predict_from_scores({0: 1.0}, {0: 1.0}, 0.5, 0.0)
         with pytest.raises(ValueError, match="mismatched relation registries"):
-            fuse_ranked_scores({0: 1.0}, {1: 1.0}, 0.5, 60.0)
+            dri_predict_from_scores({0: 1.0}, {1: 1.0}, 0.5, 60.0)
+        with pytest.raises(ValueError, match="empty"):
+            dri_predict_from_scores({}, {}, 0.5, 60.0)
+        with pytest.raises(ValueError, match="NaN"):
+            dri_predict_from_scores({0: 1.0}, {0: math.nan}, 0.5, 60.0)
+        z, protos = np.ones(2), {0: np.ones(2), 1: np.zeros(2)}
+        ds = DescriptionSet({0: np.ones((1, 2)), 2: np.ones((1, 2))})
+        cases = ((1.5, 60.0, "alpha"), (0.5, 0.0, "epsilon"), (0.5, 60.0, "registries"))
+        for alpha, eps, message in cases:
+            with pytest.raises(ValueError, match=message):
+                dri_predict(z, protos, ds, alpha, eps)
 
 
 class TestDriPredict:
@@ -149,15 +167,7 @@ class TestDriPredict:
         return z, protos, ds
 
     def oracle(self, z, protos, ds, alpha, eps):
-        e = {r: -float(np.linalg.norm(z - protos[r])) for r in protos}
-        c = {r: cosine(z, ds.mean(r)) for r in protos}
-        er = rank_scores(e).ranks
-        cr = rank_scores(c).ranks
-        fused = {
-            r: alpha / (eps + er[r]) + (1 - alpha) / (eps + cr[r]) for r in protos
-        }
-        best = max(fused.values())
-        return min(r for r in fused if fused[r] == best)
+        return ref.best(ref.fuse_ranked_scores(*ref.head_scores(z, protos, ds), alpha, eps))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(42)
@@ -205,13 +215,13 @@ class TestDriPredict:
             ids = [int(r) for r in rng.choice(30, size=5, replace=False)]
             e = {r: float(rng.normal()) for r in ids}
             c = {r: float(rng.normal()) for r in ids}
-            base = fuse_ranked_scores(e, c, 0.4, 60.0)
+            base, base_best = _fuse(*key_rows(e, c), 0.4, 60.0)
             for t in transforms:
                 e_t = {r: t(e[r]) for r in ids}
                 c_t = {r: t(c[r]) for r in ids}
-                warped = fuse_ranked_scores(e_t, c_t, 0.4, 60.0)
-                for r in ids:
-                    np.testing.assert_allclose(warped[r], base[r], rtol=1e-12)
+                warped, warped_best = _fuse(*key_rows(e_t, c_t), 0.4, 60.0)
+                np.testing.assert_array_equal(warped, base)
+                assert warped_best == base_best
 
     def test_exhaustive_rank_permutations(self):
         # every possible disagreement pattern between the two channels on
@@ -228,6 +238,82 @@ class TestDriPredict:
                 best = max(fused.values())
                 expected = min(r for r in fused if fused[r] == best)
                 assert dri_predict_from_scores(e, c, 0.4, 60.0) == expected
+
+
+QUANTA = np.array([-1.0, -0.0, 0.0, 1.0])
+
+
+def quantized_rows(rng, n, dim):
+    """n rows of -1/-0.0/0.0/1 entries, none all zero: every sum is exact in any order."""
+    rows = QUANTA[rng.integers(0, QUANTA.size, size=(n, dim))]
+    rows[~np.any(rows, axis=1), 0] = 1.0
+    return rows
+
+
+@st.composite
+def query_cases(draw):
+    """One quantized query against relations that share prototypes and mean descriptions.
+
+    Relation i takes the prototype of relation ``proto_src[i] <= i`` and
+    the description block of ``desc_src[i] <= i``, so both channels meet
+    exact ties between relations.  Entries include -0.0, but a distance
+    or a cosine of them comes out as 0.0, so the signed zeros that reach
+    a rank key are drawn in the score tables below.
+    """
+    n_rel = draw(st.integers(1, 10))
+    dim = draw(st.integers(1, 5))
+    proto_src = [draw(st.integers(0, i)) for i in range(n_rel)]
+    desc_src = [draw(st.integers(0, i)) for i in range(n_rel)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = [int(r) for r in rng.choice(60, size=n_rel, replace=False)]
+    protos = quantized_rows(rng, n_rel, dim)
+    blocks = []
+    for _ in ids:
+        block = quantized_rows(rng, 2, dim)
+        while not np.any(block.mean(axis=0)):
+            block = quantized_rows(rng, 2, dim)
+        blocks.append(block)
+    ds = DescriptionSet({r: blocks[src] for r, src in zip(ids, desc_src)})
+    z = quantized_rows(rng, 1, dim)[0]
+    return z, {r: protos[src] for r, src in zip(ids, proto_src)}, ds
+
+
+fusion_weights = st.tuples(
+    st.sampled_from([0.0, 0.25, 0.4, 0.5, 1.0]), st.sampled_from([1.0, 60.0])
+)
+
+
+class TestHeadsMatchTheSortOracle:
+    """Each per-query head against the literal ``sorted(ids, key=(-score, id))`` oracle."""
+
+    @given(query_cases())
+    @settings(max_examples=200)
+    def test_ncm_predict(self, case):
+        z, protos, ds = case
+        e_scores, _ = ref.head_scores(z, protos, ds)
+        assert ncm_predict(z, protos) == ref.best(e_scores)
+
+    @given(query_cases(), fusion_weights)
+    @settings(max_examples=200)
+    def test_dri_predict_and_dri_score(self, case, weights):
+        z, protos, ds = case
+        fused = ref.fuse_ranked_scores(*ref.head_scores(z, protos, ds), *weights)
+        assert dri_predict(z, protos, ds, *weights) == ref.best(fused)
+        assert {r: dri_score(z, r, protos, ds, *weights) for r in protos} == fused
+
+    @given(
+        st.lists(st.integers(0, 60), min_size=1, max_size=10, unique=True),
+        st.data(),
+        fusion_weights,
+    )
+    @settings(max_examples=200)
+    def test_dri_predict_from_scores_and_rank_scores(self, ids, data, weights):
+        quantized = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])  # -0.0 ties with 0.0
+        e = {r: data.draw(quantized) for r in ids}
+        c = {r: data.draw(quantized) for r in ids}
+        expected = ref.fuse_ranked_scores(e, c, *weights)
+        assert dri_predict_from_scores(e, c, *weights) == ref.best(expected)
+        assert rank_scores(e).ranks == ref.sorted_ranks(e)
 
 
 class TestEvaluate:
@@ -551,7 +637,7 @@ class TestRanks:
             np.put_along_axis(
                 expected, order, np.arange(1.0, matrix.shape[1] + 1.0)[None, :], axis=1
             )
-            np.testing.assert_array_equal(inference._ranks(matrix), expected)
+            np.testing.assert_array_equal(_ranks(matrix), expected)
 
 
 class TestMetricsReport:

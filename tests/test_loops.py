@@ -37,8 +37,7 @@ from fcre.datagen import SyntheticSpec, generate_stream, sample_separated_center
 from fcre.descriptions import DescriptionSet, synth_descriptions
 from fcre.encoder import BilinearForm
 from fcre.formats import _floats_to_b64
-from fcre.geometry import row_dots, unit_normalize
-from fcre.inference import _ranks
+from fcre.geometry import _ranks, row_dots, unit_normalize
 from fcre.losses import HyperParams
 
 seeds = st.integers(0, 2**32 - 1)
