@@ -231,7 +231,7 @@ class Prototypes:
 
     def __post_init__(self) -> None:
         relations = _relation_ids(self.relations, "prototype relations")
-        vectors = np.asarray(self.vectors, dtype=np.float64)
+        vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)  # see inference._keys
         if relations.ndim != 1 or np.any(relations[1:] <= relations[:-1]):
             raise ValueError("prototype relations must be strictly ascending ids")
         if vectors.ndim != 2 or vectors.shape[0] != relations.size:
@@ -334,7 +334,7 @@ def select_memory(
     ``encode_fn`` embeds one feature row at a time; ``run_task`` applies
     the same rule to one batched encoding of the task's training pool.
     """
-    if memory_size < 1:
+    if checked(memory_size, int, "memory_size") < 1:
         raise ValueError(f"memory_size must be >= 1, got {memory_size}")
     if len(samples_by_relation) == 0:
         raise ValueError("no relations to select memory from")

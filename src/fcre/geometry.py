@@ -1,18 +1,18 @@
 """Vector similarity primitives and the one ordering of relations.
 
-These are the one-vector primitives: memory selection and the
-per-query prediction heads call them, and they validate every input: an
-embedding is a finite, non-empty 1-D vector, and any operation that
-divides by a norm rejects zero-norm input with an error naming the
-offending argument.  The batched loss kernel and ``evaluate`` work on
-whole matrices instead and validate once, at the batch.  ``row_dots``
-and ``unit_rows`` are block forms with the bits that ``np.dot`` and
-``unit_normalize`` give each row alone, for the callers whose results
-must not depend on whether a vector is handled alone or in a block:
-data generation, description synthesis and memory selection.  ``_ranks``
-orders relations for ``rank_scores`` and both prediction heads, smaller
-key first and exact ties to the lower relation id.  All arithmetic is
-done in float64 regardless of the caller's storage dtype.
+The one-vector primitives validate every input: an embedding is a
+finite, non-empty 1-D vector, and an operation that divides by a norm
+rejects zero-norm input with an error naming the offending argument.
+``euclidean`` and ``cosine`` are the reference key forms that
+``tests/loop_reference.py`` scores with; no module of the package calls
+them, for the prediction heads take their keys, one row or a block, from
+``inference._keys``.  ``row_dots`` and ``unit_rows`` are block forms with
+the bits that ``np.dot`` and ``unit_normalize`` give each row alone, for
+the callers whose results must not depend on whether a vector is handled
+alone or in a block: data generation, description synthesis and memory
+selection.  ``_ranks`` orders relations for ``rank_scores`` and both
+heads, smaller key first and exact ties to the lower relation id.  All
+arithmetic is done in float64 regardless of the caller's storage dtype.
 """
 
 from __future__ import annotations

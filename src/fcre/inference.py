@@ -9,18 +9,17 @@ Two heads over the same frozen state:
   DRI(x, r) = alpha / (epsilon + rank_E(r)) + (1 - alpha) / (epsilon + rank_cos(r)).
 
 Both heads decide through one core, so exact ties go to the lower
-relation id everywhere: NCM takes the first argmin of its keys, and DRI
-ranks both channels with ``geometry._ranks`` and picks the first best
-column in ``_fuse``.  The per-query heads take their keys from
-``geometry.euclidean`` and ``geometry.cosine`` and are the reference for
-``evaluate``, which encodes each test pool once and scores it in passes
-of at most ``EVAL_BLOCK_ENTRIES`` (queries x relations) entries, with the
-key |p_r|^2 - 2 z . p_r (the squared distance less a per-query constant)
-and the cosines taken with ``einsum`` so that relations sharing a
-prototype or a mean description tie exactly.  Accuracy is reported
-cumulatively: after task j, every earlier task's test pool is scored
-against the full label space seen so far, and ACC_j is the unweighted
-mean of those per-task accuracies.
+relation id everywhere: their keys come from ``_keys``, NCM takes the
+first argmin, and DRI ranks both channels with ``geometry._ranks`` and
+picks the first best column in ``_fuse``.  ``evaluate`` scores each test
+pool, encoded once, in passes of at most ``EVAL_BLOCK_ENTRIES`` (queries
+x relations) entries, and the per-query heads are one-row calls of the
+same ``_keys``: a query gets the same key bits, so the same decision, in
+both, near-ties included.  Their reference is ``tests/loop_reference.py``,
+which scores relation by relation with ``geometry.euclidean`` and
+``geometry.cosine``.  Accuracy is reported cumulatively: after task j,
+every earlier task's test pool is scored against the full label space
+seen so far, and ACC_j is the unweighted mean of those accuracies.
 """
 
 from __future__ import annotations
@@ -35,7 +34,9 @@ import numpy as np
 
 from fcre.encoder import encode_batch
 from fcre.formats import _relation_id, _relation_items
-from fcre.geometry import _checked_scores, _ranks, as_embedding, cosine, euclidean
+from fcre.geometry import _checked_scores, _pair, _ranks, as_embedding
+# perfbench's tracer test reads ``inference.euclidean``; no code here calls it
+from fcre.geometry import euclidean  # noqa: F401
 from fcre.losses import HyperParams, _check_fusion_weights
 
 if TYPE_CHECKING:  # pragma: no cover - import would be circular at runtime
@@ -57,19 +58,63 @@ def check_heads(heads) -> None:
         raise ValueError(f"duplicate heads: {heads}")
 
 
-def _distances(z, prototypes) -> tuple[list[int], np.ndarray]:
-    """The ascending relation ids of ``prototypes`` and ``euclidean(z, p_r)`` for each."""
+def _means(relations: list[int], descriptions: "DescriptionSet") -> tuple:
+    """The (R, d) mean descriptions of exactly ``relations`` (ascending) and their norms."""
+    if tuple(relations) != descriptions.relations:
+        raise ValueError(
+            f"mismatched relation registries: prototypes cover {list(relations)} "
+            f"but descriptions cover {list(descriptions.relations)}"
+        )
+    means = descriptions.means
+    mean_norms = np.sqrt(np.einsum("rd,rd->r", means, means))
+    if np.any(mean_norms == 0.0):
+        raise ValueError("cosine undefined: second argument has zero norm")
+    return means, mean_norms
+
+
+def _keys(z, prototypes, proto_sq_norms, means) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (queries, R) keys of the query rows ``z``, the smaller ranked first, for both heads.
+
+    The distance key is |p_r|^2 - 2 z . p_r, the squared distance less
+    |z|^2, so in exact arithmetic it orders relations as the distance
+    does.  Given ``means`` (as ``_means`` returns them), the description
+    key is the negated clipped cosine of z and each mean, else None.
+    """
+    # einsum, not a matrix product: it sums every (q, r) entry in one
+    # order, so relations sharing a prototype or a mean description tie
+    # exactly, and a contiguous row gets the same bits alone as in a block.
+    key = proto_sq_norms[None, :] - 2.0 * np.einsum("qd,rd->qr", z, prototypes)
+    if means is None:
+        return key, None
+    means, mean_norms = means
+    z_norms = np.sqrt(np.einsum("qd,qd->q", z, z))
+    if np.any(z_norms == 0.0):
+        raise ValueError("cosine undefined: first argument has zero norm")
+    dots = np.einsum("qd,rd->qr", z, means)
+    return key, -np.clip(dots / (z_norms[:, None] * mean_norms[None, :]), -1.0, 1.0)
+
+
+def _query_keys(z, prototypes, descriptions: "DescriptionSet | None" = None) -> tuple:
+    """One query's ascending relation ids and its (1, R) ``_keys``; inputs checked by ``_pair``."""
     z = as_embedding(z, name="embedding")
     if len(prototypes) == 0:
         raise ValueError("prototype store is empty")
     items = _relation_items(prototypes)
-    return [r for r, _ in items], np.array([euclidean(z, p) for _, p in items])
+    relations = [r for r, _ in items]
+    vectors = np.array([_pair(z, p)[1] for _, p in items])
+    means = None
+    if descriptions is not None:
+        means = _means(relations, descriptions)
+        for mean in means[0]:
+            _pair(z, mean)
+    # a contiguous row, as evaluate's are: einsum's summation order follows the strides
+    return relations, *_keys(np.array([z]), vectors, np.einsum("rd,rd->r", vectors, vectors), means)
 
 
 def ncm_predict(z, prototypes) -> int:
-    """Nearest-class-mean prediction: the first argmin of the distances, ties to the lower id."""
-    relations, distances = _distances(z, prototypes)
-    return relations[int(np.argmin(distances))]
+    """Nearest-class-mean prediction: the first argmin of the keys, ties to the lower id."""
+    relations, key, _ = _query_keys(z, prototypes)
+    return relations[int(np.argmin(key[0]))]
 
 
 def _fuse(e_keys: np.ndarray, c_keys: np.ndarray, alpha: float, epsilon: float) -> tuple:
@@ -86,38 +131,28 @@ def _fuse(e_keys: np.ndarray, c_keys: np.ndarray, alpha: float, epsilon: float) 
     return fused, np.argmax(fused, axis=1)
 
 
-def _fuse_one(relations, e_keys, c_relations, c_keys, alpha, epsilon) -> tuple[np.ndarray, int]:
-    """``_fuse`` of one query's keys, once the weights and the two channels' ids are checked."""
+def dri_predict_from_scores(
+    e_scores: Mapping[int, float], c_scores: Mapping[int, float], alpha: float, epsilon: float
+) -> int:
+    """DRI prediction from two score tables (higher scores rank first); ties go to the lower id."""
+    e, c = _checked_scores(e_scores), _checked_scores(c_scores)
     _check_fusion_weights(alpha, epsilon)
+    relations, c_relations = sorted(e), sorted(c)
     if relations != c_relations:
         raise ValueError(
             "mismatched relation registries: prototype scores cover "
             f"{relations} but description scores cover {c_relations}"
         )
-    fused, best = _fuse(np.array([e_keys]), np.array([c_keys]), alpha, epsilon)
-    return fused[0], int(best[0])
-
-
-def dri_predict_from_scores(
-    e_scores: Mapping[int, float],
-    c_scores: Mapping[int, float],
-    alpha: float,
-    epsilon: float,
-) -> int:
-    """DRI prediction from two score tables (higher scores rank first); ties go to the lower id."""
-    e, c = _checked_scores(e_scores), _checked_scores(c_scores)
-    relations, c_relations = sorted(e), sorted(c)
-    e_keys, c_keys = [-e[r] for r in relations], [-c[r] for r in c_relations]
-    return relations[_fuse_one(relations, e_keys, c_relations, c_keys, alpha, epsilon)[1]]
+    keys = -np.array([[e[r] for r in relations], [c[r] for r in relations]])
+    return relations[int(_fuse(keys[:1], keys[1:], alpha, epsilon)[1][0])]
 
 
 def _dri(z, prototypes, descriptions: "DescriptionSet", alpha, epsilon):
-    """One query's ascending relation ids, their DRI and its best column, from ``_fuse_one``."""
-    relations, distances = _distances(z, prototypes)
-    c_keys = [-cosine(z, m) for m in descriptions.means]
-    return relations, *_fuse_one(
-        relations, distances, list(descriptions.relations), c_keys, alpha, epsilon
-    )
+    """One query's ascending relation ids, its DRI row and the row's best column."""
+    _check_fusion_weights(alpha, epsilon)
+    relations, e_keys, c_keys = _query_keys(z, prototypes, descriptions)
+    fused, best = _fuse(e_keys, c_keys, alpha, epsilon)
+    return relations, fused[0], int(best[0])
 
 
 def dri_score(
@@ -246,34 +281,14 @@ EVAL_BLOCK_ENTRIES = 4_096
 
 
 def _predict_block(
-    z: np.ndarray,
-    prototypes: np.ndarray,
-    proto_sq_norms: np.ndarray,
-    means: np.ndarray | None,
-    mean_norms: np.ndarray | None,
-    hp: HyperParams,
+    z: np.ndarray, prototypes: np.ndarray, proto_sq_norms: np.ndarray, means, hp: HyperParams
 ) -> dict[str, np.ndarray]:
-    """Column index of the predicted relation for each query row, per head.
-
-    Both heads read one (queries, R) key matrix (see ``evaluate``): NCM
-    takes its first argmin, and DRI (present when ``means`` is given)
-    fuses it with the negated description cosines in ``_fuse``, as the
-    per-query heads do.
-    """
-    # einsum, not a matrix product, in both channels: it sums every (q, r)
-    # entry in the same order, so two relations with one prototype, or one
-    # mean description, get the same bits and still tie exactly;
-    # ``z @ prototypes.T`` may round them apart.
-    key = proto_sq_norms[None, :] - 2.0 * np.einsum("qd,rd->qr", z, prototypes)
-    predictions = {"ncm": np.argmin(key, axis=1)}
-    if means is None:
-        return predictions
-    z_norms = np.sqrt(np.einsum("qd,qd->q", z, z))
-    if np.any(z_norms == 0.0):
-        raise ValueError("cosine undefined: first argument has zero norm")
-    dots = np.einsum("qd,rd->qr", z, means)
-    cos = np.clip(dots / (z_norms[:, None] * mean_norms[None, :]), -1.0, 1.0)
-    predictions["dri"] = _fuse(key, -cos, hp.alpha, hp.epsilon)[1]
+    """Per head, the column of each query row's predicted relation, from the rows' ``_keys``:
+    NCM's first argmin and, given ``means``, DRI's ``_fuse``, as the per-query heads decide."""
+    e_keys, c_keys = _keys(z, prototypes, proto_sq_norms, means)
+    predictions = {"ncm": np.argmin(e_keys, axis=1)}
+    if c_keys is not None:
+        predictions["dri"] = _fuse(e_keys, c_keys, hp.alpha, hp.epsilon)[1]
     return predictions
 
 
@@ -287,16 +302,11 @@ def evaluate(
     grows.  Each pool is encoded once, whole (the encoder's transients,
     n x (hidden + d) floats for n queries, grow with the pool), and
     scored in passes of ``max(1, EVAL_BLOCK_ENTRIES // R)`` queries,
-    which bound the scoring transients; every head scores a
-    pass from one (queries, R) key matrix against the (R, d) matrix of
-    ``state.prototypes``,
-    key[q, r] = |p_r|^2 - 2 z_q . p_r: the squared distance less the
-    per-query constant |z_q|^2, so in exact arithmetic it orders the
-    relations as the distance does.  DRI also reads the (R, d) matrix of
-    mean descriptions that ``state.descriptions`` holds.  Exact ties go to
-    the lower relation id in both heads and both rank channels, as in
-    ``ncm_predict`` and ``dri_predict``.  Returns one row per head, in the
-    order of ``heads``.
+    which bound the scoring transients; every head scores a pass from the
+    ``_keys`` of its rows against ``state.prototypes`` and, for DRI, the
+    mean descriptions of ``state.descriptions``.  So each query gets the
+    decision that ``ncm_predict`` and ``dri_predict`` give it, exact ties
+    to the lower id.  Returns one row per head, in the order of ``heads``.
     The result is a pure fold over the test pools: sample order cannot
     affect it.
     """
@@ -307,18 +317,8 @@ def evaluate(
     relations, prototypes = state.prototypes.relations, state.prototypes.vectors
     if relations.size == 0:
         raise ValueError("prototype store is empty")
-    if "dri" in heads and tuple(relations.tolist()) != state.descriptions.relations:
-        raise ValueError(
-            "mismatched relation registries: prototypes cover "
-            f"{relations.tolist()} but descriptions cover {list(state.descriptions.relations)}"
-        )
+    means = _means(relations.tolist(), state.descriptions) if "dri" in heads else None
     proto_sq_norms = np.einsum("rd,rd->r", prototypes, prototypes)
-    means = mean_norms = None
-    if "dri" in heads:
-        means = state.descriptions.means
-        mean_norms = np.sqrt(np.einsum("rd,rd->r", means, means))
-        if np.any(mean_norms == 0.0):
-            raise ValueError("cosine undefined: second argument has zero norm")
     block = max(1, EVAL_BLOCK_ENTRIES // relations.size)
     acc_per_task: dict[str, dict[int, float]] = {head: {} for head in heads}
     for i in range(1, through_task + 1):
@@ -327,9 +327,7 @@ def evaluate(
         embedded = encode_batch(state.encoder, task.test_x)
         for start in range(0, task.test_y.size, block):
             rows = slice(start, start + block)
-            predictions = _predict_block(
-                embedded[rows], prototypes, proto_sq_norms, means, mean_norms, hp
-            )
+            predictions = _predict_block(embedded[rows], prototypes, proto_sq_norms, means, hp)
             for head in hits:
                 pred = relations[predictions[head]]
                 hits[head] += int(np.count_nonzero(pred == task.test_y[rows]))

@@ -459,7 +459,6 @@ class _Kernel:
             return _Term(np.zeros(a.size), grad, lay.no_pair, np.zeros(a.size, dtype=bool))
         diff = z[rows][:, None, :] - z[None, :, :]  # (rows, B, d), the kernel's largest transient
         dist = np.sqrt(np.einsum("abk,abk->ab", diff, diff))
-        del diff
         # (2, rows): p*, the farthest positive, and n*, the nearest negative
         # as the farthest of -dist; argmax takes the lowest index on ties
         key = dist * lay.sign
@@ -478,7 +477,7 @@ class _Kernel:
         # selected pair of a live anchor receives gradient, along
         # d||a - b||/da = (a - b) / ||a - b||, taken as zero where a == b
         coeff = np.where(live, -lay.sign[:, :, 0] * e / arg, 0.0)
-        diff_star = z[rows] - z[star]  # (2, rows, d), the rows of diff at p* and n*
+        diff_star = diff[a, star]  # (2, rows, d): z[rows] - z[star], the rows at p* and n*
         unit = np.zeros(diff_star.shape)
         np.divide(diff_star, d_star[:, :, None], out=unit, where=d_star[:, :, None] != 0.0)
         g = coeff[:, :, None] * unit

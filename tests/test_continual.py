@@ -146,6 +146,19 @@ class TestTaskValidation:
         with pytest.raises(ValueError, match=pattern):
             Task(1, np.ones((2, 3)), train_y, np.ones((2, 3)), test_y)
 
+    @pytest.mark.parametrize("labels, shown", [([True, 2], "True"), ([3, np.False_], "np.False_")])
+    def test_a_bool_among_integer_labels_is_rejected(self, labels, shown):
+        # [True, 2] was stored as labels [1, 2]; a memory append and a Batch read it alike
+        x = np.ones((2, 3))
+        for name, build in (
+            ("train_y", lambda: Task(1, x, labels, x, [1, 2])),
+            ("test_y", lambda: Task(1, x, [1, 2], x, labels)),
+            ("memory labels", lambda: MemoryBuffer(2).append(x[:, :2], labels)),
+            ("labels", lambda: losses.Batch(z=np.eye(2), labels=labels, descriptions=np.ones((2, 1, 2)))),
+        ):
+            with pytest.raises(ValueError, match=rf"^{name} must hold integers, got {shown}$"):
+                build()
+
     def test_integers_of_any_width_accepted(self):
         task = Task(
             1,
@@ -390,6 +403,11 @@ class TestSelectMemory:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="memory_size"):
             select_memory({0: np.ones((1, 2))}, lambda r: r, 0)
+        # 1.5 kept two rows per relation and True one; "2" raised a TypeError
+        for size, shown in ((1.5, r"1\.5"), (True, "True"), ("2", "'2'")):
+            with pytest.raises(ValueError, match=rf"^memory_size must be an integer, got {shown}$"):
+                select_memory({0: np.ones((3, 2))}, lambda r: r, size)
+        assert select_memory({0: np.eye(3)}, lambda r: r, np.int64(2))[0].shape == (2, 3)
         with pytest.raises(ValueError, match="no relations"):
             select_memory({}, lambda r: r, 1)
 

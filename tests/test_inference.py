@@ -21,7 +21,6 @@ from fcre.geometry import _ranks, rank_scores
 from fcre.inference import (
     MetricsReport,
     TaskAccuracy,
-    _distances,
     _fuse,
     evaluate,
     dri_predict,
@@ -84,12 +83,6 @@ class TestNcmPredict:
 
 
 class TestScoreTables:
-    def test_distances_are_euclidean_in_ascending_id_order(self):
-        protos = {1: np.array([3.0, 4.0]), 0: np.zeros(2)}
-        relations, distances = _distances(np.zeros(2), protos)
-        assert relations == [0, 1]
-        np.testing.assert_array_equal(distances, [0.0, 5.0])
-
     def test_description_channel_uses_mean_vector(self):
         # relation 0's mean [0.5, 0.5] points at z, though neither of its
         # descriptions is as close to z as relation 1's
@@ -617,6 +610,65 @@ class TestBatchedEvaluate:
             finally:
                 tracemalloc.stop()
             assert peak < 1_000_000, f"evaluate[{head}] peaked at {peak} bytes"
+
+
+def reflection(v, normal):
+    """``v`` reflected through the hyperplane through the origin with unit ``normal``."""
+    return v - 2.0 * np.dot(v, normal) * normal
+
+
+def reflected_state(rng):
+    """A one-query state whose query lies within rounding of a tie in both channels.
+
+    The query's embedding z is nearest to relation 0's prototype p0 and
+    to relation 1's, p0 reflected through a random hyperplane through z;
+    relation 1's mean description is relation 0's reflected through a
+    random hyperplane through the origin and z, so the two cosines with z
+    tie too.  Both reflections are offset by noise of about 1e-15, and
+    two farther relations take random rows.  So the two channels' best
+    keys agree only up to rounding, and the form of the key decides.
+    About half the states get their prototypes in column-major order,
+    whose einsum keys would round differently were they not stored contiguous.
+    Returns the state, its one query's features and their embedding.
+    """
+    dim = int(rng.integers(2, 33))
+    state = fresh_state(feature_dim=dim, hidden_dim=6, embed_dim=dim)
+    x = rng.normal(size=(1, dim))
+    (z,) = encode_batch(state.encoder, x)
+    u = unit(rng.normal(size=dim))
+    p0 = z + 0.1 * rng.normal(size=dim)
+    p1 = z + reflection(p0 - z, u) + 1e-15 * rng.normal(size=dim)
+    v = rng.normal(size=dim)
+    v = unit(v - np.dot(v, z) / np.dot(z, z) * z)  # orthogonal to z
+    m0 = z + 0.1 * rng.normal(size=dim)
+    m1 = reflection(m0, v) + 1e-15 * rng.normal(size=dim)
+    relations = np.arange(4)
+    vectors = np.stack([p0, p1, *rng.normal(size=(2, dim))])
+    state.prototypes = Prototypes(relations, np.asfortranarray(vectors) if rng.random() < 0.5 else vectors)
+    means = np.stack([m0, m1, *rng.normal(size=(2, dim))])
+    state.descriptions = DescriptionSet({int(r): m[None, :] for r, m in zip(relations, means)})
+    return state, x, z
+
+
+class TestReflectedNearTies:
+    """``evaluate`` and the per-query heads take their keys from one ``_keys``,
+    so they decide a near-tie alike, whichever way the rounding goes."""
+
+    def test_evaluate_matches_the_per_query_heads(self):
+        rng = np.random.default_rng(2025)
+        disagree = {"ncm": 0, "dri": 0}
+        for _ in range(1_000):
+            state, x, z = reflected_state(rng)
+            protos = dict(zip(state.prototypes.relations.tolist(), state.prototypes.vectors))
+            z = np.repeat(z, 2)[::2]  # a strided view: the heads take any 1-D vector
+            ncm = ncm_predict(z, protos)
+            dri = dri_predict(z, protos, state.descriptions, HP.alpha, HP.epsilon)
+            # task 1 is labelled with NCM's prediction, task 2 with DRI's
+            state.completed_tasks = [Task(1, x, [ncm], x, [ncm]), Task(2, x, [dri], x, [dri])]
+            rows = evaluate(state, 2, ("ncm", "dri"), HP)
+            disagree["ncm"] += rows[0].acc_per_task[1] != 1.0
+            disagree["dri"] += rows[1].acc_per_task[2] != 1.0
+        assert disagree == {"ncm": 0, "dri": 0}
 
 
 class TestRanks:

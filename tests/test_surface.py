@@ -186,3 +186,21 @@ def test_config_types_are_frozen_and_check_themselves(config_type):
     config = config_type()
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(config, dataclasses.fields(config)[0].name, None)
+
+
+def key_calls(source: str) -> list[str]:
+    """Each call of ``euclidean`` or ``cosine``, by name or as an attribute, by line."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("euclidean", "cosine"):
+                calls.append(f"{name}, line {node.lineno}")
+    return calls
+
+
+def test_only_geometry_calls_the_one_vector_key_forms():
+    """Both heads take their keys from ``inference._keys``: no module keeps a second key path."""
+    found = {path.stem: key_calls(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {stem: calls for stem, calls in found.items() if calls and stem != "geometry"} == {}
