@@ -8,7 +8,8 @@ seeds enter the hash, so a seed writes the same directory whichever
 seed list ran it.  ``config.json`` is written before the first task,
 each checkpoint after its task and ``metrics.csv`` last, each through a
 temporary file renamed into place, so a failed run leaves whole files.
-Re-running the same config and seed rewrites the same directory with
+``config.json`` holds the config with the run's seed alone, so ``fcre
+run --config <run-dir>/config.json`` rewrites the same directory with
 byte-identical contents.  Seeds are independent replicates, run one
 after another; several ``fcre run --seed N`` into one ``--out``, one
 per core, followed by ``fcre report``, spread them over cores.
@@ -18,7 +19,6 @@ nests, so the commands take the configs they are given as valid.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import hashlib
 import io
@@ -264,15 +264,13 @@ def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
     run_dir = Path(config.out_dir) / run_id(config, seed)
     checkpoints = run_dir / "checkpoints"
     checkpoints.mkdir(parents=True, exist_ok=True)
-    resolved = config_to_dict(config)
-    resolved["seeds"] = [seed]
-    resolved["seed"] = seed
+    resolved = config_to_dict(replace(config, seeds=(seed,)))
     write_atomic(run_dir / "config.json", json.dumps(resolved, sort_keys=True, indent=2) + "\n")
     for task in stream.tasks:
         run_task(state, task, descriptions, config.hyper, heads=config.heads)
         write_checkpoint(checkpoints / f"task_{task.index:02d}.json", state)
         logger.info("seed %d: finished task %d/%d", seed, task.index, stream.n_tasks)
-    write_atomic(run_dir / "metrics.csv", state.report.to_csv(n_tasks=stream.n_tasks))
+    write_atomic(run_dir / "metrics.csv", state.report.to_csv())
     summary = {"seed": seed, "run_dir": str(run_dir), "final": {}, "drop": {}}
     for head in config.heads:
         rows = state.report.head_rows(head)
@@ -408,6 +406,7 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, so importing the library does not load it
     parser = argparse.ArgumentParser(
         prog="fcre",
         description="Few-shot continual classification experiments.",

@@ -186,6 +186,8 @@ class MemoryBuffer:
     """
 
     def __init__(self, feature_dim: int) -> None:
+        if checked(feature_dim, int, "feature_dim") < 1:
+            raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
         self.features = np.zeros((0, feature_dim))
         self.labels = np.zeros(0, dtype=np.int64)
 
@@ -234,10 +236,10 @@ class Prototypes:
         vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)  # see inference._keys
         if relations.ndim != 1 or np.any(relations[1:] <= relations[:-1]):
             raise ValueError("prototype relations must be strictly ascending ids")
-        if vectors.ndim != 2 or vectors.shape[0] != relations.size:
+        if vectors.ndim != 2 or vectors.shape[0] != relations.size or vectors.shape[1] < 1:
             raise ValueError(
-                f"expected one prototype row per relation, got shape {vectors.shape} "
-                f"for {relations.size} relations"
+                f"expected one prototype row per relation, of width >= 1, got shape "
+                f"{vectors.shape} for {relations.size} relations"
             )
         if not np.all(np.isfinite(vectors)):
             raise ValueError("prototypes contain non-finite entries")
@@ -385,8 +387,8 @@ def _train(
     hp: HyperParams,
     epochs: int,
     *,
-    task_index: int = 0,
-    phase: str = "current",
+    task_index: int,
+    phase: str,
 ) -> None:
     """Train on one pool of checked rows for ``epochs`` epochs.
 

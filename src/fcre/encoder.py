@@ -269,7 +269,7 @@ class AdamState:
     v: np.ndarray
 
 
-def init_adam(n_params: int, learning_rate: float = 1e-3) -> AdamState:
+def init_adam(n_params: int, learning_rate: float) -> AdamState:
     if checked(n_params, int, "n_params") < 1:
         raise ValueError(f"n_params must be >= 1, got {n_params}")
     if not learning_rate > 0.0:

@@ -15,11 +15,12 @@ picks the first best column in ``_fuse``.  ``evaluate`` scores each test
 pool, encoded once, in passes of at most ``EVAL_BLOCK_ENTRIES`` (queries
 x relations) entries, and the per-query heads are one-row calls of the
 same ``_keys``: a query gets the same key bits, so the same decision, in
-both, near-ties included.  Their reference is ``tests/loop_reference.py``,
-which scores relation by relation with ``geometry.euclidean`` and
-``geometry.cosine``.  Accuracy is reported cumulatively: after task j,
-every earlier task's test pool is scored against the full label space
-seen so far, and ACC_j is the unweighted mean of those accuracies.
+both, near-ties included; they check the means' width once, as
+``DescriptionSet`` checked each mean.  Their reference, in
+``tests/loop_reference.py``, scores relation by relation with
+``geometry.euclidean`` and ``geometry.cosine``.  Accuracy is cumulative:
+after task j, every earlier task's test pool is scored against the full
+label space seen so far, and ACC_j is the mean of those accuracies.
 """
 
 from __future__ import annotations
@@ -105,8 +106,7 @@ def _query_keys(z, prototypes, descriptions: "DescriptionSet | None" = None) -> 
     means = None
     if descriptions is not None:
         means = _means(relations, descriptions)
-        for mean in means[0]:
-            _pair(z, mean)
+        _pair(z, means[0][0])  # the registry's rows share one width and were checked when filled
     # a contiguous row, as evaluate's are: einsum's summation order follows the strides
     return relations, *_keys(np.array([z]), vectors, np.einsum("rd,rd->r", vectors, vectors), means)
 
@@ -201,12 +201,10 @@ class MetricsReport:
             raise ValueError(f"no rows recorded for head {head!r}")
         return rows[0].acc_avg - rows[-1].acc_avg
 
-    def n_tasks(self) -> int:
-        return max((r.task_index for r in self.rows), default=0)
-
-    def to_csv(self, n_tasks: int | None = None) -> str:
-        """Render all rows; float cells use repr so reruns are byte-identical."""
-        total = n_tasks if n_tasks is not None else self.n_tasks()
+    def to_csv(self) -> str:
+        """Render all rows, with one accuracy column per task up to the last the rows name;
+        float cells use repr so reruns are byte-identical."""
+        total = max((max([r.task_index, *r.acc_per_task]) for r in self.rows), default=0)
         buf = io.StringIO()
         writer = csv.writer(buf)
         header = ["task", "head", "acc_avg"]
@@ -311,8 +309,7 @@ def evaluate(
     affect it.
     """
     check_heads(heads)
-    done = {t.index: t for t in state.completed_tasks}
-    if through_task < 1 or through_task > max(done, default=0):
+    if not 1 <= through_task <= len(state.completed_tasks):
         raise ValueError(f"through_task {through_task} has not been completed")
     relations, prototypes = state.prototypes.relations, state.prototypes.vectors
     if relations.size == 0:
@@ -321,8 +318,7 @@ def evaluate(
     proto_sq_norms = np.einsum("rd,rd->r", prototypes, prototypes)
     block = max(1, EVAL_BLOCK_ENTRIES // relations.size)
     acc_per_task: dict[str, dict[int, float]] = {head: {} for head in heads}
-    for i in range(1, through_task + 1):
-        task = done[i]
+    for task in state.completed_tasks[:through_task]:  # run_task keeps them in index order
         hits = dict.fromkeys(heads, 0)
         embedded = encode_batch(state.encoder, task.test_x)
         for start in range(0, task.test_y.size, block):
@@ -332,7 +328,7 @@ def evaluate(
                 pred = relations[predictions[head]]
                 hits[head] += int(np.count_nonzero(pred == task.test_y[rows]))
         for head, count in hits.items():
-            acc_per_task[head][i] = count / len(task.test_y)
+            acc_per_task[head][task.index] = count / len(task.test_y)
     return [
         TaskAccuracy(
             task_index=through_task,

@@ -347,9 +347,29 @@ class TestRunCommand:
             report = MetricsReport.from_csv(fh.read())
         assert len(report.rows) == 4  # 2 tasks x 2 heads
         saved = json.loads((run_dir / "config.json").read_text())
-        assert saved["seed"] == 0
+        assert saved["seeds"] == [0] and "seed" not in saved
         out = capsys.readouterr().out
         assert "seed 0:" in out and "aggregate" in out
+
+    def test_a_run_replays_from_its_own_config_json(self, tmp_path):
+        # config.json once held the seed twice, as "seeds" and "seed", and
+        # load_config rejected the second as an unknown key
+        config = tiny_config(out_dir=str(tmp_path / "runs"))
+        assert self.run_main(tmp_path, config) == 0
+        run_dir = tmp_path / "runs" / run_id(config, 0)
+        first, inode = _tree(run_dir), (run_dir / "metrics.csv").stat().st_ino
+        assert main(["run", "--config", str(run_dir / "config.json")]) == 0
+        assert _tree(run_dir) == first
+        assert (run_dir / "metrics.csv").stat().st_ino != inode  # written again, not left alone
+        other = tmp_path / "other"
+        assert main(["run", "--config", str(run_dir / "config.json"), "--out", str(other)]) == 0
+        assert [d.name for d in other.iterdir()] == [run_dir.name]
+        moved = _tree(other / run_dir.name)
+        assert moved.keys() == first.keys()
+        assert all(moved[name] == first[name] for name in first if name != "config.json")
+        old, new = (json.loads(tree["config.json"]) for tree in (first, moved))
+        assert (old.pop("out_dir"), new.pop("out_dir")) == (str(tmp_path / "runs"), str(other))
+        assert new == old
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = tiny_config(out_dir=str(tmp_path / "runs"))
@@ -380,7 +400,7 @@ class TestRunCommand:
         assert [d.name for d in dirs] == sorted(run_id(config, seed) for seed in (0, 1))
         assert {name: both[name] for name in first} == first
         saved = json.loads((tmp_path / "runs" / run_id(config, 1) / "config.json").read_text())
-        assert (saved["seeds"], saved["seed"]) == ([1], 1)
+        assert saved["seeds"] == [1] and "seed" not in saved
         capsys.readouterr()
         assert cmd_report([str(d) for d in dirs], None) == 0
         assert "aggregated 2 run(s):" in capsys.readouterr().out
@@ -600,13 +620,13 @@ class TestArtifactWrites:
         run_dir = tmp_path / "runs" / run_id(config, 0)
         files = sorted(str(p.relative_to(run_dir)) for p in run_dir.rglob("*") if p.is_file())
         assert files == ["checkpoints/task_01.json", "config.json"]
-        assert json.loads((run_dir / "config.json").read_text())["seed"] == 0
+        assert json.loads((run_dir / "config.json").read_text())["seeds"] == [0]
 
     def test_artifacts_keep_their_bytes(self, tmp_path):
         config = tiny_config(out_dir=str(tmp_path / "runs"))
         run_single_seed(config, 0)
         run_dir = tmp_path / "runs" / run_id(config, 0)
-        resolved = {**config_to_dict(config), "seed": 0}
+        resolved = config_to_dict(dataclasses.replace(config, seeds=(0,)))
         expected = json.dumps(resolved, sort_keys=True, indent=2) + "\n"
         assert (run_dir / "config.json").read_bytes() == expected.encode("utf-8")
         assert sorted(p.name for p in run_dir.iterdir()) == ["checkpoints", "config.json", "metrics.csv"]
@@ -643,8 +663,8 @@ class TestArtifactWrites:
 class TestImportFootprint:
     def test_a_serial_run_loads_neither_numpy_ma_nor_multiprocessing(self, tmp_path):
         # numpy.ma (pulled in by np.unique and friends) adds about 1.3 MB to
-        # a run's peak memory, and nothing needs multiprocessing; both stay
-        # out of a plain import and a run
+        # a run's peak memory, nothing needs multiprocessing, and only main
+        # parses arguments; all three stay out of a plain import and a run
         config = tiny_config(out_dir=str(tmp_path / "runs"))
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config_to_dict(config)))
@@ -666,5 +686,5 @@ class TestImportFootprint:
         )
         loaded = set(json.loads(done.stdout.splitlines()[-1]))
         assert "fcre.continual" in loaded
-        for name in ("numpy.ma", "concurrent.futures.process", "multiprocessing"):
+        for name in ("numpy.ma", "concurrent.futures.process", "multiprocessing", "argparse"):
             assert name not in loaded, name

@@ -268,6 +268,20 @@ class TestMemoryBuffer:
         buf.append(np.ones((2, 2)), np.array([4, 1], dtype=np.uint8))
         assert buf.labels.dtype == np.int64 and buf.relations == (4, 1)
 
+    @pytest.mark.parametrize(
+        "feature_dim, message",
+        [
+            (0, r"^feature_dim must be >= 1, got 0$"),  # was accepted
+            (-1, r"^feature_dim must be >= 1, got -1$"),  # NumPy's negative-dimensions error
+            (2.5, r"^feature_dim must be an integer, got 2\.5$"),  # NumPy's TypeError
+            (True, r"^feature_dim must be an integer, got True$"),
+        ],
+    )
+    def test_feature_dim_is_checked(self, feature_dim, message):
+        with pytest.raises(ValueError, match=message):
+            MemoryBuffer(feature_dim)
+        assert MemoryBuffer(np.int64(3)).features.shape == (0, 3)
+
     def test_insertion_order_preserved(self):
         buf = MemoryBuffer(2)
         buf.append(np.ones((1, 2)), [5])
@@ -445,6 +459,9 @@ class TestBuildPrototypes:
                 Prototypes(np.array(relations), np.ones((2, 2)))
         with pytest.raises(ValueError, match="one prototype row per relation"):
             Prototypes(np.array([1, 3]), np.ones((3, 2)))
+        for relations in ([1, 2], []):  # zero-width rows were accepted
+            with pytest.raises(ValueError, match=r"of width >= 1, got shape \(\d, 0\)"):
+                Prototypes(np.array(relations, dtype=np.int64), np.zeros((len(relations), 0)))
         with pytest.raises(ValueError, match="memory is empty"):
             build_prototypes(MemoryBuffer(2), lambda rows: rows)
 
@@ -510,7 +527,7 @@ class TestTrainDescriptionTable:
         built = record_layouts(monkeypatch)
         monkeypatch.setattr(continual, "_epoch_batches", drawing)
         x = np.random.default_rng(1).normal(size=(labels.size, 6))
-        _train(state, x, labels, HP, 2)
+        _train(state, x, labels, HP, 2, task_index=1, phase="current")
         seen = [(labels[idx], layout.class_desc[layout.class_of])
                 for idx, layout in zip(batches, built, strict=True)]
         return state.descriptions, seen
@@ -532,7 +549,7 @@ class TestTrainDescriptionTable:
         labels = np.array([2, 9, 12, 2, 9, 12])
         x = np.random.default_rng(1).normal(size=(labels.size, 6))
         with pytest.raises(KeyError, match=r"^'unknown relation 12'$"):
-            _train(state, x, labels, HP, 1)
+            _train(state, x, labels, HP, 1, task_index=1, phase="current")
         np.testing.assert_array_equal(state.encoder.to_vector(), before)
 
     def test_a_one_sample_pool_warns_and_trains_nothing(self, caplog):
@@ -542,7 +559,7 @@ class TestTrainDescriptionTable:
         before = [encoder.to_vector(), bilinear.matrix, optimizer.m, optimizer.v]
         before = [a.copy() for a in before]
         with caplog.at_level(logging.WARNING, logger="fcre.continual"):
-            _train(state, np.ones((1, 6)), np.array([2]), HP, 3)
+            _train(state, np.ones((1, 6)), np.array([2]), HP, 3, task_index=1, phase="current")
         assert "training pool has a single sample; nothing to contrast, skipping" in caplog.messages
         assert state.encoder is encoder and state.bilinear is bilinear and state.optimizer is optimizer
         after = [encoder.to_vector(), bilinear.matrix, optimizer.m, optimizer.v]
@@ -815,7 +832,7 @@ class TestTrainingLayouts:
         state.descriptions = make_descriptions([0, 1], 4)
         labels = np.array([0, 1] * (n_rows // 2))
         x = np.random.default_rng(1).normal(size=(n_rows, 6))
-        _train(state, x, labels, HP, epochs)
+        _train(state, x, labels, HP, epochs, task_index=1, phase="current")
         return built, used
 
     def test_a_full_batch_pool_builds_one_layout_for_every_epoch(self, monkeypatch):
@@ -845,7 +862,7 @@ class TestTrainingLayouts:
         x = np.random.default_rng(1).normal(size=(20, 6))
         gc.disable()
         try:
-            _train(state, x, labels, HP, 3)
+            _train(state, x, labels, HP, 3, task_index=1, phase="current")
             assert len(layouts) == 3
             assert all(ref() is None for ref in layouts)
         finally:
@@ -858,11 +875,11 @@ class TestTrainingLayouts:
         state.descriptions = make_descriptions([0, 1], 4)
         labels = np.array([0, 1] * 10)
         x = np.random.default_rng(1).normal(size=(20, 6))
-        _train(state, x, labels, HP, 2)
+        _train(state, x, labels, HP, 2, task_index=1, phase="current")
         encoder, bilinear, optimizer = state.encoder, state.bilinear, state.optimizer
         kept = [a.copy() for a in (encoder.w1, encoder.b1, encoder.w2, encoder.b2, bilinear.matrix)]
         kept_moments = optimizer.m.copy(), optimizer.v.copy(), optimizer.step_count
-        _train(state, x, labels, HP, 2)
+        _train(state, x, labels, HP, 2, task_index=1, phase="current")
         assert state.optimizer.step_count == kept_moments[2] + 2
         assert not np.array_equal(state.encoder.to_vector(), encoder.to_vector())
         for now, then in zip((encoder.w1, encoder.b1, encoder.w2, encoder.b2, bilinear.matrix), kept):

@@ -227,7 +227,7 @@ class TestInit:
             (lambda rng: init_encoder(3, 2.5, 2, rng), r"^hidden_dim must be an integer, got 2\.5$"),
             (lambda rng: init_encoder(True, 3, 2, rng), r"^feature_dim must be an integer, got True$"),
             (lambda rng: init_bilinear(2.5, rng), r"^embed_dim must be an integer, got 2\.5$"),
-            (lambda rng: init_adam(2.5), r"^n_params must be an integer, got 2\.5$"),
+            (lambda rng: init_adam(2.5, learning_rate=1e-3), r"^n_params must be an integer, got 2\.5$"),
         ],
     )
     def test_bad_dims_rejected(self, init, pattern):
@@ -238,7 +238,7 @@ class TestInit:
         a = init_encoder(np.int64(6), np.int32(5), np.uint8(4), np.random.default_rng(1))
         b = init_encoder(6, 5, 4, np.random.default_rng(1))
         assert np.array_equal(a.to_vector(), b.to_vector())
-        assert init_adam(np.int64(3)).m.shape == (3,)
+        assert init_adam(np.int64(3), learning_rate=1e-3).m.shape == (3,)
 
     def test_bilinear_starts_near_identity(self):
         w = init_bilinear(8, np.random.default_rng(42))
@@ -305,7 +305,7 @@ class TestAdam:
             assert opt.step_count == in_place.step_count == ref[3]
 
     def test_in_place_update_rejects_a_non_finite_gradient_before_any_change(self):
-        opt = init_adam(2)
+        opt = init_adam(2, learning_rate=1e-3)
         params = np.array([1.0, 2.0])
         with pytest.raises(ValueError, match="^gradient contains non-finite entries$"):
             _adam(opt, params, np.array([1.0, np.nan]), np.empty((2, 2)))
@@ -320,12 +320,12 @@ class TestAdam:
         assert np.array_equal(opt.m, np.zeros(2))
 
     def test_shape_mismatch_rejected(self):
-        opt = init_adam(3)
+        opt = init_adam(3, learning_rate=1e-3)
         with pytest.raises(ValueError, match="match optimizer size"):
             step(opt, np.zeros(2), np.zeros(2))
 
     def test_non_finite_gradient_rejected(self):
-        opt = init_adam(2)
+        opt = init_adam(2, learning_rate=1e-3)
         with pytest.raises(ValueError, match="non-finite"):
             step(opt, np.zeros(2), np.array([1.0, float("inf")]))
 

@@ -372,7 +372,7 @@ class TestTrainingStep:
         got, want = init_state(6, 8, 4, hp, n), init_state(6, 8, 4, hp, n)
         got.descriptions = want.descriptions = descriptions
         for _ in range(2):  # the second phase starts from the first one's optimizer
-            _train(got, features, labels, hp, epochs)
+            _train(got, features, labels, hp, epochs, task_index=1, phase="current")
             encoder, w, optimizer = ref.train(want, features, labels, hp, epochs)
             want.encoder, want.bilinear, want.optimizer = encoder, BilinearForm(w), optimizer
         assert same_bits(got.encoder.to_vector(), want.encoder.to_vector())

@@ -179,7 +179,7 @@ class TestConfigJson:
 
 @st.composite
 def reports(draw):
-    """A report of distinct (task, head) rows over ``n_tasks`` tasks, and ``n_tasks``."""
+    """A report of distinct (task, head) rows over at most six tasks."""
     n_tasks = draw(st.integers(1, 6))
     keys = draw(
         st.lists(st.tuples(st.integers(1, n_tasks), st.sampled_from(HEADS)), unique=True, max_size=8)
@@ -188,7 +188,7 @@ def reports(draw):
     for task, head in keys:
         seen = draw(st.sets(st.integers(1, n_tasks)))
         report.add(TaskAccuracy(task, head, {t: draw(fraction) for t in sorted(seen)}, draw(fraction)))
-    return report, n_tasks
+    return report
 
 
 # cell texts that each kind of column rejects (an empty per-task cell is valid)
@@ -203,16 +203,14 @@ INVALID = {
 class TestMetricsCsv:
     @given(reports())
     @settings(max_examples=80)
-    def test_a_valid_text_round_trips_byte_for_byte(self, case):
-        report, n_tasks = case
-        text = report.to_csv(n_tasks=n_tasks)
-        assert MetricsReport.from_csv(text).to_csv(n_tasks=n_tasks) == text
+    def test_a_valid_text_round_trips_byte_for_byte(self, report):
+        text = report.to_csv()
+        assert MetricsReport.from_csv(text).to_csv() == text
 
-    @given(reports().filter(lambda case: case[0].rows), st.data())
+    @given(reports().filter(lambda report: report.rows), st.data())
     @settings(max_examples=100)
-    def test_a_bad_cell_or_a_missing_one_is_named_by_its_line(self, case, data):
-        report, n_tasks = case
-        lines = report.to_csv(n_tasks=n_tasks).split("\r\n")
+    def test_a_bad_cell_or_a_missing_one_is_named_by_its_line(self, report, data):
+        lines = report.to_csv().split("\r\n")
         line = data.draw(st.integers(2, len(report.rows) + 1))
         cells = lines[line - 1].split(",")
         column = data.draw(st.integers(0, len(cells) - 1))
