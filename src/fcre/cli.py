@@ -254,13 +254,8 @@ def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
         stream, descriptions = _synthetic_data(config, seed)
     else:
         stream, descriptions = _file_data(config)
-    state = init_state(
-        config.encoder.feature_dim,
-        config.encoder.hidden_dim,
-        config.encoder.embed_dim,
-        config.hyper,
-        seed,
-    )
+    dims = config.encoder
+    state = init_state(dims.feature_dim, dims.hidden_dim, dims.embed_dim, seed)
     run_dir = Path(config.out_dir) / run_id(config, seed)
     checkpoints = run_dir / "checkpoints"
     checkpoints.mkdir(parents=True, exist_ok=True)

@@ -25,8 +25,10 @@ insertion order, and is append-only: once a relation's representatives
 are chosen they are never replaced.  The prototypes are one (R, d)
 matrix over ascending relation ids, which ``evaluate`` reads as it is.
 This module owns the checkpoint schema, its encoder block included.  A
-checkpoint groups the memory rows by relation with one stable sort and
-lists the relations in order of first appearance.
+checkpoint holds the state's arrays as they are held: ``task_index``,
+the encoder's three sizes and ``data``, the bilinear matrix's
+``data``, and ``memory.labels`` with the memory rows' ``data``, both in
+insertion order.
 
 A task's features, W and descriptions are checked once, where they
 enter (``Task``, ``run_task``, ``DescriptionSet``), so a training phase
@@ -270,14 +272,13 @@ def init_state(
     feature_dim: int,
     hidden_dim: int,
     embed_dim: int,
-    hp: HyperParams,
     seed: int,
 ) -> ContinualState:
     """Fresh state: seeded encoder/bilinear init and one Adam over both."""
     rng = np.random.default_rng(seed)
     params = init_encoder(feature_dim, hidden_dim, embed_dim, rng)
     bilinear = init_bilinear(embed_dim, rng)
-    optimizer = init_adam(params.n_params + embed_dim * embed_dim, hp.learning_rate)
+    optimizer = init_adam(params.n_params + embed_dim * embed_dim)
     return ContinualState(
         encoder=params,
         bilinear=bilinear,
@@ -441,7 +442,7 @@ def _train(
             _backward(encoder, acts, result.grad_z, grad_encoder)
             grad_w[...] = result.grad_w
             try:
-                _adam(opt, vec, grads, work)
+                _adam(opt, vec, grads, work, hp.learning_rate)
             except ValueError as err:
                 raise ValueError(
                     f"task {task_index}, {phase} phase, epoch {epoch}: non-finite gradient, "
@@ -543,53 +544,25 @@ def run_task(
 # the JSON type of each checkpoint key; every ``data`` is a ``_floats_to_b64`` payload
 _CHECKPOINT = {
     "task_index": int,
-    "relations": [int],
     "encoder": {"feature_dim": int, "hidden_dim": int, "embed_dim": int, "data": str},
-    "bilinear": {"dim": int, "data": str},
-    "memory": [{"relation": int, "count": int, "feature_dim": int, "data": str}],
+    "bilinear": {"data": str},
+    "memory": {"labels": [int], "data": str},
 }
 
 
 def checkpoint_dict(state: ContinualState) -> dict:
     """JSON-safe snapshot taken after the most recent completed task."""
-    memory = state.memory
-    blocks = []
-    if memory.labels.size:
-        # one stable sort puts each relation's rows together, in insertion order
-        # (not np.unique, which imports numpy.ma)
-        order = np.argsort(memory.labels, kind="stable")
-        ordered = memory.labels[order]
-        starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
-        bounds = np.append(starts, order.size)
-        grouped = memory.features[order]
-        # relations in order of first appearance, as ``memory.relations`` lists them
-        blocks = [
-            (int(ordered[starts[g]]), grouped[bounds[g] : bounds[g + 1]])
-            for g in np.argsort(order[starts])
-        ]
-    encoder = state.encoder
+    encoder, memory = state.encoder, state.memory
     return {
         "task_index": len(state.completed_tasks),
-        "relations": list(state.seen_relations),
         "encoder": {
             "feature_dim": encoder.feature_dim,
             "hidden_dim": encoder.hidden_dim,
             "embed_dim": encoder.embed_dim,
             "data": _floats_to_b64(encoder.to_vector()),
         },
-        "bilinear": {
-            "dim": state.bilinear.dim,
-            "data": _floats_to_b64(state.bilinear.matrix.ravel()),
-        },
-        "memory": [
-            {
-                "relation": rel,
-                "count": int(block.shape[0]),
-                "feature_dim": int(block.shape[1]),
-                "data": _floats_to_b64(block.ravel()),
-            }
-            for rel, block in blocks
-        ],
+        "bilinear": {"data": _floats_to_b64(state.bilinear.matrix)},
+        "memory": {"labels": memory.labels.tolist(), "data": _floats_to_b64(memory.features)},
     }
 
 
@@ -602,33 +575,28 @@ def write_checkpoint(path, state: ContinualState) -> None:
 def read_checkpoint(path) -> dict:
     """Load a checkpoint back into live objects.
 
-    Returns a dict with keys: task_index, relations, encoder
-    (EncoderParams), bilinear (BilinearForm), memory (MemoryBuffer).  A
-    missing key, a wrong JSON type or a bad payload raises ``ValueError``
-    naming the file and the key.
+    Returns a dict with keys: task_index, encoder (EncoderParams),
+    bilinear (BilinearForm, from ``embed_dim``² floats) and memory (a
+    MemoryBuffer of one row of ``feature_dim`` floats per entry of
+    ``memory.labels``, in the file's order).  A missing key, a wrong
+    JSON type, a bad payload or a label beyond int64 raises
+    ``ValueError`` naming the file and the key.
     """
     obj = read_json(path)
     try:
         checked(obj, _CHECKPOINT, "")
-        enc, bil = obj["encoder"], obj["bilinear"]
+        enc, mem = obj["encoder"], obj["memory"]
         f, h, d = enc["feature_dim"], enc["hidden_dim"], enc["embed_dim"]
         template = EncoderParams(np.zeros((h, f)), np.zeros(h), np.zeros((d, h)), np.zeros(d))
         encoder = template.with_vector(_floats_from_b64(enc["data"], template.n_params, "encoder"))
-        n = bil["dim"]
-        bilinear = BilinearForm(_floats_from_b64(bil["data"], n * n, "bilinear").reshape(n, n))
+        w = _floats_from_b64(obj["bilinear"]["data"], d * d, "bilinear")
+        bilinear = BilinearForm(w.reshape(d, d))
         memory = MemoryBuffer(f)
-        for i, entry in enumerate(obj["memory"]):
-            count, fdim = entry["count"], entry["feature_dim"]
-            memory.append(
-                _floats_from_b64(entry["data"], count * fdim, f"memory[{i}]").reshape(count, fdim),
-                np.full(count, entry["relation"], dtype=np.int64),
-            )
-    except (ValueError, ProtocolError) as exc:
+        rows = _floats_from_b64(mem["data"], len(mem["labels"]) * f, "memory").reshape(-1, f)
+        if rows.size:  # append takes no empty block
+            memory.append(rows, mem["labels"])
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return {
-        "task_index": obj["task_index"],
-        "relations": obj["relations"],
-        "encoder": encoder,
-        "bilinear": bilinear,
-        "memory": memory,
+        "task_index": obj["task_index"], "encoder": encoder, "bilinear": bilinear, "memory": memory
     }

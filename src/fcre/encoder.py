@@ -263,30 +263,26 @@ def init_bilinear(embed_dim: int, rng: np.random.Generator) -> BilinearForm:
 class AdamState:
     """First/second moment accumulators for one flat parameter vector."""
 
-    learning_rate: float
     step_count: int
     m: np.ndarray
     v: np.ndarray
 
 
-def init_adam(n_params: int, learning_rate: float) -> AdamState:
+def init_adam(n_params: int) -> AdamState:
     if checked(n_params, int, "n_params") < 1:
         raise ValueError(f"n_params must be >= 1, got {n_params}")
-    if not learning_rate > 0.0:
-        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-    return AdamState(
-        learning_rate=float(learning_rate),
-        step_count=0,
-        m=np.zeros(n_params),
-        v=np.zeros(n_params),
-    )
+    return AdamState(step_count=0, m=np.zeros(n_params), v=np.zeros(n_params))
 
 
-def step(opt: AdamState, params: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, AdamState]:
+def step(
+    opt: AdamState, params: np.ndarray, grads: np.ndarray, learning_rate: float
+) -> tuple[np.ndarray, AdamState]:
     """One Adam update with bias correction; returns new params and state.
 
     The update is ``_adam``'s, on copies of ``params`` and of the state.
     """
+    if not learning_rate > 0.0:
+        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
     params = np.array(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != opt.m.shape or grads.shape != opt.m.shape:
@@ -295,12 +291,14 @@ def step(opt: AdamState, params: np.ndarray, grads: np.ndarray) -> tuple[np.ndar
             f"got {params.shape} and {grads.shape}"
         )
     new_state = replace(opt, m=opt.m.copy(), v=opt.v.copy())
-    _adam(new_state, params, grads, np.empty((2, params.size)))
+    _adam(new_state, params, grads, np.empty((2, params.size)), learning_rate)
     return params, new_state
 
 
-def _adam(opt: AdamState, params: np.ndarray, grads: np.ndarray, work: np.ndarray) -> None:
-    """One Adam update of ``params``, ``opt.m`` and ``opt.v`` in place.
+def _adam(
+    opt: AdamState, params: np.ndarray, grads: np.ndarray, work: np.ndarray, learning_rate: float
+) -> None:
+    """One Adam update of ``params``, ``opt.m`` and ``opt.v`` in place, at ``learning_rate``.
 
     ``work`` is (2, n) scratch space.  Each operation is one of
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
@@ -318,7 +316,7 @@ def _adam(opt: AdamState, params: np.ndarray, grads: np.ndarray, work: np.ndarra
     np.multiply(grads, 1.0 - _ADAM_BETA2, out=a)
     v += np.multiply(a, grads, out=a)
     np.divide(m, 1.0 - _ADAM_BETA1**t, out=a)  # m_hat
-    a *= opt.learning_rate
+    a *= learning_rate
     np.sqrt(np.divide(v, 1.0 - _ADAM_BETA2**t, out=b), out=b)  # sqrt(v_hat)
     b += _ADAM_EPS
     a /= b

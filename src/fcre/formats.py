@@ -128,16 +128,18 @@ def _as_labels(values, name: str) -> np.ndarray:
     """``values`` as an int64 array; a float, bool or other array is an error naming ``name``.
 
     Integer arrays of any width are taken, so no label is silently
-    truncated; an unsigned label beyond the int64 range is an error, and
-    so is a bool in a list of integers, which NumPy would read as one.
+    truncated; a label beyond the int64 range is an error, and so is a
+    bool in a list of integers, which NumPy would read as one.
     """
     labels = np.asarray(values)
+    if not isinstance(values, np.ndarray):  # np.asarray([True, 2]) is int64, [0, 2**63] float64
+        for value in np.asarray(values, dtype=object).flat:
+            if type(value) is int and not -(2**63) <= value < 2**63:
+                raise ValueError(f"{name} must fit in an int64, got {value}")
+            if isinstance(value, (bool, np.bool_)) and labels.dtype.kind in "iu":
+                raise ValueError(f"{name} must hold integers, got {value!r}")
     if labels.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integers, got dtype {labels.dtype}")
-    if not isinstance(values, np.ndarray):  # np.asarray([True, 2]) is int64
-        for value in np.asarray(values, dtype=object).flat:
-            if isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must hold integers, got {value!r}")
     if labels.dtype.kind == "u" and labels.size and labels.max() >= 2**63:
         raise ValueError(f"{name} must fit in an int64, got {labels.max()}")
     return labels.astype(np.int64, copy=False)

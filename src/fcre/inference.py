@@ -182,6 +182,14 @@ class TaskAccuracy:
     acc_avg: float
 
 
+def _task_index(text: str) -> int:
+    """``text`` as a task index: a decimal of at least 1, written as ``str(int(...))`` writes it."""
+    task = int(text)
+    if task < 1 or str(task) != text:
+        raise ValueError(f"task {text!r} is not a canonical task index >= 1")
+    return task
+
+
 @dataclass
 class MetricsReport:
     """Ordered collection of evaluation rows plus CSV (de)serialization."""
@@ -225,7 +233,8 @@ class MetricsReport:
     @classmethod
     def from_csv(cls, text: str) -> "MetricsReport":
         """Parse ``to_csv`` output; a malformed line raises ``ValueError`` naming it (1-based),
-        as do an accuracy outside [0, 1], a non-finite drop and a second (task, head) row."""
+        as do an accuracy outside [0, 1], a non-finite drop, a second (task, head) row and a
+        task index that ``to_csv`` would not write back as it stands (see ``_task_index``)."""
         reader = csv.reader(io.StringIO(text))
         try:
             lines = [(reader.line_num, cells) for cells in reader]
@@ -236,10 +245,14 @@ class MetricsReport:
         header = lines[0][1]
         if header[:3] != ["task", "head", "acc_avg"] or header[-1] != "drop":
             raise ValueError(f"line 1: unrecognized metrics CSV header: {header}")
-        tasks = [col.removeprefix("acc_per_task_") for col in header[3:-1]]
-        for col, task in zip(header[3:-1], tasks):
-            if task == col or not task.isdecimal():
-                raise ValueError(f"line 1: column {col!r} is not acc_per_task_<task>")
+        tasks = []
+        for col in header[3:-1]:
+            try:
+                if not col.startswith("acc_per_task_"):
+                    raise ValueError
+                tasks.append(_task_index(col.removeprefix("acc_per_task_")))
+            except ValueError:
+                raise ValueError(f"line 1: column {col!r} is not acc_per_task_<task>") from None
         report = cls()
         seen = set()
         for line, cells in lines[1:]:
@@ -249,11 +262,11 @@ class MetricsReport:
                 if len(cells) != len(header):
                     raise ValueError(f"{len(cells)} cells, expected {len(header)}")
                 check_heads([cells[1]])
-                key = int(cells[0]), cells[1]
+                key = _task_index(cells[0]), cells[1]
                 if key in seen:
                     raise ValueError(f"a second row for task {key[0]}, head {key[1]!r}")
                 seen.add(key)
-                acc = {int(task): float(cell) for task, cell in zip(tasks, cells[3:-1]) if cell}
+                acc = {task: float(cell) for task, cell in zip(tasks, cells[3:-1]) if cell}
                 row = TaskAccuracy(key[0], key[1], acc, float(cells[2]))
                 for value in (row.acc_avg, *acc.values()):
                     if not 0.0 <= value <= 1.0:  # also false for nan

@@ -1,7 +1,7 @@
 """Per-relation and per-row loop versions of the array code outside the loss kernel.
 
-These are the loops that data generation, memory selection, prototypes,
-checkpoints and the rank step of ``evaluate`` ran before they became
+These are the loops that data generation, memory selection, prototypes
+and the rank step of ``evaluate`` ran before they became
 array operations, the score tables that the per-query heads ranked and
 fused as dicts, the relation-by-relation checks whose errors and bits
 ``DescriptionSet`` keeps, and the training step from before the encoder,
@@ -157,11 +157,6 @@ def prototype_rows(embedded, labels):
     return relations, vectors
 
 
-def memory_blocks(features, labels):
-    """Checkpoint blocks: relations in first-appearance order, one mask each."""
-    return [(rel, features[labels == rel]) for rel in dict.fromkeys(labels.tolist())]
-
-
 def ranks(keys):
     """``geometry._ranks`` through ``take_along_axis`` and ``put_along_axis``."""
     order = np.argsort(keys, axis=1)
@@ -250,7 +245,7 @@ def train(state, train_x, train_y, hp, epochs):
             acts = forward(encoder, train_x[idx])
             result = joint_loss(Batch(acts.z, train_y[idx], blocks[idx]), hp, w)
             grads = np.concatenate([backward(encoder, acts, result.grad_z), result.grad_w.ravel()])
-            vec, opt = step(opt, vec, grads)
+            vec, opt = step(opt, vec, grads, hp.learning_rate)
             encoder = encoder.with_vector(vec[:n_enc])
             w = vec[n_enc:].reshape(w.shape)
     return encoder, w, opt

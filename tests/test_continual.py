@@ -59,8 +59,8 @@ def make_descriptions(relations, embed_dim, seed=0, k_desc=2):
     return synth_descriptions(seed, centers, k_desc=k_desc, spread=0.1)
 
 
-def fresh_state(seed=0, feature_dim=6, hidden_dim=8, embed_dim=4, hp=HP):
-    return init_state(feature_dim, hidden_dim, embed_dim, hp, seed)
+def fresh_state(seed=0, feature_dim=6, hidden_dim=8, embed_dim=4):
+    return init_state(feature_dim, hidden_dim, embed_dim, seed)
 
 
 def record_layouts(monkeypatch):
@@ -176,6 +176,7 @@ class TestTaskValidation:
         [
             (np.array([0, 2**63], dtype=np.uint64), "9223372036854775808"),
             ([2**63], "9223372036854775808"),  # NumPy makes this list uint64
+            ([0, 2**63], "9223372036854775808"),  # and this one float64
             (np.array([2**64 - 1], dtype=np.uint64), "18446744073709551615"),
         ],
     )
@@ -302,7 +303,7 @@ class TestMemoryBuffer:
 
         monkeypatch.setattr(continual, "_train", recording)
         hp = HyperParams(epochs_current=1, epochs_memory=1, memory_size=2)
-        state = fresh_state(hp=hp)
+        state = fresh_state()
         rng = np.random.default_rng(3)
         for t in (1, 2, 3):
             rels = [2 * t + 1, 2 * t]
@@ -335,7 +336,7 @@ class TestMemoryBuffer:
         # the buffer only grows: earlier blocks stay bitwise intact
         rng = np.random.default_rng(42)
         hp = HyperParams(epochs_current=1, epochs_memory=1, memory_size=2)
-        state = fresh_state(hp=hp)
+        state = fresh_state()
         snapshots = {}
         for t in range(1, 4):
             rels = [2 * (t - 1), 2 * t - 1]
@@ -641,7 +642,7 @@ class TestRunTaskBehavior:
 
     def test_memory_keeps_l_per_relation(self):
         hp = HyperParams(epochs_current=1, epochs_memory=1, memory_size=2)
-        state = self.run_stream(fresh_state(hp=hp), hp)
+        state = self.run_stream(fresh_state(), hp)
         for rel in state.memory.relations:
             assert stored(state.memory, rel).shape == (2, 6)
 
@@ -653,7 +654,7 @@ class TestRunTaskBehavior:
 
     def test_zero_epochs_leaves_encoder_untouched(self):
         hp = HyperParams(epochs_current=0, epochs_memory=0)
-        state = fresh_state(hp=hp)
+        state = fresh_state()
         before = state.encoder.to_vector().copy()
         w_before = state.bilinear.matrix.copy()
         state = self.run_stream(state, hp, n_tasks=2)
@@ -662,7 +663,7 @@ class TestRunTaskBehavior:
 
     def test_zero_epoch_metrics_equal_frozen_encoder_evaluation(self):
         hp = HyperParams(epochs_current=0, epochs_memory=0)
-        state = self.run_stream(fresh_state(hp=hp), hp, n_tasks=2, heads=("ncm",))
+        state = self.run_stream(fresh_state(), hp, n_tasks=2, heads=("ncm",))
         # recompute by hand with the frozen encoder
         protos = dict(zip(state.prototypes.relations.tolist(), state.prototypes.vectors))
         for row in state.report.rows:
@@ -679,6 +680,15 @@ class TestRunTaskBehavior:
                 np.testing.assert_allclose(
                     row.acc_per_task[i], hits / task.test_y.size, rtol=1e-12
                 )
+
+    def test_run_task_trains_at_its_own_learning_rate(self):
+        task = make_task(1, [0, 1], np.random.default_rng(42))
+        trained = []
+        for rate in (1e-3, 0.5):
+            state = fresh_state()
+            run_task(state, task, make_descriptions([0, 1], 4), HyperParams(learning_rate=rate))
+            trained.append(state.encoder.to_vector())
+        assert not np.array_equal(*trained)
 
     def test_same_seed_reproduces_run_bitwise(self):
         a = self.run_stream(fresh_state(seed=3), HP)
@@ -715,7 +725,7 @@ class TestRunTaskBehavior:
     def test_memory_picks_match_per_row_selection(self, shots, memory_size):
         # no replay epochs, so the final encoder is the one that selected
         hp = HyperParams(epochs_current=1, epochs_memory=0, memory_size=memory_size)
-        state = fresh_state(hp=hp)
+        state = fresh_state()
         rng = np.random.default_rng(7)
         for t in (1, 2):
             rels = [2 * t, 2 * t + 1, 2 * t + 7]
@@ -739,8 +749,8 @@ class TestCheckpoint:
         path = tmp_path / "task_01.json"
         write_checkpoint(path, state)
         loaded = read_checkpoint(path)
+        assert loaded.keys() == {"task_index", "encoder", "bilinear", "memory"}
         assert loaded["task_index"] == 1
-        assert loaded["relations"] == [0, 1]
         np.testing.assert_array_equal(
             loaded["encoder"].to_vector(), state.encoder.to_vector()
         )
@@ -766,15 +776,20 @@ class TestCheckpoint:
         [
             (lambda ck: ck.pop("encoder"), "missing key encoder"),
             (lambda ck: ck["encoder"].pop("hidden_dim"), "missing key encoder.hidden_dim"),
-            (lambda ck: ck["bilinear"].update(dim="4"), "bilinear.dim must be an integer, got '4'"),
-            (
-                lambda ck: ck["memory"][1].update(relation=True),
-                "memory[1].relation must be an integer, got True",
-            ),
-            (lambda ck: ck["relations"].append(None), "relations[2] must be an integer, got None"),
+            (lambda ck: ck["bilinear"].update(data=4), "bilinear.data must be a string, got 4"),
+            (lambda ck: ck["memory"].update(labels=[0, True]), "memory.labels[1] must be an integer, got True"),
+            (lambda ck: ck["memory"].update(labels=None), "memory.labels must be a list, got None"),
             (lambda ck: ck["encoder"].update(data=""), "encoder.data: payload holds 0 floats, expected 92"),
-            (lambda ck: ck["memory"][0].update(data="@@@@"), "memory[0].data: "),
-            (lambda ck: ck["memory"][0].update(count=2), "memory[0].data: payload holds 6 floats, expected 12"),
+            (
+                lambda ck: ck["bilinear"].update(data=ck["memory"]["data"]),
+                "bilinear.data: payload holds 12 floats, expected 16",
+            ),
+            (lambda ck: ck["memory"].update(data="@@@@"), "memory.data: "),
+            (lambda ck: ck["memory"]["labels"].pop(), "memory.data: payload holds 12 floats, expected 6"),
+            (
+                lambda ck: ck["memory"].update(labels=[0, 2**63]),
+                "memory labels must fit in an int64, got 9223372036854775808",
+            ),
         ],
     )
     def test_malformed_file_names_the_file_and_the_key(self, tmp_path, edit, message):
@@ -788,6 +803,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError) as err:
             read_checkpoint(path)
         assert str(err.value).startswith(f"{path}: {message}")
+
+    def test_a_memory_that_interleaves_relations_reads_back_in_insertion_order(self, tmp_path):
+        state = fresh_state()
+        rows = np.random.default_rng(5).normal(size=(3, 6))
+        state.memory.append(rows, [1, 0, 1])
+        path = tmp_path / "ck.json"
+        write_checkpoint(path, state)
+        memory = read_checkpoint(path)["memory"]
+        assert memory.labels.tolist() == [1, 0, 1]
+        np.testing.assert_array_equal(memory.features, rows)
 
     def test_checkpoint_bytes_stable(self, tmp_path):
         rng = np.random.default_rng(42)
@@ -907,7 +932,7 @@ class TestNonFiniteGradient:
 
     def run_two_tasks(self, hp):
         rng = np.random.default_rng(4)
-        state = fresh_state(hp=hp)
+        state = fresh_state()
         for index, rels in ((1, [0, 1]), (2, [2, 3])):
             run_task(state, make_task(index, rels, rng), make_descriptions([0, 1, 2, 3], 4), hp)
 

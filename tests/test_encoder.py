@@ -227,7 +227,7 @@ class TestInit:
             (lambda rng: init_encoder(3, 2.5, 2, rng), r"^hidden_dim must be an integer, got 2\.5$"),
             (lambda rng: init_encoder(True, 3, 2, rng), r"^feature_dim must be an integer, got True$"),
             (lambda rng: init_bilinear(2.5, rng), r"^embed_dim must be an integer, got 2\.5$"),
-            (lambda rng: init_adam(2.5, learning_rate=1e-3), r"^n_params must be an integer, got 2\.5$"),
+            (lambda rng: init_adam(2.5), r"^n_params must be an integer, got 2\.5$"),
         ],
     )
     def test_bad_dims_rejected(self, init, pattern):
@@ -238,7 +238,7 @@ class TestInit:
         a = init_encoder(np.int64(6), np.int32(5), np.uint8(4), np.random.default_rng(1))
         b = init_encoder(6, 5, 4, np.random.default_rng(1))
         assert np.array_equal(a.to_vector(), b.to_vector())
-        assert init_adam(np.int64(3), learning_rate=1e-3).m.shape == (3,)
+        assert init_adam(np.int64(3)).m.shape == (3,)
 
     def test_bilinear_starts_near_identity(self):
         w = init_bilinear(8, np.random.default_rng(42))
@@ -258,24 +258,24 @@ class TestAdam:
     def test_single_step_hand_computation(self):
         # From zero state with constant gradient g: m_hat = g, v_hat = g^2,
         # so delta = -lr * g / (|g| + eps).
-        opt = init_adam(3, learning_rate=0.1)
+        opt = init_adam(3)
         params = np.array([1.0, -2.0, 0.5])
         g = np.array([0.3, -0.7, 0.0])
-        new_params, new_opt = step(opt, params, g)
+        new_params, new_opt = step(opt, params, g, 0.1)
         expected = params - 0.1 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(new_params, expected, rtol=1e-12)
         assert new_opt.step_count == 1
 
     def test_multi_step_matches_reference_implementation(self):
         rng = np.random.default_rng(42)
-        opt = init_adam(4, learning_rate=0.05)
+        opt = init_adam(4)
         params = rng.normal(size=4)
         ref_params = params.copy()
         m = np.zeros(4)
         v = np.zeros(4)
         for t in range(1, 6):
             g = rng.normal(size=4)
-            params, opt = step(opt, params, g)
+            params, opt = step(opt, params, g, 0.05)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             m_hat = m / (1.0 - 0.9**t)
@@ -291,44 +291,44 @@ class TestAdam:
         grads[1][:4] = 0.0
         grads[2][:4] = -0.0  # a zero gradient of either sign, on moments already nonzero
         grads[3][4:8] = -0.0  # and on moments that were zero so far
-        opt = init_adam(n, learning_rate=0.01)
+        opt = init_adam(n)
         params = rng.normal(size=n)
         in_place = replace(opt, m=opt.m.copy(), v=opt.v.copy())
         vec = params.copy()
         ref = (params.copy(), np.zeros(n), np.zeros(n), 0)
         for g in grads:
-            params, opt = step(opt, params, g)
-            _adam(in_place, vec, g, np.empty((2, n)))
+            params, opt = step(opt, params, g, 0.01)
+            _adam(in_place, vec, g, np.empty((2, n)), 0.01)
             ref = loop_reference.adam_step(ref[1], ref[2], ref[3], 0.01, ref[0], g)
             for pure, updated, expression in zip((params, opt.m, opt.v), (vec, in_place.m, in_place.v), ref):
                 assert same_bits(pure, updated) and same_bits(pure, expression)
             assert opt.step_count == in_place.step_count == ref[3]
 
     def test_in_place_update_rejects_a_non_finite_gradient_before_any_change(self):
-        opt = init_adam(2, learning_rate=1e-3)
+        opt = init_adam(2)
         params = np.array([1.0, 2.0])
         with pytest.raises(ValueError, match="^gradient contains non-finite entries$"):
-            _adam(opt, params, np.array([1.0, np.nan]), np.empty((2, 2)))
+            _adam(opt, params, np.array([1.0, np.nan]), np.empty((2, 2)), 1e-3)
         assert opt.step_count == 0 and not opt.m.any() and not opt.v.any()
         assert params.tolist() == [1.0, 2.0]
 
     def test_original_state_not_mutated(self):
-        opt = init_adam(2, learning_rate=0.1)
+        opt = init_adam(2)
         params = np.array([1.0, 1.0])
-        step(opt, params, np.array([1.0, -1.0]))
+        step(opt, params, np.array([1.0, -1.0]), 0.1)
         assert opt.step_count == 0
         assert np.array_equal(opt.m, np.zeros(2))
 
     def test_shape_mismatch_rejected(self):
-        opt = init_adam(3, learning_rate=1e-3)
+        opt = init_adam(3)
         with pytest.raises(ValueError, match="match optimizer size"):
-            step(opt, np.zeros(2), np.zeros(2))
+            step(opt, np.zeros(2), np.zeros(2), 1e-3)
 
     def test_non_finite_gradient_rejected(self):
-        opt = init_adam(2, learning_rate=1e-3)
+        opt = init_adam(2)
         with pytest.raises(ValueError, match="non-finite"):
-            step(opt, np.zeros(2), np.array([1.0, float("inf")]))
+            step(opt, np.zeros(2), np.array([1.0, float("inf")]), 1e-3)
 
     def test_learning_rate_must_be_positive(self):
-        with pytest.raises(ValueError, match="learning_rate"):
-            init_adam(2, learning_rate=0.0)
+        with pytest.raises(ValueError, match=r"^learning_rate must be positive, got 0\.0$"):
+            step(init_adam(2), np.zeros(2), np.zeros(2), 0.0)

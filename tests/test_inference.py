@@ -732,6 +732,16 @@ class TestMetricsReport:
             ("task,head,acc_avg,acc_per_task_x,drop\r\n", "line 1: column 'acc_per_task_x' is not acc_per_task_<task>"),
             ("task,head,acc_avg,acc_per_task_,drop\r\n", "line 1: column 'acc_per_task_' is not acc_per_task_<task>"),
             ("task,head,acc_avg,score_1,drop\r\n", "line 1: column 'score_1' is not acc_per_task_<task>"),
+            # to_csv writes task columns from 1, as str(int) writes them
+            (
+                "task,head,acc_avg,acc_per_task_0,acc_per_task_1,drop\r\n",
+                "line 1: column 'acc_per_task_0' is not acc_per_task_<task>",
+            ),
+            ("task,head,acc_avg,acc_per_task_01,drop\r\n", "line 1: column 'acc_per_task_01' is not acc_per_task_<task>"),
+            ("task,head,acc_avg,acc_per_task_+1,drop\r\n", "line 1: column 'acc_per_task_+1' is not acc_per_task_<task>"),
+            (HEADER + "0,ncm,1.0,1.0,0.0\r\n", "line 2: task '0' is not a canonical task index >= 1"),
+            (HEADER + "-1,ncm,1.0,1.0,0.0\r\n", "line 2: task '-1' is not a canonical task index >= 1"),
+            (HEADER + "01,ncm,1.0,1.0,0.0\r\n", "line 2: task '01' is not a canonical task index >= 1"),
             (HEADER + "1,ncm,nan,1.0,0.0\r\n", "line 2: accuracy nan is not in [0, 1]"),
             (HEADER + "1,ncm,1.0,1.0,inf\r\n", "line 2: drop 'inf' is not finite"),
             (HEADER + "1,ncm,1.0,2.5,0.0\r\n", "line 2: accuracy 2.5 is not in [0, 1]"),

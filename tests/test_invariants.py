@@ -141,9 +141,7 @@ class TestPresentation:
         assert [p.name for p in checkpoints(got)] == [p.name for p in checkpoints(expected)]
         for path in checkpoints(expected):
             mapped = json.loads(path.read_text(encoding="utf-8"))
-            mapped["relations"] = [3 * r + 7 for r in mapped["relations"]]
-            for block in mapped["memory"]:
-                block["relation"] = 3 * block["relation"] + 7
+            mapped["memory"]["labels"] = [3 * r + 7 for r in mapped["memory"]["labels"]]
             text = (got / "checkpoints" / path.name).read_text(encoding="utf-8")
             assert text == json.dumps(mapped, sort_keys=True) + "\n", path.name
 

@@ -1,7 +1,7 @@
 """The array code outside the loss kernel against its loop versions, bit for bit.
 
 ``loop_reference`` holds the per-relation and per-row loops that data
-generation, memory selection, prototypes, checkpoints and ``evaluate``'s
+generation, memory selection, prototypes and ``evaluate``'s
 rank step ran before they became array operations, the description
 checks that ``DescriptionSet`` keeps, and the training step that built a
 new parameter vector per Adam step.  Every property here requires the
@@ -36,7 +36,6 @@ from fcre.continual import (
 from fcre.datagen import SyntheticSpec, generate_stream, sample_separated_centers
 from fcre.descriptions import DescriptionSet, synth_descriptions
 from fcre.encoder import BilinearForm
-from fcre.formats import _floats_to_b64
 from fcre.geometry import _ranks, row_dots, unit_normalize
 from fcre.losses import HyperParams
 
@@ -319,26 +318,9 @@ class TestMemoryAndPrototypes:
         assert got.relations.tolist() == relations.tolist()
         assert same_bits(got.vectors, vectors)
 
-    @given(labelled_rows(), labelled_rows())
-    @settings(max_examples=60)
-    def test_checkpoint_blocks_keep_first_appearance_order(self, first, second):
-        (rows_a, labels_a, _), (rows_b, labels_b, _) = first, second
-        if rows_a.shape[1] != rows_b.shape[1]:
-            rows_b = np.resize(rows_b, (rows_b.shape[0], rows_a.shape[1]))
-        state = init_state(rows_a.shape[1], 3, 2, HyperParams(), 0)
-        state.memory.append(rows_a, labels_a)
-        state.memory.append(rows_b, labels_b + 1000)
-        got = checkpoint_dict(state)["memory"]
-        blocks = ref.memory_blocks(state.memory.features, state.memory.labels)
-        assert [entry["relation"] for entry in got] == [rel for rel, _ in blocks]
-        for entry, (_, block) in zip(got, blocks):
-            assert entry["count"] == block.shape[0]
-            assert entry["data"] == _floats_to_b64(block.ravel())
-
     def test_checkpoint_of_empty_memory_lists_no_blocks(self, tmp_path):
-        state = init_state(4, 3, 2, HyperParams(), 0)  # before any task
-        assert checkpoint_dict(state)["memory"] == []
-        assert ref.memory_blocks(state.memory.features, state.memory.labels) == []
+        state = init_state(4, 3, 2, 0)  # before any task
+        assert checkpoint_dict(state)["memory"] == {"labels": [], "data": ""}
         write_checkpoint(tmp_path / "ck.json", state)
         memory = read_checkpoint(tmp_path / "ck.json")["memory"]
         assert memory.labels.size == 0 and memory.features.shape == (0, 4)
@@ -369,7 +351,7 @@ class TestTrainingStep:
         features = rng.normal(size=(n, 6))
         descriptions = synth_descriptions(n, {r: rng.normal(size=4) for r in relations}, 3, 0.3)
         hp = HyperParams(k_desc=3)
-        got, want = init_state(6, 8, 4, hp, n), init_state(6, 8, 4, hp, n)
+        got, want = init_state(6, 8, 4, n), init_state(6, 8, 4, n)
         got.descriptions = want.descriptions = descriptions
         for _ in range(2):  # the second phase starts from the first one's optimizer
             _train(got, features, labels, hp, epochs, task_index=1, phase="current")
