@@ -30,24 +30,26 @@ the encoder's three sizes and ``data``, the bilinear matrix's
 ``data``, and ``memory.labels`` with the memory rows' ``data``, both in
 insertion order.
 
-A task's features, W and descriptions are checked once, where they
-enter (``Task``, ``run_task``, ``DescriptionSet``), so a training phase
-(steps 2 and 4) checks nothing again: it reads the registry's (R, K, d)
-description table in place, finds each sample's row in it with one
-``DescriptionSet.rows`` call, and takes the table's norms and unit
-descriptions.  Batches are formed per epoch: one full batch when the
-pool fits in 64 samples, otherwise shuffled minibatches of 32 (a
-would-be trailing singleton is merged into the previous batch, since
+A task's features, W and descriptions are checked once, where they enter
+(``Task``, ``run_task``, ``DescriptionSet``); ``Task``, the memory and
+``select_memory`` check a block of feature rows by
+``formats._as_matrix``, the rule ``encoder.encode_batch`` applies too.
+So a training phase (steps 2 and 4) checks nothing again: it reads the
+registry's (R, K, d) description table in place, finds each sample's row
+in it with one ``DescriptionSet.rows`` call, and takes the table's norms
+and unit descriptions.  Batches are formed per epoch: one full batch
+when the pool fits in 64 samples, otherwise shuffled minibatches of 32
+(a would-be trailing singleton is merged into the previous batch, since
 the contrastive losses need company).  A full batch is the same rows
 every epoch, so its layout is built once, before the first epoch; a
-minibatch's is built at its step, by ``losses._Layout.of_rows`` from
-the table rows of its samples.  Each step runs one encoder forward, one
-``losses._joint`` kernel pass over z and the layout, one backward into
-a flat gradient buffer and one Adam update in place on the flat
-parameter vector; the norms, unit descriptions and buffers are dropped
-when the phase ends.  A non-finite gradient stops the run with an error
-naming the task, the phase, the epoch and the first loss term whose own
-gradient is non-finite.
+minibatch's is built at its step, by ``losses._Layout.of_rows`` from the
+table rows of its samples.  Each step runs one ``encoder._embed``, one
+``losses._joint`` kernel pass over z and the layout, one
+``encoder._backward`` into a flat gradient buffer and one Adam update in
+place on the flat parameter vector; the norms, unit descriptions and
+buffers are dropped when the phase ends.  A non-finite gradient stops
+the run with an error naming the task, the phase, the epoch and the
+first loss term whose own gradient is non-finite.
 """
 
 from __future__ import annotations
@@ -61,21 +63,20 @@ import numpy as np
 
 from fcre.descriptions import DescriptionSet
 from fcre.encoder import (
-    Activations,
     AdamState,
     BilinearForm,
     EncoderParams,
+    _Activations,
     _adam,
     _backward,
     _embed,
-    backward,
     encode_batch,
     init_adam,
     init_bilinear,
     init_encoder,
 )
 from fcre.formats import _as_labels, _floats_from_b64, _floats_to_b64, _relation_ids
-from fcre.formats import _relation_items, checked, read_json, write_atomic
+from fcre.formats import _as_matrix, _relation_items, checked, read_json, write_atomic
 from fcre.geometry import row_dots
 from fcre.inference import HEADS, MetricsReport, check_heads, evaluate
 from fcre.losses import HyperParams, _as_bilinear, _joint, _Layout, _unit_blocks
@@ -91,15 +92,6 @@ _MINIBATCH_SIZE = 32
 
 class ProtocolError(RuntimeError):
     """Violation of the task-stream contract (ordering, overlap, coverage)."""
-
-
-def _as_matrix(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"{name} must be a non-empty 2-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -402,7 +394,7 @@ def _train(
     before the first epoch.
 
     The encoder's four weight arrays and W are views into one flat
-    parameter vector, and ``backward`` and MI's W gradient write into the
+    parameter vector, and ``_backward`` and MI's W gradient write into the
     matching views of one flat gradient buffer; Adam updates the vector
     and its moments in place.  So a step allocates no parameter or
     optimizer arrays.  ``state.optimizer`` gets copies of the moments
@@ -456,7 +448,7 @@ _LOSS_TERMS = (("scl", "beta_sc"), ("hsmt", "beta_st"), ("hm", "beta_hm"), ("mi"
 
 
 def _nonfinite_term(
-    acts: Activations, layout: _Layout, hp: HyperParams, w: np.ndarray, encoder: EncoderParams
+    acts: _Activations, layout: _Layout, hp: HyperParams, w: np.ndarray, encoder: EncoderParams
 ) -> str:
     """The first enabled loss term whose gradient alone is non-finite on a step's z and layout."""
     off = {beta: 0.0 for _, beta in _LOSS_TERMS}
@@ -464,8 +456,9 @@ def _nonfinite_term(
         if getattr(hp, beta) == 0.0:
             continue
         alone = _joint(acts.z, layout, replace(hp, **{**off, beta: getattr(hp, beta)}), w)
-        grad = np.concatenate([backward(encoder, acts, alone.grad_z), alone.grad_w.ravel()])
-        if not np.isfinite(grad).all():
+        grad = np.empty(encoder.n_params)
+        _backward(encoder, acts, alone.grad_z, encoder._views(grad))
+        if not (np.isfinite(grad).all() and np.isfinite(alone.grad_w).all()):
             return f"the {name} term"
     return "no single loss term"
 
@@ -579,12 +572,14 @@ def read_checkpoint(path) -> dict:
     bilinear (BilinearForm, from ``embed_dim``² floats) and memory (a
     MemoryBuffer of one row of ``feature_dim`` floats per entry of
     ``memory.labels``, in the file's order).  A missing key, a wrong
-    JSON type, a bad payload or a label beyond int64 raises
-    ``ValueError`` naming the file and the key.
+    JSON type, a negative ``task_index``, a bad payload or a label
+    beyond int64 raises ``ValueError`` naming the file and the key.
     """
     obj = read_json(path)
     try:
         checked(obj, _CHECKPOINT, "")
+        if obj["task_index"] < 0:
+            raise ValueError(f"task_index must be >= 0, got {obj['task_index']}")
         enc, mem = obj["encoder"], obj["memory"]
         f, h, d = enc["feature_dim"], enc["hidden_dim"], enc["embed_dim"]
         template = EncoderParams(np.zeros((h, f)), np.zeros(h), np.zeros((d, h)), np.zeros(d))

@@ -4,9 +4,12 @@ Each relation carries exactly K description vectors of the embedding
 dimension d.  K and d are uniform across the whole set, which holds them
 as one (R, K, d) table and their means as one (R, d) matrix over the
 ascending int64 relation ids, the one index that every lookup searches.
-Construction checks each relation's block in ascending id order and
-raises for the first bad one; the file parser checks the same rules line
-by line.  Both then stack the blocks and their means the same way.
+Construction checks each relation's block in ascending id order with
+``_check_block`` and raises for the first bad one: the block must be
+finite, of the set's K and d, and each vector's squared norm must be
+neither zero nor beyond the float range.  The file parser checks each
+line's JSON, then runs ``_check_block`` on its block and names the line
+in the error.  Both then stack the blocks and their means the same way.
 Synthesis checks every id, then draws each relation's (K, d) block in
 one call and normalizes its rows with the bits of ``unit_normalize``.
 Description vectors are frozen inputs to training and inference --
@@ -186,9 +189,13 @@ def _check_block(
         raise ValueError(f"relation {rel} has {k} description vectors, expected {k_desc}")
     if dim is not None and d != dim:
         raise ValueError(f"relation {rel} has dimension {d}, expected {dim}")
-    zero = np.flatnonzero(np.einsum("ij,ij->i", block, block) == 0.0)
-    if zero.size:
-        raise ValueError(f"relation {rel}: description vector {int(zero[0])} has zero norm")
+    squares = np.einsum("ij,ij->i", block, block)  # inf where a squared norm overflows
+    if squares.min() == 0.0:
+        raise ValueError(f"relation {rel}: description vector {squares.argmin()} has zero norm")
+    if squares.max() == np.inf:
+        raise ValueError(
+            f"relation {rel}: the squared norm of description vector {squares.argmax()} overflows"
+        )
     return k, d
 
 
@@ -223,33 +230,33 @@ def synth_descriptions(
 
 
 def ingest_descriptions(path) -> DescriptionSet:
-    """Parse a JSONL description file; all errors carry line numbers."""
-    vectors: dict[int, list[list[float]]] = {}
+    """Parse a JSONL description file; all errors carry line numbers.
+
+    Each line's JSON is checked here; its block then goes through
+    ``_check_block`` as the constructor's do, and the set is filled from
+    the checked blocks without checking them again.
+    """
+    blocks: dict[int, np.ndarray] = {}
     k_desc: int | None = None
     dim: int | None = None
     for lineno, obj in read_jsonl(path, _SCHEMA, DescriptionFormatError):
         rel = _relation_id(obj["relation"], f"line {lineno}: relation", DescriptionFormatError)
-        rows = obj["vectors"]
-        if rel in vectors:
+        if rel in blocks:
             raise DescriptionFormatError(f"line {lineno}: duplicate relation {rel}")
-        if not rows:
+        if not obj["vectors"]:
             raise DescriptionFormatError(f"line {lineno}: 'vectors' must be a non-empty list")
-        block: list[list[float]] = []
-        for i, row in enumerate(rows):
+        rows: list[list[float]] = []
+        for i, row in enumerate(obj["vectors"]):
             name = f"line {lineno}: vector {i} of relation {rel}"
-            block.append(float_row(row, dim, name, DescriptionFormatError))
-            dim = len(block[-1])
-            if not any(map(float.__mul__, block[-1], block[-1])):  # the rule of ``_check_block``
-                raise DescriptionFormatError(f"{name} is a zero vector, or its squares underflow")
-        k_desc = k_desc or len(block)  # the first line sets K
-        if len(block) != k_desc:
-            raise DescriptionFormatError(
-                f"line {lineno}: relation {rel} has {len(block)} vectors, expected {k_desc}"
-            )
-        vectors[rel] = block
-    if not vectors:
+            length = len(rows[0]) if rows else None  # a line's rows share the first one's length
+            rows.append(float_row(row, length, name, DescriptionFormatError))
+        blocks[rel] = np.array(rows)
+        try:
+            k_desc, dim = _check_block(rel, blocks[rel], k_desc, dim)
+        except ValueError as exc:
+            raise DescriptionFormatError(f"line {lineno}: {exc}") from None
+    if not blocks:
         raise DescriptionFormatError("description file is empty")
-    # the lines above checked every rule of ``_check_block``, so the blocks go in unchecked
     out = DescriptionSet.__new__(DescriptionSet)
-    out._fill({rel: np.array(rows) for rel, rows in vectors.items()})
+    out._fill(blocks)
     return out

@@ -5,20 +5,21 @@ z = tanh(W2 @ tanh(W1 @ x + b1) + b2) of dim d.  Gradients are
 hand-derived and returned as a flat vector in the canonical packing
 order [W1, b1, W2, b2]; the optimizer operates on flat vectors only,
 so callers may concatenate extra trainable blocks (the bilinear matrix)
-onto the same parameter vector.  ``forward`` validates a (n, f) block
-of rows once and embeds it with two matrix products, keeping the hidden
-and output activations; ``backward`` chains a (n, d) output gradient
-through those activations to the gradient summed over the rows, as
-matrix products (dW1 = dH_pre^T X, db1 = sum of the rows of dH_pre, ...).
-A training step runs each once, with no checks: ``Task`` and the replay
-memory checked its pool's rows when they came in.  The weights are
-views into one flat parameter vector, ``backward``'s private form
-writes into the views of a flat gradient buffer, and Adam updates the
-vector and its moments in place.  The public ``step`` runs the same
-update on copies.  ``encode_batch`` is the one-shot forward, and
-``encode`` and ``encode_backward`` are one-row views.  No serialization
-lives here: ``continual`` owns the checkpoint format, its encoder block
-included.
+onto the same parameter vector.  ``_embed`` embeds a checked (n, f)
+block of rows with two matrix products, keeping the hidden and output
+activations; ``_backward`` chains a (n, d) output gradient through those
+activations to the gradient summed over the rows, as matrix products
+(dW1 = dH_pre^T X, db1 = sum of the rows of dH_pre, ...), written into
+the views of a flat gradient buffer.  Neither checks anything: a
+training step runs each once on rows that ``Task`` or the replay memory
+checked when they came in.  The public entry points check their inputs
+once and call them: ``encode_batch`` checks a block with
+``formats._as_matrix`` and the encoder's feature width, and ``encode``
+and ``encode_backward`` are one-row views.  The weights are views into
+one flat parameter vector, and Adam updates the vector and its moments
+in place; the public ``step`` runs the same update on copies.  No
+serialization lives here: ``continual`` owns the checkpoint format, its
+encoder block included.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fcre.formats import checked
+from fcre.formats import _as_matrix, checked
 from fcre.geometry import as_embedding
 
 _BILINEAR_NOISE = 0.01  # scale of the Gaussian noise added to W's identity start
@@ -144,60 +145,37 @@ def init_encoder(
 
 
 def _feature_rows(params: EncoderParams, features) -> np.ndarray:
-    """Validate a finite (n, f) block of feature rows for this encoder."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError(f"feature rows must be a non-empty (n, f) block, got shape {x.shape}")
+    """A finite (n, f) block of feature rows for this encoder, checked by ``_as_matrix``."""
+    x = _as_matrix(features, "features")
     if x.shape[1] != params.feature_dim:
         raise ValueError(
             f"features have {x.shape[1]} entries, encoder expects {params.feature_dim}"
         )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features contain non-finite entries")
     return x
 
 
-class Activations(NamedTuple):
-    """One forward pass over a block of rows: what ``backward`` needs."""
+class _Activations(NamedTuple):
+    """One forward pass over a block of rows: what ``_backward`` needs."""
 
-    x: np.ndarray  # (n, f) validated feature rows
+    x: np.ndarray  # (n, f) checked feature rows
     hidden: np.ndarray  # (n, h)
     z: np.ndarray  # (n, d) embeddings, entries in (-1, 1)
 
 
-def forward(params: EncoderParams, features) -> Activations:
-    """Validate a (n, f) block of rows once and embed it, keeping the activations."""
-    return _embed(params, _feature_rows(params, features))
-
-
-def _embed(params: EncoderParams, x: np.ndarray) -> Activations:
-    """``forward`` over checked (n, f) float rows: by ``_feature_rows``, ``Task`` or the memory."""
+def _embed(params: EncoderParams, x: np.ndarray) -> _Activations:
+    """Embed (n, f) float rows checked by ``_feature_rows``, ``Task`` or the memory."""
     hidden = np.tanh(x @ params.w1.T + params.b1)
-    return Activations(x, hidden, np.tanh(hidden @ params.w2.T + params.b2))
-
-
-def backward(params: EncoderParams, acts: Activations, grad_out) -> np.ndarray:
-    """Chain per-row ``grad_out`` (n, d) back through ``acts`` to one flat gradient.
-
-    ``acts`` must come from ``forward`` with the same parameters.
-    Returns the sum over rows of d(loss)/d(params), packed in the same
-    [W1, b1, W2, b2] order as ``EncoderParams.to_vector``.
-    """
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (acts.x.shape[0], params.embed_dim):
-        raise ValueError(
-            f"grad_out must have shape ({acts.x.shape[0]}, {params.embed_dim}), "
-            f"got {grad_out.shape}"
-        )
-    out = np.empty(params.n_params)
-    _backward(params, acts, grad_out, params._views(out))
-    return out
+    return _Activations(x, hidden, np.tanh(hidden @ params.w2.T + params.b2))
 
 
 def _backward(
-    params: EncoderParams, acts: Activations, grad_out: np.ndarray, out: EncoderParams
+    params: EncoderParams, acts: _Activations, grad_out: np.ndarray, out: EncoderParams
 ) -> None:
-    """``backward`` of a checked (n, d) ``grad_out``, written into the arrays of ``out``."""
+    """Chain a checked (n, d) ``grad_out`` back through ``acts``, from ``_embed`` with ``params``.
+
+    Writes the sum over rows of d(loss)/d(params) into the arrays of
+    ``out``: views of a flat [W1, b1, W2, b2] vector, by ``params._views``.
+    """
     x, hidden, z = acts
     dz_pre = grad_out * (1.0 - z * z)
     np.matmul(dz_pre.T, hidden, out=out.w2)
@@ -209,7 +187,7 @@ def _backward(
 
 def encode_batch(params: EncoderParams, features) -> np.ndarray:
     """Embed each row of a (n, f) block; output entries lie in (-1, 1)."""
-    return forward(params, features).z
+    return _embed(params, _feature_rows(params, features)).z
 
 
 def encode(params: EncoderParams, features) -> np.ndarray:
@@ -224,13 +202,15 @@ def encode_backward(params: EncoderParams, features, grad_out) -> np.ndarray:
     Returns d(loss)/d(params) packed in the same [W1, b1, W2, b2] order
     as ``EncoderParams.to_vector``.
     """
-    x = as_embedding(features, name="features")
+    x = _feature_rows(params, as_embedding(features, name="features")[None, :])
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != (params.embed_dim,):
         raise ValueError(
             f"grad_out must have shape ({params.embed_dim},), got {grad_out.shape}"
         )
-    return backward(params, forward(params, x[None, :]), grad_out[None, :])
+    out = np.empty(params.n_params)
+    _backward(params, _embed(params, x), grad_out[None, :], params._views(out))
+    return out
 
 
 @dataclass
@@ -245,10 +225,6 @@ class BilinearForm:
             raise ValueError(f"bilinear matrix must be square, got {self.matrix.shape}")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("bilinear matrix contains non-finite entries")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def init_bilinear(embed_dim: int, rng: np.random.Generator) -> BilinearForm:

@@ -53,7 +53,7 @@ def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -71,7 +71,7 @@ def read_jsonl(path, schema: dict, error: type[ValueError]) -> Iterator[tuple[in
                 obj = checked(json.loads(line.decode("utf-8")), schema, "", error)
             except error as exc:
                 raise error(f"line {lineno}: {exc}") from None
-            except ValueError as exc:  # not JSON, or not UTF-8
+            except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
                 raise error(f"line {lineno}: invalid JSON: {exc}") from None
             yield lineno, obj
 
@@ -143,6 +143,16 @@ def _as_labels(values, name: str) -> np.ndarray:
     if labels.dtype.kind == "u" and labels.size and labels.max() >= 2**63:
         raise ValueError(f"{name} must fit in an int64, got {labels.max()}")
     return labels.astype(np.int64, copy=False)
+
+
+def _as_matrix(values, name: str) -> np.ndarray:
+    """``values`` as a finite, non-empty (n, f) float64 block; else an error naming ``name``."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(f"{name} must be a non-empty 2-D array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
 
 
 def _relation_ids(values, name: str) -> np.ndarray:

@@ -233,8 +233,9 @@ class MetricsReport:
     @classmethod
     def from_csv(cls, text: str) -> "MetricsReport":
         """Parse ``to_csv`` output; a malformed line raises ``ValueError`` naming it (1-based),
-        as do an accuracy outside [0, 1], a non-finite drop, a second (task, head) row and a
-        task index that ``to_csv`` would not write back as it stands (see ``_task_index``)."""
+        as do an accuracy outside [0, 1], a non-finite drop, a second (task, head) row or task
+        column and a task index that ``to_csv`` would not write back as it stands (see
+        ``_task_index``)."""
         reader = csv.reader(io.StringIO(text))
         try:
             lines = [(reader.line_num, cells) for cells in reader]
@@ -250,9 +251,12 @@ class MetricsReport:
             try:
                 if not col.startswith("acc_per_task_"):
                     raise ValueError
-                tasks.append(_task_index(col.removeprefix("acc_per_task_")))
+                task = _task_index(col.removeprefix("acc_per_task_"))
             except ValueError:
                 raise ValueError(f"line 1: column {col!r} is not acc_per_task_<task>") from None
+            if task in tasks:
+                raise ValueError(f"line 1: column {col!r} names task {task} a second time")
+            tasks.append(task)
         report = cls()
         seen = set()
         for line, cells in lines[1:]:

@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from fcre.encoder import forward, step
+from fcre.encoder import step
 from fcre.geometry import cosine, euclidean, unit_normalize
 from fcre.losses import Batch, joint_loss
 
@@ -195,8 +195,14 @@ def best(scores):
     return sorted(scores, key=lambda r: (-scores[r], r))[0]
 
 
+def forward(params, x):
+    """``encoder._embed`` from fresh products: the (x, hidden, z) of a (n, f) block."""
+    hidden = np.tanh(x @ params.w1.T + params.b1)
+    return x, hidden, np.tanh(hidden @ params.w2.T + params.b2)
+
+
 def backward(params, acts, grad_out):
-    """``encoder.backward`` from fresh products, packed by one ``np.concatenate``."""
+    """``encoder._backward`` from fresh products, packed by one ``np.concatenate``."""
     x, hidden, z = acts
     dz_pre = grad_out * (1.0 - z * z)
     dw2 = dz_pre.T @ hidden
@@ -243,7 +249,7 @@ def train(state, train_x, train_y, hp, epochs):
     for _ in range(epochs):
         for idx in epoch_batches(train_x.shape[0], state.rng):
             acts = forward(encoder, train_x[idx])
-            result = joint_loss(Batch(acts.z, train_y[idx], blocks[idx]), hp, w)
+            result = joint_loss(Batch(acts[2], train_y[idx], blocks[idx]), hp, w)
             grads = np.concatenate([backward(encoder, acts, result.grad_z), result.grad_w.ravel()])
             vec, opt = step(opt, vec, grads, hp.learning_rate)
             encoder = encoder.with_vector(vec[:n_enc])

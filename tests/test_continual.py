@@ -775,6 +775,7 @@ class TestCheckpoint:
         "edit, message",
         [
             (lambda ck: ck.pop("encoder"), "missing key encoder"),
+            (lambda ck: ck.update(task_index=-3), "task_index must be >= 0, got -3"),
             (lambda ck: ck["encoder"].pop("hidden_dim"), "missing key encoder.hidden_dim"),
             (lambda ck: ck["bilinear"].update(data=4), "bilinear.data must be a string, got 4"),
             (lambda ck: ck["memory"].update(labels=[0, True]), "memory.labels[1] must be an integer, got True"),

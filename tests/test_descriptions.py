@@ -165,6 +165,13 @@ class TestDescriptionSet:
         with pytest.raises(ValueError, match="zero norm"):
             DescriptionSet({0: np.array([[0.0, 0.0]])})
 
+    def test_a_vector_whose_squared_norm_overflows_is_rejected(self):
+        # 1e200 is finite, but its square is not: training's norms would be inf
+        with pytest.raises(
+            ValueError, match=r"^relation 0: the squared norm of description vector 1 overflows$"
+        ):
+            DescriptionSet({0: np.array([[1.0, 0.0], [1e200, 1.0]]), 3: np.ones((2, 2))})
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, bad):
         # training reads the set's table unchecked, so this is the one check
@@ -341,7 +348,7 @@ class TestDescriptionsJsonl:
                 ],
                 r"line 2.*dimension",
             ),
-            (['{"relation": 0, "vectors": [[0.0, 0.0]]}'], r"line 1.*zero vector"),
+            (['{"relation": 0, "vectors": [[0.0, 0.0]]}'], r"line 1.*zero norm"),
             (['{"relation": 0, "vectors": [[1.0, NaN]]}'], r"line 1"),
             (['{"relation": 0, "vectors": [[1.0, "x"]]}'], r"line 1.*numeric"),
             (['{"relation": 0, "vectors": []}'], r"line 1.*non-empty"),
@@ -357,7 +364,21 @@ class TestDescriptionsJsonl:
                 ],
                 r"line 2.*numeric",
             ),
-            (['{"relation": 0, "vectors": [[1e-200, 0.0]]}'], r"line 1: vector 0 .*underflow"),
+            (
+                ['{"relation": 0, "vectors": [[1e-200, 0.0]]}'],
+                r"^line 1: relation 0: description vector 0 has zero norm$",
+            ),
+            (
+                [
+                    '{"relation": 0, "vectors": [[1.0, 0.0]]}',
+                    '{"relation": 1, "vectors": [[0.0, 1e200]]}',
+                ],
+                r"^line 2: relation 1: the squared norm of description vector 0 overflows$",
+            ),
+            (
+                ['{"relation": 0, "vectors": [[1.0, 0.0], [1.0]]}'],
+                r"^line 1: vector 1 of relation 0 has dimension 1, expected 2$",
+            ),
         ],
     )
     def test_malformed_lines_name_the_line(self, tmp_path, lines, pattern):
@@ -392,8 +413,15 @@ class TestDescriptionsJsonl:
         ds = DescriptionSet({r: rng.normal(size=(9, 5)) for r in (7, 2, 4)})
         path = tmp_path / "desc.jsonl"
         ds.write(path)
-        monkeypatch.setattr(descriptions, "_check_block", None)  # the parser checked each line
+        calls, check_block = [], descriptions._check_block
+
+        def counted(rel, *args):
+            calls.append(rel)
+            return check_block(rel, *args)
+
+        monkeypatch.setattr(descriptions, "_check_block", counted)
         back = ingest_descriptions(path)
+        assert calls == [2, 4, 7]  # one check per line, in file order; ``_fill`` checks none again
         assert back.relations == ds.relations
         assert back.table.tobytes() == ds.table.tobytes()
         assert back.means.tobytes() == ds.means.tobytes()

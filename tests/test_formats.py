@@ -20,6 +20,8 @@ from fcre.formats import _floats_from_b64, _floats_to_b64, checked, float_row
 
 FEW = settings(max_examples=25)
 CORRUPTIONS = ("not JSON", "missing key", "true entry", "numeric string", "NaN", "wrong length")
+# a finite entry whose square overflows; only description vectors are checked for it
+DESCRIPTION_CORRUPTIONS = CORRUPTIONS + ("overflow",)
 
 
 class TestB64Codec:
@@ -136,6 +138,8 @@ def corrupt(data, line: str, kind: str, rows) -> str:
         row[j] = repr(row[j])
     elif kind == "NaN":
         row[j] = math.nan
+    elif kind == "overflow":
+        row[j] = 1e200
     elif len(row) > 1 and data.draw(st.booleans()):  # wrong length
         del row[j]
     else:
@@ -143,9 +147,9 @@ def corrupt(data, line: str, kind: str, rows) -> str:
     return json.dumps(obj)
 
 
-def assert_line_k_is_named(data, tmp_path_factory, text, rows, ingest, error):
+def assert_line_k_is_named(data, tmp_path_factory, text, rows, ingest, error, kinds=CORRUPTIONS):
     lines = text.splitlines()
-    kind = data.draw(st.sampled_from(CORRUPTIONS))
+    kind = data.draw(st.sampled_from(kinds))
     # the first line fixes the row length, so only a later line can break it
     first = 2 if kind == "wrong length" else 1
     assume(len(lines) >= first)
@@ -207,5 +211,5 @@ class TestDescriptionJsonlProperties:
         descriptions.write(path)
         assert_line_k_is_named(
             data, tmp_path_factory, path.read_text(), lambda obj: obj["vectors"],
-            ingest_descriptions, DescriptionFormatError,
+            ingest_descriptions, DescriptionFormatError, DESCRIPTION_CORRUPTIONS,
         )

@@ -739,6 +739,11 @@ class TestMetricsReport:
             ),
             ("task,head,acc_avg,acc_per_task_01,drop\r\n", "line 1: column 'acc_per_task_01' is not acc_per_task_<task>"),
             ("task,head,acc_avg,acc_per_task_+1,drop\r\n", "line 1: column 'acc_per_task_+1' is not acc_per_task_<task>"),
+            # a second column for one task would drop one of its cells
+            (
+                "task,head,acc_avg,acc_per_task_1,acc_per_task_1,drop\r\n1,ncm,0.5,0.25,0.75,0.0\r\n",
+                "line 1: column 'acc_per_task_1' names task 1 a second time",
+            ),
             (HEADER + "0,ncm,1.0,1.0,0.0\r\n", "line 2: task '0' is not a canonical task index >= 1"),
             (HEADER + "-1,ncm,1.0,1.0,0.0\r\n", "line 2: task '-1' is not a canonical task index >= 1"),
             (HEADER + "01,ncm,1.0,1.0,0.0\r\n", "line 2: task '01' is not a canonical task index >= 1"),

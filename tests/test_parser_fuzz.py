@@ -1,22 +1,28 @@
-"""Fuzzing the config JSON and ``metrics.csv`` parsers.
+"""Fuzzing the config JSON, ``metrics.csv``, dataset and description parsers.
 
 Good input round-trips: a valid config through ``config_to_dict``, JSON
 text and ``config_from_dict`` to an equal config with the same run id,
 and a ``to_csv`` text through ``from_csv`` and ``to_csv`` to the same
 bytes.  Bad input raises a ``ValueError`` that names its config key or
-its CSV line; no other exception escapes either parser.
+its CSV line; no other exception escapes either parser.  Any bytes given
+to ``ingest_dataset`` or ``ingest_descriptions`` parse or raise that
+module's format error; ``tests/test_formats.py`` holds both JSONL
+formats' round-trip and corrupted-line properties.
 """
 
 import json
 import math
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcre.cli import EncoderConfig, ExperimentConfig, config_from_dict, config_to_dict, run_id
-from fcre.datagen import SyntheticSpec
+from fcre.datagen import DatasetFormatError, SyntheticSpec, ingest_dataset
+from fcre.descriptions import DescriptionFormatError, ingest_descriptions
+from fcre.formats import read_json
 from fcre.inference import HEADS, MetricsReport, TaskAccuracy
 from fcre.losses import HyperParams
 
@@ -235,3 +241,95 @@ class TestMetricsCsv:
         text = "task,head,acc_avg,acc_per_task_1,drop\r\n1,ncm,0.5\r0,0.5,0.0\r\n"
         with pytest.raises(ValueError, match=r"^line 2: new-line character seen in unquoted field"):
             MetricsReport.from_csv(text)
+
+
+# mostly plain numbers, so that whole files parse; the rest probe the row checks
+numbers = st.one_of(
+    st.floats(-2.0, 2.0), st.integers(-3, 3), st.floats(),
+    st.sampled_from([0.0, 1e-200, 1e200, 1e308, 10**400]),
+)
+rows = st.one_of(st.lists(numbers, min_size=2, max_size=2), st.lists(numbers, max_size=3))
+relations = st.integers(-1, 2)
+DATASET_FIELDS = {
+    "task": st.integers(0, 2),
+    "relation": relations,
+    "split": st.sampled_from(["train", "test", "dev"]),
+    "features": rows,
+}
+DESCRIPTION_FIELDS = {"relation": relations, "vectors": st.lists(rows, min_size=1, max_size=2)}
+
+
+@st.composite
+def records(draw, fields):
+    """One JSONL line: the schema's keys with typed values, at times one key dropped or any JSON."""
+    record = draw(st.fixed_dictionaries(fields))
+    key, edit = draw(st.sampled_from(sorted(record))), draw(st.sampled_from(["", "", "drop", "any"]))
+    if edit == "drop":
+        del record[key]
+    elif edit == "any":
+        record[key] = draw(json_values)
+    return json.dumps(record).encode("utf-8")
+
+
+@st.composite
+def edits(draw, valid: bytes):
+    """``valid`` with one to three short spans replaced by random bytes."""
+    text = bytearray(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(text)))
+        text[start : start + draw(st.integers(0, 4))] = draw(st.binary(max_size=4))
+    return bytes(text)
+
+
+def jsonl_files(fields, valid: bytes):
+    """Bytes of a JSONL file of ``records``, an edited ``valid`` file, or any bytes."""
+    lines = st.lists(records(fields), max_size=10).map(b"\n".join)
+    return st.one_of(lines, lines, edits(valid), st.binary(max_size=64))
+
+
+def jsonl(objects) -> bytes:
+    return b"".join(json.dumps(obj).encode("utf-8") + b"\n" for obj in objects)
+
+
+VALID_DATASET = jsonl(
+    {"task": task, "relation": rel, "split": split, "features": [0.5, -1.0 * rel]}
+    for task, rel in ((1, 0), (1, 1), (2, 2)) for split in ("train", "test")
+)
+VALID_DESCRIPTIONS = jsonl({"relation": rel, "vectors": [[1.0, 0.5], [0.0, -2.0]]} for rel in range(3))
+PARSERS = {
+    "dataset": (ingest_dataset, DatasetFormatError, jsonl_files(DATASET_FIELDS, VALID_DATASET)),
+    "descriptions": (
+        ingest_descriptions, DescriptionFormatError,
+        jsonl_files(DESCRIPTION_FIELDS, VALID_DESCRIPTIONS),
+    ),
+}
+
+
+class TestJsonlBytes:
+    @pytest.mark.parametrize("parser", sorted(PARSERS))
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_any_bytes_parse_or_raise_the_format_error(self, tmp_path_factory, parser, data):
+        ingest, error, files = PARSERS[parser]
+        path = tmp_path_factory.mktemp(parser) / "input.jsonl"
+        path.write_bytes(data.draw(files))
+        with warnings.catch_warnings():  # a zero mean description is legal and warns
+            warnings.filterwarnings("ignore", "relation .* average to the zero vector")
+            try:
+                ingest(path)
+            except error:
+                pass
+
+    @pytest.mark.parametrize("parser", sorted(PARSERS))
+    def test_a_line_nested_beyond_the_decoder_limit_is_named(self, tmp_path, parser):
+        ingest, error, _ = PARSERS[parser]
+        path = tmp_path / "deep.jsonl"
+        path.write_text("\n" + "[" * 100_000 + "\n")
+        with pytest.raises(error, match="^line 2: invalid JSON: maximum recursion depth"):
+            ingest(path)
+
+    def test_a_json_file_nested_beyond_the_decoder_limit_names_the_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not valid JSON: "):
+            read_json(path)
