@@ -375,27 +375,19 @@ def _parse_seed_list(raw: str) -> tuple[int, ...]:
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    hyper = config.hyper
-    if getattr(args, "no_sc", False):
-        hyper = replace(hyper, beta_sc=0.0)
-    if getattr(args, "no_st", False):
-        hyper = replace(hyper, beta_st=0.0)
-    if getattr(args, "no_hm", False):
-        hyper = replace(hyper, beta_hm=0.0)
-    if getattr(args, "no_mi", False):
-        hyper = replace(hyper, beta_mi=0.0)
-    if getattr(args, "k_desc", None) is not None:
-        hyper = replace(hyper, k_desc=args.k_desc)
-    if getattr(args, "alpha", None) is not None:
-        hyper = replace(hyper, alpha=args.alpha)
-    if getattr(args, "epsilon", None) is not None:
-        hyper = replace(hyper, epsilon=args.epsilon)
-    config = replace(config, hyper=hyper)
-    if getattr(args, "seed", None) is not None:
+    """``config`` with ``fcre run``'s flags; the hyperparameters change in one ``replace``."""
+    given = {"k_desc": args.k_desc, "alpha": args.alpha, "epsilon": args.epsilon}
+    ablated = {
+        "beta_sc": args.no_sc, "beta_st": args.no_st, "beta_hm": args.no_hm, "beta_mi": args.no_mi
+    }
+    changes = {name: value for name, value in given.items() if value is not None}
+    changes.update((beta, 0.0) for beta, off in ablated.items() if off)
+    config = replace(config, hyper=replace(config.hyper, **changes))
+    if args.seed is not None:
         config = replace(config, seeds=_parse_seed_list(args.seed))
-    if getattr(args, "head", None) is not None:
+    if args.head is not None:
         config = replace(config, heads=tuple(h.strip() for h in args.head.split(",") if h.strip()))
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         config = replace(config, out_dir=args.out)
     return config
 

@@ -582,8 +582,10 @@ def read_checkpoint(path) -> dict:
             raise ValueError(f"task_index must be >= 0, got {obj['task_index']}")
         enc, mem = obj["encoder"], obj["memory"]
         f, h, d = enc["feature_dim"], enc["hidden_dim"], enc["embed_dim"]
+        # the payload bounds the declared sizes before anything of their size is allocated
+        vector = _floats_from_b64(enc["data"], f * h + h + d * h + d, "encoder")
         template = EncoderParams(np.zeros((h, f)), np.zeros(h), np.zeros((d, h)), np.zeros(d))
-        encoder = template.with_vector(_floats_from_b64(enc["data"], template.n_params, "encoder"))
+        encoder = template.with_vector(vector)
         w = _floats_from_b64(obj["bilinear"]["data"], d * d, "bilinear")
         bilinear = BilinearForm(w.reshape(d, d))
         memory = MemoryBuffer(f)

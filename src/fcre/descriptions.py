@@ -7,9 +7,13 @@ ascending int64 relation ids, the one index that every lookup searches.
 Construction checks each relation's block in ascending id order with
 ``_check_block`` and raises for the first bad one: the block must be
 finite, of the set's K and d, and each vector's squared norm must be
-neither zero nor beyond the float range.  The file parser checks each
-line's JSON, then runs ``_check_block`` on its block and names the line
-in the error.  Both then stack the blocks and their means the same way.
+neither zero nor beyond the float range.  A block whose vectors average
+to the zero vector passes with a warning, given once, as it enters.
+The file parser checks each line's JSON, then runs ``_check_block`` on
+its block in file order and names the line in the error.  Every set,
+``subset`` and ``union`` included, is made by one constructor from its
+ascending ids and (R, K, d) table, which also takes the means; a set
+cut or merged from checked sets is not checked or warned of again.
 Synthesis checks every id, then draws each relation's (K, d) block in
 one call and normalizes its rows with the bits of ``unit_normalize``.
 Description vectors are frozen inputs to training and inference --
@@ -48,48 +52,36 @@ class DescriptionSet:
     The blocks are held as one (R, K, d) table and their means as one
     (R, d) matrix, both over ascending relation ids; ``vectors`` and
     ``mean`` hand out rows of them, and ``evaluate`` reads ``means`` as
-    it is.  Every lookup goes through ``rows``, so ``in``, ``vectors``
-    and ``mean`` take exactly the ids that ``rows`` takes.  A zero-norm
-    mean (opposite vectors cancelling) is legal but degenerate: it is
-    surfaced as a warning here and will fail later only if something
-    actually asks for a cosine against it.
+    it is.  Every set's arrays, ``__init__``'s too, are built by
+    ``_of_table``.  Every lookup goes through ``rows``, so ``in``,
+    ``vectors`` and ``mean`` take exactly the ids that ``rows`` takes.
+    A zero-norm mean (opposite vectors cancelling) is legal but
+    degenerate: ``_check_block`` warns of it as the block enters, and it
+    will fail later only if something actually asks for a cosine
+    against it.
     """
 
     def __init__(self, vectors_by_relation: Mapping[int, np.ndarray]):
-        blocks = {}
+        items = _relation_items(vectors_by_relation)  # raises for the first bad id
+        blocks = []
         k_desc = dim = None
-        for rel, vectors in _relation_items(vectors_by_relation):  # raises for the first bad one
-            blocks[rel] = np.asarray(vectors, dtype=np.float64)
-            k_desc, dim = _check_block(rel, blocks[rel], k_desc, dim)
-        self._fill(blocks)
-
-    def _fill(self, blocks: Mapping[int, np.ndarray]) -> None:
-        """Stack checked (K, d) blocks and their ``block.mean(axis=0)`` over ascending relations.
-
-        A zero mean warns, naming its relation.
-        """
-        rels = self._relations = tuple(sorted(blocks))
-        self._ids = np.array(rels, dtype=np.int64)
-        means = [blocks[rel].mean(axis=0) for rel in rels]
-        for rel, mean in zip(rels, means):
-            if np.dot(mean, mean) == 0.0:
-                warnings.warn(
-                    f"relation {rel}: description vectors average to the zero "
-                    "vector; cosine-based inference against it will fail",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-        self._table = np.stack([blocks[rel] for rel in rels]) if rels else np.zeros((0, 0, 0))
-        self._means = np.stack(means) if rels else np.zeros((0, 0))
+        for rel, vectors in items:
+            blocks.append(np.asarray(vectors, dtype=np.float64))
+            k_desc, dim = _check_block(rel, blocks[-1], k_desc, dim)
+        table = np.stack(blocks) if blocks else np.zeros((0, 0, 0))
+        vars(self).update(vars(DescriptionSet._of_table([rel for rel, _ in items], table)))
 
     @staticmethod
-    def _of_rows(sets: list["DescriptionSet"], rows) -> "DescriptionSet":
-        """The ``rows`` of the sets' stacked arrays, as a set; their constructors checked them."""
+    def _of_table(ids, table: np.ndarray) -> "DescriptionSet":
+        """The one constructor: ascending ``ids`` and their checked (R, K, d) ``table``.
+
+        ``means`` is ``table.mean(axis=1)``, which has the bits of each
+        block's own ``mean(axis=0)``; an empty set takes no mean.
+        """
         out = DescriptionSet.__new__(DescriptionSet)
-        out._ids = np.concatenate([s._ids for s in sets])[rows]
-        out._relations = tuple(out._ids.tolist())
-        out._table = np.concatenate([s._table for s in sets])[rows]
-        out._means = np.concatenate([s._means for s in sets])[rows]
+        out._ids = np.asarray(ids, dtype=np.int64)
+        out._table = table
+        out._means = table.mean(axis=1) if out._ids.size else np.zeros((0, table.shape[2]))
         return out
 
     @classmethod
@@ -98,16 +90,16 @@ class DescriptionSet:
 
     @property
     def relations(self) -> tuple[int, ...]:
-        return self._relations
+        return tuple(self._ids.tolist())
 
     @property
     def k_desc(self) -> int | None:
         """Vectors per relation, or None while the set is empty."""
-        return self._table.shape[1] if self._relations else None
+        return self._table.shape[1] if len(self) else None
 
     @property
     def dim(self) -> int | None:
-        return self._table.shape[2] if self._relations else None
+        return self._table.shape[2] if len(self) else None
 
     @property
     def table(self) -> np.ndarray:
@@ -120,7 +112,7 @@ class DescriptionSet:
         return self._means
 
     def __len__(self) -> int:
-        return len(self._relations)
+        return self._ids.size
 
     def __contains__(self, rel) -> bool:
         try:
@@ -146,13 +138,16 @@ class DescriptionSet:
         return self._means[self.rows((rel,))[0]]
 
     def subset(self, relations: Iterable[int]) -> "DescriptionSet":
-        return DescriptionSet._of_rows([self], sorted(set(self.rows(relations).tolist())))
+        rows = sorted(set(self.rows(relations).tolist()))
+        return DescriptionSet._of_table(self._ids[rows], self._table[rows])
 
     def union(self, other: "DescriptionSet") -> "DescriptionSet":
         """Merge two sets; overlapping relations or K/d mismatch are errors."""
-        if len(self) == 0 or len(other) == 0:
-            return DescriptionSet._of_rows([self if len(self) > 0 else other], slice(None))
-        overlap = set(self._relations) & set(other._relations)
+        if len(other) == 0:
+            return self
+        if len(self) == 0:
+            return other
+        overlap = set(self.relations) & set(other.relations)
         if overlap:
             raise ValueError(f"relations already registered: {sorted(overlap)}")
         if other.k_desc != self.k_desc:
@@ -163,19 +158,24 @@ class DescriptionSet:
             raise ValueError(
                 f"cannot merge description sets with d={self.dim} and d={other.dim}"
             )
-        order = np.argsort(np.concatenate([self._ids, other._ids]), kind="stable")
-        return DescriptionSet._of_rows([self, other], order)
+        ids = np.concatenate([self._ids, other._ids])
+        order = np.argsort(ids, kind="stable")
+        table = np.concatenate([self._table, other._table])
+        return DescriptionSet._of_table(ids[order], table[order])
 
     def write(self, path) -> None:
         """Write the canonical JSONL form: relations ascending, repr-exact floats."""
-        blocks = zip(self._relations, self._table.tolist())
+        blocks = zip(self._ids.tolist(), self._table.tolist())
         write_jsonl(path, ({"relation": rel, "vectors": block} for rel, block in blocks))
 
 
 def _check_block(
     rel: int, block: np.ndarray, k_desc: int | None, dim: int | None
 ) -> tuple[int, int]:
-    """One relation's checks, in the order that decides which error a bad block raises."""
+    """One relation's checks, in the order that decides which error a bad block raises.
+
+    A block that passes them with a zero mean warns to the caller's caller.
+    """
     if block.ndim != 2:
         raise ValueError(
             f"relation {rel}: vectors must be a (K, d) array, got shape {block.shape}"
@@ -195,6 +195,14 @@ def _check_block(
     if squares.max() == np.inf:
         raise ValueError(
             f"relation {rel}: the squared norm of description vector {squares.argmax()} overflows"
+        )
+    mean = block.mean(axis=0)
+    if np.dot(mean, mean) == 0.0:
+        warnings.warn(
+            f"relation {rel}: description vectors average to the zero "
+            "vector; cosine-based inference against it will fail",
+            RuntimeWarning,
+            stacklevel=3,
         )
     return k, d
 
@@ -233,7 +241,7 @@ def ingest_descriptions(path) -> DescriptionSet:
     """Parse a JSONL description file; all errors carry line numbers.
 
     Each line's JSON is checked here; its block then goes through
-    ``_check_block`` as the constructor's do, and the set is filled from
+    ``_check_block`` as the constructor's do, and ``_of_table`` stacks
     the checked blocks without checking them again.
     """
     blocks: dict[int, np.ndarray] = {}
@@ -257,6 +265,5 @@ def ingest_descriptions(path) -> DescriptionSet:
             raise DescriptionFormatError(f"line {lineno}: {exc}") from None
     if not blocks:
         raise DescriptionFormatError("description file is empty")
-    out = DescriptionSet.__new__(DescriptionSet)
-    out._fill(blocks)
-    return out
+    ids = sorted(blocks)
+    return DescriptionSet._of_table(ids, np.stack([blocks[rel] for rel in ids]))

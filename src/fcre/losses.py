@@ -67,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fcre.formats import _as_labels, _checked_fields, checked
+from fcre.formats import _as_labels, _as_matrix, _checked_fields, checked
 
 
 @dataclass(frozen=True)
@@ -130,14 +130,10 @@ class Batch:
     descriptions: np.ndarray  # (B, K, d)
 
     def __post_init__(self) -> None:
-        self.z = np.asarray(self.z, dtype=np.float64)
+        self.z = _as_matrix(self.z, "z")
         self.labels = _as_labels(self.labels, "labels")
         self.descriptions = np.asarray(self.descriptions, dtype=np.float64)
-        if self.z.ndim != 2:
-            raise ValueError(f"z must be (B, d), got shape {self.z.shape}")
         b, d = self.z.shape
-        if b < 1:
-            raise ValueError("batch must contain at least one sample")
         if self.labels.shape != (b,):
             raise ValueError(
                 f"labels must have shape ({b},), got {self.labels.shape}"
@@ -152,8 +148,6 @@ class Batch:
             raise ValueError("descriptions contain non-finite entries")
         if self.descriptions.shape[1] < 1:
             raise ValueError("need at least one description vector per sample")
-        if not np.all(np.isfinite(self.z)):
-            raise ValueError("z contains non-finite entries")
 
     @property
     def size(self) -> int:

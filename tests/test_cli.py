@@ -240,6 +240,12 @@ class TestConfigSerialization:
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == pattern
 
+    def test_two_invalid_hyperparameter_flags_report_the_first_field_checked(self, tmp_path, capsys):
+        # one ``replace`` applies every flag, and ``HyperParams`` checks alpha before k_desc
+        argv = ["run", "--k-desc", "0", "--alpha", "2", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: alpha must lie in [0, 1], got 2.0\n"
+
 
 class TestRunId:
     def test_stable(self):

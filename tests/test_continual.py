@@ -3,6 +3,7 @@
 import gc
 import json
 import logging
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -781,6 +782,10 @@ class TestCheckpoint:
             (lambda ck: ck["memory"].update(labels=[0, True]), "memory.labels[1] must be an integer, got True"),
             (lambda ck: ck["memory"].update(labels=None), "memory.labels must be a list, got None"),
             (lambda ck: ck["encoder"].update(data=""), "encoder.data: payload holds 0 floats, expected 92"),
+            (  # a zero template of these sizes would take 88 GB
+                lambda ck: ck["encoder"].update(hidden_dim=10**9),
+                "encoder.data: payload holds 92 floats, expected 11000000004",
+            ),
             (
                 lambda ck: ck["bilinear"].update(data=ck["memory"]["data"]),
                 "bilinear.data: payload holds 12 floats, expected 16",
@@ -801,9 +806,15 @@ class TestCheckpoint:
         checkpoint = json.loads(path.read_text())
         edit(checkpoint)
         path.write_text(json.dumps(checkpoint))
-        with pytest.raises(ValueError) as err:
-            read_checkpoint(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                read_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert str(err.value).startswith(f"{path}: {message}")
+        assert peak < 2**20  # declared sizes are checked against the payload before allocating
 
     def test_a_memory_that_interleaves_relations_reads_back_in_insertion_order(self, tmp_path):
         state = fresh_state()

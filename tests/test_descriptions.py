@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,15 @@ class TestDescriptionSet:
         with pytest.warns(RuntimeWarning, match="average to the zero"):
             ds = DescriptionSet({0: vectors})
             ds.mean(0)
+
+    def test_zero_mean_warns_once_as_the_block_enters(self):
+        cancelling = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        with pytest.warns(RuntimeWarning, match="^relation 0: description vectors average") as got:
+            ds = DescriptionSet({0: cancelling, 2: np.eye(2)})
+        assert len(got) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # cut and merged sets are not warned of again
+            assert ds.subset([0]).union(DescriptionSet({1: np.eye(2)})).relations == (0, 1)
 
     def test_subset(self):
         ds = simple_set()
@@ -425,6 +435,18 @@ class TestDescriptionsJsonl:
         assert back.relations == ds.relations
         assert back.table.tobytes() == ds.table.tobytes()
         assert back.means.tobytes() == ds.means.tobytes()
+
+    def test_a_zero_mean_line_warns_before_a_later_line_fails(self, tmp_path):
+        path = tmp_path / "desc.jsonl"
+        path.write_text(
+            '{"relation": 0, "vectors": [[1.0, 0.0], [-1.0, 0.0]]}\n'
+            '{"relation": 1, "vectors": [[1.0, 0.0]]}\n'
+        )
+        with pytest.warns(RuntimeWarning, match="^relation 0: description vectors average"):
+            with pytest.raises(
+                DescriptionFormatError, match="^line 2: relation 1 has 1 description vectors, expected 2$"
+            ):
+                ingest_descriptions(path)
 
     def test_parsed_zero_mean_warns(self, tmp_path):
         path = tmp_path / "desc.jsonl"

@@ -1,4 +1,4 @@
-"""Fuzzing the config JSON, ``metrics.csv``, dataset and description parsers.
+"""Fuzzing the config JSON, ``metrics.csv``, dataset, description and checkpoint parsers.
 
 Good input round-trips: a valid config through ``config_to_dict``, JSON
 text and ``config_from_dict`` to an equal config with the same run id,
@@ -7,9 +7,12 @@ bytes.  Bad input raises a ``ValueError`` that names its config key or
 its CSV line; no other exception escapes either parser.  Any bytes given
 to ``ingest_dataset`` or ``ingest_descriptions`` parse or raise that
 module's format error; ``tests/test_formats.py`` holds both JSONL
-formats' round-trip and corrupted-line properties.
+formats' round-trip and corrupted-line properties.  Any JSON document,
+and any edit of a real checkpoint, given to ``read_checkpoint`` loads or
+raises a ``ValueError`` that starts with the file's path.
 """
 
+import base64
 import json
 import math
 import re
@@ -19,7 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from fcre.cli import EncoderConfig, ExperimentConfig, config_from_dict, config_to_dict, run_id
+from fcre.continual import checkpoint_dict, init_state, read_checkpoint
 from fcre.datagen import DatasetFormatError, SyntheticSpec, ingest_dataset
 from fcre.descriptions import DescriptionFormatError, ingest_descriptions
 from fcre.formats import read_json
@@ -333,3 +339,78 @@ class TestJsonlBytes:
         path.write_text("[" * 100_000)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not valid JSON: "):
             read_json(path)
+
+
+def real_checkpoint() -> dict:
+    """The checkpoint of a fresh state with rows of relations 1 and 0 in memory."""
+    state = init_state(3, 4, 2, seed=0)
+    state.memory.append(np.random.default_rng(0).normal(size=(3, 3)), [1, 0, 1])
+    return checkpoint_dict(state)
+
+
+CHECKPOINT = real_checkpoint()
+CHECKPOINT_KEYS = [key for key, _ in leaves(CHECKPOINT)]
+# sizes far beyond any payload, negative ones, and the ones that fit
+sizes = st.one_of(
+    st.integers(-3, 12), st.integers(),
+    st.sampled_from([10**9, 10**12, 2**62, 2**63, 10**30, -(10**9)]),
+)
+payloads = st.one_of(
+    st.sampled_from([CHECKPOINT[section]["data"] for section in ("encoder", "bilinear", "memory")]),
+    st.binary(max_size=96).map(lambda raw: base64.b64encode(raw).decode("ascii")),
+    st.text(max_size=12),
+)
+EDITED_VALUES = {
+    "task_index": sizes,
+    "encoder.feature_dim": sizes,
+    "encoder.hidden_dim": sizes,
+    "encoder.embed_dim": sizes,
+    "encoder.data": payloads,
+    "bilinear.data": payloads,
+    "memory.labels": st.lists(st.one_of(sizes, json_scalars), max_size=5),
+    "memory.data": payloads,
+}
+
+
+@st.composite
+def edited_checkpoints(draw):
+    """``CHECKPOINT`` with one to three keys set to a value of their kind, any JSON, or dropped."""
+    obj = json.loads(json.dumps(CHECKPOINT))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(CHECKPOINT_KEYS))
+        *sections, name = key.split(".")
+        parent = obj
+        for section in sections:
+            parent = parent.get(section) if isinstance(parent, dict) else None
+        if not isinstance(parent, dict):  # an earlier edit replaced the section
+            continue
+        edit = draw(st.sampled_from(["kind", "kind", "any", "drop"]))
+        if edit == "drop":
+            parent.pop(name, None)
+        else:
+            parent[name] = draw(EDITED_VALUES[key] if edit == "kind" else json_values)
+    return json.dumps(obj).encode("utf-8")
+
+
+CHECKPOINT_BYTES = json.dumps(CHECKPOINT, sort_keys=True).encode("utf-8") + b"\n"
+checkpoint_files = st.one_of(
+    edited_checkpoints(), edited_checkpoints(), edits(CHECKPOINT_BYTES),
+    json_values.map(lambda obj: json.dumps(obj).encode("utf-8")),
+)
+
+
+class TestCheckpointJson:
+    def test_the_real_checkpoint_loads(self, tmp_path):
+        path = tmp_path / "task_00.json"
+        path.write_bytes(CHECKPOINT_BYTES)
+        assert read_checkpoint(path)["memory"].labels.tolist() == [1, 0, 1]
+
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_any_edit_loads_or_raises_a_value_error_naming_the_file(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("checkpoint") / "task_01.json"
+        path.write_bytes(data.draw(checkpoint_files))
+        try:
+            read_checkpoint(path)
+        except ValueError as exc:
+            assert str(exc).startswith(str(path))

@@ -176,6 +176,40 @@ def test_no_module_defines_or_calls_validate():
     assert {stem: uses for stem, uses in found.items() if uses} == {}
 
 
+SET_STATE = ("_ids", "_table", "_means")
+
+
+def set_fills(node, where="module") -> list[str]:
+    """Each ``__new__`` call naming ``DescriptionSet`` and each ``SET_STATE`` assignment, by function."""
+    found = []
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__":
+        named = [node.func.value, *node.args]
+        if any(isinstance(arg, ast.Name) and arg.id == "DescriptionSet" for arg in named):
+            found.append(f"__new__ in {where}")
+    targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+    for target in filter(None, targets):
+        found += [
+            f"{sub.attr} in {where}"
+            for sub in ast.walk(target)
+            if isinstance(sub, ast.Attribute) and sub.attr in SET_STATE
+        ]
+    for child in ast.iter_child_nodes(node):
+        found += set_fills(child, where)
+    return found
+
+
+def test_one_constructor_fills_every_description_set():
+    """``DescriptionSet._of_table`` is the one place that makes a set and sets its arrays."""
+    found = {path.stem: set_fills(ast.parse(path.read_text(encoding="utf-8"))) for path in MODULES}
+    assert {stem: fills for stem, fills in found.items() if fills} == {
+        "descriptions": [
+            "__new__ in _of_table", "_ids in _of_table", "_table in _of_table", "_means in _of_table"
+        ]
+    }
+
+
 @pytest.mark.parametrize("config_type", [ExperimentConfig, SyntheticSpec, EncoderConfig, HyperParams])
 def test_config_types_are_frozen_and_check_themselves(config_type):
     assert config_type.__dataclass_params__.frozen
