@@ -291,23 +291,20 @@ def cmd_generate(config: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_run(config: ExperimentConfig) -> int:
-    """Run the seeds in order, printing each one's summary or failure, then the aggregate."""
-    results = []
+    """Run the seeds in order, printing each one's summary or failure, then their report."""
+    run_dirs = []
     for seed in config.seeds:
         try:
             summary = run_single_seed(config, seed)
         except Exception as exc:  # noqa: BLE001 - report and keep going
             print(f"seed {seed}: FAILED: {exc}", file=sys.stderr)
             continue
-        results.append(summary)
+        run_dirs.append(summary["run_dir"])
         finals = "  ".join(f"{head}={summary['final'][head]:.4f}" for head in config.heads)
         print(f"seed {seed}: {finals}  -> {summary['run_dir']}")
-    if results:
-        print("aggregate over", len(results), "seed(s):")
-        for head in config.heads:
-            drops = [r["drop"][head] for r in results]
-            _print_aggregate(head, [r["final"][head] for r in results], sum(drops) / len(drops))
-    return 1 if len(results) < len(config.seeds) else 0
+    if run_dirs:
+        cmd_report(run_dirs, None)
+    return 1 if len(run_dirs) < len(config.seeds) else 0
 
 
 def _sample_std(values: list[float]) -> float:
@@ -317,31 +314,31 @@ def _sample_std(values: list[float]) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
 
 
-def _print_aggregate(head: str, finals: list[float], drop: float) -> None:
-    """One head's mean +/- std of final accuracy, its drop and signed delta."""
-    mean = sum(finals) / len(finals)
-    # 0.0 - drop, not -drop: a zero drop prints as 0.0000, not -0.0000
-    print(
-        f"  {head}: final_acc {mean:.4f} +/- {_sample_std(finals):.4f}  "
-        f"drop {drop:.4f}  signed_delta {0.0 - drop:.4f}"
-    )
-
-
 def cmd_report(run_dirs: list[str], out: str | None) -> int:
-    """Aggregate metrics.csv across run dirs; print and optionally save."""
-    reports = []
-    for dirname in run_dirs:
+    """Aggregate metrics.csv across run dirs; print and optionally save.
+
+    A run whose (task, head) rows differ from the first run's raises a
+    ``ValueError`` naming its file."""
+    cells: dict[tuple[int, str], list[float]] = {}
+    for i, dirname in enumerate(run_dirs):
         path = Path(dirname) / "metrics.csv"
         if not path.exists():
             raise ValueError(f"no metrics.csv under {dirname}")
         try:  # a parse or decoding error names the file
             with open(path, "r", encoding="utf-8", newline="") as fh:
-                reports.append(MetricsReport.from_csv(fh.read()))
+                rows = MetricsReport.from_csv(fh.read()).rows
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    cells: dict[tuple[int, str], list[float]] = {}
-    for report in reports:
-        for row in report.rows:
+        keys = {(row.task_index, row.head) for row in rows}
+        if i == 0:
+            first_path, first_keys = path, keys
+        elif keys != first_keys:
+            task, head = min(keys ^ first_keys)
+            raise ValueError(
+                f"{path}: runs cover different tasks or heads; task {task}, head {head!r} "
+                f"has a row in only one of this file and {first_path}"
+            )
+        for row in rows:
             cells.setdefault((row.task_index, row.head), []).append(row.acc_avg)
     heads = sorted({head for _, head in cells})
     tasks = sorted({task for task, _ in cells})
@@ -357,13 +354,19 @@ def cmd_report(run_dirs: list[str], out: str | None) -> int:
     if out:
         write_atomic(out, buf.getvalue())
         print(f"wrote {out}")
-    print(f"aggregated {len(reports)} run(s):")
+    print(f"aggregated {len(run_dirs)} run(s):")
     for head in heads:
         first = cells.get((tasks[0], head))
         last = cells.get((tasks[-1], head))
         if not first or not last:
             continue
-        _print_aggregate(head, last, sum(first) / len(first) - sum(last) / len(last))
+        mean = sum(last) / len(last)
+        drop = sum(first) / len(first) - mean
+        # 0.0 - drop, not -drop: a zero drop prints as 0.0000, not -0.0000
+        print(
+            f"  {head}: final_acc {mean:.4f} +/- {_sample_std(last):.4f}  "
+            f"drop {drop:.4f}  signed_delta {0.0 - drop:.4f}"
+        )
     return 0
 
 

@@ -13,13 +13,13 @@ memory-rehearsal recipe:
    of a per-relation loop; then append them to the memory,
 4. train again on the union of all *previous* tasks' memory and the
    current task data for ``epochs_memory`` epochs,
-5. rebuild the prototypes from memory with the final encoder, as group
+5. build the prototypes from memory with the final encoder, as group
    means over one encoding of the memory (each with the bits of its
    relation's own ``mean(axis=0)``, also when one append interleaves
-   relations), and log a cumulative evaluation row per prediction head.
+   relations), and log ``evaluate``'s cumulative row per prediction head.
 
-Prototypes are always recomputed from raw stored features with the
-current encoder, so rebuilding them twice in a row is a no-op.  Memory
+Prototypes are a pure function of (memory, encoder): ``ContinualState``
+does not hold them, and ``run_task`` builds them where it evaluates.  Memory
 is one (n, f) feature matrix with an (n,) relation-id vector, in
 insertion order, and is append-only: once a relation's representatives
 are chosen they are never replaced.  The prototypes are one (R, d)
@@ -243,13 +243,12 @@ class Prototypes:
 
 @dataclass
 class ContinualState:
-    """Everything that evolves while consuming a task stream."""
+    """Everything that evolves while consuming a task stream, and nothing derived from it."""
 
     encoder: EncoderParams
     bilinear: BilinearForm
     optimizer: AdamState
     memory: MemoryBuffer
-    prototypes: Prototypes
     descriptions: DescriptionSet
     completed_tasks: list[Task] = field(default_factory=list)
     report: MetricsReport = field(default_factory=MetricsReport)
@@ -276,7 +275,6 @@ def init_state(
         bilinear=bilinear,
         optimizer=optimizer,
         memory=MemoryBuffer(feature_dim),
-        prototypes=Prototypes(np.zeros(0, dtype=np.int64), np.zeros((0, embed_dim))),
         descriptions=DescriptionSet.empty(),
         rng=rng,
     )
@@ -525,11 +523,9 @@ def run_task(
         hp, hp.epochs_memory, task_index=task.index, phase="replay",
     )
 
-    state.prototypes = build_prototypes(
-        state.memory, lambda rows: encode_batch(state.encoder, rows)
-    )
+    prototypes = build_prototypes(state.memory, lambda rows: encode_batch(state.encoder, rows))
     state.completed_tasks.append(task)
-    for row in evaluate(state, task.index, heads, hp):
+    for row in evaluate(state, prototypes, heads, hp):
         state.report.add(row)
     return state
 
@@ -572,8 +568,9 @@ def read_checkpoint(path) -> dict:
     bilinear (BilinearForm, from ``embed_dim``² floats) and memory (a
     MemoryBuffer of one row of ``feature_dim`` floats per entry of
     ``memory.labels``, in the file's order).  A missing key, a wrong
-    JSON type, a negative ``task_index``, a bad payload or a label
-    beyond int64 raises ``ValueError`` naming the file and the key.
+    JSON type, a negative ``task_index``, an encoder size below 1, a bad
+    payload or a label beyond int64 raises ``ValueError`` naming the file
+    and the key.
     """
     obj = read_json(path)
     try:
@@ -581,6 +578,9 @@ def read_checkpoint(path) -> dict:
         if obj["task_index"] < 0:
             raise ValueError(f"task_index must be >= 0, got {obj['task_index']}")
         enc, mem = obj["encoder"], obj["memory"]
+        for key in ("feature_dim", "hidden_dim", "embed_dim"):
+            if enc[key] < 1:
+                raise ValueError(f"encoder.{key} must be >= 1, got {enc[key]}")
         f, h, d = enc["feature_dim"], enc["hidden_dim"], enc["embed_dim"]
         # the payload bounds the declared sizes before anything of their size is allocated
         vector = _floats_from_b64(enc["data"], f * h + h + d * h + d, "encoder")

@@ -41,7 +41,7 @@ from fcre.geometry import euclidean  # noqa: F401
 from fcre.losses import HyperParams, _check_fusion_weights
 
 if TYPE_CHECKING:  # pragma: no cover - import would be circular at runtime
-    from fcre.continual import ContinualState
+    from fcre.continual import ContinualState, Prototypes
     from fcre.descriptions import DescriptionSet
 
 HEADS = ("ncm", "dri")
@@ -308,39 +308,40 @@ def _predict_block(
 
 
 def evaluate(
-    state: "ContinualState", through_task: int, heads: tuple[str, ...], hp: HyperParams
+    state: "ContinualState", prototypes: "Prototypes", heads: tuple[str, ...], hp: HyperParams
 ) -> list[TaskAccuracy]:
-    """Score the test pools of tasks 1..through_task with each head.
+    """Score the test pool of every task in ``state.completed_tasks`` with each head.
 
-    Every prediction runs against the full label space seen so far (the
-    prototype registry), so earlier tasks get harder as the stream
-    grows.  Each pool is encoded once, whole (the encoder's transients,
-    n x (hidden + d) floats for n queries, grow with the pool), and
-    scored in passes of ``max(1, EVAL_BLOCK_ENTRIES // R)`` queries,
-    which bound the scoring transients; every head scores a pass from the
-    ``_keys`` of its rows against ``state.prototypes`` and, for DRI, the
-    mean descriptions of ``state.descriptions``.  So each query gets the
-    decision that ``ncm_predict`` and ``dri_predict`` give it, exact ties
-    to the lower id.  Returns one row per head, in the order of ``heads``.
-    The result is a pure fold over the test pools: sample order cannot
-    affect it.
+    Every prediction runs against the full label space of ``prototypes``
+    (``run_task`` builds them from the memory with the current encoder),
+    so earlier tasks get harder as the stream grows.  Each pool is
+    encoded once, whole (the encoder's transients, n x (hidden + d)
+    floats for n queries, grow with the pool), and scored in passes of
+    ``max(1, EVAL_BLOCK_ENTRIES // R)`` queries, which bound the scoring
+    transients; every head scores a pass from the ``_keys`` of its rows
+    against ``prototypes`` and, for DRI, the mean descriptions of
+    ``state.descriptions``.  So each query gets the decision that
+    ``ncm_predict`` and ``dri_predict`` give it, exact ties to the lower
+    id.  Returns one row per head, in the order of ``heads``, each with
+    task index ``len(state.completed_tasks)``.  The result is a pure fold
+    over the test pools: sample order cannot affect it.
     """
     check_heads(heads)
-    if not 1 <= through_task <= len(state.completed_tasks):
-        raise ValueError(f"through_task {through_task} has not been completed")
-    relations, prototypes = state.prototypes.relations, state.prototypes.vectors
+    if not state.completed_tasks:
+        raise ValueError("no task has been completed")
+    relations, vectors = prototypes.relations, prototypes.vectors
     if relations.size == 0:
         raise ValueError("prototype store is empty")
     means = _means(relations.tolist(), state.descriptions) if "dri" in heads else None
-    proto_sq_norms = np.einsum("rd,rd->r", prototypes, prototypes)
+    proto_sq_norms = np.einsum("rd,rd->r", vectors, vectors)
     block = max(1, EVAL_BLOCK_ENTRIES // relations.size)
     acc_per_task: dict[str, dict[int, float]] = {head: {} for head in heads}
-    for task in state.completed_tasks[:through_task]:  # run_task keeps them in index order
+    for task in state.completed_tasks:
         hits = dict.fromkeys(heads, 0)
         embedded = encode_batch(state.encoder, task.test_x)
         for start in range(0, task.test_y.size, block):
             rows = slice(start, start + block)
-            predictions = _predict_block(embedded[rows], prototypes, proto_sq_norms, means, hp)
+            predictions = _predict_block(embedded[rows], vectors, proto_sq_norms, means, hp)
             for head in hits:
                 pred = relations[predictions[head]]
                 hits[head] += int(np.count_nonzero(pred == task.test_y[rows]))
@@ -348,7 +349,7 @@ def evaluate(
             acc_per_task[head][task.index] = count / len(task.test_y)
     return [
         TaskAccuracy(
-            task_index=through_task,
+            task_index=len(state.completed_tasks),
             head=head,
             acc_per_task=acc_per_task[head],
             acc_avg=sum(acc_per_task[head].values()) / len(acc_per_task[head]),

@@ -411,6 +411,16 @@ class TestRunCommand:
         assert cmd_report([str(d) for d in dirs], None) == 0
         assert "aggregated 2 run(s):" in capsys.readouterr().out
 
+    def test_run_prints_the_aggregate_of_a_report_over_its_run_dirs(self, tmp_path, capsys):
+        config = tiny_config(out_dir=str(tmp_path / "runs"))
+        assert self.run_main(tmp_path, config, extra=["--seed", "0,1"]) == 0
+        out = capsys.readouterr().out
+        aggregate = out[out.index("aggregated 2 run(s):"):]
+        dirs = [str(tmp_path / "runs" / run_id(config, seed)) for seed in (0, 1)]
+        assert main(["report", *dirs]) == 0
+        assert capsys.readouterr().out == aggregate
+        assert aggregate.count("final_acc") == 2
+
     def test_rerun_is_byte_identical_across_blas_threads(self, tmp_path):
         # one process pinned to a single BLAS thread, one left at the
         # library default; minibatches of 32 rows exercise the matrix paths
@@ -584,6 +594,30 @@ class TestReportCommand:
         _, dirs = self.make_runs(tmp_path, seeds=(0,))
         assert main(["report", *dirs]) == 0
         assert "aggregated 1 run(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "rows, only",
+        [
+            ([(1, "ncm"), (1, "dri")], "task 2, head 'dri'"),  # a run that ended a task early
+            ([(1, "ncm"), (2, "ncm")], "task 1, head 'dri'"),  # a run of another head
+        ],
+    )
+    def test_runs_of_other_tasks_or_heads_exit_2_naming_the_file(self, tmp_path, capsys, rows, only):
+        # the aggregate once mixed them: its final accuracy came from the
+        # longer runs alone and its drop from the first task of all runs
+        full = [(1, "ncm"), (1, "dri"), (2, "ncm"), (2, "dri")]
+        dirs = [tmp_path / name for name in ("a", "b", "c")]
+        for run_dir, cells in zip(dirs, (full, full, rows)):
+            report = MetricsReport()
+            for task, head in cells:
+                report.add(TaskAccuracy(task, head, {1: 0.5}, 0.5))
+            run_dir.mkdir()
+            (run_dir / "metrics.csv").write_text(report.to_csv(), newline="")
+        assert main(["report", *map(str, dirs)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {dirs[2] / 'metrics.csv'}: runs cover different tasks or heads; {only} "
+            f"has a row in only one of this file and {dirs[0] / 'metrics.csv'}\n"
+        )
 
     def test_missing_metrics_exits_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nothing")]) == 2

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fcre.continual as continual
+import fcre.inference as inference
 import fcre.losses as losses
 from fcre.continual import (
     ContinualState,
@@ -62,6 +63,11 @@ def make_descriptions(relations, embed_dim, seed=0, k_desc=2):
 
 def fresh_state(seed=0, feature_dim=6, hidden_dim=8, embed_dim=4):
     return init_state(feature_dim, hidden_dim, embed_dim, seed)
+
+
+def prototypes_of(state):
+    """The prototypes ``run_task`` scores against: the state's memory under its encoder."""
+    return build_prototypes(state.memory, lambda rows: encode_batch(state.encoder, rows))
 
 
 def record_layouts(monkeypatch):
@@ -634,7 +640,7 @@ class TestRunTaskBehavior:
         state = self.run_stream(fresh_state(), HP)
         assert state.seen_relations == (0, 1, 2, 3, 4, 5)
         assert state.memory.relations == (0, 1, 2, 3, 4, 5)
-        assert state.prototypes.relations.tolist() == [0, 1, 2, 3, 4, 5]
+        assert prototypes_of(state).relations.tolist() == [0, 1, 2, 3, 4, 5]
         assert state.descriptions.relations == (0, 1, 2, 3, 4, 5)
         # one row per head per task, cumulative accuracy vectors grow
         assert len(state.report.rows) == 6
@@ -648,10 +654,42 @@ class TestRunTaskBehavior:
             assert stored(state.memory, rel).shape == (2, 6)
 
     def test_prototypes_match_final_encoder(self):
+        # the last rows were scored against prototypes built from the final
+        # memory and encoder, which build_prototypes builds again bit for bit
         state = self.run_stream(fresh_state(), HP)
-        rebuilt = build_prototypes(state.memory, lambda rows: encode_batch(state.encoder, rows))
-        np.testing.assert_array_equal(rebuilt.relations, state.prototypes.relations)
-        np.testing.assert_array_equal(rebuilt.vectors, state.prototypes.vectors)
+        rebuilt = evaluate(state, prototypes_of(state), ("ncm", "dri"), HP)
+        assert rebuilt == state.report.rows[-2:]
+        assert [row.task_index for row in rebuilt] == [3, 3]
+
+    def test_one_task_builds_prototypes_once_and_encodes_each_pool_once(self, monkeypatch):
+        # the training pool for memory selection, the memory for the
+        # prototypes, and each completed task's test pool for evaluation
+        encoded, built = [], []
+        real_encode, real_build = continual.encode_batch, continual.build_prototypes
+
+        def counting_encode(params, rows):
+            encoded.append(rows)
+            return real_encode(params, rows)
+
+        def counting_build(memory, encode_fn):
+            built.append(memory)
+            return real_build(memory, encode_fn)
+
+        monkeypatch.setattr(continual, "encode_batch", counting_encode)
+        monkeypatch.setattr(inference, "encode_batch", counting_encode)
+        monkeypatch.setattr(continual, "build_prototypes", counting_build)
+        state, rng = fresh_state(), np.random.default_rng(42)
+        for t in (1, 2, 3):
+            encoded.clear()
+            built.clear()
+            rels = [2 * t, 2 * t + 1]
+            task = make_task(t, rels, rng)
+            run_task(state, task, make_descriptions(rels, 4, seed=t), HP)
+            expected = [task.train_x, state.memory.features]
+            expected += [done.test_x for done in state.completed_tasks]
+            assert built == [state.memory]
+            assert len(encoded) == len(expected) == t + 2
+            assert all(got is want for got, want in zip(encoded, expected))
 
     def test_zero_epochs_leaves_encoder_untouched(self):
         hp = HyperParams(epochs_current=0, epochs_memory=0)
@@ -666,7 +704,8 @@ class TestRunTaskBehavior:
         hp = HyperParams(epochs_current=0, epochs_memory=0)
         state = self.run_stream(fresh_state(), hp, n_tasks=2, heads=("ncm",))
         # recompute by hand with the frozen encoder
-        protos = dict(zip(state.prototypes.relations.tolist(), state.prototypes.vectors))
+        prototypes = prototypes_of(state)
+        protos = dict(zip(prototypes.relations.tolist(), prototypes.vectors))
         for row in state.report.rows:
             for i in range(1, row.task_index + 1):
                 task = state.completed_tasks[i - 1]
@@ -717,9 +756,10 @@ class TestRunTaskBehavior:
             test_x=last.test_x[perm],
             test_y=last.test_y[perm],
         )
-        baseline = evaluate(state, 2, ("ncm",), HP)
+        prototypes = prototypes_of(state)
+        baseline = evaluate(state, prototypes, ("ncm",), HP)
         state.completed_tasks[-1] = shuffled
-        permuted = evaluate(state, 2, ("ncm",), HP)
+        permuted = evaluate(state, prototypes, ("ncm",), HP)
         assert baseline == permuted
 
     @pytest.mark.parametrize("shots, memory_size", [(5, 3), (100, 10)])

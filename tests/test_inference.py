@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import loop_reference as ref
 from fcre.cli import ExperimentConfig, run_single_seed
-from fcre.continual import Prototypes, Task, build_prototypes, run_task
+from fcre.continual import Prototypes, Task, run_task
 from fcre.descriptions import DescriptionSet
 from fcre.encoder import EncoderParams, encode, encode_batch, init_encoder
 from fcre.geometry import _ranks, rank_scores
@@ -29,7 +29,7 @@ from fcre.inference import (
     ncm_predict,
 )
 import fcre.inference as inference
-from test_continual import HP, fresh_state, make_descriptions, make_task
+from test_continual import HP, fresh_state, make_descriptions, make_task, prototypes_of
 
 
 def unit(v):
@@ -332,17 +332,17 @@ class TestEvaluate:
         # descriptions for a relation the prototypes do not know
         state.descriptions = state.descriptions.union(make_descriptions([9], 4, seed=5))
         with pytest.raises(ValueError, match="registries"):
-            evaluate(state, 1, ("dri",), HP)
+            evaluate(state, prototypes_of(state), ("dri",), HP)
 
     def test_a_zero_query_embedding_fails_dri_only(self):
         state = fresh_state()
         run_task(state, make_task(1, [0, 1], np.random.default_rng(42)), make_descriptions([0, 1], 4), HP)
         # an all-zero encoder embeds every query, and every prototype, as the zero vector
         state.encoder = state.encoder.with_vector(np.zeros(state.encoder.n_params))
-        state.prototypes = build_prototypes(state.memory, lambda rows: encode_batch(state.encoder, rows))
+        prototypes = prototypes_of(state)
         with pytest.raises(ValueError, match=r"^cosine undefined: first argument has zero norm$"):
-            evaluate(state, 1, ("dri",), HP)
-        (row,) = evaluate(state, 1, ("ncm",), HP)
+            evaluate(state, prototypes, ("dri",), HP)
+        (row,) = evaluate(state, prototypes, ("ncm",), HP)
         assert row.head == "ncm" and row.acc_avg == 0.5  # every tie goes to relation 0
 
 
@@ -356,7 +356,7 @@ def nonzero_rows(rng, n, dim, quantized):
 
 
 def pool_state(rng, quantized, n_tasks=3, n_way=5, test_n=8, n_extra=4, dim=4):
-    """A state with completed tasks, prototypes and descriptions, untrained.
+    """An untrained state with completed tasks and descriptions, and its prototypes.
 
     The quantized variant uses a saturating identity encoder, so every
     embedding is a -1/0/1 vector computed exactly by any summation order,
@@ -374,7 +374,7 @@ def pool_state(rng, quantized, n_tasks=3, n_way=5, test_n=8, n_extra=4, dim=4):
     state.encoder = encoder
     protos = nonzero_rows(rng, n_rel, dim, quantized)
     order = np.argsort(relations)
-    state.prototypes = Prototypes(np.array(relations)[order], protos[order])
+    prototypes = Prototypes(np.array(relations)[order], protos[order])
     blocks = {}
     for rel in relations:
         block = nonzero_rows(rng, 2, dim, quantized)
@@ -387,14 +387,19 @@ def pool_state(rng, quantized, n_tasks=3, n_way=5, test_n=8, n_extra=4, dim=4):
         x = nonzero_rows(rng, n_way * test_n, dim, quantized)
         y = np.repeat(rels, test_n)
         state.completed_tasks.append(Task(t + 1, x, y, x, y))
-    return state
+    return state, prototypes
 
 
-def per_query_evaluate(state, through_task, head, hp):
+def first_tasks(state, k):
+    """``state`` as it would evaluate with only its first ``k`` tasks completed."""
+    return dataclasses.replace(state, completed_tasks=state.completed_tasks[:k])
+
+
+def per_query_evaluate(state, prototypes, head, hp):
     """Literal loop: encode and predict one query at a time."""
-    protos = dict(zip(state.prototypes.relations.tolist(), state.prototypes.vectors))
+    protos = dict(zip(prototypes.relations.tolist(), prototypes.vectors))
     acc = {}
-    for task in state.completed_tasks[:through_task]:
+    for task in state.completed_tasks:
         hits = 0
         for features, label in zip(task.test_x, task.test_y):
             z = encode(state.encoder, features)
@@ -404,13 +409,13 @@ def per_query_evaluate(state, through_task, head, hp):
                 pred = dri_predict(z, protos, state.descriptions, hp.alpha, hp.epsilon)
             hits += int(pred == int(label))
         acc[task.index] = hits / len(task.test_y)
-    return TaskAccuracy(through_task, head, acc, sum(acc.values()) / len(acc))
+    return TaskAccuracy(len(state.completed_tasks), head, acc, sum(acc.values()) / len(acc))
 
 
-def tied_queries(state):
+def tied_queries(state, prototypes):
     """Queries whose best distance, or best cosine, is shared by two relations."""
-    protos = state.prototypes.vectors
-    means = np.stack([state.descriptions.mean(r) for r in state.prototypes.relations])
+    protos = prototypes.vectors
+    means = np.stack([state.descriptions.mean(r) for r in prototypes.relations])
     e_ties = c_ties = 0
     for task in state.completed_tasks:
         for features in task.test_x:
@@ -422,25 +427,24 @@ def tied_queries(state):
     return e_ties, c_ties
 
 
-def share_nearest_prototype(state):
+def share_nearest_prototype(state, prototypes):
     """Give the one tested relation and the highest other id one prototype.
 
     It is the mean embedding of the test pool, so it is nearest to most
-    queries.  Returns (relation, twin).
+    queries.  Returns the new prototypes, the relation and its twin.
     """
     task = state.completed_tasks[0]
     (rel,) = task.relations
-    relations = state.prototypes.relations
+    relations = prototypes.relations
     twin = int(relations[relations != rel].max())
-    vectors = state.prototypes.vectors.copy()
+    vectors = prototypes.vectors.copy()
     vectors[np.isin(relations, [rel, twin])] = encode_batch(state.encoder, task.test_x).mean(axis=0)
-    state.prototypes = Prototypes(relations, vectors)
-    return rel, twin
+    return Prototypes(relations, vectors), rel, twin
 
 
 @st.composite
 def shared_row_states(draw):
-    """A one-task state whose relations share prototypes and mean descriptions.
+    """A one-task state whose relations share prototypes and mean descriptions, with those prototypes.
 
     Relation i takes the prototype of relation ``proto_src[i] <= i`` and
     the description block of ``desc_src[i] <= i``, so both heads and both
@@ -470,7 +474,7 @@ def shared_row_states(draw):
     state.completed_tasks.append(Task(1, x, y, x, y))
     z = encode_batch(encoder, x)
     protos = np.stack([z[rng.choice(z.shape[0], size=2)].mean(axis=0) for _ in relations])
-    state.prototypes = Prototypes(relations, protos[proto_src])
+    prototypes = Prototypes(relations, protos[proto_src])
     blocks = []
     for _ in relations:
         if quantized:
@@ -483,40 +487,44 @@ def shared_row_states(draw):
     state.descriptions = DescriptionSet(
         {int(r): blocks[src] for r, src in zip(relations, desc_src)}
     )
-    return state
+    return state, prototypes
 
 
 class TestBatchedEvaluate:
     @given(shared_row_states(), st.sampled_from([0.0, 0.4, 1.0]))
     @settings(max_examples=160)
-    def test_shared_prototypes_and_means_match_per_query_oracle(self, state, alpha):
+    def test_shared_prototypes_and_means_match_per_query_oracle(self, pair, alpha):
+        state, prototypes = pair
         hp = dataclasses.replace(HP, alpha=alpha)
-        expected = [per_query_evaluate(state, 1, head, hp) for head in ("ncm", "dri")]
-        assert evaluate(state, 1, ("ncm", "dri"), hp) == expected
+        expected = [per_query_evaluate(state, prototypes, head, hp) for head in ("ncm", "dri")]
+        assert evaluate(state, prototypes, ("ncm", "dri"), hp) == expected
 
     @pytest.mark.parametrize("quantized", [False, True])
     def test_matches_per_query_loop(self, quantized):
         rng = np.random.default_rng(42)
         for _ in range(4):
-            state = pool_state(rng, quantized)
+            state, prototypes = pool_state(rng, quantized)
             if quantized:
-                e_ties, c_ties = tied_queries(state)
+                e_ties, c_ties = tied_queries(state, prototypes)
                 assert e_ties > 0 and c_ties > 0
             runs = [("ncm", HP)] + [
                 ("dri", dataclasses.replace(HP, alpha=alpha)) for alpha in (0.0, 0.5, 1.0)
             ]
             for head, hp in runs:
-                assert evaluate(state, 3, (head,), hp) == [per_query_evaluate(state, 3, head, hp)]
-            assert evaluate(state, 1, ("dri",), HP) == [per_query_evaluate(state, 1, "dri", HP)]
+                expected = per_query_evaluate(state, prototypes, head, hp)
+                assert evaluate(state, prototypes, (head,), hp) == [expected]
+            first = first_tasks(state, 1)
+            expected = per_query_evaluate(first, prototypes, "dri", HP)
+            assert evaluate(first, prototypes, ("dri",), HP) == [expected]
 
     @pytest.mark.parametrize("quantized", [False, True])
     def test_both_heads_from_one_call_match_per_query_loop(self, quantized):
         rng = np.random.default_rng(11)
         for _ in range(3):
-            state = pool_state(rng, quantized)
+            state, prototypes = pool_state(rng, quantized)
             for heads in (("ncm", "dri"), ("dri", "ncm")):
-                expected = [per_query_evaluate(state, 3, head, HP) for head in heads]
-                assert evaluate(state, 3, heads, HP) == expected
+                expected = [per_query_evaluate(state, prototypes, head, HP) for head in heads]
+                assert evaluate(state, prototypes, heads, HP) == expected
 
     def test_relations_sharing_a_prototype_tie_exactly(self):
         # Two relation ids share the prototype nearest to every query, so
@@ -530,26 +538,28 @@ class TestBatchedEvaluate:
             ("dri", dataclasses.replace(HP, alpha=alpha)) for alpha in (0.0, 0.5, 1.0)
         ]
         for _ in range(4):
-            state = pool_state(rng, False, n_tasks=1, n_way=1, test_n=7, n_extra=18, dim=32)
-            task = state.completed_tasks[0]
-            (rel,) = task.relations
-            share_nearest_prototype(state)
+            state, prototypes = pool_state(
+                rng, False, n_tasks=1, n_way=1, test_n=7, n_extra=18, dim=32
+            )
+            prototypes = share_nearest_prototype(state, prototypes)[0]
             for head, hp in runs:
-                assert evaluate(state, 1, (head,), hp) == [per_query_evaluate(state, 1, head, hp)]
+                expected = per_query_evaluate(state, prototypes, head, hp)
+                assert evaluate(state, prototypes, (head,), hp) == [expected]
         # The twins also share a description block, so at alpha 0 each DRI
         # prediction rests on an exact cosine tie too.  A matrix product
         # for the cosines split it in two of these ten states (seeds 5, 8).
         hp = dataclasses.replace(HP, alpha=0.0)
         for seed in range(10):
-            state = pool_state(
+            state, prototypes = pool_state(
                 np.random.default_rng(seed), False, n_tasks=1, n_way=1, test_n=7,
                 n_extra=18, dim=32,
             )
-            rel, twin = share_nearest_prototype(state)
+            prototypes, rel, twin = share_nearest_prototype(state, prototypes)
             blocks = {r: state.descriptions.vectors(r) for r in state.descriptions.relations}
             blocks[rel] = blocks[twin]
             state.descriptions = DescriptionSet(blocks)
-            assert evaluate(state, 1, ("dri",), hp) == [per_query_evaluate(state, 1, "dri", hp)]
+            expected = per_query_evaluate(state, prototypes, "dri", hp)
+            assert evaluate(state, prototypes, ("dri",), hp) == [expected]
 
     def test_artifacts_do_not_depend_on_the_block_budget(self, tmp_path, monkeypatch):
         # One query per pass, the default, and every pool in one pass, on the
@@ -569,8 +579,17 @@ class TestBatchedEvaluate:
         assert len(runs[0]) == 3 * 9
         assert runs[0] == runs[1] == runs[2]
 
+    def test_rows_are_labelled_with_the_number_of_completed_tasks(self):
+        state, prototypes = pool_state(np.random.default_rng(5), False)
+        for k in (1, 2, 3):
+            rows = evaluate(first_tasks(state, k), prototypes, ("ncm", "dri"), HP)
+            assert [row.task_index for row in rows] == [k, k]
+            assert all(list(row.acc_per_task) == list(range(1, k + 1)) for row in rows)
+        with pytest.raises(ValueError, match="^no task has been completed$"):
+            evaluate(first_tasks(state, 0), prototypes, ("ncm",), HP)
+
     def test_each_pool_is_encoded_once_for_both_heads(self, monkeypatch):
-        state = pool_state(np.random.default_rng(3), False)
+        state, prototypes = pool_state(np.random.default_rng(3), False)
         encoded = []
         real = inference.encode_batch
 
@@ -579,33 +598,35 @@ class TestBatchedEvaluate:
             return real(params, rows)
 
         monkeypatch.setattr(inference, "encode_batch", counting)
-        evaluate(state, 3, ("ncm", "dri"), HP)
+        evaluate(state, prototypes, ("ncm", "dri"), HP)
         assert sum(encoded) == sum(t.test_y.size for t in state.completed_tasks)
 
     def test_zero_norm_mean_description_rejected_for_dri(self):
-        state = pool_state(np.random.default_rng(0), quantized=True)
-        rel = int(state.prototypes.relations[0])
+        state, prototypes = pool_state(np.random.default_rng(0), quantized=True)
+        rel = int(prototypes.relations[0])
         blocks = {r: state.descriptions.vectors(r) for r in state.descriptions.relations}
         blocks[rel] = np.stack([blocks[rel][0], -blocks[rel][0]])
         with pytest.warns(RuntimeWarning):
             state.descriptions = DescriptionSet(blocks)
         with pytest.raises(ValueError, match="zero norm"):
-            evaluate(state, 1, ("dri",), HP)
+            evaluate(state, prototypes, ("dri",), HP)
         with pytest.raises(ValueError, match="zero norm"):
-            evaluate(state, 1, ("ncm", "dri"), HP)
-        evaluate(state, 1, ("ncm",), HP)  # NCM never takes a cosine
+            evaluate(state, prototypes, ("ncm", "dri"), HP)
+        evaluate(state, prototypes, ("ncm",), HP)  # NCM never takes a cosine
 
     def test_transient_memory_stays_under_one_megabyte(self):
         # an eval_wide-sized pool: 150 queries against 80 relations; a
         # (queries, relations, d) block of differences alone takes 1.5 MB
         rng = np.random.default_rng(42)
-        state = pool_state(rng, False, n_tasks=1, n_way=10, test_n=15, n_extra=70, dim=16)
+        state, prototypes = pool_state(
+            rng, False, n_tasks=1, n_way=10, test_n=15, n_extra=70, dim=16
+        )
         state.encoder = init_encoder(16, 32, 16, rng)
         for head in ("ncm", "dri"):
-            evaluate(state, 1, (head,), HP)  # warm caches outside the measurement
+            evaluate(state, prototypes, (head,), HP)  # warm caches outside the measurement
             tracemalloc.start()
             try:
-                evaluate(state, 1, (head,), HP)
+                evaluate(state, prototypes, (head,), HP)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -629,7 +650,7 @@ def reflected_state(rng):
     keys agree only up to rounding, and the form of the key decides.
     About half the states get their prototypes in column-major order,
     whose einsum keys would round differently were they not stored contiguous.
-    Returns the state, its one query's features and their embedding.
+    Returns the state, its prototypes, its one query's features and their embedding.
     """
     dim = int(rng.integers(2, 33))
     state = fresh_state(feature_dim=dim, hidden_dim=6, embed_dim=dim)
@@ -644,10 +665,10 @@ def reflected_state(rng):
     m1 = reflection(m0, v) + 1e-15 * rng.normal(size=dim)
     relations = np.arange(4)
     vectors = np.stack([p0, p1, *rng.normal(size=(2, dim))])
-    state.prototypes = Prototypes(relations, np.asfortranarray(vectors) if rng.random() < 0.5 else vectors)
+    prototypes = Prototypes(relations, np.asfortranarray(vectors) if rng.random() < 0.5 else vectors)
     means = np.stack([m0, m1, *rng.normal(size=(2, dim))])
     state.descriptions = DescriptionSet({int(r): m[None, :] for r, m in zip(relations, means)})
-    return state, x, z
+    return state, prototypes, x, z
 
 
 class TestReflectedNearTies:
@@ -658,14 +679,14 @@ class TestReflectedNearTies:
         rng = np.random.default_rng(2025)
         disagree = {"ncm": 0, "dri": 0}
         for _ in range(1_000):
-            state, x, z = reflected_state(rng)
-            protos = dict(zip(state.prototypes.relations.tolist(), state.prototypes.vectors))
+            state, prototypes, x, z = reflected_state(rng)
+            protos = dict(zip(prototypes.relations.tolist(), prototypes.vectors))
             z = np.repeat(z, 2)[::2]  # a strided view: the heads take any 1-D vector
             ncm = ncm_predict(z, protos)
             dri = dri_predict(z, protos, state.descriptions, HP.alpha, HP.epsilon)
             # task 1 is labelled with NCM's prediction, task 2 with DRI's
             state.completed_tasks = [Task(1, x, [ncm], x, [ncm]), Task(2, x, [dri], x, [dri])]
-            rows = evaluate(state, 2, ("ncm", "dri"), HP)
+            rows = evaluate(state, prototypes, ("ncm", "dri"), HP)
             disagree["ncm"] += rows[0].acc_per_task[1] != 1.0
             disagree["dri"] += rows[1].acc_per_task[2] != 1.0
         assert disagree == {"ncm": 0, "dri": 0}

@@ -154,7 +154,7 @@ class TestPresentation:
 # ------------------------------------------------------------ alpha = 1
 
 
-def evaluated_predictions(state, through_task, hp):
+def evaluated_predictions(state, prototypes, hp):
     """``evaluate``'s rows for both heads, and the per-query predictions of each scoring pass."""
     passes = []
     real = inference._predict_block
@@ -165,7 +165,7 @@ def evaluated_predictions(state, through_task, hp):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(inference, "_predict_block", recording)
-        rows = evaluate(state, through_task, ("ncm", "dri"), hp)
+        rows = evaluate(state, prototypes, ("ncm", "dri"), hp)
     return rows, passes
 
 
@@ -180,20 +180,20 @@ class TestAlphaOne:
     def test_dri_predicts_the_ncm_relation_for_every_query(self, quantized):
         rng = np.random.default_rng(13)
         for _ in range(4):
-            state = pool_state(rng, quantized)
-            vectors = state.prototypes.vectors.copy()
+            state, prototypes = pool_state(rng, quantized)
+            vectors = prototypes.vectors.copy()
             n_pairs = vectors.shape[0] // 3
             vectors[1 : 3 * n_pairs : 3] = vectors[0 : 3 * n_pairs : 3]  # relations share prototypes
-            state.prototypes = Prototypes(state.prototypes.relations, vectors)
-            assert tied_queries(state)[0] > 0  # some queries' nearest prototype is shared
-            (ncm, dri), passes = evaluated_predictions(state, 3, self.HP1)
+            prototypes = Prototypes(prototypes.relations, vectors)
+            assert tied_queries(state, prototypes)[0] > 0  # some queries' nearest prototype is shared
+            (ncm, dri), passes = evaluated_predictions(state, prototypes, self.HP1)
             assert ncm.acc_avg < 1.0
             assert dri.acc_per_task == ncm.acc_per_task
             assert passes and all(np.array_equal(p["dri"], p["ncm"]) for p in passes)
 
     @given(shared_row_states())
     @settings(max_examples=100)
-    def test_holds_on_shared_prototypes_and_means(self, state):
-        (ncm, dri), passes = evaluated_predictions(state, 1, self.HP1)
+    def test_holds_on_shared_prototypes_and_means(self, pair):
+        (ncm, dri), passes = evaluated_predictions(*pair, self.HP1)
         assert dri.acc_per_task == ncm.acc_per_task
         assert all(np.array_equal(p["dri"], p["ncm"]) for p in passes)

@@ -28,7 +28,7 @@ from fcre.cli import EncoderConfig, ExperimentConfig, config_from_dict, config_t
 from fcre.continual import checkpoint_dict, init_state, read_checkpoint
 from fcre.datagen import DatasetFormatError, SyntheticSpec, ingest_dataset
 from fcre.descriptions import DescriptionFormatError, ingest_descriptions
-from fcre.formats import read_json
+from fcre.formats import _floats_to_b64, read_json
 from fcre.inference import HEADS, MetricsReport, TaskAccuracy
 from fcre.losses import HyperParams
 
@@ -404,6 +404,25 @@ class TestCheckpointJson:
         path = tmp_path / "task_00.json"
         path.write_bytes(CHECKPOINT_BYTES)
         assert read_checkpoint(path)["memory"].labels.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [  # each payload fits the declared sizes, so only the size check refuses them
+            ({"encoder": {"hidden_dim": 0, "data": _floats_to_b64(np.ones(2))}}, "encoder.hidden_dim"),
+            (
+                {"encoder": {"embed_dim": 0, "data": _floats_to_b64(np.ones(16))}, "bilinear": {"data": ""}},
+                "encoder.embed_dim",
+            ),
+        ],
+    )
+    def test_an_encoder_size_below_one_names_the_file_and_the_key(self, tmp_path, edit, key):
+        obj = json.loads(CHECKPOINT_BYTES)
+        for section, values in edit.items():
+            obj[section].update(values)
+        path = tmp_path / "task_01.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {key} must be >= 1, got 0$"):
+            read_checkpoint(path)
 
     @given(data=st.data())
     @settings(max_examples=300)

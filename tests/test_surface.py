@@ -14,6 +14,7 @@ import pytest
 
 import fcre
 from fcre.cli import EncoderConfig, ExperimentConfig
+from fcre.continual import ContinualState
 from fcre.datagen import SyntheticSpec
 from fcre.losses import HyperParams
 
@@ -217,6 +218,14 @@ def test_config_types_are_frozen_and_check_themselves(config_type):
     config = config_type()
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(config, dataclasses.fields(config)[0].name, None)
+
+
+def test_the_run_state_holds_no_derived_field():
+    """Prototypes are a function of memory and encoder, built where they are used, not stored."""
+    assert [field.name for field in dataclasses.fields(ContinualState)] == [
+        "encoder", "bilinear", "optimizer", "memory", "descriptions", "completed_tasks", "report",
+        "rng",
+    ]
 
 
 def key_calls(source: str) -> list[str]:
