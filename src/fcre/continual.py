@@ -34,22 +34,24 @@ A task's features, W and descriptions are checked once, where they enter
 (``Task``, ``run_task``, ``DescriptionSet``); ``Task``, the memory and
 ``select_memory`` check a block of feature rows by
 ``formats._as_matrix``, the rule ``encoder.encode_batch`` applies too.
-So a training phase (steps 2 and 4) checks nothing again: it reads the
-registry's (R, K, d) description table in place, finds each sample's row
-in it with one ``DescriptionSet.rows`` call, and takes the table's norms
-and unit descriptions.  Batches are formed per epoch: one full batch
-when the pool fits in 64 samples, otherwise shuffled minibatches of 32
-(a would-be trailing singleton is merged into the previous batch, since
-the contrastive losses need company).  A full batch is the same rows
-every epoch, so its layout is built once, before the first epoch; a
-minibatch's is built at its step, by ``losses._Layout.of_rows`` from the
-table rows of its samples.  Each step runs one ``encoder._embed``, one
-``losses._joint`` kernel pass over z and the layout, one
-``encoder._backward`` into a flat gradient buffer and one Adam update in
-place on the flat parameter vector; the norms, unit descriptions and
-buffers are dropped when the phase ends.  A non-finite gradient stops
-the run with an error naming the task, the phase, the epoch and the
-first loss term whose own gradient is non-finite.
+So memory selection and the prototypes embed those rows with
+``encoder._embed``, and a training phase (steps 2 and 4) checks nothing
+again: it reads the registry's (R, K, d) description table in place,
+finds each sample's row in it with one ``DescriptionSet.rows`` call, and
+takes the table's norms and unit descriptions.  Batches are formed per
+epoch: one full batch when the pool fits in 64 samples, otherwise
+shuffled minibatches of 32 (a would-be trailing singleton is merged into
+the previous batch, since the contrastive losses need company).  A full
+batch is the same rows every epoch, so its layout is built once, before
+the first epoch; a minibatch's is built at its step, by
+``losses._Layout.of_rows`` from the table rows of its samples.  Each
+step runs one ``encoder._embed``, one ``losses._joint`` kernel pass over
+z and the layout, one ``encoder._backward`` into a flat gradient buffer
+and one Adam update in place on the flat parameter vector; the norms,
+unit descriptions and buffers are dropped when the phase ends.  A
+non-finite gradient stops the run with an error naming the task, the
+phase, the epoch and the first loss term whose own gradient is
+non-finite.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from fcre.encoder import (
     _adam,
     _backward,
     _embed,
-    encode_batch,
     init_adam,
     init_bilinear,
     init_encoder,
@@ -133,30 +134,20 @@ class Task:
 
 @dataclass(frozen=True)
 class TaskStream:
-    """Tasks 1..T with pairwise-disjoint relation sets."""
+    """A non-empty tuple of tasks, meant to be consumed in order by ``run_task``.
+
+    It holds the tasks and checks no stream rule: ``run_task`` rejects a
+    task out of order, a reused relation or a foreign feature width
+    before it changes the state, ``ingest_dataset`` rejects each in a
+    file, and ``generate_stream`` builds valid streams.
+    """
 
     tasks: tuple[Task, ...]
 
     def __post_init__(self) -> None:
-        tasks = tuple(self.tasks)
-        object.__setattr__(self, "tasks", tasks)
-        if len(tasks) == 0:
+        object.__setattr__(self, "tasks", tuple(self.tasks))
+        if not self.tasks:
             raise ValueError("task stream is empty")
-        indices = [t.index for t in tasks]
-        if indices != list(range(1, len(tasks) + 1)):
-            raise ValueError(f"task indices must be contiguous from 1, got {indices}")
-        dims = {t.feature_dim for t in tasks}
-        if len(dims) != 1:
-            raise ValueError(f"tasks disagree on feature dimension: {sorted(dims)}")
-        seen: set[int] = set()
-        for t in tasks:
-            overlap = seen & set(t.relations)
-            if overlap:
-                raise ValueError(
-                    f"task {t.index} reuses relations {sorted(overlap)} from an "
-                    "earlier task"
-                )
-            seen.update(t.relations)
 
     @property
     def n_tasks(self) -> int:
@@ -472,9 +463,11 @@ def run_task(
 
     ``descriptions`` must cover every relation of the task; only those
     relations are absorbed into the state.  Appends one metrics row per
-    head and returns the (mutated) state.  The task's order and feature
-    dimension, W's shape and the descriptions are checked against the
-    state before anything in it changes.
+    head and returns the (mutated) state.  It owns the stream rules that
+    ``TaskStream`` does not check: the task's order, its relations (none
+    seen before) and its feature dimension are checked against the
+    state, with W's shape and the descriptions, before anything in it
+    changes.
     """
     check_heads(heads)
     expected_index = len(state.completed_tasks) + 1
@@ -513,7 +506,7 @@ def run_task(
     )
 
     old_x, old_y = state.memory.features, state.memory.labels  # earlier tasks only
-    embedded = encode_batch(state.encoder, task.train_x)
+    embedded = _embed(state.encoder, task.train_x).z
     group = np.searchsorted(task.relations, task.train_y)
     keep = _central_rows(embedded, group, len(task.relations), hp.memory_size)
     state.memory.append(task.train_x[keep], task.train_y[keep])
@@ -523,7 +516,7 @@ def run_task(
         hp, hp.epochs_memory, task_index=task.index, phase="replay",
     )
 
-    prototypes = build_prototypes(state.memory, lambda rows: encode_batch(state.encoder, rows))
+    prototypes = build_prototypes(state.memory, lambda rows: _embed(state.encoder, rows).z)
     state.completed_tasks.append(task)
     for row in evaluate(state, prototypes, heads, hp):
         state.report.add(row)

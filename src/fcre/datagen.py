@@ -152,9 +152,15 @@ def write_dataset(stream: TaskStream, path) -> None:
 
 
 def ingest_dataset(path) -> TaskStream:
-    """Parse a JSONL dataset file; all errors carry 1-based line numbers."""
+    """Parse a JSONL dataset file: the owner of the stream rules for files.
+
+    Every per-row error starts ``line N:`` (1-based), a relation without
+    train or test rows at its first line (the lowest first); an empty
+    file and task indices not contiguous from 1 name no line.
+    """
     rows: dict[int, dict[str, tuple[list[list[float]], list[int]]]] = {}
-    relation_home: dict[int, int] = {}
+    # each relation's task, first line and splits, in order of first line
+    relation_home: dict[int, tuple[int, int, set[str]]] = {}
     dim: int | None = None
     for lineno, obj in read_jsonl(path, _SCHEMA, DatasetFormatError):
         task, rel, split = obj["task"], obj["relation"], obj["split"]
@@ -169,11 +175,12 @@ def ingest_dataset(path) -> TaskStream:
             )
         values = float_row(obj["features"], dim, f"line {lineno}: features", DatasetFormatError)
         dim = len(values)
-        if relation_home.setdefault(rel, task) != task:
+        home, _, splits = relation_home.setdefault(rel, (task, lineno, set()))
+        if home != task:
             raise DatasetFormatError(
-                f"line {lineno}: relation {rel} appears in both task "
-                f"{relation_home[rel]} and task {task}"
+                f"line {lineno}: relation {rel} appears in both task {home} and task {task}"
             )
+        splits.add(split)
         split_rows = rows.setdefault(task, {"train": ([], []), "test": ([], [])})
         split_rows[split][0].append(values)
         split_rows[split][1].append(rel)
@@ -184,24 +191,22 @@ def ingest_dataset(path) -> TaskStream:
         raise DatasetFormatError(
             f"task indices must be contiguous from 1, got {indices}"
         )
+    for rel, (task, lineno, splits) in relation_home.items():
+        if len(splits) == 1:
+            missing = "test" if "train" in splits else "train"
+            raise DatasetFormatError(
+                f"line {lineno}: relation {rel} of task {task} has no {missing} rows"
+            )
     tasks = []
     for t in indices:
-        train_rows, train_labels = rows[t]["train"]
-        test_rows, test_labels = rows[t]["test"]
-        if not train_rows:
-            raise DatasetFormatError(f"task {t} has no train samples")
-        if not test_rows:
-            raise DatasetFormatError(f"task {t} has no test samples")
-        try:
-            tasks.append(
-                Task(
-                    index=t,
-                    train_x=np.array(train_rows),
-                    train_y=np.array(train_labels, dtype=np.int64),
-                    test_x=np.array(test_rows),
-                    test_y=np.array(test_labels, dtype=np.int64),
-                )
+        (train_rows, train_labels), (test_rows, test_labels) = rows[t]["train"], rows[t]["test"]
+        tasks.append(
+            Task(
+                index=t,
+                train_x=np.array(train_rows),
+                train_y=np.array(train_labels, dtype=np.int64),
+                test_x=np.array(test_rows),
+                test_y=np.array(test_labels, dtype=np.int64),
             )
-        except ValueError as exc:
-            raise DatasetFormatError(f"task {t}: {exc}") from None
+        )
     return TaskStream(tasks=tuple(tasks))

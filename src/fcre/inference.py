@@ -312,9 +312,10 @@ def evaluate(
 ) -> list[TaskAccuracy]:
     """Score the test pool of every task in ``state.completed_tasks`` with each head.
 
-    Every prediction runs against the full label space of ``prototypes``
+    ``prototypes`` must cover exactly ``state.seen_relations``
     (``run_task`` builds them from the memory with the current encoder),
-    so earlier tasks get harder as the stream grows.  Each pool is
+    so every prediction runs against the full label space seen so far
+    and earlier tasks get harder as the stream grows.  Each pool is
     encoded once, whole (the encoder's transients, n x (hidden + d)
     floats for n queries, grow with the pool), and scored in passes of
     ``max(1, EVAL_BLOCK_ENTRIES // R)`` queries, which bound the scoring
@@ -330,8 +331,11 @@ def evaluate(
     if not state.completed_tasks:
         raise ValueError("no task has been completed")
     relations, vectors = prototypes.relations, prototypes.vectors
-    if relations.size == 0:
-        raise ValueError("prototype store is empty")
+    if tuple(relations.tolist()) != state.seen_relations:
+        raise ValueError(
+            f"prototypes cover relations {relations.tolist()} but the state has seen "
+            f"{list(state.seen_relations)}"
+        )
     means = _means(relations.tolist(), state.descriptions) if "dri" in heads else None
     proto_sq_norms = np.einsum("rd,rd->r", vectors, vectors)
     block = max(1, EVAL_BLOCK_ENTRIES // relations.size)

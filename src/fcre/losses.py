@@ -301,23 +301,18 @@ class _Layout:
         self.own = own = class_of[rows]  # (rows,) description class of each anchor
         # mining: the live classes, those with an anchor here that has a
         # positive and a negative, and member: u is one of the class's anchors
-        if own.size == b:  # every sample is an anchor
-            n_anchors = class_size
-            live = paired[leads].nonzero()[0]
-            member = class_of == live[:, None]
-        else:
-            n_anchors = np.bincount(own, minlength=leads.size)
-            live = ((n_anchors > 0) & paired[leads]).nonzero()[0]
-            member = np.zeros((live.size, b), dtype=bool)
-            member[:, rows] = own == live[:, None]
-        self.member = member  # (C', B)
+        n_anchors = np.bincount(own, minlength=leads.size)
+        live = ((n_anchors > 0) & paired[leads]).nonzero()[0]
+        anchor_class = -1 - index  # each anchor's class, a negative number at other samples
+        anchor_class[rows] = own
+        self.member = member = anchor_class == live[:, None]  # (C', B)
         live_same = same[leads[live]][:, None, :]  # (C', 1, B) same label as the live class
         # mining's distances to the live class's label, and to the other labels
         self.same_fill = np.where(live_same, 0.0, -np.inf)
         self.other_fill = np.where(live_same, np.inf, 0.0)
         self.n_a = n_anchors[live][:, None, None]  # (C', 1, 1) |A|
         self.pos_count = self.n_a - member[:, None, :]  # |A| - [u in A]: anchors u is a hard positive for
-        self.live_index = np.arange(live.size)[:, None]
+        self.live_index = index[: live.size, None]  # (C', 1)
         live_block = block[live]
         self.live_desc, self.live_norms = table[live_block], norms[live_block]  # (C', K, d), (C', K)
         self.live_unit = unit[live_block]  # (C', K, d)

@@ -19,6 +19,7 @@ from fcre.cli import (
     EncoderConfig,
     ExperimentConfig,
     _parse_seed_list,
+    cmd_generate,
     cmd_report,
     cmd_run,
     config_from_dict,
@@ -136,6 +137,10 @@ class TestConfigSerialization:
             tiny_config(seeds=(1, 1))
         with pytest.raises(ValueError, match="unknown head"):
             tiny_config(heads=("knn",))
+        with pytest.raises(ValueError, match=r"^data_mode must be 'synthetic' or 'files', got 'csv'$"):
+            tiny_config(data_mode="csv")
+        with pytest.raises(ValueError, match=r"^description_spread must be >= 0, got -0\.5$"):
+            tiny_config(description_spread=-0.5)
 
     def test_replace_checks_the_new_value(self):
         with pytest.raises(ValueError, match=r"^at least one seed is required$"):
@@ -281,6 +286,12 @@ class TestSeedListParsing:
 
 
 class TestGenerateCommand:
+    def test_a_files_config_is_refused(self, tmp_path):
+        config = tiny_config(data_mode="files", dataset_path="d.jsonl", descriptions_path="r.jsonl")
+        with pytest.raises(ValueError, match=r"^generate requires a synthetic data config$"):
+            cmd_generate(config, str(tmp_path / "data"))
+        assert not (tmp_path / "data").exists()
+
     def test_writes_both_files(self, tmp_path, capsys):
         config = tiny_config()
         path = tmp_path / "config.json"

@@ -115,6 +115,20 @@ class TestTaskValidation:
                 np.empty(0, dtype=int),
             )
 
+    @pytest.mark.parametrize(
+        "edit, pattern",
+        [
+            ({"train_y": np.array([0])}, r"^train labels do not match train features$"),
+            ({"test_y": np.array([0, 0, 0])}, r"^test labels do not match test features$"),
+            ({"test_x": np.ones((2, 4))}, r"^train and test feature dimensions differ$"),
+        ],
+    )
+    def test_pool_shape_mismatch_rejected(self, edit, pattern):
+        pools = {"train_x": np.ones((2, 3)), "train_y": np.array([0, 0]),
+                 "test_x": np.ones((2, 3)), "test_y": np.array([0, 0])}
+        with pytest.raises(ValueError, match=pattern):
+            Task(1, **{**pools, **edit})
+
     def test_relation_without_test_samples_rejected(self):
         with pytest.raises(ValueError, match="relation 1 has no test samples"):
             Task(
@@ -225,25 +239,9 @@ class TestTaskStream:
         assert stream.relations == (0, 1, 2, 3)
         assert stream.feature_dim == 6
 
-    def test_non_contiguous_indices_rejected(self):
-        rng = np.random.default_rng(42)
-        with pytest.raises(ValueError, match="contiguous from 1"):
-            TaskStream(tasks=(make_task(1, [0], rng), make_task(3, [1], rng)))
-
-    def test_shared_relations_rejected(self):
-        rng = np.random.default_rng(42)
-        with pytest.raises(ValueError, match="reuses relations"):
-            TaskStream(tasks=(make_task(1, [0], rng), make_task(2, [0], rng)))
-
-    def test_mixed_feature_dims_rejected(self):
-        rng = np.random.default_rng(42)
-        with pytest.raises(ValueError, match="feature dim"):
-            TaskStream(
-                tasks=(
-                    make_task(1, [0], rng, feature_dim=6),
-                    make_task(2, [1], rng, feature_dim=7),
-                )
-            )
+    def test_empty_stream_rejected(self):
+        with pytest.raises(ValueError, match="^task stream is empty$"):
+            TaskStream(tasks=[])
 
 
 class TestMemoryBuffer:
@@ -472,6 +470,8 @@ class TestBuildPrototypes:
                 Prototypes(np.array(relations, dtype=np.int64), np.zeros((len(relations), 0)))
         with pytest.raises(ValueError, match="memory is empty"):
             build_prototypes(MemoryBuffer(2), lambda rows: rows)
+        with pytest.raises(ValueError, match=r"^prototypes contain non-finite entries$"):
+            Prototypes(np.array([1, 3]), np.array([[0.0, 1.0], [np.inf, 0.0]]))
 
     @pytest.mark.parametrize(
         "relations, message",
@@ -662,10 +662,17 @@ class TestRunTaskBehavior:
         assert [row.task_index for row in rebuilt] == [3, 3]
 
     def test_one_task_builds_prototypes_once_and_encodes_each_pool_once(self, monkeypatch):
-        # the training pool for memory selection, the memory for the
-        # prototypes, and each completed task's test pool for evaluation
-        encoded, built = [], []
-        real_encode, real_build = continual.encode_batch, continual.build_prototypes
+        # outside training: the training pool for memory selection, the
+        # memory for the prototypes, and each completed task's test pool
+        # for evaluation
+        encoded, built, training = [], [], []
+        real_embed, real_encode = continual._embed, inference.encode_batch
+        real_build, real_train = continual.build_prototypes, continual._train
+
+        def counting_embed(params, rows):
+            if not training:
+                encoded.append(rows)
+            return real_embed(params, rows)
 
         def counting_encode(params, rows):
             encoded.append(rows)
@@ -675,9 +682,17 @@ class TestRunTaskBehavior:
             built.append(memory)
             return real_build(memory, encode_fn)
 
-        monkeypatch.setattr(continual, "encode_batch", counting_encode)
+        def marked_train(*args, **kwargs):
+            training.append(True)
+            try:
+                return real_train(*args, **kwargs)
+            finally:
+                training.pop()
+
+        monkeypatch.setattr(continual, "_embed", counting_embed)
         monkeypatch.setattr(inference, "encode_batch", counting_encode)
         monkeypatch.setattr(continual, "build_prototypes", counting_build)
+        monkeypatch.setattr(continual, "_train", marked_train)
         state, rng = fresh_state(), np.random.default_rng(42)
         for t in (1, 2, 3):
             encoded.clear()
@@ -969,14 +984,14 @@ class TestTrainingLayouts:
 class TestNonFiniteGradient:
     """A non-finite gradient names where training stopped and which term caused it."""
 
-    def nan_term(self, monkeypatch, name, from_call=1):
+    def nan_term(self, monkeypatch, name, from_call=1, to_call=None):
         real = getattr(losses._Kernel, name)
         calls = []
 
         def broken(self, *args):
             term = real(self, *args)
             calls.append(None)
-            if len(calls) >= from_call:
+            if from_call <= len(calls) <= (to_call or len(calls)):
                 term = term._replace(grad_z=np.full_like(term.grad_z, np.nan))
             return term
 
@@ -1010,3 +1025,16 @@ class TestNonFiniteGradient:
         with pytest.raises(ValueError, match=r"first from the hsmt term$") as err:
             self.run_two_tasks(HP)
         assert "gradient contains non-finite entries" in str(err.value.__cause__)
+
+    def test_a_disabled_term_is_not_tried(self, monkeypatch):
+        self.nan_term(monkeypatch, "mi")
+        with pytest.raises(ValueError, match=r"^task 1, current phase, epoch 1: .* the mi term$"):
+            self.run_two_tasks(
+                HyperParams(epochs_current=2, epochs_memory=2, beta_sc=0.0, beta_hm=0.0)
+            )
+
+    def test_a_failure_no_term_repeats_alone_is_named_as_such(self, monkeypatch):
+        # only the step's own hm pass is broken: alone, every term is finite again
+        self.nan_term(monkeypatch, "hm", from_call=1, to_call=1)
+        with pytest.raises(ValueError, match=r"^task 1, .* first from no single loss term$"):
+            self.run_two_tasks(HP)

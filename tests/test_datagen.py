@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcre.datagen import (
     DatasetFormatError,
@@ -303,11 +305,67 @@ class TestDatasetJsonl:
         with pytest.raises(DatasetFormatError, match="test"):
             ingest_dataset(self._write_rows(tmp_path, rows))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # once "task 1: task 1: relation 1 has no test samples", with no line
+            (
+                [(1, 0, "train"), (1, 1, "train"), (1, 0, "test"), (1, 2, "test")],
+                "line 2: relation 1 of task 1 has no test rows",
+            ),
+            (
+                [(1, 2, "test"), (1, 0, "train"), (1, 0, "test"), (1, 1, "train")],
+                "line 1: relation 2 of task 1 has no train rows",
+            ),
+            # once "task 2 has no test samples"
+            (
+                [(1, 0, "train"), (1, 0, "test"), (2, 1, "train"), (2, 1, "train")],
+                "line 3: relation 1 of task 2 has no test rows",
+            ),
+        ],
+    )
+    def test_a_relation_missing_a_split_is_named_at_its_first_line(self, tmp_path, rows, message):
+        rows = [self._valid_row(task, relation, split) for task, relation, split in rows]
+        with pytest.raises(DatasetFormatError, match=f"^{message}$"):
+            ingest_dataset(self._write_rows(tmp_path, rows))
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         with pytest.raises(DatasetFormatError, match="empty"):
             ingest_dataset(path)
+
+
+def assert_stream_rules(stream, spec):
+    """The rules ``TaskStream`` leaves to the code that makes streams."""
+    assert [task.index for task in stream.tasks] == list(range(1, spec.n_tasks + 1))
+    relations = [rel for task in stream.tasks for rel in task.relations]
+    assert len(relations) == len(set(relations)) == spec.n_relations
+    assert {task.feature_dim for task in stream.tasks} == {spec.feature_dim}
+
+
+small_specs = st.builds(
+    SyntheticSpec,
+    n_tasks=st.integers(1, 4),
+    n_way=st.integers(1, 3),
+    shots=st.integers(1, 3),
+    test_per_relation=st.integers(1, 3),
+    feature_dim=st.integers(3, 6),
+    cluster_separation=st.floats(0.05, 0.3),
+    task1_oversample=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+
+
+class TestStreamRules:
+    @given(spec=small_specs)
+    @settings(max_examples=40)
+    def test_generated_and_parsed_streams_keep_the_stream_rules(self, tmp_path_factory, spec):
+        stream, _ = generate_stream(spec)
+        path = tmp_path_factory.mktemp("stream") / "data.jsonl"
+        write_dataset(stream, path)
+        assert_stream_rules(stream, spec)
+        assert_stream_rules(ingest_dataset(path), spec)
 
 
 class TestLearnability:

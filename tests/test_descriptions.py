@@ -298,6 +298,8 @@ class TestSynthDescriptions:
             synth_descriptions(0, centers, k_desc=0, spread=0.1)
         with pytest.raises(ValueError, match="spread"):
             synth_descriptions(0, centers, k_desc=1, spread=-0.5)
+        with pytest.raises(ValueError, match=r"^relation 0: center must be a 1-D vector$"):
+            synth_descriptions(0, {0: np.ones((2, 2))}, k_desc=1, spread=0.1)
         with pytest.raises(ValueError, match="at least one"):
             synth_descriptions(0, {}, k_desc=1, spread=0.1)
 

@@ -233,6 +233,8 @@ class TestInit:
             (lambda rng: init_encoder(True, 3, 2, rng), r"^feature_dim must be an integer, got True$"),
             (lambda rng: init_bilinear(2.5, rng), r"^embed_dim must be an integer, got 2\.5$"),
             (lambda rng: init_adam(2.5), r"^n_params must be an integer, got 2\.5$"),
+            (lambda rng: init_bilinear(0, rng), r"^embed_dim must be >= 1, got 0$"),
+            (lambda rng: init_adam(0), r"^n_params must be >= 1, got 0$"),
         ],
     )
     def test_bad_dims_rejected(self, init, pattern):
@@ -257,6 +259,27 @@ class TestInit:
     def test_bilinear_must_be_square(self):
         with pytest.raises(ValueError, match="square"):
             BilinearForm(matrix=np.zeros((2, 3)))
+
+    def test_bilinear_must_be_finite(self):
+        with pytest.raises(ValueError, match=r"^bilinear matrix contains non-finite entries$"):
+            BilinearForm(matrix=np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "edit, pattern",
+        [
+            ({"w1": np.zeros(5)}, r"^weight matrices must be 2-D$"),
+            ({"w2": np.zeros((3, 4, 1))}, r"^weight matrices must be 2-D$"),
+            ({"b1": np.zeros(3)}, r"^bias shapes do not match weight shapes$"),
+            ({"b2": np.zeros((3, 1))}, r"^bias shapes do not match weight shapes$"),
+            ({"w1": np.full((4, 5), np.nan)}, r"^w1 contains non-finite entries$"),
+            ({"b2": np.array([0.0, np.inf, 0.0])}, r"^b2 contains non-finite entries$"),
+        ],
+    )
+    def test_malformed_encoder_weights_rejected(self, edit, pattern):
+        params = small_params()  # f=5, h=4, d=3
+        weights = {"w1": params.w1, "b1": params.b1, "w2": params.w2, "b2": params.b2}
+        with pytest.raises(ValueError, match=pattern):
+            EncoderParams(**{**weights, **edit})
 
 
 class TestAdam:

@@ -22,6 +22,7 @@ from fcre.inference import (
     MetricsReport,
     TaskAccuracy,
     _fuse,
+    check_heads,
     evaluate,
     dri_predict,
     dri_predict_from_scores,
@@ -188,6 +189,12 @@ class TestDriPredict:
             with pytest.raises(ValueError, match=rf"^relation id must be an integer, got {shown}$"):
                 dri_score(z, bad, protos, ds, 0.4, 60.0)
 
+    def test_dri_score_of_an_unknown_relation_rejected(self):
+        z, protos, ds = self.build(np.random.default_rng(7))
+        rel = max(protos) + 1
+        with pytest.raises(ValueError, match=rf"^relation {rel} is not registered$"):
+            dri_score(z, rel, protos, ds, 0.4, 60.0)
+
     def test_alpha_one_matches_ncm(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
@@ -309,6 +316,20 @@ class TestHeadsMatchTheSortOracle:
         assert rank_scores(e).ranks == ref.sorted_ranks(e)
 
 
+class TestCheckHeads:
+    @pytest.mark.parametrize(
+        "heads, pattern",
+        [
+            ((), r"^at least one prediction head is required$"),
+            (("ncm", "dri", "ncm"), r"^duplicate heads: \('ncm', 'dri', 'ncm'\)$"),
+            (("knn",), r"^unknown head 'knn'; expected one of \('ncm', 'dri'\)$"),
+        ],
+    )
+    def test_rejected_heads(self, heads, pattern):
+        with pytest.raises(ValueError, match=pattern):
+            check_heads(heads)
+
+
 class TestEvaluate:
     def test_chance_level_when_labels_are_independent(self):
         # labels carry no information about the features, so any decision
@@ -358,12 +379,15 @@ def nonzero_rows(rng, n, dim, quantized):
 def pool_state(rng, quantized, n_tasks=3, n_way=5, test_n=8, n_extra=4, dim=4):
     """An untrained state with completed tasks and descriptions, and its prototypes.
 
-    The quantized variant uses a saturating identity encoder, so every
-    embedding is a -1/0/1 vector computed exactly by any summation order,
-    and -1/0/1 prototypes and descriptions: distances and cosines then
-    tie exactly between relations in both rank channels.
+    Tasks 1..n_tasks test n_way relations with test_n queries each; the
+    ``n_extra`` relations make up one more task of one query each, whose
+    features are the relation's prototype row.  The quantized variant
+    uses a saturating identity encoder, so every embedding is a -1/0/1
+    vector computed exactly by any summation order, and -1/0/1 prototypes
+    and descriptions: distances and cosines then tie exactly between
+    relations in both rank channels.
     """
-    n_rel = n_tasks * n_way + n_extra  # extra relations are registered but untested
+    n_rel = n_tasks * n_way + n_extra
     relations = [int(r) for r in rng.choice(500, size=n_rel, replace=False)]
     if quantized:
         steep = 30.0 * np.eye(dim)  # tanh(30) rounds to 1.0
@@ -387,12 +411,20 @@ def pool_state(rng, quantized, n_tasks=3, n_way=5, test_n=8, n_extra=4, dim=4):
         x = nonzero_rows(rng, n_way * test_n, dim, quantized)
         y = np.repeat(rels, test_n)
         state.completed_tasks.append(Task(t + 1, x, y, x, y))
+    if n_extra:  # no draw: the rng stream stays as it was
+        x, y = protos[n_tasks * n_way :], relations[n_tasks * n_way :]
+        state.completed_tasks.append(Task(n_tasks + 1, x, y, x, y))
     return state, prototypes
 
 
-def first_tasks(state, k):
-    """``state`` as it would evaluate with only its first ``k`` tasks completed."""
-    return dataclasses.replace(state, completed_tasks=state.completed_tasks[:k])
+def first_tasks(state, prototypes, k):
+    """``state`` with its first ``k >= 1`` tasks completed, and the prototypes it scores against."""
+    done = state.completed_tasks[:k]
+    seen = np.isin(prototypes.relations, [r for task in done for r in task.relations])
+    relations = prototypes.relations[seen]
+    descriptions = state.descriptions.subset(relations)
+    cut = dataclasses.replace(state, completed_tasks=done, descriptions=descriptions)
+    return cut, Prototypes(relations, prototypes.vectors[seen])
 
 
 def per_query_evaluate(state, prototypes, head, hp):
@@ -444,7 +476,10 @@ def share_nearest_prototype(state, prototypes):
 
 @st.composite
 def shared_row_states(draw):
-    """A one-task state whose relations share prototypes and mean descriptions, with those prototypes.
+    """A state whose relations share prototypes and mean descriptions, with those prototypes.
+
+    Task 1 tests ``n_tested`` of the relations, and task 2, if any are
+    left, the rest with one query each.
 
     Relation i takes the prototype of relation ``proto_src[i] <= i`` and
     the description block of ``desc_src[i] <= i``, so both heads and both
@@ -487,6 +522,10 @@ def shared_row_states(draw):
     state.descriptions = DescriptionSet(
         {int(r): blocks[src] for r, src in zip(relations, desc_src)}
     )
+    untested = np.setdiff1d(relations, tested)
+    if untested.size:
+        x = nonzero_rows(rng, untested.size, dim, quantized)
+        state.completed_tasks.append(Task(2, x, untested, x, untested))
     return state, prototypes
 
 
@@ -513,9 +552,9 @@ class TestBatchedEvaluate:
             for head, hp in runs:
                 expected = per_query_evaluate(state, prototypes, head, hp)
                 assert evaluate(state, prototypes, (head,), hp) == [expected]
-            first = first_tasks(state, 1)
-            expected = per_query_evaluate(first, prototypes, "dri", HP)
-            assert evaluate(first, prototypes, ("dri",), HP) == [expected]
+            first, first_prototypes = first_tasks(state, prototypes, 1)
+            expected = per_query_evaluate(first, first_prototypes, "dri", HP)
+            assert evaluate(first, first_prototypes, ("dri",), HP) == [expected]
 
     @pytest.mark.parametrize("quantized", [False, True])
     def test_both_heads_from_one_call_match_per_query_loop(self, quantized):
@@ -581,12 +620,30 @@ class TestBatchedEvaluate:
 
     def test_rows_are_labelled_with_the_number_of_completed_tasks(self):
         state, prototypes = pool_state(np.random.default_rng(5), False)
-        for k in (1, 2, 3):
-            rows = evaluate(first_tasks(state, k), prototypes, ("ncm", "dri"), HP)
+        for k in (1, 2, 3, 4):
+            rows = evaluate(*first_tasks(state, prototypes, k), ("ncm", "dri"), HP)
             assert [row.task_index for row in rows] == [k, k]
             assert all(list(row.acc_per_task) == list(range(1, k + 1)) for row in rows)
         with pytest.raises(ValueError, match="^no task has been completed$"):
-            evaluate(first_tasks(state, 0), prototypes, ("ncm",), HP)
+            evaluate(dataclasses.replace(state, completed_tasks=[]), prototypes, ("ncm",), HP)
+
+    def test_prototypes_must_cover_exactly_the_seen_relations(self):
+        # prototypes cut to relations 0-1 once scored a 2-task state's
+        # task 2 (relations 2-3) at 0.0 without an error
+        rng = np.random.default_rng(0)
+        state = fresh_state(feature_dim=4, hidden_dim=6, embed_dim=4)
+        for t, rels in ((1, [0, 1]), (2, [2, 3])):
+            x, y = rng.normal(size=(4, 4)), np.repeat(rels, 2)
+            state.completed_tasks.append(Task(t, x, y, x, y))
+        cases = [(np.arange(2), "[0, 1]"), (np.arange(1, 5), "[1, 2, 3, 4]"), (np.arange(0), "[]")]
+        for relations, shown in cases:
+            prototypes = Prototypes(relations, rng.normal(size=(relations.size, 4)))
+            with pytest.raises(ValueError, match=re.escape(
+                f"prototypes cover relations {shown} but the state has seen [0, 1, 2, 3]"
+            )):
+                evaluate(state, prototypes, ("ncm",), HP)
+        [row] = evaluate(state, Prototypes(np.arange(4), rng.normal(size=(4, 4))), ("ncm",), HP)
+        assert list(row.acc_per_task) == [1, 2]
 
     def test_each_pool_is_encoded_once_for_both_heads(self, monkeypatch):
         state, prototypes = pool_state(np.random.default_rng(3), False)
@@ -684,11 +741,11 @@ class TestReflectedNearTies:
             z = np.repeat(z, 2)[::2]  # a strided view: the heads take any 1-D vector
             ncm = ncm_predict(z, protos)
             dri = dri_predict(z, protos, state.descriptions, HP.alpha, HP.epsilon)
-            # task 1 is labelled with NCM's prediction, task 2 with DRI's
-            state.completed_tasks = [Task(1, x, [ncm], x, [ncm]), Task(2, x, [dri], x, [dri])]
+            # task r + 1 labels the query with relation r: NCM's is task ncm + 1, DRI's dri + 1
+            state.completed_tasks = [Task(r + 1, x, [r], x, [r]) for r in range(4)]
             rows = evaluate(state, prototypes, ("ncm", "dri"), HP)
-            disagree["ncm"] += rows[0].acc_per_task[1] != 1.0
-            disagree["dri"] += rows[1].acc_per_task[2] != 1.0
+            disagree["ncm"] += rows[0].acc_per_task[ncm + 1] != 1.0
+            disagree["dri"] += rows[1].acc_per_task[dri + 1] != 1.0
         assert disagree == {"ncm": 0, "dri": 0}
 
 

@@ -151,6 +151,19 @@ class TestBatch:
         with pytest.raises(ValueError, match="description dim"):
             Batch(z=np.eye(3), labels=np.zeros(3, dtype=int), descriptions=np.ones((3, 1, 4)))
 
+    @pytest.mark.parametrize(
+        "descriptions, pattern",
+        [
+            (np.ones((3, 3)), r"^descriptions must be \(B, K, d\), got \(3, 3\)$"),
+            (np.ones((2, 1, 3)), r"^descriptions must be \(B, K, d\), got \(2, 1, 3\)$"),
+            (np.full((3, 1, 3), np.nan), r"^descriptions contain non-finite entries$"),
+            (np.ones((3, 0, 3)), r"^need at least one description vector per sample$"),
+        ],
+    )
+    def test_malformed_descriptions_rejected(self, descriptions, pattern):
+        with pytest.raises(ValueError, match=pattern):
+            Batch(z=np.eye(3), labels=np.zeros(3, dtype=int), descriptions=descriptions)
+
     def test_non_finite_rejected(self):
         z = np.eye(2)
         z[0, 0] = float("nan")
