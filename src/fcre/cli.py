@@ -318,9 +318,15 @@ def cmd_report(run_dirs: list[str], out: str | None) -> int:
     """Aggregate metrics.csv across run dirs; print and optionally save.
 
     A run whose (task, head) rows differ from the first run's raises a
-    ``ValueError`` naming its file."""
+    ``ValueError`` naming its file, and a directory given twice (under
+    any spelling) one naming it."""
     cells: dict[tuple[int, str], list[float]] = {}
+    given: dict[Path, str] = {}  # each run directory, resolved, as first given
     for i, dirname in enumerate(run_dirs):
+        resolved = Path(dirname).resolve()
+        if resolved in given:
+            raise ValueError(f"run directory {dirname} is {given[resolved]}, given already")
+        given[resolved] = dirname
         path = Path(dirname) / "metrics.csv"
         if not path.exists():
             raise ValueError(f"no metrics.csv under {dirname}")

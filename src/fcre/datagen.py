@@ -157,8 +157,12 @@ def ingest_dataset(path) -> TaskStream:
     Every per-row error starts ``line N:`` (1-based), a relation without
     train or test rows at its first line (the lowest first); an empty
     file and task indices not contiguous from 1 name no line.
+
+    Each row is stored as a float64 array once its line is checked, so
+    at most one line's features are held as Python floats, and a task's
+    row arrays are freed once its own are stacked from them in file order.
     """
-    rows: dict[int, dict[str, tuple[list[list[float]], list[int]]]] = {}
+    rows: dict[int, dict[str, tuple[list[np.ndarray], list[int]]]] = {}
     # each relation's task, first line and splits, in order of first line
     relation_home: dict[int, tuple[int, int, set[str]]] = {}
     dim: int | None = None
@@ -182,7 +186,7 @@ def ingest_dataset(path) -> TaskStream:
             )
         splits.add(split)
         split_rows = rows.setdefault(task, {"train": ([], []), "test": ([], [])})
-        split_rows[split][0].append(values)
+        split_rows[split][0].append(np.array(values))
         split_rows[split][1].append(rel)
     if not rows:
         raise DatasetFormatError("dataset file is empty")
@@ -199,7 +203,8 @@ def ingest_dataset(path) -> TaskStream:
             )
     tasks = []
     for t in indices:
-        (train_rows, train_labels), (test_rows, test_labels) = rows[t]["train"], rows[t]["test"]
+        # train, then test; popped, so its row arrays are freed once its own are built
+        (train_rows, train_labels), (test_rows, test_labels) = rows.pop(t).values()
         tasks.append(
             Task(
                 index=t,

@@ -630,6 +630,16 @@ class TestReportCommand:
             f"has a row in only one of this file and {dirs[0] / 'metrics.csv'}\n"
         )
 
+    @pytest.mark.parametrize("again", ["{d}", "{d}/", "{d}/../{name}"])
+    def test_a_run_directory_given_twice_exits_2_naming_it(self, tmp_path, capsys, again):
+        # the aggregate once counted it as one more run, with a std of 0 for one run
+        _, (d,) = self.make_runs(tmp_path, seeds=(0,))
+        repeat = again.format(d=d, name=Path(d).name)
+        assert main(["report", d, repeat]) == 2
+        assert capsys.readouterr().err == f"error: run directory {repeat} is {d}, given already\n"
+        with pytest.raises(ValueError, match="given already"):
+            cmd_report([d, d, d + "/"], None)
+
     def test_missing_metrics_exits_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nothing")]) == 2
         assert "metrics.csv" in capsys.readouterr().err

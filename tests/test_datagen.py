@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,24 @@ class TestDatasetJsonl:
         write_dataset(stream, first)
         write_dataset(ingest_dataset(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_parse_peaks_under_three_times_the_feature_bytes(self, tmp_path):
+        # rows held as Python floats until the file ended peaked at 5.5x
+        stream, _ = generate_stream(
+            SyntheticSpec(n_tasks=16, shots=10, task1_oversample=10, test_per_relation=2)
+        )
+        assert stream.tasks[0].feature_dim == 32
+        path = tmp_path / "data.jsonl"
+        write_dataset(stream, path)
+        feature_bytes = sum(task.train_x.nbytes + task.test_x.nbytes for task in stream.tasks)
+        ingest_dataset(path)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            ingest_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * feature_bytes, f"ingest_dataset peaked at {peak / feature_bytes:.2f}x"
 
     def test_canonical_row_order(self, tmp_path):
         stream, _ = generate_stream(SMALL)

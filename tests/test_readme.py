@@ -1,14 +1,21 @@
-"""The README's library example runs as written, on the top-level exports."""
+"""The README's examples run as written: the library one and the data-file one."""
 
 import re
+import shlex
 from pathlib import Path
+
+from fcre.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def example(heading: str, language: str) -> str:
+    section = README.read_text(encoding="utf-8").split(heading, 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
 def library_example() -> str:
-    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return example("## Library use", "python")
 
 
 def test_library_example_runs(capsys):
@@ -18,3 +25,19 @@ def test_library_example_runs(capsys):
     assert [line.split(",")[:2] for line in lines[1:]] == [
         [str(task), head] for task in (1, 2, 3) for head in ("ncm", "dri")
     ]
+
+
+def test_data_file_example_runs(tmp_path, monkeypatch):
+    # each `fcre` line runs through cli.main; a `cat > FILE <<'EOF'` line writes FILE
+    monkeypatch.chdir(tmp_path)
+    lines = iter(example("### Working with data files", "sh").splitlines())
+    for line in lines:
+        if line.startswith("cat > "):
+            body = iter(lines.__next__, "EOF")
+            Path(line.split()[2]).write_text("".join(f"{row}\n" for row in body))
+        else:
+            program, *args = shlex.split(line)
+            assert program == "fcre" and main(args) == 0
+    (metrics,) = Path("runs_files").rglob("metrics.csv")
+    rows = [line.split(",")[:2] for line in metrics.read_text().splitlines()[1:]]
+    assert rows == [[str(task), head] for task in range(1, 9) for head in ("ncm", "dri")]
