@@ -1,4 +1,8 @@
-"""The README's examples run as written: the library one and the data-file one."""
+"""The README's examples run as written.
+
+The library example runs on the top-level exports, and each ``fcre``
+line of the data-file example through ``fcre.cli.main``.
+"""
 
 import re
 import shlex
@@ -14,12 +18,8 @@ def example(heading: str, language: str) -> str:
     return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
 
 
-def library_example() -> str:
-    return example("## Library use", "python")
-
-
 def test_library_example_runs(capsys):
-    exec(compile(library_example(), str(README), "exec"), {})
+    exec(compile(example("## Library use", "python"), str(README), "exec"), {})
     lines = capsys.readouterr().out.split()  # CSV rows, no blank ones
     assert lines[0].startswith("task,head,acc_avg")
     assert [line.split(",")[:2] for line in lines[1:]] == [
@@ -28,7 +28,7 @@ def test_library_example_runs(capsys):
 
 
 def test_data_file_example_runs(tmp_path, monkeypatch):
-    # each `fcre` line runs through cli.main; a `cat > FILE <<'EOF'` line writes FILE
+    # a `cat > FILE <<'EOF'` line writes the lines up to EOF to FILE
     monkeypatch.chdir(tmp_path)
     lines = iter(example("### Working with data files", "sh").splitlines())
     for line in lines:
