@@ -318,8 +318,10 @@ def cmd_report(run_dirs: list[str], out: str | None) -> int:
     """Aggregate metrics.csv across run dirs; print and optionally save.
 
     A run whose (task, head) rows differ from the first run's raises a
-    ``ValueError`` naming its file, and a directory given twice (under
-    any spelling) one naming it."""
+    ``ValueError`` naming its file, a directory given twice (under any
+    spelling) one naming it, and a head with no row for the runs' first
+    or last task, whose final accuracy and drop are undefined, one
+    naming the head and the task, before anything is written."""
     cells: dict[tuple[int, str], list[float]] = {}
     given: dict[Path, str] = {}  # each run directory, resolved, as first given
     for i, dirname in enumerate(run_dirs):
@@ -348,6 +350,10 @@ def cmd_report(run_dirs: list[str], out: str | None) -> int:
             cells.setdefault((row.task_index, row.head), []).append(row.acc_avg)
     heads = sorted({head for _, head in cells})
     tasks = sorted({task for task, _ in cells})
+    for head in heads:
+        for task in (tasks[0], tasks[-1]):
+            if (task, head) not in cells:
+                raise ValueError(f"head {head!r} has no row for task {task}, the first or last task")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["task", "head", "mean_acc_avg", "std_acc_avg", "n_runs"])
@@ -362,10 +368,7 @@ def cmd_report(run_dirs: list[str], out: str | None) -> int:
         print(f"wrote {out}")
     print(f"aggregated {len(run_dirs)} run(s):")
     for head in heads:
-        first = cells.get((tasks[0], head))
-        last = cells.get((tasks[-1], head))
-        if not first or not last:
-            continue
+        first, last = cells[(tasks[0], head)], cells[(tasks[-1], head)]
         mean = sum(last) / len(last)
         drop = sum(first) / len(first) - mean
         # 0.0 - drop, not -drop: a zero drop prints as 0.0000, not -0.0000

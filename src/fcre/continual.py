@@ -317,6 +317,10 @@ def select_memory(
     sample index.  Relations with fewer samples keep everything.
     ``encode_fn`` embeds one feature row at a time; ``run_task`` applies
     the same rule to one batched encoding of the task's training pool.
+    The same picks follow only from the same bits: ``encoder.encode``
+    sums in another order than ``encode_batch`` and gives a row other
+    last bits, so with ``encode`` as ``encode_fn`` a near-tie in
+    distance can go otherwise than in ``run_task``.
     """
     if checked(memory_size, int, "memory_size") < 1:
         raise ValueError(f"memory_size must be >= 1, got {memory_size}")

@@ -14,13 +14,17 @@ first argmin, and DRI ranks both channels with ``geometry._ranks`` and
 picks the first best column in ``_fuse``.  ``evaluate`` scores each test
 pool, encoded once, in passes of at most ``EVAL_BLOCK_ENTRIES`` (queries
 x relations) entries, and the per-query heads are one-row calls of the
-same ``_keys``: a query gets the same key bits, so the same decision, in
-both, near-ties included; they check the means' width once, as
-``DescriptionSet`` checked each mean.  Their reference, in
+same ``_keys``: a query embedding gets the same key bits, so the same
+decision, in both, near-ties included; they check the means' width once,
+as ``DescriptionSet`` checked each mean.  Their reference, in
 ``tests/loop_reference.py``, scores relation by relation with
-``geometry.euclidean`` and ``geometry.cosine``.  Accuracy is cumulative:
-after task j, every earlier task's test pool is scored against the full
-label space seen so far, and ACC_j is the mean of those accuracies.
+``geometry.euclidean`` and ``geometry.cosine``.  ``evaluate`` embeds a
+pool with ``encode_batch``, and ``encoder.encode`` sums in another order
+and gives a row other last bits, so a per-query head fed ``encode(x)``
+can decide otherwise than ``evaluate`` at a near-tie.  Accuracy is
+cumulative: after task j, every earlier task's test pool is scored
+against the full label space seen so far, and ACC_j is the mean of
+those accuracies.
 """
 
 from __future__ import annotations
@@ -289,9 +293,11 @@ class MetricsReport:
 # pool of n queries is encoded whole, so the encoder's transients take
 # n x (hidden + d) floats and grow with the pool.  Scoring each test pool
 # in one pass instead writes the same metrics.csv but raised the peak RSS
-# of an eval_wide seed (80 relations, 5,400 queries per head) from 40,988
-# to 41,768 KB (median of 8 fresh-interpreter seeds on a 2-core Xeon),
-# about 1.9%, close to the benchmark's 0.02 bound on peak_rss_mb.
+# of an eval_wide seed (80 relations, 5,400 queries per head) from 40,732
+# to 41,044 KB (median of 10 alternating fresh-interpreter seeds on a
+# 2-core Xeon, higher in 10 of 10), about 0.8%, for no speed: 0.0685 s
+# against 0.0677 s of host-normalised seed time.  A 1,024-entry budget kept
+# the peak (40,698 KB) and made the seed 19% slower (0.0685 -> 0.0815 s).
 EVAL_BLOCK_ENTRIES = 4_096
 
 

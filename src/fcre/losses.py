@@ -224,6 +224,7 @@ class JointResult(NamedTuple):
 
 
 HSMT_FLOOR = 1e-6
+_PAIR_SIGN = np.array([[[1.0]], [[-1.0]]])  # HSMT's keys: +distance to a positive, -to a negative
 
 
 class _Term(NamedTuple):
@@ -231,7 +232,6 @@ class _Term(NamedTuple):
 
     values: np.ndarray  # (rows,) value per anchor; (C,) per description class for HM
     grad_z: np.ndarray  # (B, d) gradient of the anchors' summed value
-    degenerate: np.ndarray  # (rows,) no positive / no pair / no negative
     clamped: np.ndarray | None = None  # (rows,) HSMT clamp hits
     grad_w: np.ndarray | None = None  # (d, d) MI only
 
@@ -283,18 +283,14 @@ class _Layout:
         self.pos = pos = same[rows].copy()  # (rows, B) same label, the anchor itself excluded
         pos[local, anchors] = False
         self.neg = neg = ~same[rows]  # (rows, B) different label
-        # HSMT ranks (2, rows, B) keys: the distance to a positive and minus
-        # the distance to a negative, with -inf at every other sample
-        self.sign = np.array([[[1.0]], [[-1.0]]])
         self.pair_fill = np.where((pos, neg), 0.0, -np.inf)
         self.n_pos = n_same[rows] - 1  # (rows,) positives of each anchor
         self.has_pos, self.paired = has_pos[rows], paired[rows]
         # the anchors each term skips, and whether it has any other; an
         # anchor has a negative exactly when the batch holds two labels,
         # so has_neg is all true or all false
-        self.no_pos, self.no_neg, self.no_pair = ~self.has_pos, ~has_neg[rows], ~self.paired
-        self.n_no_pos = int(np.add.reduce(self.no_pos))
-        self.n_no_pair = int(np.add.reduce(self.no_pair))
+        self.n_no_pos = anchors.size - int(np.add.reduce(self.has_pos))
+        self.n_no_pair = anchors.size - int(np.add.reduce(self.paired))
         self.any_pos = self.n_no_pos < anchors.size
         self.any_paired = self.n_no_pair < anchors.size
         self.any_neg = bool(has_neg[0])
@@ -410,7 +406,7 @@ class _Kernel:
         z, lay, norms = self.z, self.layout, self.norms
         rows, pos, active = lay.rows, lay.pos, lay.has_pos
         if not lay.any_pos:
-            return _Term(np.zeros(active.size), np.zeros(z.shape), lay.no_pos)
+            return _Term(np.zeros(active.size), np.zeros(z.shape))
         if not self.nonzero:  # an active anchor takes its cosine with every row
             self._require_nonzero(np.ones(self.norms.size, dtype=bool))
         cos = (z[rows] @ z.T) / (norms[rows, None] * norms[None, :])
@@ -437,7 +433,7 @@ class _Kernel:
         grad[rows] += (
             coeff @ z_hat - np.add.reduce(weighted_cos, axis=1)[:, None] * z_hat[rows]
         ) / norms[rows, None]
-        return _Term(values, grad, lay.no_pos)
+        return _Term(values, grad)
 
     def hsmt(self) -> _Term:
         """Batch-hard pairs: row-wise argmax over positives, argmin over negatives."""
@@ -445,12 +441,12 @@ class _Kernel:
         rows, a, paired = lay.rows, lay.local, lay.paired
         grad = np.zeros(z.shape)
         if not lay.any_paired:
-            return _Term(np.zeros(a.size), grad, lay.no_pair, np.zeros(a.size, dtype=bool))
+            return _Term(np.zeros(a.size), grad, np.zeros(a.size, dtype=bool))
         diff = z[rows][:, None, :] - z[None, :, :]  # (rows, B, d), the kernel's largest transient
         dist = np.sqrt(np.einsum("abk,abk->ab", diff, diff))
         # (2, rows): p*, the farthest positive, and n*, the nearest negative
-        # as the farthest of -dist; argmax takes the lowest index on ties
-        key = dist * lay.sign
+        # as the farthest of -dist (-inf off the pairs); argmax takes the lowest index on ties
+        key = dist * _PAIR_SIGN
         key += lay.pair_fill
         star = key.argmax(axis=2)
         d_star = np.where(paired, dist[a, star], 0.0)
@@ -465,7 +461,7 @@ class _Kernel:
         # dL/d(dp) = -exp_p / arg, dL/d(dn) = +exp_n / arg; only the
         # selected pair of a live anchor receives gradient, along
         # d||a - b||/da = (a - b) / ||a - b||, taken as zero where a == b
-        coeff = np.where(live, -lay.sign[:, :, 0] * e / arg, 0.0)
+        coeff = np.where(live, -_PAIR_SIGN[:, :, 0] * e / arg, 0.0)
         diff_star = diff[a, star]  # (2, rows, d): z[rows] - z[star], the rows at p* and n*
         unit = np.zeros(diff_star.shape)
         np.divide(diff_star, d_star[:, :, None], out=unit, where=d_star[:, :, None] != 0.0)
@@ -474,7 +470,7 @@ class _Kernel:
         # the p* rows, then the n* rows, added in order to the flat gradient
         d = z.shape[1]
         np.add.at(grad.reshape(-1), (star[:, :, None] * d + np.arange(d)).reshape(-1), -g.reshape(-1))
-        return _Term(values, grad, lay.no_pair, clamped)
+        return _Term(values, grad, clamped)
 
     def mine(
         self, ks: slice = slice(None)
@@ -513,7 +509,7 @@ class _Kernel:
         """Quadratic pulls on hard positives and pushes on hard negatives, per class."""
         z, lay = self.z, self.layout
         if not lay.any_paired:
-            return _Term(np.zeros(lay.paired.size), np.zeros(z.shape), lay.no_pair)
+            return _Term(np.zeros(lay.paired.size), np.zeros(z.shape))
         cos, a_hat, hard_pos, hard_neg = self.mine()
         t_pos = 1.0 - cos
         t_neg = margin - 1.0 + cos
@@ -525,7 +521,7 @@ class _Kernel:
         grad = g.reshape(-1, b).T @ a_hat.reshape(-1, d)
         grad -= np.einsum("ckb,ckb->b", g, cos)[:, None] * self.z_hat
         grad /= self.safe_norms[:, None]
-        return _Term(values, grad, lay.no_pair)
+        return _Term(values, grad)
 
     def mi(self, w_matrix: np.ndarray, tau: float) -> _Term:
         """InfoNCE over one (rows, C, K) block of bilinear scores against the classes.
@@ -538,7 +534,7 @@ class _Kernel:
         rows, local, own, weight = lay.rows, lay.local, lay.own, lay.weight
         grad = np.zeros(z.shape)
         if not lay.any_neg:
-            return _Term(np.zeros(local.size), grad, lay.no_neg, grad_w=np.zeros(w_matrix.shape))
+            return _Term(np.zeros(local.size), grad, grad_w=np.zeros(w_matrix.shape))
         desc = lay.class_desc.reshape(c * k, d)
         z_rows = z[rows]
         scores = ((z_rows @ w_matrix) @ desc.T).reshape(-1, c, k) / tau  # z_x^T W d_c^k / tau
@@ -555,7 +551,7 @@ class _Kernel:
         weighted = coeff.reshape(-1, c * k) @ desc  # sum_i coeff_i * d_i, per anchor
         grad[rows] = (weighted @ w_matrix.T) / tau
         grad_w = (z_rows.T @ weighted) / tau
-        return _Term(values, grad, lay.no_neg, grad_w=grad_w)
+        return _Term(values, grad, grad_w=grad_w)
 
 
 def _one_row(batch: Batch, x: int) -> _Kernel:
@@ -605,8 +601,9 @@ def scl_loss(batch: Batch, x: int, tau: float) -> SclResult:
     """
     _require_tau(tau)
     _require_pair(batch, "scl_loss")
-    term = _one_row(batch, x).scl(tau)
-    return SclResult(float(term.values[0]), term.grad_z, bool(term.degenerate[0]))
+    kernel = _one_row(batch, x)
+    term = kernel.scl(tau)
+    return SclResult(float(term.values[0]), term.grad_z, not kernel.layout.has_pos[0])
 
 
 def hsmt_loss(batch: Batch, x: int) -> HsmtResult:
@@ -620,10 +617,10 @@ def hsmt_loss(batch: Batch, x: int) -> HsmtResult:
     yield zero with ``no_pair`` set.
     """
     _require_pair(batch, "hsmt_loss")
-    term = _one_row(batch, x).hsmt()
-    return HsmtResult(
-        float(term.values[0]), term.grad_z, bool(term.degenerate[0]), bool(term.clamped[0])
-    )
+    kernel = _one_row(batch, x)
+    term = kernel.hsmt()
+    no_pair, clamped = not kernel.layout.paired[0], bool(term.clamped[0])
+    return HsmtResult(float(term.values[0]), term.grad_z, no_pair, clamped)
 
 
 def mine_hard(batch: Batch, x: int, k: int) -> MiningSets:
@@ -634,8 +631,8 @@ def mine_hard(batch: Batch, x: int, k: int) -> MiningSets:
     closer than the farthest positive.  Both P(x) and N(x) must be
     non-empty.
     """
-    pos = batch.positives(x)
-    neg = batch.negatives(x)
+    kernel = _one_row(batch, x)
+    pos, neg = np.flatnonzero(kernel.layout.pos[0]), np.flatnonzero(kernel.layout.neg[0])
     if pos.size == 0:
         raise ValueError(f"sample {x} has no positives to mine")
     if neg.size == 0:
@@ -643,7 +640,7 @@ def mine_hard(batch: Batch, x: int, k: int) -> MiningSets:
     if not 0 <= checked(k, int, "description index") < batch.k_desc:
         raise ValueError(f"description index {k} out of range for K={batch.k_desc}")
     # x is its class's one anchor
-    _, _, hard_pos, hard_neg = _one_row(batch, x).mine(slice(k, k + 1))
+    _, _, hard_pos, hard_neg = kernel.mine(slice(k, k + 1))
     return MiningSets(
         k=k,
         positives=tuple(int(p) for p in pos),
@@ -665,8 +662,9 @@ def hm_loss(batch: Batch, x: int, margin: float) -> HmResult:
     never through its own anchor.  Empty P(x) or N(x) contributes zero.
     """
     _require_margin(margin)
-    term = _one_row(batch, x).hm(margin)
-    return HmResult(float(term.values[0]), term.grad_z, bool(term.degenerate[0]))
+    kernel = _one_row(batch, x)
+    term = kernel.hm(margin)
+    return HmResult(float(term.values[0]), term.grad_z, not kernel.layout.paired[0])
 
 
 def mi_loss(batch: Batch, x: int, w_matrix: np.ndarray, tau: float) -> MiResult:
@@ -683,8 +681,9 @@ def mi_loss(batch: Batch, x: int, w_matrix: np.ndarray, tau: float) -> MiResult:
     """
     _require_tau(tau)
     w_matrix = _as_bilinear(w_matrix, batch.embed_dim)
-    term = _one_row(batch, x).mi(w_matrix, tau)
-    return MiResult(float(term.values[0]), term.grad_z[x], term.grad_w, bool(term.degenerate[0]))
+    kernel = _one_row(batch, x)
+    term = kernel.mi(w_matrix, tau)
+    return MiResult(float(term.values[0]), term.grad_z[x], term.grad_w, not kernel.layout.any_neg)
 
 
 def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResult:

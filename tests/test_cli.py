@@ -630,6 +630,25 @@ class TestReportCommand:
             f"has a row in only one of this file and {dirs[0] / 'metrics.csv'}\n"
         )
 
+    @pytest.mark.parametrize("dri_task, missing", [(2, 1), (1, 2)])
+    def test_a_head_missing_the_first_or_last_task_exits_2_naming_it(
+        self, tmp_path, capsys, dri_task, missing
+    ):
+        # the aggregate once printed the other heads alone and exited 0
+        report = MetricsReport()
+        for task, head in [(1, "ncm"), (2, "ncm"), (dri_task, "dri")]:
+            report.add(TaskAccuracy(task, head, {1: 0.5}, 0.5))
+        run_dir, out = tmp_path / "run", tmp_path / "combined.csv"
+        run_dir.mkdir()
+        (run_dir / "metrics.csv").write_text(report.to_csv(), newline="")
+        assert main(["report", str(run_dir), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: head 'dri' has no row for task {missing}, the first or last task\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("again", ["{d}", "{d}/", "{d}/../{name}"])
     def test_a_run_directory_given_twice_exits_2_naming_it(self, tmp_path, capsys, again):
         # the aggregate once counted it as one more run, with a std of 0 for one run
