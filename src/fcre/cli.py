@@ -220,9 +220,10 @@ def _synthetic_data(config: ExperimentConfig, seed: int):
 
 def _file_data(config: ExperimentConfig):
     stream = ingest_dataset(config.dataset_path)
-    if stream.feature_dim != config.encoder.feature_dim:
+    feature_dim = stream[0].feature_dim
+    if feature_dim != config.encoder.feature_dim:
         raise ValueError(
-            f"{config.dataset_path} holds features of dimension {stream.feature_dim}, "
+            f"{config.dataset_path} holds features of dimension {feature_dim}, "
             f"but encoder.feature_dim is {config.encoder.feature_dim}"
         )
     descriptions = ingest_descriptions(config.descriptions_path)
@@ -236,7 +237,7 @@ def _file_data(config: ExperimentConfig):
             f"{config.descriptions_path} holds {descriptions.k_desc} description vectors "
             f"per relation, but hyperparams.k_desc is {config.hyper.k_desc}"
         )
-    missing = set(stream.relations) - set(descriptions.relations)
+    missing = {r for task in stream for r in task.relations} - set(descriptions.relations)
     if missing:
         raise ValueError(
             f"{config.descriptions_path} holds no description vectors for relations "
@@ -261,10 +262,10 @@ def run_single_seed(config: ExperimentConfig, seed: int) -> dict:
     checkpoints.mkdir(parents=True, exist_ok=True)
     resolved = config_to_dict(replace(config, seeds=(seed,)))
     write_atomic(run_dir / "config.json", json.dumps(resolved, sort_keys=True, indent=2) + "\n")
-    for task in stream.tasks:
+    for task in stream:
         run_task(state, task, descriptions, config.hyper, heads=config.heads)
         write_checkpoint(checkpoints / f"task_{task.index:02d}.json", state)
-        logger.info("seed %d: finished task %d/%d", seed, task.index, stream.n_tasks)
+        logger.info("seed %d: finished task %d/%d", seed, task.index, len(stream))
     write_atomic(run_dir / "metrics.csv", state.report.to_csv())
     summary = {"seed": seed, "run_dir": str(run_dir), "final": {}, "drop": {}}
     for head in config.heads:
@@ -317,11 +318,12 @@ def _sample_std(values: list[float]) -> float:
 def cmd_report(run_dirs: list[str], out: str | None) -> int:
     """Aggregate metrics.csv across run dirs; print and optionally save.
 
-    A run whose (task, head) rows differ from the first run's raises a
-    ``ValueError`` naming its file, a directory given twice (under any
-    spelling) one naming it, and a head with no row for the runs' first
-    or last task, whose final accuracy and drop are undefined, one
-    naming the head and the task, before anything is written."""
+    A run with no rows, or whose (task, head) rows differ from the first
+    run's, raises a ``ValueError`` naming its file, a directory given
+    twice (under any spelling) one naming it, and a head with no row for
+    the runs' first or last task, whose final accuracy and drop are
+    undefined, one naming the head and the task, before anything is
+    written."""
     cells: dict[tuple[int, str], list[float]] = {}
     given: dict[Path, str] = {}  # each run directory, resolved, as first given
     for i, dirname in enumerate(run_dirs):
@@ -337,6 +339,8 @@ def cmd_report(run_dirs: list[str], out: str | None) -> int:
                 rows = MetricsReport.from_csv(fh.read()).rows
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        if not rows:
+            raise ValueError(f"{path}: holds a header and no rows")
         keys = {(row.task_index, row.head) for row in rows}
         if i == 0:
             first_path, first_keys = path, keys

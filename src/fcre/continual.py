@@ -132,36 +132,6 @@ class Task:
         return self.train_x.shape[1]
 
 
-@dataclass(frozen=True)
-class TaskStream:
-    """A non-empty tuple of tasks, meant to be consumed in order by ``run_task``.
-
-    It holds the tasks and checks no stream rule: ``run_task`` rejects a
-    task out of order, a reused relation or a foreign feature width
-    before it changes the state, ``ingest_dataset`` rejects each in a
-    file, and ``generate_stream`` builds valid streams.
-    """
-
-    tasks: tuple[Task, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tasks", tuple(self.tasks))
-        if not self.tasks:
-            raise ValueError("task stream is empty")
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.tasks)
-
-    @property
-    def feature_dim(self) -> int:
-        return self.tasks[0].feature_dim
-
-    @property
-    def relations(self) -> tuple[int, ...]:
-        return tuple(sorted(r for t in self.tasks for r in t.relations))
-
-
 class MemoryBuffer:
     """Append-only replay memory as arrays, in insertion (task) order.
 
@@ -467,11 +437,10 @@ def run_task(
 
     ``descriptions`` must cover every relation of the task; only those
     relations are absorbed into the state.  Appends one metrics row per
-    head and returns the (mutated) state.  It owns the stream rules that
-    ``TaskStream`` does not check: the task's order, its relations (none
-    seen before) and its feature dimension are checked against the
-    state, with W's shape and the descriptions, before anything in it
-    changes.
+    head and returns the (mutated) state.  It owns the stream rules: the
+    task's order, its relations (none seen before) and its feature
+    dimension are checked against the state, with W's shape and the
+    descriptions, before anything in it changes.
     """
     check_heads(heads)
     expected_index = len(state.completed_tasks) + 1

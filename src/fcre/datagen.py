@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fcre.continual import Task, TaskStream
+from fcre.continual import Task
 from fcre.formats import _checked_fields, _relation_id, float_row, read_jsonl, write_jsonl
 from fcre.geometry import row_dots, unit_normalize
 
@@ -105,7 +105,7 @@ def sample_separated_centers(
     return centers
 
 
-def generate_stream(spec: SyntheticSpec) -> tuple[TaskStream, dict[int, np.ndarray]]:
+def generate_stream(spec: SyntheticSpec) -> tuple[tuple[Task, ...], dict[int, np.ndarray]]:
     """Draw a full task stream; also returns the class centers by relation.
 
     One generator seeded by ``spec.seed`` drives every draw in a fixed
@@ -135,14 +135,14 @@ def generate_stream(spec: SyntheticSpec) -> tuple[TaskStream, dict[int, np.ndarr
             )
         )
     center_map = {rel: centers[rel] for rel in range(spec.n_relations)}
-    return TaskStream(tasks=tuple(tasks)), center_map
+    return tuple(tasks), center_map
 
 
-def write_dataset(stream: TaskStream, path) -> None:
+def write_dataset(stream: tuple[Task, ...], path) -> None:
     """Serialize a stream in canonical JSONL order, whole or not at all."""
     records = (
         {"task": task.index, "relation": label, "split": split, "features": row}
-        for task in stream.tasks
+        for task in stream
         for split, xs, ys in (
             ("train", task.train_x, task.train_y), ("test", task.test_x, task.test_y)
         )
@@ -151,7 +151,7 @@ def write_dataset(stream: TaskStream, path) -> None:
     write_jsonl(path, records)
 
 
-def ingest_dataset(path) -> TaskStream:
+def ingest_dataset(path) -> tuple[Task, ...]:
     """Parse a JSONL dataset file: the owner of the stream rules for files.
 
     Every per-row error starts ``line N:`` (1-based), a relation without
@@ -214,4 +214,4 @@ def ingest_dataset(path) -> TaskStream:
                 test_y=np.array(test_labels, dtype=np.int64),
             )
         )
-    return TaskStream(tasks=tuple(tasks))
+    return tuple(tasks)

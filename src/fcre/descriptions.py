@@ -35,8 +35,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from fcre.formats import _relation_id, _relation_ids, _relation_items, float_row, read_jsonl
-from fcre.formats import write_jsonl
+from fcre.formats import _relation_id, _relation_ids, _relation_items, checked, float_row
+from fcre.formats import read_jsonl, write_jsonl
 from fcre.geometry import unit_rows
 
 _SCHEMA = {"relation": int, "vectors": list}
@@ -220,9 +220,11 @@ def synth_descriptions(
     id order, one (K, d) draw each, so the draw sequence is reproducible
     and is the one K separate draws would take.
     """
-    if k_desc < 1:
+    if checked(seed, int, "seed") < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if checked(k_desc, int, "k_desc") < 1:
         raise ValueError(f"k_desc must be >= 1, got {k_desc}")
-    if spread < 0.0:
+    if checked(spread, float, "spread") < 0.0:
         raise ValueError(f"spread must be >= 0, got {spread}")
     if len(class_centers) == 0:
         raise ValueError("need at least one class center")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -301,11 +302,11 @@ class TestGenerateCommand:
         dataset = ingest_dataset(tmp_path / "data" / "dataset.jsonl")
         descriptions = ingest_descriptions(tmp_path / "data" / "descriptions.jsonl")
         stream, _ = generate_stream(config.synthetic)
-        assert dataset.n_tasks == stream.n_tasks
-        for a, b in zip(dataset.tasks, stream.tasks):
+        assert len(dataset) == len(stream)
+        for a, b in zip(dataset, stream):
             np.testing.assert_array_equal(a.train_x, b.train_x)
             np.testing.assert_array_equal(a.test_x, b.test_x)
-        assert descriptions.relations == stream.relations
+        assert descriptions.relations == tuple(r for task in stream for r in task.relations)
         assert descriptions.k_desc == config.hyper.k_desc
         assert descriptions.dim == config.encoder.embed_dim
 
@@ -367,6 +368,13 @@ class TestRunCommand:
         assert saved["seeds"] == [0] and "seed" not in saved
         out = capsys.readouterr().out
         assert "seed 0:" in out and "aggregate" in out
+
+    def test_each_task_logs_its_place_in_the_stream(self, tmp_path, caplog):
+        config = tiny_config(out_dir=str(tmp_path / "runs"))
+        with caplog.at_level(logging.INFO, logger="fcre.cli"):
+            run_single_seed(config, 0)
+        finished = [m for m in caplog.messages if "finished task" in m]
+        assert finished == ["seed 0: finished task 1/2", "seed 0: finished task 2/2"]
 
     def test_a_run_replays_from_its_own_config_json(self, tmp_path):
         # config.json once held the seed twice, as "seeds" and "seed", and
@@ -658,6 +666,17 @@ class TestReportCommand:
         assert capsys.readouterr().err == f"error: run directory {repeat} is {d}, given already\n"
         with pytest.raises(ValueError, match="given already"):
             cmd_report([d, d, d + "/"], None)
+
+    def test_a_metrics_file_with_no_rows_exits_2_naming_it(self, tmp_path, capsys):
+        # the aggregate once printed no row and wrote a header-only file
+        run_dir, out = tmp_path / "run", tmp_path / "combined.csv"
+        run_dir.mkdir()
+        (run_dir / "metrics.csv").write_text(MetricsReport().to_csv(), newline="")
+        assert main(["report", str(run_dir), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {run_dir / 'metrics.csv'}: holds a header and no rows\n"
+        assert not out.exists()
 
     def test_missing_metrics_exits_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nothing")]) == 2

@@ -18,7 +18,6 @@ from fcre.continual import (
     ProtocolError,
     Prototypes,
     Task,
-    TaskStream,
     _epoch_batches,
     _train,
     build_prototypes,
@@ -229,19 +228,6 @@ class TestTaskValidation:
     def test_numpy_integer_index_stored_as_python_int(self):
         task = Task(np.int64(2), np.ones((1, 3)), [0], np.ones((1, 3)), [0])
         assert task.index == 2 and type(task.index) is int
-
-
-class TestTaskStream:
-    def test_valid_stream(self):
-        rng = np.random.default_rng(42)
-        stream = TaskStream(tasks=(make_task(1, [0, 1], rng), make_task(2, [2, 3], rng)))
-        assert stream.n_tasks == 2
-        assert stream.relations == (0, 1, 2, 3)
-        assert stream.feature_dim == 6
-
-    def test_empty_stream_rejected(self):
-        with pytest.raises(ValueError, match="^task stream is empty$"):
-            TaskStream(tasks=[])
 
 
 class TestMemoryBuffer:

@@ -97,8 +97,8 @@ class TestGenerateStream:
     def test_deterministic(self):
         s1, c1 = generate_stream(SMALL)
         s2, c2 = generate_stream(SMALL)
-        assert len(s1.tasks) == len(s2.tasks)
-        for t1, t2 in zip(s1.tasks, s2.tasks):
+        assert len(s1) == len(s2)
+        for t1, t2 in zip(s1, s2):
             np.testing.assert_array_equal(t1.train_x, t2.train_x)
             np.testing.assert_array_equal(t1.test_x, t2.test_x)
             np.testing.assert_array_equal(t1.train_y, t2.train_y)
@@ -108,17 +108,17 @@ class TestGenerateStream:
     def test_seed_changes_stream(self):
         s1, _ = generate_stream(SMALL)
         s2, _ = generate_stream(dataclasses.replace(SMALL, seed=1))
-        assert not np.array_equal(s1.tasks[0].train_x, s2.tasks[0].train_x)
+        assert not np.array_equal(s1[0].train_x, s2[0].train_x)
 
     def test_shapes_and_counts(self):
         stream, centers = generate_stream(SMALL)
-        assert len(stream.tasks) == 3
+        assert len(stream) == 3
         assert len(centers) == 6
-        first = stream.tasks[0]
+        first = stream[0]
         # task 1 is oversampled: 2 relations x 6 shots
         assert first.train_x.shape == (12, 8)
         assert first.test_x.shape == (6, 8)
-        for task in stream.tasks[1:]:
+        for task in stream[1:]:
             assert task.train_x.shape == (8, 8)
             assert task.test_x.shape == (6, 8)
             for rel in task.relations:
@@ -128,7 +128,7 @@ class TestGenerateStream:
     def test_relation_ids_dense_and_disjoint(self):
         stream, centers = generate_stream(SMALL)
         seen: list[int] = []
-        for i, task in enumerate(stream.tasks, start=1):
+        for i, task in enumerate(stream, start=1):
             assert task.index == i
             assert list(task.relations) == [(i - 1) * 2, (i - 1) * 2 + 1]
             seen.extend(task.relations)
@@ -145,7 +145,7 @@ class TestGenerateStream:
     def test_zero_noise_collapses_to_center(self):
         spec = dataclasses.replace(SMALL, within_class_noise=0.0)
         stream, centers = generate_stream(spec)
-        for task in stream.tasks:
+        for task in stream:
             for row, rel in zip(task.train_x, task.train_y):
                 np.testing.assert_allclose(row, centers[int(rel)], atol=1e-12)
 
@@ -159,7 +159,7 @@ class TestGenerateStream:
 
         def mean_spread(stream):
             total, n = 0.0, 0
-            for task in stream.tasks:
+            for task in stream:
                 for row, rel in zip(task.train_x, task.train_y):
                     total += float(np.linalg.norm(row - centers[int(rel)]))
                     n += 1
@@ -174,8 +174,9 @@ class TestDatasetJsonl:
         path = tmp_path / "data.jsonl"
         write_dataset(stream, path)
         back = ingest_dataset(path)
-        assert len(back.tasks) == len(stream.tasks)
-        for a, b in zip(stream.tasks, back.tasks):
+        assert type(stream) is type(back) is tuple
+        assert len(back) == len(stream)
+        for a, b in zip(stream, back):
             assert a.index == b.index and a.relations == b.relations
             np.testing.assert_array_equal(a.train_x, b.train_x)
             np.testing.assert_array_equal(a.train_y, b.train_y)
@@ -195,10 +196,10 @@ class TestDatasetJsonl:
         stream, _ = generate_stream(
             SyntheticSpec(n_tasks=16, shots=10, task1_oversample=10, test_per_relation=2)
         )
-        assert stream.tasks[0].feature_dim == 32
+        assert stream[0].feature_dim == 32
         path = tmp_path / "data.jsonl"
         write_dataset(stream, path)
-        feature_bytes = sum(task.train_x.nbytes + task.test_x.nbytes for task in stream.tasks)
+        feature_bytes = sum(task.train_x.nbytes + task.test_x.nbytes for task in stream)
         ingest_dataset(path)  # warm caches outside the measurement
         tracemalloc.start()
         try:
@@ -232,8 +233,8 @@ class TestDatasetJsonl:
             self._valid_row(split="test"),
         ]
         stream = ingest_dataset(self._write_rows(tmp_path, rows))
-        assert len(stream.tasks) == 1
-        assert stream.tasks[0].relations == (0,)
+        assert len(stream) == 1
+        assert stream[0].relations == (0,)
 
     @pytest.mark.parametrize(
         "rows, pattern",
@@ -289,7 +290,7 @@ class TestDatasetJsonl:
 
     def test_the_largest_int64_relation_accepted(self, tmp_path):
         rows = [self._valid_row(relation=2**63 - 1, split=split) for split in ("train", "test")]
-        assert ingest_dataset(self._write_rows(tmp_path, rows)).relations == (2**63 - 1,)
+        assert ingest_dataset(self._write_rows(tmp_path, rows))[0].relations == (2**63 - 1,)
 
     def test_ragged_features_rejected(self, tmp_path):
         rows = [
@@ -356,11 +357,11 @@ class TestDatasetJsonl:
 
 
 def assert_stream_rules(stream, spec):
-    """The rules ``TaskStream`` leaves to the code that makes streams."""
-    assert [task.index for task in stream.tasks] == list(range(1, spec.n_tasks + 1))
-    relations = [rel for task in stream.tasks for rel in task.relations]
+    """The rules that every stream producer keeps."""
+    assert [task.index for task in stream] == list(range(1, spec.n_tasks + 1))
+    relations = [rel for task in stream for rel in task.relations]
     assert len(relations) == len(set(relations)) == spec.n_relations
-    assert {task.feature_dim for task in stream.tasks} == {spec.feature_dim}
+    assert {task.feature_dim for task in stream} == {spec.feature_dim}
 
 
 small_specs = st.builds(
@@ -398,11 +399,11 @@ class TestLearnability:
         )
         stream, _ = generate_stream(spec)
         means = {}
-        for task in stream.tasks:
+        for task in stream:
             for rel in task.relations:
                 means[rel] = task.train_x[task.train_y == rel].mean(axis=0)
         hits, total = 0, 0
-        for task in stream.tasks:
+        for task in stream:
             for row, rel in zip(task.test_x, task.test_y):
                 pred = min(means, key=lambda r: float(np.linalg.norm(row - means[r])))
                 hits += int(pred == int(rel))

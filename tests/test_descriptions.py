@@ -292,16 +292,27 @@ class TestSynthDescriptions:
         assert ds.relations == plain.relations == (1, 4)
         assert ds.table.tobytes() == plain.table.tobytes()
 
-    def test_invalid_arguments(self):
-        centers = {0: np.array([1.0, 0.0])}
-        with pytest.raises(ValueError, match="k_desc"):
-            synth_descriptions(0, centers, k_desc=0, spread=0.1)
-        with pytest.raises(ValueError, match="spread"):
-            synth_descriptions(0, centers, k_desc=1, spread=-0.5)
-        with pytest.raises(ValueError, match=r"^relation 0: center must be a 1-D vector$"):
-            synth_descriptions(0, {0: np.ones((2, 2))}, k_desc=1, spread=0.1)
-        with pytest.raises(ValueError, match="at least one"):
-            synth_descriptions(0, {}, k_desc=1, spread=0.1)
+    @pytest.mark.parametrize(
+        "overrides, pattern",
+        [
+            ({"k_desc": 0}, r"^k_desc must be >= 1, got 0$"),
+            ({"spread": -0.5}, r"^spread must be >= 0, got -0\.5$"),
+            ({"centers": {0: np.ones((2, 2))}}, r"^relation 0: center must be a 1-D vector$"),
+            ({"centers": {}}, r"^need at least one class center$"),
+            # each of these once failed inside NumPy, naming no argument
+            ({"k_desc": 2.5}, r"^k_desc must be an integer, got 2\.5$"),
+            ({"k_desc": True}, r"^k_desc must be an integer, got True$"),
+            ({"seed": -1}, r"^seed must be >= 0, got -1$"),
+            ({"seed": 1.5}, r"^seed must be an integer, got 1\.5$"),
+            ({"spread": float("nan")}, r"^spread must be a finite numeric value, got nan$"),
+            ({"spread": "0.1"}, r"^spread must be a finite numeric value, got '0\.1'$"),
+        ],
+    )
+    def test_invalid_arguments(self, overrides, pattern):
+        args = {"seed": 0, "centers": {0: np.array([1.0, 0.0])}, "k_desc": 1, "spread": 0.1}
+        args.update(overrides)
+        with pytest.raises(ValueError, match=pattern):
+            synth_descriptions(args["seed"], args["centers"], args["k_desc"], args["spread"])
 
 
 class TestDescriptionsJsonl:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fcre.continual import Task, TaskStream
+from fcre.continual import Task
 from fcre.datagen import DatasetFormatError, ingest_dataset, write_dataset
 from fcre.descriptions import DescriptionFormatError, DescriptionSet, ingest_descriptions
 from fcre.formats import _floats_from_b64, _floats_to_b64, checked, float_row
@@ -105,7 +105,7 @@ def streams(draw):
             pools.append((np.array(rows), np.array(labels)))
         (train_x, train_y), (test_x, test_y) = pools
         tasks.append(Task(index, train_x, train_y, test_x, test_y))
-    return TaskStream(tuple(tasks))
+    return tuple(tasks)
 
 
 def nonzero_rows(dim):

@@ -120,7 +120,7 @@ class TestDataGeneration:
         stream, center_map = generate_stream(spec)
         rng = np.random.default_rng(seed)
         centers = ref.sample_separated_centers(rng, spec.n_relations, dim, 0.1)
-        for task in stream.tasks:
+        for task in stream:
             relations = range((task.index - 1) * n_way, task.index * n_way)
             n_train = oversample if task.index == 1 else 2
             want = ref.task_samples(rng, centers, relations, n_train, 3, 0.3)
