@@ -35,7 +35,7 @@ import numpy as np
 from fcre.continual import init_state, run_task, write_checkpoint
 from fcre.datagen import SyntheticSpec, generate_stream, ingest_dataset, write_dataset
 from fcre.descriptions import ingest_descriptions, synth_descriptions
-from fcre.formats import _checked_fields, checked, read_json, write_atomic
+from fcre.formats import _at_least, _checked_fields, checked, read_json, write_atomic
 from fcre.geometry import unit_rows
 from fcre.inference import HEADS, MetricsReport, check_heads
 from fcre.losses import HyperParams
@@ -54,8 +54,7 @@ class EncoderConfig:
     def __post_init__(self) -> None:
         _checked_fields(self, "encoder.")
         for name, value in asdict(self).items():
-            if value < 1:
-                raise ValueError(f"encoder.{name} must be >= 1, got {value}")
+            _at_least(value, 1, f"encoder.{name}")
 
 
 @dataclass(frozen=True)
@@ -110,10 +109,8 @@ class ExperimentConfig:
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
         check_heads(self.heads)
-        spread = checked(self.description_spread, float, "description_spread")
+        spread = _at_least(self.description_spread, 0, "description_spread", float)
         object.__setattr__(self, "description_spread", spread)
-        if spread < 0.0:
-            raise ValueError(f"description_spread must be >= 0, got {spread}")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

@@ -77,7 +77,7 @@ from fcre.encoder import (
     init_encoder,
 )
 from fcre.formats import _as_labels, _floats_from_b64, _floats_to_b64, _relation_ids
-from fcre.formats import _as_matrix, _relation_items, checked, read_json, write_atomic
+from fcre.formats import _as_matrix, _at_least, _relation_items, checked, read_json, write_atomic
 from fcre.geometry import row_dots
 from fcre.inference import HEADS, MetricsReport, check_heads, evaluate
 from fcre.losses import HyperParams, _as_bilinear, _joint, _Layout, _unit_blocks
@@ -107,9 +107,7 @@ class Task:
     relations: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "index", checked(self.index, int, "task index"))
-        if self.index < 1:
-            raise ValueError(f"task index must be >= 1, got {self.index}")
+        object.__setattr__(self, "index", _at_least(self.index, 1, "task index"))
         object.__setattr__(self, "train_x", _as_matrix(self.train_x, "train_x"))
         object.__setattr__(self, "test_x", _as_matrix(self.test_x, "test_x"))
         object.__setattr__(self, "train_y", _as_labels(self.train_y, "train_y"))
@@ -141,8 +139,7 @@ class MemoryBuffer:
     """
 
     def __init__(self, feature_dim: int) -> None:
-        if checked(feature_dim, int, "feature_dim") < 1:
-            raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
+        _at_least(feature_dim, 1, "feature_dim")
         self.features = np.zeros((0, feature_dim))
         self.labels = np.zeros(0, dtype=np.int64)
 
@@ -292,8 +289,7 @@ def select_memory(
     last bits, so with ``encode`` as ``encode_fn`` a near-tie in
     distance can go otherwise than in ``run_task``.
     """
-    if checked(memory_size, int, "memory_size") < 1:
-        raise ValueError(f"memory_size must be >= 1, got {memory_size}")
+    _at_least(memory_size, 1, "memory_size")
     if len(samples_by_relation) == 0:
         raise ValueError("no relations to select memory from")
     selected: dict[int, np.ndarray] = {}
@@ -541,12 +537,10 @@ def read_checkpoint(path) -> dict:
     obj = read_json(path)
     try:
         checked(obj, _CHECKPOINT, "")
-        if obj["task_index"] < 0:
-            raise ValueError(f"task_index must be >= 0, got {obj['task_index']}")
+        _at_least(obj["task_index"], 0, "task_index")
         enc, mem = obj["encoder"], obj["memory"]
         for key in ("feature_dim", "hidden_dim", "embed_dim"):
-            if enc[key] < 1:
-                raise ValueError(f"encoder.{key} must be >= 1, got {enc[key]}")
+            _at_least(enc[key], 1, f"encoder.{key}")
         f, h, d = enc["feature_dim"], enc["hidden_dim"], enc["embed_dim"]
         # the payload bounds the declared sizes before anything of their size is allocated
         vector = _floats_from_b64(enc["data"], f * h + h + d * h + d, "encoder")

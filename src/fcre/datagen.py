@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fcre.continual import Task
-from fcre.formats import _checked_fields, _relation_id, float_row, read_jsonl, write_jsonl
+from fcre.formats import _at_least, _checked_fields, _relation_id, float_row, read_jsonl, write_jsonl
 from fcre.geometry import row_dots, unit_normalize
 
 _MAX_ATTEMPTS_PER_CENTER = 10_000
@@ -67,18 +67,13 @@ class SyntheticSpec:
         _checked_fields(self)
         for name in ("n_tasks", "n_way", "shots", "test_per_relation", "feature_dim",
                      "task1_oversample"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            _at_least(getattr(self, name), 1, name)
         if not 0.0 < self.cluster_separation < math.pi:
             raise ValueError(
                 f"cluster_separation must lie in (0, pi), got {self.cluster_separation}"
             )
-        if self.within_class_noise < 0.0:
-            raise ValueError(
-                f"within_class_noise must be >= 0, got {self.within_class_noise}"
-            )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _at_least(self.within_class_noise, 0, "within_class_noise", float)
+        _at_least(self.seed, 0, "seed")
 
     @property
     def n_relations(self) -> int:
@@ -139,7 +134,21 @@ def generate_stream(spec: SyntheticSpec) -> tuple[tuple[Task, ...], dict[int, np
 
 
 def write_dataset(stream: tuple[Task, ...], path) -> None:
-    """Serialize a stream in canonical JSONL order, whole or not at all."""
+    """Serialize a stream in canonical JSONL order, whole or not at all.
+
+    A stream ``ingest_dataset`` would refuse is an error naming its task, with nothing written.
+    """
+    if not stream:
+        raise ValueError("cannot write an empty stream")
+    home, width = {}, stream[0].feature_dim  # each relation's task, and task 1's feature width
+    for t, task in enumerate(stream, start=1):
+        if task.index != t:
+            raise ValueError(f"tasks must run 1..n in order: expected task {t}, got {task.index}")
+        if task.feature_dim != width:
+            raise ValueError(f"task {t} has feature dimension {task.feature_dim}, expected {width}")
+        for rel in task.relations:
+            if home.setdefault(rel, t) != t:
+                raise ValueError(f"relation {rel} appears in both task {home[rel]} and task {t}")
     records = (
         {"task": task.index, "relation": label, "split": split, "features": row}
         for task in stream

@@ -35,7 +35,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from fcre.formats import _relation_id, _relation_ids, _relation_items, checked, float_row
+from fcre.formats import _at_least, _relation_id, _relation_ids, _relation_items, float_row
 from fcre.formats import read_jsonl, write_jsonl
 from fcre.geometry import unit_rows
 
@@ -220,12 +220,9 @@ def synth_descriptions(
     id order, one (K, d) draw each, so the draw sequence is reproducible
     and is the one K separate draws would take.
     """
-    if checked(seed, int, "seed") < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if checked(k_desc, int, "k_desc") < 1:
-        raise ValueError(f"k_desc must be >= 1, got {k_desc}")
-    if checked(spread, float, "spread") < 0.0:
-        raise ValueError(f"spread must be >= 0, got {spread}")
+    _at_least(seed, 0, "seed")
+    _at_least(k_desc, 1, "k_desc")
+    _at_least(spread, 0, "spread", float)
     if len(class_centers) == 0:
         raise ValueError("need at least one class center")
     rng = np.random.default_rng(seed)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fcre.formats import _as_matrix, checked
+from fcre.formats import _as_matrix, _at_least
 from fcre.geometry import as_embedding
 
 _BILINEAR_NOISE = 0.01  # scale of the Gaussian noise added to W's identity start
@@ -101,10 +101,8 @@ class EncoderParams:
                 f"expected a flat vector of {self.n_params} entries, got {vec.shape}"
             )
         params = self._views(vec)
-        if not np.isfinite(vec).all():
-            for name in ("w1", "b1", "w2", "b2"):
-                if not np.isfinite(getattr(params, name)).all():
-                    raise ValueError(f"{name} contains non-finite entries")
+        if not np.isfinite(vec).all():  # the constructor raises, naming the array
+            EncoderParams(params.w1, params.b1, params.w2, params.b2)
         return params
 
     def _views(self, vec: np.ndarray) -> "EncoderParams":
@@ -132,8 +130,7 @@ def init_encoder(
         ("hidden_dim", hidden_dim),
         ("embed_dim", embed_dim),
     ):
-        if checked(value, int, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+        _at_least(value, 1, name)
     s1 = 1.0 / np.sqrt(feature_dim)
     s2 = 1.0 / np.sqrt(hidden_dim)
     return EncoderParams(
@@ -229,8 +226,7 @@ class BilinearForm:
 
 def init_bilinear(embed_dim: int, rng: np.random.Generator) -> BilinearForm:
     """Identity plus small Gaussian noise; keeps early scores near cosine."""
-    if checked(embed_dim, int, "embed_dim") < 1:
-        raise ValueError(f"embed_dim must be >= 1, got {embed_dim}")
+    _at_least(embed_dim, 1, "embed_dim")
     noise = rng.standard_normal((embed_dim, embed_dim))
     return BilinearForm(matrix=np.eye(embed_dim) + _BILINEAR_NOISE * noise)
 
@@ -245,8 +241,7 @@ class AdamState:
 
 
 def init_adam(n_params: int) -> AdamState:
-    if checked(n_params, int, "n_params") < 1:
-        raise ValueError(f"n_params must be >= 1, got {n_params}")
+    _at_least(n_params, 1, "n_params")
     return AdamState(step_count=0, m=np.zeros(n_params), v=np.zeros(n_params))
 
 

@@ -111,6 +111,14 @@ def checked(value, schema, name: str, error: type[ValueError] = ValueError):
     raise error(f"{name} must be {_KINDS[schema]}, got {value!r}")
 
 
+def _at_least(value, low, name: str, kind: type = int):
+    """``checked(value, kind, name)``; a value below ``low`` is an error naming ``name``."""
+    value = checked(value, kind, name)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def _relation_id(value, name: str, error: type[ValueError] = ValueError) -> int:
     """``checked(value, int, name, error)`` that also fits in an int64, as a relation id must."""
     if not -(2**63) <= checked(value, int, name, error) < 2**63:

@@ -67,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fcre.formats import _as_labels, _as_matrix, _checked_fields, checked
+from fcre.formats import _as_labels, _as_matrix, _at_least, _checked_fields, checked
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,8 @@ class HyperParams:
         if all(b == 0.0 for b in betas):
             raise ValueError("at least one loss weight must be positive")
         _check_fusion_weights(self.alpha, self.epsilon)
-        if self.k_desc < 1:
-            raise ValueError(f"k_desc must be >= 1, got {self.k_desc}")
-        if self.memory_size < 1:
-            raise ValueError(f"memory_size must be >= 1, got {self.memory_size}")
+        _at_least(self.k_desc, 1, "k_desc")
+        _at_least(self.memory_size, 1, "memory_size")
         if self.epochs_current < 0 or self.epochs_memory < 0:
             raise ValueError("epoch counts must be >= 0")
         if not self.learning_rate > 0.0:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcre.continual import Task
 from fcre.datagen import (
     DatasetFormatError,
     GenerationError,
@@ -354,6 +356,28 @@ class TestDatasetJsonl:
         path.write_text("")
         with pytest.raises(DatasetFormatError, match="empty"):
             ingest_dataset(path)
+
+    @pytest.mark.parametrize(
+        "tasks, message",
+        [
+            # once a 0-byte file
+            ((), "cannot write an empty stream"),
+            # once files the parser refused, or (2, 1) read back as (1, 2)
+            (((1, 0), (2, 0)), "relation 0 appears in both task 1 and task 2"),
+            (((1, 0), (3, 1)), "tasks must run 1..n in order: expected task 2, got 3"),
+            (((1, 0, 3), (2, 1, 4)), "task 2 has feature dimension 4, expected 3"),
+            (((2, 0), (1, 1)), "tasks must run 1..n in order: expected task 1, got 2"),
+        ],
+    )
+    def test_a_stream_the_parser_refuses_is_not_written(self, tmp_path, tasks, message):
+        def task(index, relation, width=2):
+            x = np.ones((1, width))
+            return Task(index, x, [relation], x, [relation])
+
+        path = tmp_path / "data.jsonl"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_dataset(tuple(task(*t) for t in tasks), path)
+        assert not path.exists()
 
 
 def assert_stream_rules(stream, spec):

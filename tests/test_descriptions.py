@@ -297,6 +297,7 @@ class TestSynthDescriptions:
         [
             ({"k_desc": 0}, r"^k_desc must be >= 1, got 0$"),
             ({"spread": -0.5}, r"^spread must be >= 0, got -0\.5$"),
+            ({"spread": -1}, r"^spread must be >= 0, got -1\.0$"),
             ({"centers": {0: np.ones((2, 2))}}, r"^relation 0: center must be a 1-D vector$"),
             ({"centers": {}}, r"^need at least one class center$"),
             # each of these once failed inside NumPy, naming no argument

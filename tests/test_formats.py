@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from fcre.continual import Task
 from fcre.datagen import DatasetFormatError, ingest_dataset, write_dataset
 from fcre.descriptions import DescriptionFormatError, DescriptionSet, ingest_descriptions
-from fcre.formats import _floats_from_b64, _floats_to_b64, checked, float_row
+from fcre.formats import _at_least, _floats_from_b64, _floats_to_b64, checked, float_row
 
 FEW = settings(max_examples=25)
 CORRUPTIONS = ("not JSON", "missing key", "true entry", "numeric string", "NaN", "wrong length")
@@ -82,6 +82,25 @@ class TestChecks:
         assert float_row([1, 2.5], None, "row") == [1.0, 2.5]
         with pytest.raises(DatasetFormatError, match="^row has dimension 2, expected 3$"):
             float_row([1.0, 2.0], 3, "row", DatasetFormatError)
+
+    @pytest.mark.parametrize(
+        "value, kind, message",
+        [
+            (True, int, "x must be an integer, got True"),
+            (1.0, int, "x must be an integer, got 1.0"),
+            (math.nan, float, "x must be a finite numeric value, got nan"),
+            (0, int, "x must be >= 1, got 0"),
+        ],
+    )
+    def test_at_least_checks_the_kind_then_the_bound(self, value, kind, message):
+        with pytest.raises(ValueError) as err:
+            _at_least(value, 1, "x", kind)
+        assert str(err.value) == message
+
+    def test_at_least_returns_the_checked_value(self):
+        value = _at_least(0, 0, "x", float)
+        assert value == 0.0 and type(value) is float
+        assert _at_least(np.int64(3), 1, "x") == 3
 
 
 def finite_floats(**kwargs):

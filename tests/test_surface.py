@@ -239,6 +239,30 @@ def key_calls(source: str) -> list[str]:
     return calls
 
 
+def bound_messages(source: str) -> list[str]:
+    """Each f-string holding ``must be >= ``, as source text."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.JoinedStr)
+        and any(isinstance(part, ast.Constant) and "must be >= " in part.value for part in node.values)
+    ]
+
+
+def test_formats_at_least_owns_the_bounded_count_rule():
+    """Each "<name> must be >= k, got v" comes from ``formats._at_least``.
+
+    The two other f-strings state other rules: a minimum over a list and
+    a block's shape.
+    """
+    found = {path.stem: bound_messages(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {stem: messages for stem, messages in found.items() if messages} == {
+        "cli": ["f'seeds must be >= 0, got {min(self.seeds)}'"],
+        "descriptions": ["f'relation {rel}: K and d must be >= 1'"],
+        "formats": ["f'{name} must be >= {low}, got {value}'"],
+    }
+
+
 def test_only_geometry_calls_the_one_vector_key_forms():
     """Both heads take their keys from ``inference._keys``: no module keeps a second key path."""
     found = {path.stem: key_calls(path.read_text(encoding="utf-8")) for path in MODULES}
