@@ -170,7 +170,12 @@ def config_from_dict(obj) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    return config_from_dict(read_json(path))
+    """The config a JSON file holds; an error in its content names the file."""
+    obj = read_json(path)
+    try:
+        return config_from_dict(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def run_id(config: ExperimentConfig, seed: int) -> str:

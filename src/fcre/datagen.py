@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from fcre.continual import Task
-from fcre.formats import _at_least, _checked_fields, _relation_id, float_row, read_jsonl, write_jsonl
+from fcre.formats import _at_least, _checked_fields, _relation_id, checked, float_row
+from fcre.formats import read_jsonl, write_jsonl
 from fcre.geometry import row_dots, unit_normalize
 
 _MAX_ATTEMPTS_PER_CENTER = 10_000
@@ -175,24 +176,24 @@ def ingest_dataset(path) -> tuple[Task, ...]:
     # each relation's task, first line and splits, in order of first line
     relation_home: dict[int, tuple[int, int, set[str]]] = {}
     dim: int | None = None
-    for lineno, obj in read_jsonl(path, _SCHEMA, DatasetFormatError):
-        task, rel, split = obj["task"], obj["relation"], obj["split"]
-        if task < 1:
-            raise DatasetFormatError(f"line {lineno}: task must be an integer >= 1, got {task}")
-        if rel < 0:
-            raise DatasetFormatError(f"line {lineno}: relation must be an integer >= 0, got {rel}")
-        _relation_id(rel, f"line {lineno}: relation", DatasetFormatError)
-        if split not in ("train", "test"):
-            raise DatasetFormatError(
-                f"line {lineno}: split must be 'train' or 'test', got {split!r}"
-            )
-        values = float_row(obj["features"], dim, f"line {lineno}: features", DatasetFormatError)
+    for lineno, obj in read_jsonl(path, DatasetFormatError):
+        try:
+            checked(obj, _SCHEMA, "")
+            task, rel, split = obj["task"], obj["relation"], obj["split"]
+            if task < 1:
+                raise ValueError(f"task must be an integer >= 1, got {task}")
+            if rel < 0:
+                raise ValueError(f"relation must be an integer >= 0, got {rel}")
+            _relation_id(rel, "relation")
+            if split not in ("train", "test"):
+                raise ValueError(f"split must be 'train' or 'test', got {split!r}")
+            values = float_row(obj["features"], dim, "features")
+            home, _, splits = relation_home.setdefault(rel, (task, lineno, set()))
+            if home != task:
+                raise ValueError(f"relation {rel} appears in both task {home} and task {task}")
+        except ValueError as exc:
+            raise DatasetFormatError(f"line {lineno}: {exc}") from None
         dim = len(values)
-        home, _, splits = relation_home.setdefault(rel, (task, lineno, set()))
-        if home != task:
-            raise DatasetFormatError(
-                f"line {lineno}: relation {rel} appears in both task {home} and task {task}"
-            )
         splits.add(split)
         split_rows = rows.setdefault(task, {"train": ([], []), "test": ([], [])})
         split_rows[split][0].append(np.array(values))

@@ -36,7 +36,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from fcre.formats import _at_least, _relation_id, _relation_ids, _relation_items, float_row
-from fcre.formats import read_jsonl, write_jsonl
+from fcre.formats import checked, read_jsonl, write_jsonl
 from fcre.geometry import unit_rows
 
 _SCHEMA = {"relation": int, "vectors": list}
@@ -246,19 +246,18 @@ def ingest_descriptions(path) -> DescriptionSet:
     blocks: dict[int, np.ndarray] = {}
     k_desc: int | None = None
     dim: int | None = None
-    for lineno, obj in read_jsonl(path, _SCHEMA, DescriptionFormatError):
-        rel = _relation_id(obj["relation"], f"line {lineno}: relation", DescriptionFormatError)
-        if rel in blocks:
-            raise DescriptionFormatError(f"line {lineno}: duplicate relation {rel}")
-        if not obj["vectors"]:
-            raise DescriptionFormatError(f"line {lineno}: 'vectors' must be a non-empty list")
-        rows: list[list[float]] = []
-        for i, row in enumerate(obj["vectors"]):
-            name = f"line {lineno}: vector {i} of relation {rel}"
-            length = len(rows[0]) if rows else None  # a line's rows share the first one's length
-            rows.append(float_row(row, length, name, DescriptionFormatError))
-        blocks[rel] = np.array(rows)
+    for lineno, obj in read_jsonl(path, DescriptionFormatError):
         try:
+            rel = _relation_id(checked(obj, _SCHEMA, "")["relation"], "relation")
+            if rel in blocks:
+                raise ValueError(f"duplicate relation {rel}")
+            if not obj["vectors"]:
+                raise ValueError("'vectors' must be a non-empty list")
+            rows: list[list[float]] = []
+            for i, row in enumerate(obj["vectors"]):
+                length = len(rows[0]) if rows else None  # each row has the first one's length
+                rows.append(float_row(row, length, f"vector {i} of relation {rel}"))
+            blocks[rel] = np.array(rows)
             k_desc, dim = _check_block(rel, blocks[rel], k_desc, dim)
         except ValueError as exc:
             raise DescriptionFormatError(f"line {lineno}: {exc}") from None

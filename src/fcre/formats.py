@@ -57,27 +57,24 @@ def read_json(path):
             raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
-def read_jsonl(path, schema: dict, error: type[ValueError]) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line number, object)`` for each non-blank line, 1-based, of a JSONL file.
+def read_jsonl(path, error: type[ValueError]) -> Iterator[tuple[int, object]]:
+    """Yield ``(line number, parsed JSON)`` for each non-blank line, 1-based, of a JSONL file.
 
-    A line that is not JSON or does not match ``schema`` (see ``checked``)
-    raises ``error`` with a message that starts with ``line N:``.
+    A line that is not JSON raises ``error`` with ``line N: invalid JSON: ...``.
     """
     with open(path, "rb") as fh:  # bytes, so a line that is not UTF-8 is named too
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = checked(json.loads(line.decode("utf-8")), schema, "", error)
-            except error as exc:
-                raise error(f"line {lineno}: {exc}") from None
+                obj = json.loads(line.decode("utf-8"))
             except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
                 raise error(f"line {lineno}: invalid JSON: {exc}") from None
             yield lineno, obj
 
 
-def checked(value, schema, name: str, error: type[ValueError] = ValueError):
-    """``value`` if it matches ``schema``; else ``error`` naming the first part that does not.
+def checked(value, schema, name: str):
+    """``value`` if it matches ``schema``; else ``ValueError`` naming the first part that does not.
 
     A schema is a JSON kind (int, float, str, list or dict), ``[s]`` for a
     list of ``s``, or a dict of the keys an object must hold and their
@@ -88,16 +85,16 @@ def checked(value, schema, name: str, error: type[ValueError] = ValueError):
     A list schema returns a new list of its checked entries.
     """
     if isinstance(schema, dict):
-        checked(value, dict, name or "the record", error)
+        checked(value, dict, name or "the record")
         for key, part in schema.items():
             child = f"{name}.{key}" if name else key
             if key not in value:
-                raise error(f"missing key {child}")
-            checked(value[key], part, child, error)
+                raise ValueError(f"missing key {child}")
+            checked(value[key], part, child)
         return value
     if isinstance(schema, list):
-        return [checked(entry, schema[0], f"{name}[{i}]", error)
-                for i, entry in enumerate(checked(value, list, name, error))]
+        return [checked(entry, schema[0], f"{name}[{i}]")
+                for i, entry in enumerate(checked(value, list, name))]
     if isinstance(value, np.generic):
         value = value.item()
     if type(value) is schema:
@@ -108,7 +105,7 @@ def checked(value, schema, name: str, error: type[ValueError] = ValueError):
             return float(value)
         except OverflowError:  # an integer beyond the float range
             pass
-    raise error(f"{name} must be {_KINDS[schema]}, got {value!r}")
+    raise ValueError(f"{name} must be {_KINDS[schema]}, got {value!r}")
 
 
 def _at_least(value, low, name: str, kind: type = int):
@@ -119,10 +116,10 @@ def _at_least(value, low, name: str, kind: type = int):
     return value
 
 
-def _relation_id(value, name: str, error: type[ValueError] = ValueError) -> int:
-    """``checked(value, int, name, error)`` that also fits in an int64, as a relation id must."""
-    if not -(2**63) <= checked(value, int, name, error) < 2**63:
-        raise error(f"{name} must fit in an int64, got {value}")
+def _relation_id(value, name: str) -> int:
+    """``checked(value, int, name)`` that also fits in an int64, as a relation id must."""
+    if not -(2**63) <= checked(value, int, name) < 2**63:
+        raise ValueError(f"{name} must fit in an int64, got {value}")
     return int(value)
 
 
@@ -183,20 +180,20 @@ def _checked_fields(config, prefix: str = "") -> None:
         object.__setattr__(config, f.name, value)
 
 
-def float_row(entries, length: int | None, name: str, error=ValueError) -> list[float]:
+def float_row(entries, length: int | None, name: str) -> list[float]:
     """A parsed JSON array as floats (the list itself if it holds only floats).
 
     It must be a non-empty list of finite JSON numbers (see ``checked``),
-    of ``length`` entries unless that is None, or ``error`` names ``name``.
+    of ``length`` entries unless that is None, or ``ValueError`` names ``name``.
     """
     if type(entries) is not list or not entries:
-        raise error(f"{name} must be a non-empty list")
+        raise ValueError(f"{name} must be a non-empty list")
     if set(map(type, entries)) != {float}:  # each entry checked, and named if it fails
-        entries = [checked(v, float, f"{name}[{i}]", error) for i, v in enumerate(entries)]
+        entries = [checked(v, float, f"{name}[{i}]") for i, v in enumerate(entries)]
     if not all(map(math.isfinite, entries)):
-        raise error(f"{name} has non-finite entries")
+        raise ValueError(f"{name} has non-finite entries")
     if length is not None and len(entries) != length:
-        raise error(f"{name} has dimension {len(entries)}, expected {length}")
+        raise ValueError(f"{name} has dimension {len(entries)}, expected {length}")
     return entries
 
 

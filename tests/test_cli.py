@@ -129,6 +129,16 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="not valid JSON"):
             load_config(path)
 
+    def test_a_config_file_error_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"hyperparams": {"tau": "abc"}}')
+        assert main(["run", "--config", str(path)]) == 2
+        message = "hyperparams.tau must be a finite numeric value, got 'abc'"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        path.write_text("{nope")  # read_json names the file once
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path} is not valid JSON: ")
+
     def test_validate_cross_checks(self):
         with pytest.raises(ValueError, match="does not match encoder"):
             tiny_config(encoder=EncoderConfig(feature_dim=9, hidden_dim=8, embed_dim=4))

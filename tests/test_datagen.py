@@ -358,6 +358,39 @@ class TestDatasetJsonl:
             ingest_dataset(path)
 
     @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"task": 0, "relation": 1, "split": "train", "features": [1.0, 0.0]}',
+             "task must be an integer >= 1, got 0"),
+            ('{"task": 1, "relation": -1, "split": "train", "features": [1.0, 0.0]}',
+             "relation must be an integer >= 0, got -1"),
+            ('{"task": 1, "relation": 0, "split": "dev", "features": [1.0, 0.0]}',
+             "split must be 'train' or 'test', got 'dev'"),
+            ('{"task": 1, "relation": 0, "split": "test", "features": "x"}',
+             "features must be a list, got 'x'"),
+            ('{"task": 1, "relation": 0, "split": "test", "features": [true, 0.5]}',
+             "features[0] must be a finite numeric value, got True"),
+            ('{"task": 1, "relation": 0, "split": "test", "features": [1.0, NaN]}',
+             "features has non-finite entries"),
+            ('{"task": 1, "relation": 0, "split": "test", "features": [1.0]}',
+             "features has dimension 1, expected 2"),
+            ('{"task": 2, "relation": 0, "split": "test", "features": [1.0, 0.0]}',
+             "relation 0 appears in both task 1 and task 2"),
+            ('{"task": 1, "relation": 0, "features": [1.0, 0.0]}', "missing key split"),
+            ("[1, 2]", "the record must be an object, got [1, 2]"),
+            ('{"task": "1", "relation": 0, "split": "test", "features": [1.0, 0.0]}',
+             "task must be an integer, got '1'"),
+            ('{"task": 1, "relation": 9223372036854775808, "split": "test", "features": [1.0]}',
+             "relation must fit in an int64, got 9223372036854775808"),
+        ],
+    )
+    def test_each_rule_names_its_line_with_the_exact_message(self, tmp_path, line, message):
+        path = self._write_rows(tmp_path, [self._valid_row(), line])
+        with pytest.raises(DatasetFormatError) as info:
+            ingest_dataset(path)
+        assert info.type is DatasetFormatError and str(info.value) == f"line 2: {message}"
+
+    @pytest.mark.parametrize(
         "tasks, message",
         [
             # once a 0-byte file

@@ -427,6 +427,33 @@ class TestDescriptionsJsonl:
         with pytest.raises(DescriptionFormatError, match="file is empty"):
             ingest_descriptions(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"relation": "1", "vectors": [[1.0, 0.0]]}', "relation must be an integer, got '1'"),
+            ('{"relation": 0, "vectors": [[1.0, 0.0], [0.0, 1.0]]}', "duplicate relation 0"),
+            ('{"relation": 1, "vectors": []}', "'vectors' must be a non-empty list"),
+            ('{"relation": 1, "vectors": [[1.0, 0.0], [1.0]]}',
+             "vector 1 of relation 1 has dimension 1, expected 2"),
+            ('{"relation": 1, "vectors": [[1.0, 0.0]]}',
+             "relation 1 has 1 description vectors, expected 2"),
+            ('{"relation": 1, "vectors": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}',
+             "relation 1 has dimension 3, expected 2"),
+            ('{"relation": 1, "vectors": [[0.0, 0.0], [1.0, 0.0]]}',
+             "relation 1: description vector 0 has zero norm"),
+            ('{"relation": 1}', "missing key vectors"),
+            ('{"relation": 1, "vectors": 3}', "vectors must be a list, got 3"),
+            ('{"relation": 1, "vectors": [[], [1.0, 0.0]]}',
+             "vector 0 of relation 1 must be a non-empty list"),
+        ],
+    )
+    def test_each_rule_names_its_line_with_the_exact_message(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"relation": 0, "vectors": [[1.0, 0.0], [0.0, 1.0]]}\n' + line + "\n")
+        with pytest.raises(DescriptionFormatError) as info:
+            ingest_descriptions(path)
+        assert info.type is DescriptionFormatError and str(info.value) == f"line 2: {message}"
+
     def test_missing_file_is_os_error(self, tmp_path):
         with pytest.raises(OSError):
             ingest_descriptions(tmp_path / "nope.jsonl")

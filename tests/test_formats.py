@@ -80,8 +80,8 @@ class TestChecks:
 
     def test_float_row_converts_and_checks_length(self):
         assert float_row([1, 2.5], None, "row") == [1.0, 2.5]
-        with pytest.raises(DatasetFormatError, match="^row has dimension 2, expected 3$"):
-            float_row([1.0, 2.0], 3, "row", DatasetFormatError)
+        with pytest.raises(ValueError, match="^row has dimension 2, expected 3$"):
+            float_row([1.0, 2.0], 3, "row")
 
     @pytest.mark.parametrize(
         "value, kind, message",

@@ -263,6 +263,45 @@ def test_formats_at_least_owns_the_bounded_count_rule():
     }
 
 
+def scoped_nodes(node, where=""):
+    """Each node below ``node`` with the dotted name of the class or function it is in."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{where}.{child.name}" if where else child.name
+        yield child, inner
+        yield from scoped_nodes(child, inner)
+
+
+def test_only_read_jsonl_takes_an_error_class():
+    """Shared checks raise ``ValueError``; a parser raises its own class where it catches one."""
+    found = [
+        f"{path.stem}.{where}"
+        for path in MODULES
+        for node, where in scoped_nodes(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.arg) and node.arg == "error"
+    ]
+    assert found == ["formats.read_jsonl"]
+
+
+def test_each_parser_names_a_bad_line_in_one_place():
+    """Each parser prefixes ``line N: `` in one place, besides rules checked after its loop."""
+    found = {
+        path.stem: [
+            where
+            for node, where in scoped_nodes(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.JoinedStr) and getattr(node.values[0], "value", None) == "line "
+        ]
+        for path in MODULES
+    }
+    assert {stem: sites for stem, sites in found.items() if sites} == {
+        "datagen": ["ingest_dataset", "ingest_dataset"],  # each line's rules, a missing split
+        "descriptions": ["ingest_descriptions"],
+        "formats": ["read_jsonl"],  # a line that is not JSON
+        "inference": ["MetricsReport.from_csv", "MetricsReport.from_csv"],
+    }
+
+
 def test_only_geometry_calls_the_one_vector_key_forms():
     """Both heads take their keys from ``inference._keys``: no module keeps a second key path."""
     found = {path.stem: key_calls(path.read_text(encoding="utf-8")) for path in MODULES}
