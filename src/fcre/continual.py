@@ -38,7 +38,8 @@ So memory selection and the prototypes embed those rows with
 ``encoder._embed``, and a training phase (steps 2 and 4) checks nothing
 again: it reads the registry's (R, K, d) description table in place,
 finds each sample's row in it with one ``DescriptionSet.rows`` call, and
-takes the table's norms and unit descriptions.  Batches are formed per
+stacks the table with its unit descriptions and norms once
+(``losses._stacked``).  Batches are formed per
 epoch: one full batch when the pool fits in 64 samples, otherwise
 shuffled minibatches of 32 (a would-be trailing singleton is merged into
 the previous batch, since the contrastive losses need company).  A full
@@ -46,9 +47,11 @@ batch is the same rows every epoch, so its layout is built once, before
 the first epoch; a minibatch's is built at its step, by
 ``losses._Layout.of_rows`` from the table rows of its samples.  Each
 step runs one ``encoder._embed``, one ``losses._joint`` kernel pass over
-z and the layout, one ``encoder._backward`` into a flat gradient buffer
-and one Adam update in place on the flat parameter vector; the norms,
-unit descriptions and buffers are dropped when the phase ends.  A
+z and the layout that computes the gradients and no loss value, with
+W's gradient written into its view of the flat gradient buffer, one
+``encoder._backward`` into the encoder's views of that buffer and one
+Adam update in place on the flat parameter vector; the stacked table
+and the buffers are dropped when the phase ends.  A
 non-finite gradient stops the run with an error naming the task, the
 phase, the epoch and the first loss term whose own gradient is
 non-finite.
@@ -80,7 +83,7 @@ from fcre.formats import _as_labels, _floats_from_b64, _floats_to_b64, _relation
 from fcre.formats import _as_matrix, _at_least, _relation_items, checked, read_json, write_atomic
 from fcre.geometry import row_dots
 from fcre.inference import HEADS, MetricsReport, check_heads, evaluate
-from fcre.losses import HyperParams, _as_bilinear, _joint, _Layout, _unit_blocks
+from fcre.losses import HyperParams, _as_bilinear, _joint, _Layout, _stacked
 # training calls ``_joint``; ``joint_loss`` stays bound here for code that
 # wraps ``continual.joint_loss``, as perfbench's tracer does
 from fcre.losses import joint_loss  # noqa: F401
@@ -345,24 +348,26 @@ def _train(
     """Train on one pool of checked rows for ``epochs`` epochs.
 
     It reads ``state.descriptions.table`` in place, each sample's row
-    from one ``DescriptionSet.rows`` call, and takes the table's norms
-    and unit descriptions once.  Each step passes the batch's embeddings
-    and its ``_Layout.of_rows`` layout to ``losses._joint``, with no
-    ``Batch`` in between.  A pool of at most ``_FULL_BATCH_MAX`` rows
-    trains as ``np.arange(n)`` every epoch, so its layout is built once,
-    before the first epoch.
+    from one ``DescriptionSet.rows`` call, and stacks the table with its
+    unit descriptions and norms once.  Each step passes the batch's
+    embeddings and its ``_Layout.of_rows`` layout to ``losses._joint``,
+    with no ``Batch`` in between, and asks for the gradients alone: the
+    update reads no loss value.  A pool of at most ``_FULL_BATCH_MAX``
+    rows trains as ``np.arange(n)`` every epoch, so its layout is built
+    once, before the first epoch.
 
     The encoder's four weight arrays and W are views into one flat
-    parameter vector, and ``_backward`` and MI's W gradient write into the
-    matching views of one flat gradient buffer; Adam updates the vector
-    and its moments in place.  So a step allocates no parameter or
-    optimizer arrays.  ``state.optimizer`` gets copies of the moments
-    before the first step, and ``state.encoder`` and ``state.bilinear``
-    copies of the weights after the last: objects taken from the state
-    before or after this call never change with a later step.  A
-    non-finite gradient stops training with a ``ValueError`` naming
-    ``task_index``, ``phase``, the epoch and the first loss term whose
-    own gradient is non-finite on the failing batch.
+    parameter vector, and ``_backward`` and ``_joint`` (W's gradient)
+    write into the matching views of one flat gradient buffer; Adam
+    updates the vector and its moments in place.  So a step allocates no
+    parameter or optimizer arrays.  ``state.optimizer`` gets copies of
+    the moments before the first step, and ``state.encoder`` and
+    ``state.bilinear`` copies of the weights after the last: objects
+    taken from the state before or after this call never change with a
+    later step.  A non-finite gradient stops training with a
+    ``ValueError`` naming ``task_index``, ``phase``, the epoch and the
+    first loss term whose own gradient is non-finite on the failing
+    batch.
     """
     n = train_x.shape[0]
     if epochs == 0 or n == 0:
@@ -371,9 +376,9 @@ def _train(
         logger.warning("training pool has a single sample; nothing to contrast, skipping")
         return
     start, n_enc = state.encoder, state.encoder.n_params
-    table, row_of = state.descriptions.table, state.descriptions.rows(train_y)
-    norms, unit = _unit_blocks(table)
-    whole = _Layout.of_rows(row_of, table, norms, unit) if n <= _FULL_BATCH_MAX else None
+    stack = _stacked(state.descriptions.table)
+    row_of = state.descriptions.rows(train_y)
+    whole = _Layout.of_rows(row_of, stack) if n <= _FULL_BATCH_MAX else None
     vec = np.concatenate([start.to_vector(), state.bilinear.matrix.ravel()])
     grads = np.empty_like(vec)
     encoder, grad_encoder = start._views(vec[:n_enc]), start._views(grads[:n_enc])
@@ -388,10 +393,9 @@ def _train(
     for epoch in range(1, epochs + 1):
         for idx in _epoch_batches(n, state.rng):
             acts = _embed(encoder, train_x[idx])
-            layout = _Layout.of_rows(row_of[idx], table, norms, unit) if whole is None else whole
-            result = _joint(acts.z, layout, hp, w)
+            layout = _Layout.of_rows(row_of[idx], stack) if whole is None else whole
+            result = _joint(acts.z, layout, hp, w, grad_w, values=False)
             _backward(encoder, acts, result.grad_z, grad_encoder)
-            grad_w[...] = result.grad_w
             try:
                 _adam(opt, vec, grads, work, hp.learning_rate)
             except ValueError as err:
@@ -414,7 +418,8 @@ def _nonfinite_term(
     for name, beta in _LOSS_TERMS:
         if getattr(hp, beta) == 0.0:
             continue
-        alone = _joint(acts.z, layout, replace(hp, **{**off, beta: getattr(hp, beta)}), w)
+        only = replace(hp, **{**off, beta: getattr(hp, beta)})
+        alone = _joint(acts.z, layout, only, w, values=False)
         grad = np.empty(encoder.n_params)
         _backward(encoder, acts, alone.grad_z, encoder._views(grad))
         if not (np.isfinite(grad).all() and np.isfinite(alone.grad_w).all()):

@@ -45,18 +45,25 @@ A caller's ``Batch`` is validated when it is built; ``joint_loss``
 checks its size and W, builds its layout and calls ``_joint``, the
 kernel pass.  Training builds no ``Batch``: it reads the description
 registry's (R, K, d) table, and W, as they were checked where they
-entered (the description set, ``run_task``), so ``_Layout.of_rows``
-builds each batch's layout from the registry rows of its samples (a
-table row is one relation's block), and the trainer hands z and that
-layout to ``_joint``, which does only the work that depends on z.
+entered (the description set, ``run_task``).  It stacks the table once
+per pool with its unit descriptions and norms (``_stacked``), so
+``_Layout.of_rows`` builds each batch's layout from the stacked rows of
+its samples (a table row is one relation's block), and the trainer
+hands z and that layout to ``_joint``, which does only the work that
+depends on z.
 
-Every loss returns its value together with d(value)/d(z) for the whole
-batch (and d(value)/dW where W participates).  Description vectors are
-constants: no gradient ever flows into them.  Degenerate inputs (no
-positive partner, no negatives, empty mined sets) contribute zero with
-an explicit flag rather than raising, so a trainer can skip them while
-still counting how often they occur.  ``joint_loss`` averages the
-beta-weighted sum of the four terms over the batch.
+Every public loss returns its value together with d(value)/d(z) for
+the whole batch (and d(value)/dW where W participates).  A training
+step asks ``_joint`` for the gradients alone: no term then computes
+its value (SCL's log-normaliser and positive sum, HSMT's and MI's logs,
+HM's reduction, the weighted total), which changes no gradient bit, and
+W's gradient is written into the trainer's flat gradient buffer.
+Description vectors are constants: no gradient ever flows into them.
+Degenerate inputs (no positive partner, no negatives, empty mined sets)
+contribute zero with an explicit flag rather than raising, so a trainer
+can skip them while still counting how often they occur.
+``joint_loss`` averages the beta-weighted sum of the four terms over
+the batch.
 """
 
 from __future__ import annotations
@@ -223,12 +230,13 @@ class JointResult(NamedTuple):
 
 HSMT_FLOOR = 1e-6
 _PAIR_SIGN = np.array([[[1.0]], [[-1.0]]])  # HSMT's keys: +distance to a positive, -to a negative
+_PAIR_PULL = -_PAIR_SIGN[:, :, 0]  # (2, 1): the sign of dL/d(distance) at p* and at n*
 
 
 class _Term(NamedTuple):
     """One objective evaluated for the anchor rows of a layout."""
 
-    values: np.ndarray  # (rows,) value per anchor; (C,) per description class for HM
+    values: np.ndarray | None  # (rows,) per anchor, (C,) per description class for HM; None unasked
     grad_z: np.ndarray  # (B, d) gradient of the anchors' summed value
     clamped: np.ndarray | None = None  # (rows,) HSMT clamp hits
     grad_w: np.ndarray | None = None  # (d, d) MI only
@@ -249,109 +257,134 @@ class _Layout:
     depends on z, and nothing refers to a batch or a kernel: besides the
     masks, the layout holds whether each term has an anchor to evaluate
     (``any_pos``, ``any_paired``, ``any_neg``), the degenerate-anchor
-    counts, and the mined classes' description blocks, norms and unit
-    descriptions.  So a pool that trains as one full batch has its
-    layout built once for every epoch.
+    counts, the counts the gradients multiply by as float64, each
+    anchor's own entry as a flat index, and the mined classes'
+    description blocks, norms and unit descriptions.  So a pool that
+    trains as one full batch has its layout built once for every epoch.
     """
 
     def __init__(
-        self, same: np.ndarray, lead: np.ndarray, rows: slice,
-        table: np.ndarray, norms: np.ndarray, unit: np.ndarray, table_row: np.ndarray,
+        self, same: np.ndarray, first: np.ndarray, lead: np.ndarray | None, rows: slice,
+        stack: np.ndarray, table_row: np.ndarray,
     ) -> None:
         """Classes from ``lead``, each sample's class leader, over the anchors ``rows``.
 
-        ``same`` is the (B, B) same-label mask.  Sample i carries the
-        (K, d) block ``table[table_row[i]]``, whose (K,) norms are
-        ``norms[table_row[i]]`` and unit vectors ``unit[table_row[i]]``.
+        ``same`` is the (B, B) same-label mask and ``first`` each
+        sample's first same-label sample; ``lead`` is None when each
+        label is one class, led by ``first``.  Sample i carries the (K, d)
+        block whose descriptions, unit descriptions and norms are
+        ``stack[table_row[i]]``, with ``stack = _stacked(table)``.
         """
         b = same.shape[0]
-        n_same = np.add.reduce(same, axis=1)  # (B,) samples of each sample's label
-        has_pos, has_neg = n_same > 1, n_same < b
-        paired = has_pos & has_neg
+        d = stack.shape[2] // 2
         index = np.arange(b)
+        by_label = lead is None
+        lead = first if by_label else lead
         self.leads = leads = (lead == index).nonzero()[0]  # (C,) first sample of each class
         self.class_of = class_of = leads.searchsorted(lead)  # (B,) class of each sample
         self.class_size = class_size = np.bincount(class_of, minlength=leads.size)
+        # (B,) samples of each sample's label
+        n_same = class_size[class_of] if by_label else np.bincount(first)[first]
+        # an anchor has a negative exactly when the batch holds two labels
+        self.any_neg = any_neg = bool(n_same[0] < b)
+        has_pos = n_same > 1
+        paired = has_pos & any_neg
         block = table_row[leads]  # (C,) table row of each class
-        self.class_desc = table[block]  # (C, K, d)
+        classes = stack[block]  # (C, K, 2d + 1), the one gather from the table
+        self.class_desc = classes[:, :, :d]  # (C, K, d)
+        # (C * K, d), contiguous: at d = 1, a one-row MI pass takes a dot product
+        # with it, which BLAS sums in another order over a strided vector
+        self.class_flat = np.ascontiguousarray(self.class_desc.reshape(-1, d))
 
         self.rows = rows
-        self.anchors = anchors = index[rows]  # batch index of each anchor
-        self.local = local = index[: anchors.size]  # (local, anchors) is each anchor's own entry
-        self.pos = pos = same[rows].copy()  # (rows, B) same label, the anchor itself excluded
-        pos[local, anchors] = False
-        self.neg = neg = ~same[rows]  # (rows, B) different label
-        self.pair_fill = np.where((pos, neg), 0.0, -np.inf)
-        self.n_pos = n_same[rows] - 1  # (rows,) positives of each anchor
+        anchors = index[rows]  # batch index of each anchor
+        n = anchors.size
+        local = index[:n]  # each anchor's place among the anchors
+        self.row_base = local * b  # flat index of each anchor's row in a (rows, B) array
+        self.own_entry = own_entry = self.row_base + anchors  # and of its own entry
+        # (2, rows, B): same label, the anchor itself excluded, then different label
+        self.pair = pair = np.empty((2, n, b), dtype=bool)
+        self.pos, self.neg = pos, neg = pair[0], pair[1]
+        pos[...] = same[rows]
+        np.logical_not(pos, out=neg)
+        pos.flat[own_entry] = False
+        self.is_pos = pos.astype(np.float64)  # SCL's positives as 1.0
+        self.n_pos = n_same[rows, None] - 1.0  # (rows, 1) positives of each anchor
         self.has_pos, self.paired = has_pos[rows], paired[rows]
-        # the anchors each term skips, and whether it has any other; an
-        # anchor has a negative exactly when the batch holds two labels,
-        # so has_neg is all true or all false
-        self.n_no_pos = anchors.size - int(np.add.reduce(self.has_pos))
-        self.n_no_pair = anchors.size - int(np.add.reduce(self.paired))
-        self.any_pos = self.n_no_pos < anchors.size
-        self.any_paired = self.n_no_pair < anchors.size
-        self.any_neg = bool(has_neg[0])
-        self.own = own = class_of[rows]  # (rows,) description class of each anchor
+        # the anchors each term skips, and whether it has any other
+        self.n_no_pos = n - np.count_nonzero(self.has_pos)
+        self.n_no_pair = self.n_no_pos if any_neg else n
+        self.any_pos = self.n_no_pos < n
+        self.any_paired = self.n_no_pair < n
+        own = class_of[rows]  # (rows,) description class of each anchor
+        self.own_class = own_class = local * leads.size + own  # flat into (rows, C)
         # mining: the live classes, those with an anchor here that has a
         # positive and a negative, and member: u is one of the class's anchors
-        n_anchors = np.bincount(own, minlength=leads.size)
-        live = ((n_anchors > 0) & paired[leads]).nonzero()[0]
-        anchor_class = -1 - index  # each anchor's class, a negative number at other samples
-        anchor_class[rows] = own
+        every = n == b  # every sample is an anchor
+        if every:
+            n_anchors, anchor_class = class_size, class_of
+            live = paired[leads].nonzero()[0]
+        else:
+            n_anchors = np.bincount(own, minlength=leads.size)
+            live = ((n_anchors > 0) & paired[leads]).nonzero()[0]
+            anchor_class = -1 - index  # each anchor's class, a negative number at other samples
+            anchor_class[rows] = own
         self.member = member = anchor_class == live[:, None]  # (C', B)
-        live_same = same[leads[live]][:, None, :]  # (C', 1, B) same label as the live class
-        # mining's distances to the live class's label, and to the other labels
-        self.same_fill = np.where(live_same, 0.0, -np.inf)
-        self.other_fill = np.where(live_same, np.inf, 0.0)
-        self.n_a = n_anchors[live][:, None, None]  # (C', 1, 1) |A|
-        self.pos_count = self.n_a - member[:, None, :]  # |A| - [u in A]: anchors u is a hard positive for
+        # (C', 1, B) same label as the live class: its members, when classes are labels
+        self.live_same = member[:, None, :] if by_label and every else same[leads[live], None]
+        self.n_a = n_a = n_anchors[live, None, None].astype(np.float64)  # (C', 1, 1) |A|
+        # |A| - [u in A]: the anchors u is a hard positive for
+        self.pos_count = n_a - member[:, None, :]
         self.live_index = index[: live.size, None]  # (C', 1)
-        live_block = block[live]
-        self.live_desc, self.live_norms = table[live_block], norms[live_block]  # (C', K, d), (C', K)
-        self.live_unit = unit[live_block]  # (C', K, d)
-        # MI: each anchor's negatives in each class, plus one for its own
-        weight = neg[:, leads] * class_size
-        weight[local, own] = 1  # the own class holds no negative
+        live_rows = classes[live]
+        self.live_desc = live_rows[:, :, :d]  # (C', K, d)
+        self.live_unit = live_rows[:, :, d : 2 * d]  # (C', K, d)
+        self.live_norms = live_rows[:, :, 2 * d]  # (C', K)
+        # MI: each anchor's negatives in each class, plus one for its own,
+        # which holds no negative; only a class of the anchor's own label
+        # but not its own class weighs 0 (none when each label is one
+        # class), and MI scores no such class
+        weight = np.where(neg.take(leads, axis=1), class_size, 0.0)
+        weight.flat[own_class] = 1.0
         self.weight = weight[:, :, None]  # (rows, C, 1)
-        self.score_fill = np.where(self.weight > 0, 0.0, -np.inf)  # MI scores no empty class
+        some_empty = not by_label and np.count_nonzero(weight) < weight.size
+        self.score_fill = np.where(self.weight > 0.0, 0.0, -np.inf) if some_empty else None
 
     @classmethod
     def of_batch(cls, batch: Batch, rows: slice) -> "_Layout":
         same = batch.labels[:, None] == batch.labels[None, :]
-        lead = same.argmax(axis=1)  # first sample of each sample's label
-        if (batch.descriptions[lead] != batch.descriptions).any():
+        first = same.argmax(axis=1)  # first sample of each sample's label
+        lead = None
+        if (batch.descriptions[first] != batch.descriptions).any():
             lead = np.arange(batch.size)
-        norms, unit = _unit_blocks(batch.descriptions)
-        return cls(same, lead, rows, batch.descriptions, norms, unit, np.arange(batch.size))
+        return cls(same, first, lead, rows, _stacked(batch.descriptions), np.arange(batch.size))
 
     @classmethod
-    def of_rows(
-        cls, table_row: np.ndarray, table: np.ndarray, norms: np.ndarray, unit: np.ndarray
-    ) -> "_Layout":
-        """The layout of samples that carry ``table[table_row]``, every sample an anchor.
+    def of_rows(cls, table_row: np.ndarray, stack: np.ndarray) -> "_Layout":
+        """The layout of samples that carry table rows ``table_row``, every sample an anchor.
 
-        ``norms, unit = _unit_blocks(table)``.  A table row is one
-        relation's block, so the labels are the table rows and the
-        description classes are the relations in order of first
-        appearance: what ``of_batch`` finds for such blocks, without
-        comparing them.
+        ``stack = _stacked(table)``.  A table row is one relation's
+        block, so the labels are the table rows and the description
+        classes are the relations in order of first appearance: what
+        ``of_batch`` finds for such blocks, without comparing them.
         """
         same = table_row[:, None] == table_row[None, :]
-        rows = slice(0, table_row.size)
-        return cls(same, same.argmax(axis=1), rows, table, norms, unit, table_row)
+        return cls(same, same.argmax(axis=1), None, slice(0, table_row.size), stack, table_row)
 
 
-def _unit_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (.., K) norms of (.., K, d) description blocks and their unit vectors.
+def _stacked(blocks: np.ndarray) -> np.ndarray:
+    """(.., K, 2d + 1): each of the (.., K, d) descriptions, its unit vector and its norm.
 
     A zero-norm vector gets a zero unit vector and no warning: mining
     rejects a zero norm before it reads the unit vector.
     """
-    norms = np.sqrt(np.einsum("...kd,...kd->...k", blocks, blocks))
-    unit = np.zeros(blocks.shape)
-    np.divide(blocks, norms[..., None], out=unit, where=norms[..., None] != 0.0)
-    return norms, unit
+    d = blocks.shape[-1]
+    stack = np.zeros(blocks.shape[:-1] + (2 * d + 1,))
+    stack[..., :d] = blocks
+    norms = stack[..., 2 * d]
+    norms[...] = np.sqrt(np.einsum("...kd,...kd->...k", blocks, blocks))
+    np.divide(blocks, norms[..., None], out=stack[..., d : 2 * d], where=norms[..., None] != 0.0)
+    return stack
 
 
 class _Kernel:
@@ -379,13 +412,15 @@ class _Kernel:
     terms.  The distances come from one (K, d) @ (d, B) product per
     class, so the strict inequalities and the ties resolve as they do
     per anchor.  The per-anchor functions of this module run the same
-    methods over a one-row layout, with classes of one anchor.
+    methods over a one-row layout, with classes of one anchor.  A term
+    asked for no ``values`` skips its value arithmetic and returns
+    ``values=None``, with the same gradient bits.
     """
 
     def __init__(self, z: np.ndarray, layout: _Layout) -> None:
         self.z = z
         self.norms = norms = np.sqrt(np.einsum("ij,ij->i", z, z))
-        self.nonzero = norms.all()
+        self.nonzero = np.count_nonzero(norms) == norms.size
         # Every term that takes a cosine against a zero-norm row rejects
         # it first; the stand-in norm only keeps unused entries finite.
         self.safe_norms = norms if self.nonzero else np.where(norms == 0.0, 1.0, norms)
@@ -399,10 +434,10 @@ class _Kernel:
                 f"batch sample {int(bad[0])} has zero norm; cosine is undefined"
             )
 
-    def scl(self, tau: float) -> _Term:
+    def scl(self, tau: float, values: bool = True) -> _Term:
         """Masked log-softmax over the rows of the cosine matrix."""
         z, lay, norms = self.z, self.layout, self.norms
-        rows, pos, active = lay.rows, lay.pos, lay.has_pos
+        rows, active = lay.rows, lay.has_pos
         if not lay.any_pos:
             return _Term(np.zeros(active.size), np.zeros(z.shape))
         if not self.nonzero:  # an active anchor takes its cosine with every row
@@ -410,19 +445,27 @@ class _Kernel:
         cos = (z[rows] @ z.T) / (norms[rows, None] * norms[None, :])
         np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos)  # np.clip, in place
         s = cos / tau
-        s_other = s.copy()
-        s_other[lay.local, lay.anchors] = -np.inf  # u != x
-        shift = np.maximum.reduce(s_other, axis=1, keepdims=True)
-        w = np.exp(s_other - shift)
-        total = np.add.reduce(w, axis=1, keepdims=True)
-        log_total = shift[:, 0] + np.log(total[:, 0])
+        s.flat[lay.own_entry] = -np.inf  # u != x
+        shift = np.maximum.reduce(s, axis=1, keepdims=True)
         n_pos = lay.n_pos
-        pos_s = np.add.reduce(np.where(pos, s, 0.0), axis=1)
-        values = np.where(active, n_pos * log_total - pos_s, 0.0)
+        term_values = None
+        if values:
+            pos_s = np.add.reduce(np.where(lay.pos, s, 0.0), axis=1)
+        w = s  # in place from here: the softmax's terms, then the coefficients
+        w -= shift
+        np.exp(w, out=w)
+        total = np.add.reduce(w, axis=1, keepdims=True)
+        if values:
+            log_total = shift[:, 0] + np.log(total[:, 0])
+            term_values = np.where(active, n_pos[:, 0] * log_total - pos_s, 0.0)
 
         # dL/ds_u = n_pos * softmax_u - [u is positive]; rows without
         # positives have n_pos == 0 and no positive, so a zero row.
-        coeff = (n_pos[:, None] * (w / total) - pos) / tau
+        coeff = w
+        coeff /= total
+        coeff *= n_pos
+        coeff -= lay.is_pos
+        coeff /= tau
         # dcos/dz_u = (x_hat - cos u_hat) / |u|, dcos/dz_x = (u_hat - cos x_hat) / |x|
         weighted_cos = coeff * cos
         z_hat = self.z_hat
@@ -431,44 +474,50 @@ class _Kernel:
         grad[rows] += (
             coeff @ z_hat - np.add.reduce(weighted_cos, axis=1)[:, None] * z_hat[rows]
         ) / norms[rows, None]
-        return _Term(values, grad)
+        return _Term(term_values, grad)
 
-    def hsmt(self) -> _Term:
+    def hsmt(self, values: bool = True) -> _Term:
         """Batch-hard pairs: row-wise argmax over positives, argmin over negatives."""
         z, lay = self.z, self.layout
-        rows, a, paired = lay.rows, lay.local, lay.paired
+        rows, paired = lay.rows, lay.paired
         grad = np.zeros(z.shape)
         if not lay.any_paired:
-            return _Term(np.zeros(a.size), grad, np.zeros(a.size, dtype=bool))
-        diff = z[rows][:, None, :] - z[None, :, :]  # (rows, B, d), the kernel's largest transient
+            return _Term(np.zeros(paired.size), grad, np.zeros(paired.size, dtype=bool))
+        b, d = z.shape
+        # (rows, B, d): z[rows][:, None] - z, the kernel's largest transient
+        diff = z[rows].repeat(b, axis=0).reshape(-1, b, d)
+        diff -= z
         dist = np.sqrt(np.einsum("abk,abk->ab", diff, diff))
         # (2, rows): p*, the farthest positive, and n*, the nearest negative
         # as the farthest of -dist (-inf off the pairs); argmax takes the lowest index on ties
-        key = dist * _PAIR_SIGN
-        key += lay.pair_fill
-        star = key.argmax(axis=2)
-        d_star = np.where(paired, dist[a, star], 0.0)
+        star = np.where(lay.pair, dist * _PAIR_SIGN, -np.inf).argmax(axis=2)
+        pair_entry = star + lay.row_base  # flat (anchor, p*) and (anchor, n*) entries
+        d_star = np.where(paired, dist.take(pair_entry), 0.0)
         exp_p, exp_n = e = np.exp(d_star)
         arg = 1.0 + exp_p - exp_n
         clamped = paired & (arg <= HSMT_FLOOR)
-        live = paired & ~clamped
+        live = paired ^ clamped
         arg = np.where(live, arg, 1.0)
-        values = np.where(live, -np.log(arg), 0.0)
-        values[clamped] = -math.log(HSMT_FLOOR)
+        term_values = None
+        if values:
+            term_values = np.where(live, -np.log(arg), 0.0)
+            term_values[clamped] = -math.log(HSMT_FLOOR)
 
         # dL/d(dp) = -exp_p / arg, dL/d(dn) = +exp_n / arg; only the
         # selected pair of a live anchor receives gradient, along
         # d||a - b||/da = (a - b) / ||a - b||, taken as zero where a == b
-        coeff = np.where(live, -_PAIR_SIGN[:, :, 0] * e / arg, 0.0)
-        diff_star = diff[a, star]  # (2, rows, d): z[rows] - z[star], the rows at p* and n*
+        coeff = np.where(live, _PAIR_PULL * e / arg, 0.0)
+        diff_star = diff.reshape(-1, d).take(pair_entry, axis=0)  # (2, rows, d): z[rows] - z[star]
         unit = np.zeros(diff_star.shape)
-        np.divide(diff_star, d_star[:, :, None], out=unit, where=d_star[:, :, None] != 0.0)
+        length = d_star[:, :, None]
+        np.divide(diff_star, length, out=unit, where=length != 0.0)
         g = coeff[:, :, None] * unit
         grad[rows] += g[0] + g[1]
-        # the p* rows, then the n* rows, added in order to the flat gradient
-        d = z.shape[1]
-        np.add.at(grad.reshape(-1), (star[:, :, None] * d + np.arange(d)).reshape(-1), -g.reshape(-1))
-        return _Term(values, grad, clamped)
+        # the p* rows, then the n* rows, subtracted in order from the flat
+        # gradient (a flat ufunc.at takes NumPy's fast path, a row-wise one not)
+        flat = (star[:, :, None] * d + np.arange(d)).reshape(-1)
+        np.subtract.at(grad.reshape(-1), flat, g.reshape(-1))
+        return _Term(term_values, grad, clamped)
 
     def mine(
         self, ks: slice = slice(None)
@@ -482,28 +531,29 @@ class _Kernel:
         """
         lay = self.layout
         an = lay.live_norms[:, ks]  # (C, K')
-        if not an.all():
+        if np.count_nonzero(an) < an.size:
             raise ValueError("anchor has zero norm; cosine is undefined")
         if not self.nonzero:  # reject a zero-norm sample an active anchor compares with
             self._require_nonzero((lay.pos | lay.neg)[lay.paired].any(axis=0))
         # one product over every k, sliced after
         cos = (lay.live_desc @ self.z.T)[:, ks] / (an[:, :, None] * self.safe_norms)
-        dist = 1.0 - np.minimum(np.maximum(cos, -1.0), 1.0)  # np.clip
+        dist = np.maximum(cos, -1.0)
+        np.subtract(1.0, np.minimum(dist, 1.0, out=dist), out=dist)  # 1 - np.clip
         b = self.z.shape[0]
-        n_a = lay.n_a
-        neg_dist = dist + lay.other_fill
-        same_dist = dist + lay.same_fill
+        # mining's distances to the live class's label, and to the other labels
+        same_dist = np.where(lay.live_same, dist, -np.inf)
+        neg_dist = np.where(lay.live_same, np.inf, dist)
         arg1 = same_dist.argmax(axis=2)  # lowest index among the farthest
         top = same_dist.copy()
         top.partition(b - 2, axis=2)
         top1, top2 = top[:, :, b - 1 :], top[:, :, b - 2 : b - 1]  # top2 = top1 on a tie
-        arg1_in_a = lay.member[lay.live_index, arg1][:, :, None]
+        arg1_in_a = lay.member[lay.live_index, arg1, None]
         closest_neg = np.minimum.reduce(neg_dist, axis=2, keepdims=True)
-        hard_pos = np.where(same_dist > closest_neg, lay.pos_count, 0)
-        hard_neg = np.where(neg_dist < top1, n_a - (arg1_in_a & (neg_dist >= top2)), 0)
+        hard_pos = np.where(same_dist > closest_neg, lay.pos_count, 0.0)
+        hard_neg = np.where(neg_dist < top1, lay.n_a - (arg1_in_a & (neg_dist >= top2)), 0.0)
         return cos, lay.live_unit[:, ks], hard_pos, hard_neg
 
-    def hm(self, margin: float) -> _Term:
+    def hm(self, margin: float, values: bool = True) -> _Term:
         """Quadratic pulls on hard positives and pushes on hard negatives, per class."""
         z, lay = self.z, self.layout
         if not lay.any_paired:
@@ -511,45 +561,55 @@ class _Kernel:
         cos, a_hat, hard_pos, hard_neg = self.mine()
         t_pos = 1.0 - cos
         t_neg = margin - 1.0 + cos
-        hard_neg = np.where(t_neg > 0.0, hard_neg, 0)
-        values = np.add.reduce(hard_pos * (t_pos * t_pos) + hard_neg * (t_neg * t_neg), axis=(1, 2))
+        hard_neg = np.where(t_neg > 0.0, hard_neg, 0.0)
+        term_values = None
+        if values:
+            term_values = np.add.reduce(
+                hard_pos * (t_pos * t_pos) + hard_neg * (t_neg * t_neg), axis=(1, 2)
+            )
         # dL/dcos per (class, k, sample); dcos/dz_u = (a_hat - cos z_hat_u) / |z_u|
         g = hard_neg * (2.0 * t_neg) - hard_pos * (2.0 * t_pos)
         b, d = z.shape
         grad = g.reshape(-1, b).T @ a_hat.reshape(-1, d)
         grad -= np.einsum("ckb,ckb->b", g, cos)[:, None] * self.z_hat
         grad /= self.safe_norms[:, None]
-        return _Term(values, grad)
+        return _Term(term_values, grad)
 
-    def mi(self, w_matrix: np.ndarray, tau: float) -> _Term:
-        """InfoNCE over one (rows, C, K) block of bilinear scores against the classes.
+    def mi(self, w_matrix: np.ndarray, tau: float, values: bool = True) -> _Term:
+        """InfoNCE over one (rows, C * K) block of bilinear scores against the classes.
 
         Class c enters an anchor's denominator once per negative sample
         it holds, plus once as the anchor's own class (the numerator).
         """
         z, lay = self.z, self.layout
-        c, k, d = lay.class_desc.shape
-        rows, local, own, weight = lay.rows, lay.local, lay.own, lay.weight
+        c, k, _ = lay.class_desc.shape
+        rows, own_class, desc = lay.rows, lay.own_class, lay.class_flat
         grad = np.zeros(z.shape)
         if not lay.any_neg:
-            return _Term(np.zeros(local.size), grad, grad_w=np.zeros(w_matrix.shape))
-        desc = lay.class_desc.reshape(c * k, d)
+            return _Term(np.zeros(lay.paired.size), grad, grad_w=np.zeros(w_matrix.shape))
         z_rows = z[rows]
-        scores = ((z_rows @ w_matrix) @ desc.T).reshape(-1, c, k) / tau  # z_x^T W d_c^k / tau
-        scores += lay.score_fill
-        e = np.exp(scores - np.maximum.reduce(scores, axis=(1, 2), keepdims=True))
-        e_all = weight * e
-        e_own = e[local, own]  # (rows, K)
-        s_all = np.add.reduce(e_all, axis=(1, 2))
+        # (rows, C * K) scores z_x^T W d_c^k / tau; in place below, their
+        # shifted exponentials, weighted, then the gradient's coefficients
+        e = ((z_rows @ w_matrix) @ desc.T) / tau
+        by_class = e.reshape(-1, c, k)  # (rows, C, K) view
+        if lay.score_fill is not None:
+            by_class += lay.score_fill
+        e -= np.maximum.reduce(e, axis=1, keepdims=True)
+        np.exp(e, out=e)
+        e_own = e.reshape(-1, k).take(own_class, axis=0)  # (rows, K)
+        by_class *= lay.weight
+        s_all = np.add.reduce(e, axis=1)
         s_pos = np.add.reduce(e_own, axis=1)
-        values = np.log(s_all) - np.log(s_pos)  # every anchor has a negative here
+        # every anchor has a negative here
+        term_values = np.log(s_all) - np.log(s_pos) if values else None
 
-        coeff = e_all / s_all[:, None, None]
-        coeff[local, own] -= e_own / s_pos[:, None]
-        weighted = coeff.reshape(-1, c * k) @ desc  # sum_i coeff_i * d_i, per anchor
+        coeff = e
+        coeff /= s_all[:, None]
+        coeff.reshape(-1, k)[own_class] -= e_own / s_pos[:, None]
+        weighted = coeff @ desc  # sum_i coeff_i * d_i, per anchor
         grad[rows] = (weighted @ w_matrix.T) / tau
         grad_w = (z_rows.T @ weighted) / tau
-        return _Term(values, grad, grad_w=grad_w)
+        return _Term(term_values, grad, grad_w=grad_w)
 
 
 def _one_row(batch: Batch, x: int) -> _Kernel:
@@ -689,59 +749,60 @@ def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResu
 
     Every row is an anchor, so the kernel's transients grow as
     B^2 * max(d, K) floats (training batches hold at most 64 rows).  The
-    batch's size and W are checked, and its layout is built by comparing
-    its description blocks; training calls ``_joint`` on a layout from
+    batch's size is checked for SCL and HSMT, W's (d, d) shape whatever
+    ``beta_mi`` is, and its layout is built by comparing its
+    description blocks; training calls ``_joint`` on a layout from
     ``_Layout.of_rows`` instead.  Linear in each beta; terms with
     beta == 0 are skipped entirely, so disabling a loss also disables
     its degenerate-input flags.
     """
-    w_matrix = np.asarray(w_matrix, dtype=np.float64)
     if hp.beta_sc != 0.0:
         _require_pair(batch, "scl_loss")
     if hp.beta_st != 0.0:
         _require_pair(batch, "hsmt_loss")
-    if hp.beta_mi != 0.0:
-        _as_bilinear(w_matrix, batch.embed_dim)
+    w_matrix = _as_bilinear(w_matrix, batch.embed_dim)
     return _joint(batch.z, _Layout.of_batch(batch, slice(0, batch.size)), hp, w_matrix)
 
 
-def _joint(z: np.ndarray, layout: _Layout, hp: HyperParams, w_matrix: np.ndarray) -> JointResult:
-    """``joint_loss`` of the (B, d) embeddings z over a layout of every row, unchecked."""
+def _joint(
+    z: np.ndarray, layout: _Layout, hp: HyperParams, w_matrix: np.ndarray,
+    grad_w: np.ndarray | None = None, values: bool = True,
+) -> JointResult:
+    """``joint_loss`` of the (B, d) embeddings z over a layout of every row, unchecked.
+
+    The W gradient is written into ``grad_w`` when one is given, a
+    (d, d) array such as a view of a trainer's flat gradient.  With
+    ``values`` false no term computes its value and ``value`` is None;
+    the three counts are made either way.
+    """
     kernel = _Kernel(z, layout)
-    total = 0.0
-    grad_z = np.zeros(z.shape)
-    grad_w = np.zeros(w_matrix.shape)
-    no_positive = 0
-    no_pair = 0
-    clamped = 0
-    terms = []
-    if hp.beta_sc != 0.0:
-        no_positive = layout.n_no_pos
-        terms.append((hp.beta_sc, kernel.scl(hp.tau)))
-    if hp.beta_st != 0.0:
-        term = kernel.hsmt()
-        no_pair = layout.n_no_pair
-        clamped = int(np.count_nonzero(term.clamped))
-        terms.append((hp.beta_st, term))
-    if hp.beta_hm != 0.0:
-        terms.append((hp.beta_hm, kernel.hm(hp.margin)))
-    if hp.beta_mi != 0.0:
-        term = kernel.mi(w_matrix, hp.tau)
-        grad_w += hp.beta_mi * term.grad_w
-        terms.append((hp.beta_mi, term))
+    sc = kernel.scl(hp.tau, values) if hp.beta_sc != 0.0 else None
+    st = kernel.hsmt(values) if hp.beta_st != 0.0 else None
+    hm = kernel.hm(hp.margin, values) if hp.beta_hm != 0.0 else None
+    mi = kernel.mi(w_matrix, hp.tau, values) if hp.beta_mi != 0.0 else None
+    if grad_w is None:
+        grad_w = np.zeros(w_matrix.shape)
+    else:
+        grad_w[...] = 0.0
+    if mi is not None:
+        grad_w += hp.beta_mi * mi.grad_w
     # the terms add up from zero in this order (a zero start turns a
     # -0.0 entry into 0.0, so it is part of the bits)
-    for beta, term in terms:
-        total += beta * float(np.add.reduce(term.values))
-        grad_z += beta * term.grad_z
+    total = 0.0
+    grad_z = np.zeros(z.shape)
+    for beta, term in ((hp.beta_sc, sc), (hp.beta_st, st), (hp.beta_hm, hm), (hp.beta_mi, mi)):
+        if term is not None:
+            if values:
+                total += beta * float(np.add.reduce(term.values))
+            grad_z += beta * term.grad_z
     scale = 1.0 / z.shape[0]
     grad_z *= scale
     grad_w *= scale
     return JointResult(
-        value=total * scale,
+        value=total * scale if values else None,
         grad_z=grad_z,
         grad_w=grad_w,
-        no_positive_count=no_positive,
-        no_pair_count=no_pair,
-        clamped_count=clamped,
+        no_positive_count=0 if sc is None else layout.n_no_pos,
+        no_pair_count=0 if st is None else layout.n_no_pair,
+        clamped_count=0 if st is None else np.count_nonzero(st.clamped),
     )

@@ -74,8 +74,8 @@ def record_layouts(monkeypatch):
     built = []
     real = losses._Layout.of_rows
 
-    def building(table_row, table, norms, unit):
-        built.append(real(table_row, table, norms, unit))
+    def building(table_row, stack):
+        built.append(real(table_row, stack))
         return built[-1]
 
     monkeypatch.setattr(losses._Layout, "of_rows", staticmethod(building))
@@ -900,9 +900,9 @@ class TestTrainingLayouts:
         used = []
         real_joint = continual._joint
 
-        def joint(z, layout, hp, w):
+        def joint(z, layout, *args, **kwargs):
             used.append(layout)
-            return real_joint(z, layout, hp, w)
+            return real_joint(z, layout, *args, **kwargs)
 
         built = record_layouts(monkeypatch)
         monkeypatch.setattr(continual, "_joint", joint)
@@ -929,9 +929,9 @@ class TestTrainingLayouts:
         layouts = []
         real = continual._joint
 
-        def recording(z, layout, hp, w):
+        def recording(z, layout, *args, **kwargs):
             layouts.append(weakref.ref(layout))
-            return real(z, layout, hp, w)
+            return real(z, layout, *args, **kwargs)
 
         monkeypatch.setattr(continual, "_joint", recording)
         state = fresh_state()

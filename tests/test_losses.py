@@ -1116,7 +1116,7 @@ TRAINING_HPS = (HyperParams(), TestJointLoss.HP)
 
 def layout_for(table, rows):
     """The layout training builds for samples where sample i carries ``table[rows[i]]``."""
-    return losses._Layout.of_rows(np.asarray(rows), table, *losses._unit_blocks(table))
+    return losses._Layout.of_rows(np.asarray(rows), losses._stacked(table))
 
 
 def plain_twin(table, rows, z):
@@ -1222,23 +1222,31 @@ class TestTrainingLayout:
         with pytest.raises(ValueError, match=r"^W must be \(4, 4\), got \(3, 3\)$"):
             joint_loss(batch, HyperParams(), np.eye(3))
 
+    @pytest.mark.parametrize("beta_mi", [0.0, 2.0])
+    def test_w_shape_is_checked_whatever_beta_mi(self, beta_mi):
+        rng = np.random.default_rng(4)
+        batch = plain_twin(rng.normal(size=(2, 3, 4)), [0, 1, 0, 1], embedded(rng, 4, 4))
+        with pytest.raises(ValueError, match=r"^W must be \(4, 4\), got \(1, 2\)$"):
+            joint_loss(batch, HyperParams(beta_mi=beta_mi), [[1.0, math.nan]])
+
     def test_a_training_step_stays_under_its_call_ceiling(self):
         # cProfile's count of Python and built-in calls in one B=32
-        # minibatch step (R=5, K=7, d=16): per-call overhead, not
+        # minibatch step (R=5, K=7, d=16) as training makes it, without
+        # values and into a W-gradient buffer: per-call overhead, not
         # arithmetic, sets the cost of a step at training sizes
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 5, size=100)
         hp = HyperParams()
-        table = rng.normal(size=(5, 7, 16))
-        norms, unit = losses._unit_blocks(table)
+        stack = losses._stacked(rng.normal(size=(5, 7, 16)))
         idx, z, w = rng.permutation(100)[:32], embedded(rng, 32, 16), np.eye(16)
+        grad_w = np.empty((16, 16))
         # a first step imports anything imported lazily
-        losses._joint(z, losses._Layout.of_rows(labels[idx], table, norms, unit), hp, w)
+        losses._joint(z, losses._Layout.of_rows(labels[idx], stack), hp, w, grad_w, values=False)
         profile = cProfile.Profile()
         profile.enable()
-        losses._joint(z, losses._Layout.of_rows(labels[idx], table, norms, unit), hp, w)
+        losses._joint(z, losses._Layout.of_rows(labels[idx], stack), hp, w, grad_w, values=False)
         profile.disable()
-        assert pstats.Stats(profile).total_calls <= 113
+        assert pstats.Stats(profile).total_calls <= 106
 
     def test_transient_memory_of_a_full_batch_stays_under_one_megabyte(self):
         # the largest training batch (64 rows) over 40 relations, as the
@@ -1257,3 +1265,67 @@ class TestTrainingLayout:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000, f"a 64-row training batch peaked at {peak} bytes"
+
+
+def training_step(z, table, rows, hp, w):
+    """``_joint`` as a training step calls it: no values, W's gradient into a given buffer."""
+    grad_w = np.full(w.shape, np.nan)  # the step must write every entry
+    result = losses._joint(z, layout_for(table, rows), hp, w, grad_w, values=False)
+    assert result.grad_w is grad_w
+    assert result.value is None
+    return result
+
+
+def step_case(name):
+    """(table, rows, z) of a named training batch whose lean paths differ from a full pass."""
+    rng = np.random.default_rng(len(name))
+    table = rng.normal(size=(8, 3, 4))
+    if name == "one relation":  # no negatives: no HSMT, HM or MI
+        rows = [5] * 6
+    elif name == "all singletons":  # no positives: no SCL, HSMT or HM
+        rows = [0, 1, 2, 3, 4, 5]
+    elif name == "duplicated rows":  # a p* and an n* at distance 0
+        rows = [0, 0, 1, 1, 2, 2]
+    elif name == "B=2":
+        rows = [3, 6]
+    else:  # B=64 over every relation, at d=16 and K=7
+        table = rng.normal(size=(8, 7, 16))
+        rows = rng.integers(0, 8, size=64)
+    z = embedded(rng, len(rows), table.shape[2])
+    if name == "duplicated rows":
+        z[1] = z[0]  # sample 0's only positive
+        z[2] = z[0]  # and a negative, so both its p* and its n* lie at distance 0
+    return table, np.asarray(rows), z
+
+
+ONE_BETA_OFF = [
+    dataclasses.replace(TestJointLoss.HP, **{beta: 0.0})
+    for beta in ("beta_sc", "beta_st", "beta_hm", "beta_mi")
+]
+
+
+class TestTrainingStep:
+    """A training step's gradients have ``joint_loss``'s bits, signed zeros included."""
+
+    @pytest.mark.parametrize(
+        "name", ["one relation", "all singletons", "duplicated rows", "B=2", "B=64"]
+    )
+    @pytest.mark.parametrize(
+        "hp", [HyperParams(), TestJointLoss.HP] + ONE_BETA_OFF,
+        ids=["default", "joint-hp", "no-sc", "no-st", "no-hm", "no-mi"],
+    )
+    def test_gradients_equal_joint_loss_bit_for_bit(self, name, hp):
+        table, rows, z = step_case(name)
+        d = table.shape[2]
+        w = np.eye(d) + 0.05 * np.random.default_rng(d).normal(size=(d, d))
+        got = training_step(z, table, rows, hp, w)
+        expected = joint_loss(plain_twin(table, rows, z), hp, w)
+        assert got[3:] == expected[3:]  # the degenerate-input counters
+        assert same_bits(got.grad_z, expected.grad_z)
+        assert same_bits(got.grad_w, expected.grad_w)
+
+    def test_the_duplicated_case_has_a_pair_at_distance_zero(self):
+        table, rows, z = step_case("duplicated rows")
+        assert list(np.flatnonzero(rows == rows[0])) == [0, 1]
+        assert rows[2] != rows[0]
+        assert np.array_equal(z[0], z[1]) and np.array_equal(z[0], z[2])
