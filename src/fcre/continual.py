@@ -31,10 +31,11 @@ the encoder's three sizes and ``data``, the bilinear matrix's
 insertion order.
 
 A task's features, W and descriptions are checked once, where they enter
-(``Task``, ``run_task``, ``DescriptionSet``); ``Task``, the memory and
-``select_memory`` check a block of feature rows by
-``formats._as_matrix``, the rule ``encoder.encode_batch`` applies too.
-So memory selection and the prototypes embed those rows with
+(``Task``, ``run_task``, ``DescriptionSet``), by ``formats._as_matrix``,
+the one check of a float input array: ``Task`` and the memory check
+their feature rows with it, and ``select_memory`` and
+``build_prototypes`` their samples and what their ``encode_fn`` returns.
+So ``run_task``'s memory selection embeds checked rows with
 ``encoder._embed``, and a training phase (steps 2 and 4) checks nothing
 again: it reads the registry's (R, K, d) description table in place,
 finds each sample's row in it with one ``DescriptionSet.rows`` call, and
@@ -187,6 +188,7 @@ class Prototypes:
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
+        # its own checks, not formats._as_matrix: a store of no relations is a valid value
         relations = _relation_ids(self.relations, "prototype relations")
         vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)  # see inference._keys
         if relations.ndim != 1 or np.any(relations[1:] <= relations[:-1]):
@@ -227,7 +229,7 @@ def init_state(
     seed: int,
 ) -> ContinualState:
     """Fresh state: seeded encoder/bilinear init and one Adam over both."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_at_least(seed, 0, "seed"))
     params = init_encoder(feature_dim, hidden_dim, embed_dim, rng)
     bilinear = init_bilinear(embed_dim, rng)
     optimizer = init_adam(params.n_params + embed_dim * embed_dim)
@@ -275,6 +277,14 @@ def _central_rows(
     return order[rank < memory_size]
 
 
+def _encoded(embedded, n_rows: int) -> np.ndarray:
+    """What an ``encode_fn`` returned for ``n_rows`` rows, as a block checked by ``_as_matrix``."""
+    embedded = _as_matrix(embedded, "encode_fn output")
+    if embedded.shape[0] != n_rows:
+        raise ValueError(f"encode_fn output has {embedded.shape[0]} rows, expected {n_rows}")
+    return embedded
+
+
 def select_memory(
     samples_by_relation: Mapping[int, np.ndarray],
     encode_fn: Callable[[np.ndarray], np.ndarray],
@@ -285,7 +295,8 @@ def select_memory(
     Centrality is Euclidean distance from the relation's embedding
     centroid (a 1-means fit); distance ties are resolved by the lower
     sample index.  Relations with fewer samples keep everything.
-    ``encode_fn`` embeds one feature row at a time; ``run_task`` applies
+    ``encode_fn`` embeds one feature row at a time, and its outputs must
+    stack to a finite block of one row per sample; ``run_task`` applies
     the same rule to one batched encoding of the task's training pool.
     The same picks follow only from the same bits: ``encoder.encode``
     sums in another order than ``encode_batch`` and gives a row other
@@ -298,7 +309,7 @@ def select_memory(
     selected: dict[int, np.ndarray] = {}
     for rel, samples in _relation_items(samples_by_relation):
         block = _as_matrix(samples, f"samples for relation {rel}")
-        embedded = np.stack([np.asarray(encode_fn(row), dtype=np.float64) for row in block])
+        embedded = _encoded([encode_fn(row) for row in block], len(block))
         group = np.zeros(len(block), dtype=np.int64)
         selected[rel] = block[_central_rows(embedded, group, 1, memory_size)].copy()
     return selected
@@ -309,16 +320,16 @@ def build_prototypes(
 ) -> Prototypes:
     """Mean embedding of each relation's stored samples, freshly encoded.
 
-    ``encode_fn`` maps an (n, f) block of features to (n, d) embeddings;
-    all of memory is encoded in one call, and the rows come out in
-    ascending relation id, each with the bits of the mean of its
-    relation's rows.  Pure function of (memory, encoder): calling it
+    ``encode_fn`` maps an (n, f) block of features to a finite (n, d)
+    block of embeddings; all of memory is encoded in one call, and the
+    rows come out in ascending relation id, each with the bits of the
+    mean of its relation's rows.  Pure function of (memory, encoder): calling it
     twice with the same arguments gives identical prototypes.
     """
     relations = np.array(sorted(memory.relations), dtype=np.int64)
     if relations.size == 0:
         raise ValueError("memory is empty; there is nothing to build prototypes from")
-    embedded = np.asarray(encode_fn(memory.features), dtype=np.float64)
+    embedded = _encoded(encode_fn(memory.features), memory.total_samples)
     group = np.searchsorted(relations, memory.labels)
     return Prototypes(relations, _group_means(embedded, group, relations.size))
 

@@ -5,10 +5,11 @@ dimension d.  K and d are uniform across the whole set, which holds them
 as one (R, K, d) table and their means as one (R, d) matrix over the
 ascending int64 relation ids, the one index that every lookup searches.
 Construction checks each relation's block in ascending id order with
-``_check_block`` and raises for the first bad one: the block must be
-finite, of the set's K and d, and each vector's squared norm must be
-neither zero nor beyond the float range.  A block whose vectors average
-to the zero vector passes with a warning, given once, as it enters.
+``_check_block`` and raises for the first bad one: ``formats._as_matrix``
+checks the block, which must then have the set's K and d, and each
+vector's squared norm must be neither zero nor beyond the float range.
+A block whose vectors average to the zero vector passes with a warning,
+given once, as it enters.
 The file parser checks each line's JSON, then runs ``_check_block`` on
 its block in file order and names the line in the error.  Every set,
 ``subset`` and ``union`` included, is made by one constructor from its
@@ -35,8 +36,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from fcre.formats import _at_least, _relation_id, _relation_ids, _relation_items, float_row
-from fcre.formats import checked, read_jsonl, write_jsonl
+from fcre.formats import _as_matrix, _at_least, _relation_id, _relation_ids, _relation_items
+from fcre.formats import checked, float_row, read_jsonl, write_jsonl
 from fcre.geometry import unit_rows
 
 _SCHEMA = {"relation": int, "vectors": list}
@@ -63,11 +64,9 @@ class DescriptionSet:
 
     def __init__(self, vectors_by_relation: Mapping[int, np.ndarray]):
         items = _relation_items(vectors_by_relation)  # raises for the first bad id
-        blocks = []
-        k_desc = dim = None
+        blocks: list[np.ndarray] = []
         for rel, vectors in items:
-            blocks.append(np.asarray(vectors, dtype=np.float64))
-            k_desc, dim = _check_block(rel, blocks[-1], k_desc, dim)
+            blocks.append(_check_block(rel, vectors, blocks[0].shape if blocks else None))
         table = np.stack(blocks) if blocks else np.zeros((0, 0, 0))
         vars(self).update(vars(DescriptionSet._of_table([rel for rel, _ in items], table)))
 
@@ -169,26 +168,19 @@ class DescriptionSet:
         write_jsonl(path, ({"relation": rel, "vectors": block} for rel, block in blocks))
 
 
-def _check_block(
-    rel: int, block: np.ndarray, k_desc: int | None, dim: int | None
-) -> tuple[int, int]:
-    """One relation's checks, in the order that decides which error a bad block raises.
+def _check_block(rel: int, block, shape: tuple[int, int] | None) -> np.ndarray:
+    """One relation's block, checked in the order that decides which error a bad block raises.
 
-    A block that passes them with a zero mean warns to the caller's caller.
+    ``formats._as_matrix`` checks it first; it must then have the set's
+    (K, d) ``shape``, once one is known.  A block that passes them with a
+    zero mean warns to the caller's caller.
     """
-    if block.ndim != 2:
-        raise ValueError(
-            f"relation {rel}: vectors must be a (K, d) array, got shape {block.shape}"
-        )
-    if not np.all(np.isfinite(block)):
-        raise ValueError(f"relation {rel}: non-finite description entries")
+    block = _as_matrix(block, f"relation {rel}: vectors")
     k, d = block.shape
-    if k < 1 or d < 1:
-        raise ValueError(f"relation {rel}: K and d must be >= 1")
-    if k_desc is not None and k != k_desc:
-        raise ValueError(f"relation {rel} has {k} description vectors, expected {k_desc}")
-    if dim is not None and d != dim:
-        raise ValueError(f"relation {rel} has dimension {d}, expected {dim}")
+    if shape is not None and k != shape[0]:
+        raise ValueError(f"relation {rel} has {k} description vectors, expected {shape[0]}")
+    if shape is not None and d != shape[1]:
+        raise ValueError(f"relation {rel} has dimension {d}, expected {shape[1]}")
     squares = np.einsum("ij,ij->i", block, block)  # inf where a squared norm overflows
     if squares.min() == 0.0:
         raise ValueError(f"relation {rel}: description vector {squares.argmin()} has zero norm")
@@ -204,7 +196,7 @@ def _check_block(
             RuntimeWarning,
             stacklevel=3,
         )
-    return k, d
+    return block
 
 
 def synth_descriptions(
@@ -228,9 +220,7 @@ def synth_descriptions(
     rng = np.random.default_rng(seed)
     out: dict[int, np.ndarray] = {}
     for rel, center in _relation_items(class_centers):  # every id checked before the first draw
-        center = np.asarray(center, dtype=np.float64)
-        if center.ndim != 1 or center.size < 1:
-            raise ValueError(f"relation {rel}: center must be a 1-D vector")
+        center = _as_matrix(center, f"relation {rel}: center", 1)
         block = center + spread * rng.standard_normal((k_desc, center.size))
         out[rel] = unit_rows(block, (f"relation {rel} description",) * k_desc)
     return DescriptionSet(out)
@@ -244,8 +234,7 @@ def ingest_descriptions(path) -> DescriptionSet:
     the checked blocks without checking them again.
     """
     blocks: dict[int, np.ndarray] = {}
-    k_desc: int | None = None
-    dim: int | None = None
+    shape: tuple[int, int] | None = None
     for lineno, obj in read_jsonl(path, DescriptionFormatError):
         try:
             rel = _relation_id(checked(obj, _SCHEMA, "")["relation"], "relation")
@@ -257,8 +246,8 @@ def ingest_descriptions(path) -> DescriptionSet:
             for i, row in enumerate(obj["vectors"]):
                 length = len(rows[0]) if rows else None  # each row has the first one's length
                 rows.append(float_row(row, length, f"vector {i} of relation {rel}"))
-            blocks[rel] = np.array(rows)
-            k_desc, dim = _check_block(rel, blocks[rel], k_desc, dim)
+            blocks[rel] = _check_block(rel, rows, shape)
+            shape = blocks[rel].shape
         except ValueError as exc:
             raise DescriptionFormatError(f"line {lineno}: {exc}") from None
     if not blocks:

@@ -15,11 +15,12 @@ training step runs each once on rows that ``Task`` or the replay memory
 checked when they came in.  The public entry points check their inputs
 once and call them: ``encode_batch`` checks a block with
 ``formats._as_matrix`` and the encoder's feature width, and ``encode``
-and ``encode_backward`` are one-row views.  The weights are views into
-one flat parameter vector, and Adam updates the vector and its moments
-in place; the public ``step`` runs the same update on copies.  No
-serialization lives here: ``continual`` owns the checkpoint format, its
-encoder block included.
+and ``encode_backward`` are one-row views.  ``EncoderParams`` and
+``BilinearForm`` check their arrays with ``_as_matrix`` too.  The
+weights are views into one flat parameter vector, and Adam updates the
+vector and its moments in place; the public ``step`` runs the same
+update on copies.  No serialization lives here: ``continual`` owns the
+checkpoint format, its encoder block included.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ _ADAM_EPS = 1e-8  # Adam's denominator floor
 
 @dataclass
 class EncoderParams:
-    """Weights of the two-layer tanh MLP."""
+    """Weights of the two-layer tanh MLP: ``formats._as_matrix`` checks each
+    array in the order w1, b1, w2, b2, then the layer shapes must agree."""
 
     w1: np.ndarray  # (hidden_dim, feature_dim)
     b1: np.ndarray  # (hidden_dim,)
@@ -48,12 +50,10 @@ class EncoderParams:
     b2: np.ndarray  # (embed_dim,)
 
     def __post_init__(self) -> None:
-        self.w1 = np.asarray(self.w1, dtype=np.float64)
-        self.b1 = np.asarray(self.b1, dtype=np.float64)
-        self.w2 = np.asarray(self.w2, dtype=np.float64)
-        self.b2 = np.asarray(self.b2, dtype=np.float64)
-        if self.w1.ndim != 2 or self.w2.ndim != 2:
-            raise ValueError("weight matrices must be 2-D")
+        self.w1 = _as_matrix(self.w1, "w1")
+        self.b1 = _as_matrix(self.b1, "b1", 1)
+        self.w2 = _as_matrix(self.w2, "w2")
+        self.b2 = _as_matrix(self.b2, "b2", 1)
         h, f = self.w1.shape
         d, h2 = self.w2.shape
         if h2 != h:
@@ -62,9 +62,6 @@ class EncoderParams:
             )
         if self.b1.shape != (h,) or self.b2.shape != (d,):
             raise ValueError("bias shapes do not match weight shapes")
-        for name, block in ("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2):
-            if not np.all(np.isfinite(block)):
-                raise ValueError(f"{name} contains non-finite entries")
 
     @property
     def feature_dim(self) -> int:
@@ -217,11 +214,9 @@ class BilinearForm:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
+        self.matrix = _as_matrix(self.matrix, "bilinear matrix")
+        if self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError(f"bilinear matrix must be square, got {self.matrix.shape}")
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("bilinear matrix contains non-finite entries")
 
 
 def init_bilinear(embed_dim: int, rng: np.random.Generator) -> BilinearForm:

@@ -3,7 +3,10 @@
 Each schema lives beside the type it builds (the dataset in ``datagen``,
 descriptions in ``descriptions``, checkpoints in ``continual``, the
 config in ``cli``, ``metrics.csv`` in ``inference``); this module alone
-parses JSON and encodes base64.  A leaf: it imports nothing from ``fcre``.
+parses JSON and encodes base64.  It also holds the checks the package
+shares, ``_as_matrix`` among them: the one check of a float input array,
+by which every module takes features, descriptions, weights and
+embeddings.  A leaf: it imports nothing from ``fcre``.
 """
 
 from __future__ import annotations
@@ -150,11 +153,18 @@ def _as_labels(values, name: str) -> np.ndarray:
     return labels.astype(np.int64, copy=False)
 
 
-def _as_matrix(values, name: str) -> np.ndarray:
-    """``values`` as a finite, non-empty (n, f) float64 block; else an error naming ``name``."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"{name} must be a non-empty 2-D array, got shape {arr.shape}")
+def _as_matrix(values, name: str, ndim: int = 2) -> np.ndarray:
+    """``values`` as a finite float64 array of ``ndim`` non-empty axes; else an error naming ``name``.
+
+    The one check of a float input array; callers keep only the rules
+    that relate one array to another.
+    """
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except ValueError as exc:  # ragged rows, or a string that is not a number
+        raise ValueError(f"{name} is not a float array: {exc}") from None
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise ValueError(f"{name} must be a non-empty {ndim}-D array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -186,6 +196,7 @@ def float_row(entries, length: int | None, name: str) -> list[float]:
     It must be a non-empty list of finite JSON numbers (see ``checked``),
     of ``length`` entries unless that is None, or ``ValueError`` names ``name``.
     """
+    # not _as_matrix: a parser checks the list so it can name the line before any array exists
     if type(entries) is not list or not entries:
         raise ValueError(f"{name} must be a non-empty list")
     if set(map(type, entries)) != {float}:  # each entry checked, and named if it fails

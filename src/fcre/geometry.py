@@ -1,8 +1,9 @@
 """Vector similarity primitives and the one ordering of relations.
 
 The one-vector primitives validate every input: an embedding is a
-finite, non-empty 1-D vector, and an operation that divides by a norm
-rejects zero-norm input with an error naming the offending argument.
+finite, non-empty 1-D vector, checked by ``formats._as_matrix``, and an
+operation that divides by a norm rejects zero-norm input with an error
+naming the offending argument.
 ``euclidean`` and ``cosine`` are the reference key forms that
 ``tests/loop_reference.py`` scores with; no module of the package calls
 them, for the prediction heads take their keys, one row or a block, from
@@ -22,23 +23,12 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from fcre.formats import _relation_id
+from fcre.formats import _as_matrix, _relation_id
 
 
 def as_embedding(values, *, name: str = "embedding") -> np.ndarray:
-    """Coerce ``values`` to a finite 1-D float64 vector.
-
-    Raises ValueError if the input is empty, not 1-D, or contains
-    NaN/inf entries.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+    """``values`` as a finite, non-empty 1-D float64 vector, checked by ``formats._as_matrix``."""
+    return _as_matrix(values, name, 1)
 
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:

@@ -127,7 +127,9 @@ class Batch:
 
     ``descriptions[i]`` holds the K description vectors of sample i's
     relation, shape (K, d).  K must be uniform across the batch, which
-    the array shape enforces.
+    the array shape enforces.  ``formats._as_matrix`` checks z and the
+    descriptions, each a finite array with no empty axis; the batch
+    checks that the labels, B and d agree.
     """
 
     z: np.ndarray  # (B, d)
@@ -137,22 +139,18 @@ class Batch:
     def __post_init__(self) -> None:
         self.z = _as_matrix(self.z, "z")
         self.labels = _as_labels(self.labels, "labels")
-        self.descriptions = np.asarray(self.descriptions, dtype=np.float64)
         b, d = self.z.shape
         if self.labels.shape != (b,):
             raise ValueError(
                 f"labels must have shape ({b},), got {self.labels.shape}"
             )
-        if self.descriptions.ndim != 3 or self.descriptions.shape[0] != b:
+        self.descriptions = _as_matrix(self.descriptions, "descriptions", 3)
+        if self.descriptions.shape[0] != b:
             raise ValueError(
                 f"descriptions must be (B, K, d), got {self.descriptions.shape}"
             )
         if self.descriptions.shape[2] != d:
             raise ValueError(f"description dim {self.descriptions.shape[2]} != embedding dim {d}")
-        if not np.all(np.isfinite(self.descriptions)):
-            raise ValueError("descriptions contain non-finite entries")
-        if self.descriptions.shape[1] < 1:
-            raise ValueError("need at least one description vector per sample")
 
     @property
     def size(self) -> int:
@@ -641,10 +639,11 @@ def _check_fusion_weights(alpha: float, epsilon: float) -> None:
 
 
 def _as_bilinear(w_matrix, d: int) -> np.ndarray:
-    w_matrix = np.asarray(w_matrix, dtype=np.float64)
-    if w_matrix.shape != (d, d):
-        raise ValueError(f"W must be ({d}, {d}), got {w_matrix.shape}")
-    return w_matrix
+    """W as a (d, d) matrix: its shape is checked first, then ``formats._as_matrix``."""
+    shape = np.shape(w_matrix)
+    if shape != (d, d):
+        raise ValueError(f"W must be ({d}, {d}), got {shape}")
+    return _as_matrix(w_matrix, "W")
 
 
 def scl_loss(batch: Batch, x: int, tau: float) -> SclResult:

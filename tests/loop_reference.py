@@ -66,7 +66,11 @@ def description_blocks(seed, class_centers, k_desc, spread):
     for rel in sorted(class_centers):
         center = np.asarray(class_centers[rel], dtype=np.float64)
         if center.ndim != 1 or center.size < 1:
-            raise ValueError(f"relation {rel}: center must be a 1-D vector")
+            raise ValueError(
+                f"relation {rel}: center must be a non-empty 1-D array, got shape {center.shape}"
+            )
+        if not np.all(np.isfinite(center)):
+            raise ValueError(f"relation {rel}: center contains non-finite entries")
         rows = []
         for _ in range(k_desc):
             g = rng.standard_normal(center.size)
@@ -92,15 +96,13 @@ def checked_descriptions(vectors_by_relation):
     k_desc = dim = None
     for rel in sorted(vectors_by_relation):
         block = np.asarray(vectors_by_relation[rel], dtype=np.float64)
-        if block.ndim != 2:
+        if block.ndim != 2 or block.size == 0:
             raise ValueError(
-                f"relation {rel}: vectors must be a (K, d) array, got shape {block.shape}"
+                f"relation {rel}: vectors must be a non-empty 2-D array, got shape {block.shape}"
             )
         if not np.all(np.isfinite(block)):
-            raise ValueError(f"relation {rel}: non-finite description entries")
+            raise ValueError(f"relation {rel}: vectors contains non-finite entries")
         k, d = block.shape
-        if k < 1 or d < 1:
-            raise ValueError(f"relation {rel}: K and d must be >= 1")
         if k_desc is None:
             k_desc, dim = k, d
         elif k != k_desc:

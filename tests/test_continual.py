@@ -230,6 +230,27 @@ class TestTaskValidation:
         assert task.index == 2 and type(task.index) is int
 
 
+class TestInitState:
+    @pytest.mark.parametrize(
+        "seed, pattern",
+        [
+            # True ran as seed 1; -1 failed inside NumPy, 1.5 and "3" with a TypeError
+            (True, r"^seed must be an integer, got True$"),
+            (-1, r"^seed must be >= 0, got -1$"),
+            (1.5, r"^seed must be an integer, got 1\.5$"),
+            ("3", r"^seed must be an integer, got '3'$"),
+        ],
+    )
+    def test_a_seed_that_is_not_a_count_is_rejected(self, seed, pattern):
+        with pytest.raises(ValueError, match=pattern):
+            init_state(4, 4, 2, seed)
+
+    def test_a_numpy_integer_seed_draws_as_the_python_int(self):
+        a, b = init_state(4, 4, 2, np.int64(7)), init_state(4, 4, 2, 7)
+        assert np.array_equal(a.encoder.to_vector(), b.encoder.to_vector())
+        assert np.array_equal(a.bilinear.matrix, b.bilinear.matrix)
+
+
 class TestMemoryBuffer:
     def test_append_only(self):
         buf = MemoryBuffer(4)
@@ -417,6 +438,22 @@ class TestSelectMemory:
         with pytest.raises(ValueError, match="no relations"):
             select_memory({}, lambda r: r, 1)
 
+    @pytest.mark.parametrize(
+        "encode_fn, pattern",
+        [
+            # NaN embeddings once picked rows 0 and 3 without an error
+            (lambda row: row * np.nan, r"^encode_fn output contains non-finite entries$"),
+            (lambda row: row[None, :], r"^encode_fn output must be a non-empty 2-D array, got shape \(4, 1, 2\)$"),
+            (lambda row: row[0], r"^encode_fn output must be a non-empty 2-D array, got shape \(4,\)$"),
+            (lambda row: row[: 1 + int(row[0] > 1.5)], r"^encode_fn output is not a float array: "),
+        ],
+        ids=["nan", "row matrices", "scalars", "ragged rows"],
+    )
+    def test_what_encode_fn_returns_is_checked(self, encode_fn, pattern):
+        samples = {0: np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0], [3.0, 1.0]])}
+        with pytest.raises(ValueError, match=pattern):
+            select_memory(samples, encode_fn, 2)
+
 
 class TestBuildPrototypes:
     def test_mean_of_encoded_memory(self):
@@ -458,6 +495,23 @@ class TestBuildPrototypes:
             build_prototypes(MemoryBuffer(2), lambda rows: rows)
         with pytest.raises(ValueError, match=r"^prototypes contain non-finite entries$"):
             Prototypes(np.array([1, 3]), np.array([[0.0, 1.0], [np.inf, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "encode_fn, pattern",
+        [
+            # a short block failed inside NumPy's add.at, naming no argument
+            (lambda rows: rows[:-1], r"^encode_fn output has 2 rows, expected 3$"),
+            (lambda rows: np.full_like(rows, np.inf), r"^encode_fn output contains non-finite entries$"),
+            (lambda rows: rows[:, 0], r"^encode_fn output must be a non-empty 2-D array, got shape \(3,\)$"),
+        ],
+        ids=["short", "inf", "1-D"],
+    )
+    def test_what_encode_fn_returns_is_checked(self, encode_fn, pattern):
+        buf = MemoryBuffer(2)
+        buf.append(np.array([[1.0, 0.0], [3.0, 0.0]]), [0, 0])
+        buf.append(np.array([[0.0, 1.0]]), [1])
+        with pytest.raises(ValueError, match=pattern):
+            build_prototypes(buf, encode_fn)
 
     @pytest.mark.parametrize(
         "relations, message",

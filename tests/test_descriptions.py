@@ -176,7 +176,7 @@ class TestDescriptionSet:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, bad):
         # training reads the set's table unchecked, so this is the one check
-        with pytest.raises(ValueError, match=r"^relation 0: non-finite description entries$"):
+        with pytest.raises(ValueError, match=r"^relation 0: vectors contains non-finite entries$"):
             DescriptionSet({0: [[bad, 1.0]]})
 
     def test_zero_mean_warns(self):
@@ -298,7 +298,7 @@ class TestSynthDescriptions:
             ({"k_desc": 0}, r"^k_desc must be >= 1, got 0$"),
             ({"spread": -0.5}, r"^spread must be >= 0, got -0\.5$"),
             ({"spread": -1}, r"^spread must be >= 0, got -1\.0$"),
-            ({"centers": {0: np.ones((2, 2))}}, r"^relation 0: center must be a 1-D vector$"),
+            ({"centers": {0: np.ones((2, 2))}}, r"^relation 0: center must be a non-empty 1-D array, got shape \(2, 2\)$"),
             ({"centers": {}}, r"^need at least one class center$"),
             # each of these once failed inside NumPy, naming no argument
             ({"k_desc": 2.5}, r"^k_desc must be an integer, got 2\.5$"),

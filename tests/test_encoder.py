@@ -267,10 +267,10 @@ class TestInit:
     @pytest.mark.parametrize(
         "edit, pattern",
         [
-            ({"w1": np.zeros(5)}, r"^weight matrices must be 2-D$"),
-            ({"w2": np.zeros((3, 4, 1))}, r"^weight matrices must be 2-D$"),
+            ({"w1": np.zeros(5)}, r"^w1 must be a non-empty 2-D array, got shape \(5,\)$"),
+            ({"w2": np.zeros((3, 4, 1))}, r"^w2 must be a non-empty 2-D array, got shape \(3, 4, 1\)$"),
             ({"b1": np.zeros(3)}, r"^bias shapes do not match weight shapes$"),
-            ({"b2": np.zeros((3, 1))}, r"^bias shapes do not match weight shapes$"),
+            ({"b2": np.zeros((3, 1))}, r"^b2 must be a non-empty 1-D array, got shape \(3, 1\)$"),
             ({"w1": np.full((4, 5), np.nan)}, r"^w1 contains non-finite entries$"),
             ({"b2": np.array([0.0, np.inf, 0.0])}, r"^b2 contains non-finite entries$"),
         ],
@@ -280,6 +280,25 @@ class TestInit:
         weights = {"w1": params.w1, "b1": params.b1, "w2": params.w2, "b2": params.b2}
         with pytest.raises(ValueError, match=pattern):
             EncoderParams(**{**weights, **edit})
+
+    @pytest.mark.parametrize(
+        "shapes, pattern",
+        [
+            # each built an encoder that init_encoder and read_checkpoint refuse
+            (((0, 3), (0,), (2, 0), (2,)), r"^w1 must be a non-empty 2-D array, got shape \(0, 3\)$"),
+            (((4, 0), (4,), (3, 4), (3,)), r"^w1 must be a non-empty 2-D array, got shape \(4, 0\)$"),
+            (((4, 5), (4,), (0, 4), (0,)), r"^w2 must be a non-empty 2-D array, got shape \(0, 4\)$"),
+        ],
+    )
+    def test_an_empty_axis_is_rejected(self, shapes, pattern):
+        with pytest.raises(ValueError, match=pattern):
+            EncoderParams(*(np.zeros(shape) for shape in shapes))
+
+    def test_an_empty_bilinear_matrix_is_rejected(self):
+        with pytest.raises(
+            ValueError, match=r"^bilinear matrix must be a non-empty 2-D array, got shape \(0, 0\)$"
+        ):
+            BilinearForm(np.zeros((0, 0)))
 
 
 class TestAdam:

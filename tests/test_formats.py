@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from fcre.continual import Task
 from fcre.datagen import DatasetFormatError, ingest_dataset, write_dataset
 from fcre.descriptions import DescriptionFormatError, DescriptionSet, ingest_descriptions
-from fcre.formats import _at_least, _floats_from_b64, _floats_to_b64, checked, float_row
+from fcre.formats import _as_matrix, _at_least, _floats_from_b64, _floats_to_b64, checked, float_row
 
 FEW = settings(max_examples=25)
 CORRUPTIONS = ("not JSON", "missing key", "true entry", "numeric string", "NaN", "wrong length")
@@ -101,6 +101,34 @@ class TestChecks:
         value = _at_least(0, 0, "x", float)
         assert value == 0.0 and type(value) is float
         assert _at_least(np.int64(3), 1, "x") == 3
+
+    @pytest.mark.parametrize("values, ndim", [([1, 2], 1), (np.ones((2, 3), np.float32), 2), ([[[0.5]]], 3)])
+    def test_as_matrix_takes_a_finite_array_of_its_rank_as_float64(self, values, ndim):
+        arr = _as_matrix(values, "x", ndim)
+        assert arr.dtype == np.float64 and arr.ndim == ndim
+        assert np.array_equal(arr, np.asarray(values, dtype=np.float64))
+
+    @pytest.mark.parametrize(
+        "values, ndim, message",
+        [
+            ([[1.0, 2.0]], 1, "x must be a non-empty 1-D array, got shape (1, 2)"),
+            ([], 1, "x must be a non-empty 1-D array, got shape (0,)"),
+            (np.ones((2, 0)), 2, "x must be a non-empty 2-D array, got shape (2, 0)"),
+            (np.ones((2, 3)), 3, "x must be a non-empty 3-D array, got shape (2, 3)"),
+            (np.ones((2, 0, 4)), 3, "x must be a non-empty 3-D array, got shape (2, 0, 4)"),
+            ([1.0, math.nan], 1, "x contains non-finite entries"),
+            (np.full((1, 1, 1), -math.inf), 3, "x contains non-finite entries"),
+        ],
+    )
+    def test_as_matrix_names_the_rule_a_value_breaks(self, values, ndim, message):
+        with pytest.raises(ValueError) as err:
+            _as_matrix(values, "x", ndim)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("values", [[[1.0], [1.0, 2.0]], ["0.5", "a"]])
+    def test_as_matrix_names_a_value_numpy_cannot_read_as_floats(self, values):
+        with pytest.raises(ValueError, match=r"^x is not a float array: "):
+            _as_matrix(values, "x")
 
 
 def finite_floats(**kwargs):

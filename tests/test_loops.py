@@ -145,12 +145,17 @@ class TestDescriptionSynthesis:
 
     @pytest.mark.parametrize("bad", ["zero", "nan", "inf"])
     def test_bad_center_raises_the_per_vector_error(self, bad):
+        """A zero center fails at its first vector; a non-finite one is named as the center."""
         value = {"zero": 0.0, "nan": math.nan, "inf": math.inf}[bad]
         centers = {1: np.ones(3), 4: np.full(3, value), 6: np.full(3, value)}
         got = outcome(synth_descriptions, 5, centers, 2, 0.0)
         want = outcome(ref.description_blocks, 5, centers, 2, 0.0)
         assert got[0] == "raised" and got == want
-        assert "relation 4 description" in got[2]
+        assert got[2] == {
+            "zero": "cannot normalize relation 4 description with zero norm",
+            "nan": "relation 4: center contains non-finite entries",
+            "inf": "relation 4: center contains non-finite entries",
+        }[bad]
 
     @given(seeds, st.integers(1, 8), st.integers(1, 6), st.integers(1, 9))
     def test_projected_centers_match_per_relation_normalization(self, seed, n_rel, f, d):

@@ -154,10 +154,10 @@ class TestBatch:
     @pytest.mark.parametrize(
         "descriptions, pattern",
         [
-            (np.ones((3, 3)), r"^descriptions must be \(B, K, d\), got \(3, 3\)$"),
+            (np.ones((3, 3)), r"^descriptions must be a non-empty 3-D array, got shape \(3, 3\)$"),
             (np.ones((2, 1, 3)), r"^descriptions must be \(B, K, d\), got \(2, 1, 3\)$"),
-            (np.full((3, 1, 3), np.nan), r"^descriptions contain non-finite entries$"),
-            (np.ones((3, 0, 3)), r"^need at least one description vector per sample$"),
+            (np.full((3, 1, 3), np.nan), r"^descriptions contains non-finite entries$"),
+            (np.ones((3, 0, 3)), r"^descriptions must be a non-empty 3-D array, got shape \(3, 0, 3\)$"),
         ],
     )
     def test_malformed_descriptions_rejected(self, descriptions, pattern):
@@ -1228,6 +1228,18 @@ class TestTrainingLayout:
         batch = plain_twin(rng.normal(size=(2, 3, 4)), [0, 1, 0, 1], embedded(rng, 4, 4))
         with pytest.raises(ValueError, match=r"^W must be \(4, 4\), got \(1, 2\)$"):
             joint_loss(batch, HyperParams(beta_mi=beta_mi), [[1.0, math.nan]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_w_is_rejected(self, bad):
+        # both returned a NaN value and non-finite gradients
+        rng = np.random.default_rng(4)
+        batch = plain_twin(rng.normal(size=(2, 3, 4)), [0, 1, 0, 1], embedded(rng, 4, 4))
+        w = np.eye(4)
+        w[1, 2] = bad
+        with pytest.raises(ValueError, match=r"^W contains non-finite entries$"):
+            joint_loss(batch, HyperParams(), w)
+        with pytest.raises(ValueError, match=r"^W contains non-finite entries$"):
+            mi_loss(batch, 0, w, tau=0.5)
 
     def test_a_training_step_stays_under_its_call_ceiling(self):
         # cProfile's count of Python and built-in calls in one B=32

@@ -252,13 +252,11 @@ def bound_messages(source: str) -> list[str]:
 def test_formats_at_least_owns_the_bounded_count_rule():
     """Each "<name> must be >= k, got v" comes from ``formats._at_least``.
 
-    The two other f-strings state other rules: a minimum over a list and
-    a block's shape.
+    The one other f-string states another rule: a minimum over a list.
     """
     found = {path.stem: bound_messages(path.read_text(encoding="utf-8")) for path in MODULES}
     assert {stem: messages for stem, messages in found.items() if messages} == {
         "cli": ["f'seeds must be >= 0, got {min(self.seeds)}'"],
-        "descriptions": ["f'relation {rel}: K and d must be >= 1'"],
         "formats": ["f'{name} must be >= {low}, got {value}'"],
     }
 
@@ -271,6 +269,44 @@ def scoped_nodes(node, where=""):
             inner = f"{where}.{child.name}" if where else child.name
         yield child, inner
         yield from scoped_nodes(child, inner)
+
+
+def array_checks(source: str) -> list[str]:
+    """Each function or class with an ``if`` that tests ``.ndim`` or ``isfinite``, by dotted name."""
+    found = []
+    for node, where in scoped_nodes(ast.parse(source)):
+        tested = ast.walk(node.test) if isinstance(node, ast.If) else ()
+        if where not in found and any(
+            getattr(sub, "attr", None) in ("ndim", "isfinite") or getattr(sub, "id", None) == "isfinite"
+            for sub in tested
+        ):
+            found.append(where)
+    return found
+
+
+def test_formats_as_matrix_owns_the_float_array_rule():
+    """Only ``formats._as_matrix`` checks the rank and the entries of an input float array.
+
+    Every other test of an array's rank or finiteness is named here with
+    the reason it is not that rule.
+    """
+    found = {path.stem: array_checks(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {stem: sites for stem, sites in found.items() if sites} == {
+        "continual": [
+            "Prototypes.__post_init__",  # a store of no relations is a valid value
+            "_nonfinite_term",  # which loss term made a training gradient non-finite
+        ],
+        "encoder": [
+            "EncoderParams.with_vector",  # its own flat vector; the constructor names the array
+            "_adam",  # the gradient, internal state
+        ],
+        "formats": [
+            "checked",  # one scalar
+            "_as_matrix",
+            "float_row",  # a parser's list, named by its line before any array exists
+        ],
+        "inference": ["MetricsReport.from_csv"],  # one scalar cell of metrics.csv
+    }
 
 
 def test_only_read_jsonl_takes_an_error_class():
