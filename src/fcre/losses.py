@@ -310,7 +310,7 @@ class _Layout:
         self.n_pos = n_same[rows, None] - 1.0  # (rows, 1) positives of each anchor
         self.has_pos, self.paired = has_pos[rows], paired[rows]
         # the anchors each term skips, and whether it has any other
-        self.n_no_pos = n - np.count_nonzero(self.has_pos)
+        self.n_no_pos = n - int(np.add.reduce(self.has_pos))  # one call where count_nonzero makes three
         self.n_no_pair = self.n_no_pos if any_neg else n
         self.any_pos = self.n_no_pos < n
         self.any_paired = self.n_no_pair < n
@@ -345,7 +345,7 @@ class _Layout:
         weight = np.where(neg.take(leads, axis=1), class_size, 0.0)
         weight.flat[own_class] = 1.0
         self.weight = weight[:, :, None]  # (rows, C, 1)
-        some_empty = not by_label and np.count_nonzero(weight) < weight.size
+        some_empty = not by_label and 0.0 in weight
         self.score_fill = np.where(self.weight > 0.0, 0.0, -np.inf) if some_empty else None
 
     @classmethod
@@ -418,7 +418,7 @@ class _Kernel:
     def __init__(self, z: np.ndarray, layout: _Layout) -> None:
         self.z = z
         self.norms = norms = np.sqrt(np.einsum("ij,ij->i", z, z))
-        self.nonzero = np.count_nonzero(norms) == norms.size
+        self.nonzero = 0.0 not in norms  # a test made in C, no call of NumPy's Python layer
         # Every term that takes a cosine against a zero-norm row rejects
         # it first; the stand-in norm only keeps unused entries finite.
         self.safe_norms = norms if self.nonzero else np.where(norms == 0.0, 1.0, norms)
@@ -529,7 +529,7 @@ class _Kernel:
         """
         lay = self.layout
         an = lay.live_norms[:, ks]  # (C, K')
-        if np.count_nonzero(an) < an.size:
+        if 0.0 in an:
             raise ValueError("anchor has zero norm; cosine is undefined")
         if not self.nonzero:  # reject a zero-norm sample an active anchor compares with
             self._require_nonzero((lay.pos | lay.neg)[lay.paired].any(axis=0))
@@ -803,5 +803,5 @@ def _joint(
         grad_w=grad_w,
         no_positive_count=0 if sc is None else layout.n_no_pos,
         no_pair_count=0 if st is None else layout.n_no_pair,
-        clamped_count=0 if st is None else np.count_nonzero(st.clamped),
+        clamped_count=0 if st is None else int(np.add.reduce(st.clamped)),
     )
