@@ -35,12 +35,12 @@ A task's features, W and descriptions are checked once, where they enter
 the one check of a float input array: ``Task`` and the memory check
 their feature rows with it, and ``select_memory`` and
 ``build_prototypes`` their samples and what their ``encode_fn`` returns.
-So ``run_task``'s memory selection embeds checked rows with
-``encoder._embed``, and a training phase (steps 2 and 4) checks nothing
-again: it reads the registry's (R, K, d) description table in place,
-finds each sample's row in it with one ``DescriptionSet.rows`` call, and
-stacks the table with its unit descriptions and norms once
-(``losses._stacked``).  Batches are formed per
+So ``run_task``'s memory selection and prototypes, and ``evaluate``,
+embed checked rows with ``encoder._embed``, and a training phase (steps
+2 and 4) checks nothing again: it reads the registry's (R, K, d)
+description table in place, finds each sample's row in it with one
+``DescriptionSet.rows`` call, and stacks the table with its unit
+descriptions and norms once (``losses._stacked``).  Batches are formed per
 epoch: one full batch when the pool fits in 64 samples, otherwise
 shuffled minibatches of 32 (a would-be trailing singleton is merged into
 the previous batch, since the contrastive losses need company).  A full
@@ -188,18 +188,16 @@ class Prototypes:
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        # its own checks, not formats._as_matrix: a store of no relations is a valid value
         relations = _relation_ids(self.relations, "prototype relations")
-        vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)  # see inference._keys
-        if relations.ndim != 1 or np.any(relations[1:] <= relations[:-1]):
-            raise ValueError("prototype relations must be strictly ascending ids")
-        if vectors.ndim != 2 or vectors.shape[0] != relations.size or vectors.shape[1] < 1:
+        # C order: see inference._keys
+        vectors = np.ascontiguousarray(_as_matrix(self.vectors, "prototype vectors"))
+        if relations.shape != vectors.shape[:1]:
             raise ValueError(
-                f"expected one prototype row per relation, of width >= 1, got shape "
-                f"{vectors.shape} for {relations.size} relations"
+                f"expected one prototype row per relation, got shape {vectors.shape} "
+                f"for relations of shape {relations.shape}"
             )
-        if not np.all(np.isfinite(vectors)):
-            raise ValueError("prototypes contain non-finite entries")
+        if np.any(relations[1:] <= relations[:-1]):
+            raise ValueError("prototype relations must be strictly ascending ids")
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "vectors", vectors)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fcre.continual import Task
-from fcre.formats import _at_least, _checked_fields, _relation_id, checked, float_row
+from fcre.formats import _as_matrix, _at_least, _checked_fields, _relation_id, checked
 from fcre.formats import read_jsonl, write_jsonl
 from fcre.geometry import row_dots, unit_normalize
 
@@ -187,16 +187,18 @@ def ingest_dataset(path) -> tuple[Task, ...]:
             _relation_id(rel, "relation")
             if split not in ("train", "test"):
                 raise ValueError(f"split must be 'train' or 'test', got {split!r}")
-            values = float_row(obj["features"], dim, "features")
+            values = _as_matrix(obj["features"], "features", 1)
+            if dim is not None and values.size != dim:
+                raise ValueError(f"features has dimension {values.size}, expected {dim}")
             home, _, splits = relation_home.setdefault(rel, (task, lineno, set()))
             if home != task:
                 raise ValueError(f"relation {rel} appears in both task {home} and task {task}")
         except ValueError as exc:
             raise DatasetFormatError(f"line {lineno}: {exc}") from None
-        dim = len(values)
+        dim = values.size
         splits.add(split)
         split_rows = rows.setdefault(task, {"train": ([], []), "test": ([], [])})
-        split_rows[split][0].append(np.array(values))
+        split_rows[split][0].append(values)
         split_rows[split][1].append(rel)
     if not rows:
         raise DatasetFormatError("dataset file is empty")

@@ -37,7 +37,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from fcre.formats import _as_matrix, _at_least, _relation_id, _relation_ids, _relation_items
-from fcre.formats import checked, float_row, read_jsonl, write_jsonl
+from fcre.formats import checked, read_jsonl, write_jsonl
 from fcre.geometry import unit_rows
 
 _SCHEMA = {"relation": int, "vectors": list}
@@ -240,13 +240,7 @@ def ingest_descriptions(path) -> DescriptionSet:
             rel = _relation_id(checked(obj, _SCHEMA, "")["relation"], "relation")
             if rel in blocks:
                 raise ValueError(f"duplicate relation {rel}")
-            if not obj["vectors"]:
-                raise ValueError("'vectors' must be a non-empty list")
-            rows: list[list[float]] = []
-            for i, row in enumerate(obj["vectors"]):
-                length = len(rows[0]) if rows else None  # each row has the first one's length
-                rows.append(float_row(row, length, f"vector {i} of relation {rel}"))
-            blocks[rel] = _check_block(rel, rows, shape)
+            blocks[rel] = _check_block(rel, obj["vectors"], shape)
             shape = blocks[rel].shape
         except ValueError as exc:
             raise DescriptionFormatError(f"line {lineno}: {exc}") from None

@@ -197,7 +197,7 @@ def encode_backward(params: EncoderParams, features, grad_out) -> np.ndarray:
     as ``EncoderParams.to_vector``.
     """
     x = _feature_rows(params, as_embedding(features, name="features")[None, :])
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    grad_out = as_embedding(grad_out, name="grad_out")
     if grad_out.shape != (params.embed_dim,):
         raise ValueError(
             f"grad_out must have shape ({params.embed_dim},), got {grad_out.shape}"
@@ -249,8 +249,8 @@ def step(
     """
     if not learning_rate > 0.0:
         raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-    params = np.array(params, dtype=np.float64)
-    grads = np.asarray(grads, dtype=np.float64)
+    params = _as_matrix(params, "params", 1).copy()
+    grads = _as_matrix(grads, "grads", 1)
     if params.shape != opt.m.shape or grads.shape != opt.m.shape:
         raise ValueError(
             f"params/grads must match optimizer size {opt.m.shape}, "

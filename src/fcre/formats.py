@@ -4,9 +4,9 @@ Each schema lives beside the type it builds (the dataset in ``datagen``,
 descriptions in ``descriptions``, checkpoints in ``continual``, the
 config in ``cli``, ``metrics.csv`` in ``inference``); this module alone
 parses JSON and encodes base64.  It also holds the checks the package
-shares, ``_as_matrix`` among them: the one check of a float input array,
-by which every module takes features, descriptions, weights and
-embeddings.  A leaf: it imports nothing from ``fcre``.
+shares, ``_as_matrix`` among them: the one check of float input, by
+which every module and both JSONL parsers take features, descriptions,
+weights and embeddings.  A leaf: it imports nothing from ``fcre``.
 """
 
 from __future__ import annotations
@@ -156,18 +156,38 @@ def _as_labels(values, name: str) -> np.ndarray:
 def _as_matrix(values, name: str, ndim: int = 2) -> np.ndarray:
     """``values`` as a finite float64 array of ``ndim`` non-empty axes; else an error naming ``name``.
 
-    The one check of a float input array; callers keep only the rules
-    that relate one array to another.
+    The one check of float input, arrays and parsed JSON lists alike:
+    an ndarray must hold finite integers or floats, and each entry of a
+    list or tuple, down to ``ndim`` levels, must pass ``checked(v, float)``,
+    so a bool, string, None or NaN is an error naming the entry.  Callers
+    keep only the rules that relate one array to another.
     """
+    entries = _float_entries(values, name, ndim)
     try:
-        arr = np.asarray(values, dtype=np.float64)
-    except ValueError as exc:  # ragged rows, or a string that is not a number
+        arr = np.asarray(entries, np.float64)
+    except ValueError as exc:  # ragged rows
         raise ValueError(f"{name} is not a float array: {exc}") from None
     if arr.ndim != ndim or 0 in arr.shape:
         raise ValueError(f"{name} must be a non-empty {ndim}-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _float_entries(values, name: str, depth: int):
+    """``values`` with each entry, ``depth`` lists deep, checked as ``_as_matrix`` says;
+    a list of finite Python floats alone, as a parsed JSON row is, is taken whole."""
+    if isinstance(values, (list, tuple)) and depth:
+        # a sum is finite only if every entry is; a row whose sum overflows goes entry by entry
+        if set(map(type, values)) <= {float} and math.isfinite(sum(values)):
+            return values
+        return [_float_entries(v, f"{name}[{i}]", depth - 1) for i, v in enumerate(values)]
+    if not isinstance(values, np.ndarray):
+        return checked(values, float, name)
+    if values.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold integers or floats, got dtype {values.dtype}")
+    values = values.astype(np.float64, copy=False)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return values
 
 
 def _relation_ids(values, name: str) -> np.ndarray:
@@ -188,24 +208,6 @@ def _checked_fields(config, prefix: str = "") -> None:
     for f in fields(config):
         value = checked(getattr(config, f.name), type(f.default), prefix + f.name)
         object.__setattr__(config, f.name, value)
-
-
-def float_row(entries, length: int | None, name: str) -> list[float]:
-    """A parsed JSON array as floats (the list itself if it holds only floats).
-
-    It must be a non-empty list of finite JSON numbers (see ``checked``),
-    of ``length`` entries unless that is None, or ``ValueError`` names ``name``.
-    """
-    # not _as_matrix: a parser checks the list so it can name the line before any array exists
-    if type(entries) is not list or not entries:
-        raise ValueError(f"{name} must be a non-empty list")
-    if set(map(type, entries)) != {float}:  # each entry checked, and named if it fails
-        entries = [checked(v, float, f"{name}[{i}]") for i, v in enumerate(entries)]
-    if not all(map(math.isfinite, entries)):
-        raise ValueError(f"{name} has non-finite entries")
-    if length is not None and len(entries) != length:
-        raise ValueError(f"{name} has dimension {len(entries)}, expected {length}")
-    return entries
 
 
 def _floats_to_b64(arr: np.ndarray) -> str:

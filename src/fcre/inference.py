@@ -19,12 +19,12 @@ decision, in both, near-ties included; they check the means' width once,
 as ``DescriptionSet`` checked each mean.  Their reference, in
 ``tests/loop_reference.py``, scores relation by relation with
 ``geometry.euclidean`` and ``geometry.cosine``.  ``evaluate`` embeds a
-pool with ``encode_batch``, and ``encoder.encode`` sums in another order
-and gives a row other last bits, so a per-query head fed ``encode(x)``
-can decide otherwise than ``evaluate`` at a near-tie.  Accuracy is
-cumulative: after task j, every earlier task's test pool is scored
-against the full label space seen so far, and ACC_j is the mean of
-those accuracies.
+pool, which ``Task`` checked, with ``encoder._embed``, as ``encode_batch``
+does, and ``encoder.encode`` sums in another order and gives a row other
+last bits, so a per-query head fed ``encode(x)`` can decide otherwise
+than ``evaluate`` at a near-tie.  Accuracy is cumulative: after task j,
+every earlier task's test pool is scored against the full label space
+seen so far, and ACC_j is the mean of those accuracies.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from fcre.encoder import encode_batch
+from fcre.encoder import _embed
 from fcre.formats import _relation_id, _relation_items
 from fcre.geometry import _checked_scores, _pair, _ranks, as_embedding
 # perfbench's tracer test reads ``inference.euclidean``; no code here calls it
@@ -348,7 +348,7 @@ def evaluate(
     acc_per_task: dict[str, dict[int, float]] = {head: {} for head in heads}
     for task in state.completed_tasks:
         hits = dict.fromkeys(heads, 0)
-        embedded = encode_batch(state.encoder, task.test_x)
+        embedded = _embed(state.encoder, task.test_x).z
         for start in range(0, task.test_y.size, block):
             rows = slice(start, start + block)
             predictions = _predict_block(embedded[rows], vectors, proto_sq_norms, means, hp)

@@ -442,7 +442,7 @@ class TestSelectMemory:
         "encode_fn, pattern",
         [
             # NaN embeddings once picked rows 0 and 3 without an error
-            (lambda row: row * np.nan, r"^encode_fn output contains non-finite entries$"),
+            (lambda row: row * np.nan, r"^encode_fn output\[0\] contains non-finite entries$"),
             (lambda row: row[None, :], r"^encode_fn output must be a non-empty 2-D array, got shape \(4, 1, 2\)$"),
             (lambda row: row[0], r"^encode_fn output must be a non-empty 2-D array, got shape \(4,\)$"),
             (lambda row: row[: 1 + int(row[0] > 1.5)], r"^encode_fn output is not a float array: "),
@@ -486,15 +486,21 @@ class TestBuildPrototypes:
         for relations in ([3, 1], [1, 1]):
             with pytest.raises(ValueError, match="ascending"):
                 Prototypes(np.array(relations), np.ones((2, 2)))
-        with pytest.raises(ValueError, match="one prototype row per relation"):
+        with pytest.raises(
+            ValueError,
+            match=r"^expected one prototype row per relation, got shape \(3, 2\) for relations of shape \(2,\)$",
+        ):
             Prototypes(np.array([1, 3]), np.ones((3, 2)))
-        for relations in ([1, 2], []):  # zero-width rows were accepted
-            with pytest.raises(ValueError, match=r"of width >= 1, got shape \(\d, 0\)"):
+        for relations in ([1, 2], []):  # zero-width rows were accepted; no store is empty
+            shape = rf"\({len(relations)}, 0\)"
+            with pytest.raises(ValueError, match=rf"^prototype vectors must be a non-empty 2-D array, got shape {shape}$"):
                 Prototypes(np.array(relations, dtype=np.int64), np.zeros((len(relations), 0)))
         with pytest.raises(ValueError, match="memory is empty"):
             build_prototypes(MemoryBuffer(2), lambda rows: rows)
-        with pytest.raises(ValueError, match=r"^prototypes contain non-finite entries$"):
+        with pytest.raises(ValueError, match=r"^prototype vectors contains non-finite entries$"):
             Prototypes(np.array([1, 3]), np.array([[0.0, 1.0], [np.inf, 0.0]]))
+        with pytest.raises(ValueError, match=r"^prototype vectors\[1\]\[0\] must be a finite numeric value, got True$"):
+            Prototypes([1, 3], [[0.0, 1.0], [True, 0.0]])
 
     @pytest.mark.parametrize(
         "encode_fn, pattern",
@@ -527,7 +533,11 @@ class TestBuildPrototypes:
     def test_relation_ids_are_checked_not_truncated(self, relations, message):
         with pytest.raises(ValueError, match=message):
             Prototypes(relations, np.ones((len(relations), 2)))
-        assert Prototypes([], np.zeros((0, 2))).relations.dtype == np.int64
+        assert Prototypes([2, 5], np.ones((2, 2))).relations.dtype == np.int64
+        with pytest.raises(
+            ValueError, match=r"^prototype vectors must be a non-empty 2-D array, got shape \(0, 2\)$"
+        ):
+            Prototypes([], np.zeros((0, 2)))
 
 
 class TestEpochBatches:
@@ -706,17 +716,13 @@ class TestRunTaskBehavior:
         # memory for the prototypes, and each completed task's test pool
         # for evaluation
         encoded, built, training = [], [], []
-        real_embed, real_encode = continual._embed, inference.encode_batch
+        real_embed = continual._embed
         real_build, real_train = continual.build_prototypes, continual._train
 
         def counting_embed(params, rows):
             if not training:
                 encoded.append(rows)
             return real_embed(params, rows)
-
-        def counting_encode(params, rows):
-            encoded.append(rows)
-            return real_encode(params, rows)
 
         def counting_build(memory, encode_fn):
             built.append(memory)
@@ -730,7 +736,7 @@ class TestRunTaskBehavior:
                 training.pop()
 
         monkeypatch.setattr(continual, "_embed", counting_embed)
-        monkeypatch.setattr(inference, "encode_batch", counting_encode)
+        monkeypatch.setattr(inference, "_embed", counting_embed)
         monkeypatch.setattr(continual, "build_prototypes", counting_build)
         monkeypatch.setattr(continual, "_train", marked_train)
         state, rng = fresh_state(), np.random.default_rng(42)

@@ -371,7 +371,15 @@ class TestDatasetJsonl:
             ('{"task": 1, "relation": 0, "split": "test", "features": [true, 0.5]}',
              "features[0] must be a finite numeric value, got True"),
             ('{"task": 1, "relation": 0, "split": "test", "features": [1.0, NaN]}',
-             "features has non-finite entries"),
+             "features[1] must be a finite numeric value, got nan"),
+            ('{"task": 1, "relation": 0, "split": "test", "features": []}',
+             "features must be a non-empty 1-D array, got shape (0,)"),
+            ('{"task": 1, "relation": 0, "split": "test", "features": [1.0, null]}',
+             "features[1] must be a finite numeric value, got None"),
+            ('{"task": 1, "relation": 0, "split": "test", "features": [[1.0], 0.0]}',
+             "features[0] must be a finite numeric value, got [1.0]"),
+            ('{"task": 1, "relation": 0, "split": "test", "features": [-1' + "0" * 400 + ', 0.0]}',
+             "features[0] must be a finite numeric value, got -1" + "0" * 400),
             ('{"task": 1, "relation": 0, "split": "test", "features": [1.0]}',
              "features has dimension 1, expected 2"),
             ('{"task": 2, "relation": 0, "split": "test", "features": [1.0, 0.0]}',

@@ -17,6 +17,13 @@ from fcre.descriptions import (
 )
 
 
+# NumPy's words for rows it cannot stack, which a parser error repeats
+RAGGED = (
+    "is not a float array: setting an array element with a sequence. The requested array has an "
+    "inhomogeneous shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part."
+)
+
+
 def simple_set():
     return DescriptionSet(
         {
@@ -177,6 +184,10 @@ class TestDescriptionSet:
     def test_non_finite_entry_rejected(self, bad):
         # training reads the set's table unchecked, so this is the one check
         with pytest.raises(ValueError, match=r"^relation 0: vectors contains non-finite entries$"):
+            DescriptionSet({0: np.array([[bad, 1.0]])})
+        with pytest.raises(
+            ValueError, match=rf"^relation 0: vectors\[0\]\[0\] must be a finite numeric value, got {bad}$"
+        ):
             DescriptionSet({0: [[bad, 1.0]]})
 
     def test_zero_mean_warns(self):
@@ -376,10 +387,13 @@ class TestDescriptionsJsonl:
             (['{"relation": 0, "vectors": [[1.0, NaN]]}'], r"line 1"),
             (['{"relation": 0, "vectors": [[1.0, "x"]]}'], r"line 1.*numeric"),
             (['{"relation": 0, "vectors": []}'], r"line 1.*non-empty"),
-            (['{"relation": 0, "vectors": [[1.0, true]]}'], r"line 1.*vector 0.*numeric"),
+            (
+                ['{"relation": 0, "vectors": [[1.0, true]]}'],
+                r"^line 1: relation 0: vectors\[0\]\[1\] must be a finite numeric value, got True$",
+            ),
             (
                 ['{"relation": 0, "vectors": [[1.0, 0.0], ["0.5", 1.0]]}'],
-                r"line 1.*vector 1.*numeric",
+                r"^line 1: relation 0: vectors\[1\]\[0\] must be a finite numeric value, got '0\.5'$",
             ),
             (
                 [
@@ -401,7 +415,7 @@ class TestDescriptionsJsonl:
             ),
             (
                 ['{"relation": 0, "vectors": [[1.0, 0.0], [1.0]]}'],
-                r"^line 1: vector 1 of relation 0 has dimension 1, expected 2$",
+                "^line 1: relation 0: vectors " + re.escape(RAGGED) + "$",
             ),
         ],
     )
@@ -432,9 +446,9 @@ class TestDescriptionsJsonl:
         [
             ('{"relation": "1", "vectors": [[1.0, 0.0]]}', "relation must be an integer, got '1'"),
             ('{"relation": 0, "vectors": [[1.0, 0.0], [0.0, 1.0]]}', "duplicate relation 0"),
-            ('{"relation": 1, "vectors": []}', "'vectors' must be a non-empty list"),
-            ('{"relation": 1, "vectors": [[1.0, 0.0], [1.0]]}',
-             "vector 1 of relation 1 has dimension 1, expected 2"),
+            ('{"relation": 1, "vectors": []}',
+             "relation 1: vectors must be a non-empty 2-D array, got shape (0,)"),
+            ('{"relation": 1, "vectors": [[1.0, 0.0], [1.0]]}', "relation 1: vectors " + RAGGED),
             ('{"relation": 1, "vectors": [[1.0, 0.0]]}',
              "relation 1 has 1 description vectors, expected 2"),
             ('{"relation": 1, "vectors": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}',
@@ -443,8 +457,15 @@ class TestDescriptionsJsonl:
              "relation 1: description vector 0 has zero norm"),
             ('{"relation": 1}', "missing key vectors"),
             ('{"relation": 1, "vectors": 3}', "vectors must be a list, got 3"),
-            ('{"relation": 1, "vectors": [[], [1.0, 0.0]]}',
-             "vector 0 of relation 1 must be a non-empty list"),
+            ('{"relation": 1, "vectors": [[], [1.0, 0.0]]}', "relation 1: vectors " + RAGGED),
+            ('{"relation": 1, "vectors": [[1.0, 0.0], [0.0, 1e400]]}',
+             "relation 1: vectors[1][1] must be a finite numeric value, got inf"),
+            ('{"relation": 1, "vectors": [[1.0, 0.0], [0.0, 1' + "0" * 400 + ']]}',
+             "relation 1: vectors[1][1] must be a finite numeric value, got 1" + "0" * 400),
+            ('{"relation": 1, "vectors": [[1.0, 0.0], [null, 1.0]]}',
+             "relation 1: vectors[1][0] must be a finite numeric value, got None"),
+            ('{"relation": 1, "vectors": [[1.0, 0.0], [0.0, [1.0]]]}',
+             "relation 1: vectors[1][1] must be a finite numeric value, got [1.0]"),
         ],
     )
     def test_each_rule_names_its_line_with_the_exact_message(self, tmp_path, line, message):

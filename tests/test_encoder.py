@@ -108,6 +108,20 @@ class TestEncodeBackward:
         with pytest.raises(ValueError, match="grad_out"):
             encode_backward(small_params(), np.ones(5), np.ones(4))
 
+    @pytest.mark.parametrize(
+        "grad_out, message",
+        [
+            ([np.nan, 0.0], r"^grad_out\[0\] must be a finite numeric value, got nan$"),  # gave a non-finite gradient
+            (np.array([0.0, np.inf]), r"^grad_out contains non-finite entries$"),
+            ([True, 0.0], r"^grad_out\[0\] must be a finite numeric value, got True$"),
+            ([[0.5, 0.0]], r"^grad_out\[0\] must be a finite numeric value, got \[0\.5, 0\.0\]$"),
+        ],
+    )
+    def test_grad_out_entries_checked(self, grad_out, message):
+        params = small_params(f=3, h=4, d=2)
+        with pytest.raises(ValueError, match=message):
+            encode_backward(params, [1.0, 2.0, 3.0], grad_out)
+
 
 class TestEncodeBatch:
     def test_rows_match_per_row_encode(self):
@@ -370,6 +384,20 @@ class TestAdam:
         opt = init_adam(3)
         with pytest.raises(ValueError, match="match optimizer size"):
             step(opt, np.zeros(2), np.zeros(2), 1e-3)
+
+    @pytest.mark.parametrize(
+        "params, grads, message",
+        [
+            ([np.nan, 1, 2], [0.1] * 3, r"^params\[0\] must be a finite numeric value, got nan$"),  # gave [nan, 0.9, 1.9]
+            (np.array([1.0, np.inf, 2.0]), [0.1] * 3, r"^params contains non-finite entries$"),
+            ([True, 1, 2], [0.1] * 3, r"^params\[0\] must be a finite numeric value, got True$"),
+            ([0.0, 1.0, 2.0], ["0.1", 0.1, 0.1], r"^grads\[0\] must be a finite numeric value, got '0\.1'$"),
+            (np.zeros((1, 3)), [0.1] * 3, r"^params must be a non-empty 1-D array, got shape \(1, 3\)$"),
+        ],
+    )
+    def test_params_and_grads_entries_checked(self, params, grads, message):
+        with pytest.raises(ValueError, match=message):
+            step(init_adam(3), params, grads, 0.1)
 
     def test_non_finite_gradient_rejected(self):
         opt = init_adam(2)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from fcre.continual import Task
 from fcre.datagen import DatasetFormatError, ingest_dataset, write_dataset
 from fcre.descriptions import DescriptionFormatError, DescriptionSet, ingest_descriptions
-from fcre.formats import _as_matrix, _at_least, _floats_from_b64, _floats_to_b64, checked, float_row
+from fcre.formats import _as_matrix, _at_least, _floats_from_b64, _floats_to_b64, checked
 
 FEW = settings(max_examples=25)
 CORRUPTIONS = ("not JSON", "missing key", "true entry", "numeric string", "NaN", "wrong length")
@@ -78,11 +78,6 @@ class TestChecks:
         record = {"a": [1], "b": {"c": "s"}, "other": None}
         assert checked(record, {"a": [int], "b": {"c": str}}, "") is record
 
-    def test_float_row_converts_and_checks_length(self):
-        assert float_row([1, 2.5], None, "row") == [1.0, 2.5]
-        with pytest.raises(ValueError, match="^row has dimension 2, expected 3$"):
-            float_row([1.0, 2.0], 3, "row")
-
     @pytest.mark.parametrize(
         "value, kind, message",
         [
@@ -102,7 +97,17 @@ class TestChecks:
         assert value == 0.0 and type(value) is float
         assert _at_least(np.int64(3), 1, "x") == 3
 
-    @pytest.mark.parametrize("values, ndim", [([1, 2], 1), (np.ones((2, 3), np.float32), 2), ([[[0.5]]], 3)])
+    @pytest.mark.parametrize(
+        "values, ndim",
+        [
+            ([1, 2.5], 1),
+            ([1e308, 1e308, -1e308], 1),  # finite entries whose sum overflows
+            (np.ones((2, 3), np.float32), 2),
+            ([[[0.5]]], 3),
+            ((np.int64(3), np.float64(0.5)), 1),
+            ([np.ones(2, np.uint8), [1, 2**70]], 2),
+        ],
+    )
     def test_as_matrix_takes_a_finite_array_of_its_rank_as_float64(self, values, ndim):
         arr = _as_matrix(values, "x", ndim)
         assert arr.dtype == np.float64 and arr.ndim == ndim
@@ -111,12 +116,16 @@ class TestChecks:
     @pytest.mark.parametrize(
         "values, ndim, message",
         [
-            ([[1.0, 2.0]], 1, "x must be a non-empty 1-D array, got shape (1, 2)"),
+            (np.ones((1, 2)), 1, "x must be a non-empty 1-D array, got shape (1, 2)"),
+            ([1.0, 2.0], 2, "x must be a non-empty 2-D array, got shape (2,)"),
             ([], 1, "x must be a non-empty 1-D array, got shape (0,)"),
             (np.ones((2, 0)), 2, "x must be a non-empty 2-D array, got shape (2, 0)"),
             (np.ones((2, 3)), 3, "x must be a non-empty 3-D array, got shape (2, 3)"),
             (np.ones((2, 0, 4)), 3, "x must be a non-empty 3-D array, got shape (2, 0, 4)"),
-            ([1.0, math.nan], 1, "x contains non-finite entries"),
+            (np.array([1.0, math.nan]), 1, "x contains non-finite entries"),
+            ([1.0, math.nan], 1, "x[1] must be a finite numeric value, got nan"),
+            ([[1.0], [-math.inf]], 2, "x[1][0] must be a finite numeric value, got -inf"),
+            ([np.ones(2), np.array([0.0, math.inf])], 2, "x[1] contains non-finite entries"),
             (np.full((1, 1, 1), -math.inf), 3, "x contains non-finite entries"),
         ],
     )
@@ -125,10 +134,110 @@ class TestChecks:
             _as_matrix(values, "x", ndim)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("values", [[[1.0], [1.0, 2.0]], ["0.5", "a"]])
-    def test_as_matrix_names_a_value_numpy_cannot_read_as_floats(self, values):
-        with pytest.raises(ValueError, match=r"^x is not a float array: "):
+    @pytest.mark.parametrize("values", [[[1.0], [1.0, 2.0]], [[1.0], 2.0], [[], [0.5]]])
+    def test_as_matrix_names_rows_numpy_cannot_stack(self, values):
+        with pytest.raises(ValueError) as err:
             _as_matrix(values, "x")
+        assert str(err.value) == (
+            "x is not a float array: setting an array element with a sequence. The requested "
+            "array has an inhomogeneous shape after 1 dimensions. The detected shape was (2,) "
+            "+ inhomogeneous part."
+        )
+
+    @pytest.mark.parametrize(
+        "values, ndim, message",
+        [
+            # each of these was taken, read as NaN, or raised a bare TypeError or OverflowError
+            ([True, 0.5], 1, "x[0] must be a finite numeric value, got True"),
+            (["1.0", "2"], 1, "x[0] must be a finite numeric value, got '1.0'"),
+            (np.array([True, False]), 1, "x must hold integers or floats, got dtype bool"),
+            ([[1.0, None]], 2, "x[0][1] must be a finite numeric value, got None"),
+            ([[1.0, {}]], 2, "x[0][1] must be a finite numeric value, got {}"),
+            ([[10**400, 1.0]], 2, "x[0][0] must be a finite numeric value, got 1" + "0" * 400),
+            # a list one level deeper than the array, an array of strings or objects
+            ([[1.0, 2.0]], 1, "x[0] must be a finite numeric value, got [1.0, 2.0]"),
+            (["0.5", "a"], 2, "x[0] must be a finite numeric value, got '0.5'"),
+            (np.array(["1.0"]), 1, "x must hold integers or floats, got dtype <U3"),
+            ([np.ones(2), np.array([1, None])], 2, "x[1] must hold integers or floats, got dtype object"),
+            ([np.float64(0.5), np.bool_(True)], 1, "x[1] must be a finite numeric value, got True"),
+            ([(1.0, 2.0), (3.0, -(2**1024))], 2, f"x[1][1] must be a finite numeric value, got {-(2**1024)}"),
+        ],
+    )
+    def test_as_matrix_names_an_entry_that_is_not_a_number(self, values, ndim, message):
+        with pytest.raises(ValueError) as err:
+            _as_matrix(values, "x", ndim)
+        assert str(err.value) == message
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_as_matrix_takes_exactly_the_regular_lists_of_checked_floats(self, data):
+        values, depth = data.draw(nested_lists())
+        ndim = data.draw(st.sampled_from([depth, 1, 2, 3]))
+        expected = checked_floats(values, ndim)
+        if expected is None:
+            with pytest.raises(ValueError) as err:  # never a TypeError or OverflowError
+                _as_matrix(values, "x", ndim)
+            assert str(err.value).startswith("x")
+        else:
+            arr = _as_matrix(values, "x", ndim)
+            assert arr.dtype == np.float64
+            assert arr.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+            assert arr.shape == np.shape(expected)
+
+
+JSON_SCALARS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.nan, math.inf, -math.inf]),  # json reads NaN and Infinity
+    st.integers(-(10**6), 10**6),
+    st.integers(2**1023, 2**1030).flatmap(lambda n: st.sampled_from([n, -n])),  # some beyond floats
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
+
+
+@st.composite
+def nested_lists(draw):
+    """A list 1-3 levels deep of JSON scalars, and its depth: regular, with a
+    ragged, empty or mis-nested part, or with an entry one level too deep."""
+    depth = draw(st.integers(1, 3))
+    shape = draw(st.lists(st.integers(1, 3), min_size=depth, max_size=depth))
+
+    def build(axes):
+        if not axes:
+            return draw(JSON_SCALARS)
+        return [build(axes[1:]) for _ in range(axes[0])]
+
+    values = build(shape)
+    part, axis = values, draw(st.integers(0, depth - 1))
+    for _ in range(axis):
+        part = part[0]
+    defect = draw(st.sampled_from(["none", "none", "drop", "empty", "scalar", "deeper"]))
+    if defect == "drop":  # ragged, or an empty axis when it held one entry
+        part.pop()
+    elif defect == "empty":
+        part[-1] = []
+    elif defect == "scalar":
+        part[-1] = draw(JSON_SCALARS)
+    elif defect == "deeper":
+        part[-1] = [part[-1]]
+    return values, depth
+
+
+def checked_floats(values, depth: int):
+    """``values`` as nested lists of ``checked`` floats, ``depth`` levels regular
+    with no empty axis; None when any entry fails ``checked`` or the nesting is not so."""
+    if depth == 0:
+        try:
+            return checked(values, float, "")
+        except ValueError:
+            return None
+    if type(values) is not list or not values:
+        return None
+    rows = [checked_floats(v, depth - 1) for v in values]
+    if any(row is None for row in rows) or len({np.shape(row) for row in rows}) != 1:
+        return None
+    return rows
 
 
 def finite_floats(**kwargs):

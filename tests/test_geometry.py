@@ -41,8 +41,10 @@ class TestCosine:
             cosine([1.0, 2.0], [1.0, 2.0, 3.0])
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=r"^first argument\[1\] must be a finite numeric value, got nan$"):
             cosine([1.0, float("nan")], [1.0, 2.0])
+        with pytest.raises(ValueError, match="^second argument contains non-finite entries$"):
+            cosine([1.0, 2.0], np.array([1.0, float("inf")]))
 
 
 class TestEuclidean:
@@ -118,7 +120,9 @@ class TestEmbeddingValidation:
         assert out.dtype == np.float64
 
     def test_rejects_matrix(self):
-        with pytest.raises(ValueError, match="1-D"):
+        with pytest.raises(ValueError, match=r"^embedding must be a non-empty 1-D array, got shape \(1, 2\)$"):
+            as_embedding(np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match=r"^embedding\[0\] must be a finite numeric value, got \[1\.0, 2\.0\]$"):
             as_embedding([[1.0, 2.0]])
 
     def test_rejects_empty(self):

@@ -635,7 +635,7 @@ class TestBatchedEvaluate:
         for t, rels in ((1, [0, 1]), (2, [2, 3])):
             x, y = rng.normal(size=(4, 4)), np.repeat(rels, 2)
             state.completed_tasks.append(Task(t, x, y, x, y))
-        cases = [(np.arange(2), "[0, 1]"), (np.arange(1, 5), "[1, 2, 3, 4]"), (np.arange(0), "[]")]
+        cases = [(np.arange(2), "[0, 1]"), (np.arange(1, 5), "[1, 2, 3, 4]")]
         for relations, shown in cases:
             prototypes = Prototypes(relations, rng.normal(size=(relations.size, 4)))
             with pytest.raises(ValueError, match=re.escape(
@@ -648,13 +648,13 @@ class TestBatchedEvaluate:
     def test_each_pool_is_encoded_once_for_both_heads(self, monkeypatch):
         state, prototypes = pool_state(np.random.default_rng(3), False)
         encoded = []
-        real = inference.encode_batch
+        real = inference._embed
 
         def counting(params, rows):
             encoded.append(len(rows))
             return real(params, rows)
 
-        monkeypatch.setattr(inference, "encode_batch", counting)
+        monkeypatch.setattr(inference, "_embed", counting)
         evaluate(state, prototypes, ("ncm", "dri"), HP)
         assert sum(encoded) == sum(t.test_y.size for t in state.completed_tasks)
 

@@ -65,7 +65,6 @@ PUBLIC = [
     "encoder.init_encoder",
     "encoder.step",
     "formats.checked",
-    "formats.float_row",
     "formats.read_json",
     "formats.read_jsonl",
     "formats.write_atomic",
@@ -128,7 +127,7 @@ def test_public_names_are_the_pinned_list():
         if path.stem not in ("__init__", "__main__"):
             found.update(f"{path.stem}.{name}" for name in public_names(path.read_text(encoding="utf-8")))
     assert sorted(found) == PUBLIC
-    assert len(PUBLIC) == 84
+    assert len(PUBLIC) == 83
 
 
 def parsing_uses(source: str) -> set[str]:
@@ -292,20 +291,46 @@ def test_formats_as_matrix_owns_the_float_array_rule():
     """
     found = {path.stem: array_checks(path.read_text(encoding="utf-8")) for path in MODULES}
     assert {stem: sites for stem, sites in found.items() if sites} == {
-        "continual": [
-            "Prototypes.__post_init__",  # a store of no relations is a valid value
-            "_nonfinite_term",  # which loss term made a training gradient non-finite
-        ],
+        "continual": ["_nonfinite_term"],  # which loss term made a training gradient non-finite
         "encoder": [
             "EncoderParams.with_vector",  # its own flat vector; the constructor names the array
             "_adam",  # the gradient, internal state
         ],
-        "formats": [
-            "checked",  # one scalar
-            "_as_matrix",
-            "float_row",  # a parser's list, named by its line before any array exists
-        ],
+        "formats": ["checked", "_as_matrix", "_float_entries"],  # one scalar, and the rule
         "inference": ["MetricsReport.from_csv"],  # one scalar cell of metrics.csv
+    }
+
+
+def float_conversions(source: str) -> list[str]:
+    """Each function or class that calls ``np.asarray``, ``np.array`` or
+    ``np.ascontiguousarray`` with a float dtype, by dotted name."""
+    found = []
+    for node, where in scoped_nodes(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and getattr(node.func.value, "id", None) == "np"
+            and node.func.attr in ("asarray", "array", "ascontiguousarray")
+        ):
+            continue
+        dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"] + node.args[1:2]
+        if any(ast.unparse(dtype) in FLOAT_DTYPES for dtype in dtypes):
+            found.append(where)
+    return found
+
+
+FLOAT_DTYPES = {"float", "np.float64", "np.float32", "np.double", "'float64'", "'f8'", "'<f8'"}
+
+
+def test_only_formats_converts_input_to_a_float_array():
+    """Outside ``formats``, no call turns an input into a float array by ``dtype=``:
+    ``formats._as_matrix`` does, after checking each entry.
+
+    The one exception is named with its reason.
+    """
+    found = {path.stem: float_conversions(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {stem: sites for stem, sites in found.items() if sites and stem != "formats"} == {
+        "encoder": ["EncoderParams.with_vector"],  # copies its own flat vector; the constructor checks it
     }
 
 
