@@ -106,8 +106,9 @@ def checked(value, schema, name: str):
     elif schema is float and type(value) is int:
         try:
             return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
+        except OverflowError:  # an integer beyond the float range, shown by its size
+            raise ValueError(f"{name} must be {_KINDS[float]}, got an integer of "
+                             f"{len(str(abs(value)))} digits") from None
     raise ValueError(f"{name} must be {_KINDS[schema]}, got {value!r}")
 
 
@@ -159,14 +160,15 @@ def _as_matrix(values, name: str, ndim: int = 2) -> np.ndarray:
     The one check of float input, arrays and parsed JSON lists alike:
     an ndarray must hold finite integers or floats, and each entry of a
     list or tuple, down to ``ndim`` levels, must pass ``checked(v, float)``,
-    so a bool, string, None or NaN is an error naming the entry.  Callers
-    keep only the rules that relate one array to another.
+    so a bool, string, None or NaN is an error naming the entry; rows
+    that do not stack name the first row unlike the first of its level.
+    Callers keep only the rules that relate one array to another.
     """
     entries = _float_entries(values, name, ndim)
     try:
         arr = np.asarray(entries, np.float64)
-    except ValueError as exc:  # ragged rows
-        raise ValueError(f"{name} is not a float array: {exc}") from None
+    except ValueError:  # ragged rows
+        raise ValueError(_uneven_row(entries, name)) from None
     if arr.ndim != ndim or 0 in arr.shape:
         raise ValueError(f"{name} must be a non-empty {ndim}-D array, got shape {arr.shape}")
     return arr
@@ -188,6 +190,20 @@ def _float_entries(values, name: str, depth: int):
     if not np.isfinite(values).all():
         raise ValueError(f"{name} contains non-finite entries")
     return values
+
+
+def _uneven_row(values, name: str) -> str:
+    """Why nested rows do not stack: level by level, the first row unlike its level's first."""
+    level = [(name, values)]
+    while True:
+        sizes = [len(v) if isinstance(v, (list, tuple)) or np.ndim(v) else None for _, v in level]
+        for (row, _), size in zip(level, sizes):
+            if size != sizes[0]:
+                if None in (size, sizes[0]):
+                    kinds = ["a number" if n is None else "a list" for n in (size, sizes[0])]
+                    return f"{row} is {kinds[0]}, expected {kinds[1]}"
+                return f"{row} has {size} entries, expected {sizes[0]}"
+        level = [(f"{row}[{i}]", v) for row, entries in level for i, v in enumerate(entries)]
 
 
 def _relation_ids(values, name: str) -> np.ndarray:

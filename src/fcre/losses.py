@@ -22,8 +22,9 @@ sample's relation.  Four objectives are defined per anchor sample x:
 All four are computed by one kernel that evaluates a set of anchor
 rows at once with masked array operations, from z and a ``_Layout``
 that holds everything the terms read from the labels: the anchors'
-positive and negative masks are shared by the four terms.  SCL and
-HSMT read (rows, B) cosine and Euclidean matrices.  The description
+positive and negative masks are shared by the four terms.  SCL reads a
+(rows, B) cosine matrix and HSMT (rows, B) squared distances in Gram
+form, checked against their error bound.  The description
 side of HM and MI depends on an anchor only through its label and its
 description block, so it is done once per *description class*: within
 one label, samples share a class when each carries the (K, d) block of
@@ -37,10 +38,14 @@ one for its own class.  The per-anchor functions above run the same
 kernel over a one-row layout, with classes of one anchor.
 
 ``joint_loss`` takes every row of a batch as an anchor, so its
-transients grow as B^2 * max(d, K) floats: HSMT's (B, B, d)
-differences, mining's (C, K, B) cosines, MI's (B, C*K) scores.  Training
-batches hold at most 64 rows, so HSMT's differences, the largest,
-take 512 KiB.
+transients grow as B * max(B, C*K) floats: HSMT's (2, B, B) keys,
+mining's (C, K, B) cosines, MI's (B, C*K) scores.  HSMT forms the (B, d)
+differences of an anchor only when its Gram-form distances cannot
+order the anchor's best two candidates, which no anchor of seeds 0-9
+of the three perfbench workloads meets.
+A training step on a default run's last replay batch (60 rows over 40
+relations, d = 16, K = 7) peaks at 241 KiB traced; it peaked at 616
+KiB when HSMT formed every anchor's differences.
 A caller's ``Batch`` is validated when it is built; ``joint_loss``
 checks its size and W, builds its layout and calls ``_joint``, the
 kernel pass.  Training builds no ``Batch``: it reads the description
@@ -229,6 +234,8 @@ class JointResult(NamedTuple):
 HSMT_FLOOR = 1e-6
 _PAIR_SIGN = np.array([[[1.0]], [[-1.0]]])  # HSMT's keys: +distance to a positive, -to a negative
 _PAIR_PULL = -_PAIR_SIGN[:, :, 0]  # (2, 1): the sign of dL/d(distance) at p* and at n*
+_NO_KEY = np.finfo(np.float64).min  # HSMT's key off the pairs: a side's gap stays finite
+_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 
 
 class _Term(NamedTuple):
@@ -298,8 +305,7 @@ class _Layout:
         anchors = index[rows]  # batch index of each anchor
         n = anchors.size
         local = index[:n]  # each anchor's place among the anchors
-        self.row_base = local * b  # flat index of each anchor's row in a (rows, B) array
-        self.own_entry = own_entry = self.row_base + anchors  # and of its own entry
+        self.own_entry = own_entry = local * b + anchors  # flat index of each anchor's own entry
         # (2, rows, B): same label, the anchor itself excluded, then different label
         self.pair = pair = np.empty((2, n, b), dtype=bool)
         self.pos, self.neg = pos, neg = pair[0], pair[1]
@@ -390,9 +396,11 @@ class _Kernel:
 
     It holds z, its row norms and unit rows, and the layout: the anchor
     rows with their masks and the description classes.  SCL and HSMT
-    evaluate every anchor at once from (rows, B) similarity and distance
+    evaluate every anchor at once from (rows, B) cosine and squared-distance
     matrices, and MI scores each anchor against the (C, K) class
-    descriptions.  The transients grow as rows * B * max(d, K) floats.
+    descriptions.  The transients grow as rows * max(B, C * K) floats, and
+    mining's as C * K * B; HSMT's (B, d) differences are formed only for
+    the anchors ``_exact_star`` decides.
 
     Mining and HM work on one (K, B) cosine block per active class: a
     class whose anchors have a positive and a negative.  With
@@ -417,7 +425,8 @@ class _Kernel:
 
     def __init__(self, z: np.ndarray, layout: _Layout) -> None:
         self.z = z
-        self.norms = norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+        self.sq_norms = np.einsum("ij,ij->i", z, z)
+        self.norms = norms = np.sqrt(self.sq_norms)
         self.nonzero = 0.0 not in norms  # a test made in C, no call of NumPy's Python layer
         # Every term that takes a cosine against a zero-norm row rejects
         # it first; the stand-in norm only keeps unused entries finite.
@@ -475,22 +484,46 @@ class _Kernel:
         return _Term(term_values, grad)
 
     def hsmt(self, values: bool = True) -> _Term:
-        """Batch-hard pairs: row-wise argmax over positives, argmin over negatives."""
+        """Batch-hard pairs: the farthest positive and the nearest negative of each anchor.
+
+        Squared distances in Gram form choose p* and n*.  An anchor whose
+        best two candidates on a side lie within the form's error bound
+        is decided again by ``_exact_star``, so every choice, ties to the
+        lowest index included, is the one the (B, d) differences make.
+        """
         z, lay = self.z, self.layout
         rows, paired = lay.rows, lay.paired
         grad = np.zeros(z.shape)
         if not lay.any_paired:
             return _Term(np.zeros(paired.size), grad, np.zeros(paired.size, dtype=bool))
         b, d = z.shape
-        # (rows, B, d): z[rows][:, None] - z, the kernel's largest transient
-        diff = z[rows].repeat(b, axis=0).reshape(-1, b, d)
-        diff -= z
-        dist = np.sqrt(np.einsum("abk,abk->ab", diff, diff))
-        # (2, rows): p*, the farthest positive, and n*, the nearest negative
-        # as the farthest of -dist (-inf off the pairs); argmax takes the lowest index on ties
-        star = np.where(lay.pair, dist * _PAIR_SIGN, -np.inf).argmax(axis=2)
-        pair_entry = star + lay.row_base  # flat (anchor, p*) and (anchor, n*) entries
-        d_star = np.where(paired, dist.take(pair_entry), 0.0)
+        sq, z_rows = self.sq_norms, z[rows]
+        # (rows, B): |z_a|^2 + |z_b|^2 - 2 z_a.z_b, each within 2(d + 2)u(|z_a|^2 + |z_b|^2)
+        # of the exact square, u = 2^-53 (Higham, Accuracy and Stability of
+        # Numerical Algorithms, 3.1), plus a few subnormal steps where it underflows
+        gram = z_rows @ z.T
+        gram *= -2.0
+        gram += sq[rows, None]
+        gram += sq
+        # (2, rows, B) keys, +distance^2 to a positive and -distance^2 to a
+        # negative, the lowest float off the pairs; argmax takes the lowest
+        # index on ties, and the partition puts each side's runner-up at B - 2
+        keys = np.where(lay.pair, gram * _PAIR_SIGN, _NO_KEY)
+        star = keys.argmax(axis=2)
+        keys.partition(b - 2, axis=2)
+        gap = keys[:, :, b - 1] - keys[:, :, b - 2]
+        # a gap's rounding in this form and in the reference form stays
+        # within 8(d + 2.5)u(|z_a|^2 + max |z_b|^2); the reference form
+        # decides a side whose gap is within twice that, or NaN
+        bound = (16 * (d + 2)) * (2.0**-53 * (sq[rows] + np.maximum.reduce(sq)) + _SUBNORMAL)
+        close = ~(gap > bound)
+        near = (paired & (close[0] | close[1])).nonzero()[0]
+        if near.size:
+            star[:, near] = self._exact_star(near)
+        # (2, rows, d): z[rows] - z[star]; an einsum over them gives the
+        # bits of the full tensor's entries
+        diff_star = z_rows - z[star]
+        d_star = np.where(paired, np.sqrt(np.einsum("abk,abk->ab", diff_star, diff_star)), 0.0)
         exp_p, exp_n = e = np.exp(d_star)
         arg = 1.0 + exp_p - exp_n
         clamped = paired & (arg <= HSMT_FLOOR)
@@ -505,7 +538,6 @@ class _Kernel:
         # selected pair of a live anchor receives gradient, along
         # d||a - b||/da = (a - b) / ||a - b||, taken as zero where a == b
         coeff = np.where(live, _PAIR_PULL * e / arg, 0.0)
-        diff_star = diff.reshape(-1, d).take(pair_entry, axis=0)  # (2, rows, d): z[rows] - z[star]
         unit = np.zeros(diff_star.shape)
         length = d_star[:, :, None]
         np.divide(diff_star, length, out=unit, where=length != 0.0)
@@ -516,6 +548,19 @@ class _Kernel:
         flat = (star[:, :, None] * d + np.arange(d)).reshape(-1)
         np.subtract.at(grad.reshape(-1), flat, g.reshape(-1))
         return _Term(term_values, grad, clamped)
+
+    def _exact_star(self, near: np.ndarray) -> np.ndarray:
+        """(2, n) p* and n* of the anchors at places ``near`` among the rows, in the reference form.
+
+        The form is the (n, B, d) differences z[rows][near][:, None] - z,
+        their distances by one einsum and a masked argmax.
+        """
+        z, lay = self.z, self.layout
+        b, d = z.shape
+        diff = z[lay.rows][near].repeat(b, axis=0).reshape(-1, b, d)
+        diff -= z
+        dist = np.sqrt(np.einsum("abk,abk->ab", diff, diff))
+        return np.where(lay.pair[:, near], dist * _PAIR_SIGN, -np.inf).argmax(axis=2)
 
     def mine(
         self, ks: slice = slice(None)
@@ -588,7 +633,8 @@ class _Kernel:
         z_rows = z[rows]
         # (rows, C * K) scores z_x^T W d_c^k / tau; in place below, their
         # shifted exponentials, weighted, then the gradient's coefficients
-        e = ((z_rows @ w_matrix) @ desc.T) / tau
+        e = (z_rows @ w_matrix) @ desc.T
+        e /= tau
         by_class = e.reshape(-1, c, k)  # (rows, C, K) view
         if lay.score_fill is not None:
             by_class += lay.score_fill
@@ -747,7 +793,8 @@ def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResu
     """Batch-mean of the beta-weighted sum of all four objectives.
 
     Every row is an anchor, so the kernel's transients grow as
-    B^2 * max(d, K) floats (training batches hold at most 64 rows).  The
+    B * max(B, C * K) floats, C the batch's description classes
+    (training batches hold at most 64 rows).  The
     batch's size is checked for SCL and HSMT, W's (d, d) shape whatever
     ``beta_mi`` is, and its layout is built by comparing its
     description blocks; training calls ``_joint`` on a layout from

@@ -7,7 +7,9 @@ They are kept here, outside the package, as the oracle that
 against: values, gradients, hard sets and degenerate counters.
 ``batch_hard_hsmt`` is the whole-batch HSMT of the kernel with its pair
 selection and scatters spelled out one at a time, the order that fixes
-the gradient's bits.
+the gradient's bits.  ``full_difference_hsmt`` is the kernel's HSMT
+method as it was before Gram-form distances chose the pairs: it builds
+every anchor's (B, d) differences.
 """
 
 import math
@@ -16,6 +18,7 @@ import numpy as np
 
 from fcre.geometry import euclidean
 from fcre.losses import (
+    HSMT_FLOOR,
     Batch,
     HmResult,
     HsmtResult,
@@ -24,6 +27,9 @@ from fcre.losses import (
     MiningSets,
     MiResult,
     SclResult,
+    _PAIR_PULL,
+    _PAIR_SIGN,
+    _Term,
 )
 
 
@@ -188,6 +194,46 @@ def batch_hard_hsmt(z: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.n
     np.add.at(grad, p_star, -g_p)
     np.add.at(grad, n_star, -g_n)
     return values, grad
+
+
+def full_difference_hsmt(kernel, values: bool = True):
+    """``_Kernel.hsmt`` from the (rows, B, d) differences z[rows][:, None] - z.
+
+    A stand-in for the method (``kernel`` is the ``_Kernel``): p* and n*
+    by a masked argmax over every anchor's distances, and the selected
+    differences taken from the full tensor.
+    """
+    z, lay = kernel.z, kernel.layout
+    rows, paired = lay.rows, lay.paired
+    grad = np.zeros(z.shape)
+    if not lay.any_paired:
+        return _Term(np.zeros(paired.size), grad, np.zeros(paired.size, dtype=bool))
+    b, d = z.shape
+    diff = z[rows].repeat(b, axis=0).reshape(-1, b, d)
+    diff -= z
+    dist = np.sqrt(np.einsum("abk,abk->ab", diff, diff))
+    star = np.where(lay.pair, dist * _PAIR_SIGN, -np.inf).argmax(axis=2)
+    pair_entry = star + np.arange(paired.size) * b  # flat (anchor, p*) and (anchor, n*)
+    d_star = np.where(paired, dist.take(pair_entry), 0.0)
+    exp_p, exp_n = e = np.exp(d_star)
+    arg = 1.0 + exp_p - exp_n
+    clamped = paired & (arg <= HSMT_FLOOR)
+    live = paired ^ clamped
+    arg = np.where(live, arg, 1.0)
+    term_values = None
+    if values:
+        term_values = np.where(live, -np.log(arg), 0.0)
+        term_values[clamped] = -math.log(HSMT_FLOOR)
+    coeff = np.where(live, _PAIR_PULL * e / arg, 0.0)
+    diff_star = diff.reshape(-1, d).take(pair_entry, axis=0)
+    unit = np.zeros(diff_star.shape)
+    length = d_star[:, :, None]
+    np.divide(diff_star, length, out=unit, where=length != 0.0)
+    g = coeff[:, :, None] * unit
+    grad[rows] += g[0] + g[1]
+    flat = (star[:, :, None] * d + np.arange(d)).reshape(-1)
+    np.subtract.at(grad.reshape(-1), flat, g.reshape(-1))
+    return _Term(term_values, grad, clamped)
 
 
 def _unit_rows(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:

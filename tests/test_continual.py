@@ -445,7 +445,7 @@ class TestSelectMemory:
             (lambda row: row * np.nan, r"^encode_fn output\[0\] contains non-finite entries$"),
             (lambda row: row[None, :], r"^encode_fn output must be a non-empty 2-D array, got shape \(4, 1, 2\)$"),
             (lambda row: row[0], r"^encode_fn output must be a non-empty 2-D array, got shape \(4,\)$"),
-            (lambda row: row[: 1 + int(row[0] > 1.5)], r"^encode_fn output is not a float array: "),
+            (lambda row: row[: 1 + int(row[0] > 1.5)], r"^encode_fn output\[1\] has 2 entries, expected 1$"),
         ],
         ids=["nan", "row matrices", "scalars", "ragged rows"],
     )

@@ -379,7 +379,7 @@ class TestDatasetJsonl:
             ('{"task": 1, "relation": 0, "split": "test", "features": [[1.0], 0.0]}',
              "features[0] must be a finite numeric value, got [1.0]"),
             ('{"task": 1, "relation": 0, "split": "test", "features": [-1' + "0" * 400 + ', 0.0]}',
-             "features[0] must be a finite numeric value, got -1" + "0" * 400),
+             "features[0] must be a finite numeric value, got an integer of 401 digits"),
             ('{"task": 1, "relation": 0, "split": "test", "features": [1.0]}',
              "features has dimension 1, expected 2"),
             ('{"task": 2, "relation": 0, "split": "test", "features": [1.0, 0.0]}',

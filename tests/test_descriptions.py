@@ -17,12 +17,6 @@ from fcre.descriptions import (
 )
 
 
-# NumPy's words for rows it cannot stack, which a parser error repeats
-RAGGED = (
-    "is not a float array: setting an array element with a sequence. The requested array has an "
-    "inhomogeneous shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part."
-)
-
 
 def simple_set():
     return DescriptionSet(
@@ -415,7 +409,7 @@ class TestDescriptionsJsonl:
             ),
             (
                 ['{"relation": 0, "vectors": [[1.0, 0.0], [1.0]]}'],
-                "^line 1: relation 0: vectors " + re.escape(RAGGED) + "$",
+                r"^line 1: relation 0: vectors\[1\] has 1 entries, expected 2$",
             ),
         ],
     )
@@ -448,7 +442,8 @@ class TestDescriptionsJsonl:
             ('{"relation": 0, "vectors": [[1.0, 0.0], [0.0, 1.0]]}', "duplicate relation 0"),
             ('{"relation": 1, "vectors": []}',
              "relation 1: vectors must be a non-empty 2-D array, got shape (0,)"),
-            ('{"relation": 1, "vectors": [[1.0, 0.0], [1.0]]}', "relation 1: vectors " + RAGGED),
+            ('{"relation": 1, "vectors": [[1.0, 0.0], [1.0]]}',
+             "relation 1: vectors[1] has 1 entries, expected 2"),
             ('{"relation": 1, "vectors": [[1.0, 0.0]]}',
              "relation 1 has 1 description vectors, expected 2"),
             ('{"relation": 1, "vectors": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}',
@@ -457,11 +452,12 @@ class TestDescriptionsJsonl:
              "relation 1: description vector 0 has zero norm"),
             ('{"relation": 1}', "missing key vectors"),
             ('{"relation": 1, "vectors": 3}', "vectors must be a list, got 3"),
-            ('{"relation": 1, "vectors": [[], [1.0, 0.0]]}', "relation 1: vectors " + RAGGED),
+            ('{"relation": 1, "vectors": [[], [1.0, 0.0]]}',
+             "relation 1: vectors[1] has 2 entries, expected 0"),
             ('{"relation": 1, "vectors": [[1.0, 0.0], [0.0, 1e400]]}',
              "relation 1: vectors[1][1] must be a finite numeric value, got inf"),
             ('{"relation": 1, "vectors": [[1.0, 0.0], [0.0, 1' + "0" * 400 + ']]}',
-             "relation 1: vectors[1][1] must be a finite numeric value, got 1" + "0" * 400),
+             "relation 1: vectors[1][1] must be a finite numeric value, got an integer of 401 digits"),
             ('{"relation": 1, "vectors": [[1.0, 0.0], [null, 1.0]]}',
              "relation 1: vectors[1][0] must be a finite numeric value, got None"),
             ('{"relation": 1, "vectors": [[1.0, 0.0], [0.0, [1.0]]]}',

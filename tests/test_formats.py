@@ -48,7 +48,8 @@ class TestChecks:
             (1.0, int, "x must be an integer, got 1.0"),
             ("1", float, "x must be a finite numeric value, got '1'"),
             (math.inf, float, "x must be a finite numeric value, got inf"),
-            (10**400, float, "x must be a finite numeric value, got 1" + "0" * 400),
+            (10**400, float, "x must be a finite numeric value, got an integer of 401 digits"),
+            (-(10**400), float, "x must be a finite numeric value, got an integer of 401 digits"),
             (None, str, "x must be a string, got None"),
             ((), list, "x must be a list, got ()"),
         ],
@@ -57,6 +58,13 @@ class TestChecks:
         with pytest.raises(ValueError) as err:
             checked(value, kind, "x")
         assert str(err.value) == message
+
+    def test_an_integer_beyond_the_float_range_is_shown_by_its_size(self):
+        # the whole integer was printed, 449 characters in all
+        with pytest.raises(ValueError) as err:
+            checked([1.0, 10**400], [float], "features")
+        assert str(err.value) == "features[1] must be a finite numeric value, got an integer of 401 digits"
+        assert len(str(err.value)) == 72
 
     @pytest.mark.parametrize(
         "value, message",
@@ -134,15 +142,25 @@ class TestChecks:
             _as_matrix(values, "x", ndim)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("values", [[[1.0], [1.0, 2.0]], [[1.0], 2.0], [[], [0.5]]])
-    def test_as_matrix_names_rows_numpy_cannot_stack(self, values):
+    @pytest.mark.parametrize(
+        "values, ndim, message",
+        [
+            # each raised NumPy's "setting an array element with a sequence" text
+            ([[1.0], [1.0, 2.0]], 2, "x[1] has 2 entries, expected 1"),
+            ([[1.0, 0.0], [1.0]], 2, "x[1] has 1 entries, expected 2"),
+            ([[1.0], 2.0], 2, "x[1] is a number, expected a list"),
+            ([2.0, [1.0]], 2, "x[1] is a list, expected a number"),
+            ([[], [0.5]], 2, "x[1] has 1 entries, expected 0"),
+            ([[[1.0, 2.0]], [[1.0, 2.0], [3.0]]], 3, "x[1] has 2 entries, expected 1"),
+            ([[[1.0, 2.0]], [[1.0]]], 3, "x[1][0] has 1 entries, expected 2"),
+            ([np.ones(2), np.ones(3)], 2, "x[1] has 3 entries, expected 2"),
+            ([np.ones((2, 2)), np.ones((2, 3))], 3, "x[1][0] has 3 entries, expected 2"),
+        ],
+    )
+    def test_as_matrix_names_rows_numpy_cannot_stack(self, values, ndim, message):
         with pytest.raises(ValueError) as err:
-            _as_matrix(values, "x")
-        assert str(err.value) == (
-            "x is not a float array: setting an array element with a sequence. The requested "
-            "array has an inhomogeneous shape after 1 dimensions. The detected shape was (2,) "
-            "+ inhomogeneous part."
-        )
+            _as_matrix(values, "x", ndim)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "values, ndim, message",
@@ -153,14 +171,14 @@ class TestChecks:
             (np.array([True, False]), 1, "x must hold integers or floats, got dtype bool"),
             ([[1.0, None]], 2, "x[0][1] must be a finite numeric value, got None"),
             ([[1.0, {}]], 2, "x[0][1] must be a finite numeric value, got {}"),
-            ([[10**400, 1.0]], 2, "x[0][0] must be a finite numeric value, got 1" + "0" * 400),
+            ([[10**400, 1.0]], 2, "x[0][0] must be a finite numeric value, got an integer of 401 digits"),
             # a list one level deeper than the array, an array of strings or objects
             ([[1.0, 2.0]], 1, "x[0] must be a finite numeric value, got [1.0, 2.0]"),
             (["0.5", "a"], 2, "x[0] must be a finite numeric value, got '0.5'"),
             (np.array(["1.0"]), 1, "x must hold integers or floats, got dtype <U3"),
             ([np.ones(2), np.array([1, None])], 2, "x[1] must hold integers or floats, got dtype object"),
             ([np.float64(0.5), np.bool_(True)], 1, "x[1] must be a finite numeric value, got True"),
-            ([(1.0, 2.0), (3.0, -(2**1024))], 2, f"x[1][1] must be a finite numeric value, got {-(2**1024)}"),
+            ([(1.0, 2.0), (3.0, -(2**1024))], 2, "x[1][1] must be a finite numeric value, got an integer of 309 digits"),
         ],
     )
     def test_as_matrix_names_an_entry_that_is_not_a_number(self, values, ndim, message):

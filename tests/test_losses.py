@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1108,6 +1109,69 @@ class TestMiningAtTies:
                     assert mine_hard(batch, x, k) == loss_reference.mine_hard(batch, x, k)
 
 
+@st.composite
+def near_tie_batches(draw):
+    """Rows that repeat a few points, exactly or one ulp away in one coordinate.
+
+    At the smallest scale, where squared distances underflow, the rows
+    may also lie a little apart.  Returns the batch and whether its scale
+    keeps every ``joint_loss`` term finite (the smallest underflows SCL's
+    norm products).
+    """
+    dim = draw(st.integers(1, 6))
+    size = draw(st.integers(3, 12))
+    scale = draw(st.sampled_from([1.0, 2.0**-30, 1e-161]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.normal(size=(draw(st.integers(1, 4)), dim)) * scale
+    z = points[draw(st.lists(st.integers(0, len(points) - 1), min_size=size, max_size=size))]
+    if scale < 1e-100 and draw(st.booleans()):
+        z += rng.normal(size=z.shape) * (scale * 0.01)
+    moves = st.tuples(st.integers(0, size - 1), st.integers(0, dim - 1), st.sampled_from([-1.0, 1.0]))
+    for row, col, toward in draw(st.lists(moves, max_size=size)):
+        z[row, col] = np.nextafter(z[row, col], toward * math.inf)
+    labels = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    return Batch(z, labels, rng.normal(size=(size, 2, dim))), scale > 1e-100
+
+
+class TestHsmtNearTies:
+    def test_pairs_match_the_full_difference_form(self):
+        # where Gram-form distances cannot order the best two candidates,
+        # the anchor is decided again from its (B, d) differences, so ties
+        # and one-ulp gaps go as the full tensor decided them
+        exact_star = losses._Kernel._exact_star
+        fallbacks = []
+
+        def counted(kernel, near):
+            fallbacks.append(near.size)
+            return exact_star(kernel, near)
+
+        hp = HyperParams()
+
+        @given(near_tie_batches())
+        @settings(max_examples=300)
+        def check(case):
+            batch, finite = case
+            w = np.eye(batch.embed_dim)
+            with mock.patch.object(losses._Kernel, "_exact_star", counted):
+                got = [hsmt_loss(batch, x) for x in range(batch.size)]
+                got_joint = joint_loss(batch, hp, w) if finite else None
+            with mock.patch.object(losses._Kernel, "hsmt", loss_reference.full_difference_hsmt):
+                expected = [hsmt_loss(batch, x) for x in range(batch.size)]
+                expected_joint = joint_loss(batch, hp, w) if finite else None
+            for g, e in zip(got, expected):
+                assert (g.no_pair, g.clamped) == (e.no_pair, e.clamped)
+                assert same_bits(g.value, e.value)
+                assert same_bits(g.grad_z, e.grad_z)
+            if finite:
+                assert got_joint[3:] == expected_joint[3:]  # clamp and pair counts
+                assert same_bits(got_joint.value, expected_joint.value)
+                assert same_bits(got_joint.grad_z, expected_joint.grad_z)
+                assert same_bits(got_joint.grad_w, expected_joint.grad_w)
+
+        check()
+        assert fallbacks, "no case reached the reference form"
+
+
 # ------------------------------------------------------------ training layouts
 
 
@@ -1287,6 +1351,25 @@ class TestTrainingLayout:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000, f"a 64-row training batch peaked at {peak} bytes"
+
+    def test_transient_memory_of_the_last_replay_batch_stays_under_320_kib(self):
+        # the last replay pool of a default run, one training step: 35 old
+        # relations with one memory row each, then the 5 new ones with 5
+        # rows each (B = 60, d = 16, K = 7); it peaked at 620 KiB while
+        # HSMT built every anchor's (B, d) differences
+        rng = np.random.default_rng(42)
+        rows = np.concatenate([np.arange(35), np.repeat(np.arange(35, 40), 5)])
+        layout = layout_for(rng.normal(size=(40, 7, 16)), rows)
+        z, w, grad_w = embedded(rng, rows.size, 16), np.eye(16), np.empty((16, 16))
+        hp = HyperParams()
+        losses._joint(z, layout, hp, w, grad_w, values=False)
+        tracemalloc.start()
+        try:
+            losses._joint(z, layout, hp, w, grad_w, values=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 320 * 1024, f"the last replay batch's step peaked at {peak} bytes"
 
 
 def training_step(z, table, rows, hp, w):
