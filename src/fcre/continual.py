@@ -80,7 +80,7 @@ from fcre.encoder import (
     init_bilinear,
     init_encoder,
 )
-from fcre.formats import _as_labels, _floats_from_b64, _floats_to_b64, _relation_ids
+from fcre.formats import _as_labels, _floats_from_b64, _floats_to_b64
 from fcre.formats import _as_matrix, _at_least, _relation_items, checked, read_json, write_atomic
 from fcre.geometry import row_dots
 from fcre.inference import HEADS, MetricsReport, check_heads, evaluate
@@ -188,7 +188,7 @@ class Prototypes:
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        relations = _relation_ids(self.relations, "prototype relations")
+        relations = _as_labels(self.relations, "prototype relations")
         # C order: see inference._keys
         vectors = np.ascontiguousarray(_as_matrix(self.vectors, "prototype vectors"))
         if relations.shape != vectors.shape[:1]:

@@ -180,11 +180,8 @@ def ingest_dataset(path) -> tuple[Task, ...]:
         try:
             checked(obj, _SCHEMA, "")
             task, rel, split = obj["task"], obj["relation"], obj["split"]
-            if task < 1:
-                raise ValueError(f"task must be an integer >= 1, got {task}")
-            if rel < 0:
-                raise ValueError(f"relation must be an integer >= 0, got {rel}")
-            _relation_id(rel, "relation")
+            _at_least(task, 1, "task")
+            _at_least(_relation_id(rel, "relation"), 0, "relation")
             if split not in ("train", "test"):
                 raise ValueError(f"split must be 'train' or 'test', got {split!r}")
             values = _as_matrix(obj["features"], "features", 1)

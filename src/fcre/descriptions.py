@@ -36,7 +36,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from fcre.formats import _as_matrix, _at_least, _relation_id, _relation_ids, _relation_items
+from fcre.formats import _as_labels, _as_matrix, _at_least, _relation_id, _relation_items
 from fcre.formats import checked, read_jsonl, write_jsonl
 from fcre.geometry import unit_rows
 
@@ -121,7 +121,7 @@ class DescriptionSet:
 
     def rows(self, relations: Iterable[int]) -> np.ndarray:
         """Row of each id in ``table`` and ``means``; the first unknown id raises ``KeyError``."""
-        ids = _relation_ids(relations, "relation ids")
+        ids = _as_labels(relations, "relation ids")
         at = np.searchsorted(self._ids, ids)
         known = at < self._ids.size
         known[known] = self._ids[at[known]] == ids[known]
@@ -130,11 +130,11 @@ class DescriptionSet:
         return at
 
     def vectors(self, rel: int) -> np.ndarray:
-        return self._table[self.rows((rel,))[0]]
+        return self._table[self.rows((_relation_id(rel, "relation id"),))[0]]
 
     def mean(self, rel: int) -> np.ndarray:
         """Mean description of ``rel``: its row of ``means``."""
-        return self._means[self.rows((rel,))[0]]
+        return self._means[self.rows((_relation_id(rel, "relation id"),))[0]]
 
     def subset(self, relations: Iterable[int]) -> "DescriptionSet":
         rows = sorted(set(self.rows(relations).tolist()))

@@ -4,9 +4,10 @@ Each schema lives beside the type it builds (the dataset in ``datagen``,
 descriptions in ``descriptions``, checkpoints in ``continual``, the
 config in ``cli``, ``metrics.csv`` in ``inference``); this module alone
 parses JSON and encodes base64.  It also holds the checks the package
-shares, ``_as_matrix`` among them: the one check of float input, by
-which every module and both JSONL parsers take features, descriptions,
-weights and embeddings.  A leaf: it imports nothing from ``fcre``.
+shares: ``_as_matrix``, the one check of float input, by which every
+module and both JSONL parsers take features, descriptions, weights and
+embeddings, and ``_as_labels`` and ``_relation_id``, the one check of
+integer ids and labels.  A leaf: it imports nothing from ``fcre``.
 """
 
 from __future__ import annotations
@@ -121,10 +122,14 @@ def _at_least(value, low, name: str, kind: type = int):
 
 
 def _relation_id(value, name: str) -> int:
-    """``checked(value, int, name)`` that also fits in an int64, as a relation id must."""
-    if not -(2**63) <= checked(value, int, name) < 2**63:
-        raise ValueError(f"{name} must fit in an int64, got {value}")
-    return int(value)
+    """``checked(value, int, name)`` that also fits in an int64, as an id or label must;
+    one wider than any 64-bit integer is shown by its digit count, as ``checked`` shows it."""
+    value = checked(value, int, name)
+    if not -(2**63) <= value < 2**63:
+        digits = len(str(abs(value)))
+        shown = value if digits <= 20 else f"an integer of {digits} digits"
+        raise ValueError(f"{name} must fit in an int64, got {shown}")
+    return value
 
 
 def _relation_items(mapping) -> list[tuple[int, object]]:
@@ -134,24 +139,26 @@ def _relation_items(mapping) -> list[tuple[int, object]]:
 
 
 def _as_labels(values, name: str) -> np.ndarray:
-    """``values`` as an int64 array; a float, bool or other array is an error naming ``name``.
+    """``values`` as an int64 array; else a ``ValueError`` naming ``name`` or the entry.
 
-    Integer arrays of any width are taken, so no label is silently
-    truncated; a label beyond the int64 range is an error, and so is a
-    bool in a list of integers, which NumPy would read as one.
+    The one check of integer input, ids and labels alike: an ndarray
+    must have an integer dtype, of any width, and an unsigned one's
+    maximum must pass ``_relation_id``; each entry of any other iterable
+    must pass ``_relation_id`` as ``name[i]``, so a bool, float, string or
+    out-of-range integer is named, not truncated or read as an integer.
     """
-    labels = np.asarray(values)
-    if not isinstance(values, np.ndarray):  # np.asarray([True, 2]) is int64, [0, 2**63] float64
-        for value in np.asarray(values, dtype=object).flat:
-            if type(value) is int and not -(2**63) <= value < 2**63:
-                raise ValueError(f"{name} must fit in an int64, got {value}")
-            if isinstance(value, (bool, np.bool_)) and labels.dtype.kind in "iu":
-                raise ValueError(f"{name} must hold integers, got {value!r}")
-    if labels.dtype.kind not in "iu":
-        raise ValueError(f"{name} must hold integers, got dtype {labels.dtype}")
-    if labels.dtype.kind == "u" and labels.size and labels.max() >= 2**63:
-        raise ValueError(f"{name} must fit in an int64, got {labels.max()}")
-    return labels.astype(np.int64, copy=False)
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iu":
+            raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
+        if values.dtype.kind == "u" and values.size:
+            _relation_id(values.max(), name)
+        return values.astype(np.int64, copy=False)
+    try:
+        entries = iter(values)
+    except TypeError:
+        kind = type(values).__name__
+        raise ValueError(f"{name} must be an iterable of integers, got {kind}") from None
+    return np.array([_relation_id(v, f"{name}[{i}]") for i, v in enumerate(entries)], np.int64)
 
 
 def _as_matrix(values, name: str, ndim: int = 2) -> np.ndarray:
@@ -204,13 +211,6 @@ def _uneven_row(values, name: str) -> str:
                     return f"{row} is {kinds[0]}, expected {kinds[1]}"
                 return f"{row} has {size} entries, expected {sizes[0]}"
         level = [(f"{row}[{i}]", v) for row, entries in level for i, v in enumerate(entries)]
-
-
-def _relation_ids(values, name: str) -> np.ndarray:
-    """Relation ids as an int64 array: an array checked by ``_as_labels``, others one by one."""
-    if isinstance(values, np.ndarray):
-        return _as_labels(values, name)
-    return np.array([_relation_id(v, "relation id") for v in values], dtype=np.int64)
 
 
 def _checked_fields(config, prefix: str = "") -> None:

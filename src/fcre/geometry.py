@@ -109,21 +109,17 @@ def _ranks(keys: np.ndarray) -> np.ndarray:
     into place with one fancy-indexed assignment.
     """
     n_rows, n_cols = keys.shape
-    # Two sorts, not one kind="stable" argsort, because that is slower on
-    # the blocks the pooled heads score.  It gives identical ranks, but on
-    # a 2-core VM with NumPy 2.4.6 (in process, best of 7x300 calls) took
-    # 336 us against 164 us on a (102, 80) block, one eval_wide scoring
-    # pass (51 queries x 2 channels x 80 relations), and 279 us against
-    # 180 us on a (204, 40) block, a default pass.  It was faster only on
-    # one-query blocks (7 us against 17 us at (2, 80)), which only the
-    # per-query heads score.
+    # Two sorts, not one kind="stable" argsort: that gives identical ranks
+    # but is slower on the blocks the pooled heads score, and faster only
+    # on one-query blocks, which only the per-query heads score (CHANGES.md,
+    # "A task stream is a plain tuple of tasks").
     order = np.argsort(keys, axis=1)
     ordered = np.sort(keys, axis=1)
     tied = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
-    # freed before the ranks are allocated: an eval_wide scoring pass then
-    # peaks at 401 rather than 464 KB traced, which keeps it under the heap
-    # trim threshold glibc sets from a seed's earlier transients; above it,
-    # each pass returned its memory and faulted it in again
+    # freed before the ranks are allocated, which keeps a scoring pass under
+    # the heap trim threshold glibc sets from a seed's earlier transients;
+    # above it, each pass returned its memory and faulted it in again
+    # (BENCH_hsmt_gram.json, traced_peak_kib and page_faults)
     del ordered
     if tied.size:
         order[tied] = np.argsort(keys[tied], axis=1, kind="stable")

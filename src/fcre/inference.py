@@ -292,12 +292,9 @@ class MetricsReport:
 # channels, sorted together, 64 KB.  The budget bounds scoring only: a
 # pool of n queries is encoded whole, so the encoder's transients take
 # n x (hidden + d) floats and grow with the pool.  Scoring each test pool
-# in one pass instead writes the same metrics.csv but raised the peak RSS
-# of an eval_wide seed (80 relations, 5,400 queries per head) from 40,732
-# to 41,044 KB (median of 10 alternating fresh-interpreter seeds on a
-# 2-core Xeon, higher in 10 of 10), about 0.8%, for no speed: 0.0685 s
-# against 0.0677 s of host-normalised seed time.  A 1,024-entry budget kept
-# the peak (40,698 KB) and made the seed 19% slower (0.0685 -> 0.0815 s).
+# in one pass writes the same metrics.csv but raised an eval_wide seed's
+# peak RSS for no speed, and a 1,024-entry budget made the seed slower
+# (CHANGES.md, "The loss layout is the one owner of each anchor's sets").
 EVAL_BLOCK_ENTRIES = 4_096
 
 

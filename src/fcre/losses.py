@@ -42,10 +42,8 @@ transients grow as B * max(B, C*K) floats: HSMT's (2, B, B) keys,
 mining's (C, K, B) cosines, MI's (B, C*K) scores.  HSMT forms the (B, d)
 differences of an anchor only when its Gram-form distances cannot
 order the anchor's best two candidates, which no anchor of seeds 0-9
-of the three perfbench workloads meets.
-A training step on a default run's last replay batch (60 rows over 40
-relations, d = 16, K = 7) peaks at 241 KiB traced; it peaked at 616
-KiB when HSMT formed every anchor's differences.
+of the three perfbench workloads meets (``BENCH_hsmt_gram.json`` has
+the traced peaks of both forms).
 A caller's ``Batch`` is validated when it is built; ``joint_loss``
 checks its size and W, builds its layout and calls ``_joint``, the
 kernel pass.  Training builds no ``Batch``: it reads the description
@@ -397,10 +395,11 @@ class _Kernel:
     It holds z, its row norms and unit rows, and the layout: the anchor
     rows with their masks and the description classes.  SCL and HSMT
     evaluate every anchor at once from (rows, B) cosine and squared-distance
-    matrices, and MI scores each anchor against the (C, K) class
-    descriptions.  The transients grow as rows * max(B, C * K) floats, and
-    mining's as C * K * B; HSMT's (B, d) differences are formed only for
-    the anchors ``_exact_star`` decides.
+    matrices, both taken from one Gram block z[rows] @ z.T, and MI scores
+    each anchor against the (C, K) class descriptions.  The transients
+    grow as rows * max(B, C * K) floats, and mining's as C * K * B;
+    HSMT's (B, d) differences are formed only for the anchors
+    ``_exact_star`` decides.
 
     Mining and HM work on one (K, B) cosine block per active class: a
     class whose anchors have a positive and a negative.  With
@@ -433,6 +432,7 @@ class _Kernel:
         self.safe_norms = norms if self.nonzero else np.where(norms == 0.0, 1.0, norms)
         self.z_hat = z / self.safe_norms[:, None]
         self.layout = layout
+        self.gram = z[layout.rows] @ z.T  # (rows, B), read by SCL and HSMT, written by neither
 
     def _require_nonzero(self, used: np.ndarray) -> None:
         bad = (used & (self.norms == 0.0)).nonzero()[0]
@@ -449,7 +449,7 @@ class _Kernel:
             return _Term(np.zeros(active.size), np.zeros(z.shape))
         if not self.nonzero:  # an active anchor takes its cosine with every row
             self._require_nonzero(np.ones(self.norms.size, dtype=bool))
-        cos = (z[rows] @ z.T) / (norms[rows, None] * norms[None, :])
+        cos = self.gram / (norms[rows, None] * norms[None, :])
         np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos)  # np.clip, in place
         s = cos / tau
         s.flat[lay.own_entry] = -np.inf  # u != x
@@ -501,8 +501,7 @@ class _Kernel:
         # (rows, B): |z_a|^2 + |z_b|^2 - 2 z_a.z_b, each within 2(d + 2)u(|z_a|^2 + |z_b|^2)
         # of the exact square, u = 2^-53 (Higham, Accuracy and Stability of
         # Numerical Algorithms, 3.1), plus a few subnormal steps where it underflows
-        gram = z_rows @ z.T
-        gram *= -2.0
+        gram = self.gram * -2.0
         gram += sq[rows, None]
         gram += sq
         # (2, rows, B) keys, +distance^2 to a positive and -distance^2 to a
@@ -824,6 +823,7 @@ def _joint(
     kernel = _Kernel(z, layout)
     sc = kernel.scl(hp.tau, values) if hp.beta_sc != 0.0 else None
     st = kernel.hsmt(values) if hp.beta_st != 0.0 else None
+    del kernel.gram  # SCL's and HSMT's block, freed before HM and MI
     hm = kernel.hm(hp.margin, values) if hp.beta_hm != 0.0 else None
     mi = kernel.mi(w_matrix, hp.tau, values) if hp.beta_mi != 0.0 else None
     if grad_w is None:

@@ -156,8 +156,10 @@ class TestTaskValidation:
     @pytest.mark.parametrize(
         "train_y, test_y, pattern",
         [
-            ([1.0, 2.0], [1, 2], r"^train_y must hold integers, got dtype float64$"),
-            ([0, 1], [False, True], r"^test_y must hold integers, got dtype bool$"),
+            (np.array([1.0, 2.0]), [1, 2], r"^train_y must hold integers, got dtype float64$"),
+            ([1.0, 2.0], [1, 2], r"^train_y\[0\] must be an integer, got 1\.0$"),
+            ([0, 1], np.array([False, True]), r"^test_y must hold integers, got dtype bool$"),
+            ([0, 1], [False, True], r"^test_y\[0\] must be an integer, got False$"),
             ([1, 2], np.array([1, 2], dtype=object), r"^test_y must hold integers, got dtype object$"),
         ],
     )
@@ -166,7 +168,8 @@ class TestTaskValidation:
         with pytest.raises(ValueError, match=pattern):
             Task(1, np.ones((2, 3)), train_y, np.ones((2, 3)), test_y)
 
-    @pytest.mark.parametrize("labels, shown", [([True, 2], "True"), ([3, np.False_], "np.False_")])
+    @pytest.mark.parametrize("labels, shown", [([True, 2], r"\[0\] must be an integer, got True"),
+                                               ([3, np.False_], r"\[1\] must be an integer, got False")])
     def test_a_bool_among_integer_labels_is_rejected(self, labels, shown):
         # [True, 2] was stored as labels [1, 2]; a memory append and a Batch read it alike
         x = np.ones((2, 3))
@@ -176,7 +179,7 @@ class TestTaskValidation:
             ("memory labels", lambda: MemoryBuffer(2).append(x[:, :2], labels)),
             ("labels", lambda: losses.Batch(z=np.eye(2), labels=labels, descriptions=np.ones((2, 1, 2)))),
         ):
-            with pytest.raises(ValueError, match=rf"^{name} must hold integers, got {shown}$"):
+            with pytest.raises(ValueError, match=rf"^{name}{shown}$"):
                 build()
 
     def test_integers_of_any_width_accepted(self):
@@ -194,15 +197,15 @@ class TestTaskValidation:
     @pytest.mark.parametrize(
         "train_y, shown",
         [
-            (np.array([0, 2**63], dtype=np.uint64), "9223372036854775808"),
-            ([2**63], "9223372036854775808"),  # NumPy makes this list uint64
-            ([0, 2**63], "9223372036854775808"),  # and this one float64
-            (np.array([2**64 - 1], dtype=np.uint64), "18446744073709551615"),
+            (np.array([0, 2**63], dtype=np.uint64), " must fit in an int64, got 9223372036854775808"),
+            ([2**63], r"\[0\] must fit in an int64, got 9223372036854775808"),  # NumPy makes this list uint64
+            ([0, 2**63], r"\[1\] must fit in an int64, got 9223372036854775808"),  # and this one float64
+            (np.array([2**64 - 1], dtype=np.uint64), " must fit in an int64, got 18446744073709551615"),
         ],
     )
     def test_labels_beyond_int64_rejected(self, train_y, shown):
         # np.array([0, 2**63], dtype=np.uint64) was once taken as labels 0 and -2**63
-        with pytest.raises(ValueError, match=rf"^train_y must fit in an int64, got {shown}$"):
+        with pytest.raises(ValueError, match=rf"^train_y{shown}$"):
             Task(1, np.ones((len(train_y), 3)), train_y, np.ones((1, 3)), [0])
 
     def test_the_largest_int64_label_accepted(self):
@@ -260,12 +263,19 @@ class TestMemoryBuffer:
         assert buf.total_samples == 2  # a rejected append stores nothing
 
     @pytest.mark.parametrize(
-        "labels, dtype", [([0.9], "float64"), ([True], "bool"), (np.array([7], dtype=object), "object")]
+        "labels, message",
+        [
+            (np.array([0.9]), " must hold integers, got dtype float64"),
+            ([0.9], r"\[0\] must be an integer, got 0\.9"),
+            (np.array([True]), " must hold integers, got dtype bool"),
+            ([True], r"\[0\] must be an integer, got True"),
+            (np.array([7], dtype=object), " must hold integers, got dtype object"),
+        ],
     )
-    def test_non_integer_labels_rejected(self, labels, dtype):
+    def test_non_integer_labels_rejected(self, labels, message):
         # [0.9] was once stored as label 0
         buf = MemoryBuffer(2)
-        with pytest.raises(ValueError, match=rf"^memory labels must hold integers, got dtype {dtype}$"):
+        with pytest.raises(ValueError, match=rf"^memory labels{message}$"):
             buf.append(np.ones((1, 2)), labels)
         assert buf.total_samples == 0
 
@@ -522,8 +532,8 @@ class TestBuildPrototypes:
     @pytest.mark.parametrize(
         "relations, message",
         [
-            ([2.5, 3.9], r"^relation id must be an integer, got 2\.5$"),  # was stored as [2, 3]
-            ([True, 2], r"^relation id must be an integer, got True$"),  # was stored as [1, 2]
+            ([2.5, 3.9], r"^prototype relations\[0\] must be an integer, got 2\.5$"),  # was stored as [2, 3]
+            ([True, 2], r"^prototype relations\[0\] must be an integer, got True$"),  # was stored as [1, 2]
             (  # was stored as -9223372036854775803
                 np.array([2**63 + 5], dtype=np.uint64),
                 r"^prototype relations must fit in an int64, got 9223372036854775813$",
@@ -895,7 +905,7 @@ class TestCheckpoint:
             (lambda ck: ck["memory"]["labels"].pop(), "memory.data: payload holds 12 floats, expected 6"),
             (
                 lambda ck: ck["memory"].update(labels=[0, 2**63]),
-                "memory labels must fit in an int64, got 9223372036854775808",
+                "memory labels[1] must fit in an int64, got 9223372036854775808",
             ),
         ],
     )

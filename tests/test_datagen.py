@@ -361,9 +361,9 @@ class TestDatasetJsonl:
         "line, message",
         [
             ('{"task": 0, "relation": 1, "split": "train", "features": [1.0, 0.0]}',
-             "task must be an integer >= 1, got 0"),
+             "task must be >= 1, got 0"),
             ('{"task": 1, "relation": -1, "split": "train", "features": [1.0, 0.0]}',
-             "relation must be an integer >= 0, got -1"),
+             "relation must be >= 0, got -1"),
             ('{"task": 1, "relation": 0, "split": "dev", "features": [1.0, 0.0]}',
              "split must be 'train' or 'test', got 'dev'"),
             ('{"task": 1, "relation": 0, "split": "test", "features": "x"}',
@@ -390,6 +390,10 @@ class TestDatasetJsonl:
              "task must be an integer, got '1'"),
             ('{"task": 1, "relation": 9223372036854775808, "split": "test", "features": [1.0]}',
              "relation must fit in an int64, got 9223372036854775808"),
+            ('{"task": 1, "relation": 1' + "0" * 400 + ', "split": "test", "features": [1.0]}',
+             "relation must fit in an int64, got an integer of 401 digits"),
+            ('{"task": 1, "relation": -1' + "0" * 400 + ', "split": "test", "features": [1.0]}',
+             "relation must fit in an int64, got an integer of 401 digits"),
         ],
     )
     def test_each_rule_names_its_line_with_the_exact_message(self, tmp_path, line, message):

@@ -142,17 +142,21 @@ class TestDescriptionSet:
     @pytest.mark.parametrize(
         "lookup, rel, message",
         [
-            ("vectors", 2.9, "must be an integer, got 2.9"),  # was relation 2's block
-            ("mean", "5", "must be an integer, got '5'"),
-            ("rows", [2.5], "must be an integer, got 2.5"),  # was row 0
-            ("rows", ["5"], "must be an integer, got '5'"),  # was row 1
-            ("rows", [True], "must be an integer, got True"),
-            ("rows", [2**63], f"must fit in an int64, got {2**63}"),  # was OverflowError
+            ("vectors", 2.9, "relation id must be an integer, got 2.9"),  # was relation 2's block
+            ("mean", "5", "relation id must be an integer, got '5'"),
+            ("vectors", 10**400, "relation id must fit in an int64, got an integer of 401 digits"),
+            ("rows", [2.5], "relation ids[0] must be an integer, got 2.5"),  # was row 0
+            ("rows", [2, "5"], "relation ids[1] must be an integer, got '5'"),  # was row 1
+            ("rows", [True], "relation ids[0] must be an integer, got True"),
+            ("rows", [2**63], f"relation ids[0] must fit in an int64, got {2**63}"),  # was OverflowError
+            ("rows", iter([5, 2**64 - 1]), f"relation ids[1] must fit in an int64, got {2**64 - 1}"),
+            ("rows", 5, "relation ids must be an iterable of integers, got int"),  # was TypeError
+            ("subset", 3, "relation ids must be an iterable of integers, got int"),  # was TypeError
         ],
     )
     def test_a_lookup_of_an_id_that_is_not_an_int64_integer_names_it(self, lookup, rel, message):
         ds = DescriptionSet({2: np.ones((1, 2)), 5: np.ones((1, 2))})
-        with pytest.raises(ValueError, match=rf"^relation id {re.escape(message)}$"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             getattr(ds, lookup)(rel)
 
     def test_ragged_k_rejected(self):
@@ -439,6 +443,8 @@ class TestDescriptionsJsonl:
         "line, message",
         [
             ('{"relation": "1", "vectors": [[1.0, 0.0]]}', "relation must be an integer, got '1'"),
+            ('{"relation": 1' + "0" * 400 + ', "vectors": [[1.0, 0.0]]}',
+             "relation must fit in an int64, got an integer of 401 digits"),
             ('{"relation": 0, "vectors": [[1.0, 0.0], [0.0, 1.0]]}', "duplicate relation 0"),
             ('{"relation": 1, "vectors": []}',
              "relation 1: vectors must be a non-empty 2-D array, got shape (0,)"),

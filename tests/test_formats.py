@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from fcre.continual import Task
 from fcre.datagen import DatasetFormatError, ingest_dataset, write_dataset
 from fcre.descriptions import DescriptionFormatError, DescriptionSet, ingest_descriptions
-from fcre.formats import _as_matrix, _at_least, _floats_from_b64, _floats_to_b64, checked
+from fcre.formats import _as_labels, _as_matrix, _at_least, _floats_from_b64, _floats_to_b64, checked
 
 FEW = settings(max_examples=25)
 CORRUPTIONS = ("not JSON", "missing key", "true entry", "numeric string", "NaN", "wrong length")
@@ -201,6 +201,40 @@ class TestChecks:
             assert arr.dtype == np.float64
             assert arr.tobytes() == np.array(expected, dtype=np.float64).tobytes()
             assert arr.shape == np.shape(expected)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_as_labels_takes_int64_entries_of_any_iterable_and_names_the_first_other(self, data):
+        wrap = data.draw(st.sampled_from([list, tuple, iter]))
+        ints = data.draw(st.lists(INT64, max_size=8))
+        labels = _as_labels(wrap(ints), "x")
+        assert labels.dtype == np.int64
+        assert labels.tobytes() == np.array(ints, np.int64).tobytes()
+        assert labels.tobytes() == _as_labels(np.array(ints, np.int64), "x").tobytes()
+        bad = data.draw(NOT_INT64)
+        at = data.draw(st.integers(0, len(ints)))
+        rest = data.draw(st.lists(st.one_of(INT64, NOT_INT64), max_size=3))
+        if type(bad) is int:
+            digits = len(str(abs(bad)))
+            shown = bad if digits <= 20 else f"an integer of {digits} digits"
+            message = f"must fit in an int64, got {shown}"
+        else:
+            message = f"must be an integer, got {bad!r}"
+        with pytest.raises(ValueError) as err:
+            _as_labels(wrap(ints[:at] + [bad] + ints[at:] + rest), "x")
+        assert str(err.value) == f"x[{at}] {message}"
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+NOT_INT64 = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=3),
+    st.none(),
+    st.integers(2**63, 2**70),
+    st.integers(-(2**70), -(2**63) - 1),
+    st.integers(10**20, 10**30),
+)
 
 
 JSON_SCALARS = st.one_of(

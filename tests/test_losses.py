@@ -133,9 +133,17 @@ class TestBatch:
         with pytest.raises(ValueError, match="labels"):
             Batch(z=np.eye(3), labels=np.array([0, 1]), descriptions=np.ones((3, 1, 3)))
 
-    @pytest.mark.parametrize("labels, dtype", [([0.0, 1.5, 1.0], "float64"), ([False, True, True], "bool")])
-    def test_non_integer_labels_rejected(self, labels, dtype):
-        with pytest.raises(ValueError, match=rf"^labels must hold integers, got dtype {dtype}$"):
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (np.array([0.0, 1.5, 1.0]), " must hold integers, got dtype float64"),
+            ([0.0, 1.5, 1.0], r"\[0\] must be an integer, got 0\.0"),
+            (np.array([False, True, True]), " must hold integers, got dtype bool"),
+            ([False, True, True], r"\[0\] must be an integer, got False"),
+        ],
+    )
+    def test_non_integer_labels_rejected(self, labels, message):
+        with pytest.raises(ValueError, match=rf"^labels{message}$"):
             Batch(z=np.eye(3), labels=labels, descriptions=np.ones((3, 1, 3)))
 
     def test_labels_beyond_int64_rejected(self):

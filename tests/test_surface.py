@@ -238,13 +238,19 @@ def key_calls(source: str) -> list[str]:
     return calls
 
 
+def holds(node, *phrases: str) -> bool:
+    """Whether ``node`` is an f-string whose literal text holds one of ``phrases``."""
+    return isinstance(node, ast.JoinedStr) and any(
+        isinstance(part, ast.Constant) and phrase in part.value for part in node.values for phrase in phrases
+    )
+
+
 def bound_messages(source: str) -> list[str]:
-    """Each f-string holding ``must be >= ``, as source text."""
+    """Each f-string holding ``must be >= `` or ``must be an integer >= ``, as source text."""
     return [
         ast.unparse(node)
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.JoinedStr)
-        and any(isinstance(part, ast.Constant) and "must be >= " in part.value for part in node.values)
+        if holds(node, "must be >= ", "must be an integer >= ")
     ]
 
 
@@ -257,6 +263,30 @@ def test_formats_at_least_owns_the_bounded_count_rule():
     assert {stem: messages for stem, messages in found.items() if messages} == {
         "cli": ["f'seeds must be >= 0, got {min(self.seeds)}'"],
         "formats": ["f'{name} must be >= {low}, got {value}'"],
+    }
+
+
+def test_formats_relation_id_owns_the_int64_rule():
+    """Each "<name> must fit in an int64" comes from ``formats._relation_id``.
+
+    A single id goes to it directly; an array, sequence or iterator of
+    ids or labels goes through ``formats._as_labels``, which sends it
+    each entry, or an unsigned array's maximum.
+    """
+    messages, callers = {}, {}
+    for path in MODULES:
+        for node, where in scoped_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            if holds(node, "must fit in an int64"):
+                messages.setdefault(path.stem, []).append(where)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_relation_id":
+                callers.setdefault(path.stem, []).append(where)
+    assert messages == {"formats": ["_relation_id"]}
+    assert callers == {
+        "datagen": ["ingest_dataset"],
+        "descriptions": ["DescriptionSet.vectors", "DescriptionSet.mean", "ingest_descriptions"],
+        "formats": ["_relation_items", "_as_labels", "_as_labels"],  # a mapping's keys; the array rule
+        "geometry": ["_checked_scores"],
+        "inference": ["dri_score"],
     }
 
 
