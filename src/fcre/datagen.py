@@ -180,7 +180,7 @@ def ingest_dataset(path) -> tuple[Task, ...]:
         try:
             checked(obj, _SCHEMA, "")
             task, rel, split = obj["task"], obj["relation"], obj["split"]
-            _at_least(task, 1, "task")
+            _at_least(_relation_id(task, "task"), 1, "task")
             _at_least(_relation_id(rel, "relation"), 0, "relation")
             if split not in ("train", "test"):
                 raise ValueError(f"split must be 'train' or 'test', got {split!r}")

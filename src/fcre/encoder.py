@@ -31,7 +31,6 @@ from typing import NamedTuple
 import numpy as np
 
 from fcre.formats import _as_matrix, _at_least
-from fcre.geometry import as_embedding
 
 _BILINEAR_NOISE = 0.01  # scale of the Gaussian noise added to W's identity start
 _ADAM_BETA1 = 0.9  # Adam's first-moment decay
@@ -186,7 +185,7 @@ def encode_batch(params: EncoderParams, features) -> np.ndarray:
 
 def encode(params: EncoderParams, features) -> np.ndarray:
     """Embed one feature vector; output entries lie in (-1, 1)."""
-    x = as_embedding(features, name="features")
+    x = _as_matrix(features, "features", 1)
     return encode_batch(params, x[None, :])[0]
 
 
@@ -196,8 +195,8 @@ def encode_backward(params: EncoderParams, features, grad_out) -> np.ndarray:
     Returns d(loss)/d(params) packed in the same [W1, b1, W2, b2] order
     as ``EncoderParams.to_vector``.
     """
-    x = _feature_rows(params, as_embedding(features, name="features")[None, :])
-    grad_out = as_embedding(grad_out, name="grad_out")
+    x = _feature_rows(params, _as_matrix(features, "features", 1)[None, :])
+    grad_out = _as_matrix(grad_out, "grad_out", 1)
     if grad_out.shape != (params.embed_dim,):
         raise ValueError(
             f"grad_out must have shape ({params.embed_dim},), got {grad_out.shape}"
@@ -240,6 +239,7 @@ def init_adam(n_params: int) -> AdamState:
     return AdamState(step_count=0, m=np.zeros(n_params), v=np.zeros(n_params))
 
 
+# training updates through ``_adam``; this stays while perfbench's tracer wraps the name
 def step(
     opt: AdamState, params: np.ndarray, grads: np.ndarray, learning_rate: float
 ) -> tuple[np.ndarray, AdamState]:

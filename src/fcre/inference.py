@@ -38,8 +38,8 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from fcre.encoder import _embed
-from fcre.formats import _relation_id, _relation_items
-from fcre.geometry import _checked_scores, _pair, _ranks, as_embedding
+from fcre.formats import _as_matrix, _relation_id, _relation_items
+from fcre.geometry import _checked_scores, _pair, _ranks
 # perfbench's tracer test reads ``inference.euclidean``; no code here calls it
 from fcre.geometry import euclidean  # noqa: F401
 from fcre.losses import HyperParams, _check_fusion_weights
@@ -101,7 +101,7 @@ def _keys(z, prototypes, proto_sq_norms, means) -> tuple[np.ndarray, np.ndarray 
 
 def _query_keys(z, prototypes, descriptions: "DescriptionSet | None" = None) -> tuple:
     """One query's ascending relation ids and its (1, R) ``_keys``; inputs checked by ``_pair``."""
-    z = as_embedding(z, name="embedding")
+    z = _as_matrix(z, "embedding", 1)
     if len(prototypes) == 0:
         raise ValueError("prototype store is empty")
     items = _relation_items(prototypes)

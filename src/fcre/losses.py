@@ -118,8 +118,8 @@ class HyperParams:
         _check_fusion_weights(self.alpha, self.epsilon)
         _at_least(self.k_desc, 1, "k_desc")
         _at_least(self.memory_size, 1, "memory_size")
-        if self.epochs_current < 0 or self.epochs_memory < 0:
-            raise ValueError("epoch counts must be >= 0")
+        _at_least(self.epochs_current, 0, "epochs_current")
+        _at_least(self.epochs_memory, 0, "epochs_memory")
         if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 

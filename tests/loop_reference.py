@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from fcre.encoder import step
+from fcre.encoder import AdamState
 from fcre.geometry import cosine, euclidean, unit_normalize
 from fcre.losses import Batch, joint_loss
 
@@ -242,18 +242,19 @@ def train(state, train_x, train_y, hp, epochs):
 
     Each step embeds the batch, builds a validated ``Batch`` from the
     samples' own description blocks, and concatenates the encoder and W
-    gradients into a new vector for the pure ``encoder.step``.
+    gradients into a new vector for ``adam_step``.
     """
     blocks = np.stack([state.descriptions.vectors(int(r)) for r in train_y])
     encoder, w, opt = state.encoder, state.bilinear.matrix, state.optimizer
     n_enc = encoder.n_params
     vec = np.concatenate([encoder.to_vector(), w.ravel()])
+    m, v, t = opt.m, opt.v, opt.step_count
     for _ in range(epochs):
         for idx in epoch_batches(train_x.shape[0], state.rng):
             acts = forward(encoder, train_x[idx])
             result = joint_loss(Batch(acts[2], train_y[idx], blocks[idx]), hp, w)
             grads = np.concatenate([backward(encoder, acts, result.grad_z), result.grad_w.ravel()])
-            vec, opt = step(opt, vec, grads, hp.learning_rate)
+            vec, m, v, t = adam_step(m, v, t, hp.learning_rate, vec, grads)
             encoder = encoder.with_vector(vec[:n_enc])
             w = vec[n_enc:].reshape(w.shape)
-    return encoder, w, opt
+    return encoder, w, AdamState(t, m, v)

@@ -394,6 +394,8 @@ class TestDatasetJsonl:
              "relation must fit in an int64, got an integer of 401 digits"),
             ('{"task": 1, "relation": -1' + "0" * 400 + ', "split": "test", "features": [1.0]}',
              "relation must fit in an int64, got an integer of 401 digits"),
+            ('{"task": 1' + "0" * 400 + ', "relation": 1, "split": "test", "features": [1.0]}',
+             "task must fit in an int64, got an integer of 401 digits"),
         ],
     )
     def test_each_rule_names_its_line_with_the_exact_message(self, tmp_path, line, message):

@@ -199,8 +199,9 @@ class TestHyperParams:
             ({"epsilon": 0.0}, "epsilon"),
             ({"k_desc": 0}, "k_desc"),
             ({"memory_size": 0}, "memory_size"),
-            ({"epochs_current": -1}, "epoch"),
-            ({"learning_rate": 0.0}, "learning_rate"),
+            ({"epochs_current": -1}, r"^epochs_current must be >= 0, got -1$"),
+            ({"epochs_memory": -1}, r"^epochs_memory must be >= 0, got -1$"),
+            ({"learning_rate": 0.0}, r"^learning_rate must be positive, got 0\.0$"),
             ({"epochs_current": 2.5}, r"^epochs_current must be an integer, got 2\.5$"),
             ({"memory_size": 2.5}, r"^memory_size must be an integer, got 2\.5$"),
             ({"k_desc": True}, r"^k_desc must be an integer, got True$"),

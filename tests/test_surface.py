@@ -245,13 +245,25 @@ def holds(node, *phrases: str) -> bool:
     )
 
 
+BOUND_PHRASES = ("must be >= ", "must be an integer >= ")
+
+
 def bound_messages(source: str) -> list[str]:
-    """Each f-string holding ``must be >= `` or ``must be an integer >= ``, as source text."""
-    return [
-        ast.unparse(node)
-        for node in ast.walk(ast.parse(source))
-        if holds(node, "must be >= ", "must be an integer >= ")
-    ]
+    """Each f-string, and each plain string passed to a raised error, holding one of
+    ``BOUND_PHRASES``, as source text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if holds(node, *BOUND_PHRASES):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            found += [
+                ast.unparse(arg)
+                for arg in node.exc.args
+                if isinstance(arg, ast.Constant)
+                and isinstance(arg.value, str)
+                and any(phrase in arg.value for phrase in BOUND_PHRASES)
+            ]
+    return found
 
 
 def test_formats_at_least_owns_the_bounded_count_rule():
@@ -282,7 +294,7 @@ def test_formats_relation_id_owns_the_int64_rule():
                 callers.setdefault(path.stem, []).append(where)
     assert messages == {"formats": ["_relation_id"]}
     assert callers == {
-        "datagen": ["ingest_dataset"],
+        "datagen": ["ingest_dataset", "ingest_dataset"],  # a relation id, a task index
         "descriptions": ["DescriptionSet.vectors", "DescriptionSet.mean", "ingest_descriptions"],
         "formats": ["_relation_items", "_as_labels", "_as_labels"],  # a mapping's keys; the array rule
         "geometry": ["_checked_scores"],
