@@ -7,55 +7,26 @@ memory-rehearsal recipe:
 2. train on the task's own data for ``epochs_current`` epochs,
 3. select ``memory_size`` representatives per new relation (the samples
    whose embeddings are closest to their relation's embedding centroid;
-   ties go to the lower sample index) from one encoding of the task's
-   training pool, for all the task's relations at once: group means,
-   per-row distances and one stable sort, with the bits and the picks
-   of a per-relation loop; then append them to the memory,
+   ties go to the lower sample index) and append them to the memory,
 4. train again on the union of all *previous* tasks' memory and the
    current task data for ``epochs_memory`` epochs,
-5. build the prototypes from memory with the final encoder, as group
-   means over one encoding of the memory (each with the bits of its
-   relation's own ``mean(axis=0)``, also when one append interleaves
-   relations), and log ``evaluate``'s cumulative row per prediction head.
+5. build the prototypes from memory with the final encoder, and log
+   ``evaluate``'s cumulative row per prediction head.
 
-Prototypes are a pure function of (memory, encoder): ``ContinualState``
-does not hold them, and ``run_task`` builds them where it evaluates.  Memory
-is one (n, f) feature matrix with an (n,) relation-id vector, in
+Memory is one (n, f) feature matrix with an (n,) relation-id vector, in
 insertion order, and is append-only: once a relation's representatives
-are chosen they are never replaced.  The prototypes are one (R, d)
-matrix over ascending relation ids, which ``evaluate`` reads as it is.
-This module owns the checkpoint schema, its encoder block included.  A
-checkpoint holds the state's arrays as they are held: ``task_index``,
-the encoder's three sizes and ``data``, the bilinear matrix's
-``data``, and ``memory.labels`` with the memory rows' ``data``, both in
-insertion order.
+are chosen they are never replaced.  Prototypes are a pure function of
+(memory, encoder), one (R, d) matrix over ascending relation ids:
+``ContinualState`` does not hold them, and ``run_task`` builds them where
+it evaluates.  This module owns the checkpoint schema, ``_CHECKPOINT``.
 
 A task's features, W and descriptions are checked once, where they enter
 (``Task``, ``run_task``, ``DescriptionSet``), by ``formats._as_matrix``,
-the one check of a float input array: ``Task`` and the memory check
-their feature rows with it, and ``select_memory`` and
-``build_prototypes`` their samples and what their ``encode_fn`` returns.
-So ``run_task``'s memory selection and prototypes, and ``evaluate``,
-embed checked rows with ``encoder._embed``, and a training phase (steps
-2 and 4) checks nothing again: it reads the registry's (R, K, d)
-description table in place, finds each sample's row in it with one
-``DescriptionSet.rows`` call, and stacks the table with its unit
-descriptions and norms once (``losses._stacked``).  Batches are formed per
-epoch: one full batch when the pool fits in 64 samples, otherwise
-shuffled minibatches of 32 (a would-be trailing singleton is merged into
-the previous batch, since the contrastive losses need company).  A full
-batch is the same rows every epoch, so its layout is built once, before
-the first epoch; a minibatch's is built at its step, by
-``losses._Layout.of_rows`` from the table rows of its samples.  Each
-step runs one ``encoder._embed``, one ``losses._joint`` kernel pass over
-z and the layout that computes the gradients and no loss value, with
-W's gradient written into its view of the flat gradient buffer, one
-``encoder._backward`` into the encoder's views of that buffer and one
-Adam update in place on the flat parameter vector; the stacked table
-and the buffers are dropped when the phase ends.  A
-non-finite gradient stops the run with an error naming the task, the
-phase, the epoch and the first loss term whose own gradient is
-non-finite.
+the one check of a float input array; the memory checks its rows with
+it, and ``select_memory`` and ``build_prototypes`` what their
+``encode_fn`` returns.  Past that boundary nothing is checked again:
+``run_task`` and ``evaluate`` embed checked rows with ``encoder._embed``,
+and training reads the registry's description table in place.
 """
 
 from __future__ import annotations
@@ -84,7 +55,7 @@ from fcre.formats import _as_labels, _floats_from_b64, _floats_to_b64
 from fcre.formats import _as_matrix, _at_least, _relation_items, checked, read_json, write_atomic
 from fcre.geometry import row_dots
 from fcre.inference import HEADS, MetricsReport, check_heads, evaluate
-from fcre.losses import HyperParams, _as_bilinear, _joint, _Layout, _stacked
+from fcre.losses import HyperParams, _as_bilinear, _joint, _Layout
 # training calls ``_joint``; ``joint_loss`` stays bound here for code that
 # wraps ``continual.joint_loss``, as perfbench's tracer does
 from fcre.losses import joint_loss  # noqa: F401
@@ -158,8 +129,8 @@ class MemoryBuffer:
                 f"memory features have dimension {features.shape[1]}, "
                 f"expected {self.features.shape[1]}"
             )
-        # Python sets, not np.intersect1d/np.unique: those import numpy.ma,
-        # which adds about 1 MB to a run's peak memory
+        # Python sets, not np.intersect1d/np.unique: those import numpy.ma, which
+        # raises a run's peak memory (CHANGES.md, "Shrink `src/` to what the pipeline uses")
         stored = set(labels.tolist()) & set(self.labels.tolist())
         if stored:
             raise ProtocolError(
@@ -333,12 +304,14 @@ def build_prototypes(
 
 
 def _epoch_batches(n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """One epoch's batches of n rows: all of them in order when they fit in ``_FULL_BATCH_MAX``,
+    else shuffled minibatches of ``_MINIBATCH_SIZE``, a trailing singleton folded into the
+    batch before it, since the contrastive terms need a pair."""
     if n <= _FULL_BATCH_MAX:
         return [np.arange(n)]
     perm = rng.permutation(n)
     batches = [perm[i : i + _MINIBATCH_SIZE] for i in range(0, n, _MINIBATCH_SIZE)]
     if len(batches) > 1 and batches[-1].size == 1:
-        # Contrastive terms need at least a pair; fold the straggler in.
         batches[-2] = np.concatenate([batches[-2], batches[-1]])
         batches.pop()
     return batches
@@ -356,19 +329,12 @@ def _train(
 ) -> None:
     """Train on one pool of checked rows for ``epochs`` epochs.
 
-    It reads ``state.descriptions.table`` in place, each sample's row
-    from one ``DescriptionSet.rows`` call, and stacks the table with its
-    unit descriptions and norms once.  Each step passes the batch's
-    embeddings and its ``_Layout.of_rows`` layout to ``losses._joint``,
-    with no ``Batch`` in between, and asks for the gradients alone: the
-    update reads no loss value.  A pool of at most ``_FULL_BATCH_MAX``
-    rows trains as ``np.arange(n)`` every epoch, so its layout is built
-    once, before the first epoch.
-
-    The encoder's four weight arrays and W are views into one flat
-    parameter vector, and ``_backward`` and ``_joint`` (W's gradient)
-    write into the matching views of one flat gradient buffer; Adam
-    updates the vector and its moments in place.  So a step allocates no
+    Each step passes the batch's embeddings and its ``_Layout.of_rows``
+    layout over ``state.descriptions.table`` to ``losses._joint`` for the
+    gradients alone, then takes one Adam step; a pool that trains as one
+    full batch builds its layout once.  The encoder's weights and W are
+    views into one flat parameter vector, and the gradients are written
+    into the matching views of one flat buffer, so a step allocates no
     parameter or optimizer arrays.  ``state.optimizer`` gets copies of
     the moments before the first step, and ``state.encoder`` and
     ``state.bilinear`` copies of the weights after the last: objects
@@ -385,9 +351,9 @@ def _train(
         logger.warning("training pool has a single sample; nothing to contrast, skipping")
         return
     start, n_enc = state.encoder, state.encoder.n_params
-    stack = _stacked(state.descriptions.table)
+    table = state.descriptions.table
     row_of = state.descriptions.rows(train_y)
-    whole = _Layout.of_rows(row_of, stack) if n <= _FULL_BATCH_MAX else None
+    whole = _Layout.of_rows(row_of, table) if n <= _FULL_BATCH_MAX else None
     vec = np.concatenate([start.to_vector(), state.bilinear.matrix.ravel()])
     grads = np.empty_like(vec)
     encoder, grad_encoder = start._views(vec[:n_enc]), start._views(grads[:n_enc])
@@ -402,7 +368,7 @@ def _train(
     for epoch in range(1, epochs + 1):
         for idx in _epoch_batches(n, state.rng):
             acts = _embed(encoder, train_x[idx])
-            layout = _Layout.of_rows(row_of[idx], stack) if whole is None else whole
+            layout = _Layout.of_rows(row_of[idx], table) if whole is None else whole
             result = _joint(acts.z, layout, hp, w, grad_w, values=False)
             _backward(encoder, acts, result.grad_z, grad_encoder)
             try:

@@ -79,8 +79,9 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The stacked (1, d) @ (d, 1) product runs NumPy's vector dot on each
     row, so every entry has the bits of ``np.dot`` on that row (at d = 1
     a zero may differ in sign, which no comparison sees).  A reduction
-    such as ``einsum("nd,nd->n", a, b)`` sums in another order and gave
-    other bits on about 40% of random rows.
+    such as ``einsum("nd,nd->n", a, b)`` sums in another order and gives
+    other bits on many rows (CHANGES.md, "Array code for the per-relation
+    and per-row loops").
     """
     return np.matmul(a[:, None, :], b[..., :, None])[:, 0, 0]
 

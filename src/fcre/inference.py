@@ -288,13 +288,14 @@ class MetricsReport:
 
 
 # (queries x relations) entries per scoring pass of ``evaluate``: each
-# (queries, R) transient then takes at most 32 KB, and the DRI rank
-# channels, sorted together, 64 KB.  The budget bounds scoring only: a
-# pool of n queries is encoded whole, so the encoder's transients take
-# n x (hidden + d) floats and grow with the pool.  Scoring each test pool
-# in one pass writes the same metrics.csv but raised an eval_wide seed's
-# peak RSS for no speed, and a 1,024-entry budget made the seed slower
-# (CHANGES.md, "The loss layout is the one owner of each anchor's sets").
+# (queries, R) transient then holds at most 4,096 float64 entries, and
+# the DRI rank channels, sorted together, 8,192.  The budget bounds
+# scoring only: a pool of n queries is encoded whole, so the encoder's
+# transients take n x (hidden + d) floats and grow with the pool.
+# Scoring each test pool in one pass writes the same metrics.csv but
+# raised an eval_wide seed's peak RSS for no speed, and a 1,024-entry
+# budget made the seed slower (CHANGES.md, "The loss layout is the one
+# owner of each anchor's sets").
 EVAL_BLOCK_ENTRIES = 4_096
 
 

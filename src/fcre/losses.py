@@ -19,54 +19,17 @@ sample's relation.  Four objectives are defined per anchor sample x:
   z^T W d of the sample's own K descriptions against the descriptions
   of the batch negatives, computed in log-space.
 
-All four are computed by one kernel that evaluates a set of anchor
-rows at once with masked array operations, from z and a ``_Layout``
-that holds everything the terms read from the labels: the anchors'
-positive and negative masks are shared by the four terms.  SCL reads a
-(rows, B) cosine matrix and HSMT (rows, B) squared distances in Gram
-form, checked against their error bound.  The description
-side of HM and MI depends on an anchor only through its label and its
-description block, so it is done once per *description class*: within
-one label, samples share a class when each carries the (K, d) block of
-the label's first sample; when some label's samples differ, every
-sample is its own class.  Mining and HM then read a (C, K, B) block of
-description cosines, one row per active class, and turn each class's
-hard sets into per-sample counts of the anchors they apply to (see
-``_Kernel``); MI scores each anchor against the (C, K) class
-descriptions, weighting each class by the anchor's negatives in it plus
-one for its own class.  The per-anchor functions above run the same
-kernel over a one-row layout, with classes of one anchor.
-
-``joint_loss`` takes every row of a batch as an anchor, so its
-transients grow as B * max(B, C*K) floats: HSMT's (2, B, B) keys,
-mining's (C, K, B) cosines, MI's (B, C*K) scores.  HSMT forms the (B, d)
-differences of an anchor only when its Gram-form distances cannot
-order the anchor's best two candidates, which no anchor of seeds 0-9
-of the three perfbench workloads meets (``BENCH_hsmt_gram.json`` has
-the traced peaks of both forms).
-A caller's ``Batch`` is validated when it is built; ``joint_loss``
-checks its size and W, builds its layout and calls ``_joint``, the
-kernel pass.  Training builds no ``Batch``: it reads the description
-registry's (R, K, d) table, and W, as they were checked where they
-entered (the description set, ``run_task``).  It stacks the table once
-per pool with its unit descriptions and norms (``_stacked``), so
-``_Layout.of_rows`` builds each batch's layout from the stacked rows of
-its samples (a table row is one relation's block), and the trainer
-hands z and that layout to ``_joint``, which does only the work that
-depends on z.
+``joint_loss`` averages the beta-weighted sum of the four over every
+sample of the batch as an anchor.  Each runs the one kernel,
+``_Kernel``, over a ``_Layout`` of its anchors; training calls
+``_joint`` on a layout of its own.
 
 Every public loss returns its value together with d(value)/d(z) for
-the whole batch (and d(value)/dW where W participates).  A training
-step asks ``_joint`` for the gradients alone: no term then computes
-its value (SCL's log-normaliser and positive sum, HSMT's and MI's logs,
-HM's reduction, the weighted total), which changes no gradient bit, and
-W's gradient is written into the trainer's flat gradient buffer.
-Description vectors are constants: no gradient ever flows into them.
-Degenerate inputs (no positive partner, no negatives, empty mined sets)
-contribute zero with an explicit flag rather than raising, so a trainer
-can skip them while still counting how often they occur.
-``joint_loss`` averages the beta-weighted sum of the four terms over
-the batch.
+the whole batch (and d(value)/dW where W participates).  Description
+vectors are constants: no gradient ever flows into them.  Degenerate
+inputs (no positive partner, no negatives, empty mined sets) contribute
+zero with an explicit flag rather than raising, so a trainer can skip
+them while still counting how often they occur.
 """
 
 from __future__ import annotations
@@ -251,35 +214,23 @@ class _Layout:
     It is built for a fixed set of anchor rows, ``rows``: every row for
     ``joint_loss`` and training, one row for the per-anchor functions.
     Within one label, samples share a class when each carries the (K, d)
-    block of the label's first sample; ``of_batch`` checks this on a
-    plain ``Batch`` by comparing its blocks, and when some label's
-    samples differ every sample is its own class.  ``of_rows`` builds a
-    training batch's layout from its samples' rows in a description
-    table, one relation per row, so it needs no comparison.
-    ``class_desc`` holds each class's (K, d) block.  Nothing here
-    depends on z, and nothing refers to a batch or a kernel: besides the
-    masks, the layout holds whether each term has an anchor to evaluate
-    (``any_pos``, ``any_paired``, ``any_neg``), the degenerate-anchor
-    counts, the counts the gradients multiply by as float64, each
-    anchor's own entry as a flat index, and the mined classes'
-    description blocks, norms and unit descriptions.  So a pool that
-    trains as one full batch has its layout built once for every epoch.
+    block of the label's first sample; when some label's samples differ,
+    every sample is its own class.  Nothing here depends on z, so a pool
+    that trains as one full batch builds its layout once for every epoch.
     """
 
     def __init__(
         self, same: np.ndarray, first: np.ndarray, lead: np.ndarray | None, rows: slice,
-        stack: np.ndarray, table_row: np.ndarray,
+        blocks: np.ndarray, table_row: np.ndarray,
     ) -> None:
         """Classes from ``lead``, each sample's class leader, over the anchors ``rows``.
 
         ``same`` is the (B, B) same-label mask and ``first`` each
         sample's first same-label sample; ``lead`` is None when each
         label is one class, led by ``first``.  Sample i carries the (K, d)
-        block whose descriptions, unit descriptions and norms are
-        ``stack[table_row[i]]``, with ``stack = _stacked(table)``.
+        block ``blocks[table_row[i]]``.
         """
         b = same.shape[0]
-        d = stack.shape[2] // 2
         index = np.arange(b)
         by_label = lead is None
         lead = first if by_label else lead
@@ -292,12 +243,8 @@ class _Layout:
         self.any_neg = any_neg = bool(n_same[0] < b)
         has_pos = n_same > 1
         paired = has_pos & any_neg
-        block = table_row[leads]  # (C,) table row of each class
-        classes = stack[block]  # (C, K, 2d + 1), the one gather from the table
-        self.class_desc = classes[:, :, :d]  # (C, K, d)
-        # (C * K, d), contiguous: at d = 1, a one-row MI pass takes a dot product
-        # with it, which BLAS sums in another order over a strided vector
-        self.class_flat = np.ascontiguousarray(self.class_desc.reshape(-1, d))
+        self.class_desc = blocks[table_row[leads]]  # (C, K, d), the one gather from the table
+        self.class_flat = self.class_desc.reshape(-1, blocks.shape[2])  # (C * K, d)
 
         self.rows = rows
         anchors = index[rows]  # batch index of each anchor
@@ -310,7 +257,6 @@ class _Layout:
         pos[...] = same[rows]
         np.logical_not(pos, out=neg)
         pos.flat[own_entry] = False
-        self.is_pos = pos.astype(np.float64)  # SCL's positives as 1.0
         self.n_pos = n_same[rows, None] - 1.0  # (rows, 1) positives of each anchor
         self.has_pos, self.paired = has_pos[rows], paired[rows]
         # the anchors each term skips, and whether it has any other
@@ -338,10 +284,11 @@ class _Layout:
         # |A| - [u in A]: the anchors u is a hard positive for
         self.pos_count = n_a - member[:, None, :]
         self.live_index = index[: live.size, None]  # (C', 1)
-        live_rows = classes[live]
-        self.live_desc = live_rows[:, :, :d]  # (C', K, d)
-        self.live_unit = live_rows[:, :, d : 2 * d]  # (C', K, d)
-        self.live_norms = live_rows[:, :, 2 * d]  # (C', K)
+        self.live_desc = desc = self.class_desc[live]  # (C', K, d)
+        self.live_norms = norms = np.sqrt(np.einsum("ckd,ckd->ck", desc, desc))  # (C', K)
+        # a zero norm gets a zero unit vector: mining rejects it before reading this
+        self.live_unit = np.zeros(desc.shape)
+        np.divide(desc, norms[:, :, None], out=self.live_unit, where=norms[:, :, None] != 0.0)
         # MI: each anchor's negatives in each class, plus one for its own,
         # which holds no negative; only a class of the anchor's own label
         # but not its own class weighs 0 (none when each label is one
@@ -359,50 +306,34 @@ class _Layout:
         lead = None
         if (batch.descriptions[first] != batch.descriptions).any():
             lead = np.arange(batch.size)
-        return cls(same, first, lead, rows, _stacked(batch.descriptions), np.arange(batch.size))
+        return cls(same, first, lead, rows, batch.descriptions, np.arange(batch.size))
 
     @classmethod
-    def of_rows(cls, table_row: np.ndarray, stack: np.ndarray) -> "_Layout":
-        """The layout of samples that carry table rows ``table_row``, every sample an anchor.
+    def of_rows(cls, table_row: np.ndarray, table: np.ndarray) -> "_Layout":
+        """The layout of samples that carry rows ``table_row`` of an (R, K, d) ``table``.
 
-        ``stack = _stacked(table)``.  A table row is one relation's
-        block, so the labels are the table rows and the description
-        classes are the relations in order of first appearance: what
-        ``of_batch`` finds for such blocks, without comparing them.
+        Every sample is an anchor.  A table row is one relation's block,
+        so the labels are the table rows and the classes the relations in
+        order of first appearance: what ``of_batch`` finds, without
+        comparing blocks.
         """
         same = table_row[:, None] == table_row[None, :]
-        return cls(same, same.argmax(axis=1), None, slice(0, table_row.size), stack, table_row)
-
-
-def _stacked(blocks: np.ndarray) -> np.ndarray:
-    """(.., K, 2d + 1): each of the (.., K, d) descriptions, its unit vector and its norm.
-
-    A zero-norm vector gets a zero unit vector and no warning: mining
-    rejects a zero norm before it reads the unit vector.
-    """
-    d = blocks.shape[-1]
-    stack = np.zeros(blocks.shape[:-1] + (2 * d + 1,))
-    stack[..., :d] = blocks
-    norms = stack[..., 2 * d]
-    norms[...] = np.sqrt(np.einsum("...kd,...kd->...k", blocks, blocks))
-    np.divide(blocks, norms[..., None], out=stack[..., d : 2 * d], where=norms[..., None] != 0.0)
-    return stack
+        return cls(same, same.argmax(axis=1), None, slice(0, table_row.size), table, table_row)
 
 
 class _Kernel:
     """The four objectives of one batch's embeddings z over a ``_Layout``.
 
-    It holds z, its row norms and unit rows, and the layout: the anchor
-    rows with their masks and the description classes.  SCL and HSMT
-    evaluate every anchor at once from (rows, B) cosine and squared-distance
-    matrices, both taken from one Gram block z[rows] @ z.T, and MI scores
-    each anchor against the (C, K) class descriptions.  The transients
-    grow as rows * max(B, C * K) floats, and mining's as C * K * B;
-    HSMT's (B, d) differences are formed only for the anchors
-    ``_exact_star`` decides.
+    SCL and HSMT evaluate every anchor at once from one Gram block
+    z[rows] @ z.T, and MI scores each anchor against the (C * K) class
+    descriptions.  The transients grow as rows * max(B, C * K) floats,
+    and mining's as C' * K * B.  A term asked for no ``values`` skips its
+    value arithmetic and returns ``values=None``, with the same gradient
+    bits.
 
-    Mining and HM work on one (K, B) cosine block per active class: a
-    class whose anchors have a positive and a negative.  With
+    The description side of mining and HM depends on an anchor only
+    through its class, so it is done once per live class: one whose
+    anchors have a positive and a negative.  With
     dist = 1 - cos(d_c^k, z_u) and A the class's anchors:
 
     * a same-label u with dist > the closest negative is a hard positive
@@ -413,13 +344,7 @@ class _Kernel:
       ties) and top2 the farthest once arg1 is removed: every anchor but
       arg1 has arg1 as its farthest positive, arg1 has top2.
 
-    HM's values and gradients are these counts times the per-class
-    terms.  The distances come from one (K, d) @ (d, B) product per
-    class, so the strict inequalities and the ties resolve as they do
-    per anchor.  The per-anchor functions of this module run the same
-    methods over a one-row layout, with classes of one anchor.  A term
-    asked for no ``values`` skips its value arithmetic and returns
-    ``values=None``, with the same gradient bits.
+    HM's values and gradients are these counts times the per-class terms.
     """
 
     def __init__(self, z: np.ndarray, layout: _Layout) -> None:
@@ -471,7 +396,7 @@ class _Kernel:
         coeff = w
         coeff /= total
         coeff *= n_pos
-        coeff -= lay.is_pos
+        coeff -= lay.pos
         coeff /= tau
         # dcos/dz_u = (x_hat - cos u_hat) / |u|, dcos/dz_x = (u_hat - cos x_hat) / |x|
         weighted_cos = coeff * cos
@@ -791,15 +716,11 @@ def mi_loss(batch: Batch, x: int, w_matrix: np.ndarray, tau: float) -> MiResult:
 def joint_loss(batch: Batch, hp: HyperParams, w_matrix: np.ndarray) -> JointResult:
     """Batch-mean of the beta-weighted sum of all four objectives.
 
-    Every row is an anchor, so the kernel's transients grow as
-    B * max(B, C * K) floats, C the batch's description classes
-    (training batches hold at most 64 rows).  The
-    batch's size is checked for SCL and HSMT, W's (d, d) shape whatever
-    ``beta_mi`` is, and its layout is built by comparing its
-    description blocks; training calls ``_joint`` on a layout from
-    ``_Layout.of_rows`` instead.  Linear in each beta; terms with
-    beta == 0 are skipped entirely, so disabling a loss also disables
-    its degenerate-input flags.
+    The batch's size is checked for SCL and HSMT, and W's (d, d) shape
+    whatever ``beta_mi`` is; the layout is built by comparing the
+    description blocks.  Linear in each beta; terms with beta == 0 are
+    skipped entirely, so disabling a loss also disables its
+    degenerate-input flags.
     """
     if hp.beta_sc != 0.0:
         _require_pair(batch, "scl_loss")

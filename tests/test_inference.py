@@ -689,6 +689,28 @@ class TestBatchedEvaluate:
                 tracemalloc.stop()
             assert peak < 1_000_000, f"evaluate[{head}] peaked at {peak} bytes"
 
+    @pytest.mark.parametrize("queries, relations", [(51, 80), (102, 40), (409, 10)])
+    def test_a_scoring_pass_stays_under_the_trim_margin(self, queries, relations):
+        # glibc frees a heap block back to the system once it exceeds a
+        # trim threshold derived from a seed's largest freed transient;
+        # a scoring pass of both heads read 390-398 KiB and crossing a
+        # cliff about 60 KiB above made every pass fault its memory in
+        # again (CHANGES.md, "FOUND: evaluation's speed hangs on glibc's
+        # heap trim threshold")
+        rng = np.random.default_rng(7)
+        z, prototypes, means = (rng.normal(size=(n, 16)) for n in (queries, relations, relations))
+        sq_norms = np.einsum("rd,rd->r", prototypes, prototypes)
+        mean_norms = np.sqrt(np.einsum("rd,rd->r", means, means))
+        args = (z, prototypes, sq_norms, (means, mean_norms), HP)
+        assert set(inference._predict_block(*args)) == {"ncm", "dri"}
+        tracemalloc.start()
+        try:
+            inference._predict_block(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 430 * 1024, f"a scoring pass peaked at {peak / 1024:.1f} KiB"
+
 
 def reflection(v, normal):
     """``v`` reflected through the hyperplane through the origin with unit ``normal``."""

@@ -1189,7 +1189,7 @@ TRAINING_HPS = (HyperParams(), TestJointLoss.HP)
 
 def layout_for(table, rows):
     """The layout training builds for samples where sample i carries ``table[rows[i]]``."""
-    return losses._Layout.of_rows(np.asarray(rows), losses._stacked(table))
+    return losses._Layout.of_rows(np.asarray(rows), table)
 
 
 def plain_twin(table, rows, z):
@@ -1322,11 +1322,11 @@ class TestTrainingLayout:
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 5, size=100)
         hp = HyperParams()
-        stack = losses._stacked(rng.normal(size=(5, 7, 16)))
+        table = rng.normal(size=(5, 7, 16))
         idx, z, w = rng.permutation(100)[:32], embedded(rng, 32, 16), np.eye(16)
         grad_w = np.empty((16, 16))
         # a first step imports anything imported lazily
-        losses._joint(z, losses._Layout.of_rows(labels[idx], stack), hp, w, grad_w, values=False)
+        losses._joint(z, losses._Layout.of_rows(labels[idx], table), hp, w, grad_w, values=False)
         # a collection inside the step would add the calls of gc.callbacks
         # (Hypothesis registers one), which depend on what ran before
         gc.collect()
@@ -1334,7 +1334,7 @@ class TestTrainingLayout:
         profile = cProfile.Profile()
         try:
             profile.enable()
-            losses._joint(z, losses._Layout.of_rows(labels[idx], stack), hp, w, grad_w, values=False)
+            losses._joint(z, losses._Layout.of_rows(labels[idx], table), hp, w, grad_w, values=False)
             profile.disable()
         finally:
             gc.enable()

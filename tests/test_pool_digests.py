@@ -10,13 +10,14 @@ are relative to a temporary working directory, so neither run ids nor
 ``config.json`` depend on where it lies.
 
 Matrix products may round differently under another Python, NumPy or
-BLAS, so the file records the versions and the machine it was made on,
-and a failure names any that differ before the files that moved.  A
-change that means to move bits re-records the file:
+BLAS, so the file records the versions, the machine and the OpenBLAS
+core it was made on, and a failure names any that differ before the
+files that moved.  A change that means to move bits re-records the file:
 
     PYTHONPATH=src python tests/test_pool_digests.py
 """
 
+import ctypes
 import hashlib
 import importlib.util
 import json
@@ -46,9 +47,23 @@ def _perfbench_workloads() -> dict:
 WORKLOADS = _perfbench_workloads()
 
 
+def blas_core() -> str:
+    """The core OpenBLAS chose for NumPy's kernels (``OPENBLAS_CORETYPE`` overrides it),
+    read from the ``scipy_openblas`` library NumPy ships in ``numpy.libs``, or "unknown"."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*scipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def platform_stamp() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "machine": platform.machine()}
+            "machine": platform.machine(), "blas_core": blas_core()}
 
 
 def seed_digests(workload: str, seed: int) -> dict:
@@ -104,7 +119,9 @@ def test_pool_seeds_keep_their_bytes(workload, tmp_path, monkeypatch):
     lines = differences(recorded["workloads"][workload], workload_digests(workload))
     stamp = platform_stamp()
     if lines and stamp != recorded["platform"]:
-        lines.insert(0, f"recorded on {recorded['platform']}, running on {stamp}")
+        moved = [f"{key} {recorded['platform'].get(key)} -> {value}"
+                 for key, value in stamp.items() if recorded["platform"].get(key) != value]
+        lines.insert(0, f"recorded on another platform: {', '.join(moved)}")
     assert not lines, f"{workload}: " + "\n".join(lines)
 
 

@@ -8,6 +8,9 @@ and the count that ROADMAP tracks as the package's public symbols.
 
 import ast
 import dataclasses
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -409,3 +412,37 @@ def test_only_geometry_calls_the_one_vector_key_forms():
     """Both heads take their keys from ``inference._keys``: no module keeps a second key path."""
     found = {path.stem: key_calls(path.read_text(encoding="utf-8")) for path in MODULES}
     assert {stem: calls for stem, calls in found.items() if calls and stem != "geometry"} == {}
+
+
+MEASURE = re.compile(r"(?<![\w.])\d[\d,.]*\s?(?:us|µs|ms|s|KB|KiB|MB|MiB|%)(?!\w)")
+STATEMENT_START = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT}
+
+
+def prose(source: str):
+    """Each comment and docstring of one module's source, with the line it starts on.
+
+    A docstring is a string token that makes a statement of its own.
+    """
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    for before, token, after in zip([None, *tokens], tokens, [*tokens[1:], None]):
+        if token.type == tokenize.COMMENT:
+            yield token.start[0], token.string
+        elif (
+            token.type == tokenize.STRING
+            and (before is None or before.type in STATEMENT_START)
+            and after is not None
+            and after.type == tokenize.NEWLINE
+        ):
+            yield token.start[0], token.string
+
+
+def test_no_comment_or_docstring_holds_a_measurement():
+    """A time, size or share measured on some machine belongs in CHANGES.md or a BENCH file,
+    which a passage in ``src/`` cites; the passage keeps only its rule or reason."""
+    found = []
+    for path in MODULES:
+        for line, text in prose(path.read_text(encoding="utf-8")):
+            for match in MEASURE.finditer(text):
+                at = line + text.count("\n", 0, match.start())
+                found.append(f"{path.name}:{at}: {match.group()}")
+    assert found == []
